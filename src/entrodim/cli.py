@@ -33,7 +33,7 @@ def _cmd_check(args) -> tuple[int, dict]:
         "inputs": {"ineq": args.ineq},
         "canonical": format_inequality(ineq, names),
     }
-    result = shannon.is_shannon_type(ineq)
+    result = shannon.is_shannon_type(ineq, elems)
     if isinstance(result, shannon.ShannonCertificate):
         report["outcome"] = "shannon-type"
         report["certificate"] = {

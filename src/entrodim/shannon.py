@@ -141,15 +141,17 @@ def _row_slack(row: LinearInequality, point: dict[int, Fraction]) -> Fraction:
 
 def is_shannon_type(
     ineq: LinearInequality,
+    elems: ElementalSet | None = None,
 ) -> ShannonCertificate | FarkasWitness:
     """Decide cone membership, returning a verified certificate either way."""
-    elems = elemental_inequalities(ineq.m)
+    if elems is None:
+        elems = elemental_inequalities(ineq.m)
+    if elems.m != ineq.m:
+        raise ValueError(f"elemental set is for m={elems.m}, target m={ineq.m}")
     coords = subsets(ineq.m)
-    a = [
-        [row.coeffs.get(mask, Fraction(0)) for row in elems.rows]
-        for mask in coords
-    ]
-    b = [ineq.coeffs.get(mask, Fraction(0)) for mask in coords]
+    zero = Fraction(0)
+    a = [[row.coeffs.get(mask, zero) for row in elems.rows] for mask in coords]
+    b = [ineq.coeffs.get(mask, zero) for mask in coords]
     res = solve_eq_nonneg(a, b)
     if res.feasible:
         weights = {r: w for r, w in enumerate(res.solution) if w != 0}

@@ -147,10 +147,14 @@ def test_malformed_certificates_rejected():
 
 def test_elemental_rows_certify_themselves():
     for m in (2, 3):
-        for row in elemental_inequalities(m).rows:
-            res = is_shannon_type(row)
+        elems = elemental_inequalities(m)
+        for row in elems.rows:
+            res = is_shannon_type(row, elems)
             assert isinstance(res, ShannonCertificate)
+            assert res == is_shannon_type(row)
             verify_certificate(row, res)
+    with pytest.raises(ValueError):
+        is_shannon_type(EQ1, elemental_inequalities(4))
 
 
 def test_zhang_yeung_fixture():

@@ -1,9 +1,124 @@
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entrodim.simplex import solve_eq_nonneg
+from entrodim import simplex
+from entrodim.cli import main
+from entrodim.core import MAX_PRODUCT_BITS, SizeLimitError
+from entrodim.simplex import FeasibilityResult, solve_eq_nonneg
+
+# Reference: the dense Fraction-tableau phase-1 simplex with Bland's rule
+# that the fraction-free solver replaced.  The fraction-free solver must
+# take the same pivots, so its answers must equal these exactly.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _pivot(
+    rows: list[list[Fraction]],
+    obj: list[Fraction],
+    basis: list[int],
+    r: int,
+    c: int,
+) -> None:
+    piv = rows[r][c]
+    rows[r] = [x / piv for x in rows[r]]
+    prow = rows[r]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [x - f * p for x, p in zip(row, prow)]
+    if obj[c] != 0:
+        f = obj[c]
+        obj[:] = [x - f * p for x, p in zip(obj, prow)]
+    basis[r] = c
+
+
+def _check_size(rows: list[list[Fraction]]) -> None:
+    for row in rows:
+        for x in row:
+            bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+            if bits > MAX_PRODUCT_BITS:
+                raise SizeLimitError(
+                    f"simplex tableau entry exceeds {MAX_PRODUCT_BITS} bits"
+                )
+
+
+def _reference_solve(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> FeasibilityResult:
+    """Find y >= 0 with A y = b, or a Farkas certificate that none exists."""
+    n = len(a)
+    k = len(a[0]) if n else 0
+    if any(len(row) != k for row in a):
+        raise ValueError("ragged constraint matrix")
+    if len(b) != n:
+        raise ValueError(f"rhs length {len(b)} does not match {n} rows")
+
+    # sign-normalize rows so the rhs is nonnegative, then append one
+    # artificial column per row; initial basis = artificials
+    signs = [1 if Fraction(bi) >= 0 else -1 for bi in b]
+    rows: list[list[Fraction]] = []
+    for i in range(n):
+        s = signs[i]
+        row = [s * Fraction(x) for x in a[i]]
+        row += [_ONE if j == i else _ZERO for j in range(n)]
+        row.append(s * Fraction(b[i]))
+        rows.append(row)
+    basis = [k + i for i in range(n)]
+
+    # phase-1 objective: minimize the sum of artificials.  obj holds the
+    # reduced costs (cost 0 structural, 1 artificial) followed by -z.
+    obj = [_ZERO] * (k + n + 1)
+    for j in range(k):
+        obj[j] = -sum(rows[i][j] for i in range(n))
+    obj[-1] = -sum(rows[i][-1] for i in range(n))
+
+    ncols = k + n
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = -1
+        best: Fraction | None = None
+        for i in range(n):
+            coef = rows[i][enter]
+            if coef > 0:
+                ratio = rows[i][-1] / coef
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best, leave = ratio, i
+        if leave < 0:
+            raise AssertionError("phase-1 objective cannot be unbounded")
+        _pivot(rows, obj, basis, leave, enter)
+        _check_size(rows)
+
+    z = -obj[-1]
+    if z == 0:
+        y = [_ZERO] * k
+        for i, var in enumerate(basis):
+            if var < k:
+                y[var] = rows[i][-1]
+        for i in range(n):
+            total = sum(Fraction(a[i][j]) * y[j] for j in range(k))
+            if total != Fraction(b[i]):
+                raise AssertionError("simplex returned an invalid solution")
+        return FeasibilityResult(True, tuple(y), None)
+
+    # infeasible: simplex multipliers pi_i = 1 - reduced cost of the
+    # i-th artificial; undo the row sign flips to get the Farkas vector
+    u = [signs[i] * (1 - obj[k + i]) for i in range(n)]
+    for j in range(k):
+        if sum(u[i] * Fraction(a[i][j]) for i in range(n)) > 0:
+            raise AssertionError("simplex produced an invalid Farkas vector")
+    if sum(u[i] * Fraction(b[i]) for i in range(n)) <= 0:
+        raise AssertionError("simplex produced an invalid Farkas vector")
+    return FeasibilityResult(False, None, tuple(u))
 
 
 def test_feasible_square_system():
@@ -76,13 +191,15 @@ def test_random_constructed_feasible():
 def test_random_systems_always_certified():
     # every answer, feasible or not, must carry an exact certificate
     rng = random.Random(1234)
-    for _ in range(60):
+    for t in range(120):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        # the second half has fractional entries, so columns get scaled
+        dens = (1,) if t < 60 else (1, 1, 2, 3, 4)
         a = [
-            [Fraction(rng.randint(-4, 4)) for _ in range(cols)]
+            [Fraction(rng.randint(-4, 4), rng.choice(dens)) for _ in range(cols)]
             for _ in range(rows)
         ]
-        b = [Fraction(rng.randint(-6, 6)) for _ in range(rows)]
+        b = [Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(rows)]
         res = solve_eq_nonneg(a, b)
         if res.feasible:
             y = res.solution
@@ -94,3 +211,74 @@ def test_random_systems_always_certified():
             for j in range(cols):
                 assert sum(u[i] * a[i][j] for i in range(rows)) <= 0
             assert sum(u[i] * b[i] for i in range(rows)) > 0
+
+
+def _small_rationals(max_value: int, denominators: tuple[int, ...]):
+    return st.builds(
+        Fraction,
+        st.integers(-max_value, max_value),
+        st.sampled_from(denominators),
+    )
+
+
+@st.composite
+def _systems(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 6))
+    # small integer ranges make degenerate ratio ties common
+    entries = draw(
+        st.sampled_from(
+            [
+                _small_rationals(1, (1,)),
+                _small_rationals(2, (1,)),
+                _small_rationals(3, (1, 2, 3)),
+                _small_rationals(4, (1, 1, 2, 5, 7)),
+            ]
+        )
+    )
+    a = draw(
+        st.lists(
+            st.lists(entries, min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    if draw(st.booleans()):
+        # feasible by construction
+        y = draw(st.lists(_small_rationals(3, (1, 2)), min_size=cols, max_size=cols))
+        b = [sum(a[i][j] * abs(y[j]) for j in range(cols)) for i in range(rows)]
+    else:
+        b = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_systems())
+def test_matches_reference_solver(system):
+    a, b = system
+    assert solve_eq_nonneg(a, b) == _reference_solve(a, b)
+
+
+def test_matches_reference_on_int_input():
+    # plain ints are accepted, as by the reference
+    a, b = [[2, -1, 0], [1, 1, 3]], [1, -2]
+    assert solve_eq_nonneg(a, b) == _reference_solve(a, b)
+
+
+def test_size_budget(monkeypatch):
+    a = [[Fraction(3), Fraction(1, 2)], [Fraction(-1), Fraction(5)]]
+    b = [Fraction(7), Fraction(2)]
+    assert solve_eq_nonneg(a, b).feasible
+    monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
+    with pytest.raises(SizeLimitError):
+        solve_eq_nonneg(a, b)
+
+
+def test_size_budget_cli_error(monkeypatch, capsys):
+    monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
+    assert main(["check", "H(x,y) <= H(x) + H(y)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: SizeLimitError: ")
