@@ -168,20 +168,34 @@ def _guarded_pow(n: int, e: int) -> int:
         )
     return n**e
 
+
+def coprime_exponents(qs: Iterable[Fraction]) -> list[int]:
+    """Nonzero rationals times one positive factor, as coprime integers.
+
+    The factor is the lcm of the denominators divided by the gcd of the
+    resulting numerators, so signs and ratios are kept.
+    """
+    qs = list(qs)
+    den = math.lcm(*(q.denominator for q in qs))
+    nums = [q.numerator * (den // q.denominator) for q in qs]
+    div = math.gcd(*nums)
+    return [e // div for e in nums]
+
+
 def loglin_sign(x: ExactLogLin) -> int:
     """Exact sign of an ExactLogLin value: -1, 0 or +1.
 
-    Denominators are cleared to integer exponents e_i, and the products
-    prod_{e_i>0} n_i**e_i and prod_{e_i<0} n_i**-e_i are compared as big
-    integers.  The result is independent of the logarithm base.
+    The coefficients are scaled to coprime integer exponents e_i
+    (coprime_exponents), and the products prod_{e_i>0} n_i**e_i and
+    prod_{e_i<0} n_i**-e_i are compared as big integers.  The result is
+    independent of the logarithm base.
     """
     if not x.terms:
         return 0
-    den = math.lcm(*(q.denominator for q, _ in x.terms))
+    exps = coprime_exponents(q for q, _ in x.terms)
     pos = neg = 1
     pos_bits = neg_bits = 0
-    for q, n in x.terms:
-        e = int(q * den)
+    for e, (_, n) in zip(exps, x.terms):
         if e > 0:
             pos_bits += e * n.bit_length()
         else:

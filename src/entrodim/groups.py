@@ -20,14 +20,16 @@ associativity) at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
 
+from . import core
 from .core import (
     EntropyVector,
     ExactLogLin,
     LinearInequality,
+    LogLinOverflowError,
+    coprime_exponents,
     eval_slack,
     subsets,
 )
@@ -143,6 +145,11 @@ class Subgroup:
     @cached_property
     def element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
+
+    @cached_property
+    def mask(self) -> int:
+        """The elements as a bitset: bit a is set iff element a is in."""
+        return sum(1 << a for a in self.elements)
 
     @property
     def order(self) -> int:
@@ -415,21 +422,22 @@ def coset_entropy_point(
     return point
 
 
+def _extend(inter: list[int], k: int, bits: int) -> None:
+    """Intersections that gain variable k: inter[lo | s] = inter[s] & bits
+    for every s < lo = 2**k, where inter[0] is the whole group."""
+    lo = 1 << k
+    for s in range(lo):
+        inter[lo | s] = inter[s] & bits
+
+
 def _intersection_orders(g: FiniteGroup, subs) -> dict[int, int]:
-    """#H_I for every nonempty I, via shared-prefix intersections."""
+    """#H_I for every nonempty I, via shared-prefix bitset intersections."""
     m = len(subs)
-    sets: dict[int, frozenset[int]] = {}
-    orders: dict[int, int] = {}
-    for mask in subsets(m):
-        low = mask & -mask
-        rest = mask ^ low
-        if rest == 0:
-            cur = subs[low.bit_length() - 1].element_set
-        else:
-            cur = sets[rest] & subs[low.bit_length() - 1].element_set
-        sets[mask] = cur
-        orders[mask] = len(cur)
-    return orders
+    masks = subsets(m)
+    inter = [(1 << g.order) - 1] + [0] * len(masks)
+    for k, h in enumerate(subs):
+        _extend(inter, k, h.mask)
+    return {mask: inter[mask].bit_count() for mask in masks}
 
 
 @dataclass(frozen=True)
@@ -451,46 +459,110 @@ def search_violation(
     """Scan (group, subgroup tuple) candidates for a violated inequality.
 
     Deterministic lexicographic scan: catalog order, then subgroup
-    tuples ordered by the all_subgroups listing.  Returns the first
-    tuple whose coset entropy point gives exactly negative slack, or
-    None when the catalog is exhausted — which is *not* a proof that no
+    tuples in ``itertools.product`` order over the all_subgroups listing
+    (cut to its first max_subgroups entries).  Returns the first tuple
+    whose coset entropy point gives exactly negative slack, or None when
+    the catalog is exhausted — which is *not* a proof that no
     counterexample exists, only that none was found within the catalog.
+
+    The slack sum_T c_T log2(n / h_T), with n = #G and h_T = #H_T, is
+    decided without logarithms or fractions.  The coefficients are
+    scaled to coprime integer exponents e_T = c_T * d / g (d the lcm of
+    their denominators, g the gcd of the scaled numerators); a positive
+    scaling keeps the sign.  The slack is then negative iff
+
+        n**(sum e) * prod_{e_T<0} h_T**(-e_T)  <  prod_{e_T>0} h_T**e_T,
+
+    with n**(-sum e) on the right instead when sum e < 0.  Subgroups are
+    int bitsets and the tuples are walked depth-first, variable 1
+    outermost: choosing H_k extends the intersections of the prefix by
+    one AND each, and multiplies the terms whose highest variable is k
+    into the two partial products, so a leaf only finishes its own terms
+    and compares two ints.  Each side is below n**max(P, N) (P and N the
+    sums of the positive and negative exponents), so one budget check
+    per group, against core.MAX_PRODUCT_BITS, bounds every product of
+    the scan; past it LogLinOverflowError is raised before scanning.
+    A hit is rebuilt with the witness-counting cross-check and its slack
+    re-decided by eval_slack; disagreement raises AssertionError.
     """
     cat = list(groups) if groups is not None else builtin_catalog(max_order)
     if not cat:
         raise ValueError("empty group catalog")
     m = ineq.m
-    items = sorted(ineq.coeffs.items())
+    exps = dict(zip(ineq.coeffs, coprime_exponents(ineq.coeffs.values())))
+    side = max(sum(e for e in exps.values() if e > 0),
+               -sum(e for e in exps.values() if e < 0))
     for g in cat:
         subs = all_subgroups(g)
         if max_subgroups is not None:
             subs = subs[:max_subgroups]
         n = g.order
-        for tup in product(subs, repeat=m):
-            orders = _intersection_orders(g, tup)
-            # slack = sum c_T * log2(n / #H_T); sign via one exact
-            # rational product: slack > 0 iff prod (n/#H_T)^(c_T) > 1
-            prod_ = Fraction(1)
-            for mask, c in items:
-                base = Fraction(n, orders[mask])
-                if c.denominator == 1:
-                    prod_ *= base ** c.numerator
-                else:
-                    # fractional weights: defer to the exact loglin sign
-                    prod_ = None
-                    break
-            if prod_ is None:
-                point = coset_entropy_point(g, tup, cross_validate=False)
-                negative = eval_slack(ineq, point.vector).sign() < 0
-            else:
-                negative = prod_ < 1
-            if negative:
-                point = coset_entropy_point(g, tup, cross_validate=True)
-                slack = eval_slack(ineq, point.vector)
-                if slack.sign() >= 0:
-                    raise AssertionError("fast slack sign disagrees with exact")
-                return Violation(g, tuple(tup), point, slack)
+        if side * n.bit_length() > core.MAX_PRODUCT_BITS:
+            raise LogLinOverflowError(
+                f"products of subgroup orders of {g!r} may exceed "
+                f"{core.MAX_PRODUCT_BITS} bits; refusing exact comparison"
+            )
+        hit = _first_negative(n, [h.mask for h in subs], m, exps)
+        if hit is not None:
+            tup = tuple(subs[i] for i in hit)
+            point = coset_entropy_point(g, tup, cross_validate=True)
+            slack = eval_slack(ineq, point.vector)
+            if slack.sign() >= 0:
+                raise AssertionError("fast slack sign disagrees with exact")
+            return Violation(g, tup, point, slack)
     return None
+
+
+def _first_negative(n: int, masks: list[int], m: int, exps: dict[int, int]):
+    """Indices into masks of the first m-tuple, in product order, whose
+    integer comparison (see search_violation) says the slack is negative;
+    None if there is none."""
+    # h -> h**e for the divisors h of n, one table per distinct |e|
+    tables: dict[int, list[int]] = {}
+    # per variable k, the terms whose highest variable is k, split by
+    # sign into (rest of the mask, power table)
+    levels = [([], []) for _ in range(m)]
+    for mask, e in exps.items():
+        k = mask.bit_length() - 1
+        a = abs(e)
+        if a not in tables:
+            tables[a] = [h**a if h and n % h == 0 else 0 for h in range(n + 1)]
+        levels[k][e > 0].append((mask ^ (1 << k), tables[a]))
+    inter = [0] * (1 << m)
+    inter[0] = (1 << n) - 1
+    last = m - 1
+
+    def walk(k: int, left: int, right: int):
+        neg, pos = levels[k]
+        if k == last:
+            neg = [(inter[s], tab) for s, tab in neg]
+            pos = [(inter[s], tab) for s, tab in pos]
+            for i, b in enumerate(masks):
+                lhs = left
+                for x, tab in neg:
+                    lhs *= tab[(x & b).bit_count()]
+                rhs = right
+                for x, tab in pos:
+                    rhs *= tab[(x & b).bit_count()]
+                if lhs < rhs:
+                    return [i]
+            return None
+        lo = 1 << k
+        for i, b in enumerate(masks):
+            _extend(inter, k, b)
+            lhs = left
+            for s, tab in neg:
+                lhs *= tab[inter[lo | s].bit_count()]
+            rhs = right
+            for s, tab in pos:
+                rhs *= tab[inter[lo | s].bit_count()]
+            got = walk(k + 1, lhs, rhs)
+            if got is not None:
+                return [i] + got
+        return None
+
+    total = sum(exps.values())
+    return walk(0, n**max(total, 0), n**max(-total, 0))
 
 
 def subgroups_from_json(g: FiniteGroup, arrays) -> list[Subgroup]:

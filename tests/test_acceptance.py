@@ -27,7 +27,9 @@ from entrodim.groups import (
     coset_entropy_point,
     cyclic,
     direct_product,
+    search_violation,
     subgroup_from_elements,
+    symmetric,
     witness_set,
 )
 from entrodim.shannon import (
@@ -311,3 +313,18 @@ def test_criterion_10_float_exact_agreement():
             worst = max(worst, diff)
             assert diff <= 1e-9
     return f"500 points, largest float gap {worst:.2e}"
+
+
+@criterion(11, "Ingleton has no violating point in S4 (Mao-Hassibi)")
+def test_criterion_11_ingleton_s4_scan():
+    # Mao and Hassibi (2009): S5 is the smallest group violating
+    # Ingleton, so the full scan of S4's 30^4 subgroup tuples finds none
+    ingleton = parse_inequality("I(a;b) <= I(a;b|c) + I(a;b|d) + I(c;d)")
+    s4 = symmetric(4)
+    tuples = len(all_subgroups(s4)) ** 4
+    start = time.perf_counter()
+    assert search_violation(ingleton, groups=[s4]) is None
+    elapsed = time.perf_counter() - start
+    assert tuples == 810_000
+    assert elapsed < 10.0, f"took {elapsed:.2f} s, budget 10 s"
+    return f"{tuples} tuples, {elapsed:.2f} s"

@@ -95,6 +95,14 @@ def test_loglin_overflow_guard():
     assert issubclass(SizeLimitError, ArithmeticError)
 
 
+def test_loglin_sign_divides_common_exponent_factor():
+    # 10**8 * (log2(3) - log2(2)): the gcd of the exponents is divided
+    # out before the size budget, so the comparison is 3 > 2
+    x = ExactLogLin(((Fraction(10**8), 3), (Fraction(-(10**8)), 2)))
+    assert loglin_sign(x) == 1
+    assert loglin_sign(-x * Fraction(1, 7)) == -1
+
+
 def test_loglin_sign_agrees_with_float():
     rng = random.Random(20260814)
     for _ in range(300):

@@ -1,9 +1,20 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from entrodim.core import ExactLogLin, eval_slack, subsets
+from entrodim import core
+from entrodim.cli import main
+from entrodim.core import (
+    ExactLogLin,
+    LinearInequality,
+    LogLinOverflowError,
+    eval_slack,
+    subsets,
+)
 from entrodim.distributions import exact_entropy_vector
 from entrodim.dsl import parse_inequality
 from entrodim.groups import (
@@ -12,6 +23,7 @@ from entrodim.groups import (
     NoInverse,
     NotAssociative,
     Subgroup,
+    Violation,
     all_subgroups,
     builtin_catalog,
     coset_entropy_point,
@@ -31,6 +43,78 @@ from entrodim.groups import (
     witness_set,
 )
 from entrodim.shannon import elemental_inequalities, zhang_yeung
+
+# Reference: the Fraction-product group search that the integer-exponent
+# bitset walk replaced.  The walk must visit tuples in the same order and
+# decide each slack sign the same way, so its first hit must equal this.
+
+
+def _reference_orders(g: FiniteGroup, subs) -> dict[int, int]:
+    """#H_I for every nonempty I, via shared-prefix intersections."""
+    m = len(subs)
+    sets: dict[int, frozenset[int]] = {}
+    orders: dict[int, int] = {}
+    for mask in subsets(m):
+        low = mask & -mask
+        rest = mask ^ low
+        if rest == 0:
+            cur = subs[low.bit_length() - 1].element_set
+        else:
+            cur = sets[rest] & subs[low.bit_length() - 1].element_set
+        sets[mask] = cur
+        orders[mask] = len(cur)
+    return orders
+
+
+def _reference_search(
+    ineq: LinearInequality,
+    groups=None,
+    max_order: int = 16,
+    max_subgroups: int | None = None,
+) -> Violation | None:
+    """Scan (group, subgroup tuple) candidates for a violated inequality.
+
+    Deterministic lexicographic scan: catalog order, then subgroup
+    tuples ordered by the all_subgroups listing.  Returns the first
+    tuple whose coset entropy point gives exactly negative slack, or
+    None when the catalog is exhausted — which is *not* a proof that no
+    counterexample exists, only that none was found within the catalog.
+    """
+    cat = list(groups) if groups is not None else builtin_catalog(max_order)
+    if not cat:
+        raise ValueError("empty group catalog")
+    m = ineq.m
+    items = sorted(ineq.coeffs.items())
+    for g in cat:
+        subs = all_subgroups(g)
+        if max_subgroups is not None:
+            subs = subs[:max_subgroups]
+        n = g.order
+        for tup in product(subs, repeat=m):
+            orders = _reference_orders(g, tup)
+            # slack = sum c_T * log2(n / #H_T); sign via one exact
+            # rational product: slack > 0 iff prod (n/#H_T)^(c_T) > 1
+            prod_ = Fraction(1)
+            for mask, c in items:
+                base = Fraction(n, orders[mask])
+                if c.denominator == 1:
+                    prod_ *= base ** c.numerator
+                else:
+                    # fractional weights: defer to the exact loglin sign
+                    prod_ = None
+                    break
+            if prod_ is None:
+                point = coset_entropy_point(g, tup, cross_validate=False)
+                negative = eval_slack(ineq, point.vector).sign() < 0
+            else:
+                negative = prod_ < 1
+            if negative:
+                point = coset_entropy_point(g, tup, cross_validate=True)
+                slack = eval_slack(ineq, point.vector)
+                if slack.sign() >= 0:
+                    raise AssertionError("fast slack sign disagrees with exact")
+                return Violation(g, tuple(tup), point, slack)
+    return None
 
 KLEIN = direct_product(cyclic(2), cyclic(2), name="klein")
 
@@ -321,3 +405,70 @@ def test_subgroups_json_round_trip():
     assert subgroups_from_json(KLEIN, arrays) == [h1, h2]
     with pytest.raises(ValueError):
         subgroups_from_json(KLEIN, [[1, 2]])
+
+
+CATALOG_8 = builtin_catalog(8)
+LISTED = {g.name: len(all_subgroups(g)) for g in CATALOG_8}
+
+
+@st.composite
+def _searches(draw):
+    m = draw(st.integers(1, 4))
+    weight = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeffs = draw(st.dictionaries(st.sampled_from(subsets(m)), weight, min_size=1))
+    assume(any(coeffs.values()))
+    cat = draw(st.lists(st.sampled_from(CATALOG_8), min_size=1, max_size=3))
+    cap = draw(st.sampled_from([None, 1, 2, 3]))
+    # the reference scans a few thousand tuples per second
+    tuples = sum(min(LISTED[g.name], cap or LISTED[g.name]) ** m for g in cat)
+    assume(tuples <= 1500)
+    return LinearInequality(m, coeffs), cat, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(_searches())
+def test_search_matches_reference(search):
+    ineq, cat, cap = search
+    got = search_violation(ineq, groups=cat, max_subgroups=cap)
+    want = _reference_search(ineq, groups=cat, max_subgroups=cap)
+    if want is None:
+        assert got is None
+        return
+    assert got.group is want.group
+    assert got.subgroups == want.subgroups
+    assert str(got.slack) == str(want.slack)
+
+
+def test_search_size_budget(monkeypatch, capsys):
+    # checked per group before its scan, so also when nothing is found
+    good = parse_inequality("I(x;y) >= 0")
+    monkeypatch.setattr(core, "MAX_PRODUCT_BITS", 1)
+    with pytest.raises(LogLinOverflowError):
+        search_violation(good, groups=[KLEIN])
+    args = ["group-search", "--ineq", "I(x;y) >= 0", "--max-order", "4"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: LogLinOverflowError: ")
+
+
+def test_search_large_common_weight():
+    # the exponents share the factor 30000000: dividing it out keeps the
+    # products tiny, so the scan is immediate
+    start = time.perf_counter()
+    ineq = parse_inequality("30000000 H(x) >= 0")
+    assert search_violation(ineq, groups=[cyclic(2), cyclic(3)]) is None
+    assert time.perf_counter() - start < 1.0
+
+    hit = search_violation(parse_inequality("100000000 H(x,y) <= 100000000 H(x)"))
+    assert hit.group.name == "Z2"
+    assert tuple(h.elements for h in hit.subgroups) == ((0, 1), (0,))
+    assert str(hit.slack) == "-100000000"
+
+
+def test_subgroup_mask():
+    h = subgroup_from_elements(KLEIN, [0, 3])
+    assert h.mask == 0b1001
+    assert all_subgroups(KLEIN)[-1].mask == 0b1111
