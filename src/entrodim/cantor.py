@@ -17,6 +17,7 @@ violate the corresponding dimension inequality with room to spare
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -26,7 +27,7 @@ from .core import (
     LinearInequality,
     eval_slack,
     mask_label,
-    mask_positions,
+    projector,
     subsets,
 )
 from .groups import FiniteGroup, Subgroup, coset_entropy_point, witness_set
@@ -140,11 +141,10 @@ def dim_sum_sign(terms: Iterable[tuple[Fraction, DimValue]]) -> int:
 
 def project(w: CantorWitness, subset: int) -> CantorWitness:
     """Projection onto the coordinates in `subset` (a new witness)."""
-    pos = mask_positions(subset)
-    if not pos or subset >= 1 << w.m:
+    if not 0 < subset < 1 << w.m:
         raise ValueError(f"subset mask {subset} out of range for m={w.m}")
-    pts = frozenset(tuple(p[i - 1] for i in pos) for p in w.points)
-    return CantorWitness(len(pos), w.base, pts)
+    pts = frozenset(map(projector(subset), w.points))
+    return CantorWitness(subset.bit_count(), w.base, pts)
 
 
 def dim_value(w: CantorWitness) -> DimValue:
@@ -168,13 +168,9 @@ def uniform_fiber(w: CantorWitness, subset: int):
     full = (1 << w.m) - 1
     if subset == full:
         raise ValueError("projection onto all coordinates is the identity")
-    pos = mask_positions(subset)
-    if not pos or subset > full:
+    if not 0 < subset < full:
         raise ValueError(f"subset mask {subset} out of range for m={w.m}")
-    fibers: dict[Digits, int] = {}
-    for p in w.points:
-        key = tuple(p[i - 1] for i in pos)
-        fibers[key] = fibers.get(key, 0) + 1
+    fibers = Counter(map(projector(subset), w.points))
     target = Fraction(len(w.points), len(fibers))
     for key in sorted(fibers):
         if fibers[key] != target:
@@ -199,8 +195,7 @@ def lemma_fiber_bound(w: CantorWitness, b: Iterable[Digits], subset: int) -> boo
         raise ValueError(f"projection {mask_label(subset)} has non-uniform fibers")
     if not bset:
         return True
-    pos = mask_positions(subset)
-    b_i = {tuple(p[i - 1] for i in pos) for p in bset}
+    b_i = set(map(projector(subset), bset))
     return len(bset) <= len(b_i) * f
 
 

@@ -11,12 +11,13 @@ exists), 1 for errors — with a single machine-parsable line
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from . import cantor, distributions, groups, shannon, splitting
-from .core import FLOAT_TOL, ExactLogLin, eval_slack, mask_label, subsets
+from .core import FLOAT_TOL, eval_slack, mask_label, mask_of, subsets
 from .dsl import format_inequality, parse_with_names
 
 
@@ -177,7 +178,9 @@ def _cmd_cantor(args) -> tuple[int, dict]:
     full = (1 << w.m) - 1
     if args.project:
         positions = [int(p) for p in args.project.split(",")]
-        masks = [sum(1 << (p - 1) for p in positions)]
+        if len(set(positions)) != len(positions):
+            raise ValueError(f"repeated position in --project {args.project}")
+        masks = [mask_of(positions, w.m)]
     else:
         masks = subsets(w.m)
     entries = []
@@ -318,8 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later requests:
+    parse_args fills a fresh namespace from the defaults on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         code, report = args.handler(args)

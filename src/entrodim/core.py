@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Union
 
 MAX_VARIABLES = 8
 
@@ -60,6 +61,22 @@ def mask_of(positions: Iterable[int], m: int | None = None) -> int:
 def mask_positions(mask: int) -> tuple[int, ...]:
     """1-based variable positions present in a subset mask, ascending."""
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def projector(mask: int) -> Callable[[tuple], tuple]:
+    """The projection of a point tuple onto the positions in a subset mask.
+
+    The 0-based indices are worked out once per mask; the returned
+    callable is an operator.itemgetter and always yields a tuple.  For a
+    one-coordinate mask it slices, where a bare itemgetter(i) would
+    return the scalar.
+    """
+    if mask <= 0:
+        raise ValueError(f"subset mask {mask} is not a nonempty subset")
+    idx = [p - 1 for p in mask_positions(mask)]
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    return itemgetter(*idx)
 
 
 def mask_label(mask: int, names: tuple[str, ...] | None = None) -> str:

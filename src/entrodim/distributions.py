@@ -23,7 +23,7 @@ from .core import (
     EntropyVector,
     ExactLogLin,
     mask_label,
-    mask_positions,
+    projector,
     subsets,
 )
 
@@ -136,18 +136,14 @@ class NonUniformFibers(ValueError):
         self.subset = subset
 
 
-def _indices(mask: int) -> tuple[int, ...]:
-    return tuple(p - 1 for p in mask_positions(mask))
-
-
 def marginal_entropy(d: JointDistribution, subset: int) -> float:
     """Entropy in bits of the projection of d onto the subset's coordinates."""
     if not 0 < subset < (1 << d.m):
         raise ValueError(f"subset mask {subset} out of range for m={d.m}")
-    idx = _indices(subset)
+    get = projector(subset)
     marg: dict[Point, Fraction] = {}
     for point, prob in d.atoms:
-        key = tuple(point[i] for i in idx)
+        key = get(point)
         marg[key] = marg.get(key, Fraction(0)) + prob
     return -math.fsum(float(p) * math.log2(float(p)) for p in marg.values())
 
@@ -169,8 +165,7 @@ def exact_entropy_vector(s: SupportSet) -> EntropyVector:
     """
     values: dict[int, ExactLogLin] = {}
     for mask in subsets(s.m):
-        idx = _indices(mask)
-        fibers = Counter(tuple(p[i] for i in idx) for p in s.points)
+        fibers = Counter(map(projector(mask), s.points))
         sizes = set(fibers.values())
         if len(sizes) != 1:
             raise NonUniformFibers(mask)

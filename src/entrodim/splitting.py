@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
-from .core import FLOAT_TOL, mask_label, mask_positions, subsets
+from .core import FLOAT_TOL, mask_label, mask_positions, projector, subsets
 
 Point = tuple[int, ...]
 
@@ -71,15 +72,11 @@ class FiniteBody:
         }
 
 
-def _proj(point: Point, mask: int) -> Point:
-    return tuple(point[i - 1] for i in mask_positions(mask))
-
-
 def projection_count(body: FiniteBody, mask: int) -> int:
     """Number of distinct projections of the body onto the subset."""
     if not 0 < mask < (1 << body.m):
         raise ValueError(f"subset mask {mask} out of range for m={body.m}")
-    return len({_proj(p, mask) for p in body.points})
+    return len(set(map(projector(mask), body.points)))
 
 
 def loomis_whitney_slack(body: FiniteBody) -> float:
@@ -229,6 +226,15 @@ def _max_count(bits: float) -> int:
     return cap
 
 
+def _choices(spec: SplitSpec) -> list[tuple[int, set[Point], int, Callable]]:
+    """One (part, shadow, cap, projector) entry per part of the spec, in
+    ascending part order; every shadow starts empty."""
+    return [
+        (mask, set(), _max_count(spec.bits(mask)), projector(mask))
+        for mask in sorted(spec.levels)
+    ]
+
+
 def verify_split(body: FiniteBody, spec: SplitSpec, result: SplitResult) -> bool:
     """Direct-counting recheck that the split satisfies every budget.
 
@@ -238,12 +244,13 @@ def verify_split(body: FiniteBody, spec: SplitSpec, result: SplitResult) -> bool
     """
     if set(result.assignment) != body.points:
         raise ValueError("assignment does not cover exactly the body's points")
+    getters = {mask: projector(mask) for mask in spec.levels}
+    shadows: dict[int, set[Point]] = {mask: set() for mask in spec.levels}
     for point, mask in result.assignment.items():
         if mask not in spec.levels:
             raise ValueError(f"point {point} assigned to unknown part {mask}")
-    for mask in spec.levels:
-        shadow = {_proj(p, mask) for p, lbl in result.assignment.items()
-                  if lbl == mask}
+        shadows[mask].add(getters[mask](point))
+    for mask, shadow in shadows.items():
         if shadow and math.log2(len(shadow)) > spec.bits(mask) + FLOAT_TOL:
             return False
     return True
@@ -264,18 +271,21 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
         raise ExhaustiveBoundExceeded(
             f"{len(parts)}**{len(points)} assignments exceed {EXHAUSTIVE_BOUND}"
         )
-    caps = {mask: _max_count(spec.bits(mask)) for mask in parts}
-    shadows: dict[int, set[Point]] = {mask: set() for mask in parts}
+    # each point's row holds its key in every part's shadow, worked out
+    # once here, so the search itself never projects
+    choices = _choices(spec)
+    rows = [
+        [(mask, shadow, cap, get(point)) for mask, shadow, cap, get in choices]
+        for point in points
+    ]
     chosen: list[int] = []
 
     def dfs(i: int) -> bool:
-        if i == len(points):
+        if i == len(rows):
             return True
-        for mask in parts:
-            key = _proj(points[i], mask)
-            shadow = shadows[mask]
+        for mask, shadow, cap, key in rows[i]:
             fresh = key not in shadow
-            if fresh and len(shadow) >= caps[mask]:
+            if fresh and len(shadow) >= cap:
                 continue
             if fresh:
                 shadow.add(key)
@@ -304,22 +314,19 @@ def find_split_greedy(body: FiniteBody, spec: SplitSpec) -> SplitResult | None:
     returned; None means the heuristic failed, *not* that no split
     exists.
     """
-    parts = sorted(spec.levels)
-    caps = {mask: _max_count(spec.bits(mask)) for mask in parts}
-    shadows: dict[int, set[Point]] = {mask: set() for mask in parts}
+    choices = _choices(spec)
     assignment: dict[Point, int] = {}
     for point in sorted(body.points):
-        best = None
-        best_key = None
-        for mask in parts:
-            key = _proj(point, mask)
-            growth = 0 if key in shadows[mask] else 1
-            headroom = caps[mask] - (len(shadows[mask]) + growth)
+        best = best_rank = None
+        for mask, shadow, cap, get in choices:
+            key = get(point)
+            growth = 0 if key in shadow else 1
+            headroom = cap - (len(shadow) + growth)
             rank = (growth, -headroom, mask)
-            if best_key is None or rank < best_key:
-                best_key = rank
-                best = mask
-        shadows[best].add(_proj(point, best))
-        assignment[point] = best
+            if best_rank is None or rank < best_rank:
+                best, best_rank = (mask, shadow, key), rank
+        mask, shadow, key = best
+        shadow.add(key)
+        assignment[point] = mask
     result = SplitResult(assignment)
     return result if verify_split(body, spec, result) else None

@@ -301,3 +301,41 @@ def test_reports_are_deterministic(capsys, tmp_path):
     first.pop("elapsed_ms")
     second.pop("elapsed_ms")
     assert first == second
+
+
+@pytest.mark.parametrize("project", ["1,1", "0", "3", "1,3"])
+def test_cantor_project_rejects_bad_positions(capsys, tmp_path, project):
+    witness = write_json(
+        tmp_path / "w.json", {"m": 2, "N": 2, "points": [[0, 0], [1, 1]]}
+    )
+    code, report, err = run(
+        capsys, "cantor", "--witness", witness, "--project", project
+    )
+    assert code == 1 and report is None
+    assert err.startswith("error: ValueError: ")
+    assert err.count("\n") == 1
+
+
+def test_parser_reuse_keeps_requests_apart(capsys, tmp_path):
+    body = write_json(tmp_path / "b.json", {"m": 1, "N": 2, "points": [[0], [1]]})
+    spec = write_json(
+        tmp_path / "s.json", {"m": 1, "levels": [{"part": [1], "bits": 1.0}]}
+    )
+    argv = ["split", "--body", body, "--spec", spec]
+    code, report, _ = run(capsys, *argv, "--greedy")
+    assert code == 0 and report["inputs"]["method"] == "greedy"
+    code, report, _ = run(capsys, *argv)
+    assert code == 0 and report["inputs"]["method"] == "exhaustive"
+    # an argparse failure (missing --spec, then both methods at once)
+    # leaves nothing behind for the next request
+    for bad in (
+        ["split", "--body", body, "--greedy"],
+        [*argv, "--greedy", "--exhaustive"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+    code, report, _ = run(capsys, *argv)
+    assert code == 0 and report["inputs"]["method"] == "exhaustive"
+    assert report["outcome"] == "split found"

@@ -4,12 +4,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrodim.cantor import DimValue, Level
+from entrodim.core import FLOAT_TOL, mask_positions, subsets
 from entrodim.splitting import (
     EXHAUSTIVE_BOUND,
     ExhaustiveBoundExceeded,
     FiniteBody,
+    Point,
     SplitResult,
     SplitSpec,
     check_unsplit_inequality,
@@ -19,7 +22,118 @@ from entrodim.splitting import (
     loomis_whitney_slack,
     projection_count,
     verify_split,
+    _max_count,
 )
+
+# -- the searches as they were before the projection kernel, kept as the
+# reference for test_split_searches_match_their_references
+
+
+def _reference_proj(point: Point, mask: int) -> Point:
+    return tuple(point[i - 1] for i in mask_positions(mask))
+
+
+def _reference_verify_split(
+    body: FiniteBody, spec: SplitSpec, result: SplitResult
+) -> bool:
+    """Direct-counting recheck that the split satisfies every budget.
+
+    Structural problems (not a partition of the body, unknown part
+    label) raise; budget failure returns False.  The empty part is
+    vacuously within budget — log2 of an empty projection is -inf.
+    """
+    if set(result.assignment) != body.points:
+        raise ValueError("assignment does not cover exactly the body's points")
+    for point, mask in result.assignment.items():
+        if mask not in spec.levels:
+            raise ValueError(f"point {point} assigned to unknown part {mask}")
+    for mask in spec.levels:
+        shadow = {_reference_proj(p, mask) for p, lbl in result.assignment.items()
+                  if lbl == mask}
+        if shadow and math.log2(len(shadow)) > spec.bits(mask) + FLOAT_TOL:
+            return False
+    return True
+
+
+def _reference_find_split_exhaustive(
+    body: FiniteBody, spec: SplitSpec
+) -> SplitResult | None:
+    """Complete backtracking search over all point-to-part assignments.
+
+    Deterministic: points in sorted order, parts in ascending mask
+    order, so the returned split is the lexicographically first valid
+    assignment.  A part's projection count never shrinks as points are
+    added, so pruning an over-budget prefix is safe.  Raises
+    ExhaustiveBoundExceeded when |parts| ** |S| > EXHAUSTIVE_BOUND.
+    """
+    parts = sorted(spec.levels)
+    points = sorted(body.points)
+    if len(parts) ** len(points) > EXHAUSTIVE_BOUND:
+        raise ExhaustiveBoundExceeded(
+            f"{len(parts)}**{len(points)} assignments exceed {EXHAUSTIVE_BOUND}"
+        )
+    caps = {mask: _max_count(spec.bits(mask)) for mask in parts}
+    shadows: dict[int, set[Point]] = {mask: set() for mask in parts}
+    chosen: list[int] = []
+
+    def dfs(i: int) -> bool:
+        if i == len(points):
+            return True
+        for mask in parts:
+            key = _reference_proj(points[i], mask)
+            shadow = shadows[mask]
+            fresh = key not in shadow
+            if fresh and len(shadow) >= caps[mask]:
+                continue
+            if fresh:
+                shadow.add(key)
+            chosen.append(mask)
+            if dfs(i + 1):
+                return True
+            chosen.pop()
+            if fresh:
+                shadow.remove(key)
+        return False
+
+    if not dfs(0):
+        return None
+    result = SplitResult(dict(zip(points, chosen)))
+    if not _reference_verify_split(body, spec, result):
+        raise AssertionError("exhaustive search produced an invalid split")
+    return result
+
+
+def _reference_find_split_greedy(
+    body: FiniteBody, spec: SplitSpec
+) -> SplitResult | None:
+    """One-pass heuristic: each point goes to the part it strains least.
+
+    Strain is judged by marginal projection growth (does the point add a
+    new shadow element?) with remaining budget capacity as tie-breaker,
+    then ascending part order.  The result is verified before being
+    returned; None means the heuristic failed, *not* that no split
+    exists.
+    """
+    parts = sorted(spec.levels)
+    caps = {mask: _max_count(spec.bits(mask)) for mask in parts}
+    shadows: dict[int, set[Point]] = {mask: set() for mask in parts}
+    assignment: dict[Point, int] = {}
+    for point in sorted(body.points):
+        best = None
+        best_key = None
+        for mask in parts:
+            key = _reference_proj(point, mask)
+            growth = 0 if key in shadows[mask] else 1
+            headroom = caps[mask] - (len(shadows[mask]) + growth)
+            rank = (growth, -headroom, mask)
+            if best_key is None or rank < best_key:
+                best_key = rank
+                best = mask
+        shadows[best].add(_reference_proj(point, best))
+        assignment[point] = best
+    result = SplitResult(assignment)
+    return result if _reference_verify_split(body, spec, result) else None
+
 
 FULL_CUBE_2 = FiniteBody(
     3, 2, frozenset((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1))
@@ -244,3 +358,39 @@ def test_greedy_results_always_verify():
         elif greedy is None:
             misses += 1
     assert found > 0  # the property above was actually exercised
+
+
+@st.composite
+def _split_cases(draw):
+    """A body of up to 10 points, 1-3 parts with budgets exactly on log2
+    boundaries (log2(k) admits k shadow elements and not k + 1, -1 none),
+    and one assignment of the points to those parts."""
+    m = draw(st.integers(1, 3))
+    base = draw(st.integers(2, 3))
+    coord = st.integers(0, base - 1)
+    pts = draw(st.sets(st.tuples(*[coord] * m), min_size=1, max_size=10))
+    masks = draw(
+        st.lists(st.sampled_from(subsets(m)), min_size=1, max_size=3, unique=True)
+    )
+    budget = st.one_of(st.just(-1.0), st.integers(1, 10).map(math.log2))
+    spec = SplitSpec(m, {mask: draw(budget) for mask in masks})
+    labels = [draw(st.sampled_from(masks)) for _ in pts]
+    body = FiniteBody(m, base, frozenset(pts))
+    return body, spec, SplitResult(dict(zip(sorted(pts), labels)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases())
+def test_split_searches_match_their_references(case):
+    body, spec, split = case
+    for search, reference in (
+        (find_split_exhaustive, _reference_find_split_exhaustive),
+        (find_split_greedy, _reference_find_split_greedy),
+    ):
+        got, want = search(body, spec), reference(body, spec)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.assignment == want.assignment
+    assert verify_split(body, spec, split) == _reference_verify_split(
+        body, spec, split
+    )
