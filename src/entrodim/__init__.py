@@ -16,6 +16,7 @@ from .core import (
     ExactLogLin,
     LinearInequality,
     LogLinOverflowError,
+    PointSet,
     SizeLimitError,
     eval_slack,
     log2_compare,

@@ -17,7 +17,6 @@ violate the corresponding dimension inequality with room to spare
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -25,6 +24,7 @@ from typing import Iterable
 from .core import (
     ExactLogLin,
     LinearInequality,
+    PointSet,
     eval_slack,
     mask_label,
     projector,
@@ -35,33 +35,19 @@ from .groups import FiniteGroup, Subgroup, coset_entropy_point, witness_set
 Digits = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CantorWitness:
+class CantorWitness(PointSet):
     """A nonempty digit set A within {0..N-1}^m, representing C_A."""
 
-    m: int
-    base: int
-    points: frozenset[Digits]
+    noun = "digit"
+    empty = "empty digit set"
 
-    def __post_init__(self):
+    def _check_base(self) -> None:
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        pts = frozenset(tuple(p) for p in self.points)
-        if not pts:
-            raise ValueError("empty digit set")
-        for pt in pts:
-            if len(pt) != self.m:
-                raise ValueError(f"point {pt} is not an {self.m}-tuple")
-            for d in pt:
-                if not 0 <= d < self.base:
-                    raise ValueError(f"digit {d} out of range for base {self.base}")
-        object.__setattr__(self, "points", pts)
 
     @classmethod
     def from_json(cls, obj: dict) -> "CantorWitness":
-        return cls(
-            int(obj["m"]), int(obj["N"]), frozenset(tuple(p) for p in obj["points"])
-        )
+        return cls(int(obj["m"]), int(obj["N"]), obj["points"])
 
     def to_json(self) -> dict:
         return {
@@ -140,11 +126,9 @@ def dim_sum_sign(terms: Iterable[tuple[Fraction, DimValue]]) -> int:
 
 
 def project(w: CantorWitness, subset: int) -> CantorWitness:
-    """Projection onto the coordinates in `subset` (a new witness)."""
-    if not 0 < subset < 1 << w.m:
-        raise ValueError(f"subset mask {subset} out of range for m={w.m}")
-    pts = frozenset(map(projector(subset), w.points))
-    return CantorWitness(subset.bit_count(), w.base, pts)
+    """Projection onto the coordinates in `subset` (a new witness on w's
+    cached shadow)."""
+    return w.projection(subset)
 
 
 def dim_value(w: CantorWitness) -> DimValue:
@@ -170,7 +154,7 @@ def uniform_fiber(w: CantorWitness, subset: int):
         raise ValueError("projection onto all coordinates is the identity")
     if not 0 < subset < full:
         raise ValueError(f"subset mask {subset} out of range for m={w.m}")
-    fibers = Counter(map(projector(subset), w.points))
+    fibers = w.fibers(subset)
     target = Fraction(len(w.points), len(fibers))
     for key in sorted(fibers):
         if fibers[key] != target:
@@ -289,15 +273,19 @@ def _level_times_log_base(level: Level) -> ExactLogLin:
 
 
 def verify_counterexample(ce: DimensionCounterexample) -> None:
-    """Recheck every invariant of the counterexample from its raw fields."""
+    """Recheck every invariant of the counterexample from its raw fields.
+
+    The projections are counted here from the witness's points, not read
+    from its shadow cache, so the recheck does not trust what it checks.
+    """
     ineq = ce.inequality
     n = ce.witness.base
     lam = ineq.lhs_weights()
     mu = ineq.rhs_weights()
     for mask in subsets(ineq.m):
-        proj = project(ce.witness, mask)
+        count = len(set(map(projector(mask), ce.witness.points)))
         want = ce.dims[mask]
-        if len(proj.points) != want.cardinality or want.base != n:
+        if count != want.cardinality or want.base != n:
             raise AssertionError(f"stored dimension wrong at {mask_label(mask)}")
     margin = ExactLogLin.zero()
     for mask, weight in lam.items():

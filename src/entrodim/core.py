@@ -12,15 +12,21 @@ Conventions used throughout the package:
 * Exact values that are integer combinations of logarithms are carried
   symbolically by :class:`ExactLogLin`; their signs are decided by
   big-integer product comparison, never by floating point.
+* Finite sets of m-tuples (bodies, digit sets, supports) are
+  :class:`PointSet` values: validated once, with their shadows (the
+  projections onto a subset mask) and fiber counts cached per mask.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Union
+from types import MappingProxyType
+from typing import Callable, ClassVar, Iterable, Mapping, Union
 
 MAX_VARIABLES = 8
 
@@ -63,13 +69,14 @@ def mask_positions(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@functools.lru_cache(maxsize=1 << MAX_VARIABLES)
 def projector(mask: int) -> Callable[[tuple], tuple]:
     """The projection of a point tuple onto the positions in a subset mask.
 
-    The 0-based indices are worked out once per mask; the returned
-    callable is an operator.itemgetter and always yields a tuple.  For a
-    one-coordinate mask it slices, where a bare itemgetter(i) would
-    return the scalar.
+    The 0-based indices are worked out once per mask, and the getter is
+    shared by every caller; it is an operator.itemgetter and always
+    yields a tuple.  For a one-coordinate mask it slices, where a bare
+    itemgetter(i) would return the scalar.
     """
     if mask <= 0:
         raise ValueError(f"subset mask {mask} is not a nonempty subset")
@@ -352,3 +359,121 @@ def eval_slack(ineq: LinearInequality, v: EntropyVector):
     for mask, c in ineq.coeffs.items():
         total = total + v.values[mask] * c
     return total
+
+
+def check_points(
+    points: Iterable, m: int, base: int | None = None, noun: str = "coordinate"
+) -> frozenset[tuple[int, ...]]:
+    """The points as a frozenset of m-tuples of nonnegative ints (bools
+    and other int subclasses are refused), each below base unless base
+    is None; else ValueError naming the first bad point or coordinate.
+
+    A frozenset of tuples is kept as it is, not hashed again.  `noun`
+    names a coordinate in the messages.
+    """
+    if not 1 <= m <= MAX_VARIABLES:
+        raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {m}")
+    if not (isinstance(points, frozenset) and set(map(type, points)) <= {tuple}):
+        points = frozenset(map(tuple, points))
+    for pt in points:
+        if len(pt) != m:
+            raise ValueError(f"point {pt} has {len(pt)} coordinates, expected {m}")
+        for x in pt:
+            if type(x) is not int or x < 0 or (base is not None and x >= base):
+                if type(x) is not int or base is None:
+                    raise ValueError(f"{noun}s must be nonnegative integers, got {x!r}")
+                raise ValueError(f"{noun} {x} out of range for base {base}")
+    return points
+
+
+def _within(mask: int, sup: int) -> int:
+    """A subset mask renumbered to the positions of a superset mask: bit j
+    is set when the j-th position of sup is in mask."""
+    return sum(
+        1 << j for j, p in enumerate(mask_positions(sup)) if mask >> (p - 1) & 1
+    )
+
+
+@dataclass(frozen=True)
+class PointSet:
+    """A nonempty finite set of m-tuples of nonnegative integers, each
+    below ``base`` (no upper bound when base is None).
+
+    The points are validated once, by check_points.  Shadows (the sets
+    of projections onto a subset mask) and fiber counts are cached per
+    mask; a shadow is worked out from the smallest cached shadow of a
+    superset mask, from the points only when there is none.  Instances
+    are immutable values: shadows are frozensets and fiber counts are
+    read-only mappings.  Subclasses set their base rule and the words
+    used in error messages.
+    """
+
+    m: int
+    base: int | None
+    points: frozenset[tuple[int, ...]]
+    _shadows: dict = field(init=False, repr=False, compare=False)
+    _fibers: dict = field(init=False, repr=False, compare=False)
+
+    noun: ClassVar[str] = "coordinate"
+    empty: ClassVar[str] = "empty point set"
+
+    def __post_init__(self) -> None:
+        self._check_base()
+        pts = check_points(self.points, self.m, self.base, self.noun)
+        if not pts:
+            raise ValueError(self.empty)
+        self._hold(pts)
+
+    def _hold(self, pts: frozenset[tuple[int, ...]]) -> None:
+        """Keep valid points, with empty caches but for the full mask,
+        whose shadow is the points themselves."""
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_shadows", {(1 << self.m) - 1: pts})
+        object.__setattr__(self, "_fibers", {})
+
+    def _check_base(self) -> None:
+        if self.base is not None and self.base < 1:
+            raise ValueError("base must be positive")
+
+    def _check_mask(self, mask: int) -> None:
+        if not 0 < mask < 1 << self.m:
+            raise ValueError(f"subset mask {mask} out of range for m={self.m}")
+
+    def shadow(self, mask: int) -> frozenset[tuple[int, ...]]:
+        """The projections of the points onto the positions in mask,
+        worked out from the smallest cached shadow of a superset mask
+        (the points themselves when there is no other)."""
+        got = self._shadows.get(mask)
+        if got is None:
+            self._check_mask(mask)
+            _, sup = min(  # the smallest cached superset; ties: the lower mask
+                (len(v), k) for k, v in self._shadows.items() if k & mask == mask
+            )
+            got = frozenset(map(projector(_within(mask, sup)), self._shadows[sup]))
+            self._shadows[mask] = got
+        return got
+
+    def fibers(self, mask: int) -> Mapping[tuple[int, ...], int]:
+        """How many points project onto each element of the shadow on mask."""
+        got = self._fibers.get(mask)
+        if got is None:
+            self._check_mask(mask)
+            counts = Counter(map(projector(mask), self.points))
+            got = self._fibers[mask] = MappingProxyType(counts)
+        return got
+
+    @classmethod
+    def _of_valid(cls, m: int, base: int | None, pts: frozenset) -> "PointSet":
+        """A point set on a frozenset of tuples that is valid by
+        construction (a shadow, or points the package generates), kept
+        without a second check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "m", m)
+        object.__setattr__(out, "base", base)
+        out._hold(pts)
+        return out
+
+    def projection(self, mask: int) -> "PointSet":
+        """The shadow on mask as a point set of the same class and base
+        (every projection of valid points is valid)."""
+        return self._of_valid(mask.bit_count(), self.base, self.shadow(mask))

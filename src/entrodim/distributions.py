@@ -13,31 +13,21 @@ Two extraction modes:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .core import (
-    MAX_VARIABLES,
     EntropyVector,
     ExactLogLin,
+    PointSet,
+    check_points,
     mask_label,
     projector,
     subsets,
 )
 
 Point = tuple[int, ...]
-
-
-def _check_point(point, m: int) -> Point:
-    pt = tuple(point)
-    if len(pt) != m:
-        raise ValueError(f"point {pt} has {len(pt)} coordinates, expected {m}")
-    for sym in pt:
-        if not isinstance(sym, int) or isinstance(sym, bool) or sym < 0:
-            raise ValueError(f"symbols must be nonnegative integers, got {sym!r}")
-    return pt
 
 
 @dataclass(frozen=True)
@@ -54,23 +44,19 @@ class JointDistribution:
     atoms: tuple[tuple[Point, Fraction], ...]
 
     def __post_init__(self):
-        if not 1 <= self.m <= MAX_VARIABLES:
-            raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {self.m}")
-        cleaned = []
-        for point, prob in self.atoms:
-            pt = _check_point(point, self.m)
-            p = Fraction(prob)
+        points = [tuple(point) for point, _ in self.atoms]
+        distinct = check_points(points, self.m, noun="symbol")
+        probs = [Fraction(prob) for _, prob in self.atoms]
+        for pt, p in zip(points, probs):
             if p <= 0:
                 raise ValueError(f"nonpositive probability {p} at point {pt}")
-            cleaned.append((pt, p))
-        points = [pt for pt, _ in cleaned]
-        if len(set(points)) != len(points):
+        if len(distinct) != len(points):
             dup = next(pt for pt in points if points.count(pt) > 1)
             raise ValueError(f"duplicate point {dup}")
-        total = sum(p for _, p in cleaned)
+        total = sum(probs)
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "atoms", tuple(sorted(cleaned)))
+        object.__setattr__(self, "atoms", tuple(sorted(zip(points, probs))))
 
     @classmethod
     def uniform_on(cls, m: int, points: Iterable[Point]) -> "JointDistribution":
@@ -96,24 +82,21 @@ class JointDistribution:
         }
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """A nonempty set of m-tuples, read as the uniform distribution on it."""
+class SupportSet(PointSet):
+    """A nonempty set of m-tuples, read as the uniform distribution on it.
 
-    m: int
-    points: frozenset[Point]
+    Its symbols are any nonnegative integers: base is None.
+    """
 
-    def __post_init__(self):
-        if not 1 <= self.m <= MAX_VARIABLES:
-            raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {self.m}")
-        pts = frozenset(_check_point(p, self.m) for p in self.points)
-        if not pts:
-            raise ValueError("empty support")
-        object.__setattr__(self, "points", pts)
+    noun = "symbol"
+    empty = "empty support"
+
+    def __init__(self, m: int, points) -> None:
+        super().__init__(m, None, points)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SupportSet":
-        return cls(int(obj["m"]), frozenset(tuple(p) for p in obj["support"]))
+        return cls(int(obj["m"]), obj["support"])
 
     def to_json(self) -> dict:
         return {"m": self.m, "support": sorted(list(p) for p in self.points)}
@@ -165,7 +148,7 @@ def exact_entropy_vector(s: SupportSet) -> EntropyVector:
     """
     values: dict[int, ExactLogLin] = {}
     for mask in subsets(s.m):
-        fibers = Counter(map(projector(mask), s.points))
+        fibers = s.fibers(mask)
         sizes = set(fibers.values())
         if len(sizes) != 1:
             raise NonUniformFibers(mask)

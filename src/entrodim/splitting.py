@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 from typing import Callable
 
-from .core import FLOAT_TOL, mask_label, mask_positions, projector, subsets
+from .core import FLOAT_TOL, PointSet, mask_label, mask_positions, projector, subsets
 
 Point = tuple[int, ...]
 
@@ -36,33 +36,14 @@ class ExhaustiveBoundExceeded(ValueError):
     """The assignment space is too large for exhaustive search."""
 
 
-@dataclass(frozen=True)
-class FiniteBody:
+class FiniteBody(PointSet):
     """A nonempty set of m-tuples with entries in 0..N-1."""
 
-    m: int
-    base: int
-    points: frozenset[Point]
-
-    def __post_init__(self):
-        if self.base < 1:
-            raise ValueError("base must be positive")
-        pts = frozenset(tuple(p) for p in self.points)
-        if not pts:
-            raise ValueError("empty body")
-        for pt in pts:
-            if len(pt) != self.m:
-                raise ValueError(f"point {pt} is not an {self.m}-tuple")
-            for x in pt:
-                if not 0 <= x < self.base:
-                    raise ValueError(f"coordinate {x} out of range for base {self.base}")
-        object.__setattr__(self, "points", pts)
+    empty = "empty body"
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteBody":
-        return cls(
-            int(obj["m"]), int(obj["N"]), frozenset(tuple(p) for p in obj["points"])
-        )
+        return cls(int(obj["m"]), int(obj["N"]), obj["points"])
 
     def to_json(self) -> dict:
         return {
@@ -73,10 +54,9 @@ class FiniteBody:
 
 
 def projection_count(body: FiniteBody, mask: int) -> int:
-    """Number of distinct projections of the body onto the subset."""
-    if not 0 < mask < (1 << body.m):
-        raise ValueError(f"subset mask {mask} out of range for m={body.m}")
-    return len(set(map(projector(mask), body.points)))
+    """Number of distinct projections of the body onto the subset (the
+    size of its cached shadow)."""
+    return len(body.shadow(mask))
 
 
 def loomis_whitney_slack(body: FiniteBody) -> float:
@@ -103,9 +83,10 @@ def cube_bar_instance(k: int) -> FiniteBody:
     if k < 4:
         raise ValueError("k must be at least 4")
     bar = k * r
-    points = {(x, y, z) for x in range(k) for y in range(k) for z in range(k)}
-    points |= {(x, 0, 0) for x in range(bar)}
-    return FiniteBody(3, bar, frozenset(points))
+    # every coordinate is an int below bar, so the points need no check
+    cube = product(range(k), repeat=3)
+    points = frozenset(chain(cube, ((x, 0, 0) for x in range(bar))))
+    return FiniteBody._of_valid(3, bar, points)
 
 
 @dataclass(frozen=True)
@@ -131,9 +112,10 @@ class UnsplitReport:
 def check_unsplit_inequality(body: FiniteBody) -> UnsplitReport:
     if body.m != 3:
         raise ValueError("unsplit check needs a three-dimensional body")
-    v1 = projection_count(body, 0b001)
+    # S1 is counted last, from the smaller of the two cached shadows
     v12 = projection_count(body, 0b011)
     v13 = projection_count(body, 0b101)
+    v1 = projection_count(body, 0b001)
     v = len(body.points)
     lhs, rhs = v1 * v, v12 * v13
     return UnsplitReport(
@@ -202,10 +184,11 @@ class SplitResult:
         return {p for p, lbl in self.assignment.items() if lbl == mask}
 
     def to_json(self, body: FiniteBody) -> dict:
+        labels = {mask: mask_label(mask) for mask in set(self.assignment.values())}
         order = sorted(body.points)
         return {
             "assignment": {
-                str(i): mask_label(self.assignment[p]) for i, p in enumerate(order)
+                str(i): labels[self.assignment[p]] for i, p in enumerate(order)
             }
         }
 
@@ -278,28 +261,38 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
         [(mask, shadow, cap, get(point)) for mask, shadow, cap, get in choices]
         for point in points
     ]
-    chosen: list[int] = []
-
-    def dfs(i: int) -> bool:
-        if i == len(rows):
-            return True
-        for mask, shadow, cap, key in rows[i]:
+    # depth-first on an explicit stack, so the body size meets no
+    # recursion limit; per depth: an iterator over the untried choices,
+    # the choice taken and whether it grew its part's shadow (nothing
+    # is allocated per node but the iterator)
+    n = len(rows)
+    todo: list = [None] * n
+    taken: list = [None] * n
+    grown = [False] * n
+    i = 0
+    todo[0] = iter(rows[0])
+    while i < n:
+        for choice in todo[i]:
+            _, shadow, cap, key = choice
             fresh = key not in shadow
-            if fresh and len(shadow) >= cap:
-                continue
-            if fresh:
-                shadow.add(key)
-            chosen.append(mask)
-            if dfs(i + 1):
-                return True
-            chosen.pop()
-            if fresh:
+            if not fresh or len(shadow) < cap:
+                break
+        else:  # no choice left for point i: undo the one for point i - 1
+            if i == 0:
+                return None
+            i -= 1
+            if grown[i]:
+                _, shadow, _, key = taken[i]
                 shadow.remove(key)
-        return False
-
-    if not dfs(0):
-        return None
-    result = SplitResult(dict(zip(points, chosen)))
+            continue
+        if fresh:
+            shadow.add(key)
+        taken[i] = choice
+        grown[i] = fresh
+        i += 1
+        if i < n:
+            todo[i] = iter(rows[i])
+    result = SplitResult({p: choice[0] for p, choice in zip(points, taken)})
     if not verify_split(body, spec, result):
         raise AssertionError("exhaustive search produced an invalid split")
     return result
