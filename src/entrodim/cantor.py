@@ -323,12 +323,14 @@ def build_counterexample(
     subs = [h if isinstance(h, Subgroup) else Subgroup(tuple(h)) for h in subgroups]
     if len(subs) != ineq.m:
         raise ValueError(f"need {ineq.m} subgroups, got {len(subs)}")
-    point = coset_entropy_point(g, subs, cross_validate=True)
+    # one witness set carries both checks: the coset formula against its
+    # fiber counts here, its projection counts against the entropies below
+    support = witness_set(g, subs)
+    point = coset_entropy_point(g, subs, cross_validate=True, support=support)
     slack = eval_slack(ineq, point.vector)
     if slack.sign() >= 0:
         raise NotViolated(slack)
 
-    support = witness_set(g, subs)
     n_base = max(g.order // h.order for h in subs)
     witness = CantorWitness(ineq.m, n_base, support.points)
 

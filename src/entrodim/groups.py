@@ -13,8 +13,10 @@ fibers, so `distributions.exact_entropy_vector` recomputes the same
 vector by brute-force counting — the module's central cross-check.
 
 Groups are Cayley tables over element indices 0..n-1 with the identity
-pinned at index 0; every table is fully validated (identity, inverses,
-associativity) at construction.
+pinned at index 0.  A table given from outside (FiniteGroup(...), JSON,
+group_from_table) is fully validated (identity, inverses,
+associativity) at construction; the constructors below build tables
+that are groups by construction and skip that check.
 """
 
 from __future__ import annotations
@@ -89,6 +91,17 @@ class FiniteGroup:
                 for c in range(n):
                     if tab_ab[c] != ra[rb[c]]:
                         raise NotAssociative(a, b, c)
+
+    @classmethod
+    def _of_valid(cls, order: int, table, name: str) -> "FiniteGroup":
+        """A group on a tuple-of-tuples table that is a group by
+        construction (built here from a group law), kept without the
+        O(n**3) check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "order", order)
+        object.__setattr__(out, "table", table)
+        object.__setattr__(out, "name", name)
+        return out
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -240,7 +253,7 @@ def all_subgroups(g: FiniteGroup, max_generators: int = 2) -> list[Subgroup]:
 
 def cyclic(n: int, name: str = "") -> FiniteGroup:
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup(n, table, name or f"Z{n}")
+    return FiniteGroup._of_valid(n, table, name or f"Z{n}")
 
 
 def direct_product(*groups: FiniteGroup, name: str = "") -> FiniteGroup:
@@ -266,7 +279,7 @@ def direct_product(*groups: FiniteGroup, name: str = "") -> FiniteGroup:
             row.append(encode([g.table[x][y] for g, x, y in zip(groups, xs, ys)]))
         table.append(tuple(row))
     default = "x".join(g.name or f"?{g.order}" for g in groups)
-    return FiniteGroup(order, tuple(table), name or default)
+    return FiniteGroup._of_valid(order, tuple(table), name or default)
 
 
 def dihedral(n: int, name: str = "") -> FiniteGroup:
@@ -285,7 +298,9 @@ def dihedral(n: int, name: str = "") -> FiniteGroup:
         for r2, s2 in elems:
             r = (r1 + (r2 if s1 == 0 else -r2)) % n
             tab[lookup[(r1, s1)]][lookup[(r2, s2)]] = lookup[(r, s1 ^ s2)]
-    return FiniteGroup(2 * n, tuple(tuple(row) for row in tab), name or f"D{n}")
+    return FiniteGroup._of_valid(
+        2 * n, tuple(tuple(row) for row in tab), name or f"D{n}"
+    )
 
 
 def from_permutations(degree: int, generators, name: str = "") -> FiniteGroup:
@@ -313,7 +328,7 @@ def from_permutations(degree: int, generators, name: str = "") -> FiniteGroup:
         tuple(index[tuple(p[q[i]] for i in range(degree))] for q in ordered)
         for p in ordered
     )
-    return FiniteGroup(len(ordered), table, name)
+    return FiniteGroup._of_valid(len(ordered), table, name)
 
 
 def symmetric(n: int, name: str = "") -> FiniteGroup:
@@ -325,7 +340,7 @@ def symmetric(n: int, name: str = "") -> FiniteGroup:
         tuple(index[tuple(p[q[i]] for i in range(n))] for q in ordered)
         for p in ordered
     )
-    return FiniteGroup(len(ordered), table, name or f"S{n}")
+    return FiniteGroup._of_valid(len(ordered), table, name or f"S{n}")
 
 
 def builtin_catalog(max_order: int = 24) -> list[FiniteGroup]:
@@ -396,13 +411,15 @@ def witness_set(g: FiniteGroup, subgroups) -> SupportSet:
 
 
 def coset_entropy_point(
-    g: FiniteGroup, subgroups, cross_validate: bool = True
+    g: FiniteGroup, subgroups, cross_validate: bool = True, support=None
 ) -> GroupEntropyPoint:
     """Entropy vector with values[I] = log2(#G) - log2(#H_I).
 
     With cross_validate (the default) the vector is recomputed
     independently by projection counting on the explicit witness set and
-    the two must agree exactly.
+    the two must agree exactly.  The witness set counted is `support` when
+    given (witness_set(g, subgroups), from a caller that needs it too),
+    else a new one.
     """
     subs = list(subgroups)
     m = len(subs)
@@ -413,7 +430,9 @@ def coset_entropy_point(
     }
     point = GroupEntropyPoint(m, EntropyVector.from_exact(m, values))
     if cross_validate:
-        counted = exact_entropy_vector(witness_set(g, subs))
+        if support is None:
+            support = witness_set(g, subs)
+        counted = exact_entropy_vector(support)
         for mask in subsets(m):
             if (point.vector[mask] - counted[mask]).sign() != 0:
                 raise AssertionError(
@@ -482,6 +501,12 @@ def search_violation(
     sums of the positive and negative exponents), so one budget check
     per group, against core.MAX_PRODUCT_BITS, bounds every product of
     the scan; past it LogLinOverflowError is raised before scanning.
+
+    The walk skips every subtree whose tuples a slack-keeping map (see
+    _symmetries: swaps of variables the exponents treat alike, and
+    conjugations) sends to earlier tuples.  This keeps the first hit:
+    the image of the first violating tuple violates too, so it is not
+    earlier, and that tuple is never skipped.
     A hit is rebuilt with the witness-counting cross-check and its slack
     re-decided by eval_slack; disagreement raises AssertionError.
     """
@@ -502,7 +527,9 @@ def search_violation(
                 f"products of subgroup orders of {g!r} may exceed "
                 f"{core.MAX_PRODUCT_BITS} bits; refusing exact comparison"
             )
-        hit = _first_negative(n, [h.mask for h in subs], m, exps)
+        hit = _first_negative(
+            n, [h.mask for h in subs], m, exps, *_symmetries(g, subs, m, exps)
+        )
         if hit is not None:
             tup = tuple(subs[i] for i in hit)
             point = coset_entropy_point(g, tup, cross_validate=True)
@@ -513,10 +540,61 @@ def search_violation(
     return None
 
 
-def _first_negative(n: int, masks: list[int], m: int, exps: dict[int, int]):
+def _symmetries(g: FiniteGroup, subs, m: int, exps: dict[int, int]):
+    """Maps on m-tuples of indices into subs that keep every slack.
+
+    Returns (swaps, renamings).  A swap (i, j), i < j, exchanges
+    positions i and j of a tuple; it is listed when exchanging variables
+    i and j leaves the exponents unchanged (each of the m*(m-1)/2 pairs
+    is checked; larger variable permutations are not tried).  A renaming
+    is a tuple r sending index k to r[k], applied to every position; the
+    distinct non-identity ones come from conjugation H -> xHx^-1 by the
+    elements x of g, and one is listed only when it maps subs into
+    itself (a cut listing may not be closed).  Conjugation keeps the
+    order of every intersection, so it keeps the slack.
+    """
+    swaps = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            both = 1 << i | 1 << j
+            if all(
+                exps.get(mask ^ both if (mask >> i ^ mask >> j) & 1 else mask) == e
+                for mask, e in exps.items()
+            ):
+                swaps.append((i, j))
+    index = {h.mask: k for k, h in enumerate(subs)}
+    tab, inv = g.table, g.inverses
+    ident = list(range(g.order))
+    seen = {tuple(range(len(subs)))}
+    renamings = []
+    for x in range(1, g.order):
+        row, xi = tab[x], inv[x]
+        conj = [tab[y][xi] for y in row]  # a -> x a x^-1
+        if conj == ident:
+            continue
+        image = tuple(
+            index.get(sum(1 << conj[a] for a in h.elements), -1) for h in subs
+        )
+        if -1 not in image and image not in seen:
+            seen.add(image)
+            renamings.append(image)
+    return swaps, renamings
+
+
+def _first_negative(
+    n: int, masks: list[int], m: int, exps: dict[int, int], swaps, renamings
+):
     """Indices into masks of the first m-tuple, in product order, whose
     integer comparison (see search_violation) says the slack is negative;
-    None if there is none."""
+    None if there is none.
+
+    The maps of _symmetries prune the walk: a tuple t is skipped when a
+    map sends it to a lexicographically smaller tuple.  A swap (p, k)
+    does so exactly when t[k] < t[p], so level k starts at the largest
+    such t[p].  A renaming r is compared at each level k below the last
+    while it fixes the prefix: r[t[k]] < t[k] skips the subtree, and
+    r[t[k]] > t[k] drops r from it.
+    """
     # h -> h**e for the divisors h of n, one table per distinct |e|
     tables: dict[int, list[int]] = {}
     # per variable k, the terms whose highest variable is k, split by
@@ -528,16 +606,22 @@ def _first_negative(n: int, masks: list[int], m: int, exps: dict[int, int]):
         if a not in tables:
             tables[a] = [h**a if h and n % h == 0 else 0 for h in range(n + 1)]
         levels[k][e > 0].append((mask ^ (1 << k), tables[a]))
+    # per variable k, the earlier positions p of the swaps (p, k)
+    swapped = [[] for _ in range(m)]
+    for p, k in swaps:
+        swapped[k].append(p)
     inter = [0] * (1 << m)
     inter[0] = (1 << n) - 1
+    t = [0] * m
     last = m - 1
 
-    def walk(k: int, left: int, right: int):
+    def walk(k: int, left: int, right: int, live: list):
         neg, pos = levels[k]
+        start = max([t[p] for p in swapped[k]], default=0)
         if k == last:
             neg = [(inter[s], tab) for s, tab in neg]
             pos = [(inter[s], tab) for s, tab in pos]
-            for i, b in enumerate(masks):
+            for i, b in enumerate(masks[start:], start):
                 lhs = left
                 for x, tab in neg:
                     lhs *= tab[(x & b).bit_count()]
@@ -548,21 +632,27 @@ def _first_negative(n: int, masks: list[int], m: int, exps: dict[int, int]):
                     return [i]
             return None
         lo = 1 << k
-        for i, b in enumerate(masks):
-            _extend(inter, k, b)
+        keep = live
+        for i in range(start, len(masks)):
+            if live:
+                if any(r[i] < i for r in live):
+                    continue
+                keep = [r for r in live if r[i] == i]
+            t[k] = i
+            _extend(inter, k, masks[i])
             lhs = left
             for s, tab in neg:
                 lhs *= tab[inter[lo | s].bit_count()]
             rhs = right
             for s, tab in pos:
                 rhs *= tab[inter[lo | s].bit_count()]
-            got = walk(k + 1, lhs, rhs)
+            got = walk(k + 1, lhs, rhs, keep)
             if got is not None:
                 return [i] + got
         return None
 
     total = sum(exps.values())
-    return walk(0, n**max(total, 0), n**max(-total, 0))
+    return walk(0, n**max(total, 0), n**max(-total, 0), list(renamings))
 
 
 def subgroups_from_json(g: FiniteGroup, arrays) -> list[Subgroup]:

@@ -328,3 +328,40 @@ def test_criterion_11_ingleton_s4_scan():
     assert tuples == 810_000
     assert elapsed < 10.0, f"took {elapsed:.2f} s, budget 10 s"
     return f"{tuples} tuples, {elapsed:.2f} s"
+
+
+@criterion(12, "Ingleton violated in S5 from the CLI, then built (Mao-Hassibi)")
+def test_criterion_12_ingleton_s5_cli(tmp_path):
+    # S5 from two generators; the search skips every subgroup tuple that
+    # a conjugation or the swaps a<->b, c<->d send to an earlier tuple
+    s5 = {"perm_degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
+    (tmp_path / "catalog.json").write_text(json.dumps([s5]))
+    (tmp_path / "s5.json").write_text(json.dumps(s5))
+    ingleton = "I(a;b) <= I(a;b|c) + I(a;b|d) + I(c;d)"
+
+    def run(*argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli_main(list(argv))
+        return code, json.loads(buf.getvalue())
+
+    start = time.perf_counter()
+    code, report = run("group-search", "--ineq", ingleton,
+                       "--groups", str(tmp_path / "catalog.json"))
+    searched = time.perf_counter() - start
+    assert code == 2
+    assert report["outcome"] == "violation found"
+    assert report["group"] == {"order": 120}
+    assert [len(h) for h in report["subgroups"]] == [6, 20, 8, 8]
+    assert report["slack"]["exact"] == "-3 - 2*log2(4) + log2(6) + log2(20)"
+    assert searched < 60.0, f"search took {searched:.1f} s, budget 60 s"
+
+    (tmp_path / "subs.json").write_text(json.dumps(report["subgroups"]))
+    code, built = run("counterexample", "--ineq", ingleton,
+                      "--group", str(tmp_path / "s5.json"),
+                      "--subgroups", str(tmp_path / "subs.json"))
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert built["outcome"] == "counterexample built"
+    assert built["subgroups"] == report["subgroups"]
+    return f"orders 6, 20, 8, 8 in {searched:.2f} s, built in {elapsed:.2f} s total"

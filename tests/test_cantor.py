@@ -244,3 +244,32 @@ def test_verify_counterexample_rejects_tampering():
     )
     with pytest.raises(AssertionError):
         verify_counterexample(swapped)
+
+
+def test_build_counterexample_builds_one_witness_set(monkeypatch):
+    from entrodim import cantor, groups
+
+    calls = []
+    original = groups.witness_set
+
+    def counted(g, subs):
+        calls.append(len(subs))
+        return original(g, subs)
+
+    monkeypatch.setattr(cantor, "witness_set", counted)
+    monkeypatch.setattr(groups, "witness_set", counted)
+    ineq = parse_inequality("H(x,y) <= H(x)")
+    subs = [subgroup_from_elements(KLEIN, [0, 1]), subgroup_from_elements(KLEIN, [0])]
+    ce = build_counterexample(ineq, KLEIN, subs)
+    assert calls == [2]
+    assert ce.witness.points == original(KLEIN, subs).points
+
+
+def test_coset_point_counts_the_support_it_is_given():
+    from entrodim.groups import coset_entropy_point, witness_set
+
+    h1 = subgroup_from_elements(KLEIN, [0, 1])
+    h2 = subgroup_from_elements(KLEIN, [0, 2])
+    coset_entropy_point(KLEIN, [h1, h2], support=witness_set(KLEIN, [h1, h2]))
+    with pytest.raises(AssertionError):
+        coset_entropy_point(KLEIN, [h1, h2], support=witness_set(KLEIN, [h1, h1]))

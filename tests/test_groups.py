@@ -41,6 +41,7 @@ from entrodim.groups import (
     subgroups_to_json,
     symmetric,
     witness_set,
+    _symmetries,
 )
 from entrodim.shannon import elemental_inequalities, zhang_yeung
 
@@ -472,3 +473,175 @@ def test_subgroup_mask():
     h = subgroup_from_elements(KLEIN, [0, 3])
     assert h.mask == 0b1001
     assert all_subgroups(KLEIN)[-1].mask == 0b1111
+
+
+# ---------------------------------------------------------------------------
+# groups that are valid by construction
+
+
+def test_constructed_tables_pass_the_full_check():
+    built = [
+        cyclic(1), cyclic(7), dihedral(1), dihedral(2), dihedral(6),
+        symmetric(1), symmetric(4), symmetric(5),
+        direct_product(cyclic(2), dihedral(3)),
+        from_permutations(3, [(1, 2, 0)]),
+        from_permutations(8, [(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)]),
+        FiniteGroup.from_json({"perm_degree": 4, "generators": [[1, 2, 3, 0]]}),
+        *builtin_catalog(24),
+    ]
+    for g in built:
+        assert isinstance(g.table, tuple)
+        assert all(isinstance(row, tuple) for row in g.table)
+        # FiniteGroup(...) runs the identity, inverse and associativity check
+        assert FiniteGroup(g.order, g.table, g.name) == g
+
+
+def test_corrupt_json_tables_still_raise():
+    # perfbench's tracer patches from_json in the class __dict__
+    assert isinstance(FiniteGroup.__dict__["from_json"], classmethod)
+    with pytest.raises(NoIdentity):
+        FiniteGroup.from_json({"table": [[1, 0], [0, 1]]})
+    with pytest.raises(NoInverse):
+        FiniteGroup.from_json({"table": [[0, 1], [1, 1]]})
+    with pytest.raises(NotAssociative):
+        FiniteGroup.from_json({"order": 5, "table": [list(r) for r in LOOP5]})
+
+
+# ---------------------------------------------------------------------------
+# the symmetry-reduced search against the unreduced reference
+
+NONABELIAN = {
+    "S3": from_permutations(3, [(1, 0, 2), (1, 2, 0)], name="S3"),
+    "D4": from_permutations(4, [(1, 2, 3, 0), (0, 3, 2, 1)], name="D4"),
+    "Q8": from_permutations(
+        8, [(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)], name="Q8"
+    ),
+    "D5": from_permutations(5, [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)], name="D5"),
+    "A4": from_permutations(4, [(1, 2, 0, 3), (1, 0, 3, 2)], name="A4"),
+}
+NONABELIAN_LISTED = {name: len(all_subgroups(g)) for name, g in NONABELIAN.items()}
+
+
+def _swap_bits(mask: int, i: int, j: int) -> int:
+    if (mask >> i & 1) != (mask >> j & 1):
+        mask ^= 1 << i | 1 << j
+    return mask
+
+
+def _symmetrized(coeffs: dict, m: int, pairs) -> dict:
+    """Sum of the coefficients over the variable permutations that the
+    transpositions in pairs generate, so each of them fixes the result."""
+    perms = {tuple(range(m))}
+    while True:
+        more = {
+            tuple(j if v == i else i if v == j else v for v in p)
+            for p in perms for i, j in pairs
+        } - perms
+        if not more:
+            break
+        perms |= more
+    out: dict = {}
+    for mask, c in coeffs.items():
+        for p in perms:
+            image = sum(1 << p[k] for k in range(m) if mask >> k & 1)
+            out[image] = out.get(image, 0) + c
+    return out
+
+
+@st.composite
+def _symmetric_searches(draw):
+    m = draw(st.integers(2, 4))
+    # mostly integer weights: the reference is slow on fractional ones
+    weight = st.integers(-3, 3).map(Fraction) | st.fractions(
+        min_value=-3, max_value=3, max_denominator=2
+    )
+    coeffs = draw(st.dictionaries(st.sampled_from(subsets(m)), weight, min_size=1))
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(
+        lambda ij: ij[0] != ij[1]
+    )
+    pairs = draw(st.lists(pair, min_size=1, max_size=2))
+    coeffs = _symmetrized(coeffs, m, pairs)
+    assume(any(coeffs.values()))
+    names = draw(st.lists(st.sampled_from(sorted(NONABELIAN)), min_size=1, max_size=2))
+    # caps cut listings that are not closed under conjugation
+    cap = draw(st.sampled_from([None, 2, 3, 4, 5, 7]))
+    tuples = sum(min(NONABELIAN_LISTED[k], cap or 99) ** m for k in names)
+    assume(tuples <= 1500)
+    return LinearInequality(m, coeffs), [NONABELIAN[k] for k in names], cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_searches())
+def test_symmetric_search_matches_reference(search):
+    ineq, cat, cap = search
+    got = search_violation(ineq, groups=cat, max_subgroups=cap)
+    want = _reference_search(ineq, groups=cat, max_subgroups=cap)
+    if want is None:
+        assert got is None
+        return
+    assert got.group is want.group
+    assert got.subgroups == want.subgroups
+    assert str(got.slack) == str(want.slack)
+
+
+def _slack_of(ineq, g, subs, tup):
+    point = coset_entropy_point(g, [subs[i] for i in tup], cross_validate=False)
+    return eval_slack(ineq, point.vector)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_searches(), st.randoms(use_true_random=False))
+def test_every_symmetry_keeps_the_slack(search, rng):
+    ineq, cat, cap = search
+    exps = dict(zip(ineq.coeffs, core.coprime_exponents(ineq.coeffs.values())))
+    m = ineq.m
+    for g in cat:
+        subs = all_subgroups(g)[:cap]
+        swaps, renamings = _symmetries(g, subs, m, exps)
+        for i, j in swaps:
+            assert all(
+                ineq.coeffs.get(_swap_bits(mask, i, j)) == c
+                for mask, c in ineq.coeffs.items()
+            )
+        for r in renamings:
+            assert sorted(r) == list(range(len(subs)))
+            assert r != tuple(range(len(subs)))
+        for _ in range(5):
+            tup = [rng.randrange(len(subs)) for _ in range(m)]
+            slack = _slack_of(ineq, g, subs, tup)
+            for i, j in swaps:
+                image = list(tup)
+                image[i], image[j] = tup[j], tup[i]
+                assert (_slack_of(ineq, g, subs, image) - slack).sign() == 0
+            for r in renamings:
+                image = [r[k] for k in tup]
+                assert (_slack_of(ineq, g, subs, image) - slack).sign() == 0
+
+
+def test_symmetries_found():
+    ingleton = parse_inequality("I(a;b) <= I(a;b|c) + I(a;b|d) + I(c;d)")
+    exps = dict(zip(ingleton.coeffs, core.coprime_exponents(ingleton.coeffs.values())))
+    s3 = NONABELIAN["S3"]
+    subs = all_subgroups(s3)
+    swaps, renamings = _symmetries(s3, subs, 4, exps)
+    assert swaps == [(0, 1), (2, 3)]
+    # S3 has trivial center: its five non-identity elements conjugate
+    # the three subgroups of order 2 in five different ways
+    assert len(renamings) == 5
+    # cut after the first of the three conjugate subgroups of order 2,
+    # the listing is mapped into itself only by the conjugations that
+    # fix each of its entries, which rename nothing
+    assert _symmetries(s3, subs[:2], 4, exps) == ([(0, 1), (2, 3)], [])
+    # Zhang-Yeung is fixed by exchanging its last two variables only
+    zy = zhang_yeung()
+    zy_exps = dict(zip(zy.coeffs, core.coprime_exponents(zy.coeffs.values())))
+    assert _symmetries(KLEIN, all_subgroups(KLEIN), 4, zy_exps) == ([(2, 3)], [])
+
+
+def test_fully_symmetric_scan_is_reduced():
+    # sum H(i) >= H(all) over 8 variables: 6**8 tuples unreduced
+    text = " + ".join(f"H(x{i})" for i in range(8))
+    ineq = parse_inequality(f"{text} >= H({','.join(f'x{i}' for i in range(8))})")
+    start = time.perf_counter()
+    assert search_violation(ineq, groups=[NONABELIAN["S3"]]) is None
+    assert time.perf_counter() - start < 1.0
