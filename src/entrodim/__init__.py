@@ -10,7 +10,6 @@ and big-integer product tests); floats appear only as renderings.
 """
 
 from .core import (
-    FLOAT_TOL,
     MAX_VARIABLES,
     EntropyVector,
     ExactLogLin,
@@ -35,11 +34,8 @@ from .dsl import (
 )
 from .distributions import (
     JointDistribution,
-    NonUniformFibers,
     SupportSet,
-    entropy_vector_float,
     exact_entropy_vector,
-    marginal_entropy,
 )
 from .shannon import (
     ElementalSet,
@@ -55,7 +51,6 @@ from .shannon import (
 )
 from .groups import (
     FiniteGroup,
-    GroupEntropyPoint,
     GroupTableError,
     NoIdentity,
     NoInverse,

@@ -327,7 +327,7 @@ def build_counterexample(
     # fiber counts here, its projection counts against the entropies below
     support = witness_set(g, subs)
     point = coset_entropy_point(g, subs, cross_validate=True, support=support)
-    slack = eval_slack(ineq, point.vector)
+    slack = eval_slack(ineq, point)
     if slack.sign() >= 0:
         raise NotViolated(slack)
 
@@ -339,7 +339,7 @@ def build_counterexample(
         proj = project(witness, mask)
         dims[mask] = DimValue(len(proj.points), n_base)
         # projection count must reproduce the group entropy H(g_I)
-        expected = point.vector[mask] - ExactLogLin.log2(len(proj.points))
+        expected = point[mask] - ExactLogLin.log2(len(proj.points))
         if expected.sign() != 0:
             raise AssertionError(
                 f"projection count disagrees with coset entropy at {mask_label(mask)}"

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import cantor, distributions, groups, shannon, splitting
-from .core import FLOAT_TOL, eval_slack, mask_label, mask_of, subsets
+from .core import eval_slack, mask_label, mask_of, subsets
 from .dsl import format_inequality, parse_with_names
 
 
@@ -60,44 +60,22 @@ def _cmd_check(args) -> tuple[int, dict]:
     return 2, report
 
 
-def _slack_of_distribution(ineq, names, obj) -> tuple[dict, int]:
-    if "atoms" in obj:
-        d = distributions.JointDistribution.from_json(obj)
-        slack = eval_slack(ineq, distributions.entropy_vector_float(d))
-        info = {"mode": "float", "slack_float": slack}
-        sign = -1 if slack < -FLOAT_TOL else (0 if slack <= FLOAT_TOL else 1)
-        return info, sign
-    s = distributions.SupportSet.from_json(obj)
-    try:
-        slack = eval_slack(ineq, distributions.exact_entropy_vector(s))
-        info = {
-            "mode": "exact",
-            "slack_exact": str(slack),
-            "slack_float": slack.to_float(),
-        }
-        return info, slack.sign()
-    except distributions.NonUniformFibers as bad:
-        slack = eval_slack(
-            ineq, distributions.entropy_vector_float(s.to_distribution())
-        )
-        info = {
-            "mode": "float",
-            "note": f"support is not uniform-fiber ({bad}); float fallback",
-            "slack_float": slack,
-        }
-        sign = -1 if slack < -FLOAT_TOL else (0 if slack <= FLOAT_TOL else 1)
-        return info, sign
-
-
 def _cmd_eval(args) -> tuple[int, dict]:
     ineq, names = parse_with_names(args.ineq)
     obj = _load_json(args.dist)
-    info, sign = _slack_of_distribution(ineq, names, obj)
+    if "atoms" in obj:
+        dist = distributions.JointDistribution.from_json(obj)
+    else:
+        dist = distributions.SupportSet.from_json(obj)
+    slack = eval_slack(ineq, distributions.exact_entropy_vector(dist))
+    sign = slack.sign()
     report = {
         "subcommand": "eval",
         "inputs": {"ineq": args.ineq, "dist": args.dist},
         "canonical": format_inequality(ineq, names),
-        **info,
+        "mode": "exact",
+        "slack_exact": str(slack),
+        "slack_float": slack.to_float(),
         "outcome": "violated" if sign < 0 else "holds",
     }
     return (2 if sign < 0 else 0), report
@@ -133,8 +111,8 @@ def _cmd_group_search(args) -> tuple[int, dict]:
     report["group"] = _group_report(found.group)
     report["subgroups"] = groups.subgroups_to_json(found.subgroups)
     report["entropy_point"] = {
-        mask_label(s, names): {"exact": str(found.point.vector[s]),
-                               "float": found.point.vector[s].to_float()}
+        mask_label(s, names): {"exact": str(found.point[s]),
+                               "float": found.point[s].to_float()}
         for s in subsets(ineq.m)
     }
     report["slack"] = {"exact": str(found.slack), "float": found.slack.to_float()}

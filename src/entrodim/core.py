@@ -9,9 +9,10 @@ Conventions used throughout the package:
   integer order.  E.g. for variables (x, y, z) the mask 0b101 = 5 means
   the pair {x, z}.
 * All entropies and slacks are measured in bits (base-2 logarithms).
-* Exact values that are integer combinations of logarithms are carried
-  symbolically by :class:`ExactLogLin`; their signs are decided by
-  big-integer product comparison, never by floating point.
+* Exact values that are rational combinations of logarithms are carried
+  symbolically by :class:`ExactLogLin`; their signs are decided exactly
+  by :func:`loglin_sign`, with no size limit and never by floating
+  point alone.
 * Finite sets of m-tuples (bodies, digit sets, supports) are
   :class:`PointSet` values: validated once, with their shadows (the
   projections onto a subset mask) and fiber counts cached per mask.
@@ -23,15 +24,13 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, ClassVar, Iterable, Mapping, Union
 
 MAX_VARIABLES = 8
-
-#: floats within this of zero are treated as zero in float-mode checks
-FLOAT_TOL = 1e-9
 
 #: abort exact product comparisons once an operand would exceed this many bits
 MAX_PRODUCT_BITS = 1 << 24
@@ -183,16 +182,6 @@ class ExactLogLin:
         return out
 
 
-def _guarded_pow(n: int, e: int) -> int:
-    # upper bound on bits of n**e; exponentiation by squaring never
-    # produces an intermediate larger than the final square
-    if e * n.bit_length() > MAX_PRODUCT_BITS:
-        raise LogLinOverflowError(
-            f"{n}**{e} may exceed {MAX_PRODUCT_BITS} bits; refusing exact comparison"
-        )
-    return n**e
-
-
 def coprime_exponents(qs: Iterable[Fraction]) -> list[int]:
     """Nonzero rationals times one positive factor, as coprime integers.
 
@@ -206,37 +195,117 @@ def coprime_exponents(qs: Iterable[Fraction]) -> list[int]:
     return [e // div for e in nums]
 
 
-def loglin_sign(x: ExactLogLin) -> int:
-    """Exact sign of an ExactLogLin value: -1, 0 or +1.
+@functools.lru_cache(maxsize=1 << 12)
+def _log2_float(n: int) -> float:
+    """log2(n) as a float, rounded once from a 40-digit decimal quotient."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(Decimal(n).ln() / Decimal(2).ln())
 
-    The coefficients are scaled to coprime integer exponents e_i
-    (coprime_exponents), and the products prod_{e_i>0} n_i**e_i and
-    prod_{e_i<0} n_i**-e_i are compared as big integers.  The result is
-    independent of the logarithm base.
-    """
-    if not x.terms:
+
+def _float_sign(terms) -> int:
+    """The sign of sum q*log2(n) when the float sum's error bound
+    decides it, else 0 (see loglin_sign for the bound)."""
+    try:
+        qs = [float(q) for q, _ in terms]
+        prods = [qf * _log2_float(n) for qf, (_, n) in zip(qs, terms)]
+        s, a = math.fsum(prods), math.fsum(map(abs, prods))
+    except (OverflowError, ValueError):  # past the float range
         return 0
-    exps = coprime_exponents(q for q, _ in x.terms)
-    pos = neg = 1
-    pos_bits = neg_bits = 0
-    for e, (_, n) in zip(exps, x.terms):
-        if e > 0:
-            pos_bits += e * n.bit_length()
-        else:
-            neg_bits += -e * n.bit_length()
-        if max(pos_bits, neg_bits) > MAX_PRODUCT_BITS:
-            raise LogLinOverflowError(
-                f"product comparison would exceed {MAX_PRODUCT_BITS} bits"
-            )
-        if e > 0:
-            pos *= _guarded_pow(n, e)
-        else:
-            neg *= _guarded_pow(n, -e)
-    if pos > neg:
-        return 1
-    if pos < neg:
-        return -1
+    if min(map(abs, qs)) >= 2.0**-1022 and abs(s) > (abs(s) + a) * 2.0**-50:
+        return 1 if s > 0 else -1
     return 0
+
+
+def _coprime_base(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """sum e*log(n) over (n, e) pairs, rewritten on pairwise coprime
+    bases > 1 by gcd factor refinement, as {base: exponent} with zero
+    exponents dropped.
+
+    A pair that shares g = gcd(a, b) > 1 with a kept base b is replaced
+    by a/g, g and b/g, since a**x * b**y = (a/g)**x * g**(x+y) * (b/g)**y;
+    the product of all bases drops by g, so the loop ends.
+    """
+    todo = list(pairs)
+    done: dict[int, int] = {}
+    while todo:
+        a, x = todo.pop()
+        if a == 1 or x == 0:
+            continue
+        for b in done:
+            g = math.gcd(a, b)
+            if g > 1:
+                y = done.pop(b)
+                todo += [(a // g, x), (g, x + y), (b // g, y)]
+                break
+        else:
+            done[a] = x
+    return done
+
+
+def _interval_sign(base: dict[int, int]) -> int:
+    """The sign of sum e*ln(b) over a nonempty coprime base, which is
+    never 0, from decimal logarithms at doubling precision.
+
+    Decimal.ln is correctly rounded, so at p digits each computed ln(b)
+    is within half a unit in its last digit of the true one, less than
+    10**(1-p) times itself.  The computed terms t = e*ln(b) are summed
+    exactly as Fractions, so the true sum is within 10**(1-p) * sum |t|
+    of that sum, and its sign is certain once the sum exceeds the bound.
+    """
+    prec = 50
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            terms = [e * Fraction(Decimal(b).ln()) for b, e in base.items()]
+        mid = sum(terms)
+        if abs(mid) * 10 ** (prec - 1) > sum(map(abs, terms)):
+            return 1 if mid > 0 else -1
+        prec *= 2
+
+
+def loglin_sign(x: ExactLogLin) -> int:
+    """Exact sign of an ExactLogLin value: -1, 0 or +1, with no size limit.
+
+    A single term has the sign of its coefficient.  Longer sums go
+    through three stages, each exact in what it decides:
+
+    1. A float filter (Shewchuk's adaptive-precision idea).  Each term
+       becomes p = float(q) * L(n), where L(n) is log2(n) rounded to
+       float from 40 correctly rounded decimal digits (cached per n).
+       With u = 2**-53 and every float(q) in the normal range:
+       float(q) is within u|q| (int/int division rounds once), L(n)
+       within 2u*log2(n) (one rounding, plus 1e-39 from the decimals),
+       and the product rounds once, so p is within 5u|p| of q*log2(n).
+       math.fsum is within one unit in the last place, 2u|s|, of the
+       exact sum of the p's, and A = fsum(|p|) within 2u of theirs.
+       So the true value lies within 2u|s| + 5u(1+2u)A of s, which is
+       below 2**-50*(|s|+A) = 8u(|s|+A) even after the one rounding of
+       |s|+A, and when |s| exceeds that bound it has the sign of s.
+       Coefficients outside the normal float range skip the filter.
+    2. An exact zero test.  The coefficients are scaled to coprime
+       integer exponents (coprime_exponents) and the n are refined by
+       gcds into pairwise coprime bases (_coprime_base; Bach, Driscoll
+       and Shallit, "Factor refinement", 1993), with no factoring.
+       Logarithms of pairwise coprime integers > 1 are linearly
+       independent over the rationals, so the value is 0 iff every
+       base exponent is 0.
+    3. Otherwise the value is not 0, and decimal intervals of doubling
+       precision (_interval_sign) reach its sign.
+
+    The result is independent of the logarithm base.
+    """
+    terms = x.terms
+    if not terms:
+        return 0
+    if len(terms) == 1:
+        return 1 if terms[0][0] > 0 else -1
+    sign = _float_sign(terms)
+    if sign:
+        return sign
+    exps = coprime_exponents(q for q, _ in terms)
+    base = _coprime_base(zip((n for _, n in terms), exps))
+    return _interval_sign(base) if base else 0
 
 
 def log2_compare(a: int, b: int) -> int:
@@ -254,54 +323,35 @@ def log2_compare(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class EntropyVector:
-    """The 2**m - 1 joint entropies of an m-tuple, in bits.
+    """The 2**m - 1 joint entropies of an m-tuple, in bits, as
+    nonnegative ExactLogLin values.
 
-    ``mode`` is "float" (values are floats, allowed down to -FLOAT_TOL to
-    absorb rounding) or "exact" (values are nonnegative ExactLogLin).
     Instances are immutable values; the ``values`` dict must not be
     mutated after construction.
     """
 
     m: int
-    mode: str
-    values: Mapping[int, object]
+    values: Mapping[int, ExactLogLin]
 
     def __post_init__(self) -> None:
         expected = subsets(self.m)
         if set(self.values) != set(expected):
             raise ValueError(f"entropy vector needs exactly {len(expected)} entries")
-        if self.mode == "float":
-            for mask, v in self.values.items():
-                if not v >= -FLOAT_TOL:
-                    raise ValueError(
-                        f"negative entropy {v} at subset {mask_label(mask)}"
-                    )
-        elif self.mode == "exact":
-            for mask, v in self.values.items():
-                if not isinstance(v, ExactLogLin):
-                    raise ValueError("exact mode requires ExactLogLin values")
-                if loglin_sign(v) < 0:
-                    raise ValueError(
-                        f"negative entropy {v} at subset {mask_label(mask)}"
-                    )
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    @classmethod
-    def from_floats(cls, m: int, values: Mapping[int, float]) -> "EntropyVector":
-        return cls(m, "float", {k: float(v) for k, v in values.items()})
+        for mask, v in self.values.items():
+            if not isinstance(v, ExactLogLin):
+                raise ValueError("entropies must be ExactLogLin values")
+            if loglin_sign(v) < 0:
+                raise ValueError(f"negative entropy {v} at subset {mask_label(mask)}")
 
     @classmethod
     def from_exact(cls, m: int, values: Mapping[int, ExactLogLin]) -> "EntropyVector":
-        return cls(m, "exact", dict(values))
+        return cls(m, dict(values))
 
-    def __getitem__(self, mask: int):
+    def __getitem__(self, mask: int) -> ExactLogLin:
         return self.values[mask]
 
     def to_floats(self) -> dict[int, float]:
-        """Float rendering of the vector in bits, any mode."""
-        if self.mode == "float":
-            return {k: float(v) for k, v in self.values.items()}
+        """Float rendering of the vector in bits."""
         return {k: v.to_float() for k, v in self.values.items()}
 
 
@@ -343,18 +393,12 @@ class LinearInequality:
         return {mask: c for mask, c in self.coeffs.items() if c > 0}
 
 
-def eval_slack(ineq: LinearInequality, v: EntropyVector):
-    """Signed slack sum_T c_T * v[T]; negative means v violates ineq.
-
-    Returns a float for float-mode vectors and an ExactLogLin for
-    exact-mode vectors.
-    """
+def eval_slack(ineq: LinearInequality, v: EntropyVector) -> ExactLogLin:
+    """Signed slack sum_T c_T * v[T]; negative means v violates ineq."""
     if ineq.m != v.m:
         raise ValueError(
             f"dimension mismatch: inequality has m={ineq.m}, vector m={v.m}"
         )
-    if v.mode == "float":
-        return math.fsum(float(c) * v.values[mask] for mask, c in ineq.coeffs.items())
     total = ExactLogLin.zero()
     for mask, c in ineq.coeffs.items():
         total = total + v.values[mask] * c

@@ -1,28 +1,25 @@
 """
-Finite joint distributions and their entropy vectors.
+Finite joint distributions and their exact entropy vectors.
 
-Two extraction modes:
-
-* float mode for arbitrary rational distributions (entropies of rationals
-  are transcendental in general, so floats with compensated summation);
-* exact mode for uniform distributions on a support whose projections all
-  have uniform fibers — there every marginal entropy is log2 of an integer
-  and is kept as an ExactLogLin.
+Every marginal of a distribution with rational probabilities p has the
+entropy sum p * (log2 den(p) - log2 num(p)), with p in lowest terms, a
+finite rational combination of logarithms; it is kept as an ExactLogLin
+for supports (uniform distributions) and rational atoms alike.  On a
+uniform marginal with k values this is exactly log2(k).
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .core import (
     EntropyVector,
     ExactLogLin,
     PointSet,
     check_points,
-    mask_label,
     projector,
     subsets,
 )
@@ -105,52 +102,33 @@ class SupportSet(PointSet):
         return JointDistribution.uniform_on(self.m, self.points)
 
 
-class NonUniformFibers(ValueError):
-    """Some projection of the support has fibers of unequal size.
-
-    `subset` is the smallest offending subset mask in ascending order;
-    the support is then not group-like and exact mode does not apply.
-    """
-
-    def __init__(self, subset: int):
-        super().__init__(
-            f"projection onto {{{mask_label(subset)}}} has non-uniform fibers"
-        )
-        self.subset = subset
+def _entropy(probs: Mapping[Fraction, int]) -> ExactLogLin:
+    """Entropy in bits of a distribution given as {p: how many values
+    have probability p}."""
+    terms = []
+    for p, k in probs.items():
+        terms += [(k * p, p.denominator), (-k * p, p.numerator)]
+    return ExactLogLin(tuple(terms))
 
 
-def marginal_entropy(d: JointDistribution, subset: int) -> float:
-    """Entropy in bits of the projection of d onto the subset's coordinates."""
-    if not 0 < subset < (1 << d.m):
-        raise ValueError(f"subset mask {subset} out of range for m={d.m}")
-    get = projector(subset)
-    marg: dict[Point, Fraction] = {}
-    for point, prob in d.atoms:
-        key = get(point)
-        marg[key] = marg.get(key, Fraction(0)) + prob
-    return -math.fsum(float(p) * math.log2(float(p)) for p in marg.values())
+def exact_entropy_vector(dist: SupportSet | JointDistribution) -> EntropyVector:
+    """Exact entropy vector of a distribution: rational atoms, or the
+    uniform distribution on a support.
 
-
-def entropy_vector_float(d: JointDistribution) -> EntropyVector:
-    """All 2^m - 1 marginal entropies of d, in bits."""
-    return EntropyVector.from_floats(
-        d.m, {s: marginal_entropy(d, s) for s in subsets(d.m)}
-    )
-
-
-def exact_entropy_vector(s: SupportSet) -> EntropyVector:
-    """Exact entropy vector of the uniform distribution on s.
-
-    Requires every projection to have uniform fibers (each attained
-    value hit by the same number of support points); the entropy of the
-    projection onto I is then exactly log2(#s_I).  Raises
-    NonUniformFibers naming the first bad subset otherwise.
+    A support's marginal probabilities are c/N, from the cached fiber
+    counts c of its N points; a distribution sums its atoms per
+    projection.
     """
     values: dict[int, ExactLogLin] = {}
-    for mask in subsets(s.m):
-        fibers = s.fibers(mask)
-        sizes = set(fibers.values())
-        if len(sizes) != 1:
-            raise NonUniformFibers(mask)
-        values[mask] = ExactLogLin.log2(len(fibers))
-    return EntropyVector.from_exact(s.m, values)
+    for mask in subsets(dist.m):
+        if isinstance(dist, SupportSet):
+            counts = Counter(dist.fibers(mask).values())
+            probs = {Fraction(c, len(dist.points)): k for c, k in counts.items()}
+        else:
+            get = projector(mask)
+            marg: Counter = Counter()
+            for point, prob in dist.atoms:
+                marg[get(point)] += prob
+            probs = Counter(marg.values())
+        values[mask] = _entropy(probs)
+    return EntropyVector.from_exact(dist.m, values)

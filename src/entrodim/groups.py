@@ -225,24 +225,27 @@ def intersect(g: FiniteGroup, subgroups) -> Subgroup:
     return Subgroup(tuple(sorted(common)))
 
 
-def all_subgroups(g: FiniteGroup, max_generators: int = 2) -> list[Subgroup]:
-    """Subgroups generated by at most max_generators elements, deduplicated.
+def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
+    """Subgroups generated by at most two elements, deduplicated.
 
     This is deliberately not the full subgroup lattice: for groups whose
     subgroups all need few generators (cyclic, dihedral, symmetric up to
     S4...) it is complete, elsewhere it is a systematic sample.  Sorted
     by (order, elements) for deterministic scans.
+
+    <a, b> depends only on <a> and <b>, and is the larger one when one
+    contains the other, so one pair is closed per pair of distinct
+    cyclic subgroups where neither contains the other.
     """
-    seen: set[tuple[int, ...]] = set()
-    seen.add(subgroup_from_generators(g, ()).elements)
-    singles = []
-    for a in range(1, g.order):
+    cyclics: dict[tuple[int, ...], tuple[int, int]] = {}  # elements -> (a, bitset)
+    for a in range(g.order):
         sub = subgroup_from_generators(g, (a,))
-        singles.append(sub.elements)
-        seen.add(sub.elements)
-    if max_generators >= 2:
-        for a in range(1, g.order):
-            for b in range(a + 1, g.order):
+        cyclics.setdefault(sub.elements, (a, sub.mask))
+    seen = set(cyclics)
+    gens = list(cyclics.values())
+    for i, (a, amask) in enumerate(gens):
+        for b, bmask in gens[i + 1:]:
+            if amask & bmask not in (amask, bmask):
                 seen.add(subgroup_from_generators(g, (a, b)).elements)
     return sorted((Subgroup(e) for e in seen), key=lambda s: (s.order, s.elements))
 
@@ -374,14 +377,6 @@ def builtin_catalog(max_order: int = 24) -> list[FiniteGroup]:
 # coset entropy points
 
 
-@dataclass(frozen=True)
-class GroupEntropyPoint:
-    """Exact entropy vector of the coset variables of (G, H_1..H_m)."""
-
-    m: int
-    vector: EntropyVector
-
-
 def coset_index_map(g: FiniteGroup, h: Subgroup) -> tuple[int, ...]:
     """Index of each element's left coset aH, cosets numbered 0,1,... in
     order of least representative.  Memoized per (group, subgroup)."""
@@ -412,8 +407,9 @@ def witness_set(g: FiniteGroup, subgroups) -> SupportSet:
 
 def coset_entropy_point(
     g: FiniteGroup, subgroups, cross_validate: bool = True, support=None
-) -> GroupEntropyPoint:
-    """Entropy vector with values[I] = log2(#G) - log2(#H_I).
+) -> EntropyVector:
+    """Exact entropy vector of the coset variables of (G, H_1..H_m):
+    values[I] = log2(#G) - log2(#H_I).
 
     With cross_validate (the default) the vector is recomputed
     independently by projection counting on the explicit witness set and
@@ -428,13 +424,13 @@ def coset_entropy_point(
         mask: ExactLogLin.log2(g.order) - ExactLogLin.log2(orders[mask])
         for mask in subsets(m)
     }
-    point = GroupEntropyPoint(m, EntropyVector.from_exact(m, values))
+    point = EntropyVector.from_exact(m, values)
     if cross_validate:
         if support is None:
             support = witness_set(g, subs)
         counted = exact_entropy_vector(support)
         for mask in subsets(m):
-            if (point.vector[mask] - counted[mask]).sign() != 0:
+            if (point[mask] - counted[mask]).sign() != 0:
                 raise AssertionError(
                     f"coset entropies disagree with witness counting at {mask}"
                 )
@@ -465,7 +461,7 @@ class Violation:
 
     group: FiniteGroup
     subgroups: tuple[Subgroup, ...]
-    point: GroupEntropyPoint
+    point: EntropyVector
     slack: ExactLogLin
 
 
@@ -533,7 +529,7 @@ def search_violation(
         if hit is not None:
             tup = tuple(subs[i] for i in hit)
             point = coset_entropy_point(g, tup, cross_validate=True)
-            slack = eval_slack(ineq, point.vector)
+            slack = eval_slack(ineq, point)
             if slack.sign() >= 0:
                 raise AssertionError("fast slack sign disagrees with exact")
             return Violation(g, tup, point, slack)

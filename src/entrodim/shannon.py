@@ -24,6 +24,7 @@ from itertools import combinations
 
 from .core import (
     EntropyVector,
+    ExactLogLin,
     LinearInequality,
     mask_label,
     subsets,
@@ -79,9 +80,10 @@ class FarkasWitness:
     point: dict[int, Fraction]
 
     def as_entropy_vector(self) -> EntropyVector:
-        """Float rendering; polymatroid points are nonnegative, so valid."""
-        return EntropyVector.from_floats(
-            self.m, {s: float(self.point.get(s, 0)) for s in subsets(self.m)}
+        """The point in exact bits; polymatroid points are nonnegative,
+        so valid."""
+        return EntropyVector.from_exact(
+            self.m, {s: ExactLogLin.bits(self.point.get(s, 0)) for s in subsets(self.m)}
         )
 
     def to_json(self) -> dict:

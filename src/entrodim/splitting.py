@@ -24,12 +24,15 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Callable
 
-from .core import FLOAT_TOL, PointSet, mask_label, mask_positions, projector, subsets
+from .core import PointSet, mask_label, mask_positions, projector, subsets
 
 Point = tuple[int, ...]
 
 #: hard ceiling on the exhaustive assignment space |parts| ** |S|
 EXHAUSTIVE_BOUND = 10**7
+
+#: float bit budgets are met when log2(count) <= bits + FLOAT_TOL
+FLOAT_TOL = 1e-9
 
 
 class ExhaustiveBoundExceeded(ValueError):

@@ -65,7 +65,8 @@ def test_eval_distribution_holds(capsys, tmp_path):
     code, report, _ = run(capsys, "eval", "--ineq", "I(x;y) >= 0", "--dist", dist)
     assert code == 0
     assert report["outcome"] == "holds"
-    assert report["mode"] == "float"
+    assert report["mode"] == "exact"
+    assert report["slack_exact"] == "2 - log2(4)"
     assert abs(report["slack_float"]) < 1e-9
 
 
@@ -82,15 +83,35 @@ def test_eval_support_violated(capsys, tmp_path):
     assert report["slack_float"] == pytest.approx(-1.0)
 
 
-def test_eval_nonuniform_support_falls_back_to_float(capsys, tmp_path):
+def test_eval_nonuniform_support_is_exact(capsys, tmp_path):
     sup = write_json(
         tmp_path / "s.json", {"m": 2, "support": [[0, 0], [0, 1], [1, 0]]}
     )
     code, report, _ = run(capsys, "eval", "--ineq", "I(x;y) >= 0", "--dist", sup)
     assert code == 0
-    assert report["mode"] == "float"
-    assert "float fallback" in report["note"]
+    assert report["mode"] == "exact"
+    assert "note" not in report
+    assert report["slack_exact"] == "-4/3 + log2(3)"
     assert report["slack_float"] == pytest.approx(0.2516291673878, abs=1e-9)
+
+
+@pytest.mark.parametrize("form", ["atoms", "support"])
+def test_eval_near_tie_is_violated(capsys, tmp_path, form):
+    # on the uniform 2x3 grid the slack is 171928773*log2(3) - 272500658,
+    # about -2.58e-9: below any float tolerance, and past the old
+    # product budget
+    grid = [[a, b] for a in range(2) for b in range(3)]
+    if form == "atoms":
+        obj = {"m": 2, "atoms": [{"point": p, "prob": "1/6"} for p in grid]}
+    else:
+        obj = {"m": 2, "support": grid}
+    dist = write_json(tmp_path / "d.json", obj)
+    ineq = "272500658 H(x) <= 171928773 H(y)"
+    code, report, err = run(capsys, "eval", "--ineq", ineq, "--dist", dist)
+    assert (code, err) == (2, "")
+    assert report["outcome"] == "violated"
+    assert report["mode"] == "exact"
+    assert report["slack_exact"] == "-272500658 + 171928773*log2(3)"
 
 
 def test_eval_missing_file(capsys, tmp_path):
@@ -161,6 +182,21 @@ def test_counterexample_explicit_group(capsys, tmp_path):
     }
     assert ce["margin_times_log_base"]["exact"] == "-1 + 3/4*log2(4)"
     assert ce["margin_times_log_base"]["float"] == pytest.approx(0.5)
+
+
+def test_counterexample_near_tie_on_z6(capsys, tmp_path):
+    # 665*log2(3) exceeds 1054 by 6.3e-5, so the smallest epsilon is
+    # 2**-24; the old product comparison gave up on it
+    z6 = {"order": 6, "table": [[(i + j) % 6 for j in range(6)] for i in range(6)]}
+    group = write_json(tmp_path / "g.json", z6)
+    subs = write_json(tmp_path / "h.json", [[0, 3], [0, 2, 4]])
+    code, report, err = run(
+        capsys, "counterexample", "--ineq", "665 H(y) <= 1054 H(x)",
+        "--group", group, "--subgroups", subs,
+    )
+    assert (code, err) == (2, "")
+    assert report["outcome"] == "counterexample built"
+    assert report["counterexample"]["epsilon"] == "1/16777216"
 
 
 def test_counterexample_via_search(capsys):

@@ -4,14 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from entrodim.core import ExactLogLin, subsets
+from entrodim.core import ExactLogLin, projector, subsets
 from entrodim.distributions import (
     JointDistribution,
-    NonUniformFibers,
     SupportSet,
-    entropy_vector_float,
     exact_entropy_vector,
-    marginal_entropy,
 )
 
 H_THIRD = 0.9182958340544896  # entropy of a (2/3, 1/3) split
@@ -20,6 +17,19 @@ LOG2_3 = 1.584962500721156
 FAIR_PAIR = JointDistribution.uniform_on(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 COPY_PAIR = JointDistribution.uniform_on(2, [(0, 0), (1, 1)])
 L_SHAPE = JointDistribution.uniform_on(2, [(0, 0), (0, 1), (1, 0)])
+# the (2/3, 1/3) split, exactly: 2/3 log2(3/2) + 1/3 log2(3)
+THIRD = ExactLogLin.log2(3) - ExactLogLin.bits(Fraction(2, 3))
+
+
+def _float_entropy(d: JointDistribution, subset: int) -> float:
+    """Entropy in bits of a marginal of d, summed in floats: the
+    independent reference for the exact values."""
+    get = projector(subset)
+    marg: dict[tuple, Fraction] = {}
+    for point, prob in d.atoms:
+        key = get(point)
+        marg[key] = marg.get(key, Fraction(0)) + prob
+    return -math.fsum(float(p) * math.log2(float(p)) for p in marg.values())
 
 
 def test_distribution_validation():
@@ -73,25 +83,28 @@ def test_support_set_validation_and_conversion():
 
 
 def test_marginal_entropy_examples():
-    assert marginal_entropy(FAIR_PAIR, 0b01) == pytest.approx(1.0)
-    assert marginal_entropy(FAIR_PAIR, 0b11) == pytest.approx(2.0)
-    assert marginal_entropy(COPY_PAIR, 0b11) == pytest.approx(1.0)
-    assert marginal_entropy(L_SHAPE, 0b01) == pytest.approx(H_THIRD, abs=1e-15)
-    with pytest.raises(ValueError):
-        marginal_entropy(FAIR_PAIR, 0)
-    with pytest.raises(ValueError):
-        marginal_entropy(FAIR_PAIR, 0b100)
+    # uniform marginals come out as log2 of their size, term for term
+    assert exact_entropy_vector(FAIR_PAIR)[0b01] == ExactLogLin.log2(2)
+    assert exact_entropy_vector(FAIR_PAIR)[0b11] == ExactLogLin.log2(4)
+    assert exact_entropy_vector(COPY_PAIR)[0b11] == ExactLogLin.log2(2)
+    assert exact_entropy_vector(L_SHAPE)[0b01] == THIRD
+    skewed = JointDistribution(
+        1, (((0,), Fraction(1, 2)), ((1,), Fraction(1, 4)), ((2,), Fraction(1, 4)))
+    )
+    h = exact_entropy_vector(skewed)[1]
+    assert str(h) == "1/2 + 1/2*log2(4)"
+    assert (h - ExactLogLin.bits(Fraction(3, 2))).sign() == 0
 
 
 def test_entropy_vector_float_examples():
-    v = entropy_vector_float(FAIR_PAIR)
+    v = exact_entropy_vector(FAIR_PAIR)
     assert v.to_floats() == pytest.approx({1: 1.0, 2: 1.0, 3: 2.0})
-    v = entropy_vector_float(COPY_PAIR)
+    v = exact_entropy_vector(COPY_PAIR)
     assert v.to_floats() == pytest.approx({1: 1.0, 2: 1.0, 3: 1.0})
-    v = entropy_vector_float(L_SHAPE)
-    assert v[1] == pytest.approx(H_THIRD, abs=1e-15)
-    assert v[2] == pytest.approx(H_THIRD, abs=1e-15)
-    assert v[3] == pytest.approx(LOG2_3, abs=1e-15)
+    v = exact_entropy_vector(L_SHAPE)
+    assert v[1].to_float() == pytest.approx(H_THIRD, abs=1e-15)
+    assert v[2].to_float() == pytest.approx(H_THIRD, abs=1e-15)
+    assert v[3].to_float() == pytest.approx(LOG2_3, abs=1e-15)
 
 
 def test_exact_entropy_vector_examples():
@@ -111,9 +124,10 @@ def test_exact_entropy_vector_examples():
 
 def test_exact_entropy_vector_nonuniform():
     s = SupportSet(2, frozenset({(0, 0), (0, 1), (1, 0)}))
-    with pytest.raises(NonUniformFibers) as err:
-        exact_entropy_vector(s)
-    assert err.value.subset == 1
+    v = exact_entropy_vector(s)
+    assert v[1] == v[2] == THIRD
+    assert v[3] == ExactLogLin.log2(3)
+    assert exact_entropy_vector(s.to_distribution()) == v
 
 
 def _random_distribution(rng, m):
@@ -137,10 +151,12 @@ def test_exact_matches_float_on_uniform_fiber_supports():
     ]
     for s in cases:
         exact = exact_entropy_vector(s)
-        approx = entropy_vector_float(s.to_distribution())
+        assert exact_entropy_vector(s.to_distribution()) == exact
         for mask in subsets(s.m):
             assert math.isclose(
-                exact[mask].to_float(), approx[mask], abs_tol=1e-9
+                exact[mask].to_float(),
+                _float_entropy(s.to_distribution(), mask),
+                abs_tol=1e-9,
             )
 
 
@@ -148,10 +164,12 @@ def test_monotone_and_submodular_on_random_distributions():
     rng = random.Random(314159)
     for _ in range(40):
         m = rng.randint(2, 3)
-        v = entropy_vector_float(_random_distribution(rng, m))
+        d = _random_distribution(rng, m)
+        v = exact_entropy_vector(d)
         for i in subsets(m):
+            assert math.isclose(v[i].to_float(), _float_entropy(d, i), abs_tol=1e-9)
             for j in subsets(m):
                 if i & j == i:
-                    assert v[j] >= v[i] - 1e-9
+                    assert (v[j] - v[i]).sign() >= 0
                 if i & j:
-                    assert v[i] + v[j] >= v[i | j] + v[i & j] - 1e-9
+                    assert (v[i] + v[j] - v[i | j] - v[i & j]).sign() >= 0

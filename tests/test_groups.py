@@ -106,12 +106,12 @@ def _reference_search(
                     break
             if prod_ is None:
                 point = coset_entropy_point(g, tup, cross_validate=False)
-                negative = eval_slack(ineq, point.vector).sign() < 0
+                negative = eval_slack(ineq, point).sign() < 0
             else:
                 negative = prod_ < 1
             if negative:
                 point = coset_entropy_point(g, tup, cross_validate=True)
-                slack = eval_slack(ineq, point.vector)
+                slack = eval_slack(ineq, point)
                 if slack.sign() >= 0:
                     raise AssertionError("fast slack sign disagrees with exact")
                 return Violation(g, tuple(tup), point, slack)
@@ -251,6 +251,27 @@ def test_all_subgroups():
     assert max(h.order for h in subs) == 4
 
 
+def _reference_all_subgroups(g: FiniteGroup, max_generators: int = 2) -> list[Subgroup]:
+    """The listing all_subgroups replaced: one closure per generator pair."""
+    seen: set[tuple[int, ...]] = set()
+    seen.add(subgroup_from_generators(g, ()).elements)
+    singles = []
+    for a in range(1, g.order):
+        sub = subgroup_from_generators(g, (a,))
+        singles.append(sub.elements)
+        seen.add(sub.elements)
+    if max_generators >= 2:
+        for a in range(1, g.order):
+            for b in range(a + 1, g.order):
+                seen.add(subgroup_from_generators(g, (a, b)).elements)
+    return sorted((Subgroup(e) for e in seen), key=lambda s: (s.order, s.elements))
+
+
+def test_all_subgroups_matches_reference():
+    for g in builtin_catalog(24) + [symmetric(5)]:
+        assert all_subgroups(g) == _reference_all_subgroups(g), g
+
+
 def test_builtin_catalog():
     cat = builtin_catalog(6)
     assert [g.name for g in cat] == [
@@ -299,16 +320,16 @@ def test_coset_entropy_point_klein():
     point = coset_entropy_point(KLEIN, [h1, h2, h3])
     expected = dict(zip(subsets(3), (1, 1, 2, 1, 2, 2, 2)))
     for mask, bits in expected.items():
-        assert (point.vector[mask] - ExactLogLin.bits(bits)).sign() == 0
+        assert (point[mask] - ExactLogLin.bits(bits)).sign() == 0
 
 
 def test_coset_entropy_point_degenerate():
     full = subgroup_from_elements(KLEIN, [0, 1, 2, 3])
     e = subgroup_from_elements(KLEIN, [0])
     zero = coset_entropy_point(KLEIN, [full, full])
-    assert all(zero.vector[mask].sign() == 0 for mask in subsets(2))
+    assert all(zero[mask].sign() == 0 for mask in subsets(2))
     top = coset_entropy_point(KLEIN, [e])
-    assert (top.vector[1] - ExactLogLin.bits(2)).sign() == 0
+    assert (top[1] - ExactLogLin.bits(2)).sign() == 0
 
 
 def test_lagrange_and_monotone_on_random_tuples():
@@ -321,7 +342,7 @@ def test_lagrange_and_monotone_on_random_tuples():
         tup = [rng.choice(subs) for _ in range(m)]
         for h in tup:
             assert g.order % h.order == 0  # Lagrange
-        point = coset_entropy_point(g, tup).vector
+        point = coset_entropy_point(g, tup)
         for i in subsets(m):
             for j in subsets(m):
                 if i & j == i:
@@ -336,7 +357,7 @@ def test_group_points_satisfy_elemental_rows():
         g = rng.choice(cat)
         subs = all_subgroups(g)
         tup = [rng.choice(subs) for _ in range(3)]
-        point = coset_entropy_point(g, tup, cross_validate=False).vector
+        point = coset_entropy_point(g, tup, cross_validate=False)
         for row in rows:
             assert eval_slack(row, point).sign() >= 0
 
@@ -393,7 +414,7 @@ def test_witness_counting_matches_formula():
         m = rng.randint(1, 3)
         tup = [rng.choice(subs) for _ in range(m)]
         counted = exact_entropy_vector(witness_set(g, tup))
-        formula = coset_entropy_point(g, tup, cross_validate=False).vector
+        formula = coset_entropy_point(g, tup, cross_validate=False)
         for mask in subsets(m):
             assert (counted[mask] - formula[mask]).sign() == 0
 
@@ -586,7 +607,7 @@ def test_symmetric_search_matches_reference(search):
 
 def _slack_of(ineq, g, subs, tup):
     point = coset_entropy_point(g, [subs[i] for i in tup], cross_validate=False)
-    return eval_slack(ineq, point.vector)
+    return eval_slack(ineq, point)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from entrodim.core import LinearInequality, eval_slack, subsets
-from entrodim.distributions import entropy_vector_float, JointDistribution
+from entrodim.core import ExactLogLin, LinearInequality, eval_slack, subsets
+from entrodim.distributions import JointDistribution, exact_entropy_vector
 from entrodim.dsl import format_inequality, parse_inequality
 from entrodim.shannon import (
     ELEMENTAL_RANGE,
@@ -187,9 +187,9 @@ def test_zhang_yeung_farkas_point():
     for row in rows:
         assert _slack(row, res.point) >= 0
     assert _slack(zy, res.point) == Fraction(-1, 4)
-    # float rendering is a valid entropy-vector shape
+    # the point is a valid entropy-vector shape, in exact bits
     v = res.as_entropy_vector()
-    assert v[15] == 1.0
+    assert v[15] == ExactLogLin.bits(1)
 
 
 def test_farkas_rejects_non_witnesses():
@@ -228,7 +228,7 @@ def _random_distribution(rng, m):
 def test_membership_dichotomy_random():
     rng = random.Random(777)
     dists = [_random_distribution(rng, 3) for _ in range(10)]
-    vectors = [entropy_vector_float(d) for d in dists]
+    vectors = [exact_entropy_vector(d) for d in dists]
     for _ in range(40):
         coeffs = {
             s: Fraction(rng.randint(-2, 2))
@@ -244,7 +244,7 @@ def test_membership_dichotomy_random():
             verify_certificate(ineq, res)
             # Shannon-type inequalities hold on genuine distributions
             for v in vectors:
-                assert eval_slack(ineq, v) >= -1e-9
+                assert eval_slack(ineq, v).sign() >= 0
         else:
             verify_farkas(ineq, res)
             assert _slack(ineq, res.point) < 0

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrodim.cantor import DimValue, Level
-from entrodim.core import FLOAT_TOL, mask_positions, subsets
+from entrodim.core import mask_positions, subsets
 from entrodim.splitting import (
     EXHAUSTIVE_BOUND,
+    FLOAT_TOL,
     ExhaustiveBoundExceeded,
     FiniteBody,
     Point,
