@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable
 
 from .core import (
@@ -57,6 +58,7 @@ class CantorWitness(PointSet):
         }
 
 
+@total_ordering
 @dataclass(frozen=True)
 class DimValue:
     """The exact dimension log(#A)/log(N) of a Cantor-type set.
@@ -94,15 +96,6 @@ class DimValue:
 
     def __lt__(self, other):
         return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
 
     def __str__(self):
         return f"log2({self.cardinality})/log2({self.base})"

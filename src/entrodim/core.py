@@ -159,8 +159,13 @@ class ExactLogLin:
         return loglin_sign(self)
 
     def to_float(self) -> float:
-        """Float rendering in bits."""
-        return math.fsum(float(q) * math.log2(n) for q, n in self.terms)
+        """Float rendering in bits with the sign of sign(), 0.0 for 0; summed
+        from decimal logarithms (_ln_sum) where a float sum has another sign."""
+        x = math.fsum(float(q) * math.log2(n) for q, n in self.terms)
+        s = loglin_sign(self)
+        if s and (x > 0) - (x < 0) != s:
+            x = float(_ln_sum(self.terms, 1 << 60) / _ln_sum([(1, 2)], 1 << 60))
+        return x if s else 0.0
 
     def __str__(self) -> str:
         if not self.terms:
@@ -182,15 +187,20 @@ class ExactLogLin:
         return out
 
 
+def common_denominator(qs: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integers w and q > 0, the lcm of the denominators, with qs[i] = w[i] / q."""
+    qs = list(qs)
+    q = math.lcm(*(x.denominator for x in qs))
+    return [x.numerator * (q // x.denominator) for x in qs], q
+
+
 def coprime_exponents(qs: Iterable[Fraction]) -> list[int]:
     """Nonzero rationals times one positive factor, as coprime integers.
 
     The factor is the lcm of the denominators divided by the gcd of the
     resulting numerators, so signs and ratios are kept.
     """
-    qs = list(qs)
-    den = math.lcm(*(q.denominator for q in qs))
-    nums = [q.numerator * (den // q.denominator) for q in qs]
+    nums, _ = common_denominator(qs)
     div = math.gcd(*nums)
     return [e // div for e in nums]
 
@@ -243,25 +253,31 @@ def _coprime_base(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
     return done
 
 
-def _interval_sign(base: dict[int, int]) -> int:
-    """The sign of sum e*ln(b) over a nonempty coprime base, which is
-    never 0, from decimal logarithms at doubling precision.
+def _ln_sum(terms: list[tuple[RationalLike, int]], rel: int) -> Fraction:
+    """sum q*ln(n) over (q, n) terms whose true sum S is not 0, as a
+    Fraction within |S|/rel of S, from decimal logarithms at doubling
+    precision; with rel = 1 it has the sign of S.
 
-    Decimal.ln is correctly rounded, so at p digits each computed ln(b)
+    Decimal.ln is correctly rounded, so at p digits each computed ln(n)
     is within half a unit in its last digit of the true one, less than
-    10**(1-p) times itself.  The computed terms t = e*ln(b) are summed
-    exactly as Fractions, so the true sum is within 10**(1-p) * sum |t|
-    of that sum, and its sign is certain once the sum exceeds the bound.
+    10**(1-p) times itself.  The computed terms t = q*ln(n) are summed
+    exactly as Fractions, so S is within 10**(1-p) * sum |t| of that
+    sum, and within |sum|/rel of it once the sum exceeds rel times that.
     """
     prec = 50
     while True:
         with localcontext() as ctx:
             ctx.prec = prec
-            terms = [e * Fraction(Decimal(b).ln()) for b, e in base.items()]
-        mid = sum(terms)
-        if abs(mid) * 10 ** (prec - 1) > sum(map(abs, terms)):
-            return 1 if mid > 0 else -1
+            ts = [q * Fraction(Decimal(n).ln()) for q, n in terms]
+        mid = sum(ts)
+        if abs(mid) * 10 ** (prec - 1) > rel * sum(map(abs, ts)):
+            return mid
         prec *= 2
+
+
+def _interval_sign(base: dict[int, int]) -> int:
+    """The sign of sum e*ln(b) over a nonempty coprime base, never 0."""
+    return 1 if _ln_sum([(e, b) for b, e in base.items()], 1) > 0 else -1
 
 
 def loglin_sign(x: ExactLogLin) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
+from math import factorial
 
 from . import core
 from .core import (
@@ -108,10 +109,7 @@ class FiniteGroup:
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
-        inv = [0] * self.order
-        for a in range(self.order):
-            inv[a] = self.table[a].index(0)
-        return tuple(inv)
+        return tuple(row.index(0) for row in self.table)
 
     def __repr__(self):
         label = self.name or f"order {self.order}"
@@ -216,12 +214,7 @@ def subgroup_from_generators(g: FiniteGroup, gens) -> Subgroup:
 
 def intersect(g: FiniteGroup, subgroups) -> Subgroup:
     """Intersection of subgroups of g (itself always a subgroup)."""
-    subs = list(subgroups)
-    if not subs:
-        return Subgroup(tuple(range(g.order)))
-    common = subs[0].element_set
-    for h in subs[1:]:
-        common &= h.element_set
+    common = frozenset(range(g.order)).intersection(*(h.element_set for h in subgroups))
     return Subgroup(tuple(sorted(common)))
 
 
@@ -262,27 +255,16 @@ def cyclic(n: int, name: str = "") -> FiniteGroup:
 def direct_product(*groups: FiniteGroup, name: str = "") -> FiniteGroup:
     if not groups:
         raise ValueError("direct product needs at least one factor")
-    order = 1
-    for g in groups:
-        order *= g.order
     # element index = mixed-radix encoding of per-factor indices
-    radices = [g.order for g in groups]
+    coords = list(product(*(range(g.order) for g in groups)))
+    index = {xs: i for i, xs in enumerate(coords)}
 
-    def encode(coords):
-        idx = 0
-        for r, c in zip(radices, coords):
-            idx = idx * r + c
-        return idx
+    def mul(xs, ys):
+        return index[tuple(g.table[x][y] for g, x, y in zip(groups, xs, ys))]
 
-    coords = list(product(*(range(r) for r in radices)))
-    table = []
-    for xs in coords:
-        row = []
-        for ys in coords:
-            row.append(encode([g.table[x][y] for g, x, y in zip(groups, xs, ys)]))
-        table.append(tuple(row))
+    table = tuple(tuple(mul(xs, ys) for ys in coords) for xs in coords)
     default = "x".join(g.name or f"?{g.order}" for g in groups)
-    return FiniteGroup._of_valid(order, tuple(table), name or default)
+    return FiniteGroup._of_valid(len(coords), table, name or default)
 
 
 def dihedral(n: int, name: str = "") -> FiniteGroup:
@@ -365,10 +347,7 @@ def builtin_catalog(max_order: int = 24) -> list[FiniteGroup]:
         if 2 * n <= max_order:
             groups.append(dihedral(n))
     for n in range(3, 6):
-        order = 1
-        for k in range(2, n + 1):
-            order *= k
-        if order <= max_order:
+        if factorial(n) <= max_order:
             groups.append(symmetric(n))
     return sorted(groups, key=lambda g: (g.order, g.name))
 

@@ -20,12 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations
+from typing import Mapping
 
 from .core import (
     EntropyVector,
     ExactLogLin,
     LinearInequality,
+    common_denominator,
     mask_label,
     subsets,
 )
@@ -33,7 +36,7 @@ from .dsl import parse_inequality
 from .simplex import solve_eq_nonneg
 
 #: elemental sets are available for this range of variable counts
-ELEMENTAL_RANGE = range(2, 7)
+ELEMENTAL_RANGE = range(1, 7)
 
 
 class VerificationError(ValueError):
@@ -46,6 +49,15 @@ class ElementalSet:
 
     m: int
     rows: tuple[LinearInequality, ...]
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The LP matrix E^T, built once per set: a row per subset mask in
+        subsets(m) order, a column per elemental row, and every integral
+        coefficient as an int."""
+        cols = [{s: int(c) if c.denominator == 1 else c for s, c in r.coeffs.items()}
+                for r in self.rows]
+        return tuple(tuple(col.get(s, 0) for col in cols) for s in subsets(self.m))
 
 
 @dataclass(frozen=True)
@@ -94,51 +106,49 @@ class FarkasWitness:
         }
 
 
+@cache
 def elemental_inequalities(m: int) -> ElementalSet:
     """Elemental rows for m variables: monotonicities, then submodularities.
 
     Ordering is fixed and documented: the m monotonicity rows for
     i = 1..m, then for each pair i < j (lexicographic) the rows for each
-    K subset of the remaining variables in ascending mask order.
+    K subset of the remaining variables in ascending mask order (m = 1:
+    the one row H(x) >= 0).  Each m's set is built once and shared.
     """
     if m not in ELEMENTAL_RANGE:
         raise ValueError(
-            f"elemental inequalities supported for m in {ELEMENTAL_RANGE}, got {m}"
+            f"elemental inequalities need m in 1..{max(ELEMENTAL_RANGE)}, got {m}"
         )
+
+    def row(*terms: tuple[int, int]) -> LinearInequality:
+        # H(empty) = 0 is not a coordinate: a term on mask 0 is dropped
+        return LinearInequality(m, {s: Fraction(c) for s, c in terms if s})
+
     full = (1 << m) - 1
-    rows = []
-    for i in range(1, m + 1):
-        bit = 1 << (i - 1)
-        rows.append(LinearInequality(m, {full: Fraction(1), full ^ bit: Fraction(-1)}))
-    for i, j in combinations(range(1, m + 1), 2):
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        rest = [p for p in range(1, m + 1) if p not in (i, j)]
-        for pick in range(1 << len(rest)):
-            k_mask = 0
-            for t, p in enumerate(rest):
-                if pick >> t & 1:
-                    k_mask |= 1 << (p - 1)
-            coeffs = {
-                bi | k_mask: Fraction(1),
-                bj | k_mask: Fraction(1),
-                bi | bj | k_mask: Fraction(-1),
-            }
-            if k_mask:
-                coeffs[k_mask] = Fraction(-1)
-            rows.append(LinearInequality(m, coeffs))
+    rows = [row((full, 1), (full ^ 1 << i, -1)) for i in range(m)]
+    for i, j in combinations(range(m), 2):
+        bi, bj = 1 << i, 1 << j
+        for k in range(full + 1):
+            if not k & (bi | bj):
+                rows.append(row((k | bi, 1), (k | bj, 1), (k | bi | bj, -1), (k, -1)))
     return ElementalSet(m, tuple(rows))
 
 
 def num_elemental_inequalities(m: int) -> int:
     """Closed form m + C(m,2) * 2^(m-2) for the elemental row count."""
-    return m + (m * (m - 1) // 2) * (1 << (m - 2))
+    return m + (m * (m - 1) // 2 << m) // 4
 
 
-def _row_slack(row: LinearInequality, point: dict[int, Fraction]) -> Fraction:
-    return sum(
-        (c * point.get(mask, Fraction(0)) for mask, c in row.coeffs.items()),
-        Fraction(0),
-    )
+def _integral(values: Mapping) -> tuple[dict, int]:
+    """Integers v and q > 0 with values[key] = v[key] / q."""
+    nums, q = common_denominator(values.values())
+    return dict(zip(values, nums)), q
+
+
+def _slack(row: LinearInequality, point: dict[int, int], q: int) -> tuple[int, int]:
+    """(s, den), den > 0, with s / den the row's slack on the point point / q."""
+    cs, qr = common_denominator(row.coeffs.values())
+    return sum(c * point.get(mask, 0) for mask, c in zip(row.coeffs, cs)), q * qr
 
 
 def is_shannon_type(
@@ -151,10 +161,7 @@ def is_shannon_type(
     if elems.m != ineq.m:
         raise ValueError(f"elemental set is for m={elems.m}, target m={ineq.m}")
     coords = subsets(ineq.m)
-    zero = Fraction(0)
-    a = [[row.coeffs.get(mask, zero) for row in elems.rows] for mask in coords]
-    b = [ineq.coeffs.get(mask, zero) for mask in coords]
-    res = solve_eq_nonneg(a, b)
+    res = solve_eq_nonneg(elems.matrix, [ineq.coeffs.get(mask, 0) for mask in coords])
     if res.feasible:
         weights = {r: w for r, w in enumerate(res.solution) if w != 0}
         cert = ShannonCertificate(ineq.m, weights)
@@ -174,26 +181,29 @@ def verify_certificate(
     cert: ShannonCertificate,
     elems: ElementalSet | None = None,
 ) -> None:
-    """Exact coefficient-wise recheck of sum_r y_r * row_r = target."""
+    """Exact coefficient-wise recheck of sum_r y_r * row_r = target, in
+    integers over common denominators of the weights and of the rows."""
     if elems is None:
         elems = elemental_inequalities(ineq.m)
     if cert.m != ineq.m:
         raise VerificationError(f"certificate is for m={cert.m}, target m={ineq.m}")
-    combo: dict[int, Fraction] = {}
     for r, w in cert.weights.items():
         if not 0 <= r < len(elems.rows):
             raise VerificationError(f"certificate references unknown row {r}")
         if w < 0:
             raise VerificationError(f"negative weight {w} on row {r}")
-        for mask, c in elems.rows[r].coeffs.items():
-            combo[mask] = combo.get(mask, Fraction(0)) + w * c
+    weights, q = _integral(cert.weights)
+    used = {(r, s): c for r in weights for s, c in elems.rows[r].coeffs.items()}
+    coeffs, qc = _integral(used)
+    combo: dict[int, int] = {}
+    for (r, mask), c in coeffs.items():
+        combo[mask] = combo.get(mask, 0) + weights[r] * c
     for mask in subsets(ineq.m):
-        want = ineq.coeffs.get(mask, Fraction(0))
-        got = combo.get(mask, Fraction(0))
-        if want != got:
+        got, want = combo.get(mask, 0), ineq.coeffs.get(mask, 0)
+        if got * want.denominator != want.numerator * q * qc:
             raise VerificationError(
                 f"certificate mismatch at subset {mask_label(mask)}: "
-                f"combination gives {got}, target has {want}"
+                f"combination gives {Fraction(got, q * qc)}, target has {want}"
             )
 
 
@@ -202,21 +212,23 @@ def verify_farkas(
     witness: FarkasWitness,
     elems: ElementalSet | None = None,
 ) -> None:
-    """Exact recheck: elemental slacks >= 0, target slack < 0."""
+    """Exact recheck: elemental slacks >= 0, target slack < 0, in integers
+    over one common denominator of the point."""
     if elems is None:
         elems = elemental_inequalities(ineq.m)
     if witness.m != ineq.m:
         raise VerificationError(f"witness is for m={witness.m}, target m={ineq.m}")
+    point, q = _integral(witness.point)
     for r, row in enumerate(elems.rows):
-        slack = _row_slack(row, witness.point)
-        if slack < 0:
+        s, den = _slack(row, point, q)
+        if s < 0:
             raise VerificationError(
-                f"witness violates elemental row {r} (slack {slack})"
+                f"witness violates elemental row {r} (slack {Fraction(s, den)})"
             )
-    target = _row_slack(ineq, witness.point)
-    if target >= 0:
+    s, den = _slack(ineq, point, q)
+    if s >= 0:
         raise VerificationError(
-            f"target slack on witness is {target}, expected strictly negative"
+            f"target slack on witness is {Fraction(s, den)}, expected strictly negative"
         )
 
 

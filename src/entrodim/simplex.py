@@ -30,8 +30,9 @@ Outcome is two-sided:
 * infeasible: a Farkas vector u with u . A_col_j <= 0 for every column j
   and u . b > 0, certifying that no nonnegative solution exists.
 
-Both certificates are rechecked exactly, in Fraction arithmetic against
-the caller's A and b, before being returned.
+Entries of A and b are ints or Fractions.  Both certificates are
+rechecked exactly against the caller's A and b before being returned, as
+identities over their common denominators: in ints where A is integral.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter, mul
 from typing import Sequence
 
-from .core import MAX_PRODUCT_BITS, SizeLimitError
+from .core import MAX_PRODUCT_BITS, SizeLimitError, common_denominator
 
 _ZERO = Fraction(0)
+_den = attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -53,26 +56,24 @@ class FeasibilityResult:
     farkas: tuple[Fraction, ...] | None  # u with uA <= 0, u.b > 0, if not
 
 
-def _fraction(x) -> Fraction:
-    # Fraction(x) rebuilds even a Fraction; most entries already are one
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def _hadamard_bits(rows: Sequence[Sequence[int]]) -> int:
     """Hadamard: no minor of these rows has more bits than the returned sum
     of half bit-lengths of the squared row norms."""
-    return sum((sum(x * x for x in row).bit_length() + 1) // 2 for row in rows)
+    return sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in rows)
 
 
-def _eliminate(row: list[int], prow: list[int], c: int, p: int, d: int) -> list[int]:
-    """A non-pivot row after a fraction-free pivot on column c of the pivot
-    row prow, with p = prow[c] and old denominator d: the division is exact."""
+def _eliminate(row: list[int], nz: list, c: int, p: int, d: int) -> list[int]:
+    """A non-pivot row after a fraction-free pivot on column c, with pivot
+    p, old denominator d and nz the (j, y) with y != 0 in the pivot row:
+    entry j becomes (p * row[j] - row[c] * y) // d, an exact division, or
+    p * row[j] // d where y = 0.  When p = d, as in most pivots on a 0/±1
+    matrix, the latter is row[j], and only the columns in nz change."""
     f = row[c]
+    new = row if p == d else [p * x // d for x in row]
     if f:
-        return [(p * x - f * y) // d for x, y in zip(row, prow)]
-    if p == d:
-        return row
-    return [p * x // d for x in row]
+        for j, y in nz:
+            new[j] = (p * row[j] - f * y) // d
+    return new
 
 
 def solve_eq_nonneg(
@@ -86,30 +87,25 @@ def solve_eq_nonneg(
     if len(b) != n:
         raise ValueError(f"rhs length {len(b)} does not match {n} rows")
 
-    fa = [[_fraction(x) for x in row] for row in a]
-    fb = [_fraction(x) for x in b]
-    col_scale = [lcm(*(row[j].denominator for row in fa)) for j in range(k)]
-    rhs_scale = lcm(*(x.denominator for x in fb))
+    col_scale = [lcm(*map(_den, col)) for col in zip(*a)]
+    rhs_scale = lcm(*map(_den, b))
 
     # sign-normalize rows so the rhs is nonnegative, then append one
     # artificial column per row; initial basis = artificials, D = 1
-    signs = [1 if x >= 0 else -1 for x in fb]
+    signs = [1 if x >= 0 else -1 for x in b]
     rows: list[list[int]] = []
-    for i in range(n):
-        s = signs[i]
-        row = [
-            s * x.numerator * (c // x.denominator) for x, c in zip(fa[i], col_scale)
-        ]
-        row += [1 if j == i else 0 for j in range(n)]
-        row.append(s * fb[i].numerator * (rhs_scale // fb[i].denominator))
+    for i, (arow, x, s) in enumerate(zip(a, b, signs)):
+        row = [s * v.numerator * (c // v.denominator) for v, c in zip(arow, col_scale)]
+        row += [0] * n
+        row[k + i] = 1
+        row.append(s * x.numerator * (rhs_scale // x.denominator))
         rows.append(row)
     basis = [k + i for i in range(n)]
 
     # phase-1 objective: minimize the sum of artificials.  obj holds D times
     # the reduced costs (cost 0 structural, 1 artificial) followed by -D z.
-    obj = [0] * (k + n + 1)
-    for j in (*range(k), k + n):
-        obj[j] = -sum(row[j] for row in rows)
+    obj = [-sum(col) for col in zip(*rows)] or [0]  # no rows: just -D z = 0
+    obj[k : k + n] = [0] * n
 
     if _hadamard_bits(rows + [obj]) > MAX_PRODUCT_BITS:
         raise SizeLimitError(
@@ -138,30 +134,35 @@ def solve_eq_nonneg(
             raise AssertionError("phase-1 objective cannot be unbounded")
         prow = rows[leave]
         p = prow[enter]
+        nz = [(j, y) for j, y in enumerate(prow) if y]
         for i, row in enumerate(rows):
             if i != leave:
-                rows[i] = _eliminate(row, prow, enter, p, d)
-        obj = _eliminate(obj, prow, enter, p, d)
+                rows[i] = _eliminate(row, nz, enter, p, d)
+        obj = _eliminate(obj, nz, enter, p, d)
         basis[leave] = enter
         d = p
 
+    # each certificate is rechecked as q times its identity, with q its
+    # common denominator: sum_j A_ij w_j = q b_i, or u A <= 0 < u b
     if obj[-1] == 0:
         y = [_ZERO] * k
         for row, var in zip(rows, basis):
             if var < k:
                 y[var] = Fraction(row[-1] * col_scale[var], d * rhs_scale)
-        support = [(j, v) for j, v in enumerate(y) if v]
-        for i in range(n):
-            if sum(fa[i][j] * v for j, v in support) != fb[i]:
+        w, q = common_denominator(y)
+        support = [(j, v) for j, v in enumerate(w) if v]
+        for arow, x in zip(a, b):
+            if sum(arow[j] * v for j, v in support) * x.denominator != q * x.numerator:
                 raise AssertionError("simplex returned an invalid solution")
         return FeasibilityResult(True, tuple(y), None)
 
     # infeasible: simplex multipliers pi_i = 1 - reduced cost of the
     # i-th artificial; undo the row sign flips to get the Farkas vector
     u = [Fraction(s * (d - obj[k + i]), d) for i, s in enumerate(signs)]
-    for col in zip(*fa):
-        if sum(ui * x for ui, x in zip(u, col) if x) > 0:
-            raise AssertionError("simplex produced an invalid Farkas vector")
-    if sum(ui * x for ui, x in zip(u, fb) if x) <= 0:
+    w, _ = common_denominator(u)
+    support = [(arow, wi) for arow, wi in zip(a, w) if wi]
+    if sum(wi * x for wi, x in zip(w, b)) <= 0 or any(
+        sum(arow[j] * wi for arow, wi in support) > 0 for j in range(k)
+    ):
         raise AssertionError("simplex produced an invalid Farkas vector")
     return FeasibilityResult(False, None, tuple(u))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Callable
 
-from .core import PointSet, mask_label, mask_positions, projector, subsets
+from .core import PointSet, mask_label, mask_of, mask_positions, projector, subsets
 
 Point = tuple[int, ...]
 
@@ -159,12 +159,8 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SplitSpec":
-        levels = {}
-        for entry in obj["levels"]:
-            mask = 0
-            for p in entry["part"]:
-                mask |= 1 << (int(p) - 1)
-            levels[mask] = float(entry["bits"])
+        entries = obj["levels"]
+        levels = {mask_of(map(int, e["part"])): float(e["bits"]) for e in entries}
         return cls(int(obj["m"]), levels)
 
     def to_json(self) -> dict:

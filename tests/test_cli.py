@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from entrodim import splitting
 from entrodim.cli import main
 
 KLEIN_JSON = {
@@ -41,6 +42,15 @@ def test_check_not_shannon_type(capsys):
     assert report["outcome"] == "not-shannon-type"
     assert report["farkas_witness"]["target_slack"] == "-1/4"
     assert len(report["farkas_witness"]["point"]) == 15
+
+
+def test_check_one_variable(capsys):
+    code, report, err = run(capsys, "check", "H(x) >= 0")
+    assert (code, err) == (0, "")
+    assert report["outcome"] == "shannon-type"
+    assert report["certificate"]["weights"] == [
+        {"row": 0, "weight": "1", "inequality": "0 <= 1 H(x)"}
+    ]
 
 
 def test_check_parse_error(capsys):
@@ -112,6 +122,8 @@ def test_eval_near_tie_is_violated(capsys, tmp_path, form):
     assert report["outcome"] == "violated"
     assert report["mode"] == "exact"
     assert report["slack_exact"] == "-272500658 + 171928773*log2(3)"
+    # the float sum of the two terms cancels; the rendering keeps the sign
+    assert report["slack_float"] == pytest.approx(-2.5812933071047e-9, rel=1e-6)
 
 
 def test_eval_missing_file(capsys, tmp_path):
@@ -305,6 +317,22 @@ def test_split_found_and_not_found(capsys, tmp_path):
     )
     assert code == 2
     assert report["outcome"] == "no split found (greedy heuristic, inconclusive)"
+
+
+@pytest.mark.parametrize("method", [[], ["--greedy"]])
+def test_split_is_recounted_once(capsys, tmp_path, monkeypatch, method):
+    calls = []
+    real = splitting.verify_split
+    monkeypatch.setattr(
+        splitting, "verify_split", lambda *a: calls.append(a) or real(*a)
+    )
+    body = write_json(tmp_path / "b.json", {"m": 2, "N": 2, "points": [[0, 0], [1, 1]]})
+    spec = write_json(
+        tmp_path / "s.json", {"m": 2, "levels": [{"part": [1], "bits": 1.0}]}
+    )
+    code, report, _ = run(capsys, "split", "--body", body, "--spec", spec, *method)
+    assert code == 0 and report["verified"] is True
+    assert len(calls) == 1
 
 
 def test_demo_cube_bar(capsys):

@@ -1,14 +1,19 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from entrodim import cli
 from entrodim.core import ExactLogLin, LinearInequality, eval_slack, subsets
 from entrodim.distributions import JointDistribution, exact_entropy_vector
 from entrodim.dsl import format_inequality, parse_inequality
 from entrodim.shannon import (
     ELEMENTAL_RANGE,
+    ElementalSet,
     FarkasWitness,
     ShannonCertificate,
     VerificationError,
@@ -19,6 +24,7 @@ from entrodim.shannon import (
     verify_farkas,
     zhang_yeung,
 )
+from test_simplex import _reference_solve
 
 EQ1 = parse_inequality("2 H(x,y,z) <= H(x,y) + H(x,z) + H(y,z)")
 
@@ -103,10 +109,13 @@ def test_m3_layout():
 
 
 def test_m_out_of_range():
-    with pytest.raises(ValueError):
-        elemental_inequalities(1)
-    with pytest.raises(ValueError):
-        elemental_inequalities(7)
+    for m in (0, 7):
+        with pytest.raises(ValueError, match=r"m in 1\.\.6, got"):
+            elemental_inequalities(m)
+    # one variable has one elemental row, H(x) >= 0
+    (row,) = elemental_inequalities(1).rows
+    assert row.coeffs == {1: Fraction(1)}
+    assert num_elemental_inequalities(1) == 1
 
 
 def test_monotonicity_is_certified_by_itself():
@@ -264,3 +273,101 @@ def test_nonneg_combinations_are_members():
             continue
         res = is_shannon_type(LinearInequality(3, combo))
         assert isinstance(res, ShannonCertificate)
+
+
+# -- the LP on the cached integer matrix ---------------------------------------
+
+
+def _fraction_lp(ineq, elems):
+    """The LP of is_shannon_type written out in Fractions from the rows."""
+    coords = subsets(ineq.m)
+    a = [[row.coeffs.get(mask, Fraction(0)) for row in elems.rows] for mask in coords]
+    return a, [ineq.coeffs.get(mask, Fraction(0)) for mask in coords]
+
+
+def _expected(ineq, elems):
+    """What is_shannon_type must return: the reference solver's answer."""
+    res = _reference_solve(*_fraction_lp(ineq, elems))
+    if res.feasible:
+        weights = {r: w for r, w in enumerate(res.solution) if w}
+        return ShannonCertificate(ineq.m, weights)
+    coords = subsets(ineq.m)
+    return FarkasWitness(ineq.m, {s: -u for s, u in zip(coords, res.farkas) if u})
+
+
+@st.composite
+def _combinations(draw):
+    """A nonnegative rational combination of elemental rows, perturbed at
+    one subset in half the draws."""
+    m = draw(st.integers(2, 5))
+    rows = elemental_inequalities(m).rows
+    weight = st.builds(Fraction, st.integers(1, 5), st.sampled_from((1, 2, 3)))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), weight),
+                          min_size=1, max_size=4))
+    combo: dict[int, Fraction] = {}
+    for r, w in picks:
+        for mask, c in rows[r].coeffs.items():
+            combo[mask] = combo.get(mask, Fraction(0)) + w * c
+    if draw(st.booleans()):
+        mask = draw(st.sampled_from(subsets(m)))
+        combo[mask] = combo.get(mask, Fraction(0)) + draw(st.sampled_from((-1, 1)))
+    assume(any(combo.values()))
+    return LinearInequality(m, combo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_combinations())
+def test_matches_reference_on_elemental_combinations(ineq):
+    elems = elemental_inequalities(ineq.m)
+    assert is_shannon_type(ineq) == _expected(ineq, elems)
+
+
+def test_caller_built_set_with_fractional_rows():
+    # each elemental row scaled by 1/(r+2): the same cone, non-integer rows
+    cases = ((3, EQ1, ShannonCertificate), (4, zhang_yeung(), FarkasWitness))
+    for m, target, kind in cases:
+        rows = tuple(
+            LinearInequality(m, {s: c / (r + 2) for s, c in row.coeffs.items()})
+            for r, row in enumerate(elemental_inequalities(m).rows)
+        )
+        elems = ElementalSet(m, rows)
+        assert any(type(x) is Fraction for col in elems.matrix for x in col)
+        res = is_shannon_type(target, elems)
+        assert isinstance(res, kind)
+        assert res == _expected(target, elems)
+        if kind is ShannonCertificate:
+            verify_certificate(target, res, elems)
+            # the weights undo the scaling of the rows they use
+            assert res.weights == {r: Fraction(r + 2) for r in (4, 6, 7)}
+        else:
+            verify_farkas(target, res, elems)
+
+
+def test_elemental_sets_are_built_once_and_left_unchanged(capsys):
+    for m in ELEMENTAL_RANGE:
+        assert elemental_inequalities(m) is elemental_inequalities(m)
+    elems = elemental_inequalities(4)
+    rows = [dict(r.coeffs) for r in elems.rows]
+    matrix = elems.matrix
+    assert elems.matrix is matrix
+    assert all(type(x) is int for col in matrix for x in col)
+    for text in ("2 I(z;w) <= I(x;y) + I(x;z,w) + 3 I(z;w|x) + I(z;w|y)",
+                 "H(a,b,c,d) <= 1/2 H(a,b) + 1/2 H(c,d) + 1/2 H(a,c) + 1/2 H(b,d)"):
+        assert cli.main(["check", text]) in (0, 2)
+    capsys.readouterr()
+    assert elemental_inequalities(4) is elems
+    assert [dict(r.coeffs) for r in elems.rows] == rows
+    assert [list(r) for r in elems.matrix] == _fraction_lp(zhang_yeung(), elems)[0]
+
+
+PINNED = json.loads((Path(__file__).parent / "check_reports_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[c["ineq"] for c in PINNED])
+def test_check_reports_are_pinned(case, capsys):
+    # recorded from the Fraction-setup solver, with elapsed_ms removed
+    code = cli.main(["check", case["ineq"]])
+    report = json.loads(capsys.readouterr().out)
+    del report["elapsed_ms"]
+    assert code == case["code"]
+    assert json.dumps(report) == json.dumps(case["report"])  # key order too

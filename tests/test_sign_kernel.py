@@ -205,3 +205,19 @@ def test_zero_test_is_not_fooled_by_tiny_nonzero():
         eps = Fraction(1, 2**k) * ExactLogLin.log2(3)
         assert loglin_sign(zero * 2**40 + eps) == 1
         assert loglin_sign(zero * 2**40 - eps) == -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sums())
+def test_to_float_has_the_exact_sign(x):
+    f = x.to_float()
+    assert (f > 0) - (f < 0) == loglin_sign(x)
+    assert (-x).to_float() == -f
+
+
+def test_to_float_on_near_ties_of_log2_3():
+    # from q of about 5*10**7 on, the float sum of p and q*log2(3) cancels
+    for p, q in _log2_3_convergents(10**60):
+        for x in (_near_tie(p, q), -_near_tie(p, q)):
+            f = x.to_float()
+            assert f != 0 and (f > 0) - (f < 0) == loglin_sign(x)

@@ -282,3 +282,21 @@ def test_size_budget_cli_error(monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: SizeLimitError: ")
+
+
+def test_recheck_rejects_a_wrong_answer(monkeypatch):
+    # every value of the answer built one unit too large: the solver's own
+    # recheck against the caller's A and b must refuse it
+    monkeypatch.setattr(simplex, "Fraction", lambda n, d=1: Fraction(n + d, d))
+    with pytest.raises(AssertionError, match="invalid solution"):
+        solve_eq_nonneg([[1, 1], [1, -1]], [Fraction(3), Fraction(1)])
+    with pytest.raises(AssertionError, match="invalid Farkas vector"):
+        solve_eq_nonneg([[1]], [Fraction(-1)])
+
+
+def test_integer_matrix_with_rational_rhs():
+    # an int matrix, as shannon passes it, next to a rational right-hand side
+    a = [[1, 0, 1], [0, 1, -1]]
+    for b in ([Fraction(1, 2), Fraction(1, 3)], [Fraction(-1, 2), 0]):
+        res = solve_eq_nonneg(a, b)
+        assert res == _reference_solve(a, b)
