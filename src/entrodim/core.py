@@ -342,14 +342,14 @@ class EntropyVector:
     """The 2**m - 1 joint entropies of an m-tuple, in bits, as
     nonnegative ExactLogLin values.
 
-    Instances are immutable values; the ``values`` dict must not be
-    mutated after construction.
+    Instances are immutable values; ``values`` is a read-only mapping.
     """
 
     m: int
     values: Mapping[int, ExactLogLin]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         expected = subsets(self.m)
         if set(self.values) != set(expected):
             raise ValueError(f"entropy vector needs exactly {len(expected)} entries")
@@ -361,7 +361,7 @@ class EntropyVector:
 
     @classmethod
     def from_exact(cls, m: int, values: Mapping[int, ExactLogLin]) -> "EntropyVector":
-        return cls(m, dict(values))
+        return cls(m, values)
 
     def __getitem__(self, mask: int) -> ExactLogLin:
         return self.values[mask]
@@ -375,11 +375,11 @@ class EntropyVector:
 class LinearInequality:
     """A linear entropy inequality in canonical "sum_T c_T H(T) >= 0" form.
 
-    The mapping ``coeffs`` holds only nonzero rational coefficients,
-    keyed by subset mask.  The familiar two-sided reading splits the
-    coefficients by sign: subsets with negative coefficient form the
-    left-hand family (weights lhs_weights), positive ones the right-hand
-    family (rhs_weights), and the inequality asserts
+    The read-only mapping ``coeffs`` holds only nonzero rational
+    coefficients, keyed by subset mask.  The familiar two-sided reading
+    splits the coefficients by sign: subsets with negative coefficient
+    form the left-hand family (weights lhs_weights), positive ones the
+    right-hand family (rhs_weights), and the inequality asserts
 
         sum_I lhs[I] * H(I)  <=  sum_J rhs[J] * H(J).
     """
@@ -390,7 +390,7 @@ class LinearInequality:
     def __post_init__(self) -> None:
         valid = set(subsets(self.m))
         cleaned: dict[int, Fraction] = {}
-        for mask, c in self.coeffs.items():
+        for mask, c in sorted(self.coeffs.items()):
             if mask not in valid:
                 raise ValueError(f"subset mask {mask} out of range for m={self.m}")
             c = _as_fraction(c)
@@ -398,7 +398,7 @@ class LinearInequality:
                 cleaned[mask] = c
         if not cleaned:
             raise ValueError("inequality has no nonzero coefficient")
-        object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
+        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
 
     def lhs_weights(self) -> dict[int, Fraction]:
         """Positive weights of the "<=" side (negated negative coefficients)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import product
 from math import factorial
 
 from . import core
@@ -83,12 +83,9 @@ class FiniteGroup:
         for a in range(n):
             if not any(tab[a][b] == 0 and tab[b][a] == 0 for b in range(n)):
                 raise NoInverse(a)
-        for a in range(n):
-            ra = tab[a]
-            for b in range(n):
-                ab = ra[b]
-                rb = tab[b]
-                tab_ab = tab[ab]
+        for a, ra in enumerate(tab):
+            for b, rb in enumerate(tab):
+                tab_ab = tab[ra[b]]
                 for c in range(n):
                     if tab_ab[c] != ra[rb[c]]:
                         raise NotAssociative(a, b, c)
@@ -319,13 +316,8 @@ def from_permutations(degree: int, generators, name: str = "") -> FiniteGroup:
 def symmetric(n: int, name: str = "") -> FiniteGroup:
     if not 1 <= n <= 5:
         raise ValueError("symmetric groups supported for n in 1..5")
-    ordered = list(permutations(range(n)))  # identity is lexicographically first
-    index = {p: i for i, p in enumerate(ordered)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in ordered)
-        for p in ordered
-    )
-    return FiniteGroup._of_valid(len(ordered), table, name or f"S{n}")
+    swap = (*range(min(n, 2))[::-1], *range(2, n))  # (0 1), or () when n = 1
+    return from_permutations(n, [swap, (*range(1, n), 0)], name or f"S{n}")
 
 
 def builtin_catalog(max_order: int = 24) -> list[FiniteGroup]:

@@ -19,20 +19,24 @@ cardinality.  This module checks three of them on explicit point sets:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from decimal import Context
+from fractions import Fraction
+from itertools import chain, product
 from typing import Callable
 
-from .core import PointSet, mask_label, mask_of, mask_positions, projector, subsets
+from .core import ExactLogLin, PointSet, mask_label, mask_of, mask_positions
+from .core import projector, subsets
 
 Point = tuple[int, ...]
 
 #: hard ceiling on the exhaustive assignment space |parts| ** |S|
 EXHAUSTIVE_BOUND = 10**7
 
-#: float bit budgets are met when log2(count) <= bits + FLOAT_TOL
-FLOAT_TOL = 1e-9
+#: a count c fits a budget of b bits when log2(c) <= b + FLOAT_TOL, exactly
+FLOAT_TOL = Fraction(1, 10**9)
 
 
 class ExhaustiveBoundExceeded(ValueError):
@@ -63,14 +67,13 @@ def projection_count(body: FiniteBody, mask: int) -> int:
 
 
 def loomis_whitney_slack(body: FiniteBody) -> float:
-    """log2 #S12 + log2 #S13 + log2 #S23 - 2 log2 #S, never negative."""
+    """log2 #S12 + log2 #S13 + log2 #S23 - 2 log2 #S, summed exactly and
+    rendered by ExactLogLin.to_float: 0.0 where the bound is tight, and
+    never negative."""
     if body.m != 3:
         raise ValueError("Loomis-Whitney check needs a three-dimensional body")
-    total = math.fsum(
-        math.log2(projection_count(body, (1 << i) | (1 << j)))
-        for i, j in combinations(range(3), 2)
-    )
-    return total - 2.0 * math.log2(len(body.points))
+    terms = [(1, projection_count(body, mask)) for mask in (0b011, 0b101, 0b110)]
+    return ExactLogLin((*terms, (-2, len(body.points)))).to_float()
 
 
 def cube_bar_instance(k: int) -> FiniteBody:
@@ -138,9 +141,12 @@ def check_unsplit_inequality(body: FiniteBody) -> UnsplitReport:
 class SplitSpec:
     """Budgets a_I in bits for each part's own projection.
 
-    levels maps a subset mask I to a budget: a float (bits), or any
-    object with __float__ — the exact Level/DimValue objects from the
-    dimension pipeline slot in directly.
+    levels maps a subset mask I to a budget, kept as its exact rational
+    value: an int, float or Fraction as it is (a float infinity stays a
+    float), any other object with __float__, such as the Level/DimValue
+    objects of the dimension pipeline, through float() once.  A part
+    whose shadow has c points fits a budget b iff log2(c) <= b + FLOAT_TOL,
+    that is iff c <= _max_count(b).
     """
 
     m: int
@@ -149,18 +155,20 @@ class SplitSpec:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("split spec needs at least one part")
-        valid = set(subsets(self.m))
-        for mask in self.levels:
+        valid, exact = set(subsets(self.m)), {}
+        for mask, b in self.levels.items():
             if mask not in valid:
                 raise ValueError(f"part mask {mask} out of range for m={self.m}")
+            b = b if isinstance(b, (int, float, Fraction)) else float(b)
+            exact[mask] = b if b in (math.inf, -math.inf) else Fraction(b)
+        object.__setattr__(self, "levels", exact)
 
     def bits(self, mask: int) -> float:
         return float(self.levels[mask])
 
     @classmethod
     def from_json(cls, obj: dict) -> "SplitSpec":
-        entries = obj["levels"]
-        levels = {mask_of(map(int, e["part"])): float(e["bits"]) for e in entries}
+        levels = {mask_of(map(int, e["part"])): e["bits"] for e in obj["levels"]}
         return cls(int(obj["m"]), levels)
 
     def to_json(self) -> dict:
@@ -192,19 +200,22 @@ class SplitResult:
         }
 
 
-def _max_count(bits: float) -> int:
-    """Largest part-projection cardinality within a budget of `bits`.
+@functools.lru_cache(maxsize=1 << 12)
+def _max_count(bits: Fraction | float) -> int:
+    """The largest count c with log2(c) <= bits + FLOAT_TOL (0 when even
+    c = 1 is over), for an exact budget as SplitSpec keeps it.
 
-    Consistent by construction with the verification test
-    log2(count) <= bits + FLOAT_TOL.
+    2**(bits + FLOAT_TOL), worked out with some 20 decimal digits to
+    spare, is within 1e-10 of its true value; one less than its integer
+    part is at most the answer, and exact signs count up from there.
     """
     if bits > 900:
         return 1 << 1000  # effectively unbounded
-    cap = max(0, int(2.0 ** (bits + FLOAT_TOL)))
-    while math.log2(cap + 1) <= bits + FLOAT_TOL:
+    t = max(bits, -1) + FLOAT_TOL  # every budget below -1 has cap 0, as -1 has
+    ctx = Context(prec=20 + int(t) // 3)
+    cap = max(0, int(ctx.power(2, ctx.divide(t.numerator, t.denominator))) - 1)
+    while ExactLogLin(((1, cap + 1), (-t, 2))).sign() <= 0:  # log2(cap + 1) <= t
         cap += 1
-    while cap > 0 and math.log2(cap) > bits + FLOAT_TOL:
-        cap -= 1
     return cap
 
 
@@ -212,17 +223,17 @@ def _choices(spec: SplitSpec) -> list[tuple[int, set[Point], int, Callable]]:
     """One (part, shadow, cap, projector) entry per part of the spec, in
     ascending part order; every shadow starts empty."""
     return [
-        (mask, set(), _max_count(spec.bits(mask)), projector(mask))
+        (mask, set(), _max_count(spec.levels[mask]), projector(mask))
         for mask in sorted(spec.levels)
     ]
 
 
 def verify_split(body: FiniteBody, spec: SplitSpec, result: SplitResult) -> bool:
-    """Direct-counting recheck that the split satisfies every budget.
+    """Direct-counting recheck that every part's shadow is within its cap.
 
     Structural problems (not a partition of the body, unknown part
     label) raise; budget failure returns False.  The empty part is
-    vacuously within budget — log2 of an empty projection is -inf.
+    always within budget, as every cap is at least 0.
     """
     if set(result.assignment) != body.points:
         raise ValueError("assignment does not cover exactly the body's points")
@@ -232,10 +243,7 @@ def verify_split(body: FiniteBody, spec: SplitSpec, result: SplitResult) -> bool
         if mask not in spec.levels:
             raise ValueError(f"point {point} assigned to unknown part {mask}")
         shadows[mask].add(getters[mask](point))
-    for mask, shadow in shadows.items():
-        if shadow and math.log2(len(shadow)) > spec.bits(mask) + FLOAT_TOL:
-            return False
-    return True
+    return all(len(s) <= _max_count(spec.levels[k]) for k, s in shadows.items())
 
 
 def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | None:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -317,6 +318,26 @@ def test_split_found_and_not_found(capsys, tmp_path):
     )
     assert code == 2
     assert report["outcome"] == "no split found (greedy heuristic, inconclusive)"
+
+
+@pytest.mark.parametrize(
+    "bits, code",
+    [(math.inf, 0), (-math.inf, 2), (-9.99e-10, 0), (-1e-9, 2), (1e-300, 0),
+     (math.nan, 1)],
+)
+def test_split_budget_edge_cases(capsys, tmp_path, bits, code):
+    # one point: its shadow fits a budget b iff b >= -10**-9 exactly, and
+    # the float -1e-9 is a little below that
+    body = write_json(tmp_path / "b.json", {"m": 2, "N": 2, "points": [[0, 1]]})
+    levels = [{"part": [1], "bits": bits}]
+    spec = write_json(tmp_path / "s.json", {"m": 2, "levels": levels})
+    for method in ([], ["--greedy"]):
+        got, report, err = run(capsys, "split", "--body", body, "--spec", spec, *method)
+        assert got == code
+        if code == 1:
+            assert report is None and err.startswith("error: ValueError: ")
+        else:
+            assert json.dumps(report["spec"]) == json.dumps({"m": 2, "levels": levels})
 
 
 @pytest.mark.parametrize("method", [[], ["--greedy"]])

@@ -175,6 +175,18 @@ def test_linear_inequality_canonical():
         LinearInequality(2, {1: 0.5})
 
 
+def test_coefficients_and_entropies_are_read_only():
+    q = LinearInequality(2, {1: 1, 3: -1})
+    with pytest.raises(TypeError):
+        q.coeffs[1] = Fraction(2)
+    given = {1: ExactLogLin.log2(4)}
+    v = EntropyVector.from_exact(1, given)
+    with pytest.raises(TypeError):
+        v.values[1] = ExactLogLin.zero()
+    given[1] = ExactLogLin.zero()  # the vector holds its own copy
+    assert v[1] == ExactLogLin.log2(4)
+
+
 def test_eval_slack_trivial_cases():
     # submodularity on two independent fair bits: equality
     sub = LinearInequality(2, {1: 1, 2: 1, 3: -1})
@@ -232,4 +244,4 @@ def test_eval_slack_linearity():
 
 
 def test_float_tolerance_constant():
-    assert FLOAT_TOL == 1e-9
+    assert type(FLOAT_TOL) is Fraction and FLOAT_TOL == Fraction(1, 10**9)

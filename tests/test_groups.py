@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -185,6 +185,24 @@ def test_symmetric():
     assert symmetric(4).order == 24
     with pytest.raises(ValueError):
         symmetric(6)
+
+
+def _reference_symmetric(n: int) -> tuple:
+    """The Cayley table symmetric(n) built before it went through
+    from_permutations: every permutation in lexicographic order."""
+    ordered = list(permutations(range(n)))  # identity is lexicographically first
+    index = {p: i for i, p in enumerate(ordered)}
+    return tuple(
+        tuple(index[tuple(p[q[i]] for i in range(n))] for q in ordered)
+        for p in ordered
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_matches_reference_table(n):
+    g = symmetric(n)
+    assert g.table == _reference_symmetric(n)
+    assert g.name == f"S{n}"
 
 
 def test_from_permutations():

@@ -295,6 +295,22 @@ def _expected(ineq, elems):
     return FarkasWitness(ineq.m, {s: -u for s, u in zip(coords, res.farkas) if u})
 
 
+def test_cached_rows_are_read_only():
+    # an edit to a cached row fails before the set's first check and
+    # after it, and the checks keep their answer
+    target = parse_inequality("H(x) <= H(x,y)")
+    elemental_inequalities.cache_clear()
+    elems = elemental_inequalities(2)
+    with pytest.raises(TypeError):
+        elems.rows[1].coeffs[3] = 2
+    first = is_shannon_type(target)
+    assert isinstance(first, ShannonCertificate)
+    with pytest.raises(TypeError):
+        elems.rows[1].coeffs[3] = 2
+    assert is_shannon_type(target) == first
+    verify_certificate(target, first, elems)
+
+
 @st.composite
 def _combinations(draw):
     """A nonnegative rational combination of elemental rows, perturbed at

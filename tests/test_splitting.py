@@ -1,7 +1,8 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from entrodim.cantor import DimValue, Level
 from entrodim.core import mask_positions, subsets
 from entrodim.splitting import (
     EXHAUSTIVE_BOUND,
-    FLOAT_TOL,
     ExhaustiveBoundExceeded,
     FiniteBody,
     Point,
@@ -26,8 +26,28 @@ from entrodim.splitting import (
     _max_count,
 )
 
-# -- the searches as they were before the projection kernel, kept as the
-# reference for test_split_searches_match_their_references
+# -- the searches as they were before the projection kernel, and the float
+# budget rule they used before the exact one, kept as the reference for
+# test_split_searches_match_their_references
+
+#: the float tolerance of the reference rule
+_REFERENCE_FLOAT_TOL = 1e-9
+
+
+def _reference_max_count(bits: float) -> int:
+    """Largest part-projection cardinality within a budget of `bits`.
+
+    Consistent by construction with the verification test
+    log2(count) <= bits + _REFERENCE_FLOAT_TOL.
+    """
+    if bits > 900:
+        return 1 << 1000  # effectively unbounded
+    cap = max(0, int(2.0 ** (bits + _REFERENCE_FLOAT_TOL)))
+    while math.log2(cap + 1) <= bits + _REFERENCE_FLOAT_TOL:
+        cap += 1
+    while cap > 0 and math.log2(cap) > bits + _REFERENCE_FLOAT_TOL:
+        cap -= 1
+    return cap
 
 
 def _reference_proj(point: Point, mask: int) -> Point:
@@ -51,7 +71,7 @@ def _reference_verify_split(
     for mask in spec.levels:
         shadow = {_reference_proj(p, mask) for p, lbl in result.assignment.items()
                   if lbl == mask}
-        if shadow and math.log2(len(shadow)) > spec.bits(mask) + FLOAT_TOL:
+        if shadow and math.log2(len(shadow)) > spec.bits(mask) + _REFERENCE_FLOAT_TOL:
             return False
     return True
 
@@ -73,7 +93,7 @@ def _reference_find_split_exhaustive(
         raise ExhaustiveBoundExceeded(
             f"{len(parts)}**{len(points)} assignments exceed {EXHAUSTIVE_BOUND}"
         )
-    caps = {mask: _max_count(spec.bits(mask)) for mask in parts}
+    caps = {mask: _reference_max_count(spec.bits(mask)) for mask in parts}
     shadows: dict[int, set[Point]] = {mask: set() for mask in parts}
     chosen: list[int] = []
 
@@ -116,7 +136,7 @@ def _reference_find_split_greedy(
     exists.
     """
     parts = sorted(spec.levels)
-    caps = {mask: _max_count(spec.bits(mask)) for mask in parts}
+    caps = {mask: _reference_max_count(spec.bits(mask)) for mask in parts}
     shadows: dict[int, set[Point]] = {mask: set() for mask in parts}
     assignment: dict[Point, int] = {}
     for point in sorted(body.points):
@@ -395,3 +415,117 @@ def test_split_searches_match_their_references(case):
     assert verify_split(body, spec, split) == _reference_verify_split(
         body, spec, split
     )
+
+
+# -- the exact budget rule: log2(count) <= bits + FLOAT_TOL, as integer caps
+
+
+def _cap(bits) -> int:
+    """The cap of a one-part spec with this budget."""
+    return _max_count(SplitSpec(1, {1: bits}).levels[1])
+
+
+def test_exact_caps_match_the_float_rule_on_log2_budgets():
+    for c in range(1, 1501):
+        b = math.log2(c)
+        for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)):
+            assert _cap(x) == _reference_max_count(x), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-2.0, 32.0))
+def test_exact_caps_match_the_float_rule_on_random_budgets(bits):
+    assert _cap(bits) == _reference_max_count(bits)
+
+
+def test_exact_cap_where_the_float_rule_admits_one_more():
+    b = 39.4370465415889
+    with localcontext() as ctx:
+        ctx.prec = 60
+        over = Decimal(744_275_888_267).ln() / Decimal(2).ln() - Decimal(b)
+        over -= Decimal("1e-9")
+    assert 0 < over < Decimal("1e-16")  # about 4.3e-17
+    assert _reference_max_count(b) == 744_275_888_267
+    assert _cap(b) == 744_275_888_266
+
+
+@pytest.mark.parametrize("bits", [64, 100.5, Fraction(1000, 3), 500.25, 900])
+def test_exact_caps_on_large_budgets(bits):
+    with localcontext() as ctx:
+        ctx.prec = 400
+        q = Fraction(bits)
+        exponent = Decimal(q.numerator) / q.denominator + Decimal("1e-9")
+        want = int(Decimal(2) ** exponent)
+    assert _cap(bits) == want
+
+
+def test_budget_edge_cases():
+    unbounded = 1 << 1000
+    assert _cap(math.inf) == _cap(900.5) == _cap(10**400) == unbounded
+    tol = Fraction(1, 10**9)
+    for bits in (-math.inf, -1, -2e-9, -tol - Fraction(1, 10**30)):
+        assert _cap(bits) == 0
+    assert _cap(-tol) == _cap(0) == 1
+    assert (_cap(1), _cap(Fraction(3, 2)), _cap(DimValue(4, 2))) == (2, 2, 4)
+    # a budget is read exactly: log2(3) + 1e-9 admits 3 points, and
+    # exactly log2(3) bits less 1e-9 admits 2
+    assert _cap(Fraction(math.log2(3))) == 3
+    assert _cap(Fraction(math.log2(3)) - 2 * tol) == 2
+    for bad in (math.nan, float("nan")):
+        with pytest.raises(ValueError):
+            SplitSpec(1, {1: bad})
+
+
+def test_infinite_budgets_split_and_render():
+    body = FiniteBody(2, 3, frozenset(product(range(3), repeat=2)))
+    spec = SplitSpec(2, {0b01: -math.inf, 0b11: math.inf})
+    assert spec.levels == {0b01: -math.inf, 0b11: math.inf}
+    assert spec.to_json()["levels"] == [
+        {"part": [1], "bits": -math.inf},
+        {"part": [1, 2], "bits": math.inf},
+    ]
+    for search in (find_split_exhaustive, find_split_greedy):
+        result = search(body, spec)
+        assert result.part(0b11) == set(body.points)
+    assert find_split_exhaustive(body, SplitSpec(2, {0b01: math.inf})) is not None
+    assert find_split_exhaustive(body, SplitSpec(2, {0b11: -math.inf})) is None
+
+
+def test_verify_split_compares_counts_with_the_cap():
+    # nine points in one part: log2(9) = 3.17 bits; the cap decides
+    body = FiniteBody(2, 3, frozenset(product(range(3), repeat=2)))
+    split = SplitResult({p: 0b11 for p in body.points})
+    near = Fraction(math.log2(9))  # within 1e-15 of log2(9)
+    for bits, ok in ((near, True), (3.0, False), (math.log2(8.999), False),
+                     (near - Fraction(999, 10**12), True),
+                     (near - Fraction(1001, 10**12), False)):
+        assert verify_split(body, SplitSpec(2, {0b11: bits}), split) is ok, bits
+
+
+def _box(a: int, b: int, c: int) -> FiniteBody:
+    return FiniteBody(3, max(a, b, c), frozenset(product(range(a), range(b), range(c))))
+
+
+def test_loomis_whitney_is_exactly_zero_on_boxes():
+    boxes = [(a, b, c) for a in range(1, 9) for b in range(a, 9) for c in range(b, 9)]
+    for a, b, c in boxes + [(1, 3, 28), (2, 3, 14), (3, 3, 17)]:
+        slack = loomis_whitney_slack(_box(a, b, c))
+        assert slack == 0.0 and math.copysign(1.0, slack) == 1.0, (a, b, c)
+
+
+_coord = st.integers(0, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.sets(st.tuples(_coord, _coord, _coord), min_size=1, max_size=30),
+    st.tuples(*[st.integers(1, 5)] * 3).map(lambda abc: _box(*abc).points),
+))
+def test_loomis_whitney_sign_is_the_integer_comparison(points):
+    body = FiniteBody(3, 5, frozenset(points))
+    s12, s13, s23 = (
+        len({(p[i], p[j]) for p in points}) for i, j in combinations(range(3), 2)
+    )
+    lhs, rhs = len(points) ** 2, s12 * s13 * s23
+    slack = loomis_whitney_slack(body)
+    assert (slack > 0) - (slack < 0) == (rhs > lhs) - (rhs < lhs)
