@@ -28,21 +28,21 @@ def _load_json(path: str):
 
 def _cmd_check(args) -> tuple[int, dict]:
     ineq, names = parse_with_names(args.ineq)
-    elems = shannon.elemental_inequalities(ineq.m)
     report = {
         "subcommand": "check",
         "inputs": {"ineq": args.ineq},
         "canonical": format_inequality(ineq, names),
     }
-    result = shannon.is_shannon_type(ineq, elems)
+    result = shannon.is_shannon_type(ineq)
     if isinstance(result, shannon.ShannonCertificate):
+        rows = shannon.elemental_inequalities(ineq.m).rows
         report["outcome"] = "shannon-type"
         report["certificate"] = {
             "weights": [
                 {
                     "row": r,
                     "weight": str(w),
-                    "inequality": format_inequality(elems.rows[r], names),
+                    "inequality": format_inequality(rows[r], names),
                 }
                 for r, w in sorted(result.weights.items())
             ]

@@ -359,10 +359,6 @@ class EntropyVector:
             if loglin_sign(v) < 0:
                 raise ValueError(f"negative entropy {v} at subset {mask_label(mask)}")
 
-    @classmethod
-    def from_exact(cls, m: int, values: Mapping[int, ExactLogLin]) -> "EntropyVector":
-        return cls(m, values)
-
     def __getitem__(self, mask: int) -> ExactLogLin:
         return self.values[mask]
 

@@ -131,4 +131,4 @@ def exact_entropy_vector(dist: SupportSet | JointDistribution) -> EntropyVector:
                 marg[get(point)] += prob
             probs = Counter(marg.values())
         values[mask] = _entropy(probs)
-    return EntropyVector.from_exact(dist.m, values)
+    return EntropyVector(dist.m, values)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import LinearInequality, mask_positions
 
@@ -69,13 +69,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str, declared_vars: Sequence[str] | None):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.names: list[str] = list(declared_vars) if declared_vars else []
         if declared_vars is not None and len(set(self.names)) != len(self.names):
             raise ValueError("declared variable names must be distinct")
         self.declared = declared_vars is not None
+        # the whole inequality as right side minus left side, by subset mask
+        self.coeffs: dict[int, int | Fraction] = {}
 
     def peek(self):
         return self.tokens[self.i]
@@ -89,9 +90,6 @@ class _Parser:
         kind, text, pos = self.next()
         if text != value:
             raise InequalityParseError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
-
-    def fail(self, message: str):
-        raise InequalityParseError(message, self.peek()[2])
 
     def var_mask(self, name: str, pos: int) -> int:
         if name not in self.names:
@@ -113,10 +111,10 @@ class _Parser:
                 return mask
             self.next()
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> int | Fraction:
         kind, text, pos = self.next()
         assert kind == "num"
-        value = Fraction(int(text))
+        value = int(text)
         if self.peek()[1] == "/":
             self.next()
             kind, dtext, dpos = self.next()
@@ -124,10 +122,13 @@ class _Parser:
                 raise InequalityParseError("expected denominator digits", dpos)
             if int(dtext) == 0:
                 raise InequalityParseError("zero denominator", dpos)
-            value /= int(dtext)
+            value = Fraction(value, int(dtext))
         return value
 
-    def parse_atom(self) -> dict[int, Fraction]:
+    def parse_atom(self) -> list[tuple[int, int]]:
+        """The atom's joint-entropy terms as (mask, +1 or -1) pairs, by the
+        identities above with an absent condition read as the empty set;
+        terms on mask 0 are H(empty) = 0 and are dropped."""
         kind, text, pos = self.next()
         if kind != "name" or text not in ("H", "I") or self.peek()[1] != "(":
             raise InequalityParseError(
@@ -138,31 +139,23 @@ class _Parser:
         if self.peek()[1] == ")":
             raise InequalityParseError(f"empty {func}()", self.peek()[2])
         a = self.parse_vars()
-        if func == "H":
-            if self.peek()[1] == "|":
-                self.next()
-                b = self.parse_vars()
-                self.expect(")")
-                return _merge({a | b: Fraction(1)}, {b: Fraction(-1)})
-            self.expect(")")
-            return {a: Fraction(1)}
-        self.expect(";")
-        b = self.parse_vars()
+        b = c = 0
+        if func == "I":
+            self.expect(";")
+            b = self.parse_vars()
         if self.peek()[1] == "|":
             self.next()
             c = self.parse_vars()
-            self.expect(")")
-            return _merge(
-                {a | c: Fraction(1)},
-                {b | c: Fraction(1)},
-                {a | b | c: Fraction(-1)},
-                {c: Fraction(-1)},
-            )
         self.expect(")")
-        return _merge({a: Fraction(1)}, {b: Fraction(1)}, {a | b: Fraction(-1)})
+        if func == "H":
+            terms = ((a | c, 1), (c, -1))
+        else:
+            terms = ((a | c, 1), (b | c, 1), (a | b | c, -1), (c, -1))
+        return [(mask, s) for mask, s in terms if mask]
 
-    def parse_term(self) -> dict[int, Fraction]:
-        coeff = Fraction(1)
+    def parse_term(self, sign: int) -> None:
+        """Add sign times the next term into self.coeffs."""
+        coeff = 1
         if self.peek()[0] == "num":
             num_pos = self.peek()[2]
             coeff = self.parse_rational()
@@ -172,47 +165,34 @@ class _Parser:
                 # bare rational term: only the literal zero is meaningful
                 if coeff != 0:
                     raise InequalityParseError("nonzero constant term", num_pos)
-                return {}
-        atom = self.parse_atom()
-        return {mask: coeff * c for mask, c in atom.items()}
+                return
+        coeff *= sign
+        for mask, s in self.parse_atom():
+            self.coeffs[mask] = self.coeffs.get(mask, 0) + s * coeff
 
-    def parse_expr(self) -> dict[int, Fraction]:
-        total = self.parse_term()
+    def parse_expr(self, sign: int) -> None:
+        self.parse_term(sign)
         while self.peek()[1] in ("+", "-"):
-            sign = Fraction(1) if self.next()[1] == "+" else Fraction(-1)
-            term = self.parse_term()
-            total = _merge(total, {m: sign * c for m, c in term.items()})
-        return total
+            self.parse_term(sign if self.next()[1] == "+" else -sign)
 
     def parse(self) -> tuple[LinearInequality, tuple[str, ...]]:
-        lhs = self.parse_expr()
+        self.parse_expr(-1)
         kind, rel, pos = self.next()
         if rel not in ("<=", ">="):
             raise InequalityParseError(
                 f"expected '<=' or '>=', found {rel or 'end of input'!r}", pos
             )
-        rhs = self.parse_expr()
+        self.parse_expr(1)
         kind, text, pos = self.peek()
         if kind != "end":
             raise InequalityParseError(f"trailing input {text!r}", pos)
-        if rel == "<=":
-            coeffs = _merge(rhs, {m: -c for m, c in lhs.items()})
-        else:
-            coeffs = _merge(lhs, {m: -c for m, c in rhs.items()})
-        coeffs = {m: c for m, c in coeffs.items() if c != 0}
+        flip = 1 if rel == "<=" else -1
+        coeffs = {m: flip * c for m, c in self.coeffs.items() if c != 0}
         if not coeffs:
             raise ZeroInequalityError("all coefficients cancel; inequality is 0 >= 0")
         if not self.names:
             raise InequalityParseError("no variables", 0)
         return LinearInequality(len(self.names), coeffs), tuple(self.names)
-
-
-def _merge(*maps: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for m in maps:
-        for mask, c in m.items():
-            out[mask] = out.get(mask, Fraction(0)) + c
-    return out
 
 
 def parse_with_names(

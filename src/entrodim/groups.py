@@ -395,7 +395,7 @@ def coset_entropy_point(
         mask: ExactLogLin.log2(g.order) - ExactLogLin.log2(orders[mask])
         for mask in subsets(m)
     }
-    point = EntropyVector.from_exact(m, values)
+    point = EntropyVector(m, values)
     if cross_validate:
         if support is None:
             support = witness_set(g, subs)

@@ -51,12 +51,10 @@ class ElementalSet:
     rows: tuple[LinearInequality, ...]
 
     @cached_property
-    def matrix(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        """The LP matrix E^T, built once per set: a row per subset mask in
-        subsets(m) order, a column per elemental row, and every integral
-        coefficient as an int."""
-        cols = [{s: int(c) if c.denominator == 1 else c for s, c in r.coeffs.items()}
-                for r in self.rows]
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The LP matrix E^T as ints, built once per set: a row per subset
+        mask in subsets(m) order and a column per elemental row."""
+        cols = [{s: int(c) for s, c in r.coeffs.items()} for r in self.rows]
         return tuple(tuple(col.get(s, 0) for col in cols) for s in subsets(self.m))
 
 
@@ -94,7 +92,7 @@ class FarkasWitness:
     def as_entropy_vector(self) -> EntropyVector:
         """The point in exact bits; polymatroid points are nonnegative,
         so valid."""
-        return EntropyVector.from_exact(
+        return EntropyVector(
             self.m, {s: ExactLogLin.bits(self.point.get(s, 0)) for s in subsets(self.m)}
         )
 
@@ -151,49 +149,38 @@ def _slack(row: LinearInequality, point: dict[int, int], q: int) -> tuple[int, i
     return sum(c * point.get(mask, 0) for mask, c in zip(row.coeffs, cs)), q * qr
 
 
-def is_shannon_type(
-    ineq: LinearInequality,
-    elems: ElementalSet | None = None,
-) -> ShannonCertificate | FarkasWitness:
+def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitness:
     """Decide cone membership, returning a verified certificate either way."""
-    if elems is None:
-        elems = elemental_inequalities(ineq.m)
-    if elems.m != ineq.m:
-        raise ValueError(f"elemental set is for m={elems.m}, target m={ineq.m}")
     coords = subsets(ineq.m)
-    res = solve_eq_nonneg(elems.matrix, [ineq.coeffs.get(mask, 0) for mask in coords])
+    matrix = elemental_inequalities(ineq.m).matrix
+    res = solve_eq_nonneg(matrix, [ineq.coeffs.get(mask, 0) for mask in coords])
     if res.feasible:
         weights = {r: w for r, w in enumerate(res.solution) if w != 0}
         cert = ShannonCertificate(ineq.m, weights)
-        verify_certificate(ineq, cert, elems)
+        verify_certificate(ineq, cert)
         return cert
     # Farkas vector u has u.(col of E^T) <= 0 for every elemental row and
     # u.c > 0; negating gives a point with elemental slacks >= 0 and
     # strictly negative target slack — a separating polymatroid point.
     point = {mask: -u for mask, u in zip(coords, res.farkas) if u != 0}
     witness = FarkasWitness(ineq.m, point)
-    verify_farkas(ineq, witness, elems)
+    verify_farkas(ineq, witness)
     return witness
 
 
-def verify_certificate(
-    ineq: LinearInequality,
-    cert: ShannonCertificate,
-    elems: ElementalSet | None = None,
-) -> None:
+def verify_certificate(ineq: LinearInequality, cert: ShannonCertificate) -> None:
     """Exact coefficient-wise recheck of sum_r y_r * row_r = target, in
     integers over common denominators of the weights and of the rows."""
-    if elems is None:
-        elems = elemental_inequalities(ineq.m)
+    rows = elemental_inequalities(ineq.m).rows
     if cert.m != ineq.m:
         raise VerificationError(f"certificate is for m={cert.m}, target m={ineq.m}")
     for r, w in cert.weights.items():
-        if not 0 <= r < len(elems.rows):
+        if not 0 <= r < len(rows):
             raise VerificationError(f"certificate references unknown row {r}")
         if w < 0:
             raise VerificationError(f"negative weight {w} on row {r}")
     weights, q = _integral(cert.weights)
-    used = {(r, s): c for r in weights for s, c in elems.rows[r].coeffs.items()}
+    used = {(r, s): c for r in weights for s, c in rows[r].coeffs.items()}
     coeffs, qc = _integral(used)
     combo: dict[int, int] = {}
     for (r, mask), c in coeffs.items():
@@ -207,19 +194,13 @@ def verify_certificate(
             )
 
 
-def verify_farkas(
-    ineq: LinearInequality,
-    witness: FarkasWitness,
-    elems: ElementalSet | None = None,
-) -> None:
+def verify_farkas(ineq: LinearInequality, witness: FarkasWitness) -> None:
     """Exact recheck: elemental slacks >= 0, target slack < 0, in integers
     over one common denominator of the point."""
-    if elems is None:
-        elems = elemental_inequalities(ineq.m)
     if witness.m != ineq.m:
         raise VerificationError(f"witness is for m={witness.m}, target m={ineq.m}")
     point, q = _integral(witness.point)
-    for r, row in enumerate(elems.rows):
+    for r, row in enumerate(elemental_inequalities(ineq.m).rows):
         s, den = _slack(row, point, q)
         if s < 0:
             raise VerificationError(

@@ -168,17 +168,23 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SplitSpec":
-        levels = {mask_of(map(int, e["part"])): e["bits"] for e in obj["levels"]}
+        """The spec of to_json's form; a string budget such as "p/q" is
+        read as the exact Fraction it names."""
+        levels = {}
+        for e in obj["levels"]:
+            mask, b = mask_of(map(int, e["part"])), e["bits"]
+            levels[mask] = Fraction(b) if isinstance(b, str) else b
         return cls(int(obj["m"]), levels)
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "levels": [
-                {"part": list(mask_positions(mask)), "bits": self.bits(mask)}
-                for mask in sorted(self.levels)
-            ],
-        }
+        """Each budget as a float when that float is exactly the budget,
+        else as the string "p/q", so from_json gives back the same spec."""
+        levels = []
+        for mask in sorted(self.levels):
+            b = self.bits(mask)
+            exact = b if b == self.levels[mask] else str(self.levels[mask])
+            levels.append({"part": list(mask_positions(mask)), "bits": exact})
+        return {"m": self.m, "levels": levels}
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,20 @@ def test_build_counterexample_klein():
     assert obj["margin_times_log_base"]["float"] == pytest.approx(0.5)
 
 
+def test_build_counterexample_at_the_smallest_epsilon():
+    # x, y of orders 2, 4: the dimension margin is 2a - b = 1 bit, and the
+    # levels take eps * 2a * log2(4) of it, so 2^-64 is the one epsilon
+    # that works for a = 2^62 and none works for a = 2^63
+    subs = [subgroup_from_elements(KLEIN, [0, 1]), subgroup_from_elements(KLEIN, [0])]
+    ineq = parse_inequality("4611686018427387904 H(x,y) <= 9223372036854775807 H(x)")
+    ce = build_counterexample(ineq, KLEIN, subs)
+    assert ce.epsilon == Fraction(1, 2**64)
+    verify_counterexample(ce)
+    ineq = parse_inequality(f"{2**63} H(x,y) <= {2**64 - 1} H(x)")
+    with pytest.raises(NoEpsilon):
+        build_counterexample(ineq, KLEIN, subs)
+
+
 def test_build_counterexample_two_sided():
     ineq = parse_inequality("2 H(x,y) <= H(x) + H(y)")
     h1 = subgroup_from_elements(KLEIN, [0, 1])

@@ -221,6 +221,23 @@ def test_counterexample_via_search(capsys):
     assert report["group"] == {"order": 2, "name": "Z2"}
 
 
+def test_counterexample_without_an_epsilon_is_an_error(capsys, tmp_path):
+    group = write_json(tmp_path / "g.json", KLEIN_JSON)
+    subs = write_json(tmp_path / "h.json", [[0, 1], [0]])
+    code, report, err = run(
+        capsys,
+        "counterexample",
+        "--ineq",
+        f"{2**63} H(x,y) <= {2**64 - 1} H(x)",
+        "--group",
+        group,
+        "--subgroups",
+        subs,
+    )
+    assert code == 1 and report is None
+    assert err.startswith("error: NoEpsilon:") and len(err.splitlines()) == 1
+
+
 def test_counterexample_not_violated_is_an_error(capsys, tmp_path):
     group = write_json(tmp_path / "g.json", KLEIN_JSON)
     subs = write_json(tmp_path / "h.json", [[0, 1], [0]])

@@ -145,19 +145,19 @@ def test_log2_compare():
 
 def test_entropy_vector_validation():
     bits = ExactLogLin.bits
-    EntropyVector.from_exact(2, {1: bits(1), 2: bits(1), 3: bits(2)})
-    EntropyVector.from_exact(2, {1: bits(0), 2: bits(0), 3: bits(0)})
+    EntropyVector(2, {1: bits(1), 2: bits(1), 3: bits(2)})
+    EntropyVector(2, {1: bits(0), 2: bits(0), 3: bits(0)})
     with pytest.raises(ValueError):
-        EntropyVector.from_exact(2, {1: bits(1), 2: bits(1)})  # missing {1,2}
+        EntropyVector(2, {1: bits(1), 2: bits(1)})  # missing {1,2}
     # 1054 - 665*log2(3) is about -6.3e-5: a tiny negative entropy
     tiny = bits(1054) - 665 * ExactLogLin.log2(3)
     with pytest.raises(ValueError):
-        EntropyVector.from_exact(2, {1: tiny, 2: bits(1), 3: bits(1)})
+        EntropyVector(2, {1: tiny, 2: bits(1), 3: bits(1)})
     with pytest.raises(ValueError):
-        EntropyVector.from_exact(1, {1: -ExactLogLin.log2(2)})
+        EntropyVector(1, {1: -ExactLogLin.log2(2)})
     with pytest.raises(ValueError):
-        EntropyVector.from_exact(1, {1: 1.0})  # floats are not entropies
-    v = EntropyVector.from_exact(1, {1: ExactLogLin.log2(4)})
+        EntropyVector(1, {1: 1.0})  # floats are not entropies
+    v = EntropyVector(1, {1: ExactLogLin.log2(4)})
     assert v[1].to_float() == 2.0
     assert v.to_floats() == {1: 2.0}
 
@@ -180,7 +180,7 @@ def test_coefficients_and_entropies_are_read_only():
     with pytest.raises(TypeError):
         q.coeffs[1] = Fraction(2)
     given = {1: ExactLogLin.log2(4)}
-    v = EntropyVector.from_exact(1, given)
+    v = EntropyVector(1, given)
     with pytest.raises(TypeError):
         v.values[1] = ExactLogLin.zero()
     given[1] = ExactLogLin.zero()  # the vector holds its own copy
@@ -190,20 +190,20 @@ def test_coefficients_and_entropies_are_read_only():
 def test_eval_slack_trivial_cases():
     # submodularity on two independent fair bits: equality
     sub = LinearInequality(2, {1: 1, 2: 1, 3: -1})
-    bits2 = EntropyVector.from_exact(
+    bits2 = EntropyVector(
         2, {1: ExactLogLin.bits(1), 2: ExactLogLin.log2(2), 3: ExactLogLin.log2(4)}
     )
     assert eval_slack(sub, bits2).sign() == 0
 
     # 2H(123) <= H(12)+H(13)+H(23) on three independent fair bits: equality
     eq1 = LinearInequality(3, {3: 1, 5: 1, 6: 1, 7: -2})
-    bits3 = EntropyVector.from_exact(
+    bits3 = EntropyVector(
         3, {mask: ExactLogLin.log2(2**mask.bit_count()) for mask in subsets(3)}
     )
     assert eval_slack(eq1, bits3).sign() == 0
 
     # same form on the Klein-four coset point: slack +2 bits exactly
-    klein = EntropyVector.from_exact(
+    klein = EntropyVector(
         3,
         {
             mask: ExactLogLin.bits(v)
@@ -218,7 +218,7 @@ def test_eval_slack_trivial_cases():
 
 def test_eval_slack_dimension_mismatch():
     sub = LinearInequality(2, {1: 1, 2: 1, 3: -1})
-    v = EntropyVector.from_exact(3, {s: ExactLogLin.bits(1) for s in subsets(3)})
+    v = EntropyVector(3, {s: ExactLogLin.bits(1) for s in subsets(3)})
     with pytest.raises(ValueError):
         eval_slack(sub, v)
 
@@ -235,11 +235,11 @@ def test_eval_slack_linearity():
         v2 = {s: ExactLogLin.log2(rng.randint(1, 16)) for s in subsets(m)}
         a = Fraction(rng.randint(0, 6), rng.randint(1, 3))
         b = Fraction(rng.randint(0, 6), rng.randint(1, 3))
-        combo = EntropyVector.from_exact(
+        combo = EntropyVector(
             m, {s: a * v1[s] + b * v2[s] for s in subsets(m)}
         )
-        s1 = eval_slack(ineq, EntropyVector.from_exact(m, v1))
-        s2 = eval_slack(ineq, EntropyVector.from_exact(m, v2))
+        s1 = eval_slack(ineq, EntropyVector(m, v1))
+        s2 = eval_slack(ineq, EntropyVector(m, v2))
         assert (eval_slack(ineq, combo) - (a * s1 + b * s2)).sign() == 0
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrodim.core import LinearInequality, eval_slack, subsets
 from entrodim.distributions import JointDistribution, exact_entropy_vector
@@ -166,3 +167,92 @@ def test_sugar_matches_direct_entropies():
         want = v[0b101] + v[0b110] - v[0b111] - v[0b100]
         assert (got - want).sign() == 0
         assert got.sign() >= 0
+
+
+# -- the parser against a reference expansion of each atom ---------------------
+
+_NAMES = ("x", "y", "z", "w")
+
+
+def _reference_terms(kind, sets):
+    """The textbook expansion of one atom as (set of names, +1 or -1) pairs."""
+    if kind == "H":
+        (a,) = sets
+        return [(a, 1)]
+    if kind == "H|":
+        a, b = sets
+        return [(a | b, 1), (b, -1)]  # H(A|B) = H(A,B) - H(B)
+    if kind == "I":
+        a, b = sets
+        return [(a, 1), (b, 1), (a | b, -1)]  # I(A;B) = H(A) + H(B) - H(A,B)
+    a, b, c = sets  # I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C)
+    return [(a | c, 1), (b | c, 1), (a | b | c, -1), (c, -1)]
+
+
+_ATOM_SHAPES = {"H": "H({})", "H|": "H({}|{})", "I": "I({};{})", "I|": "I({};{}|{})"}
+
+
+@st.composite
+def _terms(draw):
+    """(text, sign, coefficient, atom) for one term; atom is None for the
+    bare zero, else (kind, list of name lists in the order written)."""
+    sign = draw(st.sampled_from((1, -1)))
+    if draw(st.integers(0, 9)) == 0:
+        return "0", sign, Fraction(0), None
+    kind = draw(st.sampled_from(sorted(_ATOM_SHAPES)))
+    arity = _ATOM_SHAPES[kind].count("{}")
+    lists = [draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3))
+             for _ in range(arity)]
+    atom = _ATOM_SHAPES[kind].format(*(",".join(v) for v in lists))
+    style = draw(st.sampled_from(("none", "int", "star", "ratio")))
+    if style == "none":
+        return atom, sign, Fraction(1), (kind, lists)
+    num = draw(st.integers(0, 12))
+    if style == "ratio":
+        den = draw(st.integers(1, 7))
+        return f"{num}/{den} {atom}", sign, Fraction(num, den), (kind, lists)
+    text = f"{num} * {atom}" if style == "star" else f"{num} {atom}"
+    return text, sign, Fraction(num), (kind, lists)
+
+
+def _side(terms):
+    text = terms[0][0]
+    for t, sign, _, _ in terms[1:]:
+        text += (" + " if sign > 0 else " - ") + t
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_terms(), min_size=1, max_size=4),
+       st.lists(_terms(), min_size=1, max_size=4),
+       st.sampled_from(("<=", ">=")),
+       st.booleans())
+def test_parser_matches_the_reference_expansion(lhs, rhs, rel, declared):
+    text = f"{_side(lhs)} {rel} {_side(rhs)}"
+    order = list(_NAMES) if declared else []
+    want: dict[int, Fraction] = {}
+    # right side minus left side for "<=", the negation for ">="
+    flip = 1 if rel == "<=" else -1
+    for side_sign, terms in ((-flip, lhs), (flip, rhs)):
+        for i, (_, sign, coeff, atom) in enumerate(terms):
+            if atom is None:
+                continue
+            kind, lists = atom
+            sets = []
+            for names in lists:
+                order.extend(v for v in names if v not in order)
+                sets.append(frozenset(names))
+            term_sign = 1 if i == 0 else sign  # a side's first term has no sign
+            for s, c in _reference_terms(kind, sets):
+                mask = sum(1 << order.index(v) for v in s)
+                want[mask] = want.get(mask, 0) + side_sign * term_sign * c * coeff
+    want = {mask: c for mask, c in want.items() if c}
+    names = tuple(_NAMES) if declared else None
+    if not want:
+        with pytest.raises(ZeroInequalityError):
+            parse_with_names(text, names)
+        return
+    q, bound = parse_with_names(text, names)
+    assert bound == tuple(order)
+    assert q == LinearInequality(len(order), want)
+    assert parse_inequality(format_inequality(q, bound), bound) == q

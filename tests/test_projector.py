@@ -105,7 +105,7 @@ def _reference_exact_entropy_vector(s: SupportSet) -> EntropyVector:
         if len(sizes) != 1:
             raise NonUniformFibers(mask)
         values[mask] = ExactLogLin.log2(len(fibers))
-    return EntropyVector.from_exact(s.m, values)
+    return EntropyVector(s.m, values)
 
 
 # -- strategies --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from decimal import Decimal, localcontext
@@ -274,6 +275,22 @@ def test_split_spec_json_round_trip():
     }
     back = SplitSpec.from_json(obj)
     assert back.m == 3 and back.levels == {0b001: 2.0, 0b111: 1.5}
+
+
+def test_split_spec_json_keeps_budgets_a_float_cannot_hold():
+    # b = log2(c) - 1e-9 + 1e-40 has cap c; as a float it would read c - 1
+    # for 28 of these c
+    for c in range(2, 50):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            log2c = Fraction(Decimal(c).ln() / Decimal(2).ln())
+        b = log2c - Fraction(1, 10**9) + Fraction(1, 10**40)
+        spec = SplitSpec(1, {1: b})
+        obj = json.loads(json.dumps(spec.to_json()))
+        assert obj["levels"][0]["bits"] == str(b)
+        back = SplitSpec.from_json(obj)
+        assert back.levels == spec.levels
+        assert _max_count(back.levels[1]) == _max_count(b) == c
 
 
 def test_find_split_exhaustive_full_cube():
