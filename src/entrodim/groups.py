@@ -22,7 +22,7 @@ that are groups by construction and skip that check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import factorial
 
@@ -215,18 +215,22 @@ def intersect(g: FiniteGroup, subgroups) -> Subgroup:
     return Subgroup(tuple(sorted(common)))
 
 
-def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
+def all_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
     """Subgroups generated by at most two elements, deduplicated.
 
     This is deliberately not the full subgroup lattice: for groups whose
     subgroups all need few generators (cyclic, dihedral, symmetric up to
     S4...) it is complete, elsewhere it is a systematic sample.  Sorted
-    by (order, elements) for deterministic scans.
+    by (order, elements) for deterministic scans.  Listed once per group
+    and kept on it: every call on g returns the same tuple.
 
     <a, b> depends only on <a> and <b>, and is the larger one when one
     contains the other, so one pair is closed per pair of distinct
     cyclic subgroups where neither contains the other.
     """
+    got = g.__dict__.get("_subgroups")
+    if got is not None:
+        return got
     cyclics: dict[tuple[int, ...], tuple[int, int]] = {}  # elements -> (a, bitset)
     for a in range(g.order):
         sub = subgroup_from_generators(g, (a,))
@@ -237,7 +241,9 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
         for b, bmask in gens[i + 1:]:
             if amask & bmask not in (amask, bmask):
                 seen.add(subgroup_from_generators(g, (a, b)).elements)
-    return sorted((Subgroup(e) for e in seen), key=lambda s: (s.order, s.elements))
+    got = tuple(sorted((Subgroup(e) for e in seen), key=lambda s: (s.order, s.elements)))
+    g.__dict__["_subgroups"] = got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +326,12 @@ def symmetric(n: int, name: str = "") -> FiniteGroup:
     return from_permutations(n, [swap, (*range(1, n), 0)], name or f"S{n}")
 
 
-def builtin_catalog(max_order: int = 24) -> list[FiniteGroup]:
+@cache
+def builtin_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
     """Deterministic catalog: cyclics, products of 2-3 cyclics, dihedral,
     symmetric — everything of order <= max_order, sorted by (order, name).
+    Built once per max_order: every call returns the same tuple of the
+    same groups, so their subgroup listings are made once too.
 
     The catalog is a search space, not a classification: isomorphic
     groups may appear under different constructions.
@@ -341,7 +350,7 @@ def builtin_catalog(max_order: int = 24) -> list[FiniteGroup]:
     for n in range(3, 6):
         if factorial(n) <= max_order:
             groups.append(symmetric(n))
-    return sorted(groups, key=lambda g: (g.order, g.name))
+    return tuple(sorted(groups, key=lambda g: (g.order, g.name)))
 
 
 # ---------------------------------------------------------------------------

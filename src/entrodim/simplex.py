@@ -9,7 +9,11 @@ the current basis, and every entry of M, objective row included, is a
 minor of the initial integer tableau (Bareiss, Edmonds).  A pivot on
 (r, c) with p = M[r][c] > 0 keeps row r and replaces every other row i
 by (p * M[i] - M[i][c] * M[r]) // D, a division that is exact, then
-sets D = p.  The ratio test compares by cross-multiplication.
+sets D = p.  When p = D, as on most pivots of a 0/±1 matrix, the term
+p * M[i][j] // D is M[i][j]: a row whose entering-column entry is 0 is
+left as it is, and any other row changes, in place, only in the columns
+where the pivot row is nonzero.  The ratio test compares by
+cross-multiplication.
 
 Rational input is made integral by scaling each column of A by the lcm
 of its denominators, and b by the lcm of its denominators.  A positive
@@ -19,10 +23,18 @@ same pivots and reaches the same basis as on the unscaled rational
 tableau; y is unscaled from that basis, and the Farkas vector (from the
 artificial columns, which are not scaled) comes out unchanged.
 
+The part of this set-up that depends on A alone is a PreparedSystem,
+built once by prepare(A) and passed in place of A for any number of
+right-hand sides: the column scales, the integer rows, each row's
+squared norm and each column's sum.  A call with a plain matrix prepares
+it on the spot.  Per call, only the rows are sign-normalized by b and
+copied into the tableau; the phase-1 objective is the cached column sums
+corrected for the flipped rows.
+
 Because every entry of M, and D, is a minor, one Hadamard bound on the
-initial integer tableau caps them all.  It is computed once, before the
-first pivot, and a system whose bound exceeds MAX_PRODUCT_BITS raises
-SizeLimitError.
+initial integer tableau caps them all.  It is finished from the cached
+row norms and the entries of b on every call, before the first pivot,
+and a system whose bound exceeds MAX_PRODUCT_BITS raises SizeLimitError.
 
 Outcome is two-sided:
 
@@ -56,20 +68,56 @@ class FeasibilityResult:
     farkas: tuple[Fraction, ...] | None  # u with uA <= 0, u.b > 0, if not
 
 
-def _hadamard_bits(rows: Sequence[Sequence[int]]) -> int:
-    """Hadamard: no minor of these rows has more bits than the returned sum
-    of half bit-lengths of the squared row norms."""
-    return sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in rows)
+@dataclass(frozen=True, eq=False)
+class PreparedSystem:
+    """A constraint matrix A made integral once, for any number of
+    right-hand sides.  It reads as A itself (len and row indexing), the
+    matrix both certificate rechecks use.
+
+    rows is A with column j multiplied by col_scale[j], the lcm of that
+    column's denominators; norms holds the squared norm of each integer
+    row and col_sums the sum of each integer column."""
+
+    a: Sequence[Sequence[Fraction]]
+    col_scale: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    norms: tuple[int, ...]
+    col_sums: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, i: int) -> Sequence[Fraction]:
+        return self.a[i]
+
+
+def prepare(a: Sequence[Sequence[Fraction]]) -> PreparedSystem:
+    """The prepared form of a matrix of ints or Fractions."""
+    k = len(a[0]) if a else 0
+    if any(len(row) != k for row in a):
+        raise ValueError("ragged constraint matrix")
+    col_scale = tuple(lcm(*map(_den, col)) for col in zip(*a))
+    rows = tuple(
+        tuple(v.numerator * (c // v.denominator) for v, c in zip(row, col_scale))
+        for row in a
+    )
+    norms = tuple(sum(map(mul, row, row)) for row in rows)
+    return PreparedSystem(a, col_scale, rows, norms, tuple(map(sum, zip(*rows))))
+
+
+def _half_bits(sq: int) -> int:
+    """Hadamard: a row of squared norm sq adds at most this many bits to
+    any minor that uses it."""
+    return (sq.bit_length() + 1) // 2
 
 
 def _eliminate(row: list[int], nz: list, c: int, p: int, d: int) -> list[int]:
     """A non-pivot row after a fraction-free pivot on column c, with pivot
     p, old denominator d and nz the (j, y) with y != 0 in the pivot row:
     entry j becomes (p * row[j] - row[c] * y) // d, an exact division, or
-    p * row[j] // d where y = 0.  When p = d, as in most pivots on a 0/±1
-    matrix, the latter is row[j], and only the columns in nz change."""
+    p * row[j] // d where y = 0."""
     f = row[c]
-    new = row if p == d else [p * x // d for x in row]
+    new = [p * x // d for x in row]
     if f:
         for j, y in nz:
             new[j] = (p * row[j] - f * y) // d
@@ -77,37 +125,48 @@ def _eliminate(row: list[int], nz: list, c: int, p: int, d: int) -> list[int]:
 
 
 def solve_eq_nonneg(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    a: Sequence[Sequence[Fraction]] | PreparedSystem, b: Sequence[Fraction]
 ) -> FeasibilityResult:
-    """Find y >= 0 with A y = b, or a Farkas certificate that none exists."""
-    n = len(a)
-    k = len(a[0]) if n else 0
-    if any(len(row) != k for row in a):
-        raise ValueError("ragged constraint matrix")
+    """Find y >= 0 with A y = b, or a Farkas certificate that none exists.
+    A is a matrix of ints or Fractions, or its PreparedSystem."""
+    system = a if isinstance(a, PreparedSystem) else prepare(a)
+    a, n, k = system.a, len(system.rows), len(system.col_scale)
     if len(b) != n:
         raise ValueError(f"rhs length {len(b)} does not match {n} rows")
 
-    col_scale = [lcm(*map(_den, col)) for col in zip(*a)]
-    rhs_scale = lcm(*map(_den, b))
-
     # sign-normalize rows so the rhs is nonnegative, then append one
     # artificial column per row; initial basis = artificials, D = 1
+    rhs_scale = lcm(*map(_den, b))
     signs = [1 if x >= 0 else -1 for x in b]
+    bs = [s * x.numerator * (rhs_scale // x.denominator) for x, s in zip(b, signs)]
     rows: list[list[int]] = []
-    for i, (arow, x, s) in enumerate(zip(a, b, signs)):
-        row = [s * v.numerator * (c // v.denominator) for v, c in zip(arow, col_scale)]
+    flipped = []
+    for i, (arow, s, x) in enumerate(zip(system.rows, signs, bs)):
+        if s < 0:
+            flipped.append(arow)
+            row = [-v for v in arow]
+        else:
+            row = list(arow)
         row += [0] * n
         row[k + i] = 1
-        row.append(s * x.numerator * (rhs_scale // x.denominator))
+        row.append(x)
         rows.append(row)
     basis = [k + i for i in range(n)]
 
     # phase-1 objective: minimize the sum of artificials.  obj holds D times
-    # the reduced costs (cost 0 structural, 1 artificial) followed by -D z.
-    obj = [-sum(col) for col in zip(*rows)] or [0]  # no rows: just -D z = 0
-    obj[k : k + n] = [0] * n
+    # the reduced costs (cost 0 structural, 1 artificial) followed by -D z;
+    # its structural part is minus the column sums of the sign-normalized
+    # rows, so each flipped row adds twice its entries to -col_sums
+    if flipped:
+        obj = [2 * f - c for c, f in zip(system.col_sums, map(sum, zip(*flipped)))]
+    else:
+        obj = [-c for c in system.col_sums]
+    obj += [0] * n
+    obj.append(-sum(bs))
 
-    if _hadamard_bits(rows + [obj]) > MAX_PRODUCT_BITS:
+    bits = _half_bits(sum(map(mul, obj, obj)))
+    bits += sum(_half_bits(norm + 1 + x * x) for norm, x in zip(system.norms, bs))
+    if bits > MAX_PRODUCT_BITS:
         raise SizeLimitError(
             f"simplex tableau entry may exceed {MAX_PRODUCT_BITS} bits"
         )
@@ -135,10 +194,22 @@ def solve_eq_nonneg(
         prow = rows[leave]
         p = prow[enter]
         nz = [(j, y) for j, y in enumerate(prow) if y]
-        for i, row in enumerate(rows):
-            if i != leave:
-                rows[i] = _eliminate(row, nz, enter, p, d)
-        obj = _eliminate(obj, nz, enter, p, d)
+        if p == d:
+            # p * x // d is x: only a row with f = row[enter] != 0 changes,
+            # and only at nz, to x - f * y // d (f * y is a multiple of d);
+            # d = 1 on most pivots of a 0/±1 matrix
+            for row in (*rows, obj):
+                f = row[enter]
+                if f and row is not prow:
+                    if d == 1:
+                        for j, y in nz:
+                            row[j] -= f * y
+                    else:
+                        for j, y in nz:
+                            row[j] -= f * y // d
+        else:
+            rows = [row if row is prow else _eliminate(row, nz, enter, p, d) for row in rows]
+            obj = _eliminate(obj, nz, enter, p, d)
         basis[leave] = enter
         d = p
 
@@ -148,7 +219,7 @@ def solve_eq_nonneg(
         y = [_ZERO] * k
         for row, var in zip(rows, basis):
             if var < k:
-                y[var] = Fraction(row[-1] * col_scale[var], d * rhs_scale)
+                y[var] = Fraction(row[-1] * system.col_scale[var], d * rhs_scale)
         w, q = common_denominator(y)
         support = [(j, v) for j, v in enumerate(w) if v]
         for arow, x in zip(a, b):

@@ -178,12 +178,16 @@ class SplitSpec:
 
     def to_json(self) -> dict:
         """Each budget as a float when that float is exactly the budget,
-        else as the string "p/q", so from_json gives back the same spec."""
+        else as the string "p/q" (or "p"), also when no float can hold it,
+        so from_json gives back the same spec."""
         levels = []
         for mask in sorted(self.levels):
-            b = self.bits(mask)
-            exact = b if b == self.levels[mask] else str(self.levels[mask])
-            levels.append({"part": list(mask_positions(mask)), "bits": exact})
+            b = self.levels[mask]
+            try:
+                f = self.bits(mask)
+            except OverflowError:  # beyond the float range, such as 10**400
+                f = None
+            levels.append({"part": list(mask_positions(mask)), "bits": f if f == b else str(b)})
         return {"m": self.m, "levels": levels}
 
 

@@ -357,6 +357,20 @@ def test_split_budget_edge_cases(capsys, tmp_path, bits, code):
             assert json.dumps(report["spec"]) == json.dumps({"m": 2, "levels": levels})
 
 
+def test_split_budget_beyond_float_range(capsys, tmp_path):
+    # no float holds 10**400: the report writes it as its exact string
+    body = write_json(tmp_path / "b.json", {"m": 2, "N": 2, "points": [[0, 1], [1, 1]]})
+    levels = [{"part": [1], "bits": 10**400}]
+    spec = write_json(tmp_path / "s.json", {"m": 2, "levels": levels})
+    code, report, _ = run(capsys, "split", "--body", body, "--spec", spec)
+    assert code == 0 and report["verified"] is True
+    assert report["spec"]["levels"] == [{"part": [1], "bits": str(10**400)}]
+    read = splitting.SplitSpec.from_json({"m": 2, "levels": levels})
+    again = splitting.SplitSpec.from_json(read.to_json())
+    assert again == read
+    assert [splitting._max_count(b) for b in again.levels.values()] == [1 << 1000]
+
+
 @pytest.mark.parametrize("method", [[], ["--greedy"]])
 def test_split_is_recounted_once(capsys, tmp_path, monkeypatch, method):
     calls = []

@@ -286,8 +286,8 @@ def _reference_all_subgroups(g: FiniteGroup, max_generators: int = 2) -> list[Su
 
 
 def test_all_subgroups_matches_reference():
-    for g in builtin_catalog(24) + [symmetric(5)]:
-        assert all_subgroups(g) == _reference_all_subgroups(g), g
+    for g in (*builtin_catalog(24), symmetric(5)):
+        assert list(all_subgroups(g)) == _reference_all_subgroups(g), g
 
 
 def test_builtin_catalog():
@@ -298,7 +298,26 @@ def test_builtin_catalog():
     cat24 = builtin_catalog(24)
     assert len(cat24) == 63
     assert all(g.order <= 24 for g in cat24)
-    assert cat24 == sorted(cat24, key=lambda g: (g.order, g.name))
+    assert list(cat24) == sorted(cat24, key=lambda g: (g.order, g.name))
+
+
+def test_catalog_and_subgroup_listings_are_built_once():
+    cat = builtin_catalog(6)
+    assert isinstance(cat, tuple) and builtin_catalog(6) is cat
+    for g in cat:
+        subs = all_subgroups(g)
+        assert isinstance(subs, tuple) and all_subgroups(g) is subs
+    # the shared catalog gives the first hit, or the miss, of a fresh one
+    fresh = builtin_catalog.__wrapped__(6)
+    assert fresh == cat and not any(a is b for a, b in zip(fresh, cat))
+    hits = []
+    for ineq in (parse_inequality("H(x,z) + H(y,z) <= H(x,y,z) + H(z)"), zhang_yeung()):
+        first = search_violation(ineq, max_order=6)
+        assert search_violation(ineq, max_order=6) == first
+        assert search_violation(ineq, groups=fresh) == first
+        assert first == _reference_search(ineq, groups=builtin_catalog.__wrapped__(6))
+        hits.append(first)
+    assert hits[0] is not None and hits[1] is None
 
 
 def test_coset_index_map():

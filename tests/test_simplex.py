@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from entrodim import simplex
 from entrodim.cli import main
 from entrodim.core import MAX_PRODUCT_BITS, SizeLimitError
-from entrodim.simplex import FeasibilityResult, solve_eq_nonneg
+from entrodim.dsl import parse_inequality
+from entrodim.shannon import ShannonCertificate, elemental_inequalities, is_shannon_type
+from entrodim.simplex import FeasibilityResult, prepare, solve_eq_nonneg
 
 # Reference: the dense Fraction-tableau phase-1 simplex with Bland's rule
 # that the fraction-free solver replaced.  The fraction-free solver must
@@ -259,6 +261,48 @@ def test_matches_reference_solver(system):
     assert solve_eq_nonneg(a, b) == _reference_solve(a, b)
 
 
+@st.composite
+def _matrix_and_rhs_list(draw):
+    """One matrix and several right-hand sides of mixed sign for it,
+    each random or A y for a nonnegative y."""
+    a, _ = draw(_systems())
+    rows, cols = len(a), len(a[0])
+    rhs_list = []
+    for _ in range(draw(st.integers(2, 6))):
+        if draw(st.booleans()):
+            y = draw(st.lists(_small_rationals(3, (1, 2)), min_size=cols, max_size=cols))
+            rhs_list.append([sum(a[i][j] * abs(y[j]) for j in range(cols)) for i in range(rows)])
+        else:
+            rhs_list.append(draw(st.lists(_small_rationals(6, (1, 2, 3, 4)),
+                                          min_size=rows, max_size=rows)))
+    return a, rhs_list
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_and_rhs_list())
+def test_one_prepared_matrix_matches_reference_on_every_rhs(case):
+    # the cached column sums and row norms serve every sign pattern of b
+    a, rhs_list = case
+    system = prepare(a)
+    for b in rhs_list:
+        assert solve_eq_nonneg(system, b) == _reference_solve(a, b)
+
+
+@st.composite
+def _elemental_rhs(draw):
+    m = draw(st.integers(2, 4))
+    size = (1 << m) - 1
+    return m, draw(st.lists(_small_rationals(4, (1, 2, 3)), min_size=size, max_size=size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elemental_rhs())
+def test_cached_elemental_system_matches_reference(case):
+    m, b = case
+    elems = elemental_inequalities(m)
+    assert solve_eq_nonneg(elems.system, b) == _reference_solve(elems.matrix, b)
+
+
 def test_matches_reference_on_int_input():
     # plain ints are accepted, as by the reference
     a, b = [[2, -1, 0], [1, 1, 3]], [1, -2]
@@ -272,6 +316,22 @@ def test_size_budget(monkeypatch):
     monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
     with pytest.raises(SizeLimitError):
         solve_eq_nonneg(a, b)
+
+
+def test_size_budget_is_read_at_call_time(monkeypatch):
+    # the m=2 system is prepared and cached before the budget shrinks
+    target = parse_inequality("H(x,y) <= H(x) + H(y)")
+    assert isinstance(is_shannon_type(target), ShannonCertificate)
+    system = elemental_inequalities(2).system
+    assert elemental_inequalities(2).system is system
+    # each row's share of the bound counts its entry of b: half the
+    # budget's bits in one entry, in its row and in the objective, is over
+    with pytest.raises(SizeLimitError):
+        solve_eq_nonneg(system, [2 ** (MAX_PRODUCT_BITS // 2), 0, 0])
+    monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
+    with pytest.raises(SizeLimitError):
+        is_shannon_type(target)
+    assert elemental_inequalities(2).system is system
 
 
 def test_size_budget_cli_error(monkeypatch, capsys):
