@@ -22,7 +22,7 @@ that are groups by construction and skip that check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial
 
@@ -326,12 +326,13 @@ def symmetric(n: int, name: str = "") -> FiniteGroup:
     return from_permutations(n, [swap, (*range(1, n), 0)], name or f"S{n}")
 
 
-@cache
+@lru_cache(maxsize=8)
 def builtin_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
     """Deterministic catalog: cyclics, products of 2-3 cyclics, dihedral,
     symmetric — everything of order <= max_order, sorted by (order, name).
-    Built once per max_order: every call returns the same tuple of the
-    same groups, so their subgroup listings are made once too.
+    The last 8 distinct max_orders asked for are kept: a repeated call
+    returns the same tuple of the same groups, so their subgroup listings
+    are made once too, and each dropped catalog takes its listings along.
 
     The catalog is a search space, not a classification: isomorphic
     groups may appear under different constructions.

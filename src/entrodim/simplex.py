@@ -23,18 +23,16 @@ same pivots and reaches the same basis as on the unscaled rational
 tableau; y is unscaled from that basis, and the Farkas vector (from the
 artificial columns, which are not scaled) comes out unchanged.
 
-The part of this set-up that depends on A alone is a PreparedSystem,
-built once by prepare(A) and passed in place of A for any number of
-right-hand sides: the column scales, the integer rows, each row's
-squared norm and each column's sum.  A call with a plain matrix prepares
-it on the spot.  Per call, only the rows are sign-normalized by b and
-copied into the tableau; the phase-1 objective is the cached column sums
-corrected for the flipped rows.
+The part of this set-up that depends on A alone, the column scales and
+the integer rows, is a PreparedSystem, built once by prepare(A) and
+passed in place of A for any number of right-hand sides.  A call with a
+plain matrix prepares it on the spot.  Per call, only the rows are
+sign-normalized by b and copied into the tableau.
 
 Because every entry of M, and D, is a minor, one Hadamard bound on the
-initial integer tableau caps them all.  It is finished from the cached
-row norms and the entries of b on every call, before the first pivot,
-and a system whose bound exceeds MAX_PRODUCT_BITS raises SizeLimitError.
+initial integer tableau caps them all.  It is taken on every call,
+before the first pivot, and a system whose bound exceeds
+MAX_PRODUCT_BITS raises SizeLimitError.
 
 Outcome is two-sided:
 
@@ -71,18 +69,17 @@ class FeasibilityResult:
 @dataclass(frozen=True, eq=False)
 class PreparedSystem:
     """A constraint matrix A made integral once, for any number of
-    right-hand sides.  It reads as A itself (len and row indexing), the
-    matrix both certificate rechecks use.
+    right-hand sides.  a is A itself, the matrix both certificate
+    rechecks use; rows is A with column j multiplied by col_scale[j],
+    the lcm of that column's denominators.
 
-    rows is A with column j multiplied by col_scale[j], the lcm of that
-    column's denominators; norms holds the squared norm of each integer
-    row and col_sums the sum of each integer column."""
+    It reads as A (len and row indexing), so code that observes the
+    first argument of solve_eq_nonneg as a matrix, such as the
+    benchmark's tracer, works on either form."""
 
     a: Sequence[Sequence[Fraction]]
     col_scale: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
-    norms: tuple[int, ...]
-    col_sums: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.a)
@@ -101,14 +98,13 @@ def prepare(a: Sequence[Sequence[Fraction]]) -> PreparedSystem:
         tuple(v.numerator * (c // v.denominator) for v, c in zip(row, col_scale))
         for row in a
     )
-    norms = tuple(sum(map(mul, row, row)) for row in rows)
-    return PreparedSystem(a, col_scale, rows, norms, tuple(map(sum, zip(*rows))))
+    return PreparedSystem(a, col_scale, rows)
 
 
-def _half_bits(sq: int) -> int:
-    """Hadamard: a row of squared norm sq adds at most this many bits to
-    any minor that uses it."""
-    return (sq.bit_length() + 1) // 2
+def _hadamard_bits(rows: Sequence[Sequence[int]]) -> int:
+    """Hadamard: no minor of these rows has more bits than the returned sum
+    of half bit-lengths of the squared row norms."""
+    return sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in rows)
 
 
 def _eliminate(row: list[int], nz: list, c: int, p: int, d: int) -> list[int]:
@@ -138,35 +134,21 @@ def solve_eq_nonneg(
     # artificial column per row; initial basis = artificials, D = 1
     rhs_scale = lcm(*map(_den, b))
     signs = [1 if x >= 0 else -1 for x in b]
-    bs = [s * x.numerator * (rhs_scale // x.denominator) for x, s in zip(b, signs)]
     rows: list[list[int]] = []
-    flipped = []
-    for i, (arow, s, x) in enumerate(zip(system.rows, signs, bs)):
-        if s < 0:
-            flipped.append(arow)
-            row = [-v for v in arow]
-        else:
-            row = list(arow)
+    for i, (arow, x, s) in enumerate(zip(system.rows, b, signs)):
+        row = list(arow) if s > 0 else [-v for v in arow]
         row += [0] * n
         row[k + i] = 1
-        row.append(x)
+        row.append(s * x.numerator * (rhs_scale // x.denominator))
         rows.append(row)
     basis = [k + i for i in range(n)]
 
     # phase-1 objective: minimize the sum of artificials.  obj holds D times
-    # the reduced costs (cost 0 structural, 1 artificial) followed by -D z;
-    # its structural part is minus the column sums of the sign-normalized
-    # rows, so each flipped row adds twice its entries to -col_sums
-    if flipped:
-        obj = [2 * f - c for c, f in zip(system.col_sums, map(sum, zip(*flipped)))]
-    else:
-        obj = [-c for c in system.col_sums]
-    obj += [0] * n
-    obj.append(-sum(bs))
+    # the reduced costs (cost 0 structural, 1 artificial) followed by -D z.
+    obj = [-sum(col) for col in zip(*rows)] or [0]  # no rows: just -D z = 0
+    obj[k : k + n] = [0] * n
 
-    bits = _half_bits(sum(map(mul, obj, obj)))
-    bits += sum(_half_bits(norm + 1 + x * x) for norm, x in zip(system.norms, bs))
-    if bits > MAX_PRODUCT_BITS:
+    if _hadamard_bits(rows + [obj]) > MAX_PRODUCT_BITS:
         raise SizeLimitError(
             f"simplex tableau entry may exceed {MAX_PRODUCT_BITS} bits"
         )
@@ -196,17 +178,12 @@ def solve_eq_nonneg(
         nz = [(j, y) for j, y in enumerate(prow) if y]
         if p == d:
             # p * x // d is x: only a row with f = row[enter] != 0 changes,
-            # and only at nz, to x - f * y // d (f * y is a multiple of d);
-            # d = 1 on most pivots of a 0/±1 matrix
+            # and only at nz, to x - f * y // d (f * y is a multiple of d)
             for row in (*rows, obj):
                 f = row[enter]
                 if f and row is not prow:
-                    if d == 1:
-                        for j, y in nz:
-                            row[j] -= f * y
-                    else:
-                        for j, y in nz:
-                            row[j] -= f * y // d
+                    for j, y in nz:
+                        row[j] -= f * y // d
         else:
             rows = [row if row is prow else _eliminate(row, nz, enter, p, d) for row in rows]
             obj = _eliminate(obj, nz, enter, p, d)

@@ -318,6 +318,10 @@ def test_catalog_and_subgroup_listings_are_built_once():
         assert first == _reference_search(ineq, groups=builtin_catalog.__wrapped__(6))
         hits.append(first)
     assert hits[0] is not None and hits[1] is None
+    # the memo is bounded: eight other orders push this catalog out
+    for order in range(7, 15):
+        builtin_catalog(order)
+    assert builtin_catalog(6) is not cat and builtin_catalog(6) == cat
 
 
 def test_coset_index_map():

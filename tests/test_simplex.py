@@ -281,7 +281,7 @@ def _matrix_and_rhs_list(draw):
 @settings(max_examples=200, deadline=None)
 @given(_matrix_and_rhs_list())
 def test_one_prepared_matrix_matches_reference_on_every_rhs(case):
-    # the cached column sums and row norms serve every sign pattern of b
+    # the prepared rows serve every sign pattern of b
     a, rhs_list = case
     system = prepare(a)
     for b in rhs_list:
@@ -301,6 +301,15 @@ def test_cached_elemental_system_matches_reference(case):
     m, b = case
     elems = elemental_inequalities(m)
     assert solve_eq_nonneg(elems.system, b) == _reference_solve(elems.matrix, b)
+
+
+def test_prepared_system_reads_as_its_matrix():
+    # the benchmark's tracer reads the first argument of solve_eq_nonneg
+    # as a matrix, which is a PreparedSystem when shannon calls it
+    a = [[Fraction(1, 2), 0, 1], [1, Fraction(-1, 3), 0]]
+    system = prepare(a)
+    assert len(system) == 2 and system[1] is a[1] and list(system) == a
+    assert system.col_scale == (2, 3, 1) and system.rows == ((1, 0, 1), (2, -1, 0))
 
 
 def test_matches_reference_on_int_input():
