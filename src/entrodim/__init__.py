@@ -44,7 +44,6 @@ from .shannon import (
     VerificationError,
     elemental_inequalities,
     is_shannon_type,
-    num_elemental_inequalities,
     verify_certificate,
     verify_farkas,
     zhang_yeung,
@@ -66,7 +65,6 @@ from .groups import (
     direct_product,
     from_permutations,
     group_from_table,
-    intersect,
     search_violation,
     subgroup_from_elements,
     subgroup_from_generators,
@@ -82,7 +80,6 @@ from .cantor import (
     NonUniform,
     NotViolated,
     build_counterexample,
-    dim_sum_sign,
     dim_value,
     lemma_fiber_bound,
     project,

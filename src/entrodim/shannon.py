@@ -33,7 +33,7 @@ from .core import (
     subsets,
 )
 from .dsl import parse_inequality
-from .simplex import PreparedSystem, prepare, solve_eq_nonneg
+from .simplex import solve_eq_nonneg
 
 #: elemental sets are available for this range of variable counts
 ELEMENTAL_RANGE = range(1, 7)
@@ -56,11 +56,6 @@ class ElementalSet:
         mask in subsets(m) order and a column per elemental row."""
         cols = [{s: int(c) for s, c in r.coeffs.items()} for r in self.rows]
         return tuple(tuple(col.get(s, 0) for col in cols) for s in subsets(self.m))
-
-    @cached_property
-    def system(self) -> PreparedSystem:
-        """matrix prepared once for solve_eq_nonneg."""
-        return prepare(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -157,8 +152,8 @@ def _slack(row: LinearInequality, point: dict[int, int], q: int) -> tuple[int, i
 def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitness:
     """Decide cone membership, returning a verified certificate either way."""
     coords = subsets(ineq.m)
-    system = elemental_inequalities(ineq.m).system
-    res = solve_eq_nonneg(system, [ineq.coeffs.get(mask, 0) for mask in coords])
+    matrix = elemental_inequalities(ineq.m).matrix
+    res = solve_eq_nonneg(matrix, [ineq.coeffs.get(mask, 0) for mask in coords])
     if res.feasible:
         weights = {r: w for r, w in enumerate(res.solution) if w != 0}
         cert = ShannonCertificate(ineq.m, weights)

@@ -15,19 +15,10 @@ left as it is, and any other row changes, in place, only in the columns
 where the pivot row is nonzero.  The ratio test compares by
 cross-multiplication.
 
-Rational input is made integral by scaling each column of A by the lcm
-of its denominators, and b by the lcm of its denominators.  A positive
-column scaling keeps the sign of every reduced cost and multiplies every
-ratio of one ratio test by the same factor, so Bland's rule takes the
-same pivots and reaches the same basis as on the unscaled rational
-tableau; y is unscaled from that basis, and the Farkas vector (from the
-artificial columns, which are not scaled) comes out unchanged.
-
-The part of this set-up that depends on A alone, the column scales and
-the integer rows, is a PreparedSystem, built once by prepare(A) and
-passed in place of A for any number of right-hand sides.  A call with a
-plain matrix prepares it on the spot.  Per call, only the rows are
-sign-normalized by b and copied into the tableau.
+A is an integer matrix, used as it is, and b is rational: b is made
+integral by the lcm of its denominators, which scales every ratio of a
+ratio test by the same factor and so keeps Bland's pivots.  Per call,
+the rows of A are sign-normalized by b and copied into the tableau.
 
 Because every entry of M, and D, is a minor, one Hadamard bound on the
 initial integer tableau caps them all.  It is taken on every call,
@@ -40,9 +31,10 @@ Outcome is two-sided:
 * infeasible: a Farkas vector u with u . A_col_j <= 0 for every column j
   and u . b > 0, certifying that no nonnegative solution exists.
 
-Entries of A and b are ints or Fractions.  Both certificates are
-rechecked exactly against the caller's A and b before being returned, as
-identities over their common denominators: in ints where A is integral.
+Entries of A are ints, and a Fraction or float entry raises TypeError;
+entries of b are ints or Fractions.  Both certificates are rechecked
+exactly against the caller's A and b before being returned, as integer
+identities over their common denominators.
 """
 
 from __future__ import annotations
@@ -66,45 +58,17 @@ class FeasibilityResult:
     farkas: tuple[Fraction, ...] | None  # u with uA <= 0, u.b > 0, if not
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedSystem:
-    """A constraint matrix A made integral once, for any number of
-    right-hand sides.  a is A itself, the matrix both certificate
-    rechecks use; rows is A with column j multiplied by col_scale[j],
-    the lcm of that column's denominators.
-
-    It reads as A (len and row indexing), so code that observes the
-    first argument of solve_eq_nonneg as a matrix, such as the
-    benchmark's tracer, works on either form."""
-
-    a: Sequence[Sequence[Fraction]]
-    col_scale: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.a)
-
-    def __getitem__(self, i: int) -> Sequence[Fraction]:
-        return self.a[i]
-
-
-def prepare(a: Sequence[Sequence[Fraction]]) -> PreparedSystem:
-    """The prepared form of a matrix of ints or Fractions."""
-    k = len(a[0]) if a else 0
-    if any(len(row) != k for row in a):
-        raise ValueError("ragged constraint matrix")
-    col_scale = tuple(lcm(*map(_den, col)) for col in zip(*a))
-    rows = tuple(
-        tuple(v.numerator * (c // v.denominator) for v, c in zip(row, col_scale))
-        for row in a
-    )
-    return PreparedSystem(a, col_scale, rows)
-
-
 def _hadamard_bits(rows: Sequence[Sequence[int]]) -> int:
     """Hadamard: no minor of these rows has more bits than the returned sum
-    of half bit-lengths of the squared row norms."""
-    return sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in rows)
+    of half bit-lengths of the squared row norms.  A squared norm is an int
+    exactly when every entry of its row is one; TypeError otherwise."""
+    bits = 0
+    for row in rows:
+        norm2 = sum(map(mul, row, row))
+        if not isinstance(norm2, int):
+            raise TypeError(f"constraint matrix entries must be ints, not {type(norm2).__name__}")
+        bits += (norm2.bit_length() + 1) // 2
+    return bits
 
 
 def _eliminate(row: list[int], nz: list, c: int, p: int, d: int) -> list[int]:
@@ -120,13 +84,13 @@ def _eliminate(row: list[int], nz: list, c: int, p: int, d: int) -> list[int]:
     return new
 
 
-def solve_eq_nonneg(
-    a: Sequence[Sequence[Fraction]] | PreparedSystem, b: Sequence[Fraction]
-) -> FeasibilityResult:
+def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[Fraction]) -> FeasibilityResult:
     """Find y >= 0 with A y = b, or a Farkas certificate that none exists.
-    A is a matrix of ints or Fractions, or its PreparedSystem."""
-    system = a if isinstance(a, PreparedSystem) else prepare(a)
-    a, n, k = system.a, len(system.rows), len(system.col_scale)
+    A is a matrix of ints, b a vector of ints or Fractions."""
+    n = len(a)
+    k = len(a[0]) if a else 0
+    if any(len(row) != k for row in a):
+        raise ValueError("ragged constraint matrix")
     if len(b) != n:
         raise ValueError(f"rhs length {len(b)} does not match {n} rows")
 
@@ -135,7 +99,7 @@ def solve_eq_nonneg(
     rhs_scale = lcm(*map(_den, b))
     signs = [1 if x >= 0 else -1 for x in b]
     rows: list[list[int]] = []
-    for i, (arow, x, s) in enumerate(zip(system.rows, b, signs)):
+    for i, (arow, x, s) in enumerate(zip(a, b, signs)):
         row = list(arow) if s > 0 else [-v for v in arow]
         row += [0] * n
         row[k + i] = 1
@@ -196,7 +160,7 @@ def solve_eq_nonneg(
         y = [_ZERO] * k
         for row, var in zip(rows, basis):
             if var < k:
-                y[var] = Fraction(row[-1] * system.col_scale[var], d * rhs_scale)
+                y[var] = Fraction(row[-1], d * rhs_scale)
         w, q = common_denominator(y)
         support = [(j, v) for j, v in enumerate(w) if v]
         for arow, x in zip(a, b):

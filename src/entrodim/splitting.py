@@ -169,10 +169,16 @@ class SplitSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "SplitSpec":
         """The spec of to_json's form; a string budget such as "p/q" is
-        read as the exact Fraction it names."""
+        read as the exact Fraction it names.  A part listed twice, or with
+        a repeated position, is a ValueError."""
         levels = {}
         for e in obj["levels"]:
-            mask, b = mask_of(map(int, e["part"])), e["bits"]
+            positions, b = [int(p) for p in e["part"]], e["bits"]
+            mask = mask_of(positions)
+            if len(set(positions)) != len(positions):
+                raise ValueError(f"repeated position in part {positions}")
+            if mask in levels:
+                raise ValueError(f"part {mask_label(mask)} listed twice")
             levels[mask] = Fraction(b) if isinstance(b, str) else b
         return cls(int(obj["m"]), levels)
 

@@ -371,6 +371,24 @@ def test_split_budget_beyond_float_range(capsys, tmp_path):
     assert [splitting._max_count(b) for b in again.levels.values()] == [1 << 1000]
 
 
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ([{"part": [1], "bits": 0}, {"part": [1], "bits": 5},
+          {"part": [1, 2, 3], "bits": 0}], "part {1} listed twice"),
+        ([{"part": [1, 1], "bits": 5}, {"part": [1, 2, 3], "bits": 0}],
+         "repeated position in part [1, 1]"),
+    ],
+)
+def test_split_spec_with_a_duplicate_part_is_refused(capsys, tmp_path, levels, message):
+    # as cantor --project refuses a repeated position: no budget is dropped
+    body = write_json(tmp_path / "b.json", {"m": 3, "N": 2, "points": [[0, 1, 1], [1, 0, 1]]})
+    spec = write_json(tmp_path / "s.json", {"m": 3, "levels": levels})
+    code, report, err = run(capsys, "split", "--body", body, "--spec", spec)
+    assert (code, report) == (1, None)
+    assert err.splitlines() == [f"error: ValueError: {message}"]
+
+
 @pytest.mark.parametrize("method", [[], ["--greedy"]])
 def test_split_is_recounted_once(capsys, tmp_path, monkeypatch, method):
     calls = []

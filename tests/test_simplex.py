@@ -10,7 +10,7 @@ from entrodim.cli import main
 from entrodim.core import MAX_PRODUCT_BITS, SizeLimitError
 from entrodim.dsl import parse_inequality
 from entrodim.shannon import ShannonCertificate, elemental_inequalities, is_shannon_type
-from entrodim.simplex import FeasibilityResult, prepare, solve_eq_nonneg
+from entrodim.simplex import FeasibilityResult, solve_eq_nonneg
 
 # Reference: the dense Fraction-tableau phase-1 simplex with Bland's rule
 # that the fraction-free solver replaced.  The fraction-free solver must
@@ -125,17 +125,14 @@ def _reference_solve(
 
 def test_feasible_square_system():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
-    res = solve_eq_nonneg(
-        [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]],
-        [Fraction(3), Fraction(1)],
-    )
+    res = solve_eq_nonneg([[1, 1], [1, -1]], [Fraction(3), Fraction(1)])
     assert res.feasible
     assert res.solution == (Fraction(2), Fraction(1))
     assert res.farkas is None
 
 
 def test_feasible_underdetermined():
-    res = solve_eq_nonneg([[Fraction(1), Fraction(1)]], [Fraction(5)])
+    res = solve_eq_nonneg([[1, 1]], [Fraction(5)])
     assert res.feasible
     x, y = res.solution
     assert x >= 0 and y >= 0 and x + y == 5
@@ -143,17 +140,17 @@ def test_feasible_underdetermined():
 
 def test_infeasible_with_certificate():
     # x = -1 has no nonnegative solution; u = -1 certifies it
-    res = solve_eq_nonneg([[Fraction(1)]], [Fraction(-1)])
+    res = solve_eq_nonneg([[1]], [Fraction(-1)])
     assert not res.feasible
     assert res.solution is None
     (u,) = res.farkas
-    assert u * Fraction(1) <= 0
+    assert u <= 0
     assert u * Fraction(-1) > 0
 
 
 def test_infeasible_two_rows():
     # x + y = 1 and x + y = 2 cannot both hold
-    a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
+    a = [[1, 1], [1, 1]]
     b = [Fraction(1), Fraction(2)]
     res = solve_eq_nonneg(a, b)
     assert not res.feasible
@@ -165,9 +162,9 @@ def test_infeasible_two_rows():
 
 def test_shape_errors():
     with pytest.raises(ValueError):
-        solve_eq_nonneg([[Fraction(1)], [Fraction(1), Fraction(2)]], [Fraction(1), Fraction(1)])
+        solve_eq_nonneg([[1], [1, 2]], [Fraction(1), Fraction(1)])
     with pytest.raises(ValueError):
-        solve_eq_nonneg([[Fraction(1)]], [Fraction(1), Fraction(2)])
+        solve_eq_nonneg([[1]], [Fraction(1), Fraction(2)])
     # vacuous system is trivially feasible
     assert solve_eq_nonneg([], []).solution == ()
 
@@ -176,11 +173,8 @@ def test_random_constructed_feasible():
     rng = random.Random(42)
     for _ in range(60):
         rows, cols = rng.randint(1, 4), rng.randint(1, 6)
-        a = [
-            [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-        y_star = [Fraction(rng.randint(0, 4)) for _ in range(cols)]
+        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        y_star = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(cols)]
         b = [sum(a[i][j] * y_star[j] for j in range(cols)) for i in range(rows)]
         res = solve_eq_nonneg(a, b)
         assert res.feasible
@@ -193,15 +187,10 @@ def test_random_constructed_feasible():
 def test_random_systems_always_certified():
     # every answer, feasible or not, must carry an exact certificate
     rng = random.Random(1234)
-    for t in range(120):
+    for _ in range(60):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
-        # the second half has fractional entries, so columns get scaled
-        dens = (1,) if t < 60 else (1, 1, 2, 3, 4)
-        a = [
-            [Fraction(rng.randint(-4, 4), rng.choice(dens)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-        b = [Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(rows)]
+        a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        b = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4))) for _ in range(rows)]
         res = solve_eq_nonneg(a, b)
         if res.feasible:
             y = res.solution
@@ -223,35 +212,31 @@ def _small_rationals(max_value: int, denominators: tuple[int, ...]):
     )
 
 
-@st.composite
-def _systems(draw):
-    rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 6))
+def _small_matrices(rows: int, cols: int):
     # small integer ranges make degenerate ratio ties common
-    entries = draw(
-        st.sampled_from(
-            [
-                _small_rationals(1, (1,)),
-                _small_rationals(2, (1,)),
-                _small_rationals(3, (1, 2, 3)),
-                _small_rationals(4, (1, 1, 2, 5, 7)),
-            ]
-        )
-    )
-    a = draw(
-        st.lists(
-            st.lists(entries, min_size=cols, max_size=cols),
+    return st.integers(1, 4).flatmap(
+        lambda bound: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
             min_size=rows,
             max_size=rows,
         )
     )
+
+
+def _rhs(draw, a):
+    """A rational right-hand side for a: A y for a nonnegative y, so
+    feasible by construction, or drawn at random."""
+    rows, cols = len(a), len(a[0])
     if draw(st.booleans()):
-        # feasible by construction
         y = draw(st.lists(_small_rationals(3, (1, 2)), min_size=cols, max_size=cols))
-        b = [sum(a[i][j] * abs(y[j]) for j in range(cols)) for i in range(rows)]
-    else:
-        b = draw(st.lists(entries, min_size=rows, max_size=rows))
-    return a, b
+        return [sum(a[i][j] * abs(y[j]) for j in range(cols)) for i in range(rows)]
+    return draw(st.lists(_small_rationals(6, (1, 2, 3, 4)), min_size=rows, max_size=rows))
+
+
+@st.composite
+def _systems(draw):
+    a = draw(_small_matrices(draw(st.integers(1, 5)), draw(st.integers(1, 6))))
+    return a, _rhs(draw, a)
 
 
 @settings(max_examples=400, deadline=None)
@@ -263,29 +248,22 @@ def test_matches_reference_solver(system):
 
 @st.composite
 def _matrix_and_rhs_list(draw):
-    """One matrix and several right-hand sides of mixed sign for it,
-    each random or A y for a nonnegative y."""
-    a, _ = draw(_systems())
-    rows, cols = len(a), len(a[0])
-    rhs_list = []
-    for _ in range(draw(st.integers(2, 6))):
-        if draw(st.booleans()):
-            y = draw(st.lists(_small_rationals(3, (1, 2)), min_size=cols, max_size=cols))
-            rhs_list.append([sum(a[i][j] * abs(y[j]) for j in range(cols)) for i in range(rows)])
-        else:
-            rhs_list.append(draw(st.lists(_small_rationals(6, (1, 2, 3, 4)),
-                                          min_size=rows, max_size=rows)))
-    return a, rhs_list
+    """One matrix, a random one or the cached elemental matrix for
+    m = 2..4, and several right-hand sides of mixed sign for it."""
+    if draw(st.booleans()):
+        a = draw(_small_matrices(draw(st.integers(1, 5)), draw(st.integers(1, 6))))
+    else:
+        a = elemental_inequalities(draw(st.integers(2, 4))).matrix
+    return a, [_rhs(draw, a) for _ in range(draw(st.integers(2, 6)))]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_matrix_and_rhs_list())
-def test_one_prepared_matrix_matches_reference_on_every_rhs(case):
-    # the prepared rows serve every sign pattern of b
+def test_one_matrix_matches_reference_on_every_rhs(case):
+    # the rows of one matrix serve every sign pattern of b
     a, rhs_list = case
-    system = prepare(a)
     for b in rhs_list:
-        assert solve_eq_nonneg(system, b) == _reference_solve(a, b)
+        assert solve_eq_nonneg(a, b) == _reference_solve(a, b)
 
 
 @st.composite
@@ -300,16 +278,7 @@ def _elemental_rhs(draw):
 def test_cached_elemental_system_matches_reference(case):
     m, b = case
     elems = elemental_inequalities(m)
-    assert solve_eq_nonneg(elems.system, b) == _reference_solve(elems.matrix, b)
-
-
-def test_prepared_system_reads_as_its_matrix():
-    # the benchmark's tracer reads the first argument of solve_eq_nonneg
-    # as a matrix, which is a PreparedSystem when shannon calls it
-    a = [[Fraction(1, 2), 0, 1], [1, Fraction(-1, 3), 0]]
-    system = prepare(a)
-    assert len(system) == 2 and system[1] is a[1] and list(system) == a
-    assert system.col_scale == (2, 3, 1) and system.rows == ((1, 0, 1), (2, -1, 0))
+    assert solve_eq_nonneg(elems.matrix, b) == _reference_solve(elems.matrix, b)
 
 
 def test_matches_reference_on_int_input():
@@ -319,8 +288,8 @@ def test_matches_reference_on_int_input():
 
 
 def test_size_budget(monkeypatch):
-    a = [[Fraction(3), Fraction(1, 2)], [Fraction(-1), Fraction(5)]]
-    b = [Fraction(7), Fraction(2)]
+    a = [[3, 1], [-1, 5]]
+    b = [Fraction(7), Fraction(2, 3)]
     assert solve_eq_nonneg(a, b).feasible
     monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
     with pytest.raises(SizeLimitError):
@@ -328,19 +297,19 @@ def test_size_budget(monkeypatch):
 
 
 def test_size_budget_is_read_at_call_time(monkeypatch):
-    # the m=2 system is prepared and cached before the budget shrinks
+    # the m=2 matrix is built and cached before the budget shrinks
     target = parse_inequality("H(x,y) <= H(x) + H(y)")
     assert isinstance(is_shannon_type(target), ShannonCertificate)
-    system = elemental_inequalities(2).system
-    assert elemental_inequalities(2).system is system
+    matrix = elemental_inequalities(2).matrix
+    assert elemental_inequalities(2).matrix is matrix
     # each row's share of the bound counts its entry of b: half the
     # budget's bits in one entry, in its row and in the objective, is over
     with pytest.raises(SizeLimitError):
-        solve_eq_nonneg(system, [2 ** (MAX_PRODUCT_BITS // 2), 0, 0])
+        solve_eq_nonneg(matrix, [2 ** (MAX_PRODUCT_BITS // 2), 0, 0])
     monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
     with pytest.raises(SizeLimitError):
         is_shannon_type(target)
-    assert elemental_inequalities(2).system is system
+    assert elemental_inequalities(2).matrix is matrix
 
 
 def test_size_budget_cli_error(monkeypatch, capsys):
@@ -369,3 +338,19 @@ def test_integer_matrix_with_rational_rhs():
     for b in ([Fraction(1, 2), Fraction(1, 3)], [Fraction(-1, 2), 0]):
         res = solve_eq_nonneg(a, b)
         assert res == _reference_solve(a, b)
+
+
+def test_non_integer_matrix_entry_is_rejected():
+    # the row norms of the Hadamard bound are ints only for an int matrix
+    for entry in (Fraction(1, 2), Fraction(2), 0.5):
+        with pytest.raises(TypeError, match="must be ints"):
+            solve_eq_nonneg([[1, 0], [entry, 1]], [Fraction(1), Fraction(-1)])
+
+
+def test_caller_matrix_is_left_unchanged():
+    # the solver reads the caller's rows directly, also the rows it flips
+    a = [[1, -2, 0], [0, 1, 1], [3, 0, -1]]
+    before = [row[:] for row in a]
+    for b in ([1, 2, 3], [-1, 2, -3], [Fraction(-1, 2), 0, Fraction(5, 3)], [0, -1, 0]):
+        assert solve_eq_nonneg(a, b) == _reference_solve(a, b)
+    assert a == before
