@@ -154,7 +154,7 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
 def _cmd_cantor(args) -> tuple[int, dict]:
     w = cantor.CantorWitness.from_json(_load_json(args.witness))
     full = (1 << w.m) - 1
-    if args.project:
+    if args.project is not None:
         positions = [int(p) for p in args.project.split(",")]
         if len(set(positions)) != len(positions):
             raise ValueError(f"repeated position in --project {args.project}")

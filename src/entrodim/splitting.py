@@ -244,13 +244,19 @@ def _choices(spec: SplitSpec) -> list[tuple[int, set[Point], int, Callable]]:
     ]
 
 
+def _check_same_m(body: FiniteBody, spec: SplitSpec) -> None:
+    if spec.m != body.m:
+        raise ValueError(f"split spec for m={spec.m} on a body with m={body.m}")
+
+
 def verify_split(body: FiniteBody, spec: SplitSpec, result: SplitResult) -> bool:
     """Direct-counting recheck that every part's shadow is within its cap.
 
-    Structural problems (not a partition of the body, unknown part
-    label) raise; budget failure returns False.  The empty part is
-    always within budget, as every cap is at least 0.
+    Structural problems (spec and body of different m, not a partition of
+    the body, unknown part label) raise; budget failure returns False.
+    The empty part is always within budget, as every cap is at least 0.
     """
+    _check_same_m(body, spec)
     if set(result.assignment) != body.points:
         raise ValueError("assignment does not cover exactly the body's points")
     getters = {mask: projector(mask) for mask in spec.levels}
@@ -271,6 +277,7 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
     added, so pruning an over-budget prefix is safe.  Raises
     ExhaustiveBoundExceeded when |parts| ** |S| > EXHAUSTIVE_BOUND.
     """
+    _check_same_m(body, spec)
     parts = sorted(spec.levels)
     points = sorted(body.points)
     if len(parts) ** len(points) > EXHAUSTIVE_BOUND:
@@ -330,6 +337,7 @@ def find_split_greedy(body: FiniteBody, spec: SplitSpec) -> SplitResult | None:
     returned; None means the heuristic failed, *not* that no split
     exists.
     """
+    _check_same_m(body, spec)
     choices = _choices(spec)
     assignment: dict[Point, int] = {}
     for point in sorted(body.points):

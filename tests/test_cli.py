@@ -390,6 +390,24 @@ def test_split_spec_with_a_duplicate_part_is_refused(capsys, tmp_path, levels, m
 
 
 @pytest.mark.parametrize("method", [[], ["--greedy"]])
+@pytest.mark.parametrize(
+    "levels",
+    [
+        [{"part": [1], "bits": 1}],
+        [{"part": [3], "bits": 0}, {"part": [1, 2, 3], "bits": 0}],
+    ],
+)
+def test_split_spec_for_another_m_is_refused(capsys, tmp_path, levels, method):
+    # an m=3 spec on an m=2 body: neither a split of the wrong shape nor
+    # an IndexError from a part the body's points have no coordinate for
+    body = write_json(tmp_path / "b.json", {"m": 2, "N": 3, "points": [[0, 1], [1, 2]]})
+    spec = write_json(tmp_path / "s.json", {"m": 3, "levels": levels})
+    code, report, err = run(capsys, "split", "--body", body, "--spec", spec, *method)
+    assert (code, report) == (1, None)
+    assert err.splitlines() == ["error: ValueError: split spec for m=3 on a body with m=2"]
+
+
+@pytest.mark.parametrize("method", [[], ["--greedy"]])
 def test_split_is_recounted_once(capsys, tmp_path, monkeypatch, method):
     calls = []
     real = splitting.verify_split
@@ -437,7 +455,7 @@ def test_reports_are_deterministic(capsys, tmp_path):
     assert first == second
 
 
-@pytest.mark.parametrize("project", ["1,1", "0", "3", "1,3"])
+@pytest.mark.parametrize("project", ["1,1", "0", "3", "1,3", ""])
 def test_cantor_project_rejects_bad_positions(capsys, tmp_path, project):
     witness = write_json(
         tmp_path / "w.json", {"m": 2, "N": 2, "points": [[0, 0], [1, 1]]}

@@ -350,6 +350,18 @@ def test_verify_split_errors_and_budget():
     assert verify_split(FULL_CUBE_2, spec, over) is False
 
 
+@pytest.mark.parametrize(
+    "run",
+    [find_split_exhaustive, find_split_greedy,
+     lambda body, spec: verify_split(body, spec, SplitResult({(0, 1): 0b1}))],
+    ids=["exhaustive", "greedy", "verify"],
+)
+def test_spec_and_body_must_have_the_same_m(run):
+    body = FiniteBody(2, 3, {(0, 1)})
+    with pytest.raises(ValueError, match="split spec for m=3 on a body with m=2"):
+        run(body, SplitSpec(3, {0b001: 1}))
+
+
 def test_split_result_json():
     body = FiniteBody(2, 2, frozenset({(0, 0), (1, 1)}))
     result = SplitResult({(0, 0): 0b01, (1, 1): 0b11})
