@@ -25,8 +25,7 @@ _EXPORTS = {
     "core": (
         "MAX_VARIABLES", "EntropyVector", "ExactLogLin", "LinearInequality",
         "LogLinOverflowError", "PointSet", "SizeLimitError", "eval_slack",
-        "log2_compare", "loglin_sign", "mask_label", "mask_of", "mask_positions",
-        "subsets",
+        "loglin_sign", "mask_label", "mask_of", "mask_positions", "subsets",
     ),
     "dsl": (
         "InequalityParseError", "ZeroInequalityError", "format_inequality",
@@ -48,8 +47,8 @@ _EXPORTS = {
         "symmetric", "witness_set",
     ),
     "cantor": (
-        "CantorWitness", "DimValue", "DimensionCounterexample", "Level",
-        "NoEpsilon", "NonUniform", "NotViolated", "build_counterexample",
+        "CantorWitness", "DimValue", "DimensionCounterexample", "NoEpsilon",
+        "NonUniform", "NotViolated", "build_counterexample",
         "dim_value", "lemma_fiber_bound", "project", "uniform_fiber",
         "verify_counterexample",
     ),

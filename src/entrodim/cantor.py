@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable
 
 from .core import (
@@ -58,15 +57,9 @@ class CantorWitness(PointSet):
         }
 
 
-@total_ordering
 @dataclass(frozen=True)
 class DimValue:
-    """The exact dimension log(#A)/log(N) of a Cantor-type set.
-
-    Order comparisons require a common base N (mixing bases would need
-    sign tests on products of logarithms, which ExactLogLin cannot
-    decide); with a common base they reduce to comparing cardinalities.
-    """
+    """The exact dimension log(#A)/log(N) of a Cantor-type set."""
 
     cardinality: int
     base: int
@@ -80,42 +73,12 @@ class DimValue:
     def to_float(self) -> float:
         return math.log2(self.cardinality) / math.log2(self.base)
 
-    __float__ = to_float
-
     def times_log_base(self) -> ExactLogLin:
         """dim * log2(N), i.e. exactly log2(cardinality)."""
         return ExactLogLin.log2(self.cardinality)
 
-    def compare(self, other: "DimValue") -> int:
-        if self.base != other.base:
-            raise ValueError(
-                f"cannot compare dimensions in bases {self.base} and {other.base}"
-            )
-        a, b = self.cardinality, other.cardinality
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
     def __str__(self):
         return f"log2({self.cardinality})/log2({self.base})"
-
-
-def dim_sum_sign(terms: Iterable[tuple[Fraction, DimValue]]) -> int:
-    """Exact sign of sum q_i * dim_i over a common base.
-
-    Multiplying by log2(N) > 0 preserves the sign and turns the sum into
-    sum q_i * log2(c_i), an ExactLogLin.
-    """
-    total = ExactLogLin.zero()
-    base = None
-    for q, dim in terms:
-        if base is None:
-            base = dim.base
-        elif dim.base != base:
-            raise ValueError("dimension terms must share one base")
-        total = total + Fraction(q) * dim.times_log_base()
-    return total.sign()
 
 
 def project(w: CantorWitness, subset: int) -> CantorWitness:
@@ -191,24 +154,6 @@ class NoEpsilon(ValueError):
 
 
 @dataclass(frozen=True)
-class Level:
-    """A level a_I = max(0, log2(c)/log2(N) - eps), stored exactly."""
-
-    cardinality: int
-    base: int
-    epsilon: Fraction
-
-    def to_float(self) -> float:
-        return max(0.0, math.log2(self.cardinality) / math.log2(self.base)
-                    - float(self.epsilon))
-
-    __float__ = to_float
-
-    def __str__(self):
-        return f"max(0, log2({self.cardinality})/log2({self.base}) - {self.epsilon})"
-
-
-@dataclass(frozen=True)
 class DimensionCounterexample:
     """A digit set whose projection dimensions defeat a linear inequality.
 
@@ -216,24 +161,25 @@ class DimensionCounterexample:
 
         sum lam_I * a_I  >  sum mu_J * dim (C_A)_J      (exact sign)
 
-    with every a_I strictly below the true projection dimension dim
-    (C_A)_I (and nonnegative).  `margin_times_log_base` stores the
-    exact positive left-minus-right difference multiplied by log2(N).
+    with every level a_I = max(0, dim (C_A)_I - epsilon) strictly below
+    the true projection dimension (and nonnegative).  `margin_times_log_base`
+    stores the exact positive left-minus-right difference multiplied by
+    log2(N).
     """
 
     inequality: LinearInequality
     witness: CantorWitness
     dims: dict[int, DimValue]
     epsilon: Fraction
-    levels: dict[int, Level]
     entropy_slack: ExactLogLin
     margin_times_log_base: ExactLogLin
 
     def to_json(self) -> dict:
+        eps = self.epsilon
         return {
             "kind": "dimension-counterexample",
             "witness": self.witness.to_json(),
-            "epsilon": str(self.epsilon),
+            "epsilon": str(eps),
             "dims": {
                 mask_label(s): {
                     "cardinality": d.cardinality,
@@ -243,8 +189,11 @@ class DimensionCounterexample:
                 for s, d in sorted(self.dims.items())
             },
             "levels": {
-                mask_label(s): {"exact": str(lv), "float": float(lv)}
-                for s, lv in sorted(self.levels.items())
+                mask_label(s): {
+                    "exact": f"max(0, {self.dims[s]} - {eps})",
+                    "float": max(0.0, self.dims[s].to_float() - float(eps)),
+                }
+                for s in sorted(self.inequality.lhs_weights())
             },
             "entropy_slack": {
                 "exact": str(self.entropy_slack),
@@ -257,12 +206,18 @@ class DimensionCounterexample:
         }
 
 
-def _level_times_log_base(level: Level) -> ExactLogLin:
-    """level * log2(N) as an ExactLogLin, resolving the max(0, .) exactly."""
-    raw = ExactLogLin.log2(level.cardinality) - level.epsilon * ExactLogLin.log2(
-        level.base
-    )
-    return raw if raw.sign() > 0 else ExactLogLin.zero()
+def _margin(ineq: LinearInequality, dims: dict[int, DimValue],
+            epsilon: Fraction) -> ExactLogLin:
+    """sum lam_I * max(0, dim_I - eps) - sum mu_J * dim_J, times log2(N)."""
+    margin = ExactLogLin.zero()
+    for mask, weight in ineq.lhs_weights().items():
+        dim = dims[mask]
+        level = dim.times_log_base() - epsilon * ExactLogLin.log2(dim.base)
+        if level.sign() > 0:
+            margin = margin + weight * level
+    for mask, weight in ineq.rhs_weights().items():
+        margin = margin - weight * dims[mask].times_log_base()
+    return margin
 
 
 def verify_counterexample(ce: DimensionCounterexample) -> None:
@@ -273,26 +228,16 @@ def verify_counterexample(ce: DimensionCounterexample) -> None:
     """
     ineq = ce.inequality
     n = ce.witness.base
-    lam = ineq.lhs_weights()
-    mu = ineq.rhs_weights()
     for mask in subsets(ineq.m):
         count = len(set(map(projector(mask), ce.witness.points)))
         want = ce.dims[mask]
         if count != want.cardinality or want.base != n:
             raise AssertionError(f"stored dimension wrong at {mask_label(mask)}")
-    margin = ExactLogLin.zero()
-    for mask, weight in lam.items():
-        level = ce.levels[mask]
-        if level.cardinality != ce.dims[mask].cardinality or level.base != n:
-            raise AssertionError(f"level/dimension mismatch at {mask_label(mask)}")
-        # a_I < dim_I whenever dim_I > 0, and a_I >= 0 always
-        if ce.dims[mask].cardinality > 1:
-            gap = ce.dims[mask].times_log_base() - _level_times_log_base(level)
-            if gap.sign() <= 0:
-                raise AssertionError(f"level not below dimension at {mask_label(mask)}")
-        margin = margin + weight * _level_times_log_base(level)
-    for mask, weight in mu.items():
-        margin = margin - weight * ce.dims[mask].times_log_base()
+    # a_I = max(0, dim_I - eps) is below a positive dim_I iff eps > 0
+    for mask in ineq.lhs_weights():
+        if ce.epsilon <= 0 and ce.dims[mask].cardinality > 1:
+            raise AssertionError(f"level not below dimension at {mask_label(mask)}")
+    margin = _margin(ineq, ce.dims, ce.epsilon)
     if margin.sign() <= 0:
         raise AssertionError("levels do not beat the right-hand dimensions")
     if (margin - ce.margin_times_log_base).sign() != 0:
@@ -338,19 +283,13 @@ def build_counterexample(
                 f"projection count disagrees with coset entropy at {mask_label(mask)}"
             )
 
-    lam = ineq.lhs_weights()
-    mu = ineq.rhs_weights()
-    base_margin = ExactLogLin.zero()
-    for mask, weight in lam.items():
-        base_margin = base_margin + weight * dims[mask].times_log_base()
-    for mask, weight in mu.items():
-        base_margin = base_margin - weight * dims[mask].times_log_base()
-    total_lam = sum(lam.values(), Fraction(0))
-
+    # every projection count is its coset entropy, so the margin at
+    # epsilon = 0 is exactly -slack; each lhs level takes epsilon off it
+    total_lam = sum(ineq.lhs_weights().values(), Fraction(0))
     epsilon = None
     for k in range(1, 65):
         eps = Fraction(1, 2**k)
-        shifted = base_margin - (eps * total_lam) * ExactLogLin.log2(n_base)
+        shifted = -slack - (eps * total_lam) * ExactLogLin.log2(n_base)
         if shifted.sign() > 0:
             epsilon = eps
             break
@@ -359,23 +298,13 @@ def build_counterexample(
             "no epsilon 2^-k for k <= 64 keeps the dimension inequality strict"
         )
 
-    levels = {
-        mask: Level(dims[mask].cardinality, n_base, epsilon) for mask in lam
-    }
-    margin = ExactLogLin.zero()
-    for mask, weight in lam.items():
-        margin = margin + weight * _level_times_log_base(levels[mask])
-    for mask, weight in mu.items():
-        margin = margin - weight * dims[mask].times_log_base()
-
     ce = DimensionCounterexample(
         inequality=ineq,
         witness=witness,
         dims=dims,
         epsilon=epsilon,
-        levels=levels,
         entropy_slack=slack,
-        margin_times_log_base=margin,
+        margin_times_log_base=_margin(ineq, dims, epsilon),
     )
     verify_counterexample(ce)
     return ce

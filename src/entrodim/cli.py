@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, report = args.handler(args)
-    except (ValueError, ArithmeticError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, ArithmeticError, KeyError, OSError) as exc:
         detail = str(exc) or repr(exc)
         print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 1

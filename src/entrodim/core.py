@@ -324,19 +324,6 @@ def loglin_sign(x: ExactLogLin) -> int:
     return _interval_sign(base) if base else 0
 
 
-def log2_compare(a: int, b: int) -> int:
-    """Exact sign of log2(a) - log2(b) for positive integers.
-
-    log2 is strictly increasing, so this is just the sign of a - b; it
-    exists as a named operation so call sites comparing logarithmic
-    quantities say what they mean (and agree with loglin_sign on
-    ExactLogLin.log2(a) - ExactLogLin.log2(b), which tests check).
-    """
-    if a < 1 or b < 1:
-        raise ValueError("log2_compare needs positive integers")
-    return (a > b) - (a < b)
-
-
 @dataclass(frozen=True)
 class EntropyVector:
     """The 2**m - 1 joint entropies of an m-tuple, in bits, as
@@ -361,10 +348,6 @@ class EntropyVector:
 
     def __getitem__(self, mask: int) -> ExactLogLin:
         return self.values[mask]
-
-    def to_floats(self) -> dict[int, float]:
-        """Float rendering of the vector in bits."""
-        return {k: v.to_float() for k, v in self.values.items()}
 
 
 @dataclass(frozen=True)

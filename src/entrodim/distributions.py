@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import (
     EntropyVector,
@@ -56,14 +56,6 @@ class JointDistribution:
         object.__setattr__(self, "atoms", tuple(sorted(zip(points, probs))))
 
     @classmethod
-    def uniform_on(cls, m: int, points: Iterable[Point]) -> "JointDistribution":
-        pts = sorted(set(tuple(p) for p in points))
-        if not pts:
-            raise ValueError("empty support")
-        w = Fraction(1, len(pts))
-        return cls(m, tuple((pt, w) for pt in pts))
-
-    @classmethod
     def from_json(cls, obj: dict) -> "JointDistribution":
         atoms = tuple(
             (tuple(a["point"]), Fraction(a["prob"])) for a in obj["atoms"]
@@ -97,9 +89,6 @@ class SupportSet(PointSet):
 
     def to_json(self) -> dict:
         return {"m": self.m, "support": sorted(list(p) for p in self.points)}
-
-    def to_distribution(self) -> JointDistribution:
-        return JointDistribution.uniform_on(self.m, self.points)
 
 
 def _entropy(probs: Mapping[Fraction, int]) -> ExactLogLin:

@@ -151,10 +151,6 @@ class Subgroup:
         object.__setattr__(self, "elements", elems)
 
     @cached_property
-    def element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
-    @cached_property
     def mask(self) -> int:
         """The elements as a bitset: bit a is set iff element a is in."""
         return sum(1 << a for a in self.elements)
@@ -207,12 +203,6 @@ def subgroup_from_generators(g: FiniteGroup, gens) -> Subgroup:
     # generated set is closed under product with generators and contains
     # e, hence is closed and inverse-closed (finite group)
     return Subgroup(tuple(sorted(closure)))
-
-
-def intersect(g: FiniteGroup, subgroups) -> Subgroup:
-    """Intersection of subgroups of g (itself always a subgroup)."""
-    common = frozenset(range(g.order)).intersection(*(h.element_set for h in subgroups))
-    return Subgroup(tuple(sorted(common)))
 
 
 def all_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:

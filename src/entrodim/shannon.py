@@ -24,14 +24,7 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Mapping
 
-from .core import (
-    EntropyVector,
-    ExactLogLin,
-    LinearInequality,
-    common_denominator,
-    mask_label,
-    subsets,
-)
+from .core import LinearInequality, common_denominator, mask_label, subsets
 from .dsl import parse_inequality
 from .simplex import solve_eq_nonneg
 
@@ -69,13 +62,6 @@ class ShannonCertificate:
     m: int
     weights: dict[int, Fraction]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "shannon-certificate",
-            "m": self.m,
-            "weights": {str(r): str(w) for r, w in sorted(self.weights.items())},
-        }
-
 
 @dataclass(frozen=True)
 class FarkasWitness:
@@ -88,20 +74,6 @@ class FarkasWitness:
 
     m: int
     point: dict[int, Fraction]
-
-    def as_entropy_vector(self) -> EntropyVector:
-        """The point in exact bits; polymatroid points are nonnegative,
-        so valid."""
-        return EntropyVector(
-            self.m, {s: ExactLogLin.bits(self.point.get(s, 0)) for s in subsets(self.m)}
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "farkas-witness",
-            "m": self.m,
-            "point": {mask_label(s): str(q) for s, q in sorted(self.point.items())},
-        }
 
 
 @cache
@@ -130,11 +102,6 @@ def elemental_inequalities(m: int) -> ElementalSet:
             if not k & (bi | bj):
                 rows.append(row((k | bi, 1), (k | bj, 1), (k | bi | bj, -1), (k, -1)))
     return ElementalSet(m, tuple(rows))
-
-
-def num_elemental_inequalities(m: int) -> int:
-    """Closed form m + C(m,2) * 2^(m-2) for the elemental row count."""
-    return m + (m * (m - 1) // 2 << m) // 4
 
 
 def _integral(values: Mapping) -> tuple[dict, int]:

@@ -141,16 +141,15 @@ def check_unsplit_inequality(body: FiniteBody) -> UnsplitReport:
 class SplitSpec:
     """Budgets a_I in bits for each part's own projection.
 
-    levels maps a subset mask I to a budget, kept as its exact rational
-    value: an int, float or Fraction as it is (a float infinity stays a
-    float), any other object with __float__, such as the Level/DimValue
-    objects of the dimension pipeline, through float() once.  A part
-    whose shadow has c points fits a budget b iff log2(c) <= b + FLOAT_TOL,
-    that is iff c <= _max_count(b).
+    levels maps a subset mask I to a budget, an int, float or Fraction,
+    kept as its exact rational value (a float infinity stays a float);
+    any other type, bool included, is a TypeError.  A part whose shadow
+    has c points fits a budget b iff log2(c) <= b + FLOAT_TOL, that is
+    iff c <= _max_count(b).
     """
 
     m: int
-    levels: dict[int, object]
+    levels: dict[int, int | float | Fraction]
 
     def __post_init__(self):
         if not self.levels:
@@ -159,7 +158,11 @@ class SplitSpec:
         for mask, b in self.levels.items():
             if mask not in valid:
                 raise ValueError(f"part mask {mask} out of range for m={self.m}")
-            b = b if isinstance(b, (int, float, Fraction)) else float(b)
+            if isinstance(b, bool) or not isinstance(b, (int, float, Fraction)):
+                raise TypeError(
+                    f"budget of part {mask_label(mask)} is a {type(b).__name__}, "
+                    "not a number"
+                )
             exact[mask] = b if b in (math.inf, -math.inf) else Fraction(b)
         object.__setattr__(self, "levels", exact)
 
@@ -202,9 +205,6 @@ class SplitResult:
     """An assignment of every body point to one part I of the spec."""
 
     assignment: dict[Point, int]
-
-    def part(self, mask: int) -> set[Point]:
-        return {p for p, lbl in self.assignment.items() if lbl == mask}
 
     def to_json(self, body: FiniteBody) -> dict:
         labels = {mask: mask_label(mask) for mask in set(self.assignment.values())}

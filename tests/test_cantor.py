@@ -4,26 +4,33 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from entrodim.cantor import (
     CantorWitness,
     DimValue,
     DimensionCounterexample,
-    Level,
     NoEpsilon,
     NonUniform,
     NotViolated,
     build_counterexample,
-    dim_sum_sign,
     dim_value,
     lemma_fiber_bound,
     project,
     uniform_fiber,
     verify_counterexample,
 )
-from entrodim.core import ExactLogLin, subsets
+from entrodim.core import ExactLogLin, LinearInequality, eval_slack, subsets
 from entrodim.dsl import parse_inequality
-from entrodim.groups import cyclic, direct_product, subgroup_from_elements
+from entrodim.groups import (
+    all_subgroups,
+    builtin_catalog,
+    coset_entropy_point,
+    cyclic,
+    direct_product,
+    subgroup_from_elements,
+)
+from entrodim.shannon import elemental_inequalities
 
 KLEIN = direct_product(cyclic(2), cyclic(2), name="klein")
 
@@ -71,7 +78,6 @@ def test_dim_value_examples():
     d = dim_value(CANTOR_13)
     assert d == DimValue(2, 3)
     assert d.to_float() == pytest.approx(LOG2_OVER_LOG3, abs=1e-15)
-    assert float(d) == d.to_float()
     assert str(d) == "log2(2)/log2(3)"
     assert dim_value(FULL_SQUARE).to_float() == 2.0
     assert dim_value(PARITY).to_float() == 2.0
@@ -80,30 +86,16 @@ def test_dim_value_examples():
 
 
 def test_dim_value_ordering():
-    assert DimValue(2, 3) < DimValue(3, 3)
-    assert DimValue(2, 3) <= DimValue(2, 3)
-    assert DimValue(4, 3) > DimValue(3, 3)
-    with pytest.raises(ValueError):
-        DimValue(2, 3) < DimValue(2, 4)
+    # dimensions are compared exactly through times_log_base, never as
+    # objects or floats
+    with pytest.raises(TypeError):
+        DimValue(2, 3) < DimValue(3, 3)
+    with pytest.raises(TypeError):
+        float(DimValue(2, 3))
     with pytest.raises(ValueError):
         DimValue(0, 3)
     with pytest.raises(ValueError):
         DimValue(2, 1)
-
-
-def test_dim_sum_sign():
-    # log2(2) - (2/3) log2(3): negative since 2^3 < 3^2
-    assert dim_sum_sign(
-        [(Fraction(1), DimValue(2, 3)), (Fraction(-2, 3), DimValue(3, 3))]
-    ) == -1
-    # 2 log2(3) - 3 log2(2): positive for the same reason
-    assert dim_sum_sign(
-        [(Fraction(2), DimValue(3, 2)), (Fraction(-3), DimValue(2, 2))]
-    ) == 1
-    assert dim_sum_sign([(Fraction(1), DimValue(4, 2)),
-                         (Fraction(-2), DimValue(2, 2))]) == 0
-    with pytest.raises(ValueError):
-        dim_sum_sign([(Fraction(1), DimValue(2, 2)), (Fraction(1), DimValue(2, 3))])
 
 
 def test_uniform_fiber():
@@ -148,18 +140,23 @@ def test_projection_dims_are_monotone():
             if mask == (1 << m) - 1:
                 continue
             d = dim_value(project(w, mask))
-            assert d <= total
+            assert d.cardinality <= total.cardinality
             # dim of a projection never exceeds its coordinate count
             k = bin(mask).count("1")
             assert (d.times_log_base() - k * ExactLogLin.log2(base)).sign() <= 0
 
 
 def test_level():
-    lv = Level(4, 4, Fraction(1, 4))
-    assert float(lv) == 0.75
-    assert str(lv) == "max(0, log2(4)/log2(4) - 1/4)"
-    clamped = Level(1, 4, Fraction(1, 4))
-    assert float(clamped) == 0.0
+    # a level is rendered from its dimension and epsilon, clamped at 0
+    ineq = parse_inequality("H(x) + 2 H(x,y) <= 3/2 H(y)")
+    z4 = cyclic(4)
+    subs = [subgroup_from_elements(z4, [0, 1, 2, 3]), subgroup_from_elements(z4, [0])]
+    ce = build_counterexample(ineq, z4, subs)
+    assert ce.epsilon == Fraction(1, 8)
+    assert ce.to_json()["levels"] == {
+        "{1}": {"exact": "max(0, log2(1)/log2(4) - 1/8)", "float": 0.0},
+        "{1,2}": {"exact": "max(0, log2(4)/log2(4) - 1/8)", "float": 0.875},
+    }
     assert issubclass(NoEpsilon, ValueError)
 
 
@@ -173,8 +170,6 @@ def test_build_counterexample_klein():
     assert ce.witness.points == frozenset({(0, 0), (0, 1), (1, 2), (1, 3)})
     assert ce.dims == {1: DimValue(2, 4), 2: DimValue(4, 4), 3: DimValue(4, 4)}
     assert ce.epsilon == Fraction(1, 4)
-    assert set(ce.levels) == {3}
-    assert float(ce.levels[3]) == 0.75
     assert (ce.entropy_slack + ExactLogLin.bits(1)).sign() == 0
     assert str(ce.margin_times_log_base) == "-1 + 3/4*log2(4)"
     assert ce.margin_times_log_base.to_float() == pytest.approx(0.5)
@@ -184,6 +179,8 @@ def test_build_counterexample_klein():
     assert obj["epsilon"] == "1/4"
     assert obj["witness"]["N"] == 4
     assert obj["dims"]["{1,2}"]["cardinality"] == 4
+    assert obj["levels"] == {"{1,2}": {"exact": "max(0, log2(4)/log2(4) - 1/4)",
+                                       "float": 0.75}}
     assert obj["margin_times_log_base"]["float"] == pytest.approx(0.5)
 
 
@@ -209,7 +206,7 @@ def test_build_counterexample_two_sided():
     assert ce.witness.base == 2
     assert ce.witness.points == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
     assert ce.epsilon == Fraction(1, 2)
-    assert float(ce.levels[3]) == 1.5
+    assert ce.to_json()["levels"]["{1,2}"]["float"] == 1.5
     assert ce.margin_times_log_base.to_float() == pytest.approx(1.0)
 
 
@@ -249,7 +246,7 @@ def test_verify_counterexample_rejects_tampering():
     with pytest.raises(AssertionError):
         verify_counterexample(worse)
 
-    flat = dataclasses.replace(ce, levels={3: Level(4, 4, Fraction(0))})
+    flat = dataclasses.replace(ce, epsilon=Fraction(0))
     with pytest.raises(AssertionError):
         verify_counterexample(flat)
 
@@ -287,3 +284,39 @@ def test_coset_point_counts_the_support_it_is_given():
     coset_entropy_point(KLEIN, [h1, h2], support=witness_set(KLEIN, [h1, h2]))
     with pytest.raises(AssertionError):
         coset_entropy_point(KLEIN, [h1, h2], support=witness_set(KLEIN, [h1, h1]))
+
+
+@st.composite
+def _violating_points(draw):
+    """A catalog group of order <= 12, m = 2..3 of its subgroups, and an
+    elemental row reversed, where the row is strictly positive at the
+    coset point, so the reversed row is violated there."""
+    g = draw(st.sampled_from(builtin_catalog(12)))
+    m = draw(st.integers(2, 3))
+    subs = draw(st.lists(st.sampled_from(all_subgroups(g)), min_size=m, max_size=m))
+    point = coset_entropy_point(g, subs)
+    rows = [r for r in elemental_inequalities(m).rows if eval_slack(r, point).sign() > 0]
+    assume(rows)
+    row = draw(st.sampled_from(rows))
+    return LinearInequality(m, {s: -c for s, c in row.coeffs.items()}), g, subs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_violating_points(), st.data())
+def test_counterexample_verifies_and_tampering_is_caught(case, data):
+    ineq, g, subs = case
+    ce = build_counterexample(ineq, g, subs)
+    verify_counterexample(ce)
+    assert ce.margin_times_log_base.sign() == 1
+    mask = data.draw(st.sampled_from(subsets(ineq.m)))
+    dim = ce.dims[mask]
+    tampered = [
+        dataclasses.replace(ce, epsilon=Fraction(0)),
+        dataclasses.replace(ce, dims={**ce.dims, mask: DimValue(dim.cardinality + 1, dim.base)}),
+        dataclasses.replace(
+            ce, margin_times_log_base=ce.margin_times_log_base + ExactLogLin.log2(2)
+        ),
+    ]
+    for bad in tampered:
+        with pytest.raises(AssertionError):
+            verify_counterexample(bad)

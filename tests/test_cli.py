@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -491,3 +492,59 @@ def test_parser_reuse_keeps_requests_apart(capsys, tmp_path):
     code, report, _ = run(capsys, *argv)
     assert code == 0 and report["inputs"]["method"] == "exhaustive"
     assert report["outcome"] == "split found"
+
+
+_WITNESS = {"m": 2, "N": 2, "points": [[0, 0], [1, 1]]}
+_SPEC = {"m": 2, "levels": [{"part": [1], "bits": 1.0}]}
+_GROUP_SEARCH = ["group-search", "--ineq", "H(x,y) <= H(x)", "--groups", "@in"]
+_SUBGROUPS = ["counterexample", "--ineq", "H(x,y) <= H(x)", "--group", "@group",
+              "--subgroups", "@in"]
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["cantor", "--witness", "@in"], [1, 2]),
+    (["cantor", "--witness", "@in"], {**_WITNESS, "points": 5}),
+    (["cantor", "--witness", "@in"], {**_WITNESS, "points": [1, 2]}),
+    (["split", "--body", "@in", "--spec", "@spec"], {**_WITNESS, "points": 5}),
+    (["split", "--body", "@in", "--spec", "@spec"], {**_WITNESS, "points": [1, 2]}),
+    (["split", "--body", "@body", "--spec", "@in"],
+     {"m": 2, "levels": [{"part": 1, "bits": 1.0}]}),
+    (["split", "--body", "@body", "--spec", "@in"], {"m": 2, "levels": 5}),
+    (["split", "--body", "@body", "--spec", "@in"],
+     {"m": 2, "levels": [{"part": [1], "bits": None}]}),
+    (["split", "--body", "@body", "--spec", "@in"],
+     {"m": 2, "levels": [{"part": [1], "bits": True}]}),
+    (["eval", "--ineq", "H(x) >= 0", "--dist", "@in"],
+     {"m": 1, "atoms": [{"point": [0], "prob": None}]}),
+    (["eval", "--ineq", "H(x) >= 0", "--dist", "@in"],
+     {"m": 1, "atoms": [{"point": 5, "prob": "1"}]}),
+    (_GROUP_SEARCH, [{"order": 2, "table": [[0, 1.0], [1.0, 0]]}]),
+    (_SUBGROUPS, [[0], [0, 1.0]]),
+], ids=["witness-list", "witness-points-int", "witness-point-int", "body-points-int",
+        "body-point-int", "spec-part-int", "spec-levels-int", "spec-bits-null",
+        "spec-bits-true", "dist-prob-null", "dist-point-int", "table-float",
+        "subgroup-float"])
+def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, obj):
+    files = {"@in": obj, "@spec": _SPEC, "@body": _WITNESS, "@group": KLEIN_JSON}
+    paths = {k: write_json(tmp_path / f"{k[1:]}.json", v) for k, v in files.items()}
+    code, report, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert (code, report) == (1, None)
+    assert err.startswith("error: TypeError: ") and err.count("\n") == 1, err
+
+
+PINNED = json.loads((Path(__file__).parent / "cli_reports_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[c["name"] for c in PINNED])
+def test_cli_reports_are_pinned(case, capsys, tmp_path):
+    # one report per subcommand besides check, recorded with elapsed_ms
+    # removed and each input file's path written as its "@name"
+    paths = {f"@{k}": write_json(tmp_path / f"{k}.json", v) for k, v in case["files"].items()}
+    code = main([paths.get(a, a) for a in case["argv"]])
+    out = capsys.readouterr().out
+    for name, path in paths.items():
+        out = out.replace(json.dumps(path), json.dumps(name))
+    report = json.loads(out)
+    del report["elapsed_ms"]
+    assert code == case["code"]
+    assert json.dumps(report) == json.dumps(case["report"])  # key order too

@@ -11,7 +11,6 @@ from entrodim.core import (
     LogLinOverflowError,
     SizeLimitError,
     eval_slack,
-    log2_compare,
     loglin_sign,
     mask_label,
     mask_of,
@@ -128,21 +127,6 @@ def test_loglin_sign_power_invariance():
         assert loglin_sign(a) == loglin_sign(b)
 
 
-def test_log2_compare():
-    assert log2_compare(8, 8) == 0
-    assert log2_compare(7, 8) == -1
-    assert log2_compare(1000, 999) == 1
-    with pytest.raises(ValueError):
-        log2_compare(0, 1)
-    with pytest.raises(ValueError):
-        log2_compare(3, -1)
-    rng = random.Random(11)
-    for _ in range(200):
-        a, b = rng.randint(1, 10**9), rng.randint(1, 10**9)
-        want = loglin_sign(ExactLogLin.log2(a) - ExactLogLin.log2(b))
-        assert log2_compare(a, b) == want
-
-
 def test_entropy_vector_validation():
     bits = ExactLogLin.bits
     EntropyVector(2, {1: bits(1), 2: bits(1), 3: bits(2)})
@@ -159,7 +143,6 @@ def test_entropy_vector_validation():
         EntropyVector(1, {1: 1.0})  # floats are not entropies
     v = EntropyVector(1, {1: ExactLogLin.log2(4)})
     assert v[1].to_float() == 2.0
-    assert v.to_floats() == {1: 2.0}
 
 
 def test_linear_inequality_canonical():

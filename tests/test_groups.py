@@ -33,7 +33,6 @@ from entrodim.groups import (
     direct_product,
     from_permutations,
     group_from_table,
-    intersect,
     search_violation,
     subgroup_from_elements,
     subgroup_from_generators,
@@ -59,9 +58,9 @@ def _reference_orders(g: FiniteGroup, subs) -> dict[int, int]:
         low = mask & -mask
         rest = mask ^ low
         if rest == 0:
-            cur = subs[low.bit_length() - 1].element_set
+            cur = frozenset(subs[low.bit_length() - 1].elements)
         else:
-            cur = sets[rest] & subs[low.bit_length() - 1].element_set
+            cur = sets[rest].intersection(subs[low.bit_length() - 1].elements)
         sets[mask] = cur
         orders[mask] = len(cur)
     return orders
@@ -244,15 +243,6 @@ def test_subgroup_from_generators():
     assert subgroup_from_generators(s3, (1,)).elements == (0, 1)
     assert subgroup_from_generators(s3, (3,)).elements == (0, 3, 4)
     assert subgroup_from_generators(s3, (1, 2)).order == 6
-
-
-def test_intersect():
-    s3 = symmetric(3)
-    a = subgroup_from_generators(s3, (1,))
-    b = subgroup_from_generators(s3, (2,))
-    assert intersect(s3, [a, b]).elements == (0,)
-    assert intersect(s3, [a, a]).elements == a.elements
-    assert intersect(s3, []).order == 6
 
 
 def test_all_subgroups():

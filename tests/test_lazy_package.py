@@ -21,8 +21,7 @@ EXPORTS = {
     "core": [
         "MAX_VARIABLES", "EntropyVector", "ExactLogLin", "LinearInequality",
         "LogLinOverflowError", "PointSet", "SizeLimitError", "eval_slack",
-        "log2_compare", "loglin_sign", "mask_label", "mask_of", "mask_positions",
-        "subsets",
+        "loglin_sign", "mask_label", "mask_of", "mask_positions", "subsets",
     ],
     "dsl": [
         "InequalityParseError", "ZeroInequalityError", "format_inequality",
@@ -44,8 +43,8 @@ EXPORTS = {
         "symmetric", "witness_set",
     ],
     "cantor": [
-        "CantorWitness", "DimValue", "DimensionCounterexample", "Level",
-        "NoEpsilon", "NonUniform", "NotViolated", "build_counterexample",
+        "CantorWitness", "DimValue", "DimensionCounterexample", "NoEpsilon",
+        "NonUniform", "NotViolated", "build_counterexample",
         "dim_value", "lemma_fiber_bound", "project", "uniform_fiber",
         "verify_counterexample",
     ],
@@ -139,7 +138,7 @@ def test_public_surface():
     proc = python("-c", code, json.dumps(EXPORTS))
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert len(PUBLIC) == 85
+    assert len(PUBLIC) == 83
     assert out["dir"] == PUBLIC
     assert out["star"] == PUBLIC
     assert out["not_same"] == []

@@ -178,7 +178,7 @@ def test_routines_match_their_references(case):
         assert got == _reference_exact_entropy_vector(support)
     except NonUniformFibers:
         pass
-    d = support.to_distribution()
+    d = JointDistribution(m, tuple((p, Fraction(1, len(pts))) for p in pts))
     assert exact_entropy_vector(d) == got
     for mask in subsets(m):
         assert math.isclose(

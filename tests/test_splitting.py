@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrodim.cantor import DimValue, Level
+from entrodim.cantor import DimValue
 from entrodim.core import mask_positions, subsets
 from entrodim.splitting import (
     EXHAUSTIVE_BOUND,
@@ -257,10 +257,11 @@ def test_split_spec():
         SplitSpec(3, {})
     with pytest.raises(ValueError):
         SplitSpec(2, {0b100: 1.0})
-    # exact objects from the dimension pipeline plug in as budgets
-    spec = SplitSpec(2, {1: DimValue(4, 2), 3: Level(4, 4, Fraction(1, 4))})
-    assert spec.bits(1) == 2.0
-    assert spec.bits(3) == 0.75
+    # a budget is an int, float or Fraction; nothing else is read through
+    # float(), and a bool is not a number of bits
+    for bad in (DimValue(4, 2), True, "1/2", None, Decimal(1)):
+        with pytest.raises(TypeError, match=r"budget of part \{1,2\} is a"):
+            SplitSpec(2, {3: bad})
 
 
 def test_split_spec_json_round_trip():
@@ -299,8 +300,7 @@ def test_find_split_exhaustive_full_cube():
     spec = SplitSpec(3, {0b001: 2.0, 0b111: 2.0})
     result = find_split_exhaustive(FULL_CUBE_2, spec)
     assert result is not None
-    assert result.part(0b001) == set(FULL_CUBE_2.points)
-    assert result.part(0b111) == set()
+    assert set(result.assignment.values()) == {0b001}
     assert verify_split(FULL_CUBE_2, spec, result)
 
 
@@ -368,7 +368,6 @@ def test_split_result_json():
     assert result.to_json(body) == {
         "assignment": {"0": "{1}", "1": "{1,2}"}
     }
-    assert result.part(0b01) == {(0, 0)}
 
 
 def test_greedy_can_miss_a_split_the_search_finds():
@@ -495,7 +494,7 @@ def test_budget_edge_cases():
     for bits in (-math.inf, -1, -2e-9, -tol - Fraction(1, 10**30)):
         assert _cap(bits) == 0
     assert _cap(-tol) == _cap(0) == 1
-    assert (_cap(1), _cap(Fraction(3, 2)), _cap(DimValue(4, 2))) == (2, 2, 4)
+    assert (_cap(1), _cap(Fraction(3, 2)), _cap(2)) == (2, 2, 4)
     # a budget is read exactly: log2(3) + 1e-9 admits 3 points, and
     # exactly log2(3) bits less 1e-9 admits 2
     assert _cap(Fraction(math.log2(3))) == 3
@@ -515,7 +514,7 @@ def test_infinite_budgets_split_and_render():
     ]
     for search in (find_split_exhaustive, find_split_greedy):
         result = search(body, spec)
-        assert result.part(0b11) == set(body.points)
+        assert set(result.assignment.values()) == {0b11}
     assert find_split_exhaustive(body, SplitSpec(2, {0b01: math.inf})) is not None
     assert find_split_exhaustive(body, SplitSpec(2, {0b11: -math.inf})) is None
 
