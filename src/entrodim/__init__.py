@@ -24,8 +24,8 @@ from . import core, dsl
 _EXPORTS = {
     "core": (
         "MAX_VARIABLES", "EntropyVector", "ExactLogLin", "LinearInequality",
-        "LogLinOverflowError", "PointSet", "SizeLimitError", "eval_slack",
-        "loglin_sign", "mask_label", "mask_of", "mask_positions", "subsets",
+        "PointSet", "SizeLimitError", "eval_slack", "loglin_sign", "mask_label",
+        "mask_of", "mask_positions", "subsets",
     ),
     "dsl": (
         "InequalityParseError", "ZeroInequalityError", "format_inequality",

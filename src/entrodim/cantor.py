@@ -25,6 +25,7 @@ from .core import (
     ExactLogLin,
     LinearInequality,
     PointSet,
+    check_int,
     eval_slack,
     mask_label,
     projector,
@@ -47,7 +48,7 @@ class CantorWitness(PointSet):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CantorWitness":
-        return cls(int(obj["m"]), int(obj["N"]), obj["points"])
+        return cls(check_int(obj["m"], "m"), check_int(obj["N"], "N"), obj["points"])
 
     def to_json(self) -> dict:
         return {

@@ -23,7 +23,10 @@ from .dsl import format_inequality, parse_with_names
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _cmd_check(args) -> tuple[int, dict]:

@@ -32,7 +32,7 @@ from typing import Callable, ClassVar, Iterable, Mapping, Union
 
 MAX_VARIABLES = 8
 
-#: abort exact product comparisons once an operand would exceed this many bits
+#: refuse a simplex tableau whose entries may exceed this many bits
 MAX_PRODUCT_BITS = 1 << 24
 
 RationalLike = Union[int, Fraction]
@@ -42,8 +42,11 @@ class SizeLimitError(ArithmeticError):
     """An exact computation would exceed the configured bit-size budget."""
 
 
-class LogLinOverflowError(SizeLimitError):
-    """An exact product comparison would exceed the bit-size budget."""
+def check_int(x, field: str) -> int:
+    """x when it is an int, not a bool; else a TypeError naming field."""
+    if type(x) is not int:
+        raise TypeError(f"{field} must be an integer, got {x!r}")
+    return x
 
 
 def subsets(m: int) -> list[int]:

@@ -19,6 +19,7 @@ from .core import (
     EntropyVector,
     ExactLogLin,
     PointSet,
+    check_int,
     check_points,
     projector,
     subsets,
@@ -60,7 +61,7 @@ class JointDistribution:
         atoms = tuple(
             (tuple(a["point"]), Fraction(a["prob"])) for a in obj["atoms"]
         )
-        return cls(int(obj["m"]), atoms)
+        return cls(check_int(obj["m"], "m"), atoms)
 
     def to_json(self) -> dict:
         return {
@@ -85,7 +86,7 @@ class SupportSet(PointSet):
 
     @classmethod
     def from_json(cls, obj: dict) -> "SupportSet":
-        return cls(int(obj["m"]), obj["support"])
+        return cls(check_int(obj["m"], "m"), obj["support"])
 
     def to_json(self) -> dict:
         return {"m": self.m, "support": sorted(list(p) for p in self.points)}

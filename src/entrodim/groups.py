@@ -26,14 +26,14 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial
 
-from . import core
 from .core import (
     EntropyVector,
     ExactLogLin,
     LinearInequality,
-    LogLinOverflowError,
+    check_int,
     coprime_exponents,
     eval_slack,
+    loglin_sign,
     subsets,
 )
 from .distributions import SupportSet, exact_entropy_vector
@@ -116,11 +116,11 @@ class FiniteGroup:
     def from_json(cls, obj: dict) -> "FiniteGroup":
         if "table" in obj:
             table = tuple(tuple(row) for row in obj["table"])
-            return cls(int(obj.get("order", len(table))), table,
-                       obj.get("name", ""))
+            order = check_int(obj.get("order", len(table)), "order")
+            return cls(order, table, obj.get("name", ""))
         if "generators" in obj:
             return from_permutations(
-                int(obj["perm_degree"]),
+                check_int(obj["perm_degree"], "perm_degree"),
                 [tuple(g) for g in obj["generators"]],
                 name=obj.get("name", ""),
             )
@@ -452,22 +452,16 @@ def search_violation(
     counterexample exists, only that none was found within the catalog.
 
     The slack sum_T c_T log2(n / h_T), with n = #G and h_T = #H_T, is
-    decided without logarithms or fractions.  The coefficients are
-    scaled to coprime integer exponents e_T = c_T * d / g (d the lcm of
-    their denominators, g the gcd of the scaled numerators); a positive
-    scaling keeps the sign.  The slack is then negative iff
-
-        n**(sum e) * prod_{e_T<0} h_T**(-e_T)  <  prod_{e_T>0} h_T**e_T,
-
-    with n**(-sum e) on the right instead when sum e < 0.  Subgroups are
-    int bitsets and the tuples are walked depth-first, variable 1
-    outermost: choosing H_k extends the intersections of the prefix by
-    one AND each, and multiplies the terms whose highest variable is k
-    into the two partial products, so a leaf only finishes its own terms
-    and compares two ints.  Each side is below n**max(P, N) (P and N the
-    sums of the positive and negative exponents), so one budget check
-    per group, against core.MAX_PRODUCT_BITS, bounds every product of
-    the scan; past it LogLinOverflowError is raised before scanning.
+    decided exactly and with no size limit.  The coefficients are scaled
+    to coprime integer exponents e_T = c_T * d / g (d the lcm of their
+    denominators, g the gcd of the scaled numerators); a positive scaling
+    keeps the sign.  Every h_T divides n, so the scaled slack is
+    sum_p C_p log2 p over the primes p of n, with integer exponents
+    C_p = sum_T e_T v_p(n / h_T).  Subgroups are int bitsets and the
+    tuples are walked depth-first, variable 1 outermost: choosing H_k
+    extends the intersections of the prefix by one AND each and adds the
+    terms whose highest variable is k to one int that holds the C_p, so
+    a leaf only adds its own terms and reads the sign off that int.
 
     The walk skips every subtree whose tuples a slack-keeping map (see
     _symmetries: swaps of variables the exponents treat alike, and
@@ -482,20 +476,10 @@ def search_violation(
         raise ValueError("empty group catalog")
     m = ineq.m
     exps = dict(zip(ineq.coeffs, coprime_exponents(ineq.coeffs.values())))
-    side = max(sum(e for e in exps.values() if e > 0),
-               -sum(e for e in exps.values() if e < 0))
     for g in cat:
-        subs = all_subgroups(g)
-        if max_subgroups is not None:
-            subs = subs[:max_subgroups]
-        n = g.order
-        if side * n.bit_length() > core.MAX_PRODUCT_BITS:
-            raise LogLinOverflowError(
-                f"products of subgroup orders of {g!r} may exceed "
-                f"{core.MAX_PRODUCT_BITS} bits; refusing exact comparison"
-            )
+        subs = all_subgroups(g)[:max_subgroups]
         hit = _first_negative(
-            n, [h.mask for h in subs], m, exps, *_symmetries(g, subs, m, exps)
+            g.order, [h.mask for h in subs], m, exps, *_symmetries(g, subs, m, exps)
         )
         if hit is not None:
             tup = tuple(subs[i] for i in hit)
@@ -552,8 +536,16 @@ def _first_negative(
     n: int, masks: list[int], m: int, exps: dict[int, int], swaps, renamings
 ):
     """Indices into masks of the first m-tuple, in product order, whose
-    integer comparison (see search_violation) says the slack is negative;
-    None if there is none.
+    slack (see search_violation) is negative; None if there is none.
+
+    A tuple's C_p are one int, sum_j (C_p + 2**(w-1)) * 2**(w*j) for p the
+    j-th prime of n: the sum of that offset and the e_T * L[h_T], L[h] the
+    exponents of n/h so placed.  Each |C_p| <= B = sum |e| * n.bit_length()
+    < 2**(w-1), so each field is in 1..2**w-1, and its top bit is set iff
+    C_p >= 0.  A leaf with every top bit set has slack >= 0.  Any other
+    looks its sum up in this group's decisions; a new one is negative
+    when no C_p is positive, else loglin_sign decides it on the primes,
+    a coprime base.
 
     The maps of _symmetries prune the walk: a tuple t is skipped when a
     map sends it to a lexicographically smaller tuple.  A swap (p, k)
@@ -562,40 +554,51 @@ def _first_negative(
     while it fixes the prefix: r[t[k]] < t[k] skips the subtree, and
     r[t[k]] > t[k] drops r from it.
     """
-    # h -> h**e for the divisors h of n, one table per distinct |e|
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+    w = (sum(map(abs, exps.values())) * n.bit_length()).bit_length() + 1
+    half = 1 << w - 1
+    offset = sum(half << w * j for j in range(len(primes)))  # the top bits
+    packed = [0] * (n + 1)  # L[h] for h | n, as L[h * p] plus p's field
+    for h in range(n - 1, 0, -1):
+        if n % h == 0:
+            j, p = next((j, p) for j, p in enumerate(primes) if n % (h * p) == 0)
+            packed[h] = packed[h * p] + (1 << w * j)
+    # h -> e * L[h], one table per distinct e
     tables: dict[int, list[int]] = {}
-    # per variable k, the terms whose highest variable is k, split by
-    # sign into (rest of the mask, power table)
-    levels = [([], []) for _ in range(m)]
+    # per variable k, (rest of the mask, table) of each term whose highest variable is k
+    levels = [[] for _ in range(m)]
     for mask, e in exps.items():
         k = mask.bit_length() - 1
-        a = abs(e)
-        if a not in tables:
-            tables[a] = [h**a if h and n % h == 0 else 0 for h in range(n + 1)]
-        levels[k][e > 0].append((mask ^ (1 << k), tables[a]))
+        if e not in tables:
+            tables[e] = [e * x for x in packed]
+        levels[k].append((mask ^ (1 << k), tables[e]))
     # per variable k, the earlier positions p of the swaps (p, k)
     swapped = [[] for _ in range(m)]
     for p, k in swaps:
         swapped[k].append(p)
+    decided: dict[int, bool] = {}  # packed sum -> slack < 0
     inter = [0] * (1 << m)
     inter[0] = (1 << n) - 1
     t = [0] * m
     last = m - 1
 
-    def walk(k: int, left: int, right: int, live: list):
-        neg, pos = levels[k]
+    def walk(k: int, total: int, live: list):
+        terms = levels[k]
         start = max([t[p] for p in swapped[k]], default=0)
         if k == last:
-            neg = [(inter[s], tab) for s, tab in neg]
-            pos = [(inter[s], tab) for s, tab in pos]
+            terms = [(inter[s], tab) for s, tab in terms]
             for i, b in enumerate(masks[start:], start):
-                lhs = left
-                for x, tab in neg:
-                    lhs *= tab[(x & b).bit_count()]
-                rhs = right
-                for x, tab in pos:
-                    rhs *= tab[(x & b).bit_count()]
-                if lhs < rhs:
+                acc = total
+                for x, tab in terms:
+                    acc += tab[(x & b).bit_count()]
+                if acc & offset == offset:
+                    continue
+                neg = decided.get(acc)
+                if neg is None:
+                    cs = [(acc >> w * j) % (2 * half) - half for j in range(len(primes))]
+                    slack = ExactLogLin(tuple(zip(cs, primes)))
+                    neg = decided[acc] = max(cs) <= 0 or loglin_sign(slack) < 0
+                if neg:
                     return [i]
             return None
         lo = 1 << k
@@ -607,19 +610,15 @@ def _first_negative(
                 keep = [r for r in live if r[i] == i]
             t[k] = i
             _extend(inter, k, masks[i])
-            lhs = left
-            for s, tab in neg:
-                lhs *= tab[inter[lo | s].bit_count()]
-            rhs = right
-            for s, tab in pos:
-                rhs *= tab[inter[lo | s].bit_count()]
-            got = walk(k + 1, lhs, rhs, keep)
+            acc = total
+            for s, tab in terms:
+                acc += tab[inter[lo | s].bit_count()]
+            got = walk(k + 1, acc, keep)
             if got is not None:
                 return [i] + got
         return None
 
-    total = sum(exps.values())
-    return walk(0, n**max(total, 0), n**max(-total, 0), list(renamings))
+    return walk(0, offset, list(renamings))
 
 
 def subgroups_from_json(g: FiniteGroup, arrays) -> list[Subgroup]:

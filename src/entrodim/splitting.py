@@ -28,7 +28,7 @@ from itertools import chain, product
 from typing import Callable
 
 from .core import ExactLogLin, PointSet, mask_label, mask_of, mask_positions
-from .core import projector, subsets
+from .core import check_int, projector, subsets
 
 Point = tuple[int, ...]
 
@@ -50,7 +50,7 @@ class FiniteBody(PointSet):
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteBody":
-        return cls(int(obj["m"]), int(obj["N"]), obj["points"])
+        return cls(check_int(obj["m"], "m"), check_int(obj["N"], "N"), obj["points"])
 
     def to_json(self) -> dict:
         return {
@@ -176,14 +176,14 @@ class SplitSpec:
         a repeated position, is a ValueError."""
         levels = {}
         for e in obj["levels"]:
-            positions, b = [int(p) for p in e["part"]], e["bits"]
+            positions, b = [check_int(p, "part position") for p in e["part"]], e["bits"]
             mask = mask_of(positions)
             if len(set(positions)) != len(positions):
                 raise ValueError(f"repeated position in part {positions}")
             if mask in levels:
                 raise ValueError(f"part {mask_label(mask)} listed twice")
             levels[mask] = Fraction(b) if isinstance(b, str) else b
-        return cls(int(obj["m"]), levels)
+        return cls(check_int(obj["m"], "m"), levels)
 
     def to_json(self) -> dict:
         """Each budget as a float when that float is exactly the budget,

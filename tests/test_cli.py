@@ -497,6 +497,8 @@ def test_parser_reuse_keeps_requests_apart(capsys, tmp_path):
 _WITNESS = {"m": 2, "N": 2, "points": [[0, 0], [1, 1]]}
 _SPEC = {"m": 2, "levels": [{"part": [1], "bits": 1.0}]}
 _GROUP_SEARCH = ["group-search", "--ineq", "H(x,y) <= H(x)", "--groups", "@in"]
+# the text of a file, not an object to dump: json.load recurses too deep
+_DEEP = "[" * 100_000
 _SUBGROUPS = ["counterexample", "--ineq", "H(x,y) <= H(x)", "--group", "@group",
               "--subgroups", "@in"]
 
@@ -520,16 +522,35 @@ _SUBGROUPS = ["counterexample", "--ineq", "H(x,y) <= H(x)", "--group", "@group",
      {"m": 1, "atoms": [{"point": 5, "prob": "1"}]}),
     (_GROUP_SEARCH, [{"order": 2, "table": [[0, 1.0], [1.0, 0]]}]),
     (_SUBGROUPS, [[0], [0, 1.0]]),
+    (["cantor", "--witness", "@in"], {"m": 2.9, "N": 2, "points": [[0, 1], [1, 1]]}),
+    (["cantor", "--witness", "@in"], {"m": True, "N": 2, "points": [[0], [1]]}),
+    (["cantor", "--witness", "@in"], {**_WITNESS, "N": 2.0}),
+    (["split", "--body", "@in", "--spec", "@spec"], {**_WITNESS, "m": 2.0}),
+    (["split", "--body", "@body", "--spec", "@in"],
+     {"m": 2, "levels": [{"part": [1.7], "bits": 1.0}]}),
+    (["split", "--body", "@body", "--spec", "@in"],
+     {"m": True, "levels": [{"part": [1], "bits": 1.0}]}),
+    (["eval", "--ineq", "H(x) >= 0", "--dist", "@in"],
+     {"m": 1.0, "atoms": [{"point": [0], "prob": "1"}]}),
+    (["eval", "--ineq", "H(x) >= 0", "--dist", "@in"], {"m": True, "support": [[0]]}),
+    (_GROUP_SEARCH, [{"order": 2.0, "table": [[0, 1], [1, 0]]}]),
+    (_GROUP_SEARCH, [{"perm_degree": 3.0, "generators": [[1, 0, 2]]}]),
+    (["cantor", "--witness", "@in"], _DEEP),
 ], ids=["witness-list", "witness-points-int", "witness-point-int", "body-points-int",
         "body-point-int", "spec-part-int", "spec-levels-int", "spec-bits-null",
         "spec-bits-true", "dist-prob-null", "dist-point-int", "table-float",
-        "subgroup-float"])
+        "subgroup-float", "witness-m-float", "witness-m-true", "witness-N-float",
+        "body-m-float", "spec-position-float", "spec-m-true", "dist-m-float",
+        "support-m-true", "table-order-float", "perm-degree-float", "deeply-nested"])
 def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, obj):
     files = {"@in": obj, "@spec": _SPEC, "@body": _WITNESS, "@group": KLEIN_JSON}
     paths = {k: write_json(tmp_path / f"{k[1:]}.json", v) for k, v in files.items()}
+    if obj is _DEEP:
+        (tmp_path / "in.json").write_text(obj)
     code, report, err = run(capsys, *[paths.get(a, a) for a in argv])
     assert (code, report) == (1, None)
-    assert err.startswith("error: TypeError: ") and err.count("\n") == 1, err
+    kind = "ValueError" if obj is _DEEP else "TypeError"
+    assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1, err
 
 
 PINNED = json.loads((Path(__file__).parent / "cli_reports_pinned.json").read_text())

@@ -1,17 +1,17 @@
+import json
 import random
 import time
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from entrodim import core
 from entrodim.cli import main
 from entrodim.core import (
     ExactLogLin,
     LinearInequality,
-    LogLinOverflowError,
     eval_slack,
     subsets,
 )
@@ -492,19 +492,18 @@ def test_search_matches_reference(search):
     assert str(got.slack) == str(want.slack)
 
 
-def test_search_size_budget(monkeypatch, capsys):
-    # checked per group before its scan, so also when nothing is found
-    good = parse_inequality("I(x;y) >= 0")
-    monkeypatch.setattr(core, "MAX_PRODUCT_BITS", 1)
-    with pytest.raises(LogLinOverflowError):
-        search_violation(good, groups=[KLEIN])
-    args = ["group-search", "--ineq", "I(x;y) >= 0", "--max-order", "4"]
-    assert main(args) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: LogLinOverflowError: ")
+@pytest.mark.parametrize("big", [2**24, 2**64])
+def test_search_needs_no_size_budget(capsys, big):
+    # exponents far past any product budget: the slack of each tuple is
+    # a sum over the primes of |G|, and Z1 and the first tuples of Z2
+    # are decided at once
+    ineq = f"{big} H(x,y) <= {big - 1} H(x) + {big - 1} H(y)"
+    assert main(["group-search", "--ineq", ineq, "--max-order", "8"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["outcome"] == "violation found"
+    assert report["group"] == {"order": 2, "name": "Z2"}
+    assert report["subgroups"] == [[0], [0, 1]]
+    assert report["slack"]["exact"] == "-1"
 
 
 def test_search_large_common_weight():
@@ -697,3 +696,67 @@ def test_fully_symmetric_scan_is_reduced():
     start = time.perf_counter()
     assert search_violation(ineq, groups=[NONABELIAN["S3"]]) is None
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the prime-exponent sign against eval_slack, with weights near 2**24 and 2**64
+
+SIGN_GROUPS = [cyclic(1), cyclic(6), cyclic(64), *(NONABELIAN[k] for k in ("S3", "D5", "A4"))]
+SIGN_LISTED = [len(all_subgroups(g)) for g in SIGN_GROUPS]
+
+
+def _eval_search(ineq: LinearInequality, cat):
+    """The first (group, subgroup tuple), in catalog then product order,
+    whose slack eval_slack(...).sign() says is negative, or None."""
+    for g in cat:
+        for tup in product(all_subgroups(g), repeat=ineq.m):
+            point = coset_entropy_point(g, tup, cross_validate=False)
+            if eval_slack(ineq, point).sign() < 0:
+                return g, tup
+    return None
+
+
+@st.composite
+def _large_weight_searches(draw):
+    m = draw(st.integers(1, 3))
+    big = st.sampled_from([2**24, 2**64])
+    near = st.tuples(big, st.integers(-2, 2), st.sampled_from([1, -1])).map(
+        lambda bds: bds[2] * (bds[0] + bds[1])
+    )
+    weight = near | st.integers(-3, 3)
+    coeffs = draw(st.dictionaries(st.sampled_from(subsets(m)), weight, min_size=1))
+    assume(any(coeffs.values()))
+    picks = draw(st.lists(st.sampled_from(range(len(SIGN_GROUPS))), min_size=1,
+                          max_size=3, unique=True))
+    assume(sum(SIGN_LISTED[i] ** m for i in picks) <= 600)
+    return LinearInequality(m, coeffs), [SIGN_GROUPS[i] for i in picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_large_weight_searches())
+# on Z64 the exponent of 2 in 64/h reaches 6, more than the field width w = 5
+@example((LinearInequality(2, {1: Fraction(1), 3: Fraction(-1)}), [cyclic(64)]))
+def test_large_weight_search_matches_eval_slack(search):
+    ineq, cat = search
+    got = search_violation(ineq, groups=cat)
+    want = _eval_search(ineq, cat)
+    if want is None:
+        assert got is None
+        return
+    assert (got.group, got.subgroups) == want
+
+
+def test_mixed_prime_signs_reach_loglin_sign(monkeypatch):
+    # on Z6, (2**24 + 1) H(x) >= 2**24 H(y) at H_x of order 2 and H_y = {e}
+    # has slack -2**24 log2(2) + log2(3): mixed signs over the primes 2, 3
+    calls = []
+
+    def spy(x):
+        calls.append(str(x))
+        return core.loglin_sign(x)
+
+    monkeypatch.setattr("entrodim.groups.loglin_sign", spy)
+    ineq = parse_inequality(f"{2**24 + 1} H(x) >= {2**24} H(y)")
+    hit = search_violation(ineq, groups=[cyclic(6)])
+    assert tuple(h.elements for h in hit.subgroups) == ((0, 3), (0,))
+    assert f"-{2**24} + log2(3)" in calls
