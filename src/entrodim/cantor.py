@@ -54,7 +54,7 @@ class CantorWitness(PointSet):
         return {
             "m": self.m,
             "N": self.base,
-            "points": sorted(list(p) for p in self.points),
+            "points": list(map(list, self.ordered())),
         }
 
 

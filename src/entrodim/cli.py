@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import cantor, distributions, groups, shannon, splitting
 from .core import eval_slack, mask_label, mask_of, subsets
@@ -27,6 +29,24 @@ def _load_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def _render(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2) for a report: dicts keyed
+    by strings, lists, strings and JSON scalars.  json's C encoder does
+    not indent, so this writer quotes strings with json's C quoter, hands
+    scalars to json.dumps and writes each dict in one join."""
+    if type(value) is str:
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _render(v, inner))
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [_render(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
 
 
 def _cmd_check(args) -> tuple[int, dict]:
@@ -319,7 +339,15 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 1
     report["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-    print(json.dumps(report, indent=2))
+    try:
+        print(_render(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point fd 1 at os.devnull so the
+        # interpreter's flush at exit is silent, and keep the exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -444,10 +444,11 @@ class PointSet:
     The points are validated once, by check_points.  Shadows (the sets
     of projections onto a subset mask) and fiber counts are cached per
     mask; a shadow is worked out from the smallest cached shadow of a
-    superset mask, from the points only when there is none.  Instances
-    are immutable values: shadows are frozensets and fiber counts are
-    read-only mappings.  Subclasses set their base rule and the words
-    used in error messages.
+    superset mask, from the points only when there is none.  The points
+    are sorted once, on first use, and the order is kept too.  Instances
+    are immutable values: shadows are frozensets, fiber counts are
+    read-only mappings and the order is a tuple.  Subclasses set their
+    base rule and the words used in error messages.
     """
 
     m: int
@@ -455,6 +456,7 @@ class PointSet:
     points: frozenset[tuple[int, ...]]
     _shadows: dict = field(init=False, repr=False, compare=False)
     _fibers: dict = field(init=False, repr=False, compare=False)
+    _order: tuple | None = field(init=False, repr=False, compare=False)
 
     noun: ClassVar[str] = "coordinate"
     empty: ClassVar[str] = "empty point set"
@@ -472,6 +474,7 @@ class PointSet:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_shadows", {(1 << self.m) - 1: pts})
         object.__setattr__(self, "_fibers", {})
+        object.__setattr__(self, "_order", None)
 
     def _check_base(self) -> None:
         if self.base is not None and self.base < 1:
@@ -494,6 +497,12 @@ class PointSet:
             got = frozenset(map(projector(_within(mask, sup)), self._shadows[sup]))
             self._shadows[mask] = got
         return got
+
+    def ordered(self) -> tuple[tuple[int, ...], ...]:
+        """The points in ascending order, sorted on the first call only."""
+        if self._order is None:
+            object.__setattr__(self, "_order", tuple(sorted(self.points)))
+        return self._order
 
     def fibers(self, mask: int) -> Mapping[tuple[int, ...], int]:
         """How many points project onto each element of the shadow on mask."""

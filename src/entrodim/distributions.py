@@ -89,7 +89,7 @@ class SupportSet(PointSet):
         return cls(check_int(obj["m"], "m"), obj["support"])
 
     def to_json(self) -> dict:
-        return {"m": self.m, "support": sorted(list(p) for p in self.points)}
+        return {"m": self.m, "support": list(map(list, self.ordered()))}
 
 
 def _entropy(probs: Mapping[Fraction, int]) -> ExactLogLin:

@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 from decimal import Context
 from fractions import Fraction
-from itertools import chain, product
-from typing import Callable
+from itertools import chain, compress, product, repeat
+from operator import eq
+from typing import Iterable
 
 from .core import ExactLogLin, PointSet, mask_label, mask_of, mask_positions
 from .core import check_int, projector, subsets
@@ -56,7 +57,7 @@ class FiniteBody(PointSet):
         return {
             "m": self.m,
             "N": self.base,
-            "points": sorted(list(p) for p in self.points),
+            "points": list(map(list, self.ordered())),
         }
 
 
@@ -207,13 +208,12 @@ class SplitResult:
     assignment: dict[Point, int]
 
     def to_json(self, body: FiniteBody) -> dict:
+        """Point i of the body's ascending order maps to its part's label,
+        whatever order the assignment was filled in."""
         labels = {mask: mask_label(mask) for mask in set(self.assignment.values())}
-        order = sorted(body.points)
-        return {
-            "assignment": {
-                str(i): labels[self.assignment[p]] for i, p in enumerate(order)
-            }
-        }
+        parts = map(self.assignment.__getitem__, body.ordered())
+        keys = map(str, range(len(body.points)))
+        return {"assignment": dict(zip(keys, map(labels.__getitem__, parts)))}
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -235,13 +235,20 @@ def _max_count(bits: Fraction | float) -> int:
     return cap
 
 
-def _choices(spec: SplitSpec) -> list[tuple[int, set[Point], int, Callable]]:
-    """One (part, shadow, cap, projector) entry per part of the spec, in
-    ascending part order; every shadow starts empty."""
-    return [
-        (mask, set(), _max_count(spec.levels[mask]), projector(mask))
-        for mask in sorted(spec.levels)
-    ]
+def _keys(points: Iterable[Point], mask: int, m: int) -> Iterable[Point]:
+    """Each point's key in the shadow on mask: its projection, or the
+    point itself when mask holds all m positions, as in PointSet."""
+    return points if mask == (1 << m) - 1 else map(projector(mask), points)
+
+
+def _columns(body: FiniteBody, spec: SplitSpec) -> tuple[list[int], list[int], list]:
+    """The spec's parts in ascending order, their caps, and per part the
+    column of every point's key in that part's shadow, over the body's
+    ascending order: each point is projected once per part, here."""
+    parts = sorted(spec.levels)
+    caps = [_max_count(spec.levels[mask]) for mask in parts]
+    points = body.ordered()
+    return parts, caps, [list(_keys(points, mask, body.m)) for mask in parts]
 
 
 def _check_same_m(body: FiniteBody, spec: SplitSpec) -> None:
@@ -255,17 +262,20 @@ def verify_split(body: FiniteBody, spec: SplitSpec, result: SplitResult) -> bool
     Structural problems (spec and body of different m, not a partition of
     the body, unknown part label) raise; budget failure returns False.
     The empty part is always within budget, as every cap is at least 0.
+    Each part's shadow is counted from that part's own points.
     """
     _check_same_m(body, spec)
-    if set(result.assignment) != body.points:
+    points, labels = result.assignment.keys(), result.assignment.values()
+    if points != body.points:
         raise ValueError("assignment does not cover exactly the body's points")
-    getters = {mask: projector(mask) for mask in spec.levels}
-    shadows: dict[int, set[Point]] = {mask: set() for mask in spec.levels}
-    for point, mask in result.assignment.items():
-        if mask not in spec.levels:
-            raise ValueError(f"point {point} assigned to unknown part {mask}")
-        shadows[mask].add(getters[mask](point))
-    return all(len(s) <= _max_count(spec.levels[k]) for k, s in shadows.items())
+    if not spec.levels.keys() >= set(labels):
+        point, mask = next(e for e in result.assignment.items() if e[1] not in spec.levels)
+        raise ValueError(f"point {point} assigned to unknown part {mask}")
+    return all(
+        len(set(_keys(compress(points, map(eq, labels, repeat(mask))), mask, body.m)))
+        <= _max_count(b)
+        for mask, b in spec.levels.items()
+    )
 
 
 def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | None:
@@ -278,19 +288,15 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
     ExhaustiveBoundExceeded when |parts| ** |S| > EXHAUSTIVE_BOUND.
     """
     _check_same_m(body, spec)
-    parts = sorted(spec.levels)
-    points = sorted(body.points)
-    if len(parts) ** len(points) > EXHAUSTIVE_BOUND:
+    if len(spec.levels) ** len(body.points) > EXHAUSTIVE_BOUND:
         raise ExhaustiveBoundExceeded(
-            f"{len(parts)}**{len(points)} assignments exceed {EXHAUSTIVE_BOUND}"
+            f"{len(spec.levels)}**{len(body.points)} assignments exceed {EXHAUSTIVE_BOUND}"
         )
-    # each point's row holds its key in every part's shadow, worked out
-    # once here, so the search itself never projects
-    choices = _choices(spec)
-    rows = [
-        [(mask, shadow, cap, get(point)) for mask, shadow, cap, get in choices]
-        for point in points
-    ]
+    # each point's row holds a (part, shadow, cap, key) choice per part,
+    # read off the key columns, so the search itself never projects
+    parts, caps, columns = _columns(body, spec)
+    shadows = [set() for _ in parts]
+    rows = [list(zip(parts, shadows, caps, keys)) for keys in zip(*columns)]
     # depth-first on an explicit stack, so the body size meets no
     # recursion limit; per depth: an iterator over the untried choices,
     # the choice taken and whether it grew its part's shadow (nothing
@@ -322,7 +328,7 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
         i += 1
         if i < n:
             todo[i] = iter(rows[i])
-    result = SplitResult({p: choice[0] for p, choice in zip(points, taken)})
+    result = SplitResult(dict(zip(body.ordered(), [choice[0] for choice in taken])))
     if not verify_split(body, spec, result):
         raise AssertionError("exhaustive search produced an invalid split")
     return result
@@ -331,26 +337,27 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
 def find_split_greedy(body: FiniteBody, spec: SplitSpec) -> SplitResult | None:
     """One-pass heuristic: each point goes to the part it strains least.
 
-    Strain is judged by marginal projection growth (does the point add a
-    new shadow element?) with remaining budget capacity as tie-breaker,
-    then ascending part order.  The result is verified before being
-    returned; None means the heuristic failed, *not* that no split
-    exists.
+    Strain is the rank (growth, len + growth - cap), least first: does
+    the point add a new shadow element, then the part's shadow size after
+    it against the cap, then ascending part order.  The result is
+    verified before being returned; None means the heuristic failed,
+    *not* that no split exists.
     """
     _check_same_m(body, spec)
-    choices = _choices(spec)
-    assignment: dict[Point, int] = {}
-    for point in sorted(body.points):
+    parts, caps, columns = _columns(body, spec)
+    shadows = [set() for _ in parts]
+    load = [-cap for cap in caps]  # len(shadow) - cap per part
+    chosen = []
+    for keys in zip(*columns):
         best = best_rank = None
-        for mask, shadow, cap, get in choices:
-            key = get(point)
-            growth = 0 if key in shadow else 1
-            headroom = cap - (len(shadow) + growth)
-            rank = (growth, -headroom, mask)
+        for j, key in enumerate(keys):  # ascending parts: ties keep the lower
+            growth = key not in shadows[j]
+            rank = (growth, load[j] + growth)
             if best_rank is None or rank < best_rank:
-                best, best_rank = (mask, shadow, key), rank
-        mask, shadow, key = best
-        shadow.add(key)
-        assignment[point] = mask
-    result = SplitResult(assignment)
+                best, best_rank = j, rank
+        if best_rank[0]:
+            shadows[best].add(keys[best])
+            load[best] += 1
+        chosen.append(parts[best])
+    result = SplitResult(dict(zip(body.ordered(), chosen)))
     return result if verify_split(body, spec, result) else None

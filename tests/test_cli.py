@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrodim import splitting
-from entrodim.cli import main
+from entrodim.cli import _render, main
 
 KLEIN_JSON = {
     "order": 4,
@@ -569,3 +573,62 @@ def test_cli_reports_are_pinned(case, capsys, tmp_path):
     del report["elapsed_ms"]
     assert code == case["code"]
     assert json.dumps(report) == json.dumps(case["report"])  # key order too
+
+
+# -- the report writer: the text of json.dumps(report, indent=2), byte for byte
+
+_TEXT = st.one_of(
+    st.text(),
+    st.text(st.characters(categories=["Cc", "Cs", "Lo", "So", "Zs"])),
+    st.text('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600', max_size=8),
+)
+_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf]),
+    _TEXT,
+)
+_REPORT_VALUE = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_REPORT_VALUE)
+def test_the_writer_gives_the_text_of_json_dumps(value):
+    assert _render(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("name", ["cli_reports_pinned.json", "check_reports_pinned.json"])
+def test_the_writer_gives_the_text_of_json_dumps_on_pinned_reports(name):
+    for case in json.loads((Path(__file__).parent / name).read_text()):
+        assert _render(case["report"]) == json.dumps(case["report"], indent=2)
+
+
+def test_a_reader_closing_stdout_early_keeps_the_exit_code(tmp_path):
+    # the 102 KB greedy report overflows the pipe, so the write meets the
+    # closed end; the exit code stays the subcommand's, stderr stays empty
+    body = write_json(tmp_path / "body.json", splitting.cube_bar_instance(16).to_json())
+    spec = write_json(tmp_path / "spec.json", {"m": 3, "levels": [
+        {"part": [1], "bits": math.log2(30)}, {"part": [1, 2, 3], "bits": 12}]})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entrodim.cli", "split", "--greedy", "--body", body,
+         "--spec", spec],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (head, proc.returncode, err) == (b'{\n  "subco', 0, b"")

@@ -108,6 +108,20 @@ def test_fibers_are_counted_once_per_mask():
     assert dict(ps.fibers(0b101)) == {(0, 0): 2, (1, 2): 1, (2, 2): 1}
 
 
+def test_points_are_sorted_once_and_shared_by_every_json_writer():
+    pts = frozenset({(2, 0), (0, 3), (1, 1), (0, 0)})
+    for ps in (FiniteBody(2, 4, pts), CantorWitness(2, 4, pts), SupportSet(2, pts)):
+        order = ps.ordered()
+        assert order == ((0, 0), (0, 3), (1, 1), (2, 0)) and ps.ordered() is order
+        assert list(map(list, order)) in ps.to_json().values()
+        assert "_order" not in repr(ps)
+    body = FiniteBody(2, 4, pts)
+    assert body.ordered() and body == FiniteBody(2, 4, pts)
+    body = cube_bar_instance(4)
+    assert body.ordered() == tuple(sorted(body.points))
+    assert body.projection(0b011).ordered() == tuple(sorted(body.shadow(0b011)))
+
+
 def test_cache_is_read_only_and_kept_out_of_equality():
     pts = frozenset({(0, 1), (1, 1)})
     body = FiniteBody(2, 2, pts)

@@ -370,6 +370,40 @@ def test_split_result_json():
     }
 
 
+def test_split_result_json_labels_points_by_sorted_order():
+    # the assignment dicts are filled in descending and in hash order;
+    # point i of the report is still the i-th point in ascending order
+    body = cube_bar_instance(16)
+    result = find_split_greedy(body, SplitSpec(3, {0b001: math.log2(30), 0b111: 12}))
+    order = sorted(body.points)
+    want = {str(i): "{1}" if result.assignment[p] == 0b001 else "{1,2,3}"
+            for i, p in enumerate(order)}
+    assert set(want.values()) == {"{1}", "{1,2,3}"}
+    for points in (order[::-1], list(body.points)):
+        refilled = SplitResult({p: result.assignment[p] for p in points})
+        assert refilled.to_json(body) == {"assignment": want}
+        assert refilled.to_json(FiniteBody(3, 64, body.points)) == {"assignment": want}
+    body = FiniteBody(2, 3, frozenset({(2, 0), (0, 2), (1, 1)}))
+    result = SplitResult({(2, 0): 0b01, (1, 1): 0b11, (0, 2): 0b10})
+    assert result.to_json(body) == {"assignment": {"0": "{2}", "1": "{1,2}", "2": "{1}"}}
+
+
+def test_greedy_matches_its_reference_on_the_cube_bar():
+    body = cube_bar_instance(16)
+    spec = SplitSpec(3, {0b001: math.log2(30), 0b111: math.log2(4096)})
+    got, want = find_split_greedy(body, spec), _reference_find_split_greedy(body, spec)
+    assert got is not None and want is not None
+    assert got.assignment == want.assignment
+    assert list(got.assignment) == sorted(body.points)
+    assert sum(1 for mask in got.assignment.values() if mask == 0b001) == 54
+    # its shadows have 25 and 4,090 points: caps of exactly that fit, one
+    # less on either part does not
+    for caps, fits in (((25, 4090), True), ((24, 4090), False), ((25, 4089), False)):
+        spec = SplitSpec(3, {0b001: math.log2(caps[0]), 0b111: math.log2(caps[1])})
+        assert verify_split(body, spec, got) is fits
+        assert _reference_verify_split(body, spec, got) is fits
+
+
 def test_greedy_can_miss_a_split_the_search_finds():
     # frozen divergence instance: the heuristic parks the first point in
     # the roomier full part and can never recover
