@@ -410,13 +410,15 @@ def check_points(
     and other int subclasses are refused), each below base unless base
     is None; else ValueError naming the first bad point or coordinate.
 
-    A frozenset of tuples is kept as it is, not hashed again.  `noun`
-    names a coordinate in the messages.
+    A frozenset of tuples is kept as it is, not hashed again.  Any other
+    input is checked point by point before it is hashed, as True == 1
+    would merge (True, 0) into (1, 0).  `noun` names a coordinate in the
+    messages.
     """
     if not 1 <= m <= MAX_VARIABLES:
         raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {m}")
     if not (isinstance(points, frozenset) and set(map(type, points)) <= {tuple}):
-        points = frozenset(map(tuple, points))
+        points = tuple(map(tuple, points))
     for pt in points:
         if len(pt) != m:
             raise ValueError(f"point {pt} has {len(pt)} coordinates, expected {m}")
@@ -425,7 +427,7 @@ def check_points(
                 if type(x) is not int or base is None:
                     raise ValueError(f"{noun}s must be nonnegative integers, got {x!r}")
                 raise ValueError(f"{noun} {x} out of range for base {base}")
-    return points
+    return frozenset(points)
 
 
 def _within(mask: int, sup: int) -> int:

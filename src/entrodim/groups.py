@@ -8,9 +8,10 @@ subtuple is exact:
     H(g_I) = log2(#G) - log2(#H_I),   H_I = intersection of H_i, i in I.
 
 The same data yields an explicit finite witness set
-A = {(gH_1, ..., gH_m) : g in G} whose projections all have uniform
-fibers, so `distributions.exact_entropy_vector` recomputes the same
-vector by brute-force counting — the module's central cross-check.
+A = {(gH_1, ..., gH_m) : g in G}: its projection onto I has #G/#H_I
+points with fibers of one size, so its uniform distribution has the
+same entropies.  Every coset point is checked against A by that
+integer identity.
 
 Groups are Cayley tables over element indices 0..n-1 with the identity
 pinned at index 0.  A table given from outside (FiniteGroup(...), JSON,
@@ -36,7 +37,7 @@ from .core import (
     loglin_sign,
     subsets,
 )
-from .distributions import SupportSet, exact_entropy_vector
+from .distributions import SupportSet
 
 
 class GroupTableError(ValueError):
@@ -350,11 +351,7 @@ def builtin_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
 
 def coset_index_map(g: FiniteGroup, h: Subgroup) -> tuple[int, ...]:
     """Index of each element's left coset aH, cosets numbered 0,1,... in
-    order of least representative.  Memoized per (group, subgroup)."""
-    cache = g.__dict__.setdefault("_coset_maps", {})
-    got = cache.get(h.elements)
-    if got is not None:
-        return got
+    order of least representative."""
     idx = [-1] * g.order
     nxt = 0
     table = g.table
@@ -363,9 +360,7 @@ def coset_index_map(g: FiniteGroup, h: Subgroup) -> tuple[int, ...]:
             for x in h.elements:
                 idx[table[a][x]] = nxt
             nxt += 1
-    out = tuple(idx)
-    cache[h.elements] = out
-    return out
+    return tuple(idx)
 
 
 def witness_set(g: FiniteGroup, subgroups) -> SupportSet:
@@ -376,36 +371,30 @@ def witness_set(g: FiniteGroup, subgroups) -> SupportSet:
     return SupportSet(len(subs), frozenset(points))
 
 
-def coset_entropy_point(
-    g: FiniteGroup, subgroups, cross_validate: bool = True, support=None
-) -> EntropyVector:
+def coset_entropy_point(g: FiniteGroup, subgroups, support=None) -> EntropyVector:
     """Exact entropy vector of the coset variables of (G, H_1..H_m):
     values[I] = log2(#G) - log2(#H_I).
 
-    With cross_validate (the default) the vector is recomputed
-    independently by projection counting on the explicit witness set and
-    the two must agree exactly.  The witness set counted is `support` when
-    given (witness_set(g, subgroups), from a caller that needs it too),
-    else a new one.
+    Each value is checked against the witness set: `support` when given
+    (witness_set(g, subgroups), from a caller that needs it too), else a
+    new one.  Its projection onto I must have #G / #H_I points, with
+    fibers of one size, so that its uniform distribution has this entropy
+    on I; else AssertionError.  The fiber counts stay cached on the
+    support.
     """
     subs = list(subgroups)
-    m = len(subs)
-    orders = _intersection_orders(g, subs)
-    values = {
-        mask: ExactLogLin.log2(g.order) - ExactLogLin.log2(orders[mask])
-        for mask in subsets(m)
-    }
-    point = EntropyVector(m, values)
-    if cross_validate:
-        if support is None:
-            support = witness_set(g, subs)
-        counted = exact_entropy_vector(support)
-        for mask in subsets(m):
-            if (point[mask] - counted[mask]).sign() != 0:
-                raise AssertionError(
-                    f"coset entropies disagree with witness counting at {mask}"
-                )
-    return point
+    if support is None:
+        support = witness_set(g, subs)
+    n = g.order
+    values = {}
+    for mask, order in _intersection_orders(g, subs).items():
+        fibers = support.fibers(mask)
+        if len(fibers) * order != n or len(set(fibers.values())) != 1:
+            raise AssertionError(
+                f"coset entropies disagree with witness counting at {mask}"
+            )
+        values[mask] = ExactLogLin(((1, n), (-1, order)))
+    return EntropyVector(len(subs), values)
 
 
 def _extend(inter: list[int], k: int, bits: int) -> None:
@@ -468,8 +457,9 @@ def search_violation(
     conjugations) sends to earlier tuples.  This keeps the first hit:
     the image of the first violating tuple violates too, so it is not
     earlier, and that tuple is never skipped.
-    A hit is rebuilt with the witness-counting cross-check and its slack
-    re-decided by eval_slack; disagreement raises AssertionError.
+    A hit is rebuilt as a coset point checked against its witness set,
+    and its slack re-decided by eval_slack; disagreement raises
+    AssertionError.
     """
     cat = list(groups) if groups is not None else builtin_catalog(max_order)
     if not cat:
@@ -483,7 +473,7 @@ def search_violation(
         )
         if hit is not None:
             tup = tuple(subs[i] for i in hit)
-            point = coset_entropy_point(g, tup, cross_validate=True)
+            point = coset_entropy_point(g, tup)
             slack = eval_slack(ineq, point)
             if slack.sign() >= 0:
                 raise AssertionError("fast slack sign disagrees with exact")

@@ -46,7 +46,15 @@ class ElementalSet:
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """The LP matrix E^T as ints, built once per set: a row per subset
-        mask in subsets(m) order and a column per elemental row."""
+        mask in subsets(m) order and a column per elemental row; a
+        non-integer coefficient raises TypeError naming its row and mask."""
+        for i, r in enumerate(self.rows):
+            for s, c in r.coeffs.items():
+                if c.denominator != 1:
+                    raise TypeError(
+                        f"elemental row {i} has non-integer coefficient {c} "
+                        f"at {mask_label(s)}"
+                    )
         cols = [{s: int(c) for s, c in r.coeffs.items()} for r in self.rows]
         return tuple(tuple(col.get(s, 0) for col in cols) for s in subsets(self.m))
 

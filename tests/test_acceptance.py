@@ -158,9 +158,7 @@ def test_criterion_04_catalog_sweep():
                     # every 16th tuple: the full functional comparison
                     literal += 1
                     counted = exact_entropy_vector(support)
-                    formula = coset_entropy_point(
-                        g, tup, cross_validate=False
-                    )
+                    formula = coset_entropy_point(g, tup)
                     for mask in subsets(m):
                         assert (counted[mask] - formula[mask]).sign() == 0
     elapsed = time.perf_counter() - start
@@ -316,7 +314,7 @@ def test_criterion_10_float_exact_agreement():
             listings[g.name] = all_subgroups(g)
         m = rng.randint(1, 3)
         tup = [rng.choice(listings[g.name]) for _ in range(m)]
-        point = coset_entropy_point(g, tup, cross_validate=False)
+        point = coset_entropy_point(g, tup)
         recomputed = _float_entropies(witness_set(g, tup))
         for mask in subsets(m):
             diff = abs(point[mask].to_float() - recomputed[mask])

@@ -234,6 +234,17 @@ def test_build_counterexample_arity_mismatch():
         )
 
 
+def test_build_counterexample_validates_raw_subgroup_lists():
+    ineq = parse_inequality("H(x,y) <= H(x)")
+    # {0, 1} is no subgroup of Z3: the inverse of 1 is 2
+    with pytest.raises(ValueError, match="not closed under inverse of 1"):
+        build_counterexample(ineq, cyclic(3), [[0], [0, 1]])
+    with pytest.raises(ValueError, match="not closed under product 1\\*1"):
+        build_counterexample(ineq, cyclic(4), [[0, 1, 3], [0]])
+    ce = build_counterexample(ineq, KLEIN, [[0, 1], [0]])
+    assert ce.witness.points == frozenset({(0, 0), (0, 1), (1, 2), (1, 3)})
+
+
 def test_verify_counterexample_rejects_tampering():
     ineq = parse_inequality("H(x,y) <= H(x)")
     h1 = subgroup_from_elements(KLEIN, [0, 1])

@@ -15,7 +15,7 @@ from entrodim.core import (
     eval_slack,
     subsets,
 )
-from entrodim.distributions import exact_entropy_vector
+from entrodim.distributions import SupportSet, exact_entropy_vector
 from entrodim.dsl import parse_inequality
 from entrodim.groups import (
     FiniteGroup,
@@ -104,12 +104,12 @@ def _reference_search(
                     prod_ = None
                     break
             if prod_ is None:
-                point = coset_entropy_point(g, tup, cross_validate=False)
+                point = coset_entropy_point(g, tup)
                 negative = eval_slack(ineq, point).sign() < 0
             else:
                 negative = prod_ < 1
             if negative:
-                point = coset_entropy_point(g, tup, cross_validate=True)
+                point = coset_entropy_point(g, tup)
                 slack = eval_slack(ineq, point)
                 if slack.sign() >= 0:
                     raise AssertionError("fast slack sign disagrees with exact")
@@ -318,8 +318,6 @@ def test_coset_index_map():
     z4 = cyclic(4)
     h = subgroup_from_elements(z4, [0, 2])
     assert coset_index_map(z4, h) == (0, 1, 0, 1)
-    # memoized: same tuple object on repeat lookup
-    assert coset_index_map(z4, h) is coset_index_map(z4, h)
     e = subgroup_from_elements(z4, [0])
     assert coset_index_map(z4, e) == (0, 1, 2, 3)
 
@@ -388,7 +386,7 @@ def test_group_points_satisfy_elemental_rows():
         g = rng.choice(cat)
         subs = all_subgroups(g)
         tup = [rng.choice(subs) for _ in range(3)]
-        point = coset_entropy_point(g, tup, cross_validate=False)
+        point = coset_entropy_point(g, tup)
         for row in rows:
             assert eval_slack(row, point).sign() >= 0
 
@@ -445,9 +443,24 @@ def test_witness_counting_matches_formula():
         m = rng.randint(1, 3)
         tup = [rng.choice(subs) for _ in range(m)]
         counted = exact_entropy_vector(witness_set(g, tup))
-        formula = coset_entropy_point(g, tup, cross_validate=False)
+        formula = coset_entropy_point(g, tup)
         for mask in subsets(m):
             assert (counted[mask] - formula[mask]).sign() == 0
+
+
+def test_coset_point_refuses_a_support_with_unequal_fibers():
+    # Z8 with H1 = {0, 4} and H2 = {0}: position 1 of the witness set takes
+    # 8/2 = 4 values.  On this support it takes 5, with fibers 4, 1, 1, 1, 1,
+    # whose entropy is also exactly 2 bits, so only the counts tell them apart.
+    z8 = cyclic(8)
+    subs = [subgroup_from_elements(z8, [0, 4]), subgroup_from_elements(z8, [0])]
+    odd = SupportSet(2, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7)])
+    assert (exact_entropy_vector(odd)[0b01] - ExactLogLin.bits(2)).sign() == 0
+    with pytest.raises(AssertionError, match="disagree with witness counting at 1"):
+        coset_entropy_point(z8, subs, support=odd)
+    point = coset_entropy_point(z8, subs, support=witness_set(z8, subs))
+    assert (point[0b01] - ExactLogLin.bits(2)).sign() == 0
+    assert (point[0b11] - ExactLogLin.bits(3)).sign() == 0
 
 
 def test_subgroups_json_round_trip():
@@ -636,7 +649,7 @@ def test_symmetric_search_matches_reference(search):
 
 
 def _slack_of(ineq, g, subs, tup):
-    point = coset_entropy_point(g, [subs[i] for i in tup], cross_validate=False)
+    point = coset_entropy_point(g, [subs[i] for i in tup])
     return eval_slack(ineq, point)
 
 
@@ -710,7 +723,7 @@ def _eval_search(ineq: LinearInequality, cat):
     whose slack eval_slack(...).sign() says is negative, or None."""
     for g in cat:
         for tup in product(all_subgroups(g), repeat=ineq.m):
-            point = coset_entropy_point(g, tup, cross_validate=False)
+            point = coset_entropy_point(g, tup)
             if eval_slack(ineq, point).sign() < 0:
                 return g, tup
     return None

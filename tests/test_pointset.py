@@ -192,6 +192,13 @@ def test_bool_coordinate_no_longer_collides_with_int():
         FiniteBody(2, 4, {(True, 2)})
     with pytest.raises(ValueError):
         FiniteBody(2, 4, {(True, 2), (1, 2)})
+    # a list is checked before it is hashed, else (True, 2) and (1, 2)
+    # would merge into whichever of them came first
+    for points in ([[1, 2], [True, 2]], [[True, 2], [1, 2]]):
+        with pytest.raises(ValueError, match="must be nonnegative integers, got True"):
+            check_points(points, 2)
+        with pytest.raises(ValueError, match="must be nonnegative integers, got True"):
+            FiniteBody.from_json({"m": 2, "N": 4, "points": points})
 
 
 def test_validation_messages():
@@ -232,7 +239,9 @@ def _run(capsys, *argv):
 
 
 @pytest.mark.parametrize(
-    "points", [[[0.5, 1], [1, 2]], [[True, 2]], [[1, 2], [True, 3]]]
+    "points",
+    [[[0.5, 1], [1, 2]], [[True, 2]], [[1, 2], [True, 3]],
+     [[1, 0], [True, 0]], [[True, 0], [1, 0]]],
 )
 def test_cli_rejects_non_integer_coordinates(capsys, tmp_path, points):
     witness = _write(tmp_path / "w.json", {"m": 2, "N": 4, "points": points})

@@ -13,6 +13,7 @@ from entrodim.distributions import JointDistribution, exact_entropy_vector
 from entrodim.dsl import format_inequality, parse_inequality
 from entrodim.shannon import (
     ELEMENTAL_RANGE,
+    ElementalSet,
     FarkasWitness,
     ShannonCertificate,
     VerificationError,
@@ -358,3 +359,12 @@ def test_check_reports_are_pinned(case, capsys):
     del report["elapsed_ms"]
     assert code == case["code"]
     assert json.dumps(report) == json.dumps(case["report"])  # key order too
+
+
+def test_elemental_matrix_refuses_a_non_integer_coefficient():
+    # int() would truncate both halves to 0 and give ((0,), (0,), (0,))
+    half = LinearInequality(2, {1: Fraction(1, 2), 3: Fraction(-1, 2)})
+    with pytest.raises(TypeError, match=r"row 0 has non-integer coefficient 1/2 at \{1\}"):
+        ElementalSet(2, (half,)).matrix
+    whole = LinearInequality(2, {1: Fraction(1), 3: Fraction(-1)})
+    assert ElementalSet(2, (whole,)).matrix == ((1,), (0,), (-1,))
