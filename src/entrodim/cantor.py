@@ -263,7 +263,8 @@ def build_counterexample(
     digits in base N; pick the largest epsilon = 2^-k (k = 1..64) keeping
     the dimension-level inequality strictly violated; clamp levels at
     zero.  Every invariant is re-verified before the result is returned.
-    A subgroup given as an element list is validated against g.
+    A subgroup given as an element list is validated against g here, and
+    every subgroup again by witness_set (ValueError).
     """
     subs = [
         h if isinstance(h, Subgroup) else subgroup_from_elements(g, h)

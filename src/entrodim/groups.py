@@ -364,8 +364,13 @@ def coset_index_map(g: FiniteGroup, h: Subgroup) -> tuple[int, ...]:
 
 
 def witness_set(g: FiniteGroup, subgroups) -> SupportSet:
-    """The finite set A = {(gH_1, ..., gH_m) : g in G} of coset tuples."""
-    subs = list(subgroups)
+    """The finite set A = {(gH_1, ..., gH_m) : g in G} of coset tuples.
+
+    A Subgroup is built without g's table, so each one is validated
+    against g first: a ValueError names the element out of range or the
+    failed closure.
+    """
+    subs = [subgroup_from_elements(g, h.elements) for h in subgroups]
     maps = [coset_index_map(g, h) for h in subs]
     points = {tuple(mp[a] for mp in maps) for a in range(g.order)}
     return SupportSet(len(subs), frozenset(points))
@@ -377,10 +382,11 @@ def coset_entropy_point(g: FiniteGroup, subgroups, support=None) -> EntropyVecto
 
     Each value is checked against the witness set: `support` when given
     (witness_set(g, subgroups), from a caller that needs it too), else a
-    new one.  Its projection onto I must have #G / #H_I points, with
-    fibers of one size, so that its uniform distribution has this entropy
-    on I; else AssertionError.  The fiber counts stay cached on the
-    support.
+    new one.  Either way witness_set has validated the subgroups against
+    g (ValueError).  Its projection onto I must have #G / #H_I points,
+    with fibers of one size, so that its uniform distribution has this
+    entropy on I; else AssertionError.  The fiber counts stay cached on
+    the support.
     """
     subs = list(subgroups)
     if support is None:

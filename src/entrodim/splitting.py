@@ -12,8 +12,12 @@ cardinality.  This module checks three of them on explicit point sets:
   cube-plus-bar refutation, decided by exact integer products;
 * split existence: whether S decomposes into parts S^I, one per subset
   family member I, with each part's I-projection under a given budget.
-  `find_split_exhaustive` is a complete backtracking search (bounded
-  state space); `find_split_greedy` is a fast sound-but-incomplete
+  `find_split_exhaustive` is a complete backtracking search, refused
+  beyond EXHAUSTIVE_BOUND assignments, that returns the lexicographically
+  first valid assignment; two dominance rules (a failed choice that grew
+  no shadow ends the point's choices, a failed choice that grew one bans
+  its key from that part below the point) cut only subtrees with no
+  valid completion.  `find_split_greedy` is a fast sound-but-incomplete
   heuristic.  Every returned split is re-verified by direct counting.
 """
 
@@ -284,19 +288,33 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
     Deterministic: points in sorted order, parts in ascending mask
     order, so the returned split is the lexicographically first valid
     assignment.  A part's projection count never shrinks as points are
-    added, so pruning an over-budget prefix is safe.  Raises
-    ExhaustiveBoundExceeded when |parts| ** |S| > EXHAUSTIVE_BOUND.
+    added, so pruning an over-budget prefix is safe.  Two dominance
+    rules cut only subtrees with no valid completion, so the answer is
+    the same as without them:
+
+    1. A failed free choice (point i's key already in part j's shadow)
+       ends point i's choices: a completion after a later choice would,
+       with point i moved back to part j, complete the failed branch,
+       since no shadow grows.
+    2. A failed growing choice (point i adds key k to part j) bans k
+       from part j below point i's later choices, until the search
+       backtracks past point i: a completion putting k into part j
+       would, with point i moved to part j, complete the failed branch.
+
+    Raises ExhaustiveBoundExceeded when |parts| ** |S| > EXHAUSTIVE_BOUND.
     """
     _check_same_m(body, spec)
     if len(spec.levels) ** len(body.points) > EXHAUSTIVE_BOUND:
         raise ExhaustiveBoundExceeded(
             f"{len(spec.levels)}**{len(body.points)} assignments exceed {EXHAUSTIVE_BOUND}"
         )
-    # each point's row holds a (part, shadow, cap, key) choice per part,
-    # read off the key columns, so the search itself never projects
+    # each point's row holds a (part, shadow, banned keys, cap, key)
+    # choice per part, read off the key columns, so the search itself
+    # never projects
     parts, caps, columns = _columns(body, spec)
     shadows = [set() for _ in parts]
-    rows = [list(zip(parts, shadows, caps, keys)) for keys in zip(*columns)]
+    banned = [set() for _ in parts]
+    rows = [list(zip(parts, shadows, banned, caps, keys)) for keys in zip(*columns)]
     # depth-first on an explicit stack, so the body size meets no
     # recursion limit; per depth: an iterator over the untried choices,
     # the choice taken and whether it grew its part's shadow (nothing
@@ -305,21 +323,29 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
     todo: list = [None] * n
     taken: list = [None] * n
     grown = [False] * n
+    bans: list = []  # (banned keys, key) per ban, None where a point began
     i = 0
     todo[0] = iter(rows[0])
     while i < n:
         for choice in todo[i]:
-            _, shadow, cap, key = choice
+            _, shadow, ban, cap, key = choice
             fresh = key not in shadow
-            if not fresh or len(shadow) < cap:
+            if not fresh or (len(shadow) < cap and key not in ban):
                 break
-        else:  # no choice left for point i: undo the one for point i - 1
+        else:  # no choice left for point i: lift its bans, then apply
+            # rule 2 or rule 1 to the failed choice for point i - 1
             if i == 0:
                 return None
+            while (lifted := bans.pop()) is not None:
+                lifted[0].remove(lifted[1])
             i -= 1
+            _, shadow, ban, _, key = taken[i]
             if grown[i]:
-                _, shadow, _, key = taken[i]
                 shadow.remove(key)
+                ban.add(key)
+                bans.append((ban, key))
+            else:
+                todo[i] = iter(())
             continue
         if fresh:
             shadow.add(key)
@@ -328,6 +354,7 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
         i += 1
         if i < n:
             todo[i] = iter(rows[i])
+            bans.append(None)
     result = SplitResult(dict(zip(body.ordered(), [choice[0] for choice in taken])))
     if not verify_split(body, spec, result):
         raise AssertionError("exhaustive search produced an invalid split")

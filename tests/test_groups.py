@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from entrodim import core
+from entrodim.cantor import build_counterexample
 from entrodim.cli import main
 from entrodim.core import (
     ExactLogLin,
@@ -461,6 +462,20 @@ def test_coset_point_refuses_a_support_with_unequal_fibers():
     point = coset_entropy_point(z8, subs, support=witness_set(z8, subs))
     assert (point[0b01] - ExactLogLin.bits(2)).sign() == 0
     assert (point[0b11] - ExactLogLin.bits(3)).sign() == 0
+
+
+@pytest.mark.parametrize("subs, message", [
+    ([Subgroup((0, 7)), Subgroup((0,))], "element index 7 out of range"),
+    ([Subgroup((0, 1)), Subgroup((0,))], "not closed under inverse of 1"),
+], ids=["out of range", "not closed"])
+def test_subgroup_objects_are_checked_against_their_group(subs, message):
+    # a Subgroup is built without a group table; {0, 7} and {0, 1} are no
+    # subgroups of Z3
+    z3, ineq = cyclic(3), parse_inequality("H(x,y) <= H(x)")
+    for run in (lambda: witness_set(z3, subs), lambda: coset_entropy_point(z3, subs),
+                lambda: build_counterexample(ineq, z3, subs)):
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 def test_subgroups_json_round_trip():

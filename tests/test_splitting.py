@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -422,6 +426,67 @@ def test_greedy_can_miss_a_split_the_search_finds():
     }
 
 
+def _benchmark_shaped_split(rng):
+    """16-22 distinct points of {0..3}^3 and caps for parts {1} and
+    {1,2,3}: cap1 below the number of first coordinates in use, cap123
+    what the cap1 largest first-coordinate fibers leave over, or one
+    less.  Returns the body, the spec and whether a split exists, which
+    is when those fibers hold at least #S - cap123 points."""
+    points = rng.sample(list(product(range(4), repeat=3)), rng.randint(16, 22))
+    cap1 = rng.randint(1, max(1, len({p[0] for p in points}) - 1))
+    fibers = sorted((sum(p[0] == x for p in points) for x in range(4)), reverse=True)
+    need = len(points) - sum(fibers[:cap1])
+    cap123 = max(1, need - rng.randint(0, 1))
+    spec = SplitSpec(3, {0b001: math.log2(cap1), 0b111: math.log2(cap123)})
+    return FiniteBody(3, 4, frozenset(points)), spec, need <= cap123
+
+
+def test_exhaustive_search_on_benchmark_shaped_splits():
+    exists_seen = set()
+    for seed in range(40):
+        body, spec, exists = _benchmark_shaped_split(random.Random(seed))
+        got, want = find_split_exhaustive(body, spec), _reference_find_split_exhaustive(body, spec)
+        assert (got is not None) == (want is not None) == exists, seed
+        if exists:
+            assert got.assignment == want.assignment, seed
+        exists_seen.add(exists)
+    assert exists_seen == {True, False}
+
+
+_CUBE_BAR_SEARCH = """
+import json, math, time
+from entrodim import splitting
+splitting.EXHAUSTIVE_BOUND = math.inf
+body = splitting.cube_bar_instance(16)
+out = []
+for cap1, cap123 in ((16, 48), (16, 47)):
+    spec = splitting.SplitSpec(3, {0b001: math.log2(cap1), 0b111: math.log2(cap123)})
+    start = time.perf_counter()
+    result = splitting.find_split_exhaustive(body, spec)
+    seconds = time.perf_counter() - start
+    out.append([None if result is None else splitting.verify_split(body, spec, result), seconds])
+print(json.dumps(out))
+"""
+
+
+def test_exhaustive_search_decides_the_cube_bar_without_the_bound():
+    # cube-bar(16): 16 slices x = 0..15 of 256 points each, and 48 more
+    # bar points, one per x = 16..63.  Part {1} takes at most 16 values of
+    # x, so at best the whole cube, and part {1,2,3} then needs room for
+    # the 48 bar points: caps (16, 48) split and (16, 47) do not.  The
+    # search runs in a fresh interpreter with EXHAUSTIVE_BOUND lifted, and
+    # a timeout, so a search that does not finish fails instead of hanging.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CUBE_BAR_SEARCH], capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    (fits, seconds_fits), (none, seconds_none) = json.loads(proc.stdout)
+    assert fits is True and none is None
+    assert max(seconds_fits, seconds_none) < 1.0  # 10-30 ms on a 2-core machine
+
+
 def test_greedy_results_always_verify():
     rng = random.Random(909)
     found = misses = 0
@@ -445,16 +510,22 @@ def test_greedy_results_always_verify():
 
 @st.composite
 def _split_cases(draw):
-    """A body of up to 10 points, 1-3 parts with budgets exactly on log2
-    boundaries (log2(k) admits k shadow elements and not k + 1, -1 none),
-    and one assignment of the points to those parts."""
-    m = draw(st.integers(1, 3))
-    base = draw(st.integers(2, 3))
+    """A body of up to 10 points and 1-3 parts, or of 12-14 points in base
+    2-4 and two parts, with budgets exactly on log2 boundaries (log2(k)
+    admits k shadow elements and not k + 1, -1 none), and one assignment
+    of the points to those parts.  The larger bodies backtrack deeply
+    enough that the search's dominance rules cut subtrees."""
+    if draw(st.booleans()):
+        base = draw(st.integers(2, 4))
+        m = draw(st.integers(3 if base > 2 else 4, 4))
+        sizes, parts = (12, 14), (2, 2)
+    else:
+        m, base, sizes, parts = draw(st.integers(1, 3)), draw(st.integers(2, 3)), (1, 10), (1, 3)
     coord = st.integers(0, base - 1)
-    pts = draw(st.sets(st.tuples(*[coord] * m), min_size=1, max_size=10))
-    masks = draw(
-        st.lists(st.sampled_from(subsets(m)), min_size=1, max_size=3, unique=True)
-    )
+    pts = draw(st.sets(st.tuples(*[coord] * m), min_size=sizes[0], max_size=sizes[1]))
+    masks = draw(st.lists(
+        st.sampled_from(subsets(m)), min_size=parts[0], max_size=parts[1], unique=True
+    ))
     budget = st.one_of(st.just(-1.0), st.integers(1, 10).map(math.log2))
     spec = SplitSpec(m, {mask: draw(budget) for mask in masks})
     labels = [draw(st.sampled_from(masks)) for _ in pts]
