@@ -118,11 +118,9 @@ def uniform_fiber(w: CantorWitness, subset: int):
     if not 0 < subset < full:
         raise ValueError(f"subset mask {subset} out of range for m={w.m}")
     fibers = w.fibers(subset)
-    target = Fraction(len(w.points), len(fibers))
-    for key in sorted(fibers):
-        if fibers[key] != target:
-            return NonUniform(key)
-    return int(target)
+    n, k = len(w.points), len(fibers)
+    bad = [key for key, c in fibers.items() if c * k != n]
+    return NonUniform(min(bad)) if bad else n // k
 
 
 def lemma_fiber_bound(w: CantorWitness, b: Iterable[Digits], subset: int) -> bool:
@@ -215,16 +213,17 @@ class DimensionCounterexample:
 
 def _margin(ineq: LinearInequality, dims: dict[int, DimValue],
             epsilon: Fraction) -> ExactLogLin:
-    """sum lam_I * max(0, dim_I - eps) - sum mu_J * dim_J, times log2(N)."""
-    margin = ExactLogLin.zero()
+    """sum lam_I * max(0, dim_I - eps) - sum mu_J * dim_J, times log2(N),
+    built as one value from all of its terms."""
+    terms = []
     for mask, weight in ineq.lhs_weights().items():
         dim = dims[mask]
-        level = dim.times_log_base() - epsilon * ExactLogLin.log2(dim.base)
-        if level.sign() > 0:
-            margin = margin + weight * level
+        level = ((1, dim.cardinality), (-epsilon, dim.base))
+        if ExactLogLin(level).sign() > 0:
+            terms += [(weight, dim.cardinality), (-weight * epsilon, dim.base)]
     for mask, weight in ineq.rhs_weights().items():
-        margin = margin - weight * dims[mask].times_log_base()
-    return margin
+        terms.append((-weight, dims[mask].cardinality))
+    return ExactLogLin(terms)
 
 
 def verify_counterexample(ce: DimensionCounterexample) -> None:
@@ -263,8 +262,9 @@ def build_counterexample(
     digits in base N; pick the largest epsilon = 2^-k (k = 1..64) keeping
     the dimension-level inequality strictly violated; clamp levels at
     zero.  Every invariant is re-verified before the result is returned.
-    A subgroup given as an element list is validated against g here, and
-    every subgroup again by witness_set (ValueError).
+    Each subgroup is validated against g once (ValueError): an element
+    list here, a Subgroup by witness_set unless it was validated against
+    g already.
     """
     subs = [
         h if isinstance(h, Subgroup) else subgroup_from_elements(g, h)
@@ -288,10 +288,11 @@ def build_counterexample(
         for mask in subsets(ineq.m)
     }
     total_lam = sum(ineq.lhs_weights().values(), Fraction(0))
+    log_n = ExactLogLin.log2(n_base)
     epsilon = None
     for k in range(1, 65):
         eps = Fraction(1, 2**k)
-        shifted = -slack - (eps * total_lam) * ExactLogLin.log2(n_base)
+        shifted = ExactLogLin.combine(((-1, slack), (-eps * total_lam, log_n)))
         if shifted.sign() > 0:
             epsilon = eps
             break

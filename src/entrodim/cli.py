@@ -34,10 +34,15 @@ def _load_json(path: str):
 def _render(value, indent: str = "\n") -> str:
     """The text of json.dumps(value, indent=2) for a report: dicts keyed
     by strings, lists, strings and JSON scalars.  json's C encoder does
-    not indent, so this writer quotes strings with json's C quoter, hands
-    scalars to json.dumps and writes each dict in one join."""
-    if type(value) is str:
+    not indent, so this writer quotes strings with json's C quoter, writes
+    ints with int.__repr__ and finite floats with float.__repr__, as
+    json's encoder does, hands other scalars to json.dumps and writes
+    each dict in one join."""
+    kind = type(value)
+    if kind is str:
         return _quote(value)
+    if kind is int or (kind is float and value - value == 0):  # a finite float
+        return kind.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _render(v, inner))

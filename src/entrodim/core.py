@@ -96,38 +96,60 @@ def mask_label(mask: int, names: tuple[str, ...] | None = None) -> str:
     return ",".join(names[p - 1] for p in pos)
 
 
-def _as_fraction(q: RationalLike) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    if isinstance(q, int):
-        return Fraction(q)
+def _ratio(q: RationalLike) -> tuple[int, int]:
+    """The numerator and positive denominator of an int or Fraction."""
+    if isinstance(q, (int, Fraction)):
+        return q.numerator, q.denominator
     raise TypeError(f"expected an exact rational, got {type(q).__name__}")
 
 
-@dataclass(frozen=True)
 class ExactLogLin:
     """A formal sum sum_i q_i * log(n_i) with rational q_i and integer n_i >= 1.
 
-    Terms are normalized on construction: arguments n = 1 are dropped,
-    terms with equal n are merged, zero coefficients are dropped, and
-    terms are sorted by n.  The represented real number is rendered in
-    bits (sum q_i * log2(n_i)) by :meth:`to_float`; its exact sign comes
-    from :func:`loglin_sign`.
+    ExactLogLin(terms) takes (q, n) pairs, q an int or Fraction.  The
+    value is held in integers: one denominator d > 0 and, per argument
+    n > 1, one nonzero numerator a, sorted by n, so that q_n = a / d.  The
+    form is canonical: arguments n = 1 and zero sums are dropped, equal n
+    are merged, and d and the numerators have gcd 1, so == and hash
+    compare formal sums.  ``terms`` gives the (Fraction, n) pairs.  The
+    represented real number is rendered in bits (sum q_i * log2(n_i)) by
+    :meth:`to_float`; its exact sign comes from :func:`loglin_sign`.
     """
 
-    terms: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("_den", "_nums")
 
-    def __post_init__(self) -> None:
-        merged: dict[int, Fraction] = {}
-        for q, n in self.terms:
+    def __new__(cls, terms: Iterable[tuple[RationalLike, int]] = ()) -> "ExactLogLin":
+        pairs = []
+        for q, n in terms:
             if not isinstance(n, int) or n < 1:
                 raise ValueError(f"log argument must be a positive integer, got {n!r}")
-            q = _as_fraction(q)
-            if n == 1 or q == 0:
-                continue
-            merged[n] = merged.get(n, Fraction(0)) + q
-        norm = tuple((q, n) for n, q in sorted(merged.items()) if q != 0)
-        object.__setattr__(self, "terms", norm)
+            pairs.append((n, *_ratio(q)))
+        den = math.lcm(*(d for _, _, d in pairs))
+        return cls._of_valid(den, [(n, a * (den // d)) for n, a, d in pairs])
+
+    @classmethod
+    def _of_valid(cls, den: int, pairs: Iterable[tuple[int, int]]) -> "ExactLogLin":
+        """sum a * log(n) / den over (n, a) int pairs, n >= 1 and den > 0
+        by construction, in canonical form: one merge and one gcd pass."""
+        merged: dict[int, int] = {}
+        for n, a in pairs:
+            merged[n] = merged.get(n, 0) + a
+        merged.pop(1, None)
+        nums = sorted(item for item in merged.items() if item[1])
+        g = math.gcd(den, *(a for _, a in nums))
+        out = object.__new__(cls)
+        out._den = den // g
+        out._nums = tuple((n, a // g) for n, a in nums) if g > 1 else tuple(nums)
+        return out
+
+    @classmethod
+    def combine(cls, scaled: Iterable[tuple[RationalLike, "ExactLogLin"]]) -> "ExactLogLin":
+        """sum c * x over (c, x) pairs of rationals and values, normalized once."""
+        parts = [(*_ratio(c), x) for c, x in scaled]
+        den = math.lcm(*(d * x._den for _, d, x in parts))
+        return cls._of_valid(den, [
+            (n, a * c * (den // (d * x._den))) for c, d, x in parts for n, a in x._nums
+        ])
 
     @classmethod
     def zero(cls) -> "ExactLogLin":
@@ -136,25 +158,40 @@ class ExactLogLin:
     @classmethod
     def log2(cls, n: int) -> "ExactLogLin":
         """The value log2(n) bits."""
-        return cls(((Fraction(1), n),))
+        return cls(((1, n),))
 
     @classmethod
     def bits(cls, q: RationalLike) -> "ExactLogLin":
         """An exact rational number of bits, encoded as q * log2(2)."""
-        return cls(((_as_fraction(q), 2),))
+        return cls(((q, 2),))
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, int], ...]:
+        """The (q, n) pairs of the canonical form, sorted by n."""
+        return tuple((Fraction(a, self._den), n) for n, a in self._nums)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __repr__(self) -> str:
+        return f"ExactLogLin(terms={self.terms!r})"
 
     def __add__(self, other: "ExactLogLin") -> "ExactLogLin":
-        return ExactLogLin(self.terms + other.terms)
+        return ExactLogLin.combine(((1, self), (1, other)))
 
     def __neg__(self) -> "ExactLogLin":
-        return ExactLogLin(tuple((-q, n) for q, n in self.terms))
+        return ExactLogLin.combine(((-1, self),))
 
     def __sub__(self, other: "ExactLogLin") -> "ExactLogLin":
-        return self + (-other)
+        return ExactLogLin.combine(((1, self), (-1, other)))
 
     def __mul__(self, scalar: RationalLike) -> "ExactLogLin":
-        s = _as_fraction(scalar)
-        return ExactLogLin(tuple((q * s, n) for q, n in self.terms))
+        return ExactLogLin.combine(((scalar, self),))
 
     __rmul__ = __mul__
 
@@ -164,17 +201,18 @@ class ExactLogLin:
     def to_float(self) -> float:
         """Float rendering in bits with the sign of sign(), 0.0 for 0; summed
         from decimal logarithms (_ln_sum) where a float sum has another sign."""
-        x = math.fsum(float(q) * math.log2(n) for q, n in self.terms)
+        x = math.fsum(a / self._den * math.log2(n) for n, a in self._nums)
         s = loglin_sign(self)
         if s and (x > 0) - (x < 0) != s:
             x = float(_ln_sum(self.terms, 1 << 60) / _ln_sum([(1, 2)], 1 << 60))
         return x if s else 0.0
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         chunks = []
-        for q, n in self.terms:
+        for q, n in terms:
             mag = abs(q)
             if n == 2:
                 body = str(mag)
@@ -197,7 +235,7 @@ def common_denominator(qs: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [x.numerator * (q // x.denominator) for x in qs], q
 
 
-def coprime_exponents(qs: Iterable[Fraction]) -> list[int]:
+def coprime_exponents(qs: Iterable[RationalLike]) -> list[int]:
     """Nonzero rationals times one positive factor, as coprime integers.
 
     The factor is the lcm of the denominators divided by the gcd of the
@@ -216,12 +254,12 @@ def _log2_float(n: int) -> float:
         return float(Decimal(n).ln() / Decimal(2).ln())
 
 
-def _float_sign(terms) -> int:
-    """The sign of sum q*log2(n) when the float sum's error bound
-    decides it, else 0 (see loglin_sign for the bound)."""
+def _float_sign(den: int, nums) -> int:
+    """The sign of sum a*log2(n)/den over (n, a) pairs when the float
+    sum's error bound decides it, else 0 (see loglin_sign for the bound)."""
     try:
-        qs = [float(q) for q, _ in terms]
-        prods = [qf * _log2_float(n) for qf, (_, n) in zip(qs, terms)]
+        qs = [a / den for _, a in nums]
+        prods = [qf * _log2_float(n) for qf, (n, _) in zip(qs, nums)]
         s, a = math.fsum(prods), math.fsum(map(abs, prods))
     except (OverflowError, ValueError):  # past the float range
         return 0
@@ -290,8 +328,10 @@ def loglin_sign(x: ExactLogLin) -> int:
     through three stages, each exact in what it decides:
 
     1. A float filter (Shewchuk's adaptive-precision idea).  Each term
-       becomes p = float(q) * L(n), where L(n) is log2(n) rounded to
-       float from 40 correctly rounded decimal digits (cached per n).
+       becomes p = float(q) * L(n), where float(q) = a / d is the one
+       int/int division of its numerator by the common denominator, and
+       L(n) is log2(n) rounded to float from 40 correctly rounded
+       decimal digits (cached per n).
        With u = 2**-53 and every float(q) in the normal range:
        float(q) is within u|q| (int/int division rounds once), L(n)
        within 2u*log2(n) (one rounding, plus 1e-39 from the decimals),
@@ -302,7 +342,8 @@ def loglin_sign(x: ExactLogLin) -> int:
        below 2**-50*(|s|+A) = 8u(|s|+A) even after the one rounding of
        |s|+A, and when |s| exceeds that bound it has the sign of s.
        Coefficients outside the normal float range skip the filter.
-    2. An exact zero test.  The coefficients are scaled to coprime
+    2. An exact zero test.  The numerators a, which are the
+       coefficients times d > 0, are divided by their gcd into coprime
        integer exponents (coprime_exponents) and the n are refined by
        gcds into pairwise coprime bases (_coprime_base; Bach, Driscoll
        and Shallit, "Factor refinement", 1993), with no factoring.
@@ -314,16 +355,16 @@ def loglin_sign(x: ExactLogLin) -> int:
 
     The result is independent of the logarithm base.
     """
-    terms = x.terms
-    if not terms:
+    nums = x._nums
+    if not nums:
         return 0
-    if len(terms) == 1:
-        return 1 if terms[0][0] > 0 else -1
-    sign = _float_sign(terms)
+    if len(nums) == 1:
+        return 1 if nums[0][1] > 0 else -1
+    sign = _float_sign(x._den, nums)
     if sign:
         return sign
-    exps = coprime_exponents(q for q, _ in terms)
-    base = _coprime_base(zip((n for _, n in terms), exps))
+    exps = coprime_exponents(a for _, a in nums)
+    base = _coprime_base(zip((n for n, _ in nums), exps))
     return _interval_sign(base) if base else 0
 
 
@@ -375,7 +416,7 @@ class LinearInequality:
         for mask, c in sorted(self.coeffs.items()):
             if mask not in valid:
                 raise ValueError(f"subset mask {mask} out of range for m={self.m}")
-            c = _as_fraction(c)
+            c = Fraction(*_ratio(c))
             if c != 0:
                 cleaned[mask] = c
         if not cleaned:
@@ -397,10 +438,7 @@ def eval_slack(ineq: LinearInequality, v: EntropyVector) -> ExactLogLin:
         raise ValueError(
             f"dimension mismatch: inequality has m={ineq.m}, vector m={v.m}"
         )
-    total = ExactLogLin.zero()
-    for mask, c in ineq.coeffs.items():
-        total = total + v.values[mask] * c
-    return total
+    return ExactLogLin.combine((c, v.values[mask]) for mask, c in ineq.coeffs.items())
 
 
 def check_points(

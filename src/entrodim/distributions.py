@@ -10,10 +10,10 @@ uniform marginal with k values this is exactly log2(k).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .core import (
     EntropyVector,
@@ -21,6 +21,7 @@ from .core import (
     PointSet,
     check_int,
     check_points,
+    common_denominator,
     projector,
     subsets,
 )
@@ -92,33 +93,37 @@ class SupportSet(PointSet):
         return {"m": self.m, "support": list(map(list, self.ordered()))}
 
 
-def _entropy(probs: Mapping[Fraction, int]) -> ExactLogLin:
-    """Entropy in bits of a distribution given as {p: how many values
-    have probability p}."""
+def _entropy(den: int, weights: Counter) -> ExactLogLin:
+    """Entropy in bits of a distribution whose probabilities are w/den,
+    given as {w: how many values have probability w/den}: each value
+    adds p * (log2 den(p) - log2 num(p)), p = w/den in lowest terms."""
     terms = []
-    for p, k in probs.items():
-        terms += [(k * p, p.denominator), (-k * p, p.numerator)]
-    return ExactLogLin(tuple(terms))
+    for w, k in weights.items():
+        g = math.gcd(w, den)
+        terms += [(den // g, k * w), (w // g, -k * w)]
+    return ExactLogLin._of_valid(den, terms)
 
 
 def exact_entropy_vector(dist: SupportSet | JointDistribution) -> EntropyVector:
     """Exact entropy vector of a distribution: rational atoms, or the
     uniform distribution on a support.
 
-    A support's marginal probabilities are c/N, from the cached fiber
-    counts c of its N points; a distribution sums its atoms per
-    projection.
+    Probabilities are integer weights over one denominator: a support's
+    marginal weights are its cached fiber counts over its N points, and
+    a distribution's are its atoms' numerators over their common
+    denominator, summed per projection.
     """
     values: dict[int, ExactLogLin] = {}
+    if isinstance(dist, SupportSet):
+        den = len(dist.points)
+        for mask in subsets(dist.m):
+            values[mask] = _entropy(den, Counter(dist.fibers(mask).values()))
+        return EntropyVector(dist.m, values)
+    nums, den = common_denominator(prob for _, prob in dist.atoms)
     for mask in subsets(dist.m):
-        if isinstance(dist, SupportSet):
-            counts = Counter(dist.fibers(mask).values())
-            probs = {Fraction(c, len(dist.points)): k for c, k in counts.items()}
-        else:
-            get = projector(mask)
-            marg: Counter = Counter()
-            for point, prob in dist.atoms:
-                marg[get(point)] += prob
-            probs = Counter(marg.values())
-        values[mask] = _entropy(probs)
+        get = projector(mask)
+        marg: Counter = Counter()
+        for (point, _), w in zip(dist.atoms, nums):
+            marg[get(point)] += w
+        values[mask] = _entropy(den, Counter(marg.values()))
     return EntropyVector(dist.m, values)

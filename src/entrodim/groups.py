@@ -22,7 +22,7 @@ that are groups by construction and skip that check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial
@@ -140,10 +140,13 @@ class Subgroup:
 
     Construction does not see the parent table; use
     subgroup_from_elements / subgroup_from_generators for validated
-    construction.
+    construction.  ``group`` is the group a subgroup was validated
+    against or built in by those functions and all_subgroups, else None;
+    it takes no part in equality or hashing.
     """
 
     elements: tuple[int, ...]
+    group: FiniteGroup | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(sorted(set(self.elements)))
@@ -167,6 +170,13 @@ def group_from_table(table) -> FiniteGroup:
     return FiniteGroup(len(rows), rows)
 
 
+def _of_group(g: FiniteGroup, elements) -> Subgroup:
+    """A Subgroup on elements that form a subgroup of g, marked as such."""
+    sub = Subgroup(elements)
+    object.__setattr__(sub, "group", g)
+    return sub
+
+
 def subgroup_from_elements(g: FiniteGroup, elements) -> Subgroup:
     """Validate that the given element indices form a subgroup of g."""
     elems = sorted(set(elements))
@@ -182,7 +192,7 @@ def subgroup_from_elements(g: FiniteGroup, elements) -> Subgroup:
         for b in elems:
             if g.table[a][b] not in sub:
                 raise ValueError(f"subgroup not closed under product {a}*{b}")
-    return Subgroup(tuple(elems))
+    return _of_group(g, tuple(elems))
 
 
 def subgroup_from_generators(g: FiniteGroup, gens) -> Subgroup:
@@ -203,7 +213,7 @@ def subgroup_from_generators(g: FiniteGroup, gens) -> Subgroup:
                     frontier.append(prod_)
     # generated set is closed under product with generators and contains
     # e, hence is closed and inverse-closed (finite group)
-    return Subgroup(tuple(sorted(closure)))
+    return _of_group(g, tuple(sorted(closure)))
 
 
 def all_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -232,7 +242,7 @@ def all_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
         for b, bmask in gens[i + 1:]:
             if amask & bmask not in (amask, bmask):
                 seen.add(subgroup_from_generators(g, (a, b)).elements)
-    got = tuple(sorted((Subgroup(e) for e in seen), key=lambda s: (s.order, s.elements)))
+    got = tuple(sorted((_of_group(g, e) for e in seen), key=lambda s: (s.order, s.elements)))
     g.__dict__["_subgroups"] = got
     return got
 
@@ -367,10 +377,11 @@ def witness_set(g: FiniteGroup, subgroups) -> SupportSet:
     """The finite set A = {(gH_1, ..., gH_m) : g in G} of coset tuples.
 
     A Subgroup is built without g's table, so each one is validated
-    against g first: a ValueError names the element out of range or the
-    failed closure.
+    against g first, unless it was already validated against or built
+    in g (its ``group`` is g): a ValueError names the element out of
+    range or the failed closure.
     """
-    subs = [subgroup_from_elements(g, h.elements) for h in subgroups]
+    subs = [h if h.group is g else subgroup_from_elements(g, h.elements) for h in subgroups]
     maps = [coset_index_map(g, h) for h in subs]
     points = {tuple(mp[a] for mp in maps) for a in range(g.order)}
     return SupportSet(len(subs), frozenset(points))
@@ -399,7 +410,7 @@ def coset_entropy_point(g: FiniteGroup, subgroups, support=None) -> EntropyVecto
             raise AssertionError(
                 f"coset entropies disagree with witness counting at {mask}"
             )
-        values[mask] = ExactLogLin(((1, n), (-1, order)))
+        values[mask] = ExactLogLin._of_valid(1, ((n, 1), (order, -1)))
     return EntropyVector(len(subs), values)
 
 
@@ -592,7 +603,7 @@ def _first_negative(
                 neg = decided.get(acc)
                 if neg is None:
                     cs = [(acc >> w * j) % (2 * half) - half for j in range(len(primes))]
-                    slack = ExactLogLin(tuple(zip(cs, primes)))
+                    slack = ExactLogLin._of_valid(1, zip(primes, cs))
                     neg = decided[acc] = max(cs) <= 0 or loglin_sign(slack) < 0
                 if neg:
                     return [i]

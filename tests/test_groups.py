@@ -467,7 +467,9 @@ def test_coset_point_refuses_a_support_with_unequal_fibers():
 @pytest.mark.parametrize("subs, message", [
     ([Subgroup((0, 7)), Subgroup((0,))], "element index 7 out of range"),
     ([Subgroup((0, 1)), Subgroup((0,))], "not closed under inverse of 1"),
-], ids=["out of range", "not closed"])
+    ([subgroup_from_elements(cyclic(8), [0, 4]), Subgroup((0,))],
+     "element index 4 out of range"),
+], ids=["out of range", "not closed", "validated in another group"])
 def test_subgroup_objects_are_checked_against_their_group(subs, message):
     # a Subgroup is built without a group table; {0, 7} and {0, 1} are no
     # subgroups of Z3
@@ -476,6 +478,30 @@ def test_subgroup_objects_are_checked_against_their_group(subs, message):
                 lambda: build_counterexample(ineq, z3, subs)):
         with pytest.raises(ValueError, match=message):
             run()
+
+
+def test_each_subgroup_is_validated_once_per_request(monkeypatch):
+    from entrodim import cantor, groups
+
+    checked = []
+    real = groups.subgroup_from_elements
+
+    def counting(g, elements):
+        checked.append(tuple(elements))
+        return real(g, elements)
+
+    monkeypatch.setattr(groups, "subgroup_from_elements", counting)
+    monkeypatch.setattr(cantor, "subgroup_from_elements", counting)
+    ineq = parse_inequality("H(x,y) <= H(x)")
+    for given_as in (lambda arrays: arrays,
+                     lambda arrays: groups.subgroups_from_json(KLEIN, arrays)):
+        checked.clear()
+        build_counterexample(ineq, KLEIN, given_as([[0, 1], [0, 2]]))
+        assert checked == [(0, 1), (0, 2)]
+    found = groups.search_violation(ineq, max_order=4)
+    checked.clear()
+    build_counterexample(ineq, found.group, found.subgroups)
+    assert checked == []  # all_subgroups built them in their group
 
 
 def test_subgroups_json_round_trip():
