@@ -53,10 +53,9 @@ _EXPORTS = {
         "verify_counterexample",
     ),
     "splitting": (
-        "ExhaustiveBoundExceeded", "FiniteBody", "SplitResult", "SplitSpec",
-        "UnsplitReport", "check_unsplit_inequality", "cube_bar_instance",
-        "find_split_exhaustive", "find_split_greedy", "loomis_whitney_slack",
-        "projection_count", "verify_split",
+        "FiniteBody", "SplitResult", "SplitSpec", "UnsplitReport",
+        "check_unsplit_inequality", "cube_bar_instance", "find_split_exhaustive",
+        "loomis_whitney_slack", "projection_count", "verify_split",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

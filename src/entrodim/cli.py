@@ -221,25 +221,18 @@ def _cmd_cantor(args) -> tuple[int, dict]:
 def _cmd_split(args) -> tuple[int, dict]:
     body = splitting.FiniteBody.from_json(_load_json(args.body))
     spec = splitting.SplitSpec.from_json(_load_json(args.spec))
-    method = "greedy" if args.greedy else "exhaustive"
-    finder = (
-        splitting.find_split_greedy if args.greedy else splitting.find_split_exhaustive
-    )
-    result = finder(body, spec)
+    result = splitting.find_split_exhaustive(body, spec)
     report = {
         "subcommand": "split",
-        "inputs": {"body": args.body, "spec": args.spec, "method": method},
+        "inputs": {"body": args.body, "spec": args.spec},
         "spec": spec.to_json(),
     }
     if result is None:
-        if method == "exhaustive":
-            report["outcome"] = "no split exists"
-        else:
-            report["outcome"] = "no split found (greedy heuristic, inconclusive)"
+        report["outcome"] = "no split exists"
         return 2, report
     report["outcome"] = "split found"
     report["split"] = result.to_json(body)
-    report["verified"] = True  # each finder recounts its split before returning it
+    report["verified"] = True  # the search recounts its split before returning it
     return 0, report
 
 
@@ -314,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="search for a budgeted splitting")
     p.add_argument("--body", required=True)
     p.add_argument("--spec", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true")
-    mode.add_argument("--greedy", action="store_true")
+    p.add_argument("--exhaustive", "--greedy", action="store_true",
+                   help="accepted and ignored: the one search is exact")
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("demo", help="built-in demonstrations")

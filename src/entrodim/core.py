@@ -49,6 +49,21 @@ def check_int(x, field: str) -> int:
     return x
 
 
+def check_rational(x, field: str) -> int | float | Fraction:
+    """A number in an input file: x when it is an int or a float, not a
+    bool, or the exact Fraction a string such as "7/3", "-2" or "0.25"
+    names.  A string with an exponent part ("1e999999999") is a
+    ValueError, as its value could need any number of digits; any other
+    type is a TypeError naming field."""
+    if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ValueError(f"{field} {x!r} has an exponent part; write it as p/q or a decimal")
+        return Fraction(x)
+    if type(x) is not int and type(x) is not float:
+        raise TypeError(f"{field} must be a number or a string such as \"7/3\", got {x!r}")
+    return x
+
+
 def subsets(m: int) -> list[int]:
     """All 2**m - 1 nonempty subset masks of {1..m}, ascending."""
     if not 1 <= m <= MAX_VARIABLES:

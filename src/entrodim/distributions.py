@@ -21,6 +21,7 @@ from .core import (
     PointSet,
     check_int,
     check_points,
+    check_rational,
     common_denominator,
     projector,
     subsets,
@@ -60,7 +61,7 @@ class JointDistribution:
     @classmethod
     def from_json(cls, obj: dict) -> "JointDistribution":
         atoms = tuple(
-            (tuple(a["point"]), Fraction(a["prob"])) for a in obj["atoms"]
+            (tuple(a["point"]), check_rational(a["prob"], "prob")) for a in obj["atoms"]
         )
         return cls(check_int(obj["m"], "m"), atoms)
 

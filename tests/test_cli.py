@@ -335,11 +335,45 @@ def test_split_found_and_not_found(capsys, tmp_path):
     assert code == 2
     assert report["outcome"] == "no split exists"
 
+    # --greedy selects nothing: the answer is the search's, and definite
     code, report, _ = run(
         capsys, "split", "--body", body, "--spec", spec_no, "--greedy"
     )
     assert code == 2
-    assert report["outcome"] == "no split found (greedy heuristic, inconclusive)"
+    assert report["outcome"] == "no split exists"
+
+
+def test_split_with_the_greedy_flag_finds_a_split_a_one_pass_heuristic_misses(
+    capsys, tmp_path
+):
+    # a heuristic that parks the first point in the roomier full part
+    # can never recover here; the exact search splits the body
+    body_obj = {"m": 3, "N": 3, "points": [[0, 0, 0], [0, 1, 1], [1, 0, 0], [2, 0, 0]]}
+    spec_obj = {"m": 3, "levels": [{"part": [1], "bits": 0.0}, {"part": [1, 2, 3], "bits": 1.0}]}
+    body, spec = write_json(tmp_path / "b.json", body_obj), write_json(tmp_path / "s.json", spec_obj)
+    code, report, err = run(capsys, "split", "--greedy", "--body", body, "--spec", spec)
+    assert (code, err) == (0, "")
+    assert report["outcome"] == "split found" and report["verified"] is True
+    labels = ["{1}", "{1}", "{1,2,3}", "{1,2,3}"]
+    assert report["split"] == {"assignment": dict(zip("0123", labels))}
+    split = splitting.SplitResult(dict(zip(
+        map(tuple, body_obj["points"]), [0b001, 0b001, 0b111, 0b111])))
+    assert splitting.verify_split(splitting.FiniteBody.from_json(body_obj),
+                                  splitting.SplitSpec.from_json(spec_obj), split)
+
+
+def test_split_flags_leave_the_cube_bar_report_unchanged(capsys, tmp_path):
+    # the benchmark's cube-bar(16) request, caps (30, 4096)
+    body = write_json(tmp_path / "body.json", splitting.cube_bar_instance(16).to_json())
+    spec = write_json(tmp_path / "spec.json", {"m": 3, "levels": [
+        {"part": [1], "bits": math.log2(30)}, {"part": [1, 2, 3], "bits": 12}]})
+    reports = []
+    for flags in ([], ["--greedy"], ["--exhaustive"]):
+        code, report, _ = run(capsys, "split", *flags, "--body", body, "--spec", spec)
+        assert code == 0 and report["verified"] is True
+        del report["elapsed_ms"]
+        reports.append(json.dumps(report))
+    assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize(
@@ -479,22 +513,17 @@ def test_parser_reuse_keeps_requests_apart(capsys, tmp_path):
         tmp_path / "s.json", {"m": 1, "levels": [{"part": [1], "bits": 1.0}]}
     )
     argv = ["split", "--body", body, "--spec", spec]
-    code, report, _ = run(capsys, *argv, "--greedy")
-    assert code == 0 and report["inputs"]["method"] == "greedy"
+    inputs = {"body": body, "spec": spec}
+    code, report, _ = run(capsys, *argv, "--greedy", "--exhaustive")
+    assert code == 0 and report["inputs"] == inputs
+    # an argparse failure (missing --spec) leaves nothing behind for the
+    # next request
+    with pytest.raises(SystemExit) as exc:
+        main(["split", "--body", body, "--greedy"])
+    assert exc.value.code == 2
+    capsys.readouterr()
     code, report, _ = run(capsys, *argv)
-    assert code == 0 and report["inputs"]["method"] == "exhaustive"
-    # an argparse failure (missing --spec, then both methods at once)
-    # leaves nothing behind for the next request
-    for bad in (
-        ["split", "--body", body, "--greedy"],
-        [*argv, "--greedy", "--exhaustive"],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(bad)
-        assert exc.value.code == 2
-        capsys.readouterr()
-    code, report, _ = run(capsys, *argv)
-    assert code == 0 and report["inputs"]["method"] == "exhaustive"
+    assert code == 0 and report["inputs"] == inputs
     assert report["outcome"] == "split found"
 
 
@@ -523,6 +552,8 @@ _SUBGROUPS = ["counterexample", "--ineq", "H(x,y) <= H(x)", "--group", "@group",
     (["eval", "--ineq", "H(x) >= 0", "--dist", "@in"],
      {"m": 1, "atoms": [{"point": [0], "prob": None}]}),
     (["eval", "--ineq", "H(x) >= 0", "--dist", "@in"],
+     {"m": 1, "atoms": [{"point": [0], "prob": True}]}),
+    (["eval", "--ineq", "H(x) >= 0", "--dist", "@in"],
      {"m": 1, "atoms": [{"point": 5, "prob": "1"}]}),
     (_GROUP_SEARCH, [{"order": 2, "table": [[0, 1.0], [1.0, 0]]}]),
     (_SUBGROUPS, [[0], [0, 1.0]]),
@@ -542,7 +573,7 @@ _SUBGROUPS = ["counterexample", "--ineq", "H(x,y) <= H(x)", "--group", "@group",
     (["cantor", "--witness", "@in"], _DEEP),
 ], ids=["witness-list", "witness-points-int", "witness-point-int", "body-points-int",
         "body-point-int", "spec-part-int", "spec-levels-int", "spec-bits-null",
-        "spec-bits-true", "dist-prob-null", "dist-point-int", "table-float",
+        "spec-bits-true", "dist-prob-null", "dist-prob-true", "dist-point-int", "table-float",
         "subgroup-float", "witness-m-float", "witness-m-true", "witness-N-float",
         "body-m-float", "spec-position-float", "spec-m-true", "dist-m-float",
         "support-m-true", "table-order-float", "perm-degree-float", "deeply-nested"])
@@ -555,6 +586,34 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, obj):
     assert (code, report) == (1, None)
     kind = "ValueError" if obj is _DEEP else "TypeError"
     assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1, err
+
+
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["split", "--body", "@body", "--spec", "@in"],
+     {"m": 2, "levels": [{"part": [1], "bits": "1e999999999"}]}),
+    (["eval", "--ineq", "H(x) >= 0", "--dist", "@in"],
+     {"m": 1, "atoms": [{"point": [0], "prob": "1e-999999999"}]}),
+], ids=["spec-bits", "dist-prob"])
+def test_a_string_number_with_an_exponent_is_refused_at_once(tmp_path, argv, obj):
+    # Fraction("1e999999999") would build 10**999999999; the request runs
+    # in a fresh interpreter with a timeout, so a hang fails the test
+    paths = {k: write_json(tmp_path / f"{k[1:]}.json", v)
+             for k, v in {"@in": obj, "@body": _WITNESS}.items()}
+    proc = subprocess.run(
+        [sys.executable, "-m", "entrodim.cli", *[paths.get(a, a) for a in argv]],
+        capture_output=True, text=True, env=_src_env(), timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ValueError: ") and proc.stderr.count("\n") == 1
+    assert "has an exponent part" in proc.stderr
 
 
 PINNED = json.loads((Path(__file__).parent / "cli_reports_pinned.json").read_text())
@@ -614,19 +673,18 @@ def test_the_writer_gives_the_text_of_json_dumps_on_pinned_reports(name):
         assert _render(case["report"]) == json.dumps(case["report"], indent=2)
 
 
-def test_a_reader_closing_stdout_early_keeps_the_exit_code(tmp_path):
-    # the 102 KB greedy report overflows the pipe, so the write meets the
-    # closed end; the exit code stays the subcommand's, stderr stays empty
+def test_a_reader_closing_stdout_early_keeps_the_exit_code(capsys, tmp_path):
+    # the report, about 86 KB, overflows the 64 KiB pipe, so the write
+    # meets the closed end; the exit code stays the subcommand's, stderr
+    # stays empty
     body = write_json(tmp_path / "body.json", splitting.cube_bar_instance(16).to_json())
     spec = write_json(tmp_path / "spec.json", {"m": 3, "levels": [
         {"part": [1], "bits": math.log2(30)}, {"part": [1, 2, 3], "bits": 12}]})
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    assert main(["split", "--body", body, "--spec", spec]) == 0
+    assert len(capsys.readouterr().out.encode()) > 65_536
     proc = subprocess.Popen(
-        [sys.executable, "-m", "entrodim.cli", "split", "--greedy", "--body", body,
-         "--spec", spec],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+        [sys.executable, "-m", "entrodim.cli", "split", "--body", body, "--spec", spec],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=_src_env(),
     )
     head = proc.stdout.read(10)
     proc.stdout.close()

@@ -9,6 +9,7 @@ from entrodim.core import (
     ExactLogLin,
     LinearInequality,
     SizeLimitError,
+    check_rational,
     eval_slack,
     loglin_sign,
     mask_label,
@@ -226,3 +227,21 @@ def test_eval_slack_linearity():
 
 def test_float_tolerance_constant():
     assert type(FLOAT_TOL) is Fraction and FLOAT_TOL == Fraction(1, 10**9)
+
+
+def test_check_rational_reads_numbers_and_rational_strings():
+    for x in (2, -3, 0.25, math.inf, 10**400):
+        assert check_rational(x, "bits") is x
+    for text, want in (("7/3", Fraction(7, 3)), ("-2", Fraction(-2)), ("0.25", Fraction(1, 4)),
+                       (" 1/3 ", Fraction(1, 3))):
+        got = check_rational(text, "prob")
+        assert type(got) is Fraction and got == want
+    # an exponent part is refused before Fraction would build its power of ten
+    for text in ("1e999999999", "1E-999999999", "2.5e3", "1/1e9"):
+        with pytest.raises(ValueError, match=r"^prob .* has an exponent part"):
+            check_rational(text, "prob")
+    with pytest.raises(ValueError, match="Invalid literal"):
+        check_rational("inf", "prob")
+    for bad in (True, False, None, [1], Fraction(1, 3)):
+        with pytest.raises(TypeError, match=r"^prob must be a number or a string"):
+            check_rational(bad, "prob")

@@ -15,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 from entrodim.cantor import DimValue
 from entrodim.core import mask_positions, subsets
 from entrodim.splitting import (
-    EXHAUSTIVE_BOUND,
-    ExhaustiveBoundExceeded,
     FiniteBody,
     Point,
     SplitResult,
@@ -24,19 +22,21 @@ from entrodim.splitting import (
     check_unsplit_inequality,
     cube_bar_instance,
     find_split_exhaustive,
-    find_split_greedy,
     loomis_whitney_slack,
     projection_count,
     verify_split,
     _max_count,
 )
 
-# -- the searches as they were before the projection kernel, and the float
-# budget rule they used before the exact one, kept as the reference for
+# -- the search as it was before the projection kernel, and the float
+# budget rule it used before the exact one, kept as the reference for
 # test_split_searches_match_their_references
 
 #: the float tolerance of the reference rule
 _REFERENCE_FLOAT_TOL = 1e-9
+
+#: the recursive reference search refuses more than this many assignments
+_REFERENCE_BOUND = 10**7
 
 
 def _reference_max_count(bits: float) -> int:
@@ -89,14 +89,14 @@ def _reference_find_split_exhaustive(
     Deterministic: points in sorted order, parts in ascending mask
     order, so the returned split is the lexicographically first valid
     assignment.  A part's projection count never shrinks as points are
-    added, so pruning an over-budget prefix is safe.  Raises
-    ExhaustiveBoundExceeded when |parts| ** |S| > EXHAUSTIVE_BOUND.
+    added, so pruning an over-budget prefix is safe.  Raises ValueError
+    when |parts| ** |S| > _REFERENCE_BOUND.
     """
     parts = sorted(spec.levels)
     points = sorted(body.points)
-    if len(parts) ** len(points) > EXHAUSTIVE_BOUND:
-        raise ExhaustiveBoundExceeded(
-            f"{len(parts)}**{len(points)} assignments exceed {EXHAUSTIVE_BOUND}"
+    if len(parts) ** len(points) > _REFERENCE_BOUND:
+        raise ValueError(
+            f"{len(parts)}**{len(points)} assignments exceed {_REFERENCE_BOUND}"
         )
     caps = {mask: _reference_max_count(spec.bits(mask)) for mask in parts}
     shadows: dict[int, set[Point]] = {mask: set() for mask in parts}
@@ -127,38 +127,6 @@ def _reference_find_split_exhaustive(
     if not _reference_verify_split(body, spec, result):
         raise AssertionError("exhaustive search produced an invalid split")
     return result
-
-
-def _reference_find_split_greedy(
-    body: FiniteBody, spec: SplitSpec
-) -> SplitResult | None:
-    """One-pass heuristic: each point goes to the part it strains least.
-
-    Strain is judged by marginal projection growth (does the point add a
-    new shadow element?) with remaining budget capacity as tie-breaker,
-    then ascending part order.  The result is verified before being
-    returned; None means the heuristic failed, *not* that no split
-    exists.
-    """
-    parts = sorted(spec.levels)
-    caps = {mask: _reference_max_count(spec.bits(mask)) for mask in parts}
-    shadows: dict[int, set[Point]] = {mask: set() for mask in parts}
-    assignment: dict[Point, int] = {}
-    for point in sorted(body.points):
-        best = None
-        best_key = None
-        for mask in parts:
-            key = _reference_proj(point, mask)
-            growth = 0 if key in shadows[mask] else 1
-            headroom = caps[mask] - (len(shadows[mask]) + growth)
-            rank = (growth, -headroom, mask)
-            if best_key is None or rank < best_key:
-                best_key = rank
-                best = mask
-        shadows[best].add(_reference_proj(point, best))
-        assignment[point] = best
-    result = SplitResult(assignment)
-    return result if _reference_verify_split(body, spec, result) else None
 
 
 FULL_CUBE_2 = FiniteBody(
@@ -330,12 +298,19 @@ def test_budget_boundary_is_exact():
     assert find_split_exhaustive(three, spec) is None
 
 
-def test_exhaustive_bound():
+def test_a_24_point_two_part_body_is_decided():
+    # 2**24 assignments, past the reference search's guard: the search
+    # has no size bound, and the first split fills part {1} first
     body = FiniteBody(2, 24, frozenset((i, 0) for i in range(24)))
-    spec = SplitSpec(2, {0b01: 5.0, 0b11: 5.0})
-    assert 2**24 > EXHAUSTIVE_BOUND
-    with pytest.raises(ExhaustiveBoundExceeded):
-        find_split_exhaustive(body, spec)
+    assert 2**24 > _REFERENCE_BOUND
+    result = find_split_exhaustive(body, SplitSpec(2, {0b01: 5.0, 0b11: 5.0}))
+    assert result.assignment == dict.fromkeys(sorted(body.points), 0b01)
+    spec = SplitSpec(2, {0b01: math.log2(20), 0b11: 2.0})
+    result = find_split_exhaustive(body, spec)
+    assert result.assignment == {(i, 0): 0b01 if i < 20 else 0b11 for i in range(24)}
+    assert verify_split(body, spec, result)
+    spec = SplitSpec(2, {0b01: math.log2(20), 0b11: math.log2(3)})
+    assert find_split_exhaustive(body, spec) is None
 
 
 def test_verify_split_errors_and_budget():
@@ -356,9 +331,9 @@ def test_verify_split_errors_and_budget():
 
 @pytest.mark.parametrize(
     "run",
-    [find_split_exhaustive, find_split_greedy,
+    [find_split_exhaustive,
      lambda body, spec: verify_split(body, spec, SplitResult({(0, 1): 0b1}))],
-    ids=["exhaustive", "greedy", "verify"],
+    ids=["exhaustive", "verify"],
 )
 def test_spec_and_body_must_have_the_same_m(run):
     body = FiniteBody(2, 3, {(0, 1)})
@@ -378,7 +353,7 @@ def test_split_result_json_labels_points_by_sorted_order():
     # the assignment dicts are filled in descending and in hash order;
     # point i of the report is still the i-th point in ascending order
     body = cube_bar_instance(16)
-    result = find_split_greedy(body, SplitSpec(3, {0b001: math.log2(30), 0b111: 12}))
+    result = find_split_exhaustive(body, SplitSpec(3, {0b001: math.log2(30), 0b111: 12}))
     order = sorted(body.points)
     want = {str(i): "{1}" if result.assignment[p] == 0b001 else "{1,2,3}"
             for i, p in enumerate(order)}
@@ -392,38 +367,20 @@ def test_split_result_json_labels_points_by_sorted_order():
     assert result.to_json(body) == {"assignment": {"0": "{2}", "1": "{1,2}", "2": "{1}"}}
 
 
-def test_greedy_matches_its_reference_on_the_cube_bar():
+def test_search_splits_the_cube_bar_at_the_first_assignment():
+    # the benchmark's cube-bar(16) spec: the first split puts x = 0..29,
+    # the cube and 14 bar points, into part {1}, and the other 34 bar
+    # points into part {1,2,3}; caps of exactly 30 and 34 fit, one less
+    # on either part does not
     body = cube_bar_instance(16)
     spec = SplitSpec(3, {0b001: math.log2(30), 0b111: math.log2(4096)})
-    got, want = find_split_greedy(body, spec), _reference_find_split_greedy(body, spec)
-    assert got is not None and want is not None
-    assert got.assignment == want.assignment
+    got = find_split_exhaustive(body, spec)
     assert list(got.assignment) == sorted(body.points)
-    assert sum(1 for mask in got.assignment.values() if mask == 0b001) == 54
-    # its shadows have 25 and 4,090 points: caps of exactly that fit, one
-    # less on either part does not
-    for caps, fits in (((25, 4090), True), ((24, 4090), False), ((25, 4089), False)):
+    assert got.assignment == {p: 0b001 if p[0] < 30 else 0b111 for p in body.points}
+    for caps, fits in (((30, 34), True), ((29, 34), False), ((30, 33), False)):
         spec = SplitSpec(3, {0b001: math.log2(caps[0]), 0b111: math.log2(caps[1])})
         assert verify_split(body, spec, got) is fits
         assert _reference_verify_split(body, spec, got) is fits
-
-
-def test_greedy_can_miss_a_split_the_search_finds():
-    # frozen divergence instance: the heuristic parks the first point in
-    # the roomier full part and can never recover
-    body = FiniteBody(
-        3, 3, frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 0), (2, 0, 0)})
-    )
-    spec = SplitSpec(3, {0b001: 0.0, 0b111: 1.0})
-    assert find_split_greedy(body, spec) is None
-    result = find_split_exhaustive(body, spec)
-    assert result is not None
-    assert result.assignment == {
-        (0, 0, 0): 0b001,
-        (0, 1, 1): 0b001,
-        (1, 0, 0): 0b111,
-        (2, 0, 0): 0b111,
-    }
 
 
 def _benchmark_shaped_split(rng):
@@ -456,7 +413,6 @@ def test_exhaustive_search_on_benchmark_shaped_splits():
 _CUBE_BAR_SEARCH = """
 import json, math, time
 from entrodim import splitting
-splitting.EXHAUSTIVE_BOUND = math.inf
 body = splitting.cube_bar_instance(16)
 out = []
 for cap1, cap123 in ((16, 48), (16, 47)):
@@ -474,8 +430,8 @@ def test_exhaustive_search_decides_the_cube_bar_without_the_bound():
     # bar points, one per x = 16..63.  Part {1} takes at most 16 values of
     # x, so at best the whole cube, and part {1,2,3} then needs room for
     # the 48 bar points: caps (16, 48) split and (16, 47) do not.  The
-    # search runs in a fresh interpreter with EXHAUSTIVE_BOUND lifted, and
-    # a timeout, so a search that does not finish fails instead of hanging.
+    # search runs in a fresh interpreter with a timeout, so a search that
+    # does not finish fails instead of hanging.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -484,28 +440,7 @@ def test_exhaustive_search_decides_the_cube_bar_without_the_bound():
     assert proc.returncode == 0, proc.stderr
     (fits, seconds_fits), (none, seconds_none) = json.loads(proc.stdout)
     assert fits is True and none is None
-    assert max(seconds_fits, seconds_none) < 1.0  # 10-30 ms on a 2-core machine
-
-
-def test_greedy_results_always_verify():
-    rng = random.Random(909)
-    found = misses = 0
-    for _ in range(200):
-        body = _random_body(rng, max_base=3, max_points=8)
-        masks = rng.sample([1, 2, 4, 3, 5, 6, 7], k=rng.randint(1, 3))
-        spec = SplitSpec(3, {mk: rng.uniform(0.0, 2.5) for mk in masks})
-        greedy = find_split_greedy(body, spec)
-        if greedy is not None:
-            found += 1
-            assert verify_split(body, spec, greedy)
-        exhaustive = find_split_exhaustive(body, spec)
-        if exhaustive is None:
-            # complete search says impossible; the sound heuristic must
-            # not claim otherwise
-            assert greedy is None
-        elif greedy is None:
-            misses += 1
-    assert found > 0  # the property above was actually exercised
+    assert max(seconds_fits, seconds_none) < 1.0  # 2-10 ms on a 2-core machine
 
 
 @st.composite
@@ -537,14 +472,10 @@ def _split_cases(draw):
 @given(_split_cases())
 def test_split_searches_match_their_references(case):
     body, spec, split = case
-    for search, reference in (
-        (find_split_exhaustive, _reference_find_split_exhaustive),
-        (find_split_greedy, _reference_find_split_greedy),
-    ):
-        got, want = search(body, spec), reference(body, spec)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got.assignment == want.assignment
+    got, want = find_split_exhaustive(body, spec), _reference_find_split_exhaustive(body, spec)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.assignment == want.assignment
     assert verify_split(body, spec, split) == _reference_verify_split(
         body, spec, split
     )
@@ -627,9 +558,8 @@ def test_infinite_budgets_split_and_render():
         {"part": [1], "bits": -math.inf},
         {"part": [1, 2], "bits": math.inf},
     ]
-    for search in (find_split_exhaustive, find_split_greedy):
-        result = search(body, spec)
-        assert set(result.assignment.values()) == {0b11}
+    result = find_split_exhaustive(body, spec)
+    assert set(result.assignment.values()) == {0b11}
     assert find_split_exhaustive(body, SplitSpec(2, {0b01: math.inf})) is not None
     assert find_split_exhaustive(body, SplitSpec(2, {0b11: -math.inf})) is None
 
