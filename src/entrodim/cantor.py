@@ -60,7 +60,7 @@ class CantorWitness(PointSet):
         return {
             "m": self.m,
             "N": self.base,
-            "points": list(map(list, self.ordered())),
+            "points": self.rows(),
         }
 
 
@@ -89,13 +89,13 @@ class DimValue:
 
 
 def project(w: CantorWitness, subset: int) -> CantorWitness:
-    """Projection onto the coordinates in `subset` (a new witness on w's
-    cached shadow)."""
+    """Projection onto the coordinates in `subset` (a new witness made
+    from w's cached shadow)."""
     return w.projection(subset)
 
 
 def dim_value(w: CantorWitness) -> DimValue:
-    return DimValue(len(w.points), w.base)
+    return DimValue(len(w), w.base)
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,9 @@ def uniform_fiber(w: CantorWitness, subset: int):
     if not 0 < subset < full:
         raise ValueError(f"subset mask {subset} out of range for m={w.m}")
     fibers = w.fibers(subset)
-    n, k = len(w.points), len(fibers)
+    n, k = len(w), len(fibers)
     bad = [key for key, c in fibers.items() if c * k != n]
-    return NonUniform(min(bad)) if bad else n // k
+    return NonUniform(w.decode(min(bad), subset)) if bad else n // k
 
 
 def lemma_fiber_bound(w: CantorWitness, b: Iterable[Digits], subset: int) -> bool:
@@ -229,13 +229,15 @@ def _margin(ineq: LinearInequality, dims: dict[int, DimValue],
 def verify_counterexample(ce: DimensionCounterexample) -> None:
     """Recheck every invariant of the counterexample from its raw fields.
 
-    The projections are counted here from the witness's points, not read
-    from its shadow cache, so the recheck does not trust what it checks.
+    The projections are counted here from the witness's point codes, not
+    read from its shadow cache, so the recheck does not trust what it
+    checks.
     """
     ineq = ce.inequality
-    n = ce.witness.base
+    w = ce.witness
+    n = w.base
     for mask in subsets(ineq.m):
-        count = len(set(map(projector(mask), ce.witness.points)))
+        count = len(set(map(w.field(mask).__and__, w.codes)))
         want = ce.dims[mask]
         if count != want.cardinality or want.base != n:
             raise AssertionError(f"stored dimension wrong at {mask_label(mask)}")
@@ -279,7 +281,9 @@ def build_counterexample(
         raise NotViolated(slack)
 
     n_base = max(g.order // h.order for h in subs)
-    witness = CantorWitness(ineq.m, n_base, support.points)
+    # the support's codes are digits below n_base (n_base >= 2, as the
+    # slack is negative); the fields' widths stay those of its points
+    witness = CantorWitness._of_valid(ineq.m, n_base, support.codes, support.widths)
     # the point's check cached every fiber count of the support and found
     # each projection count to be #G/#H_I = 2**point[I], so the margin at
     # epsilon = 0 is exactly -slack; each lhs level takes epsilon off it

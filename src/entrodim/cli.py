@@ -247,7 +247,7 @@ def _cmd_demo(args) -> tuple[int, dict]:
     report = {
         "subcommand": "demo",
         "inputs": {"what": "cube-bar", "k": args.k},
-        "body": {"m": 3, "N": body.base, "size": len(body.points)},
+        "body": {"m": 3, "N": body.base, "size": len(body)},
         "projections": {"S1": check.v1, "S12": check.v12, "S13": check.v13},
         "unsplit_inequality": {
             "lhs_product": check.lhs_product,

@@ -14,8 +14,9 @@ Conventions used throughout the package:
   by :func:`loglin_sign`, with no size limit and never by floating
   point alone.
 * Finite sets of m-tuples (bodies, digit sets, supports) are
-  :class:`PointSet` values: validated once, with their shadows (the
-  projections onto a subset mask) and fiber counts cached per mask.
+  :class:`PointSet` values: validated once and held as one int per
+  point, with their shadows (the keys of the points on a subset mask)
+  and fiber counts cached per mask.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import and_, itemgetter, lshift, or_, rshift
 from types import MappingProxyType
 from typing import Callable, ClassVar, Iterable, Mapping, Union
 
@@ -456,80 +458,140 @@ def eval_slack(ineq: LinearInequality, v: EntropyVector) -> ExactLogLin:
     return ExactLogLin.combine((c, v.values[mask]) for mask, c in ineq.coeffs.items())
 
 
+#: point sets this small count every fiber map from their codes
+_SUM_FROM = 64
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _fields(widths: tuple[int, ...], mask: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """In a layout of fields of these widths, coordinate 1 highest: the
+    (shift, all-ones value) of the field of each position of mask,
+    ascending, and the OR of those fields."""
+    fields = tuple(
+        (sum(widths[i + 1:]), (1 << w) - 1) for i, w in enumerate(widths) if mask >> i & 1
+    )
+    return fields, sum(ones << s for s, ones in fields)
+
+
+def pack_columns(cols, widths) -> frozenset[int]:
+    """One int per row of the coordinate columns: coordinate i in a field
+    of widths[i] bits, coordinate 1 in the highest field, so that int
+    order is the rows' tuple order.  Every value must fit its field."""
+    codes = cols[0]
+    for col, w in zip(cols[1:], widths[1:]):
+        codes = map(or_, map(lshift, codes, repeat(w)), col)
+    return frozenset(codes)
+
+
+def _valid_columns(points, m: int, base: int | None):
+    """The m coordinate columns of nonempty sized points, with the
+    largest value of each, when every point has m int coordinates in
+    0..base-1; else None."""
+    try:
+        if set(map(len, points)) != {m}:
+            return None
+        cols = list(zip(*points))
+    except TypeError:  # a point with no length, or not iterable
+        return None
+    if set(map(type, chain.from_iterable(cols))) != {int} or min(map(min, cols)) < 0:
+        return None
+    tops = list(map(max, cols))
+    if base is not None and max(tops) >= base:
+        return None
+    return cols, tops
+
+
 def check_points(
     points: Iterable, m: int, base: int | None = None, noun: str = "coordinate"
-) -> frozenset[tuple[int, ...]]:
-    """The points as a frozenset of m-tuples of nonnegative ints (bools
-    and other int subclasses are refused), each below base unless base
-    is None; else ValueError naming the first bad point or coordinate.
+) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The points as one int per point (pack_columns) and the field width
+    of each coordinate, the bit length of its largest value; points must
+    be m-tuples of nonnegative ints (bools and other int subclasses are
+    refused), each below base unless base is None.
 
-    A frozenset of tuples is kept as it is, not hashed again.  Any other
-    input is checked point by point before it is hashed, as True == 1
-    would merge (True, 0) into (1, 0).  `noun` names a coordinate in the
-    messages.
+    The check runs per coordinate column: its types, minimum and maximum.
+    When it fails, the points are scanned one by one, as tuples, for a
+    ValueError naming the first bad point or coordinate; nothing is
+    hashed before its type is checked, as True == 1 would merge (True, 0)
+    into (1, 0).  `noun` names a coordinate in the messages.
     """
     if not 1 <= m <= MAX_VARIABLES:
         raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {m}")
-    if not (isinstance(points, frozenset) and set(map(type, points)) <= {tuple}):
+    if not isinstance(points, (list, tuple, set, frozenset)):
+        points = list(points)
+    if not points:
+        return frozenset(), (0,) * m
+    valid = _valid_columns(points, m, base)
+    if valid is None:
         points = tuple(map(tuple, points))
-    for pt in points:
-        if len(pt) != m:
-            raise ValueError(f"point {pt} has {len(pt)} coordinates, expected {m}")
-        for x in pt:
-            if type(x) is not int or x < 0 or (base is not None and x >= base):
-                if type(x) is not int or base is None:
-                    raise ValueError(f"{noun}s must be nonnegative integers, got {x!r}")
-                raise ValueError(f"{noun} {x} out of range for base {base}")
-    return frozenset(points)
+        for pt in points:
+            if len(pt) != m:
+                raise ValueError(f"point {pt} has {len(pt)} coordinates, expected {m}")
+            for x in pt:
+                if type(x) is not int or x < 0 or (base is not None and x >= base):
+                    if type(x) is not int or base is None:
+                        raise ValueError(f"{noun}s must be nonnegative integers, got {x!r}")
+                    raise ValueError(f"{noun} {x} out of range for base {base}")
+        valid = _valid_columns(points, m, base)  # tuples now, so it passes
+    cols, tops = valid
+    widths = tuple(map(int.bit_length, tops))
+    return pack_columns(cols, widths), widths
 
 
-def _within(mask: int, sup: int) -> int:
-    """A subset mask renumbered to the positions of a superset mask: bit j
-    is set when the j-th position of sup is in mask."""
-    return sum(
-        1 << j for j, p in enumerate(mask_positions(sup)) if mask >> (p - 1) & 1
-    )
-
-
-@dataclass(frozen=True)
 class PointSet:
     """A nonempty finite set of m-tuples of nonnegative integers, each
     below ``base`` (no upper bound when base is None).
 
-    The points are validated once, by check_points.  Shadows (the sets
-    of projections onto a subset mask) and fiber counts are cached per
-    mask; a shadow is worked out from the smallest cached shadow of a
-    superset mask, from the points only when there is none.  The points
-    are sorted once, on first use, and the order is kept too.  Instances
-    are immutable values: shadows are frozensets, fiber counts are
+    The points are validated once, by check_points, and held as one int
+    per point, ``codes``: coordinate i in a field of ``widths[i]`` bits,
+    the bit length of the largest value in that coordinate, with
+    coordinate 1 highest, so int order is tuple order.  The key of a
+    point on a subset mask is its code AND field(mask).  Shadows (the
+    sets of keys on a mask) and fiber counts (keys to how many points
+    have them) are cached per mask, each worked out from the smallest
+    cached one of a superset mask (see fibers for when counting the
+    codes is cheaper).  The codes are sorted once, on first use, and the
+    order is kept too.  Tuples are made only by ``points``, decode and
+    rows; the codes, ``==`` and hash never need them.  Instances are
+    immutable values: shadows are frozensets, fiber counts are
     read-only mappings and the order is a tuple.  Subclasses set their
     base rule and the words used in error messages.
     """
 
-    m: int
-    base: int | None
-    points: frozenset[tuple[int, ...]]
-    _shadows: dict = field(init=False, repr=False, compare=False)
-    _fibers: dict = field(init=False, repr=False, compare=False)
-    _order: tuple | None = field(init=False, repr=False, compare=False)
-
     noun: ClassVar[str] = "coordinate"
     empty: ClassVar[str] = "empty point set"
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, base: int | None, points) -> None:
+        self.m, self.base = m, base
         self._check_base()
-        pts = check_points(self.points, self.m, self.base, self.noun)
-        if not pts:
+        codes, widths = check_points(points, m, base, self.noun)
+        if not codes:
             raise ValueError(self.empty)
-        self._hold(pts)
+        self._hold(codes, widths)
+        if isinstance(points, frozenset) and set(map(type, points)) == {tuple}:
+            self._points = points  # the same tuples: keep them, decode nothing
 
-    def _hold(self, pts: frozenset[tuple[int, ...]]) -> None:
-        """Keep valid points, with empty caches but for the full mask,
-        whose shadow is the points themselves."""
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_shadows", {(1 << self.m) - 1: pts})
-        object.__setattr__(self, "_fibers", {})
-        object.__setattr__(self, "_order", None)
+    def _hold(self, codes: frozenset[int], widths: tuple[int, ...]) -> None:
+        """Keep valid codes, with empty caches but for the full mask,
+        whose shadow is the codes themselves."""
+        self.codes, self.widths = codes, widths
+        self._shadows = {(1 << self.m) - 1: codes}
+        self._fibers: dict = {}
+        self._order: tuple | None = None
+        self._points: frozenset | None = None
+
+    @classmethod
+    def _of_valid(
+        cls, m: int, base: int | None, codes: frozenset[int], widths: tuple[int, ...]
+    ) -> "PointSet":
+        """A point set on codes that are valid by construction (a
+        projection, or points the package generates), kept without a
+        second check; each width must be the bit length of the largest
+        value in its coordinate, as check_points makes it."""
+        out = object.__new__(cls)
+        out.m, out.base = m, base
+        out._hold(codes, widths)
+        return out
 
     def _check_base(self) -> None:
         if self.base is not None and self.base < 1:
@@ -539,47 +601,103 @@ class PointSet:
         if not 0 < mask < 1 << self.m:
             raise ValueError(f"subset mask {mask} out of range for m={self.m}")
 
-    def shadow(self, mask: int) -> frozenset[tuple[int, ...]]:
-        """The projections of the points onto the positions in mask,
-        worked out from the smallest cached shadow of a superset mask
-        (the points themselves when there is no other)."""
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.base, self.widths, self.codes) == (
+            other.m, other.base, other.widths, other.codes)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.base, self.widths, self.codes))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(m={self.m}, base={self.base}, points={self.points!r})"
+
+    def field(self, mask: int) -> int:
+        """The int whose AND with a point's code is its key on mask."""
+        return _fields(self.widths, mask)[1]
+
+    def decode(self, key: int, mask: int | None = None) -> tuple[int, ...]:
+        """The coordinates on mask (all m by default) of a code or key."""
+        fields, _ = _fields(self.widths, (1 << self.m) - 1 if mask is None else mask)
+        return tuple(key >> s & ones for s, ones in fields)
+
+    def _columns(self, keys, mask: int) -> list:
+        """Per position of mask, the iterator of its coordinate over keys
+        (a collection, read once per position)."""
+        return [map(and_, map(rshift, keys, repeat(s)), repeat(ones))
+                for s, ones in _fields(self.widths, mask)[0]]
+
+    @property
+    def points(self) -> frozenset[tuple[int, ...]]:
+        """The points as tuples, decoded on first use."""
+        if self._points is None:
+            self._points = frozenset(zip(*self._columns(self.codes, (1 << self.m) - 1)))
+        return self._points
+
+    def rows(self) -> list[list[int]]:
+        """The points in ascending order, as lists, for JSON."""
+        return list(map(list, zip(*self._columns(self.ordered(), (1 << self.m) - 1))))
+
+    def shadow(self, mask: int) -> frozenset[int]:
+        """The keys of the points on mask, worked out from the smallest
+        cached shadow of a superset mask (the codes when there is no other)."""
         got = self._shadows.get(mask)
         if got is None:
             self._check_mask(mask)
             _, sup = min(  # the smallest cached superset; ties: the lower mask
                 (len(v), k) for k, v in self._shadows.items() if k & mask == mask
             )
-            got = frozenset(map(projector(_within(mask, sup)), self._shadows[sup]))
+            got = frozenset(map(self.field(mask).__and__, self._shadows[sup]))
             self._shadows[mask] = got
         return got
 
-    def ordered(self) -> tuple[tuple[int, ...], ...]:
-        """The points in ascending order, sorted on the first call only."""
+    def ordered(self) -> tuple[int, ...]:
+        """The codes in ascending order, sorted on the first call only."""
         if self._order is None:
-            object.__setattr__(self, "_order", tuple(sorted(self.points)))
+            self._order = tuple(sorted(self.codes))
         return self._order
 
-    def fibers(self, mask: int) -> Mapping[tuple[int, ...], int]:
-        """How many points project onto each element of the shadow on mask."""
+    def fibers(self, mask: int) -> Mapping[int, int]:
+        """How many points have each key of the shadow on mask, summed from
+        the smallest cached fiber counts of a superset mask when that has
+        at most half as many keys as there are points (summing a key
+        costs about twice counting a code), else counted from the codes.
+        Below _SUM_FROM points the codes are counted without a search."""
         got = self._fibers.get(mask)
         if got is None:
             self._check_mask(mask)
-            counts = Counter(map(projector(mask), self.points))
+            keep = self.field(mask).__and__
+            n = len(self.codes)
+            size, sup = n, None
+            if n >= _SUM_FROM:
+                size, sup = min(
+                    ((len(v), k) for k, v in self._fibers.items() if k & mask == mask),
+                    default=(n, None),
+                )
+            if 2 * size <= n:
+                counts: dict[int, int] = {}
+                for key, c in self._fibers[sup].items():
+                    key = keep(key)
+                    counts[key] = counts.get(key, 0) + c
+            else:
+                counts = Counter(map(keep, self.codes))
             got = self._fibers[mask] = MappingProxyType(counts)
         return got
 
-    @classmethod
-    def _of_valid(cls, m: int, base: int | None, pts: frozenset) -> "PointSet":
-        """A point set on a frozenset of tuples that is valid by
-        construction (a shadow, or points the package generates), kept
-        without a second check."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "m", m)
-        object.__setattr__(out, "base", base)
-        out._hold(pts)
-        return out
-
     def projection(self, mask: int) -> "PointSet":
         """The shadow on mask as a point set of the same class and base
-        (every projection of valid points is valid)."""
-        return self._of_valid(mask.bit_count(), self.base, self.shadow(mask))
+        (every projection of valid points is valid, and each coordinate
+        keeps its largest value, so its width).  Keys on adjacent
+        positions only need a shift; others are packed anew."""
+        widths = tuple(w for i, w in enumerate(self.widths) if mask >> i & 1)
+        keys, k = self.shadow(mask), len(widths)
+        if mask >> (mask.bit_length() - k) == (1 << k) - 1:  # adjacent positions
+            lowest = _fields(self.widths, mask)[0][-1][0]  # the last position's shift
+            codes = frozenset(map(rshift, keys, repeat(lowest)))
+        else:
+            codes = pack_columns(self._columns(keys, mask), widths)
+        return self._of_valid(mask.bit_count(), self.base, codes, widths)

@@ -45,7 +45,7 @@ class JointDistribution:
 
     def __post_init__(self):
         points = [tuple(point) for point, _ in self.atoms]
-        distinct = check_points(points, self.m, noun="symbol")
+        distinct, _ = check_points(points, self.m, noun="symbol")
         probs = [Fraction(prob) for _, prob in self.atoms]
         for pt, p in zip(points, probs):
             if p <= 0:
@@ -91,7 +91,7 @@ class SupportSet(PointSet):
         return cls(check_int(obj["m"], "m"), obj["support"])
 
     def to_json(self) -> dict:
-        return {"m": self.m, "support": list(map(list, self.ordered()))}
+        return {"m": self.m, "support": self.rows()}
 
 
 def _entropy(den: int, weights: Counter) -> ExactLogLin:
@@ -112,16 +112,19 @@ def exact_entropy_vector(dist: SupportSet | JointDistribution) -> EntropyVector:
     Probabilities are integer weights over one denominator: a support's
     marginal weights are its cached fiber counts over its N points, and
     a distribution's are its atoms' numerators over their common
-    denominator, summed per projection.
+    denominator, summed per projection.  A support's fiber counts are
+    made largest mask first, so each is summed from a superset's.
     """
     values: dict[int, ExactLogLin] = {}
+    masks = subsets(dist.m)
     if isinstance(dist, SupportSet):
-        den = len(dist.points)
-        for mask in subsets(dist.m):
-            values[mask] = _entropy(den, Counter(dist.fibers(mask).values()))
+        for mask in reversed(masks):
+            dist.fibers(mask)
+        for mask in masks:
+            values[mask] = _entropy(len(dist), Counter(dist.fibers(mask).values()))
         return EntropyVector(dist.m, values)
     nums, den = common_denominator(prob for _, prob in dist.atoms)
-    for mask in subsets(dist.m):
+    for mask in masks:
         get = projector(mask)
         marg: Counter = Counter()
         for (point, _), w in zip(dist.atoms, nums):

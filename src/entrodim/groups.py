@@ -35,6 +35,7 @@ from .core import (
     coprime_exponents,
     eval_slack,
     loglin_sign,
+    pack_columns,
     subsets,
 )
 from .distributions import SupportSet
@@ -61,6 +62,36 @@ class NotAssociative(GroupTableError):
         self.triple = (a, b, c)
 
 
+def _light_test(tab) -> bool:
+    """Whether a table with a two-sided identity at 0 is associative, by
+    Light's test on a generating set.
+
+    An element g passes when (x*g)*y = x*(g*y) for all x and y.  The
+    identity passes, and if g and h pass, so does g*h: (x*(g*h))*y =
+    ((x*g)*h)*y = (x*g)*(h*y) = x*(g*(h*y)) = x*((g*h)*y), each step by
+    g or h passing.  So when every generator passes, every element the
+    generators reach by products passes, and reaching all n elements
+    makes the table associative.  The generators are chosen greedily:
+    each is the least element not yet reached by right products.  Each
+    check compares one row of products with another, for every x.
+    """
+    n = len(tab)
+    reached, gens = {0}, []
+    for g in range(n):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached) + [g]
+        reached.add(g)
+        while frontier:
+            a = tab[frontier.pop()]
+            for s in gens:
+                if a[s] not in reached:
+                    reached.add(a[s])
+                    frontier.append(a[s])
+    return all(tab[rx[g]] == tuple(map(rx.__getitem__, tab[g])) for g in gens for rx in tab)
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group as a validated Cayley table, identity at index 0."""
@@ -84,12 +115,13 @@ class FiniteGroup:
         for a in range(n):
             if not any(tab[a][b] == 0 and tab[b][a] == 0 for b in range(n)):
                 raise NoInverse(a)
-        for a, ra in enumerate(tab):
-            for b, rb in enumerate(tab):
-                tab_ab = tab[ra[b]]
-                for c in range(n):
-                    if tab_ab[c] != ra[rb[c]]:
-                        raise NotAssociative(a, b, c)
+        if not _light_test(tab):  # find and name the first failing triple
+            for a, ra in enumerate(tab):
+                for b, rb in enumerate(tab):
+                    tab_ab = tab[ra[b]]
+                    for c in range(n):
+                        if tab_ab[c] != ra[rb[c]]:
+                            raise NotAssociative(a, b, c)
 
     @classmethod
     def _of_valid(cls, order: int, table, name: str) -> "FiniteGroup":
@@ -382,9 +414,11 @@ def witness_set(g: FiniteGroup, subgroups) -> SupportSet:
     range or the failed closure.
     """
     subs = [h if h.group is g else subgroup_from_elements(g, h.elements) for h in subgroups]
+    # one column per subgroup: coordinate i of element a's point is
+    # a's coset index in H_i, and the largest index sets its field width
     maps = [coset_index_map(g, h) for h in subs]
-    points = {tuple(mp[a] for mp in maps) for a in range(g.order)}
-    return SupportSet(len(subs), frozenset(points))
+    widths = tuple(max(mp).bit_length() for mp in maps)
+    return SupportSet._of_valid(len(subs), None, pack_columns(maps, widths), widths)
 
 
 def coset_entropy_point(g: FiniteGroup, subgroups, support=None) -> EntropyVector:
@@ -403,8 +437,11 @@ def coset_entropy_point(g: FiniteGroup, subgroups, support=None) -> EntropyVecto
     if support is None:
         support = witness_set(g, subs)
     n = g.order
+    orders = _intersection_orders(g, subs)
+    for mask in reversed(orders):  # largest first: each sums a superset's fibers
+        support.fibers(mask)
     values = {}
-    for mask, order in _intersection_orders(g, subs).items():
+    for mask, order in orders.items():
         fibers = support.fibers(mask)
         if len(fibers) * order != n or len(set(fibers.values())) != 1:
             raise AssertionError(

@@ -28,12 +28,11 @@ import math
 from dataclasses import dataclass
 from decimal import Context
 from fractions import Fraction
-from itertools import chain, compress, product, repeat
-from operator import eq
-from typing import Iterable
+from itertools import chain, compress, repeat
+from operator import eq, lshift
 
 from .core import ExactLogLin, PointSet, mask_label, mask_of, mask_positions
-from .core import check_int, check_rational, projector, subsets
+from .core import check_int, check_rational, subsets
 
 Point = tuple[int, ...]
 
@@ -54,7 +53,7 @@ class FiniteBody(PointSet):
         return {
             "m": self.m,
             "N": self.base,
-            "points": list(map(list, self.ordered())),
+            "points": self.rows(),
         }
 
 
@@ -71,7 +70,7 @@ def loomis_whitney_slack(body: FiniteBody) -> float:
     if body.m != 3:
         raise ValueError("Loomis-Whitney check needs a three-dimensional body")
     terms = [(1, projection_count(body, mask)) for mask in (0b011, 0b101, 0b110)]
-    return ExactLogLin((*terms, (-2, len(body.points)))).to_float()
+    return ExactLogLin((*terms, (-2, len(body)))).to_float()
 
 
 def cube_bar_instance(k: int) -> FiniteBody:
@@ -87,10 +86,13 @@ def cube_bar_instance(k: int) -> FiniteBody:
     if k < 4:
         raise ValueError("k must be at least 4")
     bar = k * r
-    # every coordinate is an int below bar, so the points need no check
-    cube = product(range(k), repeat=3)
-    points = frozenset(chain(cube, ((x, 0, 0) for x in range(bar))))
-    return FiniteBody._of_valid(3, bar, points)
+    # codes built directly: the first coordinate's largest value is
+    # bar - 1, the other two's k - 1, so these are the fields' widths
+    w = (k - 1).bit_length()
+    yz = [y << w | z for y in range(k) for z in range(k)]
+    cube = chain.from_iterable(map((x << 2 * w).__or__, yz) for x in range(k))
+    codes = frozenset(chain(cube, map(lshift, range(bar), repeat(2 * w))))
+    return FiniteBody._of_valid(3, bar, codes, ((bar - 1).bit_length(), w, w))
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def check_unsplit_inequality(body: FiniteBody) -> UnsplitReport:
     v12 = projection_count(body, 0b011)
     v13 = projection_count(body, 0b101)
     v1 = projection_count(body, 0b001)
-    v = len(body.points)
+    v = len(body)
     lhs, rhs = v1 * v, v12 * v13
     return UnsplitReport(
         v1=v1,
@@ -199,18 +201,60 @@ class SplitSpec:
         return {"m": self.m, "levels": levels}
 
 
-@dataclass(frozen=True)
 class SplitResult:
-    """An assignment of every body point to one part I of the spec."""
+    """An assignment of every body point to one part I of the spec.
 
-    assignment: dict[Point, int]
+    Made from a dict of point tuples, or by the search from the body's
+    codes, whose ``assignment`` is decoded on first use.
+    """
+
+    def __init__(self, assignment: dict[Point, int]) -> None:
+        self._assignment = assignment
+        self._coded: tuple[FiniteBody, dict[int, int]] | None = None
+
+    @classmethod
+    def _of_codes(cls, body: FiniteBody, parts: dict[int, int]) -> "SplitResult":
+        """The split sending each code of body to its part."""
+        out = cls.__new__(cls)
+        out._assignment, out._coded = None, (body, parts)
+        return out
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.assignment == other.assignment
+
+    @property
+    def assignment(self) -> dict[Point, int]:
+        if self._assignment is None:
+            body, parts = self._coded
+            self._assignment = dict(zip(map(body.decode, parts), parts.values()))
+        return self._assignment
+
+    def _by_code(self, body: FiniteBody) -> dict[int, int] | None:
+        """The part of each assigned point by its code in body, or None
+        when some assigned point is no m-tuple that body's fields hold."""
+        if self._coded is not None and self._coded[0] is body:
+            return self._coded[1]
+        out = {}
+        for point, mask in self.assignment.items():
+            code = 0
+            if len(point) != body.m:
+                return None
+            for x, w in zip(point, body.widths):
+                if type(x) is not int or x < 0 or x >> w:
+                    return None
+                code = code << w | x
+            out[code] = mask
+        return out
 
     def to_json(self, body: FiniteBody) -> dict:
         """Point i of the body's ascending order maps to its part's label,
         whatever order the assignment was filled in."""
-        labels = {mask: mask_label(mask) for mask in set(self.assignment.values())}
-        parts = map(self.assignment.__getitem__, body.ordered())
-        keys = map(str, range(len(body.points)))
+        coded = self._by_code(body)
+        labels = {mask: mask_label(mask) for mask in set(coded.values())}
+        parts = map(coded.__getitem__, body.ordered())
+        keys = map(str, range(len(body)))
         return {"assignment": dict(zip(keys, map(labels.__getitem__, parts)))}
 
 
@@ -233,12 +277,6 @@ def _max_count(bits: Fraction | float) -> int:
     return cap
 
 
-def _keys(points: Iterable[Point], mask: int, m: int) -> Iterable[Point]:
-    """Each point's key in the shadow on mask: its projection, or the
-    point itself when mask holds all m positions, as in PointSet."""
-    return points if mask == (1 << m) - 1 else map(projector(mask), points)
-
-
 def _check_same_m(body: FiniteBody, spec: SplitSpec) -> None:
     if spec.m != body.m:
         raise ValueError(f"split spec for m={spec.m} on a body with m={body.m}")
@@ -250,17 +288,19 @@ def verify_split(body: FiniteBody, spec: SplitSpec, result: SplitResult) -> bool
     Structural problems (spec and body of different m, not a partition of
     the body, unknown part label) raise; budget failure returns False.
     The empty part is always within budget, as every cap is at least 0.
-    Each part's shadow is counted from that part's own points.
+    Each part's shadow is counted from the codes of that part's own
+    points, never read from the body's cache.
     """
     _check_same_m(body, spec)
-    points, labels = result.assignment.keys(), result.assignment.values()
-    if points != body.points:
+    coded = result._by_code(body)
+    if coded is None or coded.keys() != body.codes:
         raise ValueError("assignment does not cover exactly the body's points")
+    codes, labels = coded.keys(), coded.values()
     if not spec.levels.keys() >= set(labels):
-        point, mask = next(e for e in result.assignment.items() if e[1] not in spec.levels)
-        raise ValueError(f"point {point} assigned to unknown part {mask}")
+        code, mask = next(e for e in coded.items() if e[1] not in spec.levels)
+        raise ValueError(f"point {body.decode(code)} assigned to unknown part {mask}")
     return all(
-        len(set(_keys(compress(points, map(eq, labels, repeat(mask))), mask, body.m)))
+        len(set(map(body.field(mask).__and__, compress(codes, map(eq, labels, repeat(mask))))))
         <= _max_count(b)
         for mask, b in spec.levels.items()
     )
@@ -289,12 +329,12 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
     _check_same_m(body, spec)
     # the parts in ascending order, their caps, and per part the column
     # of every point's key in that part's shadow, over the body's
-    # ascending order: each point is projected once per part, here, so
-    # the search itself never projects
+    # ascending order: each code is masked once per part, here, so the
+    # search itself never projects
     parts = sorted(spec.levels)
     caps = [_max_count(spec.levels[mask]) for mask in parts]
     points = body.ordered()
-    columns = [list(_keys(points, mask, body.m)) for mask in parts]
+    columns = [list(map(body.field(mask).__and__, points)) for mask in parts]
     k, n = len(parts), len(points)
     shadows = [set() for _ in parts]
     banned = [set() for _ in parts]
@@ -338,7 +378,7 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
         j = 0
         if i < n:
             bans.append(None)
-    result = SplitResult(dict(zip(points, map(parts.__getitem__, taken))))
+    result = SplitResult._of_codes(body, dict(zip(points, map(parts.__getitem__, taken))))
     if not verify_split(body, spec, result):
         raise AssertionError("exhaustive search produced an invalid split")
     return result

@@ -14,6 +14,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 from entrodim.cantor import build_counterexample, dim_value, lemma_fiber_bound
 from entrodim.cantor import CantorWitness, DimValue
@@ -150,8 +151,10 @@ def test_criterion_04_catalog_sweep():
                     if mask ^ low:
                         es = esets[mask ^ low] & es
                     esets[mask] = es
-                    idx = [i for i in range(m) if mask >> i & 1]
-                    cnt = len({tuple(p[i] for i in idx) for p in support.points})
+                    # an itemgetter of one index gives the coordinate, not
+                    # a 1-tuple: distinct values count the same either way
+                    get = itemgetter(*[i for i in range(m) if mask >> i & 1])
+                    cnt = len(set(map(get, support.points)))
                     # #A_I * #H_I = #G, checked as exact integers
                     assert cnt * len(es) == n
                 if checked % 16 == 0:

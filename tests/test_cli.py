@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -374,6 +375,22 @@ def test_split_flags_leave_the_cube_bar_report_unchanged(capsys, tmp_path):
         del report["elapsed_ms"]
         reports.append(json.dumps(report))
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_the_cube_bar_split_report_keeps_its_pinned_hash(capsys, tmp_path):
+    # the same request; the sha256 of its report, without elapsed_ms and
+    # with the input paths written as "@body" and "@spec", was taken when
+    # point sets were held as tuples
+    body = write_json(tmp_path / "body.json", splitting.cube_bar_instance(16).to_json())
+    spec = write_json(tmp_path / "spec.json", {"m": 3, "levels": [
+        {"part": [1], "bits": math.log2(30)}, {"part": [1, 2, 3], "bits": 12}]})
+    code, report, _ = run(capsys, "split", "--body", body, "--spec", spec)
+    assert code == 0 and report["inputs"] == {"body": body, "spec": spec}
+    del report["elapsed_ms"]
+    report["inputs"] = {"body": "@body", "spec": "@spec"}
+    text = json.dumps(report).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "d36d4a82b4690d311dc500b56fa98879837ec7f19c0bf9c4496c78b5042f6929")
 
 
 @pytest.mark.parametrize(

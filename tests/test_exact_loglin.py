@@ -189,7 +189,7 @@ def _ref_entropy_vector(dist) -> dict:
 
 
 def _ref_uniform_fiber(w: CantorWitness, subset: int):
-    fibers = w.fibers(subset)
+    fibers = Counter(map(projector(subset), w.points))
     target = Fraction(len(w.points), len(fibers))
     for key in sorted(fibers):
         if fibers[key] != target:

@@ -1,6 +1,7 @@
-"""`core.PointSet`: one validation for bodies, digit sets and supports, and
-shadows and fiber counts cached per mask, each shadow worked out from the
-smallest cached superset; checked against direct `projector` counting."""
+"""`core.PointSet`: one validation for bodies, digit sets and supports, one
+int per point, and shadows and fiber counts cached per mask, each worked
+out from the smallest cached superset; checked against direct `projector`
+counting on the points as tuples."""
 
 import json
 import math
@@ -8,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entrodim.cantor import CantorWitness, build_counterexample, verify_counterexample
 from entrodim.cli import main
@@ -35,6 +36,16 @@ def _direct_fibers(points, mask):
     return Counter(map(projector(mask), points))
 
 
+def _tuple_shadow(ps, mask):
+    """The cached shadow on mask, its keys decoded to tuples."""
+    return frozenset(ps.decode(key, mask) for key in ps.shadow(mask))
+
+
+def _tuple_fibers(ps, mask):
+    """The cached fiber counts on mask, keyed by decoded tuples."""
+    return {ps.decode(key, mask): c for key, c in ps.fibers(mask).items()}
+
+
 @st.composite
 def _requests(draw):
     """A random point set and a random sequence of (kind, mask) requests:
@@ -58,12 +69,12 @@ def test_cached_shadows_and_fibers_equal_direct_counting(req):
     ps = PointSet(m, base, points)
     for kind, mask in requests:
         if kind == "shadow":
-            assert ps.shadow(mask) == _direct_shadow(points, mask)
+            assert _tuple_shadow(ps, mask) == _direct_shadow(points, mask)
         else:
-            assert dict(ps.fibers(mask)) == _direct_fibers(points, mask)
+            assert _tuple_fibers(ps, mask) == _direct_fibers(points, mask)
     for mask in subsets(m):
-        assert ps.shadow(mask) == _direct_shadow(points, mask)
-        assert dict(ps.fibers(mask)) == _direct_fibers(points, mask)
+        assert _tuple_shadow(ps, mask) == _direct_shadow(points, mask)
+        assert _tuple_fibers(ps, mask) == _direct_fibers(points, mask)
 
 
 def test_shadow_comes_from_the_smallest_cached_superset():
@@ -71,12 +82,39 @@ def test_shadow_comes_from_the_smallest_cached_superset():
     assert len(body.points) == 46836
     assert len(body.shadow(0b011)) == len(body.shadow(0b101)) == 1476
     # mark the cached S12 and S13: S1 must be read from one of them
-    # (the lower mask on a tie), not from the points
-    body._shadows[0b011] = frozenset({(-1, -2)})
-    body._shadows[0b101] = frozenset({(-3, -4), (-5, -6)})
-    assert body.shadow(0b001) == frozenset({(-1,)})
+    # (the smaller one, the lower mask on a tie), not from the points
+    body._shadows[0b011] = frozenset({body.field(0b011)})
+    body._shadows[0b101] = frozenset({1, 2})
+    assert body.shadow(0b001) == frozenset({body.field(0b001)})
     # S23 has no cached proper superset, so it comes from the points
-    assert body.shadow(0b110) == _direct_shadow(body.points, 0b110)
+    assert _tuple_shadow(body, 0b110) == _direct_shadow(body.points, 0b110)
+
+
+def test_fibers_come_from_the_smallest_cached_superset_with_few_keys():
+    body = cube_bar_instance(16)
+    assert len(body) == 4144 and len(body.fibers(0b011)) == 304
+    # mark the cached fibers on {1,2}: those on {1} must be summed from
+    # them (304 keys, at most half of 4144), not counted from the codes
+    body._fibers[0b011] = {body.field(0b011): 5, 0: 2}
+    assert dict(body.fibers(0b001)) == {body.field(0b001): 5, 0: 2}
+    # a set below 64 points counts every fiber map from its codes
+    small = FiniteBody(2, 8, {(x, y) for x in range(4) for y in range(8)})
+    assert len(small) == 32 and len(small.fibers(0b11)) == 32
+    small._fibers[0b11] = {0: 99}
+    assert _tuple_fibers(small, 0b01) == {(x,): 8 for x in range(4)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 15), min_size=3, max_size=4), st.data())
+def test_fibers_summed_from_supersets_equal_direct_counting(tops, data):
+    # coordinates of different ranges, so that some shadows have few keys
+    assume(math.prod(top + 1 for top in tops) >= 128)
+    m = len(tops)
+    coords = st.tuples(*[st.integers(0, top) for top in tops])
+    points = data.draw(st.frozensets(coords, min_size=64, max_size=200))
+    ps = PointSet(m, 16, points)
+    for mask in data.draw(st.permutations(subsets(m))):
+        assert _tuple_fibers(ps, mask) == _direct_fibers(points, mask)
 
 
 class _CountedPoints(frozenset):
@@ -91,7 +129,7 @@ class _CountedPoints(frozenset):
 
 def test_cube_bar_demo_makes_three_full_passes():
     plain = cube_bar_instance(16)
-    body = FiniteBody._of_valid(3, plain.base, _CountedPoints(plain.points))
+    body = FiniteBody._of_valid(3, plain.base, _CountedPoints(plain.codes), plain.widths)
     _CountedPoints.passes = 0
     report = splitting.check_unsplit_inequality(body)
     splitting.loomis_whitney_slack(body)
@@ -102,23 +140,25 @@ def test_cube_bar_demo_makes_three_full_passes():
 
 def test_fibers_are_counted_once_per_mask():
     ps = PointSet(3, 3, frozenset({(0, 0, 0), (0, 1, 0), (1, 1, 2), (2, 1, 2)}))
-    assert dict(ps.fibers(0b010)) == {(0,): 1, (1,): 3}
+    assert _tuple_fibers(ps, 0b010) == {(0,): 1, (1,): 3}
     assert ps.fibers(0b010) is ps.fibers(0b010)
-    assert dict(ps.fibers(0b101)) == {(0, 0): 2, (1, 2): 1, (2, 2): 1}
+    assert _tuple_fibers(ps, 0b101) == {(0, 0): 2, (1, 2): 1, (2, 2): 1}
 
 
 def test_points_are_sorted_once_and_shared_by_every_json_writer():
     pts = frozenset({(2, 0), (0, 3), (1, 1), (0, 0)})
     for ps in (FiniteBody(2, 4, pts), CantorWitness(2, 4, pts), SupportSet(2, pts)):
         order = ps.ordered()
-        assert order == ((0, 0), (0, 3), (1, 1), (2, 0)) and ps.ordered() is order
-        assert list(map(list, order)) in ps.to_json().values()
+        assert order == tuple(sorted(order)) and ps.ordered() is order
+        assert tuple(map(ps.decode, order)) == ((0, 0), (0, 3), (1, 1), (2, 0))
+        assert list(map(list, map(ps.decode, order))) in ps.to_json().values()
         assert "_order" not in repr(ps)
     body = FiniteBody(2, 4, pts)
     assert body.ordered() and body == FiniteBody(2, 4, pts)
     body = cube_bar_instance(4)
-    assert body.ordered() == tuple(sorted(body.points))
-    assert body.projection(0b011).ordered() == tuple(sorted(body.shadow(0b011)))
+    assert tuple(map(body.decode, body.ordered())) == tuple(sorted(body.points))
+    proj = body.projection(0b011)
+    assert tuple(map(proj.decode, proj.ordered())) == tuple(sorted(_tuple_shadow(body, 0b011)))
 
 
 def test_cache_is_read_only_and_kept_out_of_equality():
@@ -141,13 +181,13 @@ def test_unchecked_point_sets_equal_validated_ones(k):
     # cube_bar_instance and projection skip the second check; the sets they
     # make must pass it and equal the validated construction
     body = cube_bar_instance(k)
-    assert check_points(body.points, 3, body.base) is body.points
+    assert check_points(body.points, 3, body.base) == (body.codes, body.widths)
     assert body == FiniteBody(3, body.base, body.points)
     for mask in subsets(3):
         proj = body.projection(mask)
         want = FiniteBody(mask.bit_count(), body.base, _direct_shadow(body.points, mask))
         assert type(proj) is FiniteBody and proj == want
-        assert proj.shadow((1 << proj.m) - 1) is proj.points
+        assert proj.shadow((1 << proj.m) - 1) is proj.codes
     support = SupportSet(2, {(0, 5), (3, 5)}).projection(0b10)
     assert support == SupportSet(1, {(5,)})
 
@@ -157,12 +197,13 @@ def test_a_frozenset_of_tuples_is_kept_not_rebuilt():
     assert FiniteBody(2, 2, pts).points is pts
     assert CantorWitness(2, 2, pts).points is pts
     assert SupportSet(2, pts).points is pts
-    assert check_points(pts, 2, 2) is pts
-    # anything else is turned into a frozenset of tuples
+    # one int per point: (0, 1) and (1, 1) in two 1-bit fields
+    assert check_points(pts, 2, 2) == (frozenset({0b01, 0b11}), (1, 1))
+    # anything else is decoded to a frozenset of tuples
     assert FiniteBody(2, 2, [[0, 1], [1, 1], [0, 1]]).points == pts
     body = FiniteBody(2, 2, frozenset({range(2), b"\x01\x01"}))
     assert body.points == pts and {type(p) for p in body.points} == {tuple}
-    assert body.shadow(0b01) == frozenset({(0,), (1,)})
+    assert _tuple_shadow(body, 0b01) == frozenset({(0,), (1,)})
 
 
 BAD_COORDINATES = [True, False, 0.5, 1.0, Fraction(1), "1", None]
