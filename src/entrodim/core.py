@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from operator import and_, itemgetter, lshift, or_, rshift
 from types import MappingProxyType
 from typing import Callable, ClassVar, Iterable, Mapping, Union
@@ -458,10 +458,6 @@ def eval_slack(ineq: LinearInequality, v: EntropyVector) -> ExactLogLin:
     return ExactLogLin.combine((c, v.values[mask]) for mask, c in ineq.coeffs.items())
 
 
-#: point sets this small count every fiber map from their codes
-_SUM_FROM = 64
-
-
 @functools.lru_cache(maxsize=1 << 12)
 def _fields(widths: tuple[int, ...], mask: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """In a layout of fields of these widths, coordinate 1 highest: the
@@ -483,58 +479,35 @@ def pack_columns(cols, widths) -> frozenset[int]:
     return frozenset(codes)
 
 
-def _valid_columns(points, m: int, base: int | None):
-    """The m coordinate columns of nonempty sized points, with the
-    largest value of each, when every point has m int coordinates in
-    0..base-1; else None."""
-    try:
-        if set(map(len, points)) != {m}:
-            return None
-        cols = list(zip(*points))
-    except TypeError:  # a point with no length, or not iterable
-        return None
-    if set(map(type, chain.from_iterable(cols))) != {int} or min(map(min, cols)) < 0:
-        return None
-    tops = list(map(max, cols))
-    if base is not None and max(tops) >= base:
-        return None
-    return cols, tops
-
-
 def check_points(
     points: Iterable, m: int, base: int | None = None, noun: str = "coordinate"
 ) -> tuple[frozenset[int], tuple[int, ...]]:
     """The points as one int per point (pack_columns) and the field width
     of each coordinate, the bit length of its largest value; points must
     be m-tuples of nonnegative ints (bools and other int subclasses are
-    refused), each below base unless base is None.
+    refused), each below base unless base is None, else ValueError
+    naming the first bad point or coordinate.
 
-    The check runs per coordinate column: its types, minimum and maximum.
-    When it fails, the points are scanned one by one, as tuples, for a
-    ValueError naming the first bad point or coordinate; nothing is
-    hashed before its type is checked, as True == 1 would merge (True, 0)
-    into (1, 0).  `noun` names a coordinate in the messages.
+    A frozenset of tuples is read as it is.  Any other input is checked
+    point by point before it is packed, as True == 1 would merge (True,
+    0) into (1, 0).  `noun` names a coordinate in the messages.
     """
     if not 1 <= m <= MAX_VARIABLES:
         raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {m}")
-    if not isinstance(points, (list, tuple, set, frozenset)):
-        points = list(points)
+    if not (isinstance(points, frozenset) and set(map(type, points)) <= {tuple}):
+        points = tuple(map(tuple, points))
+    for pt in points:
+        if len(pt) != m:
+            raise ValueError(f"point {pt} has {len(pt)} coordinates, expected {m}")
+        for x in pt:
+            if type(x) is not int or x < 0 or (base is not None and x >= base):
+                if type(x) is not int or base is None:
+                    raise ValueError(f"{noun}s must be nonnegative integers, got {x!r}")
+                raise ValueError(f"{noun} {x} out of range for base {base}")
     if not points:
         return frozenset(), (0,) * m
-    valid = _valid_columns(points, m, base)
-    if valid is None:
-        points = tuple(map(tuple, points))
-        for pt in points:
-            if len(pt) != m:
-                raise ValueError(f"point {pt} has {len(pt)} coordinates, expected {m}")
-            for x in pt:
-                if type(x) is not int or x < 0 or (base is not None and x >= base):
-                    if type(x) is not int or base is None:
-                        raise ValueError(f"{noun}s must be nonnegative integers, got {x!r}")
-                    raise ValueError(f"{noun} {x} out of range for base {base}")
-        valid = _valid_columns(points, m, base)  # tuples now, so it passes
-    cols, tops = valid
-    widths = tuple(map(int.bit_length, tops))
+    cols = list(zip(*points))
+    widths = tuple(max(col).bit_length() for col in cols)
     return pack_columns(cols, widths), widths
 
 
@@ -548,9 +521,9 @@ class PointSet:
     coordinate 1 highest, so int order is tuple order.  The key of a
     point on a subset mask is its code AND field(mask).  Shadows (the
     sets of keys on a mask) and fiber counts (keys to how many points
-    have them) are cached per mask, each worked out from the smallest
-    cached one of a superset mask (see fibers for when counting the
-    codes is cheaper).  The codes are sorted once, on first use, and the
+    have them) are cached per mask: a shadow is worked out from the
+    smallest cached shadow of a superset mask, fiber counts from the
+    codes.  The codes are sorted once, on first use, and the
     order is kept too.  Tuples are made only by ``points``, decode and
     rows; the codes, ``==`` and hash never need them.  Instances are
     immutable values: shadows are frozensets, fiber counts are
@@ -662,42 +635,19 @@ class PointSet:
         return self._order
 
     def fibers(self, mask: int) -> Mapping[int, int]:
-        """How many points have each key of the shadow on mask, summed from
-        the smallest cached fiber counts of a superset mask when that has
-        at most half as many keys as there are points (summing a key
-        costs about twice counting a code), else counted from the codes.
-        Below _SUM_FROM points the codes are counted without a search."""
+        """How many points have each key of the shadow on mask, counted
+        from the codes."""
         got = self._fibers.get(mask)
         if got is None:
             self._check_mask(mask)
-            keep = self.field(mask).__and__
-            n = len(self.codes)
-            size, sup = n, None
-            if n >= _SUM_FROM:
-                size, sup = min(
-                    ((len(v), k) for k, v in self._fibers.items() if k & mask == mask),
-                    default=(n, None),
-                )
-            if 2 * size <= n:
-                counts: dict[int, int] = {}
-                for key, c in self._fibers[sup].items():
-                    key = keep(key)
-                    counts[key] = counts.get(key, 0) + c
-            else:
-                counts = Counter(map(keep, self.codes))
+            counts = Counter(map(self.field(mask).__and__, self.codes))
             got = self._fibers[mask] = MappingProxyType(counts)
         return got
 
     def projection(self, mask: int) -> "PointSet":
         """The shadow on mask as a point set of the same class and base
         (every projection of valid points is valid, and each coordinate
-        keeps its largest value, so its width).  Keys on adjacent
-        positions only need a shift; others are packed anew."""
+        keeps its largest value, so its width), its keys packed anew."""
         widths = tuple(w for i, w in enumerate(self.widths) if mask >> i & 1)
-        keys, k = self.shadow(mask), len(widths)
-        if mask >> (mask.bit_length() - k) == (1 << k) - 1:  # adjacent positions
-            lowest = _fields(self.widths, mask)[0][-1][0]  # the last position's shift
-            codes = frozenset(map(rshift, keys, repeat(lowest)))
-        else:
-            codes = pack_columns(self._columns(keys, mask), widths)
+        codes = pack_columns(self._columns(self.shadow(mask), mask), widths)
         return self._of_valid(mask.bit_count(), self.base, codes, widths)

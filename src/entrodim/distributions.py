@@ -112,19 +112,15 @@ def exact_entropy_vector(dist: SupportSet | JointDistribution) -> EntropyVector:
     Probabilities are integer weights over one denominator: a support's
     marginal weights are its cached fiber counts over its N points, and
     a distribution's are its atoms' numerators over their common
-    denominator, summed per projection.  A support's fiber counts are
-    made largest mask first, so each is summed from a superset's.
+    denominator, summed per projection.
     """
     values: dict[int, ExactLogLin] = {}
-    masks = subsets(dist.m)
     if isinstance(dist, SupportSet):
-        for mask in reversed(masks):
-            dist.fibers(mask)
-        for mask in masks:
+        for mask in subsets(dist.m):
             values[mask] = _entropy(len(dist), Counter(dist.fibers(mask).values()))
         return EntropyVector(dist.m, values)
     nums, den = common_denominator(prob for _, prob in dist.atoms)
-    for mask in masks:
+    for mask in subsets(dist.m):
         get = projector(mask)
         marg: Counter = Counter()
         for (point, _), w in zip(dist.atoms, nums):

@@ -28,6 +28,7 @@ from itertools import product
 from math import factorial
 
 from .core import (
+    MAX_VARIABLES,
     EntropyVector,
     ExactLogLin,
     LinearInequality,
@@ -411,9 +412,12 @@ def witness_set(g: FiniteGroup, subgroups) -> SupportSet:
     A Subgroup is built without g's table, so each one is validated
     against g first, unless it was already validated against or built
     in g (its ``group`` is g): a ValueError names the element out of
-    range or the failed closure.
+    range or the failed closure, as does a count of subgroups outside
+    1..MAX_VARIABLES.
     """
     subs = [h if h.group is g else subgroup_from_elements(g, h.elements) for h in subgroups]
+    if not 1 <= len(subs) <= MAX_VARIABLES:
+        raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {len(subs)}")
     # one column per subgroup: coordinate i of element a's point is
     # a's coset index in H_i, and the largest index sets its field width
     maps = [coset_index_map(g, h) for h in subs]
@@ -437,11 +441,8 @@ def coset_entropy_point(g: FiniteGroup, subgroups, support=None) -> EntropyVecto
     if support is None:
         support = witness_set(g, subs)
     n = g.order
-    orders = _intersection_orders(g, subs)
-    for mask in reversed(orders):  # largest first: each sums a superset's fibers
-        support.fibers(mask)
     values = {}
-    for mask, order in orders.items():
+    for mask, order in _intersection_orders(g, subs).items():
         fibers = support.fibers(mask)
         if len(fibers) * order != n or len(set(fibers.values())) != 1:
             raise AssertionError(

@@ -11,6 +11,7 @@ from entrodim import core
 from entrodim.cantor import build_counterexample
 from entrodim.cli import main
 from entrodim.core import (
+    MAX_VARIABLES,
     ExactLogLin,
     LinearInequality,
     eval_slack,
@@ -341,6 +342,19 @@ def test_witness_set():
     assert witness_set(z3, [e, e]).points == frozenset(
         {(0, 0), (1, 1), (2, 2)}
     )
+
+
+@pytest.mark.parametrize("count", [0, MAX_VARIABLES + 1])
+def test_witness_set_refuses_a_subgroup_count_outside_the_variable_range(count):
+    # the message is the one SupportSet(count, ...) gives for such an m
+    e = subgroup_from_elements(KLEIN, [0])
+    message = rf"m must be in 1\.\.{MAX_VARIABLES}, got {count}"
+    for run in (lambda: witness_set(KLEIN, [e] * count),
+                lambda: coset_entropy_point(KLEIN, [e] * count)):
+        with pytest.raises(ValueError, match=message):
+            run()
+    with pytest.raises(ValueError, match=message):
+        SupportSet(count, {(0,) * count})
 
 
 def test_coset_entropy_point_klein():

@@ -1,7 +1,7 @@
 """`core.PointSet`: one validation for bodies, digit sets and supports, one
-int per point, and shadows and fiber counts cached per mask, each worked
-out from the smallest cached superset; checked against direct `projector`
-counting on the points as tuples."""
+int per point, and shadows and fiber counts cached per mask, shadows
+worked out from the smallest cached superset; checked against direct
+`projector` counting on the points as tuples."""
 
 import json
 import math
@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entrodim.cantor import CantorWitness, build_counterexample, verify_counterexample
 from entrodim.cli import main
@@ -88,33 +88,6 @@ def test_shadow_comes_from_the_smallest_cached_superset():
     assert body.shadow(0b001) == frozenset({body.field(0b001)})
     # S23 has no cached proper superset, so it comes from the points
     assert _tuple_shadow(body, 0b110) == _direct_shadow(body.points, 0b110)
-
-
-def test_fibers_come_from_the_smallest_cached_superset_with_few_keys():
-    body = cube_bar_instance(16)
-    assert len(body) == 4144 and len(body.fibers(0b011)) == 304
-    # mark the cached fibers on {1,2}: those on {1} must be summed from
-    # them (304 keys, at most half of 4144), not counted from the codes
-    body._fibers[0b011] = {body.field(0b011): 5, 0: 2}
-    assert dict(body.fibers(0b001)) == {body.field(0b001): 5, 0: 2}
-    # a set below 64 points counts every fiber map from its codes
-    small = FiniteBody(2, 8, {(x, y) for x in range(4) for y in range(8)})
-    assert len(small) == 32 and len(small.fibers(0b11)) == 32
-    small._fibers[0b11] = {0: 99}
-    assert _tuple_fibers(small, 0b01) == {(x,): 8 for x in range(4)}
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 15), min_size=3, max_size=4), st.data())
-def test_fibers_summed_from_supersets_equal_direct_counting(tops, data):
-    # coordinates of different ranges, so that some shadows have few keys
-    assume(math.prod(top + 1 for top in tops) >= 128)
-    m = len(tops)
-    coords = st.tuples(*[st.integers(0, top) for top in tops])
-    points = data.draw(st.frozensets(coords, min_size=64, max_size=200))
-    ps = PointSet(m, 16, points)
-    for mask in data.draw(st.permutations(subsets(m))):
-        assert _tuple_fibers(ps, mask) == _direct_fibers(points, mask)
 
 
 class _CountedPoints(frozenset):
