@@ -291,7 +291,7 @@ def build_counterexample(
         mask: DimValue(len(support.fibers(mask)), n_base)
         for mask in subsets(ineq.m)
     }
-    total_lam = sum(ineq.lhs_weights().values(), Fraction(0))
+    total_lam = Fraction(-sum(a for a in ineq.nums.values() if a < 0), ineq.den)
     log_n = ExactLogLin.log2(n_base)
     epsilon = None
     for k in range(1, 65):

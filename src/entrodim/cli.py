@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import cantor, distributions, groups, shannon, splitting
@@ -81,9 +82,9 @@ def _cmd_check(args) -> tuple[int, dict]:
         "point": {
             mask_label(s, names): str(q) for s, q in sorted(result.point.items())
         },
-        "target_slack": str(
-            sum(c * result.point.get(s, 0) for s, c in ineq.coeffs.items())
-        ),
+        "target_slack": str(Fraction(
+            sum(a * result.point.get(s, 0) for s, a in ineq.nums.items()), ineq.den
+        )),
     }
     return 2, report
 

@@ -246,21 +246,11 @@ class ExactLogLin:
 
 
 def common_denominator(qs: Iterable[RationalLike]) -> tuple[list[int], int]:
-    """Integers w and q > 0, the lcm of the denominators, with qs[i] = w[i] / q."""
-    qs = list(qs)
-    q = math.lcm(*(x.denominator for x in qs))
-    return [x.numerator * (q // x.denominator) for x in qs], q
-
-
-def coprime_exponents(qs: Iterable[RationalLike]) -> list[int]:
-    """Nonzero rationals times one positive factor, as coprime integers.
-
-    The factor is the lcm of the denominators divided by the gcd of the
-    resulting numerators, so signs and ratios are kept.
-    """
-    nums, _ = common_denominator(qs)
-    div = math.gcd(*nums)
-    return [e // div for e in nums]
+    """Integers w and q > 0, the lcm of the denominators, with qs[i] = w[i] / q;
+    TypeError for a value that is not an int or Fraction."""
+    pairs = [_ratio(x) for x in qs]
+    q = math.lcm(*(d for _, d in pairs))
+    return [a * (q // d) for a, d in pairs], q
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -361,7 +351,7 @@ def loglin_sign(x: ExactLogLin) -> int:
        Coefficients outside the normal float range skip the filter.
     2. An exact zero test.  The numerators a, which are the
        coefficients times d > 0, are divided by their gcd into coprime
-       integer exponents (coprime_exponents) and the n are refined by
+       integer exponents and the n are refined by
        gcds into pairwise coprime bases (_coprime_base; Bach, Driscoll
        and Shallit, "Factor refinement", 1993), with no factoring.
        Logarithms of pairwise coprime integers > 1 are linearly
@@ -380,8 +370,8 @@ def loglin_sign(x: ExactLogLin) -> int:
     sign = _float_sign(x._den, nums)
     if sign:
         return sign
-    exps = coprime_exponents(a for _, a in nums)
-    base = _coprime_base(zip((n for n, _ in nums), exps))
+    div = math.gcd(*(a for _, a in nums))
+    base = _coprime_base((n, a // div) for n, a in nums)
     return _interval_sign(base) if base else 0
 
 
@@ -411,34 +401,47 @@ class EntropyVector:
         return self.values[mask]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearInequality:
     """A linear entropy inequality in canonical "sum_T c_T H(T) >= 0" form.
 
-    The read-only mapping ``coeffs`` holds only nonzero rational
-    coefficients, keyed by subset mask.  The familiar two-sided reading
-    splits the coefficients by sign: subsets with negative coefficient
-    form the left-hand family (weights lhs_weights), positive ones the
-    right-hand family (rhs_weights), and the inequality asserts
+    The coefficients, given as ints or Fractions keyed by subset mask,
+    are held in integers: c_T = nums[T] / den, with den > 0, ``nums`` a
+    read-only map of the nonzero numerators by ascending mask, and
+    gcd(den, *nums) = 1, so == compares values.  ``coeffs`` is the same
+    map as Fractions.  The familiar two-sided reading splits the
+    coefficients by sign: subsets with negative coefficient form the
+    left-hand family (weights lhs_weights), positive ones the right-hand
+    family (rhs_weights), and the inequality asserts
 
         sum_I lhs[I] * H(I)  <=  sum_J rhs[J] * H(J).
     """
 
     m: int
-    coeffs: Mapping[int, Fraction]
+    den: int
+    nums: Mapping[int, int]
 
-    def __post_init__(self) -> None:
-        valid = set(subsets(self.m))
-        cleaned: dict[int, Fraction] = {}
-        for mask, c in sorted(self.coeffs.items()):
+    def __init__(self, m: int, coeffs: Mapping[int, RationalLike]) -> None:
+        valid = set(subsets(m))
+        items = sorted(coeffs.items())
+        for mask, _ in items:
             if mask not in valid:
-                raise ValueError(f"subset mask {mask} out of range for m={self.m}")
-            c = Fraction(*_ratio(c))
-            if c != 0:
-                cleaned[mask] = c
-        if not cleaned:
+                raise ValueError(f"subset mask {mask} out of range for m={m}")
+        # canonical as it comes: for a prime p of den, the coefficient a/d,
+        # in lowest terms, whose d holds the highest power of p has p
+        # dividing neither a nor den/d, so not its numerator a*den/d
+        nums, den = common_denominator(c for _, c in items)
+        held = {mask: a for (mask, _), a in zip(items, nums) if a}
+        if not held:
             raise ValueError("inequality has no nonzero coefficient")
-        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", MappingProxyType(held))
+
+    @functools.cached_property
+    def coeffs(self) -> Mapping[int, Fraction]:
+        """The nonzero coefficients nums[T] / den as a read-only map."""
+        return MappingProxyType({mask: Fraction(a, self.den) for mask, a in self.nums.items()})
 
     def lhs_weights(self) -> dict[int, Fraction]:
         """Positive weights of the "<=" side (negated negative coefficients)."""
@@ -455,7 +458,8 @@ def eval_slack(ineq: LinearInequality, v: EntropyVector) -> ExactLogLin:
         raise ValueError(
             f"dimension mismatch: inequality has m={ineq.m}, vector m={v.m}"
         )
-    return ExactLogLin.combine((c, v.values[mask]) for mask, c in ineq.coeffs.items())
+    total = ExactLogLin.combine((a, v.values[mask]) for mask, a in ineq.nums.items())
+    return ExactLogLin._of_valid(total._den * ineq.den, total._nums)
 
 
 @functools.lru_cache(maxsize=1 << 12)

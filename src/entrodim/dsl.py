@@ -209,14 +209,14 @@ def parse_inequality(
     return parse_with_names(text, declared_vars)[0]
 
 
-def _render_side(weights: dict[int, Fraction], names: Sequence[str]) -> str:
-    if not weights:
-        return "0"
+def _render_side(ineq: LinearInequality, sign: int, names: Sequence[str]) -> str:
+    """The terms whose coefficient has this sign, as positive rationals."""
     parts = []
-    for mask in sorted(weights):
-        vars_txt = ",".join(names[p - 1] for p in mask_positions(mask))
-        parts.append(f"{weights[mask]} H({vars_txt})")
-    return " + ".join(parts)
+    for mask, a in ineq.nums.items():
+        if a * sign > 0:
+            vars_txt = ",".join(names[p - 1] for p in mask_positions(mask))
+            parts.append(f"{Fraction(a * sign, ineq.den)} H({vars_txt})")
+    return " + ".join(parts) or "0"
 
 
 def format_inequality(ineq: LinearInequality, names: Sequence[str]) -> str:
@@ -230,8 +230,4 @@ def format_inequality(ineq: LinearInequality, names: Sequence[str]) -> str:
         raise ValueError(f"need {ineq.m} variable names, got {len(names)}")
     if len(set(names)) != len(names):
         raise ValueError("variable names must be distinct")
-    return (
-        _render_side(ineq.lhs_weights(), names)
-        + " <= "
-        + _render_side(ineq.rhs_weights(), names)
-    )
+    return _render_side(ineq, -1, names) + " <= " + _render_side(ineq, 1, names)

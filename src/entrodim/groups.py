@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, gcd
 
 from .core import (
     MAX_VARIABLES,
@@ -33,7 +33,6 @@ from .core import (
     ExactLogLin,
     LinearInequality,
     check_int,
-    coprime_exponents,
     eval_slack,
     loglin_sign,
     pack_columns,
@@ -496,10 +495,10 @@ def search_violation(
     counterexample exists, only that none was found within the catalog.
 
     The slack sum_T c_T log2(n / h_T), with n = #G and h_T = #H_T, is
-    decided exactly and with no size limit.  The coefficients are scaled
-    to coprime integer exponents e_T = c_T * d / g (d the lcm of their
-    denominators, g the gcd of the scaled numerators); a positive scaling
-    keeps the sign.  Every h_T divides n, so the scaled slack is
+    decided exactly and with no size limit.  The coefficients c_T =
+    nums[T] / den are scaled to coprime integer exponents e_T = nums[T] / g
+    (g the gcd of the numerators); a positive scaling keeps the sign.
+    Every h_T divides n, so the scaled slack is
     sum_p C_p log2 p over the primes p of n, with integer exponents
     C_p = sum_T e_T v_p(n / h_T).  Subgroups are int bitsets and the
     tuples are walked depth-first, variable 1 outermost: choosing H_k
@@ -520,7 +519,8 @@ def search_violation(
     if not cat:
         raise ValueError("empty group catalog")
     m = ineq.m
-    exps = dict(zip(ineq.coeffs, coprime_exponents(ineq.coeffs.values())))
+    div = gcd(*ineq.nums.values())
+    exps = {mask: a // div for mask, a in ineq.nums.items()}
     for g in cat:
         subs = all_subgroups(g)[:max_subgroups]
         hit = _first_negative(

@@ -46,17 +46,16 @@ class ElementalSet:
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """The LP matrix E^T as ints, built once per set: a row per subset
-        mask in subsets(m) order and a column per elemental row; a
-        non-integer coefficient raises TypeError naming its row and mask."""
+        mask in subsets(m) order and a column per elemental row; a row with
+        den != 1 raises TypeError naming its first non-integer coefficient."""
         for i, r in enumerate(self.rows):
-            for s, c in r.coeffs.items():
-                if c.denominator != 1:
-                    raise TypeError(
-                        f"elemental row {i} has non-integer coefficient {c} "
-                        f"at {mask_label(s)}"
-                    )
-        cols = [{s: int(c) for s, c in r.coeffs.items()} for r in self.rows]
-        return tuple(tuple(col.get(s, 0) for col in cols) for s in subsets(self.m))
+            if r.den != 1:
+                s, c = next((s, c) for s, c in r.coeffs.items() if c.denominator != 1)
+                raise TypeError(
+                    f"elemental row {i} has non-integer coefficient {c} "
+                    f"at {mask_label(s)}"
+                )
+        return tuple(tuple(r.nums.get(s, 0) for r in self.rows) for s in subsets(self.m))
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def elemental_inequalities(m: int) -> ElementalSet:
 
     def row(*terms: tuple[int, int]) -> LinearInequality:
         # H(empty) = 0 is not a coordinate: a term on mask 0 is dropped
-        return LinearInequality(m, {s: Fraction(c) for s, c in terms if s})
+        return LinearInequality(m, {s: c for s, c in terms if s})
 
     full = (1 << m) - 1
     rows = [row((full, 1), (full ^ 1 << i, -1)) for i in range(m)]
@@ -112,25 +111,19 @@ def elemental_inequalities(m: int) -> ElementalSet:
     return ElementalSet(m, tuple(rows))
 
 
-def _integral(values: Mapping) -> tuple[dict, int]:
-    """Integers v and q > 0 with values[key] = v[key] / q."""
-    nums, q = common_denominator(values.values())
-    return dict(zip(values, nums)), q
-
-
-def _slack(row: LinearInequality, point: dict[int, int], q: int) -> tuple[int, int]:
-    """(s, den), den > 0, with s / den the row's slack on the point point / q."""
-    cs, qr = common_denominator(row.coeffs.values())
-    return sum(c * point.get(mask, 0) for mask, c in zip(row.coeffs, cs)), q * qr
+def _slack(row: LinearInequality, point: Mapping[int, int]) -> int:
+    """row.den times the row's slack on the integer point."""
+    return sum(c * point.get(mask, 0) for mask, c in row.nums.items())
 
 
 def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitness:
     """Decide cone membership, returning a verified certificate either way."""
     coords = subsets(ineq.m)
     matrix = elemental_inequalities(ineq.m).matrix
-    res = solve_eq_nonneg(matrix, [ineq.coeffs.get(mask, 0) for mask in coords])
+    res = solve_eq_nonneg(matrix, [ineq.nums.get(mask, 0) for mask in coords])
     if res.feasible:
-        weights = {r: w for r, w in enumerate(res.solution) if w != 0}
+        # the LP solves E^T y = nums, and the target is nums / den
+        weights = {r: w / ineq.den for r, w in enumerate(res.solution) if w != 0}
         cert = ShannonCertificate(ineq.m, weights)
         verify_certificate(ineq, cert)
         return cert
@@ -145,7 +138,8 @@ def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitnes
 
 def verify_certificate(ineq: LinearInequality, cert: ShannonCertificate) -> None:
     """Exact coefficient-wise recheck of sum_r y_r * row_r = target, in
-    integers over common denominators of the weights and of the rows."""
+    integers: with y_r = w_r / q over the weights' common denominator q,
+    and the integer elemental rows, den * sum_r w_r * row_r = q * nums."""
     rows = elemental_inequalities(ineq.m).rows
     if cert.m != ineq.m:
         raise VerificationError(f"certificate is for m={cert.m}, target m={ineq.m}")
@@ -154,18 +148,18 @@ def verify_certificate(ineq: LinearInequality, cert: ShannonCertificate) -> None
             raise VerificationError(f"certificate references unknown row {r}")
         if w < 0:
             raise VerificationError(f"negative weight {w} on row {r}")
-    weights, q = _integral(cert.weights)
-    used = {(r, s): c for r in weights for s, c in rows[r].coeffs.items()}
-    coeffs, qc = _integral(used)
+    weights, q = common_denominator(cert.weights.values())
     combo: dict[int, int] = {}
-    for (r, mask), c in coeffs.items():
-        combo[mask] = combo.get(mask, 0) + weights[r] * c
+    for r, w in zip(cert.weights, weights):
+        for mask, c in rows[r].nums.items():
+            combo[mask] = combo.get(mask, 0) + w * c
     for mask in subsets(ineq.m):
-        got, want = combo.get(mask, 0), ineq.coeffs.get(mask, 0)
-        if got * want.denominator != want.numerator * q * qc:
+        got, want = combo.get(mask, 0), ineq.nums.get(mask, 0)
+        if got * ineq.den != want * q:
             raise VerificationError(
                 f"certificate mismatch at subset {mask_label(mask)}: "
-                f"combination gives {Fraction(got, q * qc)}, target has {want}"
+                f"combination gives {Fraction(got, q)}, "
+                f"target has {Fraction(want, ineq.den)}"
             )
 
 
@@ -174,17 +168,19 @@ def verify_farkas(ineq: LinearInequality, witness: FarkasWitness) -> None:
     over one common denominator of the point."""
     if witness.m != ineq.m:
         raise VerificationError(f"witness is for m={witness.m}, target m={ineq.m}")
-    point, q = _integral(witness.point)
+    nums, q = common_denominator(witness.point.values())
+    point = dict(zip(witness.point, nums))
     for r, row in enumerate(elemental_inequalities(ineq.m).rows):
-        s, den = _slack(row, point, q)
+        s = _slack(row, point)
         if s < 0:
             raise VerificationError(
-                f"witness violates elemental row {r} (slack {Fraction(s, den)})"
+                f"witness violates elemental row {r} (slack {Fraction(s, q * row.den)})"
             )
-    s, den = _slack(ineq, point, q)
+    s = _slack(ineq, point)
     if s >= 0:
         raise VerificationError(
-            f"target slack on witness is {Fraction(s, den)}, expected strictly negative"
+            f"target slack on witness is {Fraction(s, q * ineq.den)}, "
+            "expected strictly negative"
         )
 
 

@@ -15,10 +15,11 @@ left as it is, and any other row changes, in place, only in the columns
 where the pivot row is nonzero.  The ratio test compares by
 cross-multiplication.
 
-A is an integer matrix, used as it is, and b is rational: b is made
-integral by the lcm of its denominators, which scales every ratio of a
-ratio test by the same factor and so keeps Bland's pivots.  Per call,
-the rows of A are sign-normalized by b and copied into the tableau.
+A is an integer matrix and b an integer vector, both used as they are:
+a caller with a rational b scales it to integers first, which scales
+every ratio of a ratio test by the same factor and so keeps Bland's
+pivots.  Per call, the rows of A are sign-normalized by b and copied
+into the tableau.
 
 Because every entry of M, and D, is a minor, one Hadamard bound on the
 initial integer tableau caps them all.  It is taken on every call,
@@ -31,24 +32,22 @@ Outcome is two-sided:
 * infeasible: a Farkas vector u with u . A_col_j <= 0 for every column j
   and u . b > 0, certifying that no nonnegative solution exists.
 
-Entries of A are ints, and a Fraction or float entry raises TypeError;
-entries of b are ints or Fractions.  Both certificates are rechecked
-exactly against the caller's A and b before being returned, as integer
-identities over their common denominators.
+Entries of A and b are ints, and a Fraction or float entry raises
+TypeError.  Both certificates are rechecked exactly against the caller's
+A and b before being returned, as integer identities over their common
+denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import attrgetter, mul
+from operator import mul
 from typing import Sequence
 
 from .core import MAX_PRODUCT_BITS, SizeLimitError, common_denominator
 
 _ZERO = Fraction(0)
-_den = attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,9 @@ def _eliminate(row: list[int], nz: list, c: int, p: int, d: int) -> list[int]:
     return new
 
 
-def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[Fraction]) -> FeasibilityResult:
+def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> FeasibilityResult:
     """Find y >= 0 with A y = b, or a Farkas certificate that none exists.
-    A is a matrix of ints, b a vector of ints or Fractions."""
+    A is a matrix of ints, b a vector of ints."""
     n = len(a)
     k = len(a[0]) if a else 0
     if any(len(row) != k for row in a):
@@ -96,14 +95,13 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[Fraction]) -> Feasib
 
     # sign-normalize rows so the rhs is nonnegative, then append one
     # artificial column per row; initial basis = artificials, D = 1
-    rhs_scale = lcm(*map(_den, b))
     signs = [1 if x >= 0 else -1 for x in b]
     rows: list[list[int]] = []
     for i, (arow, x, s) in enumerate(zip(a, b, signs)):
         row = list(arow) if s > 0 else [-v for v in arow]
         row += [0] * n
         row[k + i] = 1
-        row.append(s * x.numerator * (rhs_scale // x.denominator))
+        row.append(s * x)
         rows.append(row)
     basis = [k + i for i in range(n)]
 
@@ -160,11 +158,11 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[Fraction]) -> Feasib
         y = [_ZERO] * k
         for row, var in zip(rows, basis):
             if var < k:
-                y[var] = Fraction(row[-1], d * rhs_scale)
+                y[var] = Fraction(row[-1], d)
         w, q = common_denominator(y)
         support = [(j, v) for j, v in enumerate(w) if v]
         for arow, x in zip(a, b):
-            if sum(arow[j] * v for j, v in support) * x.denominator != q * x.numerator:
+            if sum(arow[j] * v for j, v in support) != q * x:
                 raise AssertionError("simplex returned an invalid solution")
         return FeasibilityResult(True, tuple(y), None)
 

@@ -149,6 +149,12 @@ def test_linear_inequality_canonical():
     assert q.coeffs == {2: Fraction(1), 3: Fraction(-2)}
     assert q.lhs_weights() == {3: Fraction(2)}
     assert q.rhs_weights() == {2: Fraction(1)}
+    assert (q.den, dict(q.nums)) == (1, {2: 1, 3: -2})
+    # equal values compare equal however they are written; scaled ones do not
+    half = LinearInequality(2, {1: Fraction(1, 2), 3: -1})
+    assert (half.den, dict(half.nums)) == (2, {1: 1, 3: -2})
+    assert LinearInequality(2, {3: Fraction(-4, 4), 2: 0, 1: Fraction(2, 4)}) == half
+    assert LinearInequality(2, {1: 1, 3: -2}) != half
     with pytest.raises(ValueError):
         LinearInequality(2, {1: Fraction(0)})
     with pytest.raises(ValueError):

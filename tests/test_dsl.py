@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entrodim.core import LinearInequality, eval_slack, subsets
 from entrodim.distributions import JointDistribution, exact_entropy_vector
@@ -140,6 +141,45 @@ def test_round_trip_random():
         text = format_inequality(ineq, names[:m])
         back = parse_inequality(text, declared_vars=names[:m])
         assert back == ineq
+
+
+_BIG = 2**80
+_COEFFICIENTS = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+
+
+@st.composite
+def _coefficient_maps(draw):
+    """m and a map of int and Fraction coefficients, zeros included, with
+    one nonzero coefficient at least."""
+    m = draw(st.integers(1, 4))
+    coeffs = draw(st.dictionaries(st.sampled_from(subsets(m)), _COEFFICIENTS, min_size=1))
+    assume(any(coeffs.values()))
+    return m, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coefficient_maps())
+def test_integer_form_holds_and_round_trips(case):
+    m, coeffs = case
+    q = LinearInequality(m, coeffs)
+    assert q.den > 0 and math.gcd(q.den, *q.nums.values()) == 1
+    assert list(q.nums) == sorted(q.nums) and all(q.nums.values())
+    assert q.coeffs == {mask: Fraction(c) for mask, c in coeffs.items() if c}
+    # the same values given in other forms: ints as Fractions and back,
+    # zeros on every other mask, the masks in reverse order
+    other = {mask: Fraction(0) for mask in subsets(m)}
+    for mask, c in sorted(coeffs.items(), reverse=True):
+        other[mask] = int(c) if Fraction(c).denominator == 1 else Fraction(c)
+    assert LinearInequality(m, other) == q
+    with pytest.raises(TypeError):
+        q.nums[1] = 1
+    with pytest.raises(TypeError):
+        q.coeffs[1] = Fraction(1)
+    names = ("a", "b", "c", "d")[:m]
+    assert parse_inequality(format_inequality(q, names), names) == q
 
 
 def _random_distribution(rng, m):

@@ -21,7 +21,6 @@ from entrodim.core import (
     _interval_sign,
     _ln_sum,
     _log2_float,
-    coprime_exponents,
     eval_slack,
     projector,
     subsets,
@@ -139,6 +138,16 @@ def _float_sign(terms) -> int:
     if min(map(abs, qs)) >= 2.0**-1022 and abs(s) > (abs(s) + a) * 2.0**-50:
         return 1 if s > 0 else -1
     return 0
+
+
+def coprime_exponents(qs) -> list[int]:
+    """Nonzero rationals times one positive factor, as coprime integers:
+    the lcm of the denominators, divided by the gcd of the numerators."""
+    qs = list(qs)
+    q = math.lcm(*(x.denominator for x in qs))
+    nums = [x.numerator * (q // x.denominator) for x in qs]
+    div = math.gcd(*nums)
+    return [e // div for e in nums]
 
 
 def loglin_sign(x: RefLogLin) -> int:

@@ -712,7 +712,7 @@ def _slack_of(ineq, g, subs, tup):
 @given(_symmetric_searches(), st.randoms(use_true_random=False))
 def test_every_symmetry_keeps_the_slack(search, rng):
     ineq, cat, cap = search
-    exps = dict(zip(ineq.coeffs, core.coprime_exponents(ineq.coeffs.values())))
+    exps = dict(ineq.nums)
     m = ineq.m
     for g in cat:
         subs = all_subgroups(g)[:cap]
@@ -739,7 +739,7 @@ def test_every_symmetry_keeps_the_slack(search, rng):
 
 def test_symmetries_found():
     ingleton = parse_inequality("I(a;b) <= I(a;b|c) + I(a;b|d) + I(c;d)")
-    exps = dict(zip(ingleton.coeffs, core.coprime_exponents(ingleton.coeffs.values())))
+    exps = dict(ingleton.nums)
     s3 = NONABELIAN["S3"]
     subs = all_subgroups(s3)
     swaps, renamings = _symmetries(s3, subs, 4, exps)
@@ -753,7 +753,7 @@ def test_symmetries_found():
     assert _symmetries(s3, subs[:2], 4, exps) == ([(0, 1), (2, 3)], [])
     # Zhang-Yeung is fixed by exchanging its last two variables only
     zy = zhang_yeung()
-    zy_exps = dict(zip(zy.coeffs, core.coprime_exponents(zy.coeffs.values())))
+    zy_exps = dict(zy.nums)
     assert _symmetries(KLEIN, all_subgroups(KLEIN), 4, zy_exps) == ([(2, 3)], [])
 
 

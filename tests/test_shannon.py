@@ -215,6 +215,33 @@ def test_farkas_rejects_non_witnesses():
     assert "elemental row" in str(err.value)
 
 
+def test_verification_messages_for_a_fractional_target():
+    # full texts, recorded from the checks that read the Fraction
+    # coefficients; each value is now rebuilt from the integer form
+    eq = parse_inequality("5/3 H(x,y,z) <= 5/6 H(x,y) + 5/6 H(x,z) + 5/6 H(y,z)")
+    cert = ShannonCertificate(
+        3, {2: Fraction(1, 7), 4: Fraction(5, 6), 6: Fraction(5, 6), 7: Fraction(5, 6)}
+    )
+    with pytest.raises(VerificationError) as err:
+        verify_certificate(eq, cert)
+    assert str(err.value) == (
+        "certificate mismatch at subset {1,2}: combination gives 29/42, target has 5/6"
+    )
+    zy = parse_inequality(
+        "4/3 I(z;w) <= 2/3 I(x;y) + 2/3 I(x;z,w) + 2 I(z;w|x) + 2/3 I(z;w|y)",
+        declared_vars=("x", "y", "z", "w"),
+    )
+    broken = dict(ZY_POINT)
+    broken[15] = Fraction(7, 5)
+    with pytest.raises(VerificationError) as err:
+        verify_farkas(zy, FarkasWitness(4, broken))
+    assert str(err.value) == "witness violates elemental row 7 (slack -3/20)"
+    held = {mask: Fraction(min(bin(mask).count("1"), 2), 3) for mask in subsets(4)}
+    with pytest.raises(VerificationError) as err:
+        verify_farkas(zy, FarkasWitness(4, held))
+    assert str(err.value) == "target slack on witness is 10/9, expected strictly negative"
+
+
 def _random_distribution(rng, m):
     npts = rng.randint(2, 6)
     pts = set()

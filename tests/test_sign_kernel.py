@@ -2,6 +2,7 @@
 product comparison it replaced, on near-ties of log2(3) and on exact
 zeros whose logarithm arguments are not yet coprime."""
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -12,12 +13,21 @@ from entrodim import core
 from entrodim.core import (
     MAX_PRODUCT_BITS,
     ExactLogLin,
-    coprime_exponents,
     loglin_sign,
 )
 
 
 # -- the kernel loglin_sign replaced, kept verbatim as the reference ----------
+
+
+def coprime_exponents(qs) -> list[int]:
+    """Nonzero rationals times one positive factor, as coprime integers:
+    the lcm of the denominators, divided by the gcd of the numerators."""
+    qs = list(qs)
+    q = math.lcm(*(x.denominator for x in qs))
+    nums = [x.numerator * (q // x.denominator) for x in qs]
+    div = math.gcd(*nums)
+    return [e // div for e in nums]
 
 
 class PastBudget(ArithmeticError):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -125,14 +126,14 @@ def _reference_solve(
 
 def test_feasible_square_system():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
-    res = solve_eq_nonneg([[1, 1], [1, -1]], [Fraction(3), Fraction(1)])
+    res = solve_eq_nonneg([[1, 1], [1, -1]], [3, 1])
     assert res.feasible
     assert res.solution == (Fraction(2), Fraction(1))
     assert res.farkas is None
 
 
 def test_feasible_underdetermined():
-    res = solve_eq_nonneg([[1, 1]], [Fraction(5)])
+    res = solve_eq_nonneg([[1, 1]], [5])
     assert res.feasible
     x, y = res.solution
     assert x >= 0 and y >= 0 and x + y == 5
@@ -140,18 +141,18 @@ def test_feasible_underdetermined():
 
 def test_infeasible_with_certificate():
     # x = -1 has no nonnegative solution; u = -1 certifies it
-    res = solve_eq_nonneg([[1]], [Fraction(-1)])
+    res = solve_eq_nonneg([[1]], [-1])
     assert not res.feasible
     assert res.solution is None
     (u,) = res.farkas
     assert u <= 0
-    assert u * Fraction(-1) > 0
+    assert u * -1 > 0
 
 
 def test_infeasible_two_rows():
     # x + y = 1 and x + y = 2 cannot both hold
     a = [[1, 1], [1, 1]]
-    b = [Fraction(1), Fraction(2)]
+    b = [1, 2]
     res = solve_eq_nonneg(a, b)
     assert not res.feasible
     u = res.farkas
@@ -162,9 +163,9 @@ def test_infeasible_two_rows():
 
 def test_shape_errors():
     with pytest.raises(ValueError):
-        solve_eq_nonneg([[1], [1, 2]], [Fraction(1), Fraction(1)])
+        solve_eq_nonneg([[1], [1, 2]], [1, 1])
     with pytest.raises(ValueError):
-        solve_eq_nonneg([[1]], [Fraction(1), Fraction(2)])
+        solve_eq_nonneg([[1]], [1, 2])
     # vacuous system is trivially feasible
     assert solve_eq_nonneg([], []).solution == ()
 
@@ -174,7 +175,8 @@ def test_random_constructed_feasible():
     for _ in range(60):
         rows, cols = rng.randint(1, 4), rng.randint(1, 6)
         a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        y_star = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(cols)]
+        # 6 times a rational y* = k/d, d in 1..3, so that b is integral
+        y_star = [rng.randint(0, 4) * (6 // rng.randint(1, 3)) for _ in range(cols)]
         b = [sum(a[i][j] * y_star[j] for j in range(cols)) for i in range(rows)]
         res = solve_eq_nonneg(a, b)
         assert res.feasible
@@ -190,7 +192,8 @@ def test_random_systems_always_certified():
     for _ in range(60):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        b = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4))) for _ in range(rows)]
+        # 12 times a rational k/d, d in 1..4
+        b = [rng.randint(-6, 6) * (12 // rng.choice((1, 1, 2, 3, 4))) for _ in range(rows)]
         res = solve_eq_nonneg(a, b)
         if res.feasible:
             y = res.solution
@@ -204,9 +207,11 @@ def test_random_systems_always_certified():
             assert sum(u[i] * b[i] for i in range(rows)) > 0
 
 
-def _small_rationals(max_value: int, denominators: tuple[int, ...]):
+def _scaled_rationals(max_value: int, denominators: tuple[int, ...]):
+    """A small rational k/d times the lcm of the denominators, an int."""
+    scale = math.lcm(*denominators)
     return st.builds(
-        Fraction,
+        lambda k, d: k * (scale // d),
         st.integers(-max_value, max_value),
         st.sampled_from(denominators),
     )
@@ -224,13 +229,13 @@ def _small_matrices(rows: int, cols: int):
 
 
 def _rhs(draw, a):
-    """A rational right-hand side for a: A y for a nonnegative y, so
-    feasible by construction, or drawn at random."""
+    """An integer right-hand side for a, a scaled rational one: A y for a
+    nonnegative y, so feasible by construction, or drawn at random."""
     rows, cols = len(a), len(a[0])
     if draw(st.booleans()):
-        y = draw(st.lists(_small_rationals(3, (1, 2)), min_size=cols, max_size=cols))
+        y = draw(st.lists(_scaled_rationals(3, (1, 2)), min_size=cols, max_size=cols))
         return [sum(a[i][j] * abs(y[j]) for j in range(cols)) for i in range(rows)]
-    return draw(st.lists(_small_rationals(6, (1, 2, 3, 4)), min_size=rows, max_size=rows))
+    return draw(st.lists(_scaled_rationals(6, (1, 2, 3, 4)), min_size=rows, max_size=rows))
 
 
 @st.composite
@@ -270,7 +275,7 @@ def test_one_matrix_matches_reference_on_every_rhs(case):
 def _elemental_rhs(draw):
     m = draw(st.integers(2, 4))
     size = (1 << m) - 1
-    return m, draw(st.lists(_small_rationals(4, (1, 2, 3)), min_size=size, max_size=size))
+    return m, draw(st.lists(_scaled_rationals(4, (1, 2, 3)), min_size=size, max_size=size))
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,7 +294,7 @@ def test_matches_reference_on_int_input():
 
 def test_size_budget(monkeypatch):
     a = [[3, 1], [-1, 5]]
-    b = [Fraction(7), Fraction(2, 3)]
+    b = [21, 2]
     assert solve_eq_nonneg(a, b).feasible
     monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
     with pytest.raises(SizeLimitError):
@@ -327,30 +332,34 @@ def test_recheck_rejects_a_wrong_answer(monkeypatch):
     # recheck against the caller's A and b must refuse it
     monkeypatch.setattr(simplex, "Fraction", lambda n, d=1: Fraction(n + d, d))
     with pytest.raises(AssertionError, match="invalid solution"):
-        solve_eq_nonneg([[1, 1], [1, -1]], [Fraction(3), Fraction(1)])
+        solve_eq_nonneg([[1, 1], [1, -1]], [3, 1])
     with pytest.raises(AssertionError, match="invalid Farkas vector"):
-        solve_eq_nonneg([[1]], [Fraction(-1)])
+        solve_eq_nonneg([[1]], [-1])
 
 
 def test_integer_matrix_with_rational_rhs():
-    # an int matrix, as shannon passes it, next to a rational right-hand side
+    # an int matrix, as shannon passes it, next to a rational right-hand
+    # side scaled to ints by its common denominator, as shannon scales it
     a = [[1, 0, 1], [0, 1, -1]]
-    for b in ([Fraction(1, 2), Fraction(1, 3)], [Fraction(-1, 2), 0]):
+    for b in ([3, 2], [-1, 0]):
         res = solve_eq_nonneg(a, b)
         assert res == _reference_solve(a, b)
 
 
 def test_non_integer_matrix_entry_is_rejected():
     # the row norms of the Hadamard bound are ints only for an int matrix
+    # and an int right-hand side, which is in the same rows
     for entry in (Fraction(1, 2), Fraction(2), 0.5):
         with pytest.raises(TypeError, match="must be ints"):
-            solve_eq_nonneg([[1, 0], [entry, 1]], [Fraction(1), Fraction(-1)])
+            solve_eq_nonneg([[1, 0], [entry, 1]], [1, -1])
+        with pytest.raises(TypeError, match="must be ints"):
+            solve_eq_nonneg([[1, 0], [0, 1]], [entry, -1])
 
 
 def test_caller_matrix_is_left_unchanged():
     # the solver reads the caller's rows directly, also the rows it flips
     a = [[1, -2, 0], [0, 1, 1], [3, 0, -1]]
     before = [row[:] for row in a]
-    for b in ([1, 2, 3], [-1, 2, -3], [Fraction(-1, 2), 0, Fraction(5, 3)], [0, -1, 0]):
+    for b in ([1, 2, 3], [-1, 2, -3], [-3, 0, 10], [0, -1, 0]):
         assert solve_eq_nonneg(a, b) == _reference_solve(a, b)
     assert a == before
