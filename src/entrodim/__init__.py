@@ -8,7 +8,7 @@ whose projection dimensions defeat the corresponding dimension
 inequality.  All load-bearing comparisons are exact (rational arithmetic
 and big-integer product tests); floats appear only as renderings.
 
-Importing the package runs only `core` and `dsl`. The other submodules
+Importing the package runs only `linear` and `dsl`. The other submodules
 are in `sys.modules` from the start, but each one's code runs on its
 first attribute access (`importlib.util.LazyLoader`), so a command that
 never touches, say, `groups` never compiles it. The names below are
@@ -18,15 +18,16 @@ served from their modules by the package's `__getattr__`.
 import importlib.util as _util
 import sys as _sys
 
-from . import core, dsl
+from . import dsl, linear
 
 #: module -> the public names the package re-exports from it
 _EXPORTS = {
-    "core": (
-        "MAX_VARIABLES", "EntropyVector", "ExactLogLin", "LinearInequality",
-        "PointSet", "SizeLimitError", "eval_slack", "loglin_sign", "mask_label",
+    "linear": (
+        "MAX_VARIABLES", "LinearInequality", "SizeLimitError", "mask_label",
         "mask_of", "mask_positions", "subsets",
     ),
+    "core": ("EntropyVector", "ExactLogLin", "eval_slack", "loglin_sign"),
+    "points": ("PointSet",),
     "dsl": (
         "InequalityParseError", "ZeroInequalityError", "format_inequality",
         "parse_inequality", "parse_with_names",
@@ -75,7 +76,7 @@ def _register_lazily(name):
 
 
 for _name in _EXPORTS:
-    if _name not in globals():  # core and dsl have run above
+    if _name not in globals():  # linear and dsl have run above
         _register_lazily(_name)
 
 

@@ -21,16 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import (
-    ExactLogLin,
-    LinearInequality,
-    PointSet,
-    check_int,
-    eval_slack,
-    mask_label,
-    projector,
-    subsets,
-)
+from .core import ExactLogLin, eval_slack
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -38,6 +29,8 @@ from .groups import (
     subgroup_from_elements,
     witness_set,
 )
+from .linear import LinearInequality, check_int, mask_label, projector, subsets
+from .points import PointSet
 
 Digits = tuple[int, ...]
 

@@ -19,9 +19,9 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import cantor, distributions, groups, shannon, splitting
-from .core import eval_slack, mask_label, mask_of, subsets
+from . import cantor, core, distributions, groups, shannon, splitting
 from .dsl import format_inequality, parse_with_names
+from .linear import mask_label, mask_of, subsets
 
 
 def _load_json(path: str):
@@ -96,7 +96,7 @@ def _cmd_eval(args) -> tuple[int, dict]:
         dist = distributions.JointDistribution.from_json(obj)
     else:
         dist = distributions.SupportSet.from_json(obj)
-    slack = eval_slack(ineq, distributions.exact_entropy_vector(dist))
+    slack = core.eval_slack(ineq, distributions.exact_entropy_vector(dist))
     sign = slack.sign()
     report = {
         "subcommand": "eval",

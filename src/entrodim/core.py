@@ -1,123 +1,25 @@
 """
-Exact building blocks for linear entropy inequalities.
+Exact values that are rational combinations of logarithms.
 
-Conventions used throughout the package:
-
-* A collection of m variables is indexed by positions 1..m.  A nonempty
-  subset of positions is a *bitmask*: position i corresponds to bit i-1,
-  so masks run over 1 .. 2**m - 1 and "ascending bitmask order" is plain
-  integer order.  E.g. for variables (x, y, z) the mask 0b101 = 5 means
-  the pair {x, z}.
-* All entropies and slacks are measured in bits (base-2 logarithms).
-* Exact values that are rational combinations of logarithms are carried
-  symbolically by :class:`ExactLogLin`; their signs are decided exactly
-  by :func:`loglin_sign`, with no size limit and never by floating
-  point alone.
-* Finite sets of m-tuples (bodies, digit sets, supports) are
-  :class:`PointSet` values: validated once and held as one int per
-  point, with their shadows (the keys of the points on a subset mask)
-  and fiber counts cached per mask.
+An :class:`ExactLogLin` carries such a value symbolically, in bits
+(base-2 logarithms); :func:`loglin_sign` decides its sign exactly, with
+no size limit and never by floating point alone.  An
+:class:`EntropyVector` holds the joint entropies of an m-tuple as such
+values, and :func:`eval_slack` evaluates a linear inequality on one.
+Subset masks follow the conventions of :mod:`entrodim.linear`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import repeat
-from operator import and_, itemgetter, lshift, or_, rshift
 from types import MappingProxyType
-from typing import Callable, ClassVar, Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-MAX_VARIABLES = 8
-
-#: refuse a simplex tableau whose entries may exceed this many bits
-MAX_PRODUCT_BITS = 1 << 24
-
-RationalLike = Union[int, Fraction]
-
-
-class SizeLimitError(ArithmeticError):
-    """An exact computation would exceed the configured bit-size budget."""
-
-
-def check_int(x, field: str) -> int:
-    """x when it is an int, not a bool; else a TypeError naming field."""
-    if type(x) is not int:
-        raise TypeError(f"{field} must be an integer, got {x!r}")
-    return x
-
-
-def check_rational(x, field: str) -> int | float | Fraction:
-    """A number in an input file: x when it is an int or a float, not a
-    bool, or the exact Fraction a string such as "7/3", "-2" or "0.25"
-    names.  A string with an exponent part ("1e999999999") is a
-    ValueError, as its value could need any number of digits; any other
-    type is a TypeError naming field."""
-    if isinstance(x, str):
-        if "e" in x or "E" in x:
-            raise ValueError(f"{field} {x!r} has an exponent part; write it as p/q or a decimal")
-        return Fraction(x)
-    if type(x) is not int and type(x) is not float:
-        raise TypeError(f"{field} must be a number or a string such as \"7/3\", got {x!r}")
-    return x
-
-
-def subsets(m: int) -> list[int]:
-    """All 2**m - 1 nonempty subset masks of {1..m}, ascending."""
-    if not 1 <= m <= MAX_VARIABLES:
-        raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {m}")
-    return list(range(1, 1 << m))
-
-
-def mask_of(positions: Iterable[int], m: int | None = None) -> int:
-    """Bitmask for a collection of 1-based variable positions."""
-    mask = 0
-    for p in positions:
-        if p < 1 or (m is not None and p > m):
-            raise ValueError(f"variable position {p} out of range")
-        mask |= 1 << (p - 1)
-    return mask
-
-
-def mask_positions(mask: int) -> tuple[int, ...]:
-    """1-based variable positions present in a subset mask, ascending."""
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-@functools.lru_cache(maxsize=1 << MAX_VARIABLES)
-def projector(mask: int) -> Callable[[tuple], tuple]:
-    """The projection of a point tuple onto the positions in a subset mask.
-
-    The 0-based indices are worked out once per mask, and the getter is
-    shared by every caller; it is an operator.itemgetter and always
-    yields a tuple.  For a one-coordinate mask it slices, where a bare
-    itemgetter(i) would return the scalar.
-    """
-    if mask <= 0:
-        raise ValueError(f"subset mask {mask} is not a nonempty subset")
-    idx = [p - 1 for p in mask_positions(mask)]
-    if len(idx) == 1:
-        return itemgetter(slice(idx[0], idx[0] + 1))
-    return itemgetter(*idx)
-
-
-def mask_label(mask: int, names: tuple[str, ...] | None = None) -> str:
-    """Human-readable subset label, e.g. "{1,3}" or "x,z" with names."""
-    pos = mask_positions(mask)
-    if names is None:
-        return "{" + ",".join(str(p) for p in pos) + "}"
-    return ",".join(names[p - 1] for p in pos)
-
-
-def _ratio(q: RationalLike) -> tuple[int, int]:
-    """The numerator and positive denominator of an int or Fraction."""
-    if isinstance(q, (int, Fraction)):
-        return q.numerator, q.denominator
-    raise TypeError(f"expected an exact rational, got {type(q).__name__}")
+from .linear import LinearInequality, RationalLike, _ratio, mask_label, subsets
 
 
 class ExactLogLin:
@@ -243,15 +145,6 @@ class ExactLogLin:
         for s, body in chunks[1:]:
             out += f" {s} {body}"
         return out
-
-
-def common_denominator(qs: Iterable[RationalLike]) -> tuple[list[int], int]:
-    """Integers w and q > 0, the lcm of the denominators, with qs[i] = w[i] / q;
-    TypeError for a value that is not an int or Fraction."""
-    pairs = [_ratio(x) for x in qs]
-    q = math.lcm(*(d for _, d in pairs))
-    return [a * (q // d) for a, d in pairs], q
-
 
 @functools.lru_cache(maxsize=1 << 12)
 def _log2_float(n: int) -> float:
@@ -400,58 +293,6 @@ class EntropyVector:
     def __getitem__(self, mask: int) -> ExactLogLin:
         return self.values[mask]
 
-
-@dataclass(frozen=True, init=False)
-class LinearInequality:
-    """A linear entropy inequality in canonical "sum_T c_T H(T) >= 0" form.
-
-    The coefficients, given as ints or Fractions keyed by subset mask,
-    are held in integers: c_T = nums[T] / den, with den > 0, ``nums`` a
-    read-only map of the nonzero numerators by ascending mask, and
-    gcd(den, *nums) = 1, so == compares values.  ``coeffs`` is the same
-    map as Fractions.  The familiar two-sided reading splits the
-    coefficients by sign: subsets with negative coefficient form the
-    left-hand family (weights lhs_weights), positive ones the right-hand
-    family (rhs_weights), and the inequality asserts
-
-        sum_I lhs[I] * H(I)  <=  sum_J rhs[J] * H(J).
-    """
-
-    m: int
-    den: int
-    nums: Mapping[int, int]
-
-    def __init__(self, m: int, coeffs: Mapping[int, RationalLike]) -> None:
-        valid = set(subsets(m))
-        items = sorted(coeffs.items())
-        for mask, _ in items:
-            if mask not in valid:
-                raise ValueError(f"subset mask {mask} out of range for m={m}")
-        # canonical as it comes: for a prime p of den, the coefficient a/d,
-        # in lowest terms, whose d holds the highest power of p has p
-        # dividing neither a nor den/d, so not its numerator a*den/d
-        nums, den = common_denominator(c for _, c in items)
-        held = {mask: a for (mask, _), a in zip(items, nums) if a}
-        if not held:
-            raise ValueError("inequality has no nonzero coefficient")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", MappingProxyType(held))
-
-    @functools.cached_property
-    def coeffs(self) -> Mapping[int, Fraction]:
-        """The nonzero coefficients nums[T] / den as a read-only map."""
-        return MappingProxyType({mask: Fraction(a, self.den) for mask, a in self.nums.items()})
-
-    def lhs_weights(self) -> dict[int, Fraction]:
-        """Positive weights of the "<=" side (negated negative coefficients)."""
-        return {mask: -c for mask, c in self.coeffs.items() if c < 0}
-
-    def rhs_weights(self) -> dict[int, Fraction]:
-        """Positive weights of the ">=" side."""
-        return {mask: c for mask, c in self.coeffs.items() if c > 0}
-
-
 def eval_slack(ineq: LinearInequality, v: EntropyVector) -> ExactLogLin:
     """Signed slack sum_T c_T * v[T]; negative means v violates ineq."""
     if ineq.m != v.m:
@@ -460,198 +301,3 @@ def eval_slack(ineq: LinearInequality, v: EntropyVector) -> ExactLogLin:
         )
     total = ExactLogLin.combine((a, v.values[mask]) for mask, a in ineq.nums.items())
     return ExactLogLin._of_valid(total._den * ineq.den, total._nums)
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _fields(widths: tuple[int, ...], mask: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """In a layout of fields of these widths, coordinate 1 highest: the
-    (shift, all-ones value) of the field of each position of mask,
-    ascending, and the OR of those fields."""
-    fields = tuple(
-        (sum(widths[i + 1:]), (1 << w) - 1) for i, w in enumerate(widths) if mask >> i & 1
-    )
-    return fields, sum(ones << s for s, ones in fields)
-
-
-def pack_columns(cols, widths) -> frozenset[int]:
-    """One int per row of the coordinate columns: coordinate i in a field
-    of widths[i] bits, coordinate 1 in the highest field, so that int
-    order is the rows' tuple order.  Every value must fit its field."""
-    codes = cols[0]
-    for col, w in zip(cols[1:], widths[1:]):
-        codes = map(or_, map(lshift, codes, repeat(w)), col)
-    return frozenset(codes)
-
-
-def check_points(
-    points: Iterable, m: int, base: int | None = None, noun: str = "coordinate"
-) -> tuple[frozenset[int], tuple[int, ...]]:
-    """The points as one int per point (pack_columns) and the field width
-    of each coordinate, the bit length of its largest value; points must
-    be m-tuples of nonnegative ints (bools and other int subclasses are
-    refused), each below base unless base is None, else ValueError
-    naming the first bad point or coordinate.
-
-    A frozenset of tuples is read as it is.  Any other input is checked
-    point by point before it is packed, as True == 1 would merge (True,
-    0) into (1, 0).  `noun` names a coordinate in the messages.
-    """
-    if not 1 <= m <= MAX_VARIABLES:
-        raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {m}")
-    if not (isinstance(points, frozenset) and set(map(type, points)) <= {tuple}):
-        points = tuple(map(tuple, points))
-    for pt in points:
-        if len(pt) != m:
-            raise ValueError(f"point {pt} has {len(pt)} coordinates, expected {m}")
-        for x in pt:
-            if type(x) is not int or x < 0 or (base is not None and x >= base):
-                if type(x) is not int or base is None:
-                    raise ValueError(f"{noun}s must be nonnegative integers, got {x!r}")
-                raise ValueError(f"{noun} {x} out of range for base {base}")
-    if not points:
-        return frozenset(), (0,) * m
-    cols = list(zip(*points))
-    widths = tuple(max(col).bit_length() for col in cols)
-    return pack_columns(cols, widths), widths
-
-
-class PointSet:
-    """A nonempty finite set of m-tuples of nonnegative integers, each
-    below ``base`` (no upper bound when base is None).
-
-    The points are validated once, by check_points, and held as one int
-    per point, ``codes``: coordinate i in a field of ``widths[i]`` bits,
-    the bit length of the largest value in that coordinate, with
-    coordinate 1 highest, so int order is tuple order.  The key of a
-    point on a subset mask is its code AND field(mask).  Shadows (the
-    sets of keys on a mask) and fiber counts (keys to how many points
-    have them) are cached per mask: a shadow is worked out from the
-    smallest cached shadow of a superset mask, fiber counts from the
-    codes.  The codes are sorted once, on first use, and the
-    order is kept too.  Tuples are made only by ``points``, decode and
-    rows; the codes, ``==`` and hash never need them.  Instances are
-    immutable values: shadows are frozensets, fiber counts are
-    read-only mappings and the order is a tuple.  Subclasses set their
-    base rule and the words used in error messages.
-    """
-
-    noun: ClassVar[str] = "coordinate"
-    empty: ClassVar[str] = "empty point set"
-
-    def __init__(self, m: int, base: int | None, points) -> None:
-        self.m, self.base = m, base
-        self._check_base()
-        codes, widths = check_points(points, m, base, self.noun)
-        if not codes:
-            raise ValueError(self.empty)
-        self._hold(codes, widths)
-        if isinstance(points, frozenset) and set(map(type, points)) == {tuple}:
-            self._points = points  # the same tuples: keep them, decode nothing
-
-    def _hold(self, codes: frozenset[int], widths: tuple[int, ...]) -> None:
-        """Keep valid codes, with empty caches but for the full mask,
-        whose shadow is the codes themselves."""
-        self.codes, self.widths = codes, widths
-        self._shadows = {(1 << self.m) - 1: codes}
-        self._fibers: dict = {}
-        self._order: tuple | None = None
-        self._points: frozenset | None = None
-
-    @classmethod
-    def _of_valid(
-        cls, m: int, base: int | None, codes: frozenset[int], widths: tuple[int, ...]
-    ) -> "PointSet":
-        """A point set on codes that are valid by construction (a
-        projection, or points the package generates), kept without a
-        second check; each width must be the bit length of the largest
-        value in its coordinate, as check_points makes it."""
-        out = object.__new__(cls)
-        out.m, out.base = m, base
-        out._hold(codes, widths)
-        return out
-
-    def _check_base(self) -> None:
-        if self.base is not None and self.base < 1:
-            raise ValueError("base must be positive")
-
-    def _check_mask(self, mask: int) -> None:
-        if not 0 < mask < 1 << self.m:
-            raise ValueError(f"subset mask {mask} out of range for m={self.m}")
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.base, self.widths, self.codes) == (
-            other.m, other.base, other.widths, other.codes)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.base, self.widths, self.codes))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(m={self.m}, base={self.base}, points={self.points!r})"
-
-    def field(self, mask: int) -> int:
-        """The int whose AND with a point's code is its key on mask."""
-        return _fields(self.widths, mask)[1]
-
-    def decode(self, key: int, mask: int | None = None) -> tuple[int, ...]:
-        """The coordinates on mask (all m by default) of a code or key."""
-        fields, _ = _fields(self.widths, (1 << self.m) - 1 if mask is None else mask)
-        return tuple(key >> s & ones for s, ones in fields)
-
-    def _columns(self, keys, mask: int) -> list:
-        """Per position of mask, the iterator of its coordinate over keys
-        (a collection, read once per position)."""
-        return [map(and_, map(rshift, keys, repeat(s)), repeat(ones))
-                for s, ones in _fields(self.widths, mask)[0]]
-
-    @property
-    def points(self) -> frozenset[tuple[int, ...]]:
-        """The points as tuples, decoded on first use."""
-        if self._points is None:
-            self._points = frozenset(zip(*self._columns(self.codes, (1 << self.m) - 1)))
-        return self._points
-
-    def rows(self) -> list[list[int]]:
-        """The points in ascending order, as lists, for JSON."""
-        return list(map(list, zip(*self._columns(self.ordered(), (1 << self.m) - 1))))
-
-    def shadow(self, mask: int) -> frozenset[int]:
-        """The keys of the points on mask, worked out from the smallest
-        cached shadow of a superset mask (the codes when there is no other)."""
-        got = self._shadows.get(mask)
-        if got is None:
-            self._check_mask(mask)
-            _, sup = min(  # the smallest cached superset; ties: the lower mask
-                (len(v), k) for k, v in self._shadows.items() if k & mask == mask
-            )
-            got = frozenset(map(self.field(mask).__and__, self._shadows[sup]))
-            self._shadows[mask] = got
-        return got
-
-    def ordered(self) -> tuple[int, ...]:
-        """The codes in ascending order, sorted on the first call only."""
-        if self._order is None:
-            self._order = tuple(sorted(self.codes))
-        return self._order
-
-    def fibers(self, mask: int) -> Mapping[int, int]:
-        """How many points have each key of the shadow on mask, counted
-        from the codes."""
-        got = self._fibers.get(mask)
-        if got is None:
-            self._check_mask(mask)
-            counts = Counter(map(self.field(mask).__and__, self.codes))
-            got = self._fibers[mask] = MappingProxyType(counts)
-        return got
-
-    def projection(self, mask: int) -> "PointSet":
-        """The shadow on mask as a point set of the same class and base
-        (every projection of valid points is valid, and each coordinate
-        keeps its largest value, so its width), its keys packed anew."""
-        widths = tuple(w for i, w in enumerate(self.widths) if mask >> i & 1)
-        codes = pack_columns(self._columns(self.shadow(mask), mask), widths)
-        return self._of_valid(mask.bit_count(), self.base, codes, widths)

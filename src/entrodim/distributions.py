@@ -15,17 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    EntropyVector,
-    ExactLogLin,
-    PointSet,
-    check_int,
-    check_points,
-    check_rational,
-    common_denominator,
-    projector,
-    subsets,
-)
+from .core import EntropyVector, ExactLogLin
+from .linear import check_int, check_rational, common_denominator, projector, subsets
+from .points import PointSet, check_points
 
 Point = tuple[int, ...]
 

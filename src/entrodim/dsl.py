@@ -31,7 +31,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .core import LinearInequality, mask_positions
+from .linear import LinearInequality, mask_positions
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op><=|>=|[-+*/(),;|]))"

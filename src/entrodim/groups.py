@@ -27,18 +27,9 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial, gcd
 
-from .core import (
-    MAX_VARIABLES,
-    EntropyVector,
-    ExactLogLin,
-    LinearInequality,
-    check_int,
-    eval_slack,
-    loglin_sign,
-    pack_columns,
-    subsets,
-)
-from .distributions import SupportSet
+from . import distributions, points
+from .core import EntropyVector, ExactLogLin, eval_slack, loglin_sign
+from .linear import MAX_VARIABLES, LinearInequality, check_int, subsets
 
 
 class GroupTableError(ValueError):
@@ -359,10 +350,16 @@ def symmetric(n: int, name: str = "") -> FiniteGroup:
     return from_permutations(n, [swap, (*range(1, n), 0)], name or f"S{n}")
 
 
+#: the largest max_order builtin_catalog takes; its cyclic groups stop here
+MAX_CATALOG_ORDER = 64
+
+
 @lru_cache(maxsize=8)
 def builtin_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
     """Deterministic catalog: cyclics, products of 2-3 cyclics, dihedral,
     symmetric — everything of order <= max_order, sorted by (order, name).
+    max_order must be in 1..MAX_CATALOG_ORDER (ValueError): the products
+    grow fast past it, to 655 groups at order 200.
     The last 8 distinct max_orders asked for are kept: a repeated call
     returns the same tuple of the same groups, so their subgroup listings
     are made once too, and each dropped catalog takes its listings along.
@@ -370,8 +367,10 @@ def builtin_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
     The catalog is a search space, not a classification: isomorphic
     groups may appear under different constructions.
     """
+    if not 1 <= max_order <= MAX_CATALOG_ORDER:
+        raise ValueError(f"max_order must be in 1..{MAX_CATALOG_ORDER}, got {max_order}")
     groups: list[FiniteGroup] = []
-    for n in range(1, min(64, max_order) + 1):
+    for n in range(1, max_order + 1):
         groups.append(cyclic(n))
     for a in range(2, max_order + 1):
         for b in range(a, max_order // a + 1):
@@ -405,7 +404,7 @@ def coset_index_map(g: FiniteGroup, h: Subgroup) -> tuple[int, ...]:
     return tuple(idx)
 
 
-def witness_set(g: FiniteGroup, subgroups) -> SupportSet:
+def witness_set(g: FiniteGroup, subgroups) -> distributions.SupportSet:
     """The finite set A = {(gH_1, ..., gH_m) : g in G} of coset tuples.
 
     A Subgroup is built without g's table, so each one is validated
@@ -421,7 +420,8 @@ def witness_set(g: FiniteGroup, subgroups) -> SupportSet:
     # a's coset index in H_i, and the largest index sets its field width
     maps = [coset_index_map(g, h) for h in subs]
     widths = tuple(max(mp).bit_length() for mp in maps)
-    return SupportSet._of_valid(len(subs), None, pack_columns(maps, widths), widths)
+    codes = points.pack_columns(maps, widths)
+    return distributions.SupportSet._of_valid(len(subs), None, codes, widths)
 
 
 def coset_entropy_point(g: FiniteGroup, subgroups, support=None) -> EntropyVector:

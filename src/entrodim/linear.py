@@ -1,0 +1,178 @@
+"""
+Subset masks, exact rationals and linear entropy inequalities.
+
+Conventions used throughout the package:
+
+* A collection of m variables is indexed by positions 1..m.  A nonempty
+  subset of positions is a *bitmask*: position i corresponds to bit i-1,
+  so masks run over 1 .. 2**m - 1 and "ascending bitmask order" is plain
+  integer order.  E.g. for variables (x, y, z) the mask 0b101 = 5 means
+  the pair {x, z}.
+* All entropies and slacks are measured in bits (base-2 logarithms).
+* Coefficients are exact rationals, ints or Fractions, held as integer
+  numerators over one positive denominator (:func:`common_denominator`).
+
+This module is all that deciding Shannon-type membership needs of the
+package's basics; exact values of logarithms (:mod:`entrodim.core`) and
+point sets (:mod:`entrodim.points`) live in modules of their own, which
+run only when a command uses them.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Union
+
+MAX_VARIABLES = 8
+
+#: refuse a simplex tableau whose entries may exceed this many bits
+MAX_PRODUCT_BITS = 1 << 24
+
+RationalLike = Union[int, Fraction]
+
+
+class SizeLimitError(ArithmeticError):
+    """An exact computation would exceed the configured bit-size budget."""
+
+
+def check_int(x, field: str) -> int:
+    """x when it is an int, not a bool; else a TypeError naming field."""
+    if type(x) is not int:
+        raise TypeError(f"{field} must be an integer, got {x!r}")
+    return x
+
+
+def check_rational(x, field: str) -> int | float | Fraction:
+    """A number in an input file: x when it is an int or a float, not a
+    bool, or the exact Fraction a string such as "7/3", "-2" or "0.25"
+    names.  A string with an exponent part ("1e999999999") is a
+    ValueError, as its value could need any number of digits; any other
+    type is a TypeError naming field."""
+    if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ValueError(f"{field} {x!r} has an exponent part; write it as p/q or a decimal")
+        return Fraction(x)
+    if type(x) is not int and type(x) is not float:
+        raise TypeError(f"{field} must be a number or a string such as \"7/3\", got {x!r}")
+    return x
+
+
+def subsets(m: int) -> list[int]:
+    """All 2**m - 1 nonempty subset masks of {1..m}, ascending."""
+    if not 1 <= m <= MAX_VARIABLES:
+        raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {m}")
+    return list(range(1, 1 << m))
+
+
+def mask_of(positions: Iterable[int], m: int | None = None) -> int:
+    """Bitmask for a collection of 1-based variable positions."""
+    mask = 0
+    for p in positions:
+        if p < 1 or (m is not None and p > m):
+            raise ValueError(f"variable position {p} out of range")
+        mask |= 1 << (p - 1)
+    return mask
+
+
+def mask_positions(mask: int) -> tuple[int, ...]:
+    """1-based variable positions present in a subset mask, ascending."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@functools.lru_cache(maxsize=1 << MAX_VARIABLES)
+def projector(mask: int) -> Callable[[tuple], tuple]:
+    """The projection of a point tuple onto the positions in a subset mask.
+
+    The 0-based indices are worked out once per mask, and the getter is
+    shared by every caller; it is an operator.itemgetter and always
+    yields a tuple.  For a one-coordinate mask it slices, where a bare
+    itemgetter(i) would return the scalar.
+    """
+    if mask <= 0:
+        raise ValueError(f"subset mask {mask} is not a nonempty subset")
+    idx = [p - 1 for p in mask_positions(mask)]
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    return itemgetter(*idx)
+
+
+def mask_label(mask: int, names: tuple[str, ...] | None = None) -> str:
+    """Human-readable subset label, e.g. "{1,3}" or "x,z" with names."""
+    pos = mask_positions(mask)
+    if names is None:
+        return "{" + ",".join(str(p) for p in pos) + "}"
+    return ",".join(names[p - 1] for p in pos)
+
+
+def _ratio(q: RationalLike) -> tuple[int, int]:
+    """The numerator and positive denominator of an int or Fraction."""
+    if isinstance(q, (int, Fraction)):
+        return q.numerator, q.denominator
+    raise TypeError(f"expected an exact rational, got {type(q).__name__}")
+
+
+def common_denominator(qs: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integers w and q > 0, the lcm of the denominators, with qs[i] = w[i] / q;
+    TypeError for a value that is not an int or Fraction."""
+    pairs = [_ratio(x) for x in qs]
+    q = math.lcm(*(d for _, d in pairs))
+    return [a * (q // d) for a, d in pairs], q
+
+
+@dataclass(frozen=True, init=False)
+class LinearInequality:
+    """A linear entropy inequality in canonical "sum_T c_T H(T) >= 0" form.
+
+    The coefficients, given as ints or Fractions keyed by subset mask,
+    are held in integers: c_T = nums[T] / den, with den > 0, ``nums`` a
+    read-only map of the nonzero numerators by ascending mask, and
+    gcd(den, *nums) = 1, so == and hash compare values.  ``coeffs`` is
+    the same map as Fractions.  The familiar two-sided reading splits the
+    coefficients by sign: subsets with negative coefficient form the
+    left-hand family (weights lhs_weights), positive ones the right-hand
+    family (rhs_weights), and the inequality asserts
+
+        sum_I lhs[I] * H(I)  <=  sum_J rhs[J] * H(J).
+    """
+
+    m: int
+    den: int
+    nums: Mapping[int, int]
+
+    def __init__(self, m: int, coeffs: Mapping[int, RationalLike]) -> None:
+        valid = set(subsets(m))
+        items = sorted(coeffs.items())
+        for mask, _ in items:
+            if mask not in valid:
+                raise ValueError(f"subset mask {mask} out of range for m={m}")
+        # canonical as it comes: for a prime p of den, the coefficient a/d,
+        # in lowest terms, whose d holds the highest power of p has p
+        # dividing neither a nor den/d, so not its numerator a*den/d
+        nums, den = common_denominator(c for _, c in items)
+        held = {mask: a for (mask, _), a in zip(items, nums) if a}
+        if not held:
+            raise ValueError("inequality has no nonzero coefficient")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", MappingProxyType(held))
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.den, tuple(self.nums.items())))
+
+    @functools.cached_property
+    def coeffs(self) -> Mapping[int, Fraction]:
+        """The nonzero coefficients nums[T] / den as a read-only map."""
+        return MappingProxyType({mask: Fraction(a, self.den) for mask, a in self.nums.items()})
+
+    def lhs_weights(self) -> dict[int, Fraction]:
+        """Positive weights of the "<=" side (negated negative coefficients)."""
+        return {mask: -c for mask, c in self.coeffs.items() if c < 0}
+
+    def rhs_weights(self) -> dict[int, Fraction]:
+        """Positive weights of the ">=" side."""
+        return {mask: c for mask, c in self.coeffs.items() if c > 0}

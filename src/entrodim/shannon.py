@@ -24,8 +24,8 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Mapping
 
-from .core import LinearInequality, common_denominator, mask_label, subsets
 from .dsl import parse_inequality
+from .linear import LinearInequality, common_denominator, mask_label, subsets
 from .simplex import solve_eq_nonneg
 
 #: elemental sets are available for this range of variable counts

@@ -45,7 +45,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .core import MAX_PRODUCT_BITS, SizeLimitError, common_denominator
+from .linear import MAX_PRODUCT_BITS, SizeLimitError, common_denominator
 
 _ZERO = Fraction(0)
 

@@ -31,8 +31,9 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import eq, lshift
 
-from .core import ExactLogLin, PointSet, mask_label, mask_of, mask_positions
-from .core import check_int, check_rational, subsets
+from .core import ExactLogLin
+from .linear import check_int, check_rational, mask_label, mask_of, mask_positions, subsets
+from .points import PointSet
 
 Point = tuple[int, ...]
 
@@ -78,13 +79,14 @@ def cube_bar_instance(k: int) -> FiniteBody:
 
     The bar is long enough that the unsplit projection bound fails: the
     body's first-axis shadow is huge while the 12- and 13-shadows barely
-    grow.  k must be a perfect square so the bar length is integral.
+    grow.  k must be a perfect square, at least 4, so the bar length is
+    integral.
     """
+    if k < 4:
+        raise ValueError("k must be at least 4")
     r = math.isqrt(k)
     if r * r != k:
         raise ValueError(f"k must be a perfect square, got {k}")
-    if k < 4:
-        raise ValueError("k must be at least 4")
     bar = k * r
     # codes built directly: the first coordinate's largest value is
     # bar - 1, the other two's k - 1, so these are the fields' widths
@@ -173,7 +175,7 @@ class SplitSpec:
     def from_json(cls, obj: dict) -> "SplitSpec":
         """The spec of to_json's form; a string budget such as "p/q" is
         read as the exact Fraction it names, and one with an exponent part
-        is a ValueError (core.check_rational).  A part listed twice, or
+        is a ValueError (linear.check_rational).  A part listed twice, or
         with a repeated position, is a ValueError."""
         levels = {}
         for e in obj["levels"]:

@@ -19,7 +19,7 @@ from operator import itemgetter
 from entrodim.cantor import build_counterexample, dim_value, lemma_fiber_bound
 from entrodim.cantor import CantorWitness, DimValue
 from entrodim.cli import main as cli_main
-from entrodim.core import ExactLogLin, eval_slack, loglin_sign, subsets
+from entrodim.core import ExactLogLin, eval_slack, loglin_sign
 from entrodim.distributions import exact_entropy_vector
 from entrodim.dsl import parse_inequality
 from entrodim.groups import (
@@ -33,6 +33,7 @@ from entrodim.groups import (
     symmetric,
     witness_set,
 )
+from entrodim.linear import subsets
 from entrodim.shannon import (
     FarkasWitness,
     ShannonCertificate,

@@ -20,7 +20,7 @@ from entrodim.cantor import (
     uniform_fiber,
     verify_counterexample,
 )
-from entrodim.core import ExactLogLin, LinearInequality, eval_slack, subsets
+from entrodim.core import ExactLogLin, eval_slack
 from entrodim.dsl import parse_inequality
 from entrodim.groups import (
     all_subgroups,
@@ -30,6 +30,7 @@ from entrodim.groups import (
     direct_product,
     subgroup_from_elements,
 )
+from entrodim.linear import LinearInequality, subsets
 from entrodim.shannon import elemental_inequalities
 
 KLEIN = direct_product(cyclic(2), cyclic(2), name="klein")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,26 @@ def test_group_search_none(capsys):
     assert code == 0
     assert report["outcome"] == "none within catalog"
     assert "not a proof" in report["note"]
+
+
+@pytest.mark.parametrize("command", ["group-search", "counterexample"])
+@pytest.mark.parametrize("max_order", ["100000", "65", "0"])
+def test_catalog_order_out_of_range_is_an_error(capsys, command, max_order):
+    # refused before any group is built: 100000 would take minutes
+    start = time.perf_counter()
+    code, report, err = run(
+        capsys, command, "--ineq", "H(x,y) <= H(x)", "--max-order", max_order
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and report is None
+    assert err == f"error: ValueError: max_order must be in 1..64, got {max_order}\n"
+
+
+def test_catalog_order_64_is_accepted(capsys):
+    code, report, _ = run(
+        capsys, "group-search", "--ineq", "H(x) <= H(x,y)", "--max-order", "64"
+    )
+    assert code == 0 and report["outcome"] == "none within catalog"
 
 
 def test_group_search_custom_catalog(capsys, tmp_path):

@@ -1,17 +1,15 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from entrodim.core import (
-    EntropyVector,
-    ExactLogLin,
+from entrodim.core import EntropyVector, ExactLogLin, eval_slack, loglin_sign
+from entrodim.linear import (
     LinearInequality,
     SizeLimitError,
     check_rational,
-    eval_slack,
-    loglin_sign,
     mask_label,
     mask_of,
     mask_positions,
@@ -161,6 +159,25 @@ def test_linear_inequality_canonical():
         LinearInequality(2, {4: Fraction(1)})
     with pytest.raises(TypeError):
         LinearInequality(2, {1: 0.5})
+
+
+def test_linear_inequality_hashes_as_it_compares():
+    half = LinearInequality(2, {1: Fraction(1, 2)})
+    same = LinearInequality(2, {2: 0, 1: Fraction(2, 4)})
+    assert (same.den, dict(same.nums)) == (half.den, dict(half.nums)) == (2, {1: 1})
+    assert same == half and hash(same) == hash(half)
+    assert LinearInequality(2, {1: 1}) != half
+
+    seen = {half: "half"}
+    assert seen[same] == "half"
+    assert LinearInequality(2, {1: 1}) not in seen
+
+    @functools.cache
+    def den_of(ineq):
+        return ineq.den
+
+    assert den_of(half) == 2 and den_of(same) == 2
+    assert den_of.cache_info().hits == 1
 
 
 def test_coefficients_and_entropies_are_read_only():

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from entrodim.core import ExactLogLin, projector, subsets
+from entrodim.core import ExactLogLin
 from entrodim.distributions import (
     JointDistribution,
     SupportSet,
     exact_entropy_vector,
 )
+from entrodim.linear import projector, subsets
 
 H_THIRD = 0.9182958340544896  # entropy of a (2/3, 1/3) split
 LOG2_3 = 1.584962500721156

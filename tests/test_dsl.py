@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from entrodim.core import LinearInequality, eval_slack, subsets
+from entrodim.core import eval_slack
 from entrodim.distributions import JointDistribution, exact_entropy_vector
 from entrodim.dsl import (
     InequalityParseError,
@@ -14,6 +14,7 @@ from entrodim.dsl import (
     parse_inequality,
     parse_with_names,
 )
+from entrodim.linear import LinearInequality, subsets
 
 
 def test_parse_basic_entropy_terms():

@@ -16,16 +16,14 @@ from entrodim.cantor import CantorWitness, NonUniform, uniform_fiber
 from entrodim.core import (
     EntropyVector,
     ExactLogLin,
-    LinearInequality,
     _coprime_base,
     _interval_sign,
     _ln_sum,
     _log2_float,
     eval_slack,
-    projector,
-    subsets,
 )
 from entrodim.distributions import JointDistribution, SupportSet, exact_entropy_vector
+from entrodim.linear import LinearInequality, projector, subsets
 
 # -- the Fraction-per-term class and its sign kernel, kept verbatim ------------
 

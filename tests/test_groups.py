@@ -10,13 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from entrodim import core
 from entrodim.cantor import build_counterexample
 from entrodim.cli import main
-from entrodim.core import (
-    MAX_VARIABLES,
-    ExactLogLin,
-    LinearInequality,
-    eval_slack,
-    subsets,
-)
+from entrodim.core import ExactLogLin, eval_slack
 from entrodim.distributions import SupportSet, exact_entropy_vector
 from entrodim.dsl import parse_inequality
 from entrodim.groups import (
@@ -44,6 +38,7 @@ from entrodim.groups import (
     witness_set,
     _symmetries,
 )
+from entrodim.linear import MAX_VARIABLES, LinearInequality, subsets
 from entrodim.shannon import elemental_inequalities, zhang_yeung
 
 # Reference: the Fraction-product group search that the integer-exponent

@@ -18,11 +18,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: the package's public names, by the module that defines them
 EXPORTS = {
-    "core": [
-        "MAX_VARIABLES", "EntropyVector", "ExactLogLin", "LinearInequality",
-        "PointSet", "SizeLimitError", "eval_slack", "loglin_sign", "mask_label",
+    "linear": [
+        "MAX_VARIABLES", "LinearInequality", "SizeLimitError", "mask_label",
         "mask_of", "mask_positions", "subsets",
     ],
+    "core": ["EntropyVector", "ExactLogLin", "eval_slack", "loglin_sign"],
+    "points": ["PointSet"],
     "dsl": [
         "InequalityParseError", "ZeroInequalityError", "format_inequality",
         "parse_inequality", "parse_with_names",
@@ -60,8 +61,8 @@ RAN = """
 import sys, types
 def ran():
     return sorted(
-        name for name in ("cantor", "cli", "core", "distributions", "dsl",
-                          "groups", "shannon", "simplex", "splitting")
+        name for name in ("cantor", "cli", "core", "distributions", "dsl", "groups",
+                          "linear", "points", "shannon", "simplex", "splitting")
         if type(sys.modules.get("entrodim." + name)) is types.ModuleType
     )
 """
@@ -76,10 +77,10 @@ def python(*args):
     )
 
 
-def test_import_runs_only_core_and_dsl():
+def test_import_runs_only_linear_and_dsl():
     proc = python("-c", RAN + "import entrodim\nprint(ran())")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(["core", "dsl"])
+    assert proc.stdout.strip() == str(["dsl", "linear"])
 
 
 @pytest.mark.parametrize(
@@ -87,10 +88,12 @@ def test_import_runs_only_core_and_dsl():
     [
         (["check", "H(x,y) <= H(x) + H(y)"], ["cli", "shannon", "simplex"]),
         (["group-search", "--ineq", "H(x,y) <= H(x)", "--max-order", "4"],
-         ["cli", "distributions", "groups"]),
-        (["split", "--body", "@body", "--spec", "@spec"], ["cli", "splitting"]),
+         ["cli", "core", "distributions", "groups", "points"]),
+        (["group-search", "--ineq", "H(x) <= H(x,y)", "--max-order", "4"],
+         ["cli", "core", "groups"]),
+        (["split", "--body", "@body", "--spec", "@spec"], ["cli", "core", "points", "splitting"]),
     ],
-    ids=["check", "group-search", "split"],
+    ids=["check", "group-search", "group-search-none-found", "split"],
 )
 def test_a_command_runs_only_the_modules_it_uses(tmp_path, argv, also):
     files = {
@@ -112,7 +115,7 @@ def test_a_command_runs_only_the_modules_it_uses(tmp_path, argv, also):
     assert proc.returncode == 0, proc.stderr
     exit_code, ran = proc.stdout.strip().split(" ", 1)
     assert exit_code in ("0", "2")
-    assert ran == str(sorted(["core", "dsl", *also]))
+    assert ran == str(sorted(["dsl", "linear", *also]))
 
 
 def test_public_surface():
@@ -137,7 +140,7 @@ def test_public_surface():
     proc = python("-c", code, json.dumps(EXPORTS))
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert len(PUBLIC) == 80
+    assert len(PUBLIC) == 82
     assert out["dir"] == PUBLIC
     assert out["star"] == PUBLIC
     assert out["not_same"] == []

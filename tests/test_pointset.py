@@ -1,4 +1,4 @@
-"""`core.PointSet`: one validation for bodies, digit sets and supports, one
+"""`points.PointSet`: one validation for bodies, digit sets and supports, one
 int per point, and shadows and fiber counts cached per mask, shadows
 worked out from the smallest cached superset; checked against direct
 `projector` counting on the points as tuples."""
@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from entrodim.cantor import CantorWitness, build_counterexample, verify_counterexample
 from entrodim.cli import main
-from entrodim.core import PointSet, check_points, mask_label, projector, subsets
 from entrodim.distributions import JointDistribution, SupportSet
 from entrodim.dsl import parse_inequality
 from entrodim.groups import cyclic, direct_product, subgroup_from_elements
 from entrodim import splitting
+from entrodim.linear import mask_label, projector, subsets
+from entrodim.points import PointSet, check_points
 from entrodim.splitting import (
     FiniteBody,
     SplitResult,

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrodim.cantor import CantorWitness
-from entrodim.core import MAX_VARIABLES, projector, subsets
 from entrodim.distributions import SupportSet
 from entrodim.groups import (
     FiniteGroup,
@@ -18,6 +17,7 @@ from entrodim.groups import (
     _light_test,
     builtin_catalog,
 )
+from entrodim.linear import MAX_VARIABLES, projector, subsets
 from entrodim.splitting import FiniteBody
 
 # -- the tuple point set, kept as the reference --------------------------------

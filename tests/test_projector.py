@@ -1,4 +1,4 @@
-"""The projection kernel `core.projector`, and the routines built on it
+"""The projection kernel `linear.projector`, and the routines built on it
 checked against the comprehension-based versions they replaced."""
 
 import math
@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrodim.cantor import CantorWitness, NonUniform, project, uniform_fiber
-from entrodim.core import EntropyVector, ExactLogLin, mask_positions, projector, subsets
+from entrodim.core import EntropyVector, ExactLogLin
 from entrodim.distributions import JointDistribution, SupportSet, exact_entropy_vector
+from entrodim.linear import mask_positions, projector, subsets
 from entrodim.splitting import FiniteBody, projection_count
 
 Point = tuple[int, ...]

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from entrodim import cli
-from entrodim.core import LinearInequality, eval_slack, subsets
+from entrodim.core import eval_slack
 from entrodim.distributions import JointDistribution, exact_entropy_vector
 from entrodim.dsl import format_inequality, parse_inequality
+from entrodim.linear import LinearInequality, subsets
 from entrodim.shannon import (
     ELEMENTAL_RANGE,
     ElementalSet,

@@ -10,11 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from entrodim import core
-from entrodim.core import (
-    MAX_PRODUCT_BITS,
-    ExactLogLin,
-    loglin_sign,
-)
+from entrodim.core import ExactLogLin, loglin_sign
+from entrodim.linear import MAX_PRODUCT_BITS
 
 
 # -- the kernel loglin_sign replaced, kept verbatim as the reference ----------

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from entrodim import simplex
 from entrodim.cli import main
-from entrodim.core import MAX_PRODUCT_BITS, SizeLimitError
 from entrodim.dsl import parse_inequality
+from entrodim.linear import MAX_PRODUCT_BITS, SizeLimitError
 from entrodim.shannon import ShannonCertificate, elemental_inequalities, is_shannon_type
 from entrodim.simplex import FeasibilityResult, solve_eq_nonneg
 

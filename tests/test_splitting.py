@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrodim.cantor import DimValue
-from entrodim.core import mask_positions, subsets
+from entrodim.linear import mask_positions, subsets
 from entrodim.splitting import (
     FiniteBody,
     Point,
@@ -206,10 +206,11 @@ def test_cube_bar_instance():
     assert rep.lhs_product == 64 * 4144 == 265216
     assert rep.rhs_product == 304 * 304 == 92416
 
-    with pytest.raises(ValueError):
-        cube_bar_instance(5)  # not a perfect square
-    with pytest.raises(ValueError):
-        cube_bar_instance(1)  # too small
+    with pytest.raises(ValueError, match="perfect square"):
+        cube_bar_instance(5)
+    for k in (1, 0, -4):  # too small, whether a square or not
+        with pytest.raises(ValueError, match="k must be at least 4"):
+            cube_bar_instance(k)
 
 
 def test_check_unsplit_equality_cases():
