@@ -29,8 +29,8 @@ from .groups import (
     subgroup_from_elements,
     witness_set,
 )
-from .linear import LinearInequality, check_int, mask_label, projector, subsets
-from .points import PointSet
+from .linear import LinearInequality, check_int, mask_label, subsets
+from .points import PointSet, pack_columns
 
 Digits = tuple[int, ...]
 
@@ -133,8 +133,8 @@ def lemma_fiber_bound(w: CantorWitness, b: Iterable[Digits], subset: int) -> boo
         raise ValueError(f"projection {mask_label(subset)} has non-uniform fibers")
     if not bset:
         return True
-    b_i = set(map(projector(subset), bset))
-    return len(bset) <= len(b_i) * f
+    codes = pack_columns(list(zip(*bset)), w.widths)  # B's points in w's fields
+    return len(codes) <= len(set(map(w.field(subset).__and__, codes))) * f
 
 
 class NotViolated(ValueError):

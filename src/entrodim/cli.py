@@ -192,8 +192,7 @@ def _cmd_cantor(args) -> tuple[int, dict]:
         masks = subsets(w.m)
     entries = []
     for mask in masks:
-        proj = cantor.project(w, mask)
-        dim = cantor.dim_value(proj)
+        dim = cantor.DimValue(len(w.shadow(mask)), w.base)
         entry = {
             "projection": mask_label(mask),
             "cardinality": dim.cardinality,

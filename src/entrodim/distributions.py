@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import EntropyVector, ExactLogLin
-from .linear import check_int, check_rational, common_denominator, projector, subsets
+from .linear import check_int, check_rational, common_denominator, subsets
 from .points import PointSet, check_points
 
 Point = tuple[int, ...]
@@ -29,26 +29,31 @@ class JointDistribution:
     Construction validates everything: probabilities are positive
     rationals summing to exactly 1, points are distinct m-tuples of
     nonnegative integer symbols.  Atoms are stored sorted by point, so
-    equal distributions compare equal.
+    equal distributions compare equal.  ``support`` holds the atoms'
+    points as a SupportSet; its ordered() codes line up with the atoms,
+    as code order is tuple order.
     """
 
     m: int
     atoms: tuple[tuple[Point, Fraction], ...]
+    support: SupportSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = [tuple(point) for point, _ in self.atoms]
-        distinct, _ = check_points(points, self.m, noun="symbol")
+        codes, widths = check_points(points, self.m, noun="symbol")
         probs = [Fraction(prob) for _, prob in self.atoms]
         for pt, p in zip(points, probs):
             if p <= 0:
                 raise ValueError(f"nonpositive probability {p} at point {pt}")
-        if len(distinct) != len(points):
-            dup = next(pt for pt in points if points.count(pt) > 1)
+        if len(codes) != len(points):
+            counts = Counter(points)
+            dup = next(pt for pt in points if counts[pt] > 1)
             raise ValueError(f"duplicate point {dup}")
         total = sum(probs)
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "atoms", tuple(sorted(zip(points, probs))))
+        object.__setattr__(self, "support", SupportSet._of_valid(self.m, None, codes, widths))
 
     @classmethod
     def from_json(cls, obj: dict) -> "JointDistribution":
@@ -104,7 +109,7 @@ def exact_entropy_vector(dist: SupportSet | JointDistribution) -> EntropyVector:
     Probabilities are integer weights over one denominator: a support's
     marginal weights are its cached fiber counts over its N points, and
     a distribution's are its atoms' numerators over their common
-    denominator, summed per projection.
+    denominator, summed per key of its support's codes.
     """
     values: dict[int, ExactLogLin] = {}
     if isinstance(dist, SupportSet):
@@ -112,10 +117,11 @@ def exact_entropy_vector(dist: SupportSet | JointDistribution) -> EntropyVector:
             values[mask] = _entropy(len(dist), Counter(dist.fibers(mask).values()))
         return EntropyVector(dist.m, values)
     nums, den = common_denominator(prob for _, prob in dist.atoms)
+    support = dist.support
     for mask in subsets(dist.m):
-        get = projector(mask)
+        key = support.field(mask).__and__
         marg: Counter = Counter()
-        for (point, _), w in zip(dist.atoms, nums):
-            marg[get(point)] += w
+        for code, w in zip(support.ordered(), nums):
+            marg[key(code)] += w
         values[mask] = _entropy(den, Counter(marg.values()))
     return EntropyVector(dist.m, values)

@@ -230,12 +230,13 @@ def subgroup_from_generators(g: FiniteGroup, gens) -> Subgroup:
     while frontier:
         a = frontier.pop()
         for b in gens:
-            for prod_ in (table[a][b], table[b][a]):
-                if prod_ not in closure:
-                    closure.add(prod_)
-                    frontier.append(prod_)
-    # generated set is closed under product with generators and contains
-    # e, hence is closed and inverse-closed (finite group)
+            prod_ = table[a][b]
+            if prod_ not in closure:
+                closure.add(prod_)
+                frontier.append(prod_)
+    # right products by generators reach every word in them from e; in a
+    # finite group each inverse is a positive power, so the words are
+    # the whole subgroup
     return _of_group(g, tuple(sorted(closure)))
 
 
@@ -324,16 +325,13 @@ def from_permutations(degree: int, generators, name: str = "") -> FiniteGroup:
     gens = [tuple(p) for p in generators]
     elems = {identity}
     frontier = [identity]
-    while frontier:
+    while frontier:  # right products reach the group, as in subgroup_from_generators
         p = frontier.pop()
         for q in gens:
-            for r in (
-                tuple(p[q[i]] for i in range(degree)),
-                tuple(q[p[i]] for i in range(degree)),
-            ):
-                if r not in elems:
-                    elems.add(r)
-                    frontier.append(r)
+            r = tuple(p[q[i]] for i in range(degree))
+            if r not in elems:
+                elems.add(r)
+                frontier.append(r)
     ordered = [identity] + sorted(elems - {identity})
     index = {p: i for i, p in enumerate(ordered)}
     table = tuple(

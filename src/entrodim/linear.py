@@ -24,9 +24,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 MAX_VARIABLES = 8
 
@@ -82,23 +81,6 @@ def mask_of(positions: Iterable[int], m: int | None = None) -> int:
 def mask_positions(mask: int) -> tuple[int, ...]:
     """1-based variable positions present in a subset mask, ascending."""
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-@functools.lru_cache(maxsize=1 << MAX_VARIABLES)
-def projector(mask: int) -> Callable[[tuple], tuple]:
-    """The projection of a point tuple onto the positions in a subset mask.
-
-    The 0-based indices are worked out once per mask, and the getter is
-    shared by every caller; it is an operator.itemgetter and always
-    yields a tuple.  For a one-coordinate mask it slices, where a bare
-    itemgetter(i) would return the scalar.
-    """
-    if mask <= 0:
-        raise ValueError(f"subset mask {mask} is not a nonempty subset")
-    idx = [p - 1 for p in mask_positions(mask)]
-    if len(idx) == 1:
-        return itemgetter(slice(idx[0], idx[0] + 1))
-    return itemgetter(*idx)
 
 
 def mask_label(mask: int, names: tuple[str, ...] | None = None) -> str:

@@ -50,14 +50,13 @@ def check_points(
     refused), each below base unless base is None, else ValueError
     naming the first bad point or coordinate.
 
-    A frozenset of tuples is read as it is.  Any other input is checked
+    Every input, whatever its container, is read as tuples and checked
     point by point before it is packed, as True == 1 would merge (True,
     0) into (1, 0).  `noun` names a coordinate in the messages.
     """
     if not 1 <= m <= MAX_VARIABLES:
         raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {m}")
-    if not (isinstance(points, frozenset) and set(map(type, points)) <= {tuple}):
-        points = tuple(map(tuple, points))
+    points = tuple(map(tuple, points))
     for pt in points:
         if len(pt) != m:
             raise ValueError(f"point {pt} has {len(pt)} coordinates, expected {m}")
@@ -103,8 +102,6 @@ class PointSet:
         if not codes:
             raise ValueError(self.empty)
         self._hold(codes, widths)
-        if isinstance(points, frozenset) and set(map(type, points)) == {tuple}:
-            self._points = points  # the same tuples: keep them, decode nothing
 
     def _hold(self, codes: frozenset[int], widths: tuple[int, ...]) -> None:
         """Keep valid codes, with empty caches but for the full mask,

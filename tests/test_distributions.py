@@ -1,8 +1,13 @@
 import math
 import random
+import re
+import time
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrodim.core import ExactLogLin
 from entrodim.distributions import (
@@ -10,10 +15,21 @@ from entrodim.distributions import (
     SupportSet,
     exact_entropy_vector,
 )
-from entrodim.linear import projector, subsets
+from entrodim.linear import mask_positions, subsets
 
 H_THIRD = 0.9182958340544896  # entropy of a (2/3, 1/3) split
 LOG2_3 = 1.584962500721156
+
+
+def projector(mask: int):
+    """The tuple projection onto the positions of a subset mask, always a
+    tuple: a tuple kernel kept here as the independent reference."""
+    if mask <= 0:
+        raise ValueError(f"subset mask {mask} is not a nonempty subset")
+    idx = [p - 1 for p in mask_positions(mask)]
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    return itemgetter(*idx)
 
 
 def _uniform(m, points) -> JointDistribution:
@@ -170,3 +186,66 @@ def test_monotone_and_submodular_on_random_distributions():
                     assert (v[j] - v[i]).sign() >= 0
                 if i & j:
                     assert (v[i] + v[j] - v[i | j] - v[i & j]).sign() >= 0
+
+
+def test_duplicate_atoms_are_found_in_linear_time():
+    n = 20_000
+    atoms = [((i,), Fraction(1, n)) for i in range(n - 1)] + [((n - 2,), Fraction(1, n))]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^duplicate point \(19998,\)$"):
+        JointDistribution(1, tuple(atoms))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_duplicate_message_names_the_first_repeated_point():
+    a, b = (0, 1), (1, 0)
+    atoms = tuple((p, Fraction(1, 4)) for p in (a, b, b, a))
+    with pytest.raises(ValueError, match=re.escape("duplicate point (0, 1)")):
+        JointDistribution(2, atoms)
+
+
+def _tuple_entropy_vector(m, atoms) -> dict:
+    """Exact marginal entropies summed over tuple projections of the
+    atoms, with Fraction probabilities: the reference for the codes."""
+    values = {}
+    for mask in subsets(m):
+        get = projector(mask)
+        marg: Counter = Counter()
+        for point, prob in atoms:
+            marg[get(point)] += prob
+        values[mask] = ExactLogLin(
+            [t for p in marg.values() for t in ((p, p.denominator), (-p, p.numerator))]
+        )
+    return values
+
+
+@st.composite
+def _shuffled_atoms(draw):
+    """m, and atoms in random order with random weights, whose coordinate
+    i has largest value 2**bits[i] - 1, the bits distinct per coordinate
+    and up to 996 (symbols below 10**300), so every field has its own
+    width; small values make marginals merge."""
+    m = draw(st.integers(1, 4))
+    bits = draw(st.lists(st.integers(1, 996), min_size=m, max_size=m, unique=True))
+    coords = st.tuples(*(st.integers(0, 3) | st.integers(0, 2**b - 1) for b in bits))
+    top = tuple(2**b - 1 for b in bits)
+    points = [top, *draw(st.lists(coords, max_size=12))]
+    points = list(dict.fromkeys(points))
+    points = draw(st.permutations(points))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+    total = sum(weights)
+    return m, [(p, Fraction(w, total)) for p, w in zip(points, weights)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shuffled_atoms())
+def test_marginals_on_codes_match_tuple_projections(case):
+    m, atoms = case
+    d = JointDistribution(m, tuple(atoms))
+    assert len(set(d.support.widths)) == m
+    assert [d.support.decode(c) for c in d.support.ordered()] == [p for p, _ in d.atoms]
+    v = exact_entropy_vector(d)
+    assert {mask: v[mask] for mask in subsets(m)} == _tuple_entropy_vector(m, atoms)
+    points = [p for p, _ in atoms]
+    uniform = JointDistribution(m, tuple((p, Fraction(1, len(points))) for p in points))
+    assert exact_entropy_vector(uniform) == exact_entropy_vector(SupportSet(m, points))

@@ -242,6 +242,50 @@ def test_subgroup_from_generators():
     assert subgroup_from_generators(s3, (1, 2)).order == 6
 
 
+def _two_sided_closure(gens, mul, identity) -> set:
+    """The closure the group constructors took before they kept right
+    products only: a*b and b*a for every generator b, kept as the
+    reference."""
+    closure, frontier = {identity}, [identity]
+    while frontier:
+        a = frontier.pop()
+        for b in gens:
+            for c in (mul(a, b), mul(b, a)):
+                if c not in closure:
+                    closure.add(c)
+                    frontier.append(c)
+    return closure
+
+
+def test_subgroup_from_generators_matches_two_sided_closure():
+    rng = random.Random(5)
+    for g in (*builtin_catalog(24), symmetric(5)):
+        mul = lambda a, b: g.table[a][b]  # noqa: E731
+        pairs = [(a, b) for a in range(g.order) for b in range(a + 1, g.order)]
+        gens = [(), *((a,) for a in range(g.order)), *rng.sample(pairs, min(len(pairs), 300))]
+        for gen in gens:
+            want = tuple(sorted(_two_sided_closure(gen, mul, 0)))
+            assert subgroup_from_generators(g, gen).elements == want, (g.name, gen)
+
+
+def test_from_permutations_matches_two_sided_closure():
+    rng = random.Random(5)
+    s5 = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+    cases = [(5, s5), (5, [(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)]), (4, [(1, 2, 3, 0), (0, 3, 2, 1)])]
+    for _ in range(20):
+        degree = rng.randint(1, 5)
+        cases.append((degree, [tuple(rng.sample(range(degree), degree))
+                               for _ in range(rng.randint(1, 3))]))
+    for degree, gens in cases:
+        identity = tuple(range(degree))
+        compose = lambda p, q: tuple(p[q[i]] for i in range(degree))  # noqa: E731
+        ordered = [identity] + sorted(_two_sided_closure(gens, compose, identity) - {identity})
+        index = {p: i for i, p in enumerate(ordered)}
+        table = tuple(tuple(index[compose(p, q)] for q in ordered) for p in ordered)
+        assert from_permutations(degree, gens).table == table, gens
+    assert from_permutations(5, s5).order == 120
+
+
 def test_all_subgroups():
     subs = all_subgroups(KLEIN)
     assert [h.elements for h in subs] == [

@@ -1,10 +1,13 @@
-"""The projection kernel `linear.projector`, and the routines built on it
-checked against the comprehension-based versions they replaced."""
+"""The projection kernel, a point's key `code & field(mask)`, checked
+against a tuple projector kept here as the reference, and the routines
+built on it checked against the comprehension-based versions they
+replaced."""
 
 import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from entrodim.cantor import CantorWitness, NonUniform, project, uniform_fiber
 from entrodim.core import EntropyVector, ExactLogLin
 from entrodim.distributions import JointDistribution, SupportSet, exact_entropy_vector
-from entrodim.linear import mask_positions, projector, subsets
+from entrodim.linear import mask_positions, subsets
 from entrodim.splitting import FiniteBody, projection_count
 
 Point = tuple[int, ...]
@@ -20,6 +23,17 @@ Digits = tuple[int, ...]
 
 
 # -- the code the kernel replaced, kept as the reference -------------------
+
+
+def projector(mask: int):
+    """The tuple projection onto the positions of a subset mask, always a
+    tuple: a tuple kernel kept here as the independent reference."""
+    if mask <= 0:
+        raise ValueError(f"subset mask {mask} is not a nonempty subset")
+    idx = [p - 1 for p in mask_positions(mask)]
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    return itemgetter(*idx)
 
 
 def _reference_proj(point: Point, mask: int) -> Point:
@@ -135,26 +149,45 @@ def _point_sets(draw):
     st.integers(1, 5).flatmap(
         lambda m: st.tuples(
             st.just(m),
-            st.lists(st.tuples(*[st.integers(-3, 9)] * m), min_size=1, max_size=8),
+            st.lists(st.tuples(*[st.integers(0, 9) | st.integers(0, 2**70)] * m),
+                     min_size=1, max_size=8),
         )
     )
 )
 def test_projector_matches_positions(case):
+    """Each point's key on a mask decodes to its tuple projection, and the
+    shadow is the set of those keys."""
     m, points = case
+    ps = SupportSet(m, points)
+    by_code = {code: ps.decode(code) for code in ps.codes}
+    assert set(by_code.values()) == set(points)
     for mask in subsets(m):
         get = projector(mask)
-        for p in points:
+        keys = set()
+        for code, p in by_code.items():
             got = get(p)
             assert type(got) is tuple
             assert got == tuple(p[i - 1] for i in mask_positions(mask))
+            key = code & ps.field(mask)
+            assert ps.decode(key, mask) == got
+            keys.add(key)
+        assert ps.shadow(mask) == frozenset(keys)
 
 
 def test_projector_examples_and_empty_masks():
-    assert projector(0b010)((7, 8, 9)) == (8,)
-    assert projector(0b101)((7, 8, 9)) == (7, 9)
+    ps = SupportSet(3, [(7, 8, 9)])
+    (code,) = ps.codes
+    for mask, want in ((0b010, (8,)), (0b101, (7, 9))):
+        assert projector(mask)((7, 8, 9)) == want
+        assert ps.decode(code & ps.field(mask), mask) == want
     for bad in (0, -1):
         with pytest.raises(ValueError):
             projector(bad)
+    for bad in (0, -1, 0b1000):
+        with pytest.raises(ValueError):
+            ps.shadow(bad)
+        with pytest.raises(ValueError):
+            ps.fibers(bad)
 
 
 @settings(max_examples=200, deadline=None)
