@@ -27,14 +27,17 @@ explicit ordered name list is supplied.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Sequence
 
 from .linear import LinearInequality, mask_positions
 
+# every non-space character starts a token, so finditer skips only
+# whitespace; one that starts no other token is "bad"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op><=|>=|[-+*/(),;|]))"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op><=|>=|[-+*/(),;|])|(?P<bad>\S))"
 )
 
 
@@ -52,17 +55,11 @@ class ZeroInequalityError(ValueError):
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            bad = len(text) - len(text[pos:].lstrip())
-            raise InequalityParseError(f"unexpected character {text[bad]!r}", bad)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+        if kind == "bad":
+            raise InequalityParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -75,8 +72,10 @@ class _Parser:
         if declared_vars is not None and len(set(self.names)) != len(self.names):
             raise ValueError("declared variable names must be distinct")
         self.declared = declared_vars is not None
-        # the whole inequality as right side minus left side, by subset mask
-        self.coeffs: dict[int, int | Fraction] = {}
+        # the whole inequality as right side minus left side, by subset mask:
+        # integer numerators over one running denominator
+        self.coeffs: dict[int, int] = {}
+        self.den = 1
 
     def peek(self):
         return self.tokens[self.i]
@@ -111,19 +110,25 @@ class _Parser:
                 return mask
             self.next()
 
-    def parse_rational(self) -> int | Fraction:
+    def parse_int(self) -> int:
         kind, text, pos = self.next()
-        assert kind == "num"
-        value = int(text)
+        if kind != "num":  # a denominator's: parse_term saw the numerator's digits
+            raise InequalityParseError("expected denominator digits", pos)
+        try:
+            return int(text)
+        except ValueError:  # longer than int() reads: sys.get_int_max_str_digits()
+            raise InequalityParseError(f"number of {len(text)} digits is too long", pos) from None
+
+    def parse_rational(self) -> tuple[int, int]:
+        """The next number as a numerator and a positive denominator."""
+        num, den = self.parse_int(), 1
         if self.peek()[1] == "/":
             self.next()
-            kind, dtext, dpos = self.next()
-            if kind != "num":
-                raise InequalityParseError("expected denominator digits", dpos)
-            if int(dtext) == 0:
-                raise InequalityParseError("zero denominator", dpos)
-            value = Fraction(value, int(dtext))
-        return value
+            pos = self.peek()[2]
+            den = self.parse_int()
+            if den == 0:
+                raise InequalityParseError("zero denominator", pos)
+        return num, den
 
     def parse_atom(self) -> list[tuple[int, int]]:
         """The atom's joint-entropy terms as (mask, +1 or -1) pairs, by the
@@ -154,19 +159,25 @@ class _Parser:
         return [(mask, s) for mask, s in terms if mask]
 
     def parse_term(self, sign: int) -> None:
-        """Add sign times the next term into self.coeffs."""
-        coeff = 1
+        """Add sign times the next term into self.coeffs, over self.den."""
+        num, den = 1, 1
         if self.peek()[0] == "num":
             num_pos = self.peek()[2]
-            coeff = self.parse_rational()
+            num, den = self.parse_rational()
             if self.peek()[1] == "*":
                 self.next()
             elif self.peek()[0] != "name":
                 # bare rational term: only the literal zero is meaningful
-                if coeff != 0:
+                if num != 0:
                     raise InequalityParseError("nonzero constant term", num_pos)
                 return
-        coeff *= sign
+        scale = den // math.gcd(self.den, den)
+        if scale != 1:
+            # den does not divide the running denominator: rescale to the lcm
+            for mask in self.coeffs:
+                self.coeffs[mask] *= scale
+            self.den *= scale
+        coeff = sign * num * (self.den // den)
         for mask, s in self.parse_atom():
             self.coeffs[mask] = self.coeffs.get(mask, 0) + s * coeff
 
@@ -192,7 +203,7 @@ class _Parser:
             raise ZeroInequalityError("all coefficients cancel; inequality is 0 >= 0")
         if not self.names:
             raise InequalityParseError("no variables", 0)
-        return LinearInequality(len(self.names), coeffs), tuple(self.names)
+        return LinearInequality(len(self.names), coeffs, self.den), tuple(self.names)
 
 
 def parse_with_names(
@@ -215,7 +226,8 @@ def _render_side(ineq: LinearInequality, sign: int, names: Sequence[str]) -> str
     for mask, a in ineq.nums.items():
         if a * sign > 0:
             vars_txt = ",".join(names[p - 1] for p in mask_positions(mask))
-            parts.append(f"{Fraction(a * sign, ineq.den)} H({vars_txt})")
+            coeff = a * sign if ineq.den == 1 else Fraction(a * sign, ineq.den)
+            parts.append(f"{coeff} H({vars_txt})")
     return " + ".join(parts) or "0"
 
 

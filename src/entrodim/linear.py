@@ -111,6 +111,7 @@ class LinearInequality:
     """A linear entropy inequality in canonical "sum_T c_T H(T) >= 0" form.
 
     The coefficients, given as ints or Fractions keyed by subset mask,
+    each over an optional common positive int denominator (default 1),
     are held in integers: c_T = nums[T] / den, with den > 0, ``nums`` a
     read-only map of the nonzero numerators by ascending mask, and
     gcd(den, *nums) = 1, so == and hash compare values.  ``coeffs`` is
@@ -126,7 +127,7 @@ class LinearInequality:
     den: int
     nums: Mapping[int, int]
 
-    def __init__(self, m: int, coeffs: Mapping[int, RationalLike]) -> None:
+    def __init__(self, m: int, coeffs: Mapping[int, RationalLike], den: int = 1) -> None:
         valid = set(subsets(m))
         items = sorted(coeffs.items())
         for mask, _ in items:
@@ -134,13 +135,19 @@ class LinearInequality:
                 raise ValueError(f"subset mask {mask} out of range for m={m}")
         # canonical as it comes: for a prime p of den, the coefficient a/d,
         # in lowest terms, whose d holds the highest power of p has p
-        # dividing neither a nor den/d, so not its numerator a*den/d
-        nums, den = common_denominator(c for _, c in items)
+        # dividing neither a nor den/d, so not its numerator a*den/d; a
+        # given den other than 1 is divided out with the gcd
+        nums, q = common_denominator(c for _, c in items)
+        if den != 1:
+            if check_int(den, "den") <= 0:
+                raise ValueError(f"den must be positive, got {den}")
+            g = math.gcd(q * den, *nums)
+            nums, q = [a // g for a in nums], q * den // g
         held = {mask: a for (mask, _), a in zip(items, nums) if a}
         if not held:
             raise ValueError("inequality has no nonzero coefficient")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den", q)
         object.__setattr__(self, "nums", MappingProxyType(held))
 
     def __hash__(self) -> int:

@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .dsl import parse_inequality
 from .linear import LinearInequality, common_denominator, mask_label, subsets
-from .simplex import solve_eq_nonneg
+from .simplex import PreparedMatrix, solve_eq_nonneg
 
 #: elemental sets are available for this range of variable counts
 ELEMENTAL_RANGE = range(1, 7)
@@ -44,10 +44,11 @@ class ElementalSet:
     rows: tuple[LinearInequality, ...]
 
     @cached_property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The LP matrix E^T as ints, built once per set: a row per subset
-        mask in subsets(m) order and a column per elemental row; a row with
-        den != 1 raises TypeError naming its first non-integer coefficient."""
+    def matrix(self) -> PreparedMatrix:
+        """The LP matrix E^T as ints, built once per set, on its first solve,
+        and prepared for every solve on it: a row per subset mask in
+        subsets(m) order and a column per elemental row; a row with den != 1
+        raises TypeError naming its first non-integer coefficient."""
         for i, r in enumerate(self.rows):
             if r.den != 1:
                 s, c = next((s, c) for s, c in r.coeffs.items() if c.denominator != 1)
@@ -55,7 +56,7 @@ class ElementalSet:
                     f"elemental row {i} has non-integer coefficient {c} "
                     f"at {mask_label(s)}"
                 )
-        return tuple(tuple(r.nums.get(s, 0) for r in self.rows) for s in subsets(self.m))
+        return PreparedMatrix(tuple(r.nums.get(s, 0) for r in self.rows) for s in subsets(self.m))
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,32 @@ left as it is, and any other row changes, in place, only in the columns
 where the pivot row is nonzero.  The ratio test compares by
 cross-multiplication.
 
+Phase 1 ends at the first basis whose objective, the sum of the
+artificials, is 0, or at the first basis with no negative reduced cost.
+From a basis of objective 0, Bland's rule would take only degenerate
+pivots: a step of length θ > 0 would make the objective negative, so
+every further pivot has θ = 0 and moves no variable.  The solution y
+read from the first such basis is therefore the one the full phase 1
+returns.  An infeasible system never reaches objective 0, so its pivots
+and its Farkas vector are those of the full phase 1.
+
 A is an integer matrix and b an integer vector, both used as they are:
 a caller with a rational b scales it to integers first, which scales
 every ratio of a ratio test by the same factor and so keeps Bland's
-pivots.  Per call, the rows of A are sign-normalized by b and copied
-into the tableau.
+pivots.  What a solve needs of A alone is made once, in a
+PreparedMatrix: the rows as tuples, each row's squared norm and the
+column sums.  A caller that solves one matrix for many right-hand
+sides passes a PreparedMatrix; a plain matrix is prepared on the call.
+Per call, the rows are sign-normalized by b and copied into the
+tableau, and the objective row is the negated column sums plus twice
+the sign-flipped rows.
 
 Because every entry of M, and D, is a minor, one Hadamard bound on the
-initial integer tableau caps them all.  It is taken on every call,
-before the first pivot, and a system whose bound exceeds
-MAX_PRODUCT_BITS raises SizeLimitError.
+initial integer tableau caps them all: the sum over its rows of half
+the bit length of the squared row norm, which for row i is A's cached
+norm plus 1 + b_i**2.  It is taken on every call, before the first
+pivot, and a system whose bound exceeds MAX_PRODUCT_BITS raises
+SizeLimitError.
 
 Outcome is two-sided:
 
@@ -33,16 +49,17 @@ Outcome is two-sided:
   and u . b > 0, certifying that no nonnegative solution exists.
 
 Entries of A and b are ints, and a Fraction or float entry raises
-TypeError.  Both certificates are rechecked exactly against the caller's
-A and b before being returned, as integer identities over their common
+TypeError on every call: it makes its row's squared norm, cached or not,
+something other than an int.  Both certificates are rechecked exactly against A and b
+before being returned, as integer identities over their common
 denominators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 from typing import Sequence
 
 from .linear import MAX_PRODUCT_BITS, SizeLimitError, common_denominator
@@ -55,19 +72,33 @@ class FeasibilityResult:
     feasible: bool
     solution: tuple[Fraction, ...] | None  # y with A y = b, if feasible
     farkas: tuple[Fraction, ...] | None  # u with uA <= 0, u.b > 0, if not
+    pivots: int = field(default=0, compare=False, repr=False)  # phase-1 pivots taken
 
 
-def _hadamard_bits(rows: Sequence[Sequence[int]]) -> int:
-    """Hadamard: no minor of these rows has more bits than the returned sum
-    of half bit-lengths of the squared row norms.  A squared norm is an int
-    exactly when every entry of its row is one; TypeError otherwise."""
-    bits = 0
-    for row in rows:
-        norm2 = sum(map(mul, row, row))
-        if not isinstance(norm2, int):
-            raise TypeError(f"constraint matrix entries must be ints, not {type(norm2).__name__}")
-        bits += (norm2.bit_length() + 1) // 2
-    return bits
+def _half_bits(norm2: int) -> int:
+    """A squared row norm's share of the Hadamard bound: half its bit
+    length, rounded up.  The norm is an int exactly when every entry of
+    its row is one; TypeError otherwise."""
+    if not isinstance(norm2, int):
+        raise TypeError(f"constraint matrix entries must be ints, not {type(norm2).__name__}")
+    return (norm2.bit_length() + 1) // 2
+
+
+class PreparedMatrix(tuple):
+    """A matrix as a tuple of rows, with what every solve on it reads made
+    once: the column count k, each row's squared norm (``norms``) and the
+    column sums (``colsums``).  A ragged matrix is a ValueError; a norm
+    that is not an int, from a Fraction or float entry, is a TypeError on
+    every solve."""
+
+    def __new__(cls, a: Sequence[Sequence[int]]) -> PreparedMatrix:
+        self = super().__new__(cls, map(tuple, a))
+        self.k = len(self[0]) if self else 0
+        if set(map(len, self)) - {self.k}:
+            raise ValueError("ragged constraint matrix")
+        self.norms = [sum(map(mul, row, row)) for row in self]
+        self.colsums = list(map(sum, zip(*self)))
+        return self
 
 
 def _eliminate(row: list[int], nz: list, c: int, p: int, d: int) -> list[int]:
@@ -85,11 +116,11 @@ def _eliminate(row: list[int], nz: list, c: int, p: int, d: int) -> list[int]:
 
 def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> FeasibilityResult:
     """Find y >= 0 with A y = b, or a Farkas certificate that none exists.
-    A is a matrix of ints, b a vector of ints."""
-    n = len(a)
-    k = len(a[0]) if a else 0
-    if any(len(row) != k for row in a):
-        raise ValueError("ragged constraint matrix")
+    A is a PreparedMatrix or a matrix of ints, prepared on the call; b is
+    a vector of ints."""
+    if not isinstance(a, PreparedMatrix):
+        a = PreparedMatrix(a)
+    n, k = len(a), a.k
     if len(b) != n:
         raise ValueError(f"rhs length {len(b)} does not match {n} rows")
 
@@ -97,8 +128,13 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> Feasibility
     # artificial column per row; initial basis = artificials, D = 1
     signs = [1 if x >= 0 else -1 for x in b]
     rows: list[list[int]] = []
+    flipped = []
     for i, (arow, x, s) in enumerate(zip(a, b, signs)):
-        row = list(arow) if s > 0 else [-v for v in arow]
+        if s > 0:
+            row = list(arow)
+        else:
+            row = list(map(neg, arow))
+            flipped.append(arow)
         row += [0] * n
         row[k + i] = 1
         row.append(s * x)
@@ -106,18 +142,26 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> Feasibility
     basis = [k + i for i in range(n)]
 
     # phase-1 objective: minimize the sum of artificials.  obj holds D times
-    # the reduced costs (cost 0 structural, 1 artificial) followed by -D z.
-    obj = [-sum(col) for col in zip(*rows)] or [0]  # no rows: just -D z = 0
-    obj[k : k + n] = [0] * n
+    # the reduced costs (cost 0 structural, 1 artificial) followed by -D z:
+    # minus the sums of the sign-normalized columns
+    obj = list(map(neg, a.colsums))
+    for j, f in enumerate(map(sum, zip(*flipped))):
+        obj[j] += 2 * f
+    obj += [0] * n
+    obj.append(-sum(map(abs, b)))
 
-    if _hadamard_bits(rows + [obj]) > MAX_PRODUCT_BITS:
+    bits = _half_bits(sum(map(mul, obj, obj)))
+    for norm2, x in zip(a.norms, b):
+        bits += _half_bits(norm2 + 1 + x * x)
+    if bits > MAX_PRODUCT_BITS:
         raise SizeLimitError(
             f"simplex tableau entry may exceed {MAX_PRODUCT_BITS} bits"
         )
 
     d = 1
     ncols = k + n
-    while True:
+    pivots = 0
+    while obj[-1]:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             break
@@ -151,6 +195,7 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> Feasibility
             obj = _eliminate(obj, nz, enter, p, d)
         basis[leave] = enter
         d = p
+        pivots += 1
 
     # each certificate is rechecked as q times its identity, with q its
     # common denominator: sum_j A_ij w_j = q b_i, or u A <= 0 < u b
@@ -164,7 +209,7 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> Feasibility
         for arow, x in zip(a, b):
             if sum(arow[j] * v for j, v in support) != q * x:
                 raise AssertionError("simplex returned an invalid solution")
-        return FeasibilityResult(True, tuple(y), None)
+        return FeasibilityResult(True, tuple(y), None, pivots)
 
     # infeasible: simplex multipliers pi_i = 1 - reduced cost of the
     # i-th artificial; undo the row sign flips to get the Farkas vector
@@ -175,4 +220,4 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> Feasibility
         sum(arow[j] * wi for arow, wi in support) > 0 for j in range(k)
     ):
         raise AssertionError("simplex produced an invalid Farkas vector")
-    return FeasibilityResult(False, None, tuple(u))
+    return FeasibilityResult(False, None, tuple(u), pivots)

@@ -67,6 +67,20 @@ def test_check_parse_error(capsys):
     assert err.startswith("error: InequalityParseError:")
 
 
+@pytest.mark.parametrize("text, position", [
+    ("7" * 5000 + " H(x) >= 0", 0),
+    ("H(x) <= 1/" + "3" * 5000 + " H(x,y)", 10),
+])
+def test_check_a_too_long_number_is_a_parse_error(capsys, text, position):
+    # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
+    code, report, err = run(capsys, "check", text)
+    assert code == 1 and report is None
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0] == (f"error: InequalityParseError: number of 5000 digits is too long "
+                        f"(at position {position})")
+
+
 def test_eval_distribution_holds(capsys, tmp_path):
     dist = write_json(
         tmp_path / "d.json",

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,12 @@ from entrodim.distributions import JointDistribution, exact_entropy_vector
 from entrodim.dsl import (
     InequalityParseError,
     ZeroInequalityError,
+    _tokenize,
     format_inequality,
     parse_inequality,
     parse_with_names,
 )
-from entrodim.linear import LinearInequality, subsets
+from entrodim.linear import LinearInequality, mask_positions, subsets
 
 
 def test_parse_basic_entropy_terms():
@@ -107,6 +109,21 @@ def test_parse_errors():
         parse_inequality("")
 
 
+def test_a_too_long_number_names_its_position():
+    # int() refuses a number of more than sys.get_int_max_str_digits() digits
+    # (4300 by default) with a ValueError; the parser names the number
+    long = "9" * 5000
+    for text, position in ((f"{long} H(x) >= 0", 0),
+                           (f"H(x) <= 1/{long} H(x,y)", 10),
+                           (f"H(x) <= H(x,y) + {long}", 17)):
+        with pytest.raises(InequalityParseError, match="number of 5000 digits is too long") as err:
+            parse_inequality(text)
+        assert err.value.position == position
+    # a number the limit allows is read in full
+    q = parse_inequality(f"{'9' * 4000} H(x) <= {'9' * 4000}/7 H(x,y)")
+    assert q.coeffs == {1: -Fraction(int("9" * 4000)), 3: Fraction(int("9" * 4000), 7)}
+
+
 def test_format_examples():
     ineq = LinearInequality(2, {1: -1, 3: 1})
     assert format_inequality(ineq, ("x", "y")) == "1 H(x) <= 1 H(x,y)"
@@ -183,6 +200,19 @@ def test_integer_form_holds_and_round_trips(case):
     assert parse_inequality(format_inequality(q, names), names) == q
 
 
+@settings(max_examples=200, deadline=None)
+@given(_coefficient_maps(), st.one_of(st.integers(1, 60), st.integers(1, _BIG)))
+def test_a_given_denominator_divides_every_coefficient(case, den):
+    # the parser's path: integer numerators over one running denominator
+    m, coeffs = case
+    q = LinearInequality(m, coeffs, den)
+    assert q == LinearInequality(m, {mask: Fraction(c) / den for mask, c in coeffs.items()})
+    assert q.den > 0 and math.gcd(q.den, *q.nums.values()) == 1
+    for bad, error in ((0, ValueError), (-6, ValueError), (1.5, TypeError), (Fraction(2), TypeError)):
+        with pytest.raises(error):
+            LinearInequality(m, coeffs, bad)
+
+
 def _random_distribution(rng, m):
     npts = rng.randint(2, 6)
     pts = set()
@@ -248,9 +278,11 @@ def _terms(draw):
     style = draw(st.sampled_from(("none", "int", "star", "ratio")))
     if style == "none":
         return atom, sign, Fraction(1), (kind, lists)
-    num = draw(st.integers(0, 12))
+    num = draw(st.one_of(st.integers(0, 12), st.integers(0, _BIG)))
     if style == "ratio":
-        den = draw(st.integers(1, 7))
+        # small, sharing factors (so the running denominator rescales), or big
+        den = draw(st.one_of(st.integers(1, 7), st.sampled_from((6, 10, 15)),
+                             st.integers(1, _BIG)))
         return f"{num}/{den} {atom}", sign, Fraction(num, den), (kind, lists)
     text = f"{num} * {atom}" if style == "star" else f"{num} {atom}"
     return text, sign, Fraction(num), (kind, lists)
@@ -267,8 +299,13 @@ def _side(terms):
 @given(st.lists(_terms(), min_size=1, max_size=4),
        st.lists(_terms(), min_size=1, max_size=4),
        st.sampled_from(("<=", ">=")),
+       st.booleans(),
        st.booleans())
-def test_parser_matches_the_reference_expansion(lhs, rhs, rel, declared):
+def test_parser_matches_the_reference_expansion(lhs, rhs, rel, declared, echo):
+    if echo:
+        # the left side's first term again on the right cancels it
+        text, _, coeff, atom = lhs[0]
+        rhs = rhs + [(text, 1, coeff, atom)]
     text = f"{_side(lhs)} {rel} {_side(rhs)}"
     order = list(_NAMES) if declared else []
     want: dict[int, Fraction] = {}
@@ -297,3 +334,65 @@ def test_parser_matches_the_reference_expansion(lhs, rhs, rel, declared):
     assert bound == tuple(order)
     assert q == LinearInequality(len(order), want)
     assert parse_inequality(format_inequality(q, bound), bound) == q
+
+
+def _reference_format(ineq, names):
+    """format_inequality as it was written with a Fraction per term."""
+    def side(sign):
+        parts = []
+        for mask, c in ineq.coeffs.items():
+            if c * sign > 0:
+                vars_txt = ",".join(names[p - 1] for p in mask_positions(mask))
+                parts.append(f"{c * sign} H({vars_txt})")
+        return " + ".join(parts) or "0"
+    return side(-1) + " <= " + side(1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coefficient_maps(), st.booleans())
+def test_format_matches_the_fraction_printer(case, whole):
+    m, coeffs = case
+    if whole:  # every coefficient an int: den == 1
+        coeffs = {mask: Fraction(c).numerator for mask, c in coeffs.items()}
+        assume(any(coeffs.values()))
+    q = LinearInequality(m, coeffs)
+    assert q.den == 1 or not whole
+    names = ("a", "b", "c", "d")[:m]
+    assert format_inequality(q, names) == _reference_format(q, names)
+
+
+_OLD_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op><=|>=|[-+*/(),;|]))"
+)
+
+
+def _reference_tokenize(text):
+    """The tokenizer as it was written with one match per position: the
+    tokens, or the message and position of the first bad character."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _OLD_TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            bad = len(text) - len(text[pos:].lstrip())
+            return f"unexpected character {text[bad]!r}", bad
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return tokens + [("end", "", len(text))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from(
+    list("HIxy_0917 (),;|/*+-<=>!.\t\n") + ["\u00a0", "\u2003", "\u0663", "\u00e9", "\u00b2", "\x1c"]),
+    max_size=30))
+def test_tokenizer_matches_the_one_match_per_position_scan(text):
+    want = _reference_tokenize(text)
+    if isinstance(want, list):
+        assert _tokenize(text) == want
+    else:
+        with pytest.raises(InequalityParseError) as err:
+            _tokenize(text)
+        assert (str(err.value), err.value.position) == (f"{want[0]} (at position {want[1]})", want[1])

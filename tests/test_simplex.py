@@ -11,11 +11,14 @@ from entrodim.cli import main
 from entrodim.dsl import parse_inequality
 from entrodim.linear import MAX_PRODUCT_BITS, SizeLimitError
 from entrodim.shannon import ShannonCertificate, elemental_inequalities, is_shannon_type
-from entrodim.simplex import FeasibilityResult, solve_eq_nonneg
+from entrodim.simplex import FeasibilityResult, PreparedMatrix, solve_eq_nonneg
 
 # Reference: the dense Fraction-tableau phase-1 simplex with Bland's rule
-# that the fraction-free solver replaced.  The fraction-free solver must
-# take the same pivots, so its answers must equal these exactly.
+# that the fraction-free solver replaced, run until no reduced cost is
+# negative, and counting its pivots.  The fraction-free solver must take
+# the same pivots up to the first feasible basis, where it stops, so its
+# answers must equal these exactly: on a feasible system in no more
+# pivots, on an infeasible one in as many.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -82,10 +85,12 @@ def _reference_solve(
     obj[-1] = -sum(rows[i][-1] for i in range(n))
 
     ncols = k + n
+    pivots = 0
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             break
+        pivots += 1
         leave = -1
         best: Fraction | None = None
         for i in range(n):
@@ -111,7 +116,7 @@ def _reference_solve(
             total = sum(Fraction(a[i][j]) * y[j] for j in range(k))
             if total != Fraction(b[i]):
                 raise AssertionError("simplex returned an invalid solution")
-        return FeasibilityResult(True, tuple(y), None)
+        return FeasibilityResult(True, tuple(y), None, pivots)
 
     # infeasible: simplex multipliers pi_i = 1 - reduced cost of the
     # i-th artificial; undo the row sign flips to get the Farkas vector
@@ -121,7 +126,19 @@ def _reference_solve(
             raise AssertionError("simplex produced an invalid Farkas vector")
     if sum(u[i] * Fraction(b[i]) for i in range(n)) <= 0:
         raise AssertionError("simplex produced an invalid Farkas vector")
-    return FeasibilityResult(False, None, tuple(u))
+    return FeasibilityResult(False, None, tuple(u), pivots)
+
+
+def _assert_matches_reference(a, b) -> FeasibilityResult:
+    """The solver's answer equals the reference's, in no more pivots when
+    feasible and in exactly as many when not."""
+    got, want = solve_eq_nonneg(a, b), _reference_solve(a, b)
+    assert got == want
+    if got.feasible:
+        assert got.pivots <= want.pivots
+    else:
+        assert got.pivots == want.pivots
+    return got
 
 
 def test_feasible_square_system():
@@ -248,7 +265,7 @@ def _systems(draw):
 @given(_systems())
 def test_matches_reference_solver(system):
     a, b = system
-    assert solve_eq_nonneg(a, b) == _reference_solve(a, b)
+    _assert_matches_reference(a, b)
 
 
 @st.composite
@@ -268,7 +285,7 @@ def test_one_matrix_matches_reference_on_every_rhs(case):
     # the rows of one matrix serve every sign pattern of b
     a, rhs_list = case
     for b in rhs_list:
-        assert solve_eq_nonneg(a, b) == _reference_solve(a, b)
+        _assert_matches_reference(a, b)
 
 
 @st.composite
@@ -283,13 +300,14 @@ def _elemental_rhs(draw):
 def test_cached_elemental_system_matches_reference(case):
     m, b = case
     elems = elemental_inequalities(m)
-    assert solve_eq_nonneg(elems.matrix, b) == _reference_solve(elems.matrix, b)
+    _assert_matches_reference(elems.matrix, b)
+    _assert_matches_reference([list(row) for row in elems.matrix], b)
 
 
 def test_matches_reference_on_int_input():
     # plain ints are accepted, as by the reference
     a, b = [[2, -1, 0], [1, 1, 3]], [1, -2]
-    assert solve_eq_nonneg(a, b) == _reference_solve(a, b)
+    _assert_matches_reference(a, b)
 
 
 def test_size_budget(monkeypatch):
@@ -309,11 +327,15 @@ def test_size_budget_is_read_at_call_time(monkeypatch):
     assert elemental_inequalities(2).matrix is matrix
     # each row's share of the bound counts its entry of b: half the
     # budget's bits in one entry, in its row and in the objective, is over
-    with pytest.raises(SizeLimitError):
-        solve_eq_nonneg(matrix, [2 ** (MAX_PRODUCT_BITS // 2), 0, 0])
+    assert isinstance(matrix, PreparedMatrix)
+    for a in (matrix, [list(row) for row in matrix]):
+        with pytest.raises(SizeLimitError):
+            solve_eq_nonneg(a, [2 ** (MAX_PRODUCT_BITS // 2), 0, 0])
     monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
     with pytest.raises(SizeLimitError):
         is_shannon_type(target)
+    with pytest.raises(SizeLimitError):
+        solve_eq_nonneg(matrix, [1, 1, -1])
     assert elemental_inequalities(2).matrix is matrix
 
 
@@ -342,8 +364,7 @@ def test_integer_matrix_with_rational_rhs():
     # side scaled to ints by its common denominator, as shannon scales it
     a = [[1, 0, 1], [0, 1, -1]]
     for b in ([3, 2], [-1, 0]):
-        res = solve_eq_nonneg(a, b)
-        assert res == _reference_solve(a, b)
+        _assert_matches_reference(a, b)
 
 
 def test_non_integer_matrix_entry_is_rejected():
@@ -354,6 +375,28 @@ def test_non_integer_matrix_entry_is_rejected():
             solve_eq_nonneg([[1, 0], [entry, 1]], [1, -1])
         with pytest.raises(TypeError, match="must be ints"):
             solve_eq_nonneg([[1, 0], [0, 1]], [entry, -1])
+        with pytest.raises(TypeError, match="must be ints"):
+            solve_eq_nonneg(PreparedMatrix([[1, 0], [entry, 1]]), [1, -1])
+        with pytest.raises(TypeError, match="must be ints"):
+            solve_eq_nonneg(PreparedMatrix([[1, 0], [0, 1]]), [1, entry])
+
+
+def test_a_prepared_matrix_serves_every_rhs():
+    # one PreparedMatrix, many right-hand sides: each answer is the one the
+    # plain matrix gets, and the prepared data is left as it was made
+    a = [[1, -2, 0, 1], [0, 1, 1, -1], [3, 0, -1, 2]]
+    prepared = PreparedMatrix(a)
+    assert prepared == tuple(map(tuple, a)) and prepared.k == 4
+    assert prepared.norms == [6, 3, 14] and prepared.colsums == [4, -1, 0, 2]
+    rng = random.Random(7)
+    for _ in range(40):
+        b = [rng.randint(-5, 5) for _ in a]
+        assert solve_eq_nonneg(prepared, b) == _assert_matches_reference(a, b)
+    assert prepared.norms == [6, 3, 14] and prepared.colsums == [4, -1, 0, 2]
+    with pytest.raises(ValueError, match="ragged"):
+        PreparedMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="rhs length"):
+        solve_eq_nonneg(prepared, [1, 2])
 
 
 def test_caller_matrix_is_left_unchanged():
@@ -361,5 +404,21 @@ def test_caller_matrix_is_left_unchanged():
     a = [[1, -2, 0], [0, 1, 1], [3, 0, -1]]
     before = [row[:] for row in a]
     for b in ([1, 2, 3], [-1, 2, -3], [-3, 0, 10], [0, -1, 0]):
-        assert solve_eq_nonneg(a, b) == _reference_solve(a, b)
+        _assert_matches_reference(a, b)
     assert a == before
+
+
+@pytest.mark.parametrize("text, pivots", [
+    ("H(a,b,c,d,e) <= H(a) + H(b) + H(c) + H(d) + H(e)", 26),
+    ("H(a,b,c,d,e,f) <= H(a,b,c) + H(d,e,f)", 61),
+])
+def test_phase_one_stops_at_the_first_feasible_basis(text, pivots):
+    # the reference keeps taking degenerate pivots after the artificials
+    # reach 0, 51 and 80 pivots in all here; the answer is the same
+    target = parse_inequality(text)
+    elems = elemental_inequalities(target.m)
+    b = [target.nums.get(mask, 0) for mask in range(1, 1 << target.m)]
+    got = solve_eq_nonneg(elems.matrix, b)
+    want = _reference_solve(elems.matrix, b)
+    assert got == want and got.feasible
+    assert got.pivots == pivots < want.pivots
