@@ -17,9 +17,8 @@ violate the corresponding dimension inequality with room to spare
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .core import ExactLogLin, eval_slack
 from .groups import (
@@ -29,7 +28,7 @@ from .groups import (
     subgroup_from_elements,
     witness_set,
 )
-from .linear import LinearInequality, check_int, mask_label, subsets
+from .linear import LinearInequality, Record, check_int, mask_label, subsets
 from .points import PointSet, pack_columns
 
 Digits = tuple[int, ...]
@@ -57,12 +56,10 @@ class CantorWitness(PointSet):
         }
 
 
-@dataclass(frozen=True)
-class DimValue:
+class DimValue(Record):
     """The exact dimension log(#A)/log(N) of a Cantor-type set."""
 
-    cardinality: int
-    base: int
+    _fields = ("cardinality", "base")
 
     def __post_init__(self):
         if self.cardinality < 1:
@@ -91,11 +88,10 @@ def dim_value(w: CantorWitness) -> DimValue:
     return DimValue(len(w), w.base)
 
 
-@dataclass(frozen=True)
-class NonUniform:
+class NonUniform(Record):
     """Projection fibers are unequal; `value` is the first bad image point."""
 
-    value: Digits
+    _fields = ("value",)
 
 
 def uniform_fiber(w: CantorWitness, subset: int):
@@ -151,8 +147,7 @@ class NoEpsilon(ValueError):
     """No epsilon 2^-k (k <= 64) keeps the violation strict."""
 
 
-@dataclass(frozen=True)
-class DimensionCounterexample:
+class DimensionCounterexample(Record):
     """A digit set whose projection dimensions defeat a linear inequality.
 
     For the inequality sum lam_I H(I) <= sum mu_J H(J), the witness has
@@ -165,12 +160,8 @@ class DimensionCounterexample:
     log2(N).
     """
 
-    inequality: LinearInequality
-    witness: CantorWitness
-    dims: dict[int, DimValue]
-    epsilon: Fraction
-    entropy_slack: ExactLogLin
-    margin_times_log_base: ExactLogLin
+    _fields = ("inequality", "witness", "dims", "epsilon", "entropy_slack",
+               "margin_times_log_base")
 
     def to_json(self) -> dict:
         eps = self.epsilon

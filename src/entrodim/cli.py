@@ -4,8 +4,8 @@ Command-line front end.
 Every subcommand prints one JSON report to stdout and uses a three-way
 exit code: 0 for success / "the property holds", 2 for a definite
 negative finding (not Shannon-type, inequality violated, no split
-exists), 1 for errors — with a single machine-parsable line
-`error: <kind>: <detail>` on stderr.
+exists), 1 for errors, a command line the parser refuses included — with
+a single machine-parsable line `error: <kind>: <detail>` on stderr.
 """
 
 from __future__ import annotations
@@ -20,8 +20,20 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import cantor, core, distributions, groups, shannon, splitting
-from .dsl import format_inequality, parse_with_names
+from .dsl import format_inequality, parse_with_names, rational_text
 from .linear import mask_label, mask_of, subsets
+
+
+class UsageError(ValueError):
+    """A command line the argument parser refuses."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser, and subcommand parsers, that raise UsageError where
+    argparse would print its usage and exit 2."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _load_json(path: str):
@@ -70,7 +82,7 @@ def _cmd_check(args) -> tuple[int, dict]:
             "weights": [
                 {
                     "row": r,
-                    "weight": str(w),
+                    "weight": rational_text(w),
                     "inequality": format_inequality(rows[r], names),
                 }
                 for r, w in sorted(result.weights.items())
@@ -80,9 +92,9 @@ def _cmd_check(args) -> tuple[int, dict]:
     report["outcome"] = "not-shannon-type"
     report["farkas_witness"] = {
         "point": {
-            mask_label(s, names): str(q) for s, q in sorted(result.point.items())
+            mask_label(s, names): rational_text(q) for s, q in sorted(result.point.items())
         },
-        "target_slack": str(Fraction(
+        "target_slack": rational_text(Fraction(
             sum(a * result.point.get(s, 0) for s, a in ineq.nums.items()), ineq.den
         )),
     }
@@ -268,7 +280,7 @@ def _cmd_demo(args) -> tuple[int, dict]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="entrodim",
         description="Exact workbench for linear entropy inequalities and "
         "the dimension counterexamples they generate.",
@@ -327,9 +339,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    start = time.perf_counter()
     try:
+        args = _parser().parse_args(argv)
+        start = time.perf_counter()
         code, report = args.handler(args)
     except (ValueError, TypeError, ArithmeticError, KeyError, OSError) as exc:
         detail = str(exc) or repr(exc)

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
-from .linear import LinearInequality, RationalLike, _ratio, mask_label, subsets
+from .linear import LinearInequality, RationalLike, Record, _ratio, mask_label, subsets
 
 
 class ExactLogLin:
@@ -268,16 +267,14 @@ def loglin_sign(x: ExactLogLin) -> int:
     return _interval_sign(base) if base else 0
 
 
-@dataclass(frozen=True)
-class EntropyVector:
+class EntropyVector(Record):
     """The 2**m - 1 joint entropies of an m-tuple, in bits, as
     nonnegative ExactLogLin values.
 
     Instances are immutable values; ``values`` is a read-only mapping.
     """
 
-    m: int
-    values: Mapping[int, ExactLogLin]
+    _fields = ("m", "values")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))

@@ -12,31 +12,25 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import EntropyVector, ExactLogLin
-from .linear import check_int, check_rational, common_denominator, subsets
+from .linear import Record, check_int, check_rational, common_denominator, subsets
 from .points import PointSet, check_points
 
-Point = tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Record):
     """Distribution of m jointly distributed finite random variables.
 
     Construction validates everything: probabilities are positive
     rationals summing to exactly 1, points are distinct m-tuples of
-    nonnegative integer symbols.  Atoms are stored sorted by point, so
-    equal distributions compare equal.  ``support`` holds the atoms'
-    points as a SupportSet; its ordered() codes line up with the atoms,
-    as code order is tuple order.
+    nonnegative integer symbols.  ``atoms`` holds (point, probability)
+    pairs, stored sorted by point, so equal distributions compare equal.
+    ``support`` holds the atoms' points as a SupportSet; its ordered()
+    codes line up with the atoms, as code order is tuple order.
     """
 
-    m: int
-    atoms: tuple[tuple[Point, Fraction], ...]
-    support: SupportSet = field(init=False, repr=False, compare=False)
+    _fields = ("m", "atoms")
 
     def __post_init__(self):
         points = [tuple(point) for point, _ in self.atoms]

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .linear import LinearInequality, mask_positions
 
@@ -220,6 +220,23 @@ def parse_inequality(
     return parse_with_names(text, declared_vars)[0]
 
 
+def rational_text(q: int | Fraction) -> str:
+    """str(q) for an int or Fraction of any size.  An int longer than str
+    writes (sys.get_int_max_str_digits) is split at a power of ten near
+    its middle digit, and each part written in turn."""
+    try:
+        return str(q)
+    except ValueError:
+        pass
+    if q.denominator != 1:
+        return rational_text(q.numerator) + "/" + rational_text(q.denominator)
+    if q < 0:
+        return "-" + rational_text(-q)
+    k = q.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    high, low = divmod(q, 10**k)
+    return rational_text(high) + rational_text(low).zfill(k)
+
+
 def _render_side(ineq: LinearInequality, sign: int, names: Sequence[str]) -> str:
     """The terms whose coefficient has this sign, as positive rationals."""
     parts = []
@@ -227,7 +244,7 @@ def _render_side(ineq: LinearInequality, sign: int, names: Sequence[str]) -> str
         if a * sign > 0:
             vars_txt = ",".join(names[p - 1] for p in mask_positions(mask))
             coeff = a * sign if ineq.den == 1 else Fraction(a * sign, ineq.den)
-            parts.append(f"{coeff} H({vars_txt})")
+            parts.append(f"{rational_text(coeff)} H({vars_txt})")
     return " + ".join(parts) or "0"
 
 

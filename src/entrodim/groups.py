@@ -22,14 +22,13 @@ that are groups by construction and skip that check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial, gcd
 
 from . import distributions, points
 from .core import EntropyVector, ExactLogLin, eval_slack, loglin_sign
-from .linear import MAX_VARIABLES, LinearInequality, check_int, subsets
+from .linear import MAX_VARIABLES, LinearInequality, Record, check_int, subsets
 
 
 class GroupTableError(ValueError):
@@ -83,13 +82,12 @@ def _light_test(tab) -> bool:
     return all(tab[rx[g]] == tuple(map(rx.__getitem__, tab[g])) for g in gens for rx in tab)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """A finite group as a validated Cayley table, identity at index 0."""
+class FiniteGroup(Record):
+    """A finite group as a validated Cayley table, a tuple of int tuples,
+    identity at index 0."""
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    name: str = ""
+    _fields = ("order", "table", "name")
+    name = ""
 
     def __post_init__(self):
         n = self.order
@@ -157,8 +155,7 @@ class FiniteGroup:
         return out
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """Sorted element indices of a subgroup of some FiniteGroup.
 
     Construction does not see the parent table; use
@@ -168,8 +165,8 @@ class Subgroup:
     it takes no part in equality or hashing.
     """
 
-    elements: tuple[int, ...]
-    group: FiniteGroup | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("elements",)
+    group = None
 
     def __post_init__(self):
         elems = tuple(sorted(set(self.elements)))
@@ -467,14 +464,12 @@ def _intersection_orders(g: FiniteGroup, subs) -> dict[int, int]:
     return {mask: inter[mask].bit_count() for mask in masks}
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First catalog point violating an inequality, with its exact slack."""
+class Violation(Record):
+    """First catalog point violating an inequality, with its exact slack:
+    the group, the tuple of subgroups, their EntropyVector point and the
+    ExactLogLin slack."""
 
-    group: FiniteGroup
-    subgroups: tuple[Subgroup, ...]
-    point: EntropyVector
-    slack: ExactLogLin
+    _fields = ("group", "subgroups", "point", "slack")
 
 
 def search_violation(

@@ -15,24 +15,26 @@ Conventions used throughout the package:
 This module is all that deciding Shannon-type membership needs of the
 package's basics; exact values of logarithms (:mod:`entrodim.core`) and
 point sets (:mod:`entrodim.points`) live in modules of their own, which
-run only when a command uses them.
+run only when a command uses them.  The package's immutable value types
+all build on :class:`Record`, which is here because every command runs
+this module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
 
 MAX_VARIABLES = 8
 
 #: refuse a simplex tableau whose entries may exceed this many bits
 MAX_PRODUCT_BITS = 1 << 24
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 class SizeLimitError(ArithmeticError):
@@ -106,8 +108,58 @@ def common_denominator(qs: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [a * (q // d) for a, d in pairs], q
 
 
-@dataclass(frozen=True, init=False)
-class LinearInequality:
+class Record:
+    """An immutable value over the attributes named in ``_fields``.
+
+    ==, hash and repr read the fields in order; attributes outside
+    ``_fields`` take no part.  __init__ takes the fields positionally or
+    by keyword, a missing one from the class attribute of its name, then
+    calls __post_init__.  Assignment and deletion are AttributeErrors
+    (object.__setattr__ sets an attribute in a constructor); the instance
+    __dict__ is kept, so functools.cached_property works.  Unlike a
+    dataclass, a subclass costs no generated code to create.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # _values(obj): obj's field values, a tuple (the value for one field)
+        cls._values = staticmethod(attrgetter(*cls._fields))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, names = type(self), self._fields
+        if kwargs or len(args) != len(names):
+            values = dict(zip(names, args), **kwargs)
+            if (len(values) != len(args) + len(kwargs) or values.keys() - names
+                    or not all(name in values or hasattr(cls, name) for name in names)):
+                raise TypeError(f"{cls.__name__}() takes the fields {names}, some with defaults")
+            args = [values[name] if name in values else getattr(cls, name) for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields; object.__setattr__ replaces one."""
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class LinearInequality(Record):
     """A linear entropy inequality in canonical "sum_T c_T H(T) >= 0" form.
 
     The coefficients, given as ints or Fractions keyed by subset mask,
@@ -123,9 +175,7 @@ class LinearInequality:
         sum_I lhs[I] * H(I)  <=  sum_J rhs[J] * H(J).
     """
 
-    m: int
-    den: int
-    nums: Mapping[int, int]
+    _fields = ("m", "den", "nums")
 
     def __init__(self, m: int, coeffs: Mapping[int, RationalLike], den: int = 1) -> None:
         valid = set(subsets(m))

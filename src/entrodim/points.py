@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from itertools import repeat
 from operator import and_, lshift, or_, rshift
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping
 
 from .linear import MAX_VARIABLES
 
@@ -92,8 +92,8 @@ class PointSet:
     base rule and the words used in error messages.
     """
 
-    noun: ClassVar[str] = "coordinate"
-    empty: ClassVar[str] = "empty point set"
+    noun = "coordinate"
+    empty = "empty point set"
 
     def __init__(self, m: int, base: int | None, points) -> None:
         self.m, self.base = m, base

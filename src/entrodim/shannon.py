@@ -18,14 +18,13 @@ one it produces before returning it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Mapping
 
 from .dsl import parse_inequality
-from .linear import LinearInequality, common_denominator, mask_label, subsets
+from .linear import LinearInequality, Record, common_denominator, mask_label, subsets
 from .simplex import PreparedMatrix, solve_eq_nonneg
 
 #: elemental sets are available for this range of variable counts
@@ -36,12 +35,11 @@ class VerificationError(ValueError):
     """A certificate or witness failed its exact recheck."""
 
 
-@dataclass(frozen=True)
-class ElementalSet:
-    """The elemental Shannon inequalities for m variables, in fixed order."""
+class ElementalSet(Record):
+    """The elemental Shannon inequalities for m variables, in fixed order:
+    ``rows``, a tuple of LinearInequality."""
 
-    m: int
-    rows: tuple[LinearInequality, ...]
+    _fields = ("m", "rows")
 
     @cached_property
     def matrix(self) -> PreparedMatrix:
@@ -59,20 +57,17 @@ class ElementalSet:
         return PreparedMatrix(tuple(r.nums.get(s, 0) for r in self.rows) for s in subsets(self.m))
 
 
-@dataclass(frozen=True)
-class ShannonCertificate:
+class ShannonCertificate(Record):
     """Nonnegative weights expressing an inequality over elemental rows.
 
     weights maps row index (into elemental_inequalities(m).rows) to a
     positive rational; rows absent from the map have weight zero.
     """
 
-    m: int
-    weights: dict[int, Fraction]
+    _fields = ("m", "weights")
 
 
-@dataclass(frozen=True)
-class FarkasWitness:
+class FarkasWitness(Record):
     """A polymatroid point on which the target inequality fails.
 
     point maps subset mask to a rational; it satisfies every elemental
@@ -80,8 +75,7 @@ class FarkasWitness:
     genuine entropy vector) yet gives the target strictly negative slack.
     """
 
-    m: int
-    point: dict[int, Fraction]
+    _fields = ("m", "point")
 
 
 @cache

@@ -57,22 +57,25 @@ denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul, neg
-from typing import Sequence
 
-from .linear import MAX_PRODUCT_BITS, SizeLimitError, common_denominator
+from .linear import MAX_PRODUCT_BITS, Record, SizeLimitError, common_denominator
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    solution: tuple[Fraction, ...] | None  # y with A y = b, if feasible
-    farkas: tuple[Fraction, ...] | None  # u with uA <= 0, u.b > 0, if not
-    pivots: int = field(default=0, compare=False, repr=False)  # phase-1 pivots taken
+class FeasibilityResult(Record):
+    """Whether A y = b has a solution y >= 0: ``solution`` is such a y
+    when feasible, else ``farkas`` is a u with uA <= 0 and u.b > 0.
+    ``pivots``, the phase-1 pivots taken, takes no part in == or repr."""
+
+    _fields = ("feasible", "solution", "farkas")
+
+    def __init__(self, feasible: bool, solution, farkas, pivots: int = 0) -> None:
+        super().__init__(feasible, solution, farkas)
+        object.__setattr__(self, "pivots", pivots)
 
 
 def _half_bits(norm2: int) -> int:

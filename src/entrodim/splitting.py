@@ -25,20 +25,24 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from decimal import Context
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import eq, lshift
 
 from .core import ExactLogLin
-from .linear import check_int, check_rational, mask_label, mask_of, mask_positions, subsets
+from .linear import (
+    Record, check_int, check_rational, mask_label, mask_of, mask_positions, subsets,
+)
 from .points import PointSet
 
 Point = tuple[int, ...]
 
 #: a count c fits a budget of b bits when log2(c) <= b + FLOAT_TOL, exactly
 FLOAT_TOL = Fraction(1, 10**9)
+
+#: the largest k cube_bar_instance builds: 1,000,900 points, one int each
+MAX_CUBE_BAR_K = 100
 
 
 class FiniteBody(PointSet):
@@ -80,10 +84,13 @@ def cube_bar_instance(k: int) -> FiniteBody:
     The bar is long enough that the unsplit projection bound fails: the
     body's first-axis shadow is huge while the 12- and 13-shadows barely
     grow.  k must be a perfect square, at least 4, so the bar length is
-    integral.
+    integral, and at most MAX_CUBE_BAR_K, as the body has k**3 + k**1.5
+    points.
     """
     if k < 4:
         raise ValueError("k must be at least 4")
+    if k > MAX_CUBE_BAR_K:
+        raise ValueError(f"k must be at most {MAX_CUBE_BAR_K}, got {k}")
     r = math.isqrt(k)
     if r * r != k:
         raise ValueError(f"k must be a perfect square, got {k}")
@@ -97,20 +104,12 @@ def cube_bar_instance(k: int) -> FiniteBody:
     return FiniteBody._of_valid(3, bar, codes, ((bar - 1).bit_length(), w, w))
 
 
-@dataclass(frozen=True)
-class UnsplitReport:
+class UnsplitReport(Record):
     """Both sides of log2 #S1 + log2 #S <= log2 #S12 + log2 #S13, decided
     exactly by comparing the products #S1 * #S and #S12 * #S13."""
 
-    v1: int
-    v: int
-    v12: int
-    v13: int
-    lhs_bits: float
-    rhs_bits: float
-    lhs_product: int
-    rhs_product: int
-    sign: int  # sign of lhs - rhs: +1 means the bound is violated
+    _fields = ("v1", "v", "v12", "v13", "lhs_bits", "rhs_bits", "lhs_product",
+               "rhs_product", "sign")  # sign of lhs - rhs: +1 means the bound is violated
 
     @property
     def violated(self) -> bool:
@@ -139,8 +138,7 @@ def check_unsplit_inequality(body: FiniteBody) -> UnsplitReport:
     )
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Record):
     """Budgets a_I in bits for each part's own projection.
 
     levels maps a subset mask I to a budget, an int, float or Fraction,
@@ -150,8 +148,7 @@ class SplitSpec:
     iff c <= _max_count(b).
     """
 
-    m: int
-    levels: dict[int, int | float | Fraction]
+    _fields = ("m", "levels")
 
     def __post_init__(self):
         if not self.levels:

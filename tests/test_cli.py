@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from entrodim import splitting
 from entrodim.cli import _render, main
+from entrodim.dsl import parse_inequality
+from entrodim.shannon import is_shannon_type
 
 KLEIN_JSON = {
     "order": 4,
@@ -50,6 +54,32 @@ def test_check_not_shannon_type(capsys):
     assert report["outcome"] == "not-shannon-type"
     assert report["farkas_witness"]["target_slack"] == "-1/4"
     assert len(report["farkas_witness"]["point"]) == 15
+
+
+def _decimal_text(q):
+    """q's text by way of Decimal, which writes an int of any length."""
+    if q.denominator == 1:
+        return f"{Decimal(q.numerator)}"
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+
+def test_check_writes_coefficients_longer_than_str_writes(capsys):
+    nines, sevens = "9" * 3000, "7" * 2999 + "1"
+    text = f"1/{nines} H(x) + 1/{sevens} H(y) >= 0"
+    code, report, err = run(capsys, "check", text)
+    assert (code, err) == (0, "")
+    assert report["canonical"] == f"0 <= 1/{nines} H(x) + 1/{sevens} H(y)"
+    weights = sorted(is_shannon_type(parse_inequality(text)).weights.items())
+    assert max(w.denominator for _, w in weights) > 10**4300  # beyond what str writes
+    assert [(e["row"], e["weight"]) for e in report["certificate"]["weights"]] == [
+        (r, _decimal_text(w)) for r, w in weights]
+    # the reverse: a Farkas point and a target slack of some 9,000 characters
+    code, report, err = run(capsys, "check", text.replace(">=", "<="))
+    assert (code, err) == (2, "")
+    slack = -(Fraction(1, int(nines)) + Fraction(1, int(sevens)))
+    assert report["farkas_witness"] == {
+        "point": {"x": "1", "y": "1", "x,y": "1"}, "target_slack": _decimal_text(slack)}
+    assert len(report["farkas_witness"]["target_slack"]) > 9000
 
 
 def test_check_one_variable(capsys):
@@ -532,6 +562,33 @@ def test_demo_bad_k(capsys):
     assert err.startswith("error: ValueError: k must be a perfect square")
 
 
+def test_demo_k_is_bounded(capsys):
+    # checked first, so a lost bound fails here instead of building 10**12 points
+    assert 100 <= splitting.MAX_CUBE_BAR_K < 10_000
+    code, report, err = run(capsys, "demo", "cube-bar", "--k", "10000")
+    assert (code, report) == (1, None)
+    assert err == f"error: ValueError: k must be at most {splitting.MAX_CUBE_BAR_K}, got 10000\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["split", "--body", "x"], "the following arguments are required: --spec"),
+    (["demo", "cube-bar", "--k", "x"], "argument --k: invalid int value: 'x'"),
+    (["check"], "the following arguments are required: ineq"),
+    (["check", "H(x) >= 0", "extra"], "unrecognized arguments: extra"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_are_one_line_and_exit_1(capsys, argv, message):
+    code, report, err = run(capsys, *argv)
+    assert (code, report, err) == (1, None, f"error: UsageError: {message}\n")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: entrodim demo")
+
+
 def test_reports_are_deterministic(capsys, tmp_path):
     group = write_json(tmp_path / "g.json", KLEIN_JSON)
     subs = write_json(tmp_path / "h.json", [[0, 1], [0]])
@@ -568,12 +625,11 @@ def test_parser_reuse_keeps_requests_apart(capsys, tmp_path):
     inputs = {"body": body, "spec": spec}
     code, report, _ = run(capsys, *argv, "--greedy", "--exhaustive")
     assert code == 0 and report["inputs"] == inputs
-    # an argparse failure (missing --spec) leaves nothing behind for the
-    # next request
-    with pytest.raises(SystemExit) as exc:
-        main(["split", "--body", body, "--greedy"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # a usage error (missing --spec) leaves nothing behind for the next
+    # request
+    code, report, err = run(capsys, "split", "--body", body, "--greedy")
+    assert (code, report) == (1, None)
+    assert err == "error: UsageError: the following arguments are required: --spec\n"
     code, report, _ = run(capsys, *argv)
     assert code == 0 and report["inputs"] == inputs
     assert report["outcome"] == "split found"

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from entrodim.dsl import (
     format_inequality,
     parse_inequality,
     parse_with_names,
+    rational_text,
 )
 from entrodim.linear import LinearInequality, mask_positions, subsets
 
@@ -396,3 +398,21 @@ def test_tokenizer_matches_the_one_match_per_position_scan(text):
         with pytest.raises(InequalityParseError) as err:
             _tokenize(text)
         assert (str(err.value), err.value.position) == (f"{want[0]} (at position {want[1]})", want[1])
+
+
+_LONG_INTS = [
+    0, 7, -7, (1 << 2000) - 1, 1 << 2000, 10**5000, 10**5000 + 1, -(10**5000),
+    7 * 10**9000 + 3, (10**6001 - 1) // 9, 3**20000,
+]
+
+
+# ids by bit length: a long int's repr is more than str() writes
+@pytest.mark.parametrize(
+    "n", _LONG_INTS, ids=[f"{i}:{n.bit_length()}bits" for i, n in enumerate(_LONG_INTS)]
+)
+def test_rational_text_writes_ints_of_any_length(n):
+    # Decimal writes an int of any length, so it is the reference
+    assert rational_text(n) == f"{Decimal(n)}"
+    q = Fraction(n, 3**9000 * 7)
+    den = "" if q.denominator == 1 else f"/{Decimal(q.denominator)}"
+    assert rational_text(q) == f"{Decimal(q.numerator)}{den}"

@@ -3,7 +3,9 @@
 Each test starts a fresh interpreter, since this process has long since
 imported every module. A module that has not run yet is a lazy module
 object in sys.modules; `type(...) is types.ModuleType` reads none of its
-attributes, so asking does not load it.
+attributes, so asking does not load it. The interpreters run with -S, as
+an installation's `site` may import modules (`typing`, say) that no
+command needs.
 """
 
 import json
@@ -57,6 +59,10 @@ EXPORTS = {
 }
 PUBLIC = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
 
+#: standard modules no command needs, each milliseconds of a fresh
+#: process's start (dataclasses imports inspect)
+UNUSED_STDLIB = ("dataclasses", "inspect", "typing")
+
 RAN = """
 import sys, types
 def ran():
@@ -73,7 +79,7 @@ def python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-S", *args], capture_output=True, text=True, env=env, timeout=120
     )
 
 
@@ -110,12 +116,15 @@ def test_a_command_runs_only_the_modules_it_uses(tmp_path, argv, also):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = entrodim.cli.main(json.loads(sys.argv[1]))\n"
         "print(code, ran())\n"
+        f"print(sorted(set({UNUSED_STDLIB!r}) & set(sys.modules)))\n"
     )
     proc = python("-c", code, json.dumps(argv))
     assert proc.returncode == 0, proc.stderr
-    exit_code, ran = proc.stdout.strip().split(" ", 1)
+    first, unused = proc.stdout.strip().split("\n")
+    exit_code, ran = first.split(" ", 1)
     assert exit_code in ("0", "2")
     assert ran == str(sorted(["dsl", "linear", *also]))
+    assert unused == "[]"
 
 
 def test_public_surface():
@@ -148,6 +157,10 @@ def test_public_surface():
 
 
 def test_cli_runs_as_a_module():
-    proc = python("-m", "entrodim.cli", "check", "H(x,y) <= H(x) + H(y)")
+    # -X importtime writes a line to stderr per module imported
+    proc = python("-X", "importtime", "-m", "entrodim.cli", "check", "H(x,y) <= H(x) + H(y)")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["outcome"] == "shannon-type"
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "entrodim.dsl" in imported
+    assert not imported & set(UNUSED_STDLIB)

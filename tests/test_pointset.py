@@ -342,8 +342,6 @@ def test_verify_split_counts_from_the_points_not_the_cache():
 
 
 def test_verify_counterexample_counts_from_the_points_not_the_cache():
-    import dataclasses
-
     from entrodim.cantor import DimValue
 
     g = direct_product(cyclic(2), cyclic(2))
@@ -351,7 +349,9 @@ def test_verify_counterexample_counts_from_the_points_not_the_cache():
     h2 = subgroup_from_elements(g, [0])
     ce = build_counterexample(parse_inequality("H(x,y) <= H(x)"), g, [h1, h2])
     verify_counterexample(ce)
-    wrong = dataclasses.replace(ce, dims={**ce.dims, 0b01: DimValue(3, ce.witness.base)})
+    # made anew through the constructor, with one stored dimension wrong
+    fields = {name: getattr(ce, name) for name in ce._fields}
+    wrong = type(ce)(**{**fields, "dims": {**ce.dims, 0b01: DimValue(3, ce.witness.base)}})
     # a cache poisoned to agree with the wrong stored dimension
     ce.witness._shadows[0b01] = frozenset({(0,), (1,), (2,)})
     assert len(ce.witness.shadow(0b01)) == 3
