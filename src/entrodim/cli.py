@@ -172,6 +172,8 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
         },
         "canonical": format_inequality(ineq, names),
     }
+    if args.subgroups and not args.group:
+        raise ValueError("--subgroups requires --group")
     if args.group:
         if not args.subgroups:
             raise ValueError("--group requires --subgroups")
@@ -243,7 +245,7 @@ def _cmd_split(args) -> tuple[int, dict]:
         report["outcome"] = "no split exists"
         return 2, report
     report["outcome"] = "split found"
-    report["split"] = result.to_json(body)
+    report["split"] = result.to_json()
     report["verified"] = True  # the search recounts its split before returning it
     return 0, report
 

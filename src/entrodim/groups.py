@@ -123,9 +123,6 @@ class FiniteGroup(Record):
         object.__setattr__(out, "name", name)
         return out
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     @cached_property
     def inverses(self) -> tuple[int, ...]:
         return tuple(row.index(0) for row in self.table)
@@ -147,12 +144,6 @@ class FiniteGroup(Record):
                 name=obj.get("name", ""),
             )
         raise ValueError("group JSON needs either 'table' or 'generators'")
-
-    def to_json(self) -> dict:
-        out = {"order": self.order, "table": [list(row) for row in self.table]}
-        if self.name:
-            out["name"] = self.name
-        return out
 
 
 class Subgroup(Record):
@@ -476,16 +467,15 @@ def search_violation(
     ineq: LinearInequality,
     groups=None,
     max_order: int = 16,
-    max_subgroups: int | None = None,
 ) -> Violation | None:
     """Scan (group, subgroup tuple) candidates for a violated inequality.
 
     Deterministic lexicographic scan: catalog order, then subgroup
-    tuples in ``itertools.product`` order over the all_subgroups listing
-    (cut to its first max_subgroups entries).  Returns the first tuple
-    whose coset entropy point gives exactly negative slack, or None when
-    the catalog is exhausted — which is *not* a proof that no
-    counterexample exists, only that none was found within the catalog.
+    tuples in ``itertools.product`` order over the all_subgroups listing.
+    Returns the first tuple whose coset entropy point gives exactly
+    negative slack, or None when the catalog is exhausted — which is
+    *not* a proof that no counterexample exists, only that none was found
+    within the catalog.
 
     The slack sum_T c_T log2(n / h_T), with n = #G and h_T = #H_T, is
     decided exactly and with no size limit.  The coefficients c_T =
@@ -515,7 +505,7 @@ def search_violation(
     div = gcd(*ineq.nums.values())
     exps = {mask: a // div for mask, a in ineq.nums.items()}
     for g in cat:
-        subs = all_subgroups(g)[:max_subgroups]
+        subs = all_subgroups(g)
         hit = _first_negative(
             g.order, [h.mask for h in subs], m, exps, *_symmetries(g, subs, m, exps)
         )
@@ -539,8 +529,10 @@ def _symmetries(g: FiniteGroup, subs, m: int, exps: dict[int, int]):
     is a tuple r sending index k to r[k], applied to every position; the
     distinct non-identity ones come from conjugation H -> xHx^-1 by the
     elements x of g, and one is listed only when it maps subs into
-    itself (a cut listing may not be closed).  Conjugation keeps the
-    order of every intersection, so it keeps the slack.
+    itself (an all_subgroups listing holds every subgroup made by at
+    most two generators, so every conjugation maps it into itself;
+    another list need not be closed).  Conjugation keeps the order of
+    every intersection, so it keeps the slack.
     """
     swaps = []
     for i in range(m):

@@ -36,8 +36,6 @@ from .linear import (
 )
 from .points import PointSet
 
-Point = tuple[int, ...]
-
 #: a count c fits a budget of b bits when log2(c) <= b + FLOAT_TOL, exactly
 FLOAT_TOL = Fraction(1, 10**9)
 
@@ -200,61 +198,18 @@ class SplitSpec(Record):
         return {"m": self.m, "levels": levels}
 
 
-class SplitResult:
-    """An assignment of every body point to one part I of the spec.
+class SplitResult(Record):
+    """A split of a body: ``parts`` holds the part mask of each point of
+    ``body.ordered()``, so point i of the report is point i of that
+    ascending order."""
 
-    Made from a dict of point tuples, or by the search from the body's
-    codes, whose ``assignment`` is decoded on first use.
-    """
+    _fields = ("parts",)
 
-    def __init__(self, assignment: dict[Point, int]) -> None:
-        self._assignment = assignment
-        self._coded: tuple[FiniteBody, dict[int, int]] | None = None
-
-    @classmethod
-    def _of_codes(cls, body: FiniteBody, parts: dict[int, int]) -> "SplitResult":
-        """The split sending each code of body to its part."""
-        out = cls.__new__(cls)
-        out._assignment, out._coded = None, (body, parts)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.assignment == other.assignment
-
-    @property
-    def assignment(self) -> dict[Point, int]:
-        if self._assignment is None:
-            body, parts = self._coded
-            self._assignment = dict(zip(map(body.decode, parts), parts.values()))
-        return self._assignment
-
-    def _by_code(self, body: FiniteBody) -> dict[int, int] | None:
-        """The part of each assigned point by its code in body, or None
-        when some assigned point is no m-tuple that body's fields hold."""
-        if self._coded is not None and self._coded[0] is body:
-            return self._coded[1]
-        out = {}
-        for point, mask in self.assignment.items():
-            code = 0
-            if len(point) != body.m:
-                return None
-            for x, w in zip(point, body.widths):
-                if type(x) is not int or x < 0 or x >> w:
-                    return None
-                code = code << w | x
-            out[code] = mask
-        return out
-
-    def to_json(self, body: FiniteBody) -> dict:
-        """Point i of the body's ascending order maps to its part's label,
-        whatever order the assignment was filled in."""
-        coded = self._by_code(body)
-        labels = {mask: mask_label(mask) for mask in set(coded.values())}
-        parts = map(coded.__getitem__, body.ordered())
-        keys = map(str, range(len(body)))
-        return {"assignment": dict(zip(keys, map(labels.__getitem__, parts)))}
+    def to_json(self) -> dict:
+        """Point i of the body's ascending order maps to its part's label."""
+        labels = {mask: mask_label(mask) for mask in set(self.parts)}
+        keys = map(str, range(len(self.parts)))
+        return {"assignment": dict(zip(keys, map(labels.__getitem__, self.parts)))}
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -284,22 +239,21 @@ def _check_same_m(body: FiniteBody, spec: SplitSpec) -> None:
 def verify_split(body: FiniteBody, spec: SplitSpec, result: SplitResult) -> bool:
     """Direct-counting recheck that every part's shadow is within its cap.
 
-    Structural problems (spec and body of different m, not a partition of
-    the body, unknown part label) raise; budget failure returns False.
-    The empty part is always within budget, as every cap is at least 0.
-    Each part's shadow is counted from the codes of that part's own
-    points, never read from the body's cache.
+    Structural problems (spec and body of different m, not one part per
+    point of the body, unknown part label) raise; budget failure returns
+    False.  The empty part is always within budget, as every cap is at
+    least 0.  Each part's shadow is counted from the codes of that part's
+    own points, never read from the body's cache.
     """
     _check_same_m(body, spec)
-    coded = result._by_code(body)
-    if coded is None or coded.keys() != body.codes:
-        raise ValueError("assignment does not cover exactly the body's points")
-    codes, labels = coded.keys(), coded.values()
-    if not spec.levels.keys() >= set(labels):
-        code, mask = next(e for e in coded.items() if e[1] not in spec.levels)
-        raise ValueError(f"point {body.decode(code)} assigned to unknown part {mask}")
+    parts, points = result.parts, body.ordered()
+    if len(parts) != len(points):
+        raise ValueError(f"split of {len(parts)} points for a body of {len(points)}")
+    if not spec.levels.keys() >= set(parts):
+        i = next(i for i, mask in enumerate(parts) if mask not in spec.levels)
+        raise ValueError(f"point {body.decode(points[i])} assigned to unknown part {parts[i]}")
     return all(
-        len(set(map(body.field(mask).__and__, compress(codes, map(eq, labels, repeat(mask))))))
+        len(set(map(body.field(mask).__and__, compress(points, map(eq, parts, repeat(mask))))))
         <= _max_count(b)
         for mask, b in spec.levels.items()
     )
@@ -377,7 +331,7 @@ def find_split_exhaustive(body: FiniteBody, spec: SplitSpec) -> SplitResult | No
         j = 0
         if i < n:
             bans.append(None)
-    result = SplitResult._of_codes(body, dict(zip(points, map(parts.__getitem__, taken))))
+    result = SplitResult(tuple(map(parts.__getitem__, taken)))
     if not verify_split(body, spec, result):
         raise AssertionError("exhaustive search produced an invalid split")
     return result

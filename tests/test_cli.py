@@ -343,6 +343,15 @@ def test_counterexample_group_without_subgroups(capsys, tmp_path):
     assert err.startswith("error: ValueError: --group requires --subgroups")
 
 
+def test_counterexample_subgroups_without_group(capsys, tmp_path):
+    subs = write_json(tmp_path / "s.json", [[0, 1], [0]])
+    code, report, err = run(
+        capsys, "counterexample", "--ineq", "H(x,y) <= H(x)", "--subgroups", subs
+    )
+    assert (code, report) == (1, None)
+    assert err == "error: ValueError: --subgroups requires --group\n"
+
+
 def test_cantor_report(capsys, tmp_path):
     witness = write_json(
         tmp_path / "w.json",
@@ -422,8 +431,7 @@ def test_split_with_the_greedy_flag_finds_a_split_a_one_pass_heuristic_misses(
     assert report["outcome"] == "split found" and report["verified"] is True
     labels = ["{1}", "{1}", "{1,2,3}", "{1,2,3}"]
     assert report["split"] == {"assignment": dict(zip("0123", labels))}
-    split = splitting.SplitResult(dict(zip(
-        map(tuple, body_obj["points"]), [0b001, 0b001, 0b111, 0b111])))
+    split = splitting.SplitResult((0b001, 0b001, 0b111, 0b111))  # the points are sorted
     assert splitting.verify_split(splitting.FiniteBody.from_json(body_obj),
                                   splitting.SplitSpec.from_json(spec_obj), split)
 

@@ -64,10 +64,7 @@ def _reference_orders(g: FiniteGroup, subs) -> dict[int, int]:
 
 
 def _reference_search(
-    ineq: LinearInequality,
-    groups=None,
-    max_order: int = 16,
-    max_subgroups: int | None = None,
+    ineq: LinearInequality, groups=None, max_order: int = 16
 ) -> Violation | None:
     """Scan (group, subgroup tuple) candidates for a violated inequality.
 
@@ -84,8 +81,6 @@ def _reference_search(
     items = sorted(ineq.coeffs.items())
     for g in cat:
         subs = all_subgroups(g)
-        if max_subgroups is not None:
-            subs = subs[:max_subgroups]
         n = g.order
         for tup in product(subs, repeat=m):
             orders = _reference_orders(g, tup)
@@ -129,7 +124,7 @@ def test_table_validation_ok():
     g = group_from_table([[0, 1], [1, 0]])
     assert g.order == 2
     assert KLEIN.order == 4
-    assert KLEIN.mul(1, 2) == 3
+    assert KLEIN.table[1][2] == 3
     assert KLEIN.inverses == (0, 1, 2, 3)
 
 
@@ -160,7 +155,7 @@ def test_shape_and_range_errors():
 def test_cyclic():
     z4 = cyclic(4)
     assert z4.order == 4
-    assert z4.mul(3, 2) == 1
+    assert z4.table[3][2] == 1
     assert z4.inverses == (0, 3, 2, 1)
     assert z4.name == "Z4"
     assert cyclic(1).order == 1
@@ -170,7 +165,7 @@ def test_dihedral():
     d3 = dihedral(3)
     assert d3.order == 6
     # rotation * reflection != reflection * rotation
-    assert d3.mul(1, 3) != d3.mul(3, 1)
+    assert d3.table[1][3] != d3.table[3][1]
     with pytest.raises(ValueError):
         dihedral(0)
 
@@ -211,7 +206,8 @@ def test_from_permutations():
 
 
 def test_group_json_round_trip():
-    g = FiniteGroup.from_json(KLEIN.to_json())
+    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    g = FiniteGroup.from_json({"order": 4, "table": table, "name": "klein"})
     assert g == KLEIN
     h = FiniteGroup.from_json({"perm_degree": 3, "generators": [[1, 0, 2]]})
     assert h.order == 2
@@ -482,12 +478,6 @@ def test_zhang_yeung_has_no_tiny_group_witness():
     assert search_violation(zhang_yeung(), max_order=4) is None
 
 
-def test_search_respects_max_subgroups():
-    bad = parse_inequality("H(x,y) <= H(x)")
-    # with only the trivial subgroup available no slack can go negative
-    assert search_violation(bad, groups=[KLEIN], max_subgroups=1) is None
-
-
 def test_witness_counting_matches_formula():
     rng = random.Random(404)
     cat = builtin_catalog(10)
@@ -568,7 +558,21 @@ def test_subgroups_json_round_trip():
 
 
 CATALOG_8 = builtin_catalog(8)
-LISTED = {g.name: len(all_subgroups(g)) for g in CATALOG_8}
+
+
+def _draw_catalog(draw, groups, m: int, max_size: int, budget: int = 1500) -> list:
+    """1 to max_size groups, each drawn among those whose listing's m-tuples
+    still fit the budget (the reference scans a few thousand tuples per
+    second); the first draw always has a group to take."""
+    cat = []
+    for _ in range(draw(st.integers(1, max_size))):
+        fits = [g for g in groups if len(all_subgroups(g)) ** m <= budget]
+        if not fits:
+            break
+        g = draw(st.sampled_from(fits))
+        cat.append(g)
+        budget -= len(all_subgroups(g)) ** m
+    return cat
 
 
 @st.composite
@@ -577,20 +581,15 @@ def _searches(draw):
     weight = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     coeffs = draw(st.dictionaries(st.sampled_from(subsets(m)), weight, min_size=1))
     assume(any(coeffs.values()))
-    cat = draw(st.lists(st.sampled_from(CATALOG_8), min_size=1, max_size=3))
-    cap = draw(st.sampled_from([None, 1, 2, 3]))
-    # the reference scans a few thousand tuples per second
-    tuples = sum(min(LISTED[g.name], cap or LISTED[g.name]) ** m for g in cat)
-    assume(tuples <= 1500)
-    return LinearInequality(m, coeffs), cat, cap
+    return LinearInequality(m, coeffs), _draw_catalog(draw, CATALOG_8, m, 3)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_searches())
 def test_search_matches_reference(search):
-    ineq, cat, cap = search
-    got = search_violation(ineq, groups=cat, max_subgroups=cap)
-    want = _reference_search(ineq, groups=cat, max_subgroups=cap)
+    ineq, cat = search
+    got = search_violation(ineq, groups=cat)
+    want = _reference_search(ineq, groups=cat)
     if want is None:
         assert got is None
         return
@@ -625,6 +624,27 @@ def test_search_large_common_weight():
     assert hit.group.name == "Z2"
     assert tuple(h.elements for h in hit.subgroups) == ((0, 1), (0,))
     assert str(hit.slack) == "-100000000"
+
+
+def test_a_repeated_catalog_search_lists_no_subgroup_again(monkeypatch):
+    # the catalog's groups are cached, and each keeps its listing
+    ineq = parse_inequality("H(x) <= H(x,y)")
+    assert search_violation(ineq, max_order=6) is None
+    made = []
+    real = Subgroup.__post_init__
+
+    def counted(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(Subgroup, "__post_init__", counted)
+    assert search_violation(ineq, max_order=6) is None
+    assert made == []
+    for g in builtin_catalog(6):
+        assert all_subgroups(g) is all_subgroups(g)
+    assert made == []
+    all_subgroups(cyclic(6))  # a new group object lists its own
+    assert made
 
 
 def test_subgroup_mask():
@@ -677,7 +697,6 @@ NONABELIAN = {
     "D5": from_permutations(5, [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)], name="D5"),
     "A4": from_permutations(4, [(1, 2, 0, 3), (1, 0, 3, 2)], name="A4"),
 }
-NONABELIAN_LISTED = {name: len(all_subgroups(g)) for name, g in NONABELIAN.items()}
 
 
 def _swap_bits(mask: int, i: int, j: int) -> int:
@@ -720,20 +739,16 @@ def _symmetric_searches(draw):
     pairs = draw(st.lists(pair, min_size=1, max_size=2))
     coeffs = _symmetrized(coeffs, m, pairs)
     assume(any(coeffs.values()))
-    names = draw(st.lists(st.sampled_from(sorted(NONABELIAN)), min_size=1, max_size=2))
-    # caps cut listings that are not closed under conjugation
-    cap = draw(st.sampled_from([None, 2, 3, 4, 5, 7]))
-    tuples = sum(min(NONABELIAN_LISTED[k], cap or 99) ** m for k in names)
-    assume(tuples <= 1500)
-    return LinearInequality(m, coeffs), [NONABELIAN[k] for k in names], cap
+    groups = [NONABELIAN[k] for k in sorted(NONABELIAN)]
+    return LinearInequality(m, coeffs), _draw_catalog(draw, groups, m, 2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_symmetric_searches())
 def test_symmetric_search_matches_reference(search):
-    ineq, cat, cap = search
-    got = search_violation(ineq, groups=cat, max_subgroups=cap)
-    want = _reference_search(ineq, groups=cat, max_subgroups=cap)
+    ineq, cat = search
+    got = search_violation(ineq, groups=cat)
+    want = _reference_search(ineq, groups=cat)
     if want is None:
         assert got is None
         return
@@ -750,11 +765,11 @@ def _slack_of(ineq, g, subs, tup):
 @settings(max_examples=60, deadline=None)
 @given(_symmetric_searches(), st.randoms(use_true_random=False))
 def test_every_symmetry_keeps_the_slack(search, rng):
-    ineq, cat, cap = search
+    ineq, cat = search
     exps = dict(ineq.nums)
     m = ineq.m
     for g in cat:
-        subs = all_subgroups(g)[:cap]
+        subs = all_subgroups(g)
         swaps, renamings = _symmetries(g, subs, m, exps)
         for i, j in swaps:
             assert all(

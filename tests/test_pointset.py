@@ -286,7 +286,7 @@ def test_exhaustive_split_of_a_large_one_part_body():
     # RecursionError past about 1,000 points (1 ** n never trips the bound)
     body = FiniteBody(1, 2000, frozenset((i,) for i in range(1500)))
     result = find_split_exhaustive(body, SplitSpec(1, {1: 20.0}))
-    assert result is not None and set(result.assignment.values()) == {1}
+    assert result is not None and set(result.parts) == {1}
     assert find_split_exhaustive(body, SplitSpec(1, {1: 10.0})) is None
 
 
@@ -302,19 +302,17 @@ def test_cli_split_of_a_large_one_part_body(capsys, tmp_path):
     assert len(report["split"]["assignment"]) == 1500
 
 
-def _reference_split_json(result, body):
+def _reference_split_json(result):
     """SplitResult.to_json as it was, one mask_label per point."""
-    order = sorted(body.points)
-    return {"assignment": {str(i): mask_label(result.assignment[p])
-                           for i, p in enumerate(order)}}
+    return {"assignment": {str(i): mask_label(mask) for i, mask in enumerate(result.parts)}}
 
 
 def test_split_json_labels_each_part_once(monkeypatch):
     body = cube_bar_instance(16)
     spec = SplitSpec(3, {0b001: math.log2(30), 0b111: 12.0})
     result = find_split_exhaustive(body, spec)
-    assert result is not None and len(set(result.assignment.values())) > 1
-    want = json.dumps(_reference_split_json(result, body), indent=2)
+    assert result is not None and len(set(result.parts)) > 1
+    want = json.dumps(_reference_split_json(result), indent=2)
     calls = []
 
     def counted(mask, names=None):
@@ -322,15 +320,15 @@ def test_split_json_labels_each_part_once(monkeypatch):
         return mask_label(mask, names)
 
     monkeypatch.setattr(splitting, "mask_label", counted)
-    got = json.dumps(result.to_json(body), indent=2)
+    got = json.dumps(result.to_json(), indent=2)
     assert got == want
-    assert sorted(calls) == sorted(set(result.assignment.values()))
+    assert sorted(calls) == sorted(set(result.parts))
 
 
 def test_verify_split_counts_from_the_points_not_the_cache():
     body = FiniteBody(2, 4, frozenset((x, y) for x in range(4) for y in range(2)))
     spec = SplitSpec(2, {0b01: 1.0, 0b11: 2.0})
-    over = SplitResult({p: 0b01 for p in body.points})  # shadow {1} has 4 > 2
+    over = SplitResult((0b01,) * len(body))  # shadow {1} has 4 > 2
     # poison every cached shadow and fiber count to look within budget
     for mask in subsets(2):
         body.fibers(mask)

@@ -16,7 +16,6 @@ from entrodim.cantor import DimValue
 from entrodim.linear import mask_positions, subsets
 from entrodim.splitting import (
     FiniteBody,
-    Point,
     SplitResult,
     SplitSpec,
     check_unsplit_inequality,
@@ -37,6 +36,19 @@ _REFERENCE_FLOAT_TOL = 1e-9
 
 #: the recursive reference search refuses more than this many assignments
 _REFERENCE_BOUND = 10**7
+
+Point = tuple[int, ...]
+
+
+def _split_of(body: FiniteBody, assignment: dict[Point, int]) -> SplitResult:
+    """The split giving each point of body its part in assignment, in the
+    order of body.ordered()."""
+    return SplitResult(tuple(assignment[body.decode(code)] for code in body.ordered()))
+
+
+def _assignment(body: FiniteBody, result: SplitResult) -> dict[Point, int]:
+    """The part of each point of body, as a {point: part} dict."""
+    return dict(zip(map(body.decode, body.ordered()), result.parts))
 
 
 def _reference_max_count(bits: float) -> int:
@@ -68,13 +80,14 @@ def _reference_verify_split(
     label) raise; budget failure returns False.  The empty part is
     vacuously within budget — log2 of an empty projection is -inf.
     """
-    if set(result.assignment) != body.points:
+    if len(result.parts) != len(body.points):
         raise ValueError("assignment does not cover exactly the body's points")
-    for point, mask in result.assignment.items():
+    assignment = _assignment(body, result)
+    for point, mask in assignment.items():
         if mask not in spec.levels:
             raise ValueError(f"point {point} assigned to unknown part {mask}")
     for mask in spec.levels:
-        shadow = {_reference_proj(p, mask) for p, lbl in result.assignment.items()
+        shadow = {_reference_proj(p, mask) for p, lbl in assignment.items()
                   if lbl == mask}
         if shadow and math.log2(len(shadow)) > spec.bits(mask) + _REFERENCE_FLOAT_TOL:
             return False
@@ -123,7 +136,7 @@ def _reference_find_split_exhaustive(
 
     if not dfs(0):
         return None
-    result = SplitResult(dict(zip(points, chosen)))
+    result = _split_of(body, dict(zip(points, chosen)))
     if not _reference_verify_split(body, spec, result):
         raise AssertionError("exhaustive search produced an invalid split")
     return result
@@ -273,7 +286,7 @@ def test_find_split_exhaustive_full_cube():
     spec = SplitSpec(3, {0b001: 2.0, 0b111: 2.0})
     result = find_split_exhaustive(FULL_CUBE_2, spec)
     assert result is not None
-    assert set(result.assignment.values()) == {0b001}
+    assert set(result.parts) == {0b001}
     assert verify_split(FULL_CUBE_2, spec, result)
 
 
@@ -288,7 +301,7 @@ def test_find_split_single_point():
     spec = SplitSpec(3, {0b001: 0.0, 0b111: 0.0})
     result = find_split_exhaustive(body, spec)
     assert result is not None
-    assert result.assignment == {(0, 0, 0): 0b001}
+    assert result.parts == (0b001,)
 
 
 def test_budget_boundary_is_exact():
@@ -305,10 +318,10 @@ def test_a_24_point_two_part_body_is_decided():
     body = FiniteBody(2, 24, frozenset((i, 0) for i in range(24)))
     assert 2**24 > _REFERENCE_BOUND
     result = find_split_exhaustive(body, SplitSpec(2, {0b01: 5.0, 0b11: 5.0}))
-    assert result.assignment == dict.fromkeys(sorted(body.points), 0b01)
+    assert result.parts == (0b01,) * 24
     spec = SplitSpec(2, {0b01: math.log2(20), 0b11: 2.0})
     result = find_split_exhaustive(body, spec)
-    assert result.assignment == {(i, 0): 0b01 if i < 20 else 0b11 for i in range(24)}
+    assert _assignment(body, result) == {(i, 0): 0b01 if i < 20 else 0b11 for i in range(24)}
     assert verify_split(body, spec, result)
     spec = SplitSpec(2, {0b01: math.log2(20), 0b11: math.log2(3)})
     assert find_split_exhaustive(body, spec) is None
@@ -316,24 +329,20 @@ def test_a_24_point_two_part_body_is_decided():
 
 def test_verify_split_errors_and_budget():
     spec = SplitSpec(3, {0b001: 2.0, 0b111: 2.0})
-    pts = sorted(FULL_CUBE_2.points)
-    with pytest.raises(ValueError):
-        verify_split(
-            FULL_CUBE_2, spec, SplitResult({p: 0b001 for p in pts[:-1]})
-        )
-    with pytest.raises(ValueError):
-        verify_split(
-            FULL_CUBE_2, spec, SplitResult({p: 0b010 for p in pts})
-        )
+    for n in (7, 9):  # one part too few or too many for the 8 points
+        with pytest.raises(ValueError, match=f"split of {n} points for a body of 8"):
+            verify_split(FULL_CUBE_2, spec, SplitResult((0b001,) * n))
+    with pytest.raises(ValueError, match=r"point \(0, 0, 1\) assigned to unknown part 2"):
+        verify_split(FULL_CUBE_2, spec, SplitResult((0b001, 0b010) + (0b001,) * 6))
     # everything dumped into the full-projection part blows its budget
-    over = SplitResult({p: 0b111 for p in pts})
+    over = SplitResult((0b111,) * 8)
     assert verify_split(FULL_CUBE_2, spec, over) is False
 
 
 @pytest.mark.parametrize(
     "run",
     [find_split_exhaustive,
-     lambda body, spec: verify_split(body, spec, SplitResult({(0, 1): 0b1}))],
+     lambda body, spec: verify_split(body, spec, SplitResult((0b1,)))],
     ids=["exhaustive", "verify"],
 )
 def test_spec_and_body_must_have_the_same_m(run):
@@ -343,29 +352,27 @@ def test_spec_and_body_must_have_the_same_m(run):
 
 
 def test_split_result_json():
-    body = FiniteBody(2, 2, frozenset({(0, 0), (1, 1)}))
-    result = SplitResult({(0, 0): 0b01, (1, 1): 0b11})
-    assert result.to_json(body) == {
-        "assignment": {"0": "{1}", "1": "{1,2}"}
-    }
+    result = SplitResult((0b01, 0b11))
+    assert result == SplitResult((0b01, 0b11)) != SplitResult((0b11, 0b01))
+    assert hash(result) == hash(SplitResult((0b01, 0b11)))
+    assert repr(result) == "SplitResult(parts=(1, 3))"
+    assert result.to_json() == {"assignment": {"0": "{1}", "1": "{1,2}"}}
 
 
 def test_split_result_json_labels_points_by_sorted_order():
-    # the assignment dicts are filled in descending and in hash order;
-    # point i of the report is still the i-th point in ascending order
+    # point i of the report is the i-th point of the body in ascending
+    # order, whatever order the {point: part} dict was filled in
     body = cube_bar_instance(16)
     result = find_split_exhaustive(body, SplitSpec(3, {0b001: math.log2(30), 0b111: 12}))
-    order = sorted(body.points)
-    want = {str(i): "{1}" if result.assignment[p] == 0b001 else "{1,2,3}"
-            for i, p in enumerate(order)}
+    assignment = _assignment(body, result)
+    want = {str(i): "{1}" if assignment[p] == 0b001 else "{1,2,3}"
+            for i, p in enumerate(sorted(body.points))}
     assert set(want.values()) == {"{1}", "{1,2,3}"}
-    for points in (order[::-1], list(body.points)):
-        refilled = SplitResult({p: result.assignment[p] for p in points})
-        assert refilled.to_json(body) == {"assignment": want}
-        assert refilled.to_json(FiniteBody(3, 64, body.points)) == {"assignment": want}
+    assert result.to_json() == {"assignment": want}
     body = FiniteBody(2, 3, frozenset({(2, 0), (0, 2), (1, 1)}))
-    result = SplitResult({(2, 0): 0b01, (1, 1): 0b11, (0, 2): 0b10})
-    assert result.to_json(body) == {"assignment": {"0": "{2}", "1": "{1,2}", "2": "{1}"}}
+    result = _split_of(body, {(2, 0): 0b01, (1, 1): 0b11, (0, 2): 0b10})
+    assert result.parts == (0b10, 0b11, 0b01)
+    assert result.to_json() == {"assignment": {"0": "{2}", "1": "{1,2}", "2": "{1}"}}
 
 
 def test_search_splits_the_cube_bar_at_the_first_assignment():
@@ -376,8 +383,7 @@ def test_search_splits_the_cube_bar_at_the_first_assignment():
     body = cube_bar_instance(16)
     spec = SplitSpec(3, {0b001: math.log2(30), 0b111: math.log2(4096)})
     got = find_split_exhaustive(body, spec)
-    assert list(got.assignment) == sorted(body.points)
-    assert got.assignment == {p: 0b001 if p[0] < 30 else 0b111 for p in body.points}
+    assert got.parts == tuple(0b001 if p[0] < 30 else 0b111 for p in sorted(body.points))
     for caps, fits in (((30, 34), True), ((29, 34), False), ((30, 33), False)):
         spec = SplitSpec(3, {0b001: math.log2(caps[0]), 0b111: math.log2(caps[1])})
         assert verify_split(body, spec, got) is fits
@@ -406,7 +412,7 @@ def test_exhaustive_search_on_benchmark_shaped_splits():
         got, want = find_split_exhaustive(body, spec), _reference_find_split_exhaustive(body, spec)
         assert (got is not None) == (want is not None) == exists, seed
         if exists:
-            assert got.assignment == want.assignment, seed
+            assert got == want, seed
         exists_seen.add(exists)
     assert exists_seen == {True, False}
 
@@ -466,7 +472,7 @@ def _split_cases(draw):
     spec = SplitSpec(m, {mask: draw(budget) for mask in masks})
     labels = [draw(st.sampled_from(masks)) for _ in pts]
     body = FiniteBody(m, base, frozenset(pts))
-    return body, spec, SplitResult(dict(zip(sorted(pts), labels)))
+    return body, spec, SplitResult(tuple(labels))
 
 
 @settings(max_examples=300, deadline=None)
@@ -476,7 +482,7 @@ def test_split_searches_match_their_references(case):
     got, want = find_split_exhaustive(body, spec), _reference_find_split_exhaustive(body, spec)
     assert (got is None) == (want is None)
     if got is not None:
-        assert got.assignment == want.assignment
+        assert got == want
     assert verify_split(body, spec, split) == _reference_verify_split(
         body, spec, split
     )
@@ -560,7 +566,7 @@ def test_infinite_budgets_split_and_render():
         {"part": [1, 2], "bits": math.inf},
     ]
     result = find_split_exhaustive(body, spec)
-    assert set(result.assignment.values()) == {0b11}
+    assert set(result.parts) == {0b11}
     assert find_split_exhaustive(body, SplitSpec(2, {0b01: math.inf})) is not None
     assert find_split_exhaustive(body, SplitSpec(2, {0b11: -math.inf})) is None
 
@@ -568,7 +574,7 @@ def test_infinite_budgets_split_and_render():
 def test_verify_split_compares_counts_with_the_cap():
     # nine points in one part: log2(9) = 3.17 bits; the cap decides
     body = FiniteBody(2, 3, frozenset(product(range(3), repeat=2)))
-    split = SplitResult({p: 0b11 for p in body.points})
+    split = SplitResult((0b11,) * 9)
     near = Fraction(math.log2(9))  # within 1e-15 of log2(9)
     for bits, ok in ((near, True), (3.0, False), (math.log2(8.999), False),
                      (near - Fraction(999, 10**12), True),
