@@ -186,11 +186,11 @@ class DimensionCounterexample(Record):
             },
             "entropy_slack": {
                 "exact": str(self.entropy_slack),
-                "float": self.entropy_slack.to_float(),
+                "float": self.entropy_slack.json_float(),
             },
             "margin_times_log_base": {
                 "exact": str(self.margin_times_log_base),
-                "float": self.margin_times_log_base.to_float(),
+                "float": self.margin_times_log_base.json_float(),
             },
         }
 

@@ -116,7 +116,7 @@ def _cmd_eval(args) -> tuple[int, dict]:
         "canonical": format_inequality(ineq, names),
         "mode": "exact",
         "slack_exact": str(slack),
-        "slack_float": slack.to_float(),
+        "slack_float": slack.json_float(),
         "outcome": "violated" if sign < 0 else "holds",
     }
     return (2 if sign < 0 else 0), report
@@ -153,10 +153,10 @@ def _cmd_group_search(args) -> tuple[int, dict]:
     report["subgroups"] = groups.subgroups_to_json(found.subgroups)
     report["entropy_point"] = {
         mask_label(s, names): {"exact": str(found.point[s]),
-                               "float": found.point[s].to_float()}
+                               "float": found.point[s].json_float()}
         for s in subsets(ineq.m)
     }
-    report["slack"] = {"exact": str(found.slack), "float": found.slack.to_float()}
+    report["slack"] = {"exact": str(found.slack), "float": found.slack.json_float()}
     return 2, report
 
 
@@ -251,8 +251,6 @@ def _cmd_split(args) -> tuple[int, dict]:
 
 
 def _cmd_demo(args) -> tuple[int, dict]:
-    if args.what != "cube-bar":
-        raise ValueError(f"unknown demo {args.what!r}")
     body = splitting.cube_bar_instance(args.k)
     check = splitting.check_unsplit_inequality(body)
     lw = splitting.loomis_whitney_slack(body)

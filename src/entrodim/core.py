@@ -117,13 +117,27 @@ class ExactLogLin:
         return loglin_sign(self)
 
     def to_float(self) -> float:
-        """Float rendering in bits with the sign of sign(), 0.0 for 0; summed
-        from decimal logarithms (_ln_sum) where a float sum has another sign."""
-        x = math.fsum(a / self._den * math.log2(n) for n, a in self._nums)
+        """Float rendering in bits with the sign of sign(): 0.0 for 0, ±inf
+        past the float range; summed from decimal logarithms (_ln_sum) where
+        a float sum overflows or has another sign.  Never raises."""
         s = loglin_sign(self)
-        if s and (x > 0) - (x < 0) != s:
-            x = float(_ln_sum(self.terms, 1 << 60) / _ln_sum([(1, 2)], 1 << 60))
-        return x if s else 0.0
+        if not s:
+            return 0.0
+        try:
+            x = math.fsum(a / self._den * math.log2(n) for n, a in self._nums)
+        except (OverflowError, ValueError):  # a term or the sum past the float range
+            x = math.nan
+        if not 0 < x * s < math.inf:  # another sign, nan or infinite
+            try:
+                x = float(_ln_sum(self.terms, 1 << 60) / _ln_sum([(1, 2)], 1 << 60))
+            except OverflowError:
+                x = math.copysign(math.inf, s)
+        return x
+
+    def json_float(self) -> float | None:
+        """to_float() for a report: None past the float range, as JSON has no infinity."""
+        x = self.to_float()
+        return x if math.isfinite(x) else None
 
     def __str__(self) -> str:
         terms = self.terms

@@ -304,8 +304,16 @@ def dihedral(n: int, name: str = "") -> FiniteGroup:
     )
 
 
+#: the largest perm_degree and group order from_permutations builds (S6: 720)
+MAX_PERM_DEGREE = 64
+MAX_GROUP_ORDER = 720
+
+
 def from_permutations(degree: int, generators, name: str = "") -> FiniteGroup:
-    """Group generated by permutations (tuples mapping i -> p[i]) of 0..degree-1."""
+    """Group generated by permutations (tuples mapping i -> p[i]) of 0..degree-1;
+    ValueError past MAX_PERM_DEGREE or MAX_GROUP_ORDER, before it is built."""
+    if not 0 <= degree <= MAX_PERM_DEGREE:
+        raise ValueError(f"perm_degree must be in 0..{MAX_PERM_DEGREE}, got {degree}")
     identity = tuple(range(degree))
     for p in generators:
         if tuple(sorted(p)) != identity:
@@ -316,16 +324,15 @@ def from_permutations(degree: int, generators, name: str = "") -> FiniteGroup:
     while frontier:  # right products reach the group, as in subgroup_from_generators
         p = frontier.pop()
         for q in gens:
-            r = tuple(p[q[i]] for i in range(degree))
+            r = tuple(map(p.__getitem__, q))  # i -> p[q[i]]
             if r not in elems:
                 elems.add(r)
                 frontier.append(r)
+        if len(elems) > MAX_GROUP_ORDER:
+            raise ValueError(f"the generators give a group of order above {MAX_GROUP_ORDER}")
     ordered = [identity] + sorted(elems - {identity})
     index = {p: i for i, p in enumerate(ordered)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(degree))] for q in ordered)
-        for p in ordered
-    )
+    table = tuple(tuple(index[tuple(map(p.__getitem__, q))] for q in ordered) for p in ordered)
     return FiniteGroup._of_valid(len(ordered), table, name)
 
 

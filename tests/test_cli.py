@@ -227,6 +227,51 @@ def test_catalog_order_64_is_accepted(capsys):
     assert code == 0 and report["outcome"] == "none within catalog"
 
 
+_HUGE = "9" * 400  # a coefficient whose slack in bits is past the float range
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["eval", "--ineq", f"{_HUGE} H(x) >= 0", "--dist", "@support"], 0),
+    (["group-search", "--ineq", f"{_HUGE} H(x,y) <= H(x)", "--max-order", "4"], 2),
+    (["counterexample", "--ineq", f"{_HUGE} H(x,y) <= H(x)"], 2),
+], ids=["eval", "group-search", "counterexample"])
+def test_a_slack_past_the_float_range_keeps_its_exact_verdict(capsys, tmp_path, argv, want):
+    support = write_json(tmp_path / "s.json", {"m": 1, "support": [[0], [1]]})
+    code, report, err = run(capsys, *[support if a == "@support" else a for a in argv])
+    assert (code, err) == (want, "")
+    slack = {
+        "eval": lambda r: {"exact": r["slack_exact"], "float": r["slack_float"]},
+        "group-search": lambda r: r["slack"],
+        "counterexample": lambda r: r["counterexample"]["entropy_slack"],
+    }[argv[0]](report)
+    assert slack["float"] is None
+    assert int(slack["exact"]) == (int(_HUGE) if want == 0 else 1 - int(_HUGE))
+    if argv[0] == "counterexample":
+        margin = report["counterexample"]["margin_times_log_base"]
+        assert margin["float"] is None and margin["exact"].startswith("9" * 399)
+
+
+@pytest.mark.parametrize("group, message", [
+    ({"perm_degree": 10**9, "generators": []},
+     f"perm_degree must be in 0..64, got {10**9}"),
+    ({"perm_degree": 9, "generators": [[1, 0, *range(2, 9)], [*range(1, 9), 0]]},
+     "the generators give a group of order above 720"),
+], ids=["degree", "S9"])
+def test_a_group_from_generators_past_its_bounds_is_refused(capsys, tmp_path, group, message):
+    # refused before the group is built: S9 would need a table of 362,880**2
+    # entries, and the degree alone a tuple of 10**9 ints
+    groups_file = write_json(tmp_path / "g.json", [group])
+    group_file = write_json(tmp_path / "h.json", group)
+    subgroups = write_json(tmp_path / "s.json", [[0]])
+    for argv in (["group-search", "--ineq", "H(x,y) <= H(x) + H(y)", "--groups", groups_file],
+                 ["counterexample", "--ineq", "H(x,y) <= H(x)", "--group", group_file,
+                  "--subgroups", subgroups]):
+        start = time.perf_counter()
+        code, report, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert (code, report, err) == (1, None, f"error: ValueError: {message}\n")
+
+
 def test_group_search_custom_catalog(capsys, tmp_path):
     cat = write_json(tmp_path / "cat.json", [KLEIN_JSON])
     code, report, _ = run(

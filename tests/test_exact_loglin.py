@@ -6,6 +6,7 @@ sizes computed from it."""
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -351,3 +352,30 @@ def test_uniform_fiber_reports_the_smallest_bad_key():
     # 4/2 = 2 points per key, but key (1,) has 3 and key (2,) has 1
     w = CantorWitness(2, 3, {(1, 0), (1, 1), (1, 2), (2, 0)})
     assert uniform_fiber(w, 0b01) == _ref_uniform_fiber(w, 0b01) == NonUniform((1,))
+
+
+@pytest.mark.parametrize("terms, want", [
+    ([(10**400, 2)], math.inf),
+    ([(-(10**400), 3)], -math.inf),
+    ([(10**400, 4), (-2 * 10**400, 2)], 0.0),  # zero, with coefficients past the float range
+    ([(10**400, 3), (-(10**400), 2)], math.inf),
+    ([(Fraction(10**400, 10**400 - 1), 2)], 1.0),  # a large fraction, a small value
+    ([(Fraction(1, 10**400), 2)], 0.0),  # below the float range: a positive 0.0
+])
+def test_to_float_never_raises(terms, want):
+    x = ExactLogLin(terms)
+    assert x.to_float() == want
+    assert math.copysign(1, x.to_float()) == (x.sign() or 1)
+    assert x.json_float() == (want if math.isfinite(want) else None)
+
+
+def test_to_float_of_a_small_sum_of_terms_past_the_float_range():
+    # a*log2(3) - b, b the integer part of a*log2(3): each term is past the
+    # float range, the sum is in (0, 1)
+    a = 10**400
+    with localcontext() as ctx:
+        ctx.prec = 500
+        b = int(Decimal(a) * Decimal(3).ln() / Decimal(2).ln())
+    x = ExactLogLin([(a, 3), (-b, 2)])
+    assert 0 < x.to_float() < 1
+    assert x.json_float() == x.to_float()
