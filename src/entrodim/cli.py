@@ -20,8 +20,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import cantor, core, distributions, groups, shannon, splitting
-from .dsl import format_inequality, parse_with_names, rational_text
-from .linear import mask_label, mask_of, subsets
+from .dsl import format_inequality, parse_with_names
+from .linear import mask_label, mask_of, rational_text, subsets
 
 
 class UsageError(ValueError):

@@ -18,7 +18,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linear import LinearInequality, RationalLike, Record, _ratio, mask_label, subsets
+from .linear import (LinearInequality, RationalLike, Record, _ratio, mask_label,
+                     rational_text, subsets)
 
 
 class ExactLogLin:
@@ -147,11 +148,11 @@ class ExactLogLin:
         for q, n in terms:
             mag = abs(q)
             if n == 2:
-                body = str(mag)
+                body = rational_text(mag)
             elif mag == 1:
                 body = f"log2({n})"
             else:
-                body = f"{mag}*log2({n})"
+                body = f"{rational_text(mag)}*log2({n})"
             chunks.append(("-" if q < 0 else "+", body))
         head_sign, head = chunks[0]
         out = head if head_sign == "+" else "-" + head

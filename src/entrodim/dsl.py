@@ -32,7 +32,7 @@ import re
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .linear import LinearInequality, mask_positions
+from .linear import LinearInequality, mask_positions, rational_text
 
 # every non-space character starts a token, so finditer skips only
 # whitespace; one that starts no other token is "bad"
@@ -218,23 +218,6 @@ def parse_inequality(
 ) -> LinearInequality:
     """Parse inequality text into canonical "sum c_T H(T) >= 0" form."""
     return parse_with_names(text, declared_vars)[0]
-
-
-def rational_text(q: int | Fraction) -> str:
-    """str(q) for an int or Fraction of any size.  An int longer than str
-    writes (sys.get_int_max_str_digits) is split at a power of ten near
-    its middle digit, and each part written in turn."""
-    try:
-        return str(q)
-    except ValueError:
-        pass
-    if q.denominator != 1:
-        return rational_text(q.numerator) + "/" + rational_text(q.denominator)
-    if q < 0:
-        return "-" + rational_text(-q)
-    k = q.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
-    high, low = divmod(q, 10**k)
-    return rational_text(high) + rational_text(low).zfill(k)
 
 
 def _render_side(ineq: LinearInequality, sign: int, names: Sequence[str]) -> str:

@@ -16,15 +16,14 @@ integer identity.
 Groups are Cayley tables over element indices 0..n-1 with the identity
 pinned at index 0.  A table given from outside (FiniteGroup(...), JSON,
 group_from_table) is fully validated (identity, inverses,
-associativity) at construction; the constructors below build tables
-that are groups by construction and skip that check.
+associativity) at construction; the constructors below fill tables from
+their generators' right multiplications and skip that check.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from . import distributions, points
 from .core import EntropyVector, ExactLogLin, eval_slack, loglin_sign
@@ -52,6 +51,18 @@ class NotAssociative(GroupTableError):
         self.triple = (a, b, c)
 
 
+def _reach(table, gens, reached: set) -> None:
+    """Extend reached in place by the right products of its elements by gens."""
+    frontier = list(reached)
+    while frontier:
+        row = table[frontier.pop()]
+        for s in gens:
+            b = row[s]
+            if b not in reached:
+                reached.add(b)
+                frontier.append(b)
+
+
 def _light_test(tab) -> bool:
     """Whether a table with a two-sided identity at 0 is associative, by
     Light's test on a generating set.
@@ -65,20 +76,11 @@ def _light_test(tab) -> bool:
     each is the least element not yet reached by right products.  Each
     check compares one row of products with another, for every x.
     """
-    n = len(tab)
     reached, gens = {0}, []
-    for g in range(n):
-        if g in reached:
-            continue
-        gens.append(g)
-        frontier = list(reached) + [g]
-        reached.add(g)
-        while frontier:
-            a = tab[frontier.pop()]
-            for s in gens:
-                if a[s] not in reached:
-                    reached.add(a[s])
-                    frontier.append(a[s])
+    for g in range(len(tab)):
+        if g not in reached:  # then _reach adds g = 0*g
+            gens.append(g)
+            _reach(tab, gens, reached)
     return all(tab[rx[g]] == tuple(map(rx.__getitem__, tab[g])) for g in gens for rx in tab)
 
 
@@ -111,17 +113,6 @@ class FiniteGroup(Record):
                     for c in range(n):
                         if tab_ab[c] != ra[rb[c]]:
                             raise NotAssociative(a, b, c)
-
-    @classmethod
-    def _of_valid(cls, order: int, table, name: str) -> "FiniteGroup":
-        """A group on a tuple-of-tuples table that is a group by
-        construction (built here from a group law), kept without the
-        O(n**3) check."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "order", order)
-        object.__setattr__(out, "table", table)
-        object.__setattr__(out, "name", name)
-        return out
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
@@ -212,16 +203,7 @@ def subgroup_from_generators(g: FiniteGroup, gens) -> Subgroup:
         if not 0 <= a < g.order:
             raise ValueError(f"generator index {a} out of range")
     closure = {0}
-    frontier = [0]
-    gens = list(gens)
-    table = g.table
-    while frontier:
-        a = frontier.pop()
-        for b in gens:
-            prod_ = table[a][b]
-            if prod_ not in closure:
-                closure.add(prod_)
-                frontier.append(prod_)
+    _reach(g.table, list(gens), closure)
     # right products by generators reach every word in them from e; in a
     # finite group each inverse is a positive power, so the words are
     # the whole subgroup
@@ -263,24 +245,41 @@ def all_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
 # constructors and the built-in catalog
 
 
+def _from_right_maps(order: int, maps, name: str) -> FiniteGroup:
+    """The group on 0..order-1, identity 0, generated by the elements s
+    whose right multiplications x -> x*s are the maps.  Column b = x*s of
+    the table is column x mapped through s, as a*b = (a*x)*s; the maps
+    come from a group law, so the table skips FiniteGroup's O(n**3) check."""
+    cols = [tuple(range(order))] + [None] * (order - 1)
+    reached = [0]
+    for x in reached:  # the list grows as it is walked
+        for s in maps:
+            b = s[x]
+            if cols[b] is None:
+                cols[b] = tuple(map(s.__getitem__, cols[x]))
+                reached.append(b)
+    out = object.__new__(FiniteGroup)
+    out.__dict__.update(order=order, table=tuple(zip(*cols)), name=name)
+    return out
+
+
 def cyclic(n: int, name: str = "") -> FiniteGroup:
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup._of_valid(n, table, name or f"Z{n}")
+    return _from_right_maps(n, [(*range(1, n), 0)], name or f"Z{n}")
 
 
 def direct_product(*groups: FiniteGroup, name: str = "") -> FiniteGroup:
     if not groups:
         raise ValueError("direct product needs at least one factor")
     # element index = mixed-radix encoding of per-factor indices
-    coords = list(product(*(range(g.order) for g in groups)))
-    index = {xs: i for i, xs in enumerate(coords)}
-
-    def mul(xs, ys):
-        return index[tuple(g.table[x][y] for g, x, y in zip(groups, xs, ys))]
-
-    table = tuple(tuple(mul(xs, ys) for ys in coords) for xs in coords)
+    order = prod(g.order for g in groups)
+    maps, stride = [], order
+    for g in groups:
+        stride //= g.order
+        for e in range(1, g.order):  # a right product by e changes this factor's digit
+            step = [(row[e] - d) * stride for d, row in enumerate(g.table)]
+            maps.append(tuple(i + step[i // stride % g.order] for i in range(order)))
     default = "x".join(g.name or f"?{g.order}" for g in groups)
-    return FiniteGroup._of_valid(len(coords), table, name or default)
+    return _from_right_maps(order, maps, name or default)
 
 
 def dihedral(n: int, name: str = "") -> FiniteGroup:
@@ -288,20 +287,13 @@ def dihedral(n: int, name: str = "") -> FiniteGroup:
 
     Element s*n + r is "rotate by r, then flip s times"; the product rule
     is (r1,s1)(r2,s2) = (r1 + (-1)^s1 * r2, s1 xor s2) and the identity
-    (0,0) lands at index 0.
+    (0,0) lands at index 0.  It is generated by (1,0) and (0,1).
     """
     if n < 1:
         raise ValueError("dihedral index must be >= 1")
-    elems = [(r, s) for s in (0, 1) for r in range(n)]
-    lookup = {e: i for i, e in enumerate(elems)}
-    tab = [[0] * (2 * n) for _ in range(2 * n)]
-    for r1, s1 in elems:
-        for r2, s2 in elems:
-            r = (r1 + (r2 if s1 == 0 else -r2)) % n
-            tab[lookup[(r1, s1)]][lookup[(r2, s2)]] = lookup[(r, s1 ^ s2)]
-    return FiniteGroup._of_valid(
-        2 * n, tuple(tuple(row) for row in tab), name or f"D{n}"
-    )
+    rotate = tuple(s * n + (r + 1 - 2 * s) % n for s in (0, 1) for r in range(n))
+    flip = (*range(n, 2 * n), *range(n))
+    return _from_right_maps(2 * n, [rotate, flip], name or f"D{n}")
 
 
 #: the largest perm_degree and group order from_permutations builds (S6: 720)
@@ -332,8 +324,8 @@ def from_permutations(degree: int, generators, name: str = "") -> FiniteGroup:
             raise ValueError(f"the generators give a group of order above {MAX_GROUP_ORDER}")
     ordered = [identity] + sorted(elems - {identity})
     index = {p: i for i, p in enumerate(ordered)}
-    table = tuple(tuple(index[tuple(map(p.__getitem__, q))] for q in ordered) for p in ordered)
-    return FiniteGroup._of_valid(len(ordered), table, name)
+    maps = [tuple(index[tuple(map(p.__getitem__, q))] for p in ordered) for q in gens]
+    return _from_right_maps(len(ordered), maps, name)
 
 
 def symmetric(n: int, name: str = "") -> FiniteGroup:

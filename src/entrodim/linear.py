@@ -108,6 +108,23 @@ def common_denominator(qs: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [a * (q // d) for a, d in pairs], q
 
 
+def rational_text(q: RationalLike) -> str:
+    """str(q) for an int or Fraction of any size.  An int longer than str
+    writes (sys.get_int_max_str_digits) is split at a power of ten near
+    its middle digit, and each part written in turn."""
+    try:
+        return str(q)
+    except ValueError:
+        pass
+    if q.denominator != 1:
+        return rational_text(q.numerator) + "/" + rational_text(q.denominator)
+    if q < 0:
+        return "-" + rational_text(-q)
+    k = q.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    high, low = divmod(q, 10**k)
+    return rational_text(high) + rational_text(low).zfill(k)
+
+
 class Record:
     """An immutable value over the attributes named in ``_fields``.
 

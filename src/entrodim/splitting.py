@@ -168,13 +168,15 @@ class SplitSpec(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "SplitSpec":
-        """The spec of to_json's form; a string budget such as "p/q" is
-        read as the exact Fraction it names, and one with an exponent part
-        is a ValueError (linear.check_rational).  A part listed twice, or
-        with a repeated position, is a ValueError."""
+        """The spec of to_json's form: a string budget is read as the
+        infinity "Infinity" or "-Infinity" names, or as the exact Fraction
+        of "p/q"; one with an exponent part (linear.check_rational), a part
+        listed twice or a repeated position is a ValueError."""
         levels = {}
         for e in obj["levels"]:
             positions, b = [check_int(p, "part position") for p in e["part"]], e["bits"]
+            if b in ("Infinity", "-Infinity"):
+                b = float(b)
             mask = mask_of(positions)
             if len(set(positions)) != len(positions):
                 raise ValueError(f"repeated position in part {positions}")
@@ -185,8 +187,9 @@ class SplitSpec(Record):
 
     def to_json(self) -> dict:
         """Each budget as a float when that float is exactly the budget,
-        else as the string "p/q" (or "p"), also when no float can hold it,
-        so from_json gives back the same spec."""
+        else as a string: "Infinity" or "-Infinity" (no JSON number is
+        infinite), or "p/q" (or "p"), also when no float can hold it, so
+        from_json gives back the same spec."""
         levels = []
         for mask in sorted(self.levels):
             b = self.levels[mask]
@@ -194,6 +197,8 @@ class SplitSpec(Record):
                 f = self.bits(mask)
             except OverflowError:  # beyond the float range, such as 10**400
                 f = None
+            if b in (math.inf, -math.inf):  # written as its string
+                f, b = None, "Infinity" if b > 0 else "-Infinity"
             levels.append({"part": list(mask_positions(mask)), "bits": f if f == b else str(b)})
         return {"m": self.m, "levels": levels}
 

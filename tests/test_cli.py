@@ -251,6 +251,39 @@ def test_a_slack_past_the_float_range_keeps_its_exact_verdict(capsys, tmp_path, 
         assert margin["float"] is None and margin["exact"].startswith("9" * 399)
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["eval", "--ineq", "@<=", "--dist", "@support"], 2),
+    (["eval", "--ineq", "@>=", "--dist", "@support"], 0),
+    (["group-search", "--ineq", "@<=", "--max-order", "4"], 2),
+    (["counterexample", "--ineq", "@<=", "--max-order", "4"], 2),
+], ids=["eval", "eval-holds", "group-search", "counterexample"])
+def test_a_slack_with_a_denominator_longer_than_str_writes(capsys, tmp_path, argv, want):
+    # the slack's coefficients have some 6,000-digit denominators, past
+    # the 4,300 digits str writes of an int
+    nines, sevens = "9" * 3000, "7" * 2999 + "1"
+    texts = {op: f"1/{nines} H(x) + 1/{sevens} H(y) {op} 0" for op in ("<=", ">=")}
+    support = write_json(tmp_path / "s.json", {"m": 2, "support": [[0, 0], [1, 0], [0, 1]]})
+    argv = [texts.get(a[1:], support) if a.startswith("@") else a for a in argv]
+    code, report, err = run(capsys, *argv)
+    assert (code, err) == (want, "")
+    # with s = 1/nines + 1/sevens, the support's uniform point has slack
+    # -+s*(log2(3) - 2/3) and the first group point (Z2) slack -s
+    total = Fraction(1, int(nines)) + Fraction(1, int(sevens))
+    third, whole = _decimal_text(2 * total / 3), _decimal_text(total)
+    slack = {
+        "eval": lambda r: r["slack_exact"],
+        "group-search": lambda r: r["slack"]["exact"],
+        "counterexample": lambda r: r["counterexample"]["entropy_slack"]["exact"],
+    }[argv[0]](report)
+    if argv[0] != "eval":
+        expected = f"-{whole}"
+    elif want == 0:
+        expected = f"-{third} + {whole}*log2(3)"
+    else:
+        expected = f"{third} - {whole}*log2(3)"
+    assert slack == expected
+
+
 @pytest.mark.parametrize("group, message", [
     ({"perm_degree": 10**9, "generators": []},
      f"perm_degree must be in 0..64, got {10**9}"),
@@ -528,7 +561,10 @@ def test_split_budget_edge_cases(capsys, tmp_path, bits, code):
         if code == 1:
             assert report is None and err.startswith("error: ValueError: ")
         else:
-            assert json.dumps(report["spec"]) == json.dumps({"m": 2, "levels": levels})
+            # a JSON number cannot be infinite: an infinity is echoed as a string
+            echo = {math.inf: "Infinity", -math.inf: "-Infinity"}.get(bits, bits)
+            assert json.dumps(report["spec"]) == json.dumps(
+                {"m": 2, "levels": [{"part": [1], "bits": echo}]})
 
 
 def test_split_budget_beyond_float_range(capsys, tmp_path):

@@ -4,15 +4,17 @@ Command lines come from a token grammar and input files from JSON values
 near the shapes each subcommand reads. Whatever the input, `main` must
 return 0, 1 or 2 within a few seconds: 1 with exactly one
 `error: <Kind>: ...` line on stderr, 0 or 2 with a JSON report on stdout
-that has a `subcommand` and an `outcome`. `--help` may end the run with
-SystemExit(0). The draws are kept small (m <= 3, --max-order <= 6,
-bodies of at most 12 points, cube-bar k <= 16 or past its bound), so the
-time bound catches hangs, not long scans.
+that has a `subcommand` and an `outcome`, strict JSON with no NaN or
+Infinity. `--help` may end the run with SystemExit(0). The draws are
+kept small (m <= 3, --max-order <= 6, bodies of at most 12 points,
+cube-bar k <= 16 or past its bound), so the time bound catches hangs,
+not long scans.
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 import signal
 import tempfile
@@ -37,6 +39,11 @@ class _Hang(BaseException):
 
 def _alarm(signum, frame):
     raise _Hang(f"a command took more than {TIME_BOUND} s")
+
+
+def _not_json(token):
+    """Refuse NaN, Infinity and -Infinity, which no strict JSON reader takes."""
+    raise ValueError(f"a report holds {token}, which is not JSON")
 
 
 # -- inequality text
@@ -127,7 +134,8 @@ def _spec(draw):
     m = draw(_M)
     parts = st.lists(st.integers(1, m), min_size=1, max_size=m, unique=True).map(sorted)
     levels = draw(st.lists(st.fixed_dictionaries({
-        "part": parts, "bits": st.sampled_from([0, 1, 1.5, 2, 3, "1/2", "3/2"]),
+        "part": parts,
+        "bits": st.sampled_from([0, 1, 1.5, 2, 3, "1/2", "3/2", math.inf, -math.inf, "Infinity"]),
     }), min_size=1, max_size=3, unique_by=lambda level: tuple(level["part"])))
     return {"m": m, "levels": levels}
 
@@ -205,6 +213,8 @@ _CASE = st.tuples(
 @example((["counterexample", "--ineq", "H(x,y) <= H(x)", "--group", "@group",
            "--subgroups", "@subgroups"], {"group": WIDE, "subgroups": [[0]]}))
 @example((["demo", "cube-bar", "--k", "16", "--help"], {}))
+@example((["eval", "--ineq", f"1/{'9' * 3000} H(x) + 1/{'7' * 2999}1 H(y) <= 0",
+           "--dist", "@dist"], {"dist": {"m": 2, "support": [[0, 0], [1, 0], [0, 1]]}}))
 def test_main_keeps_the_exit_code_contract(case):
     argv, files = case
     out, err = io.StringIO(), io.StringIO()
@@ -233,6 +243,6 @@ def test_main_keeps_the_exit_code_contract(case):
         assert ERROR_LINE.fullmatch(err.getvalue()), err.getvalue()
     else:
         assert err.getvalue() == ""
-        report = json.loads(out.getvalue())
+        report = json.loads(out.getvalue(), parse_constant=_not_json)
         assert report["subcommand"] == argv[0]
         assert "outcome" in report

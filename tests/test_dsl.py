@@ -16,9 +16,8 @@ from entrodim.dsl import (
     format_inequality,
     parse_inequality,
     parse_with_names,
-    rational_text,
 )
-from entrodim.linear import LinearInequality, mask_positions, subsets
+from entrodim.linear import LinearInequality, mask_positions, rational_text, subsets
 
 
 def test_parse_basic_entropy_terms():

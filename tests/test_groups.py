@@ -282,6 +282,62 @@ def test_from_permutations_matches_two_sided_closure():
     assert from_permutations(5, s5).order == 120
 
 
+def _reference_cyclic(n: int) -> tuple:
+    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
+
+def _reference_dihedral(n: int) -> tuple:
+    """The law (r1,s1)(r2,s2) = (r1 + (-1)^s1 * r2, s1 xor s2) applied to
+    every pair, element (r, s) at index s*n + r."""
+    elems = [(r, s) for s in (0, 1) for r in range(n)]
+    index = {e: i for i, e in enumerate(elems)}
+    return tuple(
+        tuple(index[((r1 + (r2 if s1 == 0 else -r2)) % n, s1 ^ s2)] for r2, s2 in elems)
+        for r1, s1 in elems
+    )
+
+
+def _reference_product(*tables) -> tuple:
+    """The direct product's table, one dict lookup per entry, on the
+    mixed-radix numbering with the first factor most significant."""
+    coords = list(product(*(range(len(t)) for t in tables)))
+    index = {xs: i for i, xs in enumerate(coords)}
+    return tuple(
+        tuple(index[tuple(t[x][y] for t, x, y in zip(tables, xs, ys))] for ys in coords)
+        for xs in coords
+    )
+
+
+def _reference_table(name: str) -> tuple:
+    """The table of a group named as the constructors name it (Z5, D3,
+    S4, Z2xD3, ...), built from its group law entry by entry."""
+    if "x" in name:
+        return _reference_product(*map(_reference_table, name.split("x")))
+    law = {"Z": _reference_cyclic, "D": _reference_dihedral, "S": _reference_symmetric}[name[0]]
+    return law(int(name[1:]))
+
+
+def test_every_constructor_fills_the_table_of_its_group_law():
+    # symmetric(1..5) is test_symmetric_matches_reference_table's
+    built = [
+        *builtin_catalog(64),
+        *map(cyclic, range(1, 65)),
+        *map(dihedral, range(1, 13)),
+        direct_product(cyclic(2), dihedral(3)),
+        direct_product(dihedral(3), cyclic(2), symmetric(3)),
+    ]
+    for g in built:
+        assert g.table == _reference_table(g.name), g.name
+    assert built[-1].name == "D3xZ2xS3" and built[-1].order == 72
+    gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
+    s6 = _reference_symmetric(6)
+    assert from_permutations(6, gens).table == s6
+    # every element fixes 6..63, which leaves the lexicographic order and
+    # the products as they are at degree 6
+    assert from_permutations(64, [p + tuple(range(6, 64)) for p in gens]).table == s6
+    assert from_permutations(0, []).table == from_permutations(3, []).table == ((0,),)
+
+
 def test_all_subgroups():
     subs = all_subgroups(KLEIN)
     assert [h.elements for h in subs] == [

@@ -562,9 +562,10 @@ def test_infinite_budgets_split_and_render():
     spec = SplitSpec(2, {0b01: -math.inf, 0b11: math.inf})
     assert spec.levels == {0b01: -math.inf, 0b11: math.inf}
     assert spec.to_json()["levels"] == [
-        {"part": [1], "bits": -math.inf},
-        {"part": [1, 2], "bits": math.inf},
+        {"part": [1], "bits": "-Infinity"},
+        {"part": [1, 2], "bits": "Infinity"},
     ]
+    assert SplitSpec.from_json(spec.to_json()) == spec
     result = find_split_exhaustive(body, spec)
     assert set(result.parts) == {0b11}
     assert find_split_exhaustive(body, SplitSpec(2, {0b01: math.inf})) is not None
