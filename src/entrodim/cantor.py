@@ -11,7 +11,9 @@ to ExactLogLin sign tests — no floating point decides anything here.
 The headline construction: a group entropy point that violates a linear
 inequality is converted into digit sets whose projection dimensions
 violate the corresponding dimension inequality with room to spare
-(levels a_I sit a rational epsilon below the true dimensions).
+(levels a_I sit a rational epsilon below the true dimensions).  Only
+that construction reaches :mod:`entrodim.groups`, so reading a digit
+set never loads it.
 """
 
 from __future__ import annotations
@@ -20,14 +22,8 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
+from . import groups
 from .core import ExactLogLin, eval_slack
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    coset_entropy_point,
-    subgroup_from_elements,
-    witness_set,
-)
 from .linear import LinearInequality, Record, check_int, mask_label, subsets
 from .points import PointSet, pack_columns
 
@@ -35,7 +31,7 @@ Digits = tuple[int, ...]
 
 
 class CantorWitness(PointSet):
-    """A nonempty digit set A within {0..N-1}^m, representing C_A."""
+    """The digit-set file format: a nonempty A within {0..N-1}^m, for C_A."""
 
     noun = "digit"
     empty = "empty digit set"
@@ -47,13 +43,6 @@ class CantorWitness(PointSet):
     @classmethod
     def from_json(cls, obj: dict) -> "CantorWitness":
         return cls(check_int(obj["m"], "m"), check_int(obj["N"], "N"), obj["points"])
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "N": self.base,
-            "points": self.rows(),
-        }
 
 
 class DimValue(Record):
@@ -78,13 +67,13 @@ class DimValue(Record):
         return f"log2({self.cardinality})/log2({self.base})"
 
 
-def project(w: CantorWitness, subset: int) -> CantorWitness:
-    """Projection onto the coordinates in `subset` (a new witness made
+def project(w: PointSet, subset: int) -> PointSet:
+    """Projection onto the coordinates in `subset` (a new digit set made
     from w's cached shadow)."""
     return w.projection(subset)
 
 
-def dim_value(w: CantorWitness) -> DimValue:
+def dim_value(w: PointSet) -> DimValue:
     return DimValue(len(w), w.base)
 
 
@@ -94,7 +83,7 @@ class NonUniform(Record):
     _fields = ("value",)
 
 
-def uniform_fiber(w: CantorWitness, subset: int):
+def uniform_fiber(w: PointSet, subset: int):
     """Common fiber size of the projection, or NonUniform.
 
     Returns the integer f = #A / #A_I when every attained I-value has
@@ -112,7 +101,7 @@ def uniform_fiber(w: CantorWitness, subset: int):
     return NonUniform(w.decode(min(bad), subset)) if bad else n // k
 
 
-def lemma_fiber_bound(w: CantorWitness, b: Iterable[Digits], subset: int) -> bool:
+def lemma_fiber_bound(w: PointSet, b: Iterable[Digits], subset: int) -> bool:
     """Counting bound #B <= #B_I * f for any subset B of the digit set.
 
     This is the finite heart of the dimension bound for subsets of C_A
@@ -237,7 +226,7 @@ def verify_counterexample(ce: DimensionCounterexample) -> None:
 
 
 def build_counterexample(
-    ineq: LinearInequality, g: FiniteGroup, subgroups
+    ineq: LinearInequality, g: groups.FiniteGroup, subgroups
 ) -> DimensionCounterexample:
     """Theorem-2-style pipeline from a violating group point to digit sets.
 
@@ -253,13 +242,13 @@ def build_counterexample(
     g already.
     """
     subs = [
-        h if isinstance(h, Subgroup) else subgroup_from_elements(g, h)
+        h if isinstance(h, groups.Subgroup) else groups.subgroup_from_elements(g, h)
         for h in subgroups
     ]
     if len(subs) != ineq.m:
         raise ValueError(f"need {ineq.m} subgroups, got {len(subs)}")
-    support = witness_set(g, subs)
-    point = coset_entropy_point(g, subs, support=support)
+    support = groups.witness_set(g, subs)
+    point = groups.coset_entropy_point(g, subs, support=support)
     slack = eval_slack(ineq, point)
     if slack.sign() >= 0:
         raise NotViolated(slack)
@@ -267,7 +256,7 @@ def build_counterexample(
     n_base = max(g.order // h.order for h in subs)
     # the support's codes are digits below n_base (n_base >= 2, as the
     # slack is negative); the fields' widths stay those of its points
-    witness = CantorWitness._of_valid(ineq.m, n_base, support.codes, support.widths)
+    witness = PointSet._of_valid(ineq.m, n_base, support.codes, support.widths)
     # the point's check cached every fiber count of the support and found
     # each projection count to be #G/#H_I = 2**point[I], so the margin at
     # epsilon = 0 is exactly -slack; each lhs level takes epsilon off it

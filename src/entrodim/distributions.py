@@ -4,8 +4,8 @@ Finite joint distributions and their exact entropy vectors.
 Every marginal of a distribution with rational probabilities p has the
 entropy sum p * (log2 den(p) - log2 num(p)), with p in lowest terms, a
 finite rational combination of logarithms; it is kept as an ExactLogLin
-for supports (uniform distributions) and rational atoms alike.  On a
-uniform marginal with k values this is exactly log2(k).
+for point sets (read as uniform distributions) and rational atoms alike.
+On a uniform marginal with k values this is exactly log2(k).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class JointDistribution(Record):
     rationals summing to exactly 1, points are distinct m-tuples of
     nonnegative integer symbols.  ``atoms`` holds (point, probability)
     pairs, stored sorted by point, so equal distributions compare equal.
-    ``support`` holds the atoms' points as a SupportSet; its ordered()
+    ``support`` holds the atoms' points as a PointSet; its ordered()
     codes line up with the atoms, as code order is tuple order.
     """
 
@@ -47,7 +47,7 @@ class JointDistribution(Record):
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "atoms", tuple(sorted(zip(points, probs))))
-        object.__setattr__(self, "support", SupportSet._of_valid(self.m, None, codes, widths))
+        object.__setattr__(self, "support", PointSet._of_valid(self.m, None, codes, widths))
 
     @classmethod
     def from_json(cls, obj: dict) -> "JointDistribution":
@@ -66,7 +66,7 @@ class JointDistribution(Record):
 
 
 class SupportSet(PointSet):
-    """A nonempty set of m-tuples, read as the uniform distribution on it.
+    """The support file format, {"m", "support"}: a nonempty set of m-tuples.
 
     Its symbols are any nonnegative integers: base is None.
     """
@@ -96,26 +96,26 @@ def _entropy(den: int, weights: Counter) -> ExactLogLin:
     return ExactLogLin._of_valid(den, terms)
 
 
-def exact_entropy_vector(dist: SupportSet | JointDistribution) -> EntropyVector:
+def exact_entropy_vector(dist: PointSet | JointDistribution) -> EntropyVector:
     """Exact entropy vector of a distribution: rational atoms, or the
-    uniform distribution on a support.
+    uniform distribution on a point set.
 
-    Probabilities are integer weights over one denominator: a support's
-    marginal weights are its cached fiber counts over its N points, and
-    a distribution's are its atoms' numerators over their common
-    denominator, summed per key of its support's codes.
+    Probabilities are integer weights over one denominator: a
+    distribution's are its atoms' numerators over their common
+    denominator, summed per key of its support's codes, and a point
+    set's marginal weights are its cached fiber counts over its N points.
     """
     values: dict[int, ExactLogLin] = {}
-    if isinstance(dist, SupportSet):
+    if isinstance(dist, JointDistribution):
+        nums, den = common_denominator(prob for _, prob in dist.atoms)
+        support = dist.support
+        for mask in subsets(dist.m):
+            key = support.field(mask).__and__
+            marg: Counter = Counter()
+            for code, w in zip(support.ordered(), nums):
+                marg[key(code)] += w
+            values[mask] = _entropy(den, Counter(marg.values()))
+    else:
         for mask in subsets(dist.m):
             values[mask] = _entropy(len(dist), Counter(dist.fibers(mask).values()))
-        return EntropyVector(dist.m, values)
-    nums, den = common_denominator(prob for _, prob in dist.atoms)
-    support = dist.support
-    for mask in subsets(dist.m):
-        key = support.field(mask).__and__
-        marg: Counter = Counter()
-        for code, w in zip(support.ordered(), nums):
-            marg[key(code)] += w
-        values[mask] = _entropy(den, Counter(marg.values()))
     return EntropyVector(dist.m, values)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from math import factorial, gcd, prod
 
-from . import distributions, points
+from . import points
 from .core import EntropyVector, ExactLogLin, eval_slack, loglin_sign
 from .linear import MAX_VARIABLES, LinearInequality, Record, check_int, subsets
 
@@ -389,7 +389,7 @@ def coset_index_map(g: FiniteGroup, h: Subgroup) -> tuple[int, ...]:
     return tuple(idx)
 
 
-def witness_set(g: FiniteGroup, subgroups) -> distributions.SupportSet:
+def witness_set(g: FiniteGroup, subgroups) -> points.PointSet:
     """The finite set A = {(gH_1, ..., gH_m) : g in G} of coset tuples.
 
     A Subgroup is built without g's table, so each one is validated
@@ -406,7 +406,7 @@ def witness_set(g: FiniteGroup, subgroups) -> distributions.SupportSet:
     maps = [coset_index_map(g, h) for h in subs]
     widths = tuple(max(mp).bit_length() for mp in maps)
     codes = points.pack_columns(maps, widths)
-    return distributions.SupportSet._of_valid(len(subs), None, codes, widths)
+    return points.PointSet._of_valid(len(subs), None, codes, widths)
 
 
 def coset_entropy_point(g: FiniteGroup, subgroups, support=None) -> EntropyVector:

@@ -1,11 +1,11 @@
 """
 Finite sets of m-tuples of nonnegative integers, one int per point.
 
-Bodies, digit sets and supports are :class:`PointSet` values: validated
-once (:func:`check_points`) and held as one int per point
-(:func:`pack_columns`), with their shadows (the keys of the points on a
-subset mask) and fiber counts cached per mask.  Subset masks follow the
-conventions of :mod:`entrodim.linear`.
+Bodies, digit sets, supports and witness sets are :class:`PointSet`
+values: validated once (:func:`check_points`) and held as one int per
+point (:func:`pack_columns`), with their shadows (the keys of the points
+on a subset mask) and fiber counts cached per mask.  Subset masks follow
+the conventions of :mod:`entrodim.linear`.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class PointSet:
     order is kept too.  Tuples are made only by ``points``, decode and
     rows; the codes, ``==`` and hash never need them.  Instances are
     immutable values: shadows are frozensets, fiber counts are
-    read-only mappings and the order is a tuple.  Subclasses set their
-    base rule and the words used in error messages.
+    read-only mappings and the order is a tuple.  The subclasses are the
+    input file formats: each sets its base rule, error words and from_json.
     """
 
     noun = "coordinate"
@@ -173,6 +173,9 @@ class PointSet:
     def rows(self) -> list[list[int]]:
         """The points in ascending order, as lists, for JSON."""
         return list(map(list, zip(*self._columns(self.ordered(), (1 << self.m) - 1))))
+
+    def to_json(self) -> dict:
+        return {"m": self.m, "N": self.base, "points": self.rows()}
 
     def shadow(self, mask: int) -> frozenset[int]:
         """The keys of the points on mask, worked out from the smallest

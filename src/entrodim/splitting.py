@@ -44,20 +44,13 @@ MAX_CUBE_BAR_K = 100
 
 
 class FiniteBody(PointSet):
-    """A nonempty set of m-tuples with entries in 0..N-1."""
+    """The body file format: a nonempty set of m-tuples in 0..N-1."""
 
     empty = "empty body"
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteBody":
         return cls(check_int(obj["m"], "m"), check_int(obj["N"], "N"), obj["points"])
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "N": self.base,
-            "points": self.rows(),
-        }
 
 
 def projection_count(body: FiniteBody, mask: int) -> int:

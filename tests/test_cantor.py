@@ -271,7 +271,7 @@ def test_verify_counterexample_rejects_tampering():
 
 
 def test_build_counterexample_builds_one_witness_set(monkeypatch):
-    from entrodim import cantor, groups
+    from entrodim import groups
 
     calls = []
     original = groups.witness_set
@@ -280,7 +280,6 @@ def test_build_counterexample_builds_one_witness_set(monkeypatch):
         calls.append(len(subs))
         return original(g, subs)
 
-    monkeypatch.setattr(cantor, "witness_set", counted)
     monkeypatch.setattr(groups, "witness_set", counted)
     ineq = parse_inequality("H(x,y) <= H(x)")
     subs = [subgroup_from_elements(KLEIN, [0, 1]), subgroup_from_elements(KLEIN, [0])]

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -9,6 +10,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entrodim.cli import main
 from entrodim.core import ExactLogLin
 from entrodim.distributions import (
     JointDistribution,
@@ -197,6 +199,18 @@ def test_duplicate_atoms_are_found_in_linear_time():
     assert time.perf_counter() - start < 1.0
 
 
+def test_eval_refuses_a_repeated_atom_among_20000_in_one_error_line(capsys, tmp_path):
+    n = 20_000
+    atoms = [{"point": [p], "prob": f"1/{n}"} for p in [*range(n - 1), n - 2]]
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"m": 1, "atoms": atoms}))
+    start = time.perf_counter()
+    assert main(["eval", "--ineq", "H(x) >= 0", "--dist", str(path)]) == 1
+    assert time.perf_counter() - start < 10.0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: ValueError: duplicate point (19998,)\n")
+
+
 def test_duplicate_message_names_the_first_repeated_point():
     a, b = (0, 1), (1, 0)
     atoms = tuple((p, Fraction(1, 4)) for p in (a, b, b, a))
@@ -227,7 +241,8 @@ def _shuffled_atoms(draw):
     width; small values make marginals merge."""
     m = draw(st.integers(1, 4))
     bits = draw(st.lists(st.integers(1, 996), min_size=m, max_size=m, unique=True))
-    coords = st.tuples(*(st.integers(0, 3) | st.integers(0, 2**b - 1) for b in bits))
+    coords = st.tuples(*(st.integers(0, min(3, 2**b - 1)) | st.integers(0, 2**b - 1)
+                         for b in bits))
     top = tuple(2**b - 1 for b in bits)
     points = [top, *draw(st.lists(coords, max_size=12))]
     points = list(dict.fromkeys(points))

@@ -580,7 +580,7 @@ def test_subgroup_objects_are_checked_against_their_group(subs, message):
 
 
 def test_each_subgroup_is_validated_once_per_request(monkeypatch):
-    from entrodim import cantor, groups
+    from entrodim import groups
 
     checked = []
     real = groups.subgroup_from_elements
@@ -590,7 +590,6 @@ def test_each_subgroup_is_validated_once_per_request(monkeypatch):
         return real(g, elements)
 
     monkeypatch.setattr(groups, "subgroup_from_elements", counting)
-    monkeypatch.setattr(cantor, "subgroup_from_elements", counting)
     ineq = parse_inequality("H(x,y) <= H(x)")
     for given_as in (lambda arrays: arrays,
                      lambda arrays: groups.subgroups_from_json(KLEIN, arrays)):

@@ -60,17 +60,25 @@ def test_import_runs_only_linear_and_dsl():
     [
         (["check", "H(x,y) <= H(x) + H(y)"], ["cli", "shannon", "simplex"]),
         (["group-search", "--ineq", "H(x,y) <= H(x)", "--max-order", "4"],
-         ["cli", "core", "distributions", "groups", "points"]),
+         ["cli", "core", "groups", "points"]),
         (["group-search", "--ineq", "H(x) <= H(x,y)", "--max-order", "4"],
          ["cli", "core", "groups"]),
+        (["counterexample", "--ineq", "H(x,y) <= H(x)", "--max-order", "4"],
+         ["cantor", "cli", "core", "groups", "points"]),
+        (["cantor", "--witness", "@body"], ["cantor", "cli", "core", "points"]),
+        (["eval", "--ineq", "H(x,y) <= H(x)", "--dist", "@dist"],
+         ["cli", "core", "distributions", "points"]),
         (["split", "--body", "@body", "--spec", "@spec"], ["cli", "core", "points", "splitting"]),
     ],
-    ids=["check", "group-search", "group-search-none-found", "split"],
+    ids=["check", "group-search", "group-search-none-found", "counterexample", "cantor",
+         "eval", "split"],
 )
 def test_a_command_runs_only_the_modules_it_uses(tmp_path, argv, also):
     files = {
         "@body": {"m": 2, "N": 2, "points": [[0, 0], [1, 1]]},
         "@spec": {"m": 2, "levels": [{"part": [1], "bits": 1}]},
+        "@dist": {"m": 2, "atoms": [{"point": [0, 0], "prob": "1/2"},
+                                    {"point": [1, 1], "prob": "1/2"}]},
     }
     for key, obj in files.items():
         path = tmp_path / f"{key[1:]}.json"
