@@ -12,8 +12,9 @@ The headline construction: a group entropy point that violates a linear
 inequality is converted into digit sets whose projection dimensions
 violate the corresponding dimension inequality with room to spare
 (levels a_I sit a rational epsilon below the true dimensions).  Only
-that construction reaches :mod:`entrodim.groups`, so reading a digit
-set never loads it.
+that construction reaches :mod:`entrodim.groups`, and only it and the
+exact comparisons reach :mod:`entrodim.core`, so reading a digit set
+loads neither.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from . import groups
-from .core import ExactLogLin, eval_slack
+from . import core, groups
 from .linear import LinearInequality, Record, check_int, mask_label, subsets
 from .points import PointSet, pack_columns
 
@@ -59,9 +59,9 @@ class DimValue(Record):
     def to_float(self) -> float:
         return math.log2(self.cardinality) / math.log2(self.base)
 
-    def times_log_base(self) -> ExactLogLin:
+    def times_log_base(self) -> core.ExactLogLin:
         """dim * log2(N), i.e. exactly log2(cardinality)."""
-        return ExactLogLin.log2(self.cardinality)
+        return core.ExactLogLin.log2(self.cardinality)
 
     def __str__(self):
         return f"log2({self.cardinality})/log2({self.base})"
@@ -125,7 +125,7 @@ def lemma_fiber_bound(w: PointSet, b: Iterable[Digits], subset: int) -> bool:
 class NotViolated(ValueError):
     """The group point satisfies the inequality, so no counterexample."""
 
-    def __init__(self, slack: ExactLogLin):
+    def __init__(self, slack: core.ExactLogLin):
         super().__init__(
             f"coset entropy point does not violate the inequality (slack {slack})"
         )
@@ -185,18 +185,18 @@ class DimensionCounterexample(Record):
 
 
 def _margin(ineq: LinearInequality, dims: dict[int, DimValue],
-            epsilon: Fraction) -> ExactLogLin:
+            epsilon: Fraction) -> core.ExactLogLin:
     """sum lam_I * max(0, dim_I - eps) - sum mu_J * dim_J, times log2(N),
     built as one value from all of its terms."""
     terms = []
     for mask, weight in ineq.lhs_weights().items():
         dim = dims[mask]
         level = ((1, dim.cardinality), (-epsilon, dim.base))
-        if ExactLogLin(level).sign() > 0:
+        if core.ExactLogLin(level).sign() > 0:
             terms += [(weight, dim.cardinality), (-weight * epsilon, dim.base)]
     for mask, weight in ineq.rhs_weights().items():
         terms.append((-weight, dims[mask].cardinality))
-    return ExactLogLin(terms)
+    return core.ExactLogLin(terms)
 
 
 def verify_counterexample(ce: DimensionCounterexample) -> None:
@@ -249,7 +249,7 @@ def build_counterexample(
         raise ValueError(f"need {ineq.m} subgroups, got {len(subs)}")
     support = groups.witness_set(g, subs)
     point = groups.coset_entropy_point(g, subs, support=support)
-    slack = eval_slack(ineq, point)
+    slack = core.eval_slack(ineq, point)
     if slack.sign() >= 0:
         raise NotViolated(slack)
 
@@ -265,11 +265,11 @@ def build_counterexample(
         for mask in subsets(ineq.m)
     }
     total_lam = Fraction(-sum(a for a in ineq.nums.values() if a < 0), ineq.den)
-    log_n = ExactLogLin.log2(n_base)
+    log_n = core.ExactLogLin.log2(n_base)
     epsilon = None
     for k in range(1, 65):
         eps = Fraction(1, 2**k)
-        shifted = ExactLogLin.combine(((-1, slack), (-eps * total_lam, log_n)))
+        shifted = core.ExactLogLin.combine(((-1, slack), (-eps * total_lam, log_n)))
         if shifted.sign() > 0:
             epsilon = eps
             break

@@ -1,10 +1,11 @@
 """
 Command-line front end.
 
-Every subcommand prints one JSON report to stdout and uses a three-way
-exit code: 0 for success / "the property holds", 2 for a definite
-negative finding (not Shannon-type, inequality violated, no split
-exists), 1 for errors, a command line the parser refuses included — with
+Every subcommand prints one JSON report to stdout, which `main` opens
+with the subcommand and its parsed inputs, and uses a three-way exit
+code: 0 for success / "the property holds", 2 for a definite negative
+finding (not Shannon-type, inequality violated, no split exists), 1 for
+errors, a command line the parser refuses included — with
 a single machine-parsable line `error: <kind>: <detail>` on stderr.
 """
 
@@ -67,13 +68,16 @@ def _render(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _cmd_check(args) -> tuple[int, dict]:
+def _inequality(args, report: dict):
+    """The subcommand's --ineq, parsed, with its canonical text written
+    to the report."""
     ineq, names = parse_with_names(args.ineq)
-    report = {
-        "subcommand": "check",
-        "inputs": {"ineq": args.ineq},
-        "canonical": format_inequality(ineq, names),
-    }
+    report["canonical"] = format_inequality(ineq, names)
+    return ineq, names
+
+
+def _cmd_check(args, report: dict) -> int:
+    ineq, names = _inequality(args, report)
     result = shannon.is_shannon_type(ineq)
     if isinstance(result, shannon.ShannonCertificate):
         rows = shannon.elemental_inequalities(ineq.m).rows
@@ -88,7 +92,7 @@ def _cmd_check(args) -> tuple[int, dict]:
                 for r, w in sorted(result.weights.items())
             ]
         }
-        return 0, report
+        return 0
     report["outcome"] = "not-shannon-type"
     report["farkas_witness"] = {
         "point": {
@@ -98,11 +102,11 @@ def _cmd_check(args) -> tuple[int, dict]:
             sum(a * result.point.get(s, 0) for s, a in ineq.nums.items()), ineq.den
         )),
     }
-    return 2, report
+    return 2
 
 
-def _cmd_eval(args) -> tuple[int, dict]:
-    ineq, names = parse_with_names(args.ineq)
+def _cmd_eval(args, report: dict) -> int:
+    ineq, _ = _inequality(args, report)
     obj = _load_json(args.dist)
     if "atoms" in obj:
         dist = distributions.JointDistribution.from_json(obj)
@@ -110,16 +114,11 @@ def _cmd_eval(args) -> tuple[int, dict]:
         dist = distributions.SupportSet.from_json(obj)
     slack = core.eval_slack(ineq, distributions.exact_entropy_vector(dist))
     sign = slack.sign()
-    report = {
-        "subcommand": "eval",
-        "inputs": {"ineq": args.ineq, "dist": args.dist},
-        "canonical": format_inequality(ineq, names),
-        "mode": "exact",
-        "slack_exact": str(slack),
-        "slack_float": slack.json_float(),
-        "outcome": "violated" if sign < 0 else "holds",
-    }
-    return (2 if sign < 0 else 0), report
+    report["mode"] = "exact"
+    report["slack_exact"] = str(slack)
+    report["slack_float"] = slack.json_float()
+    report["outcome"] = "violated" if sign < 0 else "holds"
+    return 2 if sign < 0 else 0
 
 
 def _group_report(g: groups.FiniteGroup) -> dict:
@@ -129,25 +128,16 @@ def _group_report(g: groups.FiniteGroup) -> dict:
     return out
 
 
-def _cmd_group_search(args) -> tuple[int, dict]:
-    ineq, names = parse_with_names(args.ineq)
+def _cmd_group_search(args, report: dict) -> int:
+    ineq, names = _inequality(args, report)
     catalog = None
     if args.groups:
         catalog = [groups.FiniteGroup.from_json(o) for o in _load_json(args.groups)]
     found = groups.search_violation(ineq, groups=catalog, max_order=args.max_order)
-    report = {
-        "subcommand": "group-search",
-        "inputs": {
-            "ineq": args.ineq,
-            "max_order": args.max_order,
-            "groups": args.groups,
-        },
-        "canonical": format_inequality(ineq, names),
-    }
     if found is None:
         report["outcome"] = "none within catalog"
         report["note"] = "not a proof of non-existence; the catalog is finite"
-        return 0, report
+        return 0
     report["outcome"] = "violation found"
     report["group"] = _group_report(found.group)
     report["subgroups"] = groups.subgroups_to_json(found.subgroups)
@@ -157,21 +147,11 @@ def _cmd_group_search(args) -> tuple[int, dict]:
         for s in subsets(ineq.m)
     }
     report["slack"] = {"exact": str(found.slack), "float": found.slack.json_float()}
-    return 2, report
+    return 2
 
 
-def _cmd_counterexample(args) -> tuple[int, dict]:
-    ineq, names = parse_with_names(args.ineq)
-    report = {
-        "subcommand": "counterexample",
-        "inputs": {
-            "ineq": args.ineq,
-            "group": args.group,
-            "subgroups": args.subgroups,
-            "max_order": args.max_order,
-        },
-        "canonical": format_inequality(ineq, names),
-    }
+def _cmd_counterexample(args, report: dict) -> int:
+    ineq, _ = _inequality(args, report)
     if args.subgroups and not args.group:
         raise ValueError("--subgroups requires --group")
     if args.group:
@@ -183,7 +163,7 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
         found = groups.search_violation(ineq, max_order=args.max_order)
         if found is None:
             report["outcome"] = "no violating group point within catalog"
-            return 0, report
+            return 0
         g, subs = found.group, list(found.subgroups)
         report["searched"] = True
     ce = cantor.build_counterexample(ineq, g, subs)
@@ -191,10 +171,10 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
     report["group"] = _group_report(g)
     report["subgroups"] = groups.subgroups_to_json(subs)
     report["counterexample"] = ce.to_json()
-    return 2, report
+    return 2
 
 
-def _cmd_cantor(args) -> tuple[int, dict]:
+def _cmd_cantor(args, report: dict) -> int:
     w = cantor.CantorWitness.from_json(_load_json(args.witness))
     full = (1 << w.m) - 1
     if args.project is not None:
@@ -221,65 +201,55 @@ def _cmd_cantor(args) -> tuple[int, dict]:
             else:
                 entry["uniform_fiber"] = fiber
         entries.append(entry)
-    report = {
-        "subcommand": "cantor",
-        "inputs": {"witness": args.witness, "project": args.project},
-        "m": w.m,
-        "N": w.base,
-        "projections": entries,
-        "outcome": "ok",
-    }
-    return 0, report
+    report["m"] = w.m
+    report["N"] = w.base
+    report["projections"] = entries
+    report["outcome"] = "ok"
+    return 0
 
 
-def _cmd_split(args) -> tuple[int, dict]:
+def _cmd_split(args, report: dict) -> int:
     body = splitting.FiniteBody.from_json(_load_json(args.body))
     spec = splitting.SplitSpec.from_json(_load_json(args.spec))
     result = splitting.find_split_exhaustive(body, spec)
-    report = {
-        "subcommand": "split",
-        "inputs": {"body": args.body, "spec": args.spec},
-        "spec": spec.to_json(),
-    }
+    report["spec"] = spec.to_json()
     if result is None:
         report["outcome"] = "no split exists"
-        return 2, report
+        return 2
     report["outcome"] = "split found"
     report["split"] = result.to_json()
     report["verified"] = True  # the search recounts its split before returning it
-    return 0, report
+    return 0
 
 
-def _cmd_demo(args) -> tuple[int, dict]:
+def _cmd_demo(args, report: dict) -> int:
     body = splitting.cube_bar_instance(args.k)
     check = splitting.check_unsplit_inequality(body)
-    lw = splitting.loomis_whitney_slack(body)
     relation = ">" if check.sign > 0 else ("=" if check.sign == 0 else "<")
     verdict = "VIOLATED" if check.violated else "holds"
-    report = {
-        "subcommand": "demo",
-        "inputs": {"what": "cube-bar", "k": args.k},
-        "body": {"m": 3, "N": body.base, "size": len(body)},
-        "projections": {"S1": check.v1, "S12": check.v12, "S13": check.v13},
-        "unsplit_inequality": {
-            "lhs_product": check.lhs_product,
-            "rhs_product": check.rhs_product,
-            "relation": relation,
-            "lhs_bits": check.lhs_bits,
-            "rhs_bits": check.rhs_bits,
-            "verdict": verdict,
-        },
-        "loomis_whitney_slack": lw,
-        "outcome": (
-            f"unsplit inequality {verdict}: {check.v1}*{check.v} = "
-            f"{check.lhs_product} {relation} {check.rhs_product} = "
-            f"{check.v12}*{check.v13}"
-        ),
+    report["body"] = {"m": 3, "N": body.base, "size": len(body)}
+    report["projections"] = {"S1": check.v1, "S12": check.v12, "S13": check.v13}
+    report["unsplit_inequality"] = {
+        "lhs_product": check.lhs_product,
+        "rhs_product": check.rhs_product,
+        "relation": relation,
+        "lhs_bits": check.lhs_bits,
+        "rhs_bits": check.rhs_bits,
+        "verdict": verdict,
     }
-    return 0, report
+    report["loomis_whitney_slack"] = splitting.loomis_whitney_slack(body)
+    report["outcome"] = (
+        f"unsplit inequality {verdict}: {check.v1}*{check.v} = "
+        f"{check.lhs_product} {relation} {check.rhs_product} = "
+        f"{check.v12}*{check.v13}"
+    )
+    return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later requests:
+    parse_args fills a fresh namespace from the defaults on every call."""
     parser = _ArgumentParser(
         prog="entrodim",
         description="Exact workbench for linear entropy inequalities and "
@@ -331,18 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by later requests:
-    parse_args fills a fresh namespace from the defaults on every call."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         start = time.perf_counter()
-        code, report = args.handler(args)
+        # every report opens with the subcommand and its parsed arguments,
+        # in the order the subparser declares them; the ignored
+        # --exhaustive/--greedy flag is not an input
+        report = {"subcommand": args.command, "inputs": {
+            k: v for k, v in vars(args).items()
+            if k not in ("command", "handler", "exhaustive")}}
+        code = args.handler(args, report)
     except (ValueError, TypeError, ArithmeticError, KeyError, OSError) as exc:
         detail = str(exc) or repr(exc)
         print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)

@@ -340,7 +340,7 @@ MAX_CATALOG_ORDER = 64
 
 
 @lru_cache(maxsize=8)
-def builtin_catalog(max_order: int = 24) -> tuple[FiniteGroup, ...]:
+def builtin_catalog(max_order: int) -> tuple[FiniteGroup, ...]:
     """Deterministic catalog: cyclics, products of 2-3 cyclics, dihedral,
     symmetric — everything of order <= max_order, sorted by (order, name).
     max_order must be in 1..MAX_CATALOG_ORDER (ValueError): the products

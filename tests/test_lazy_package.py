@@ -65,7 +65,7 @@ def test_import_runs_only_linear_and_dsl():
          ["cli", "core", "groups"]),
         (["counterexample", "--ineq", "H(x,y) <= H(x)", "--max-order", "4"],
          ["cantor", "cli", "core", "groups", "points"]),
-        (["cantor", "--witness", "@body"], ["cantor", "cli", "core", "points"]),
+        (["cantor", "--witness", "@body"], ["cantor", "cli", "points"]),
         (["eval", "--ineq", "H(x,y) <= H(x)", "--dist", "@dist"],
          ["cli", "core", "distributions", "points"]),
         (["split", "--body", "@body", "--spec", "@spec"], ["cli", "core", "points", "splitting"]),
