@@ -11,10 +11,9 @@ a single machine-parsable line `error: <kind>: <detail>` on stderr.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -26,15 +25,7 @@ from .linear import mask_label, mask_of, rational_text, subsets
 
 
 class UsageError(ValueError):
-    """A command line the argument parser refuses."""
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """A parser, and subcommand parsers, that raise UsageError where
-    argparse would print its usage and exit 2."""
-
-    def error(self, message: str):
-        raise UsageError(message)
+    """A command line the reader refuses."""
 
 
 def _load_json(path: str):
@@ -68,16 +59,16 @@ def _render(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _inequality(args, report: dict):
+def _inequality(inputs: dict, report: dict):
     """The subcommand's --ineq, parsed, with its canonical text written
     to the report."""
-    ineq, names = parse_with_names(args.ineq)
+    ineq, names = parse_with_names(inputs["ineq"])
     report["canonical"] = format_inequality(ineq, names)
     return ineq, names
 
 
-def _cmd_check(args, report: dict) -> int:
-    ineq, names = _inequality(args, report)
+def _cmd_check(inputs: dict, report: dict) -> int:
+    ineq, names = _inequality(inputs, report)
     result = shannon.is_shannon_type(ineq)
     if isinstance(result, shannon.ShannonCertificate):
         rows = shannon.elemental_inequalities(ineq.m).rows
@@ -105,9 +96,9 @@ def _cmd_check(args, report: dict) -> int:
     return 2
 
 
-def _cmd_eval(args, report: dict) -> int:
-    ineq, _ = _inequality(args, report)
-    obj = _load_json(args.dist)
+def _cmd_eval(inputs: dict, report: dict) -> int:
+    ineq, _ = _inequality(inputs, report)
+    obj = _load_json(inputs["dist"])
     if "atoms" in obj:
         dist = distributions.JointDistribution.from_json(obj)
     else:
@@ -128,12 +119,12 @@ def _group_report(g: groups.FiniteGroup) -> dict:
     return out
 
 
-def _cmd_group_search(args, report: dict) -> int:
-    ineq, names = _inequality(args, report)
+def _cmd_group_search(inputs: dict, report: dict) -> int:
+    ineq, names = _inequality(inputs, report)
     catalog = None
-    if args.groups:
-        catalog = [groups.FiniteGroup.from_json(o) for o in _load_json(args.groups)]
-    found = groups.search_violation(ineq, groups=catalog, max_order=args.max_order)
+    if inputs["groups"]:
+        catalog = [groups.FiniteGroup.from_json(o) for o in _load_json(inputs["groups"])]
+    found = groups.search_violation(ineq, groups=catalog, max_order=inputs["max_order"])
     if found is None:
         report["outcome"] = "none within catalog"
         report["note"] = "not a proof of non-existence; the catalog is finite"
@@ -150,17 +141,17 @@ def _cmd_group_search(args, report: dict) -> int:
     return 2
 
 
-def _cmd_counterexample(args, report: dict) -> int:
-    ineq, _ = _inequality(args, report)
-    if args.subgroups and not args.group:
+def _cmd_counterexample(inputs: dict, report: dict) -> int:
+    ineq, _ = _inequality(inputs, report)
+    if inputs["subgroups"] and not inputs["group"]:
         raise ValueError("--subgroups requires --group")
-    if args.group:
-        if not args.subgroups:
+    if inputs["group"]:
+        if not inputs["subgroups"]:
             raise ValueError("--group requires --subgroups")
-        g = groups.FiniteGroup.from_json(_load_json(args.group))
-        subs = groups.subgroups_from_json(g, _load_json(args.subgroups))
+        g = groups.FiniteGroup.from_json(_load_json(inputs["group"]))
+        subs = groups.subgroups_from_json(g, _load_json(inputs["subgroups"]))
     else:
-        found = groups.search_violation(ineq, max_order=args.max_order)
+        found = groups.search_violation(ineq, max_order=inputs["max_order"])
         if found is None:
             report["outcome"] = "no violating group point within catalog"
             return 0
@@ -174,13 +165,13 @@ def _cmd_counterexample(args, report: dict) -> int:
     return 2
 
 
-def _cmd_cantor(args, report: dict) -> int:
-    w = cantor.CantorWitness.from_json(_load_json(args.witness))
+def _cmd_cantor(inputs: dict, report: dict) -> int:
+    w = cantor.CantorWitness.from_json(_load_json(inputs["witness"]))
     full = (1 << w.m) - 1
-    if args.project is not None:
-        positions = [int(p) for p in args.project.split(",")]
+    if inputs["project"] is not None:
+        positions = [int(p) for p in inputs["project"].split(",")]
         if len(set(positions)) != len(positions):
-            raise ValueError(f"repeated position in --project {args.project}")
+            raise ValueError(f"repeated position in --project {inputs['project']}")
         masks = [mask_of(positions, w.m)]
     else:
         masks = subsets(w.m)
@@ -208,9 +199,9 @@ def _cmd_cantor(args, report: dict) -> int:
     return 0
 
 
-def _cmd_split(args, report: dict) -> int:
-    body = splitting.FiniteBody.from_json(_load_json(args.body))
-    spec = splitting.SplitSpec.from_json(_load_json(args.spec))
+def _cmd_split(inputs: dict, report: dict) -> int:
+    body = splitting.FiniteBody.from_json(_load_json(inputs["body"]))
+    spec = splitting.SplitSpec.from_json(_load_json(inputs["spec"]))
     result = splitting.find_split_exhaustive(body, spec)
     report["spec"] = spec.to_json()
     if result is None:
@@ -222,8 +213,8 @@ def _cmd_split(args, report: dict) -> int:
     return 0
 
 
-def _cmd_demo(args, report: dict) -> int:
-    body = splitting.cube_bar_instance(args.k)
+def _cmd_demo(inputs: dict, report: dict) -> int:
+    body = splitting.cube_bar_instance(inputs["k"])
     check = splitting.check_unsplit_inequality(body)
     relation = ">" if check.sign > 0 else ("=" if check.sign == 0 else "<")
     verdict = "VIOLATED" if check.violated else "holds"
@@ -246,72 +237,131 @@ def _cmd_demo(args, report: dict) -> int:
     return 0
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by later requests:
-    parse_args fills a fresh namespace from the defaults on every call."""
-    parser = _ArgumentParser(
-        prog="entrodim",
-        description="Exact workbench for linear entropy inequalities and "
-        "the dimension counterexamples they generate.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of an argument the command line must give
+_HELP = ("help", ("-h", "--help"), bool, False, "show this help message and exit")
+_INEQ = ("ineq", ("--ineq",), str, _REQUIRED, 'inequality text, e.g. "H(x) <= H(x,y)"')
+_MAX_ORDER = ("max_order", ("--max-order",), int, 16, "largest catalog group order, 1..64")
 
-    p = sub.add_parser("check", help="decide Shannon-type membership")
-    p.add_argument("ineq", help='inequality text, e.g. "H(x) <= H(x,y)"')
-    p.set_defaults(handler=_cmd_check)
+#: each subcommand's handler, help line and arguments in declaration order:
+#: (name, flags, kind, default, help), where a positional has no flags and
+#: kind is str, int, a tuple of choices or bool, a flag that is no input
+_COMMANDS = {
+    "check": (_cmd_check, "decide Shannon-type membership", (
+        ("ineq", (), str, _REQUIRED, _INEQ[4]),)),
+    "eval": (_cmd_eval, "slack of an inequality on a distribution", (
+        _INEQ, ("dist", ("--dist",), str, _REQUIRED, "distribution or support JSON file"))),
+    "group-search": (_cmd_group_search, "scan groups for a violating point", (
+        _INEQ, _MAX_ORDER,
+        ("groups", ("--groups",), str, None, "JSON file with a custom group catalog"))),
+    "counterexample": (_cmd_counterexample, "build a dimension counterexample from a group", (
+        _INEQ, ("group", ("--group",), str, None, "group JSON file (else: catalog search)"),
+        ("subgroups", ("--subgroups",), str, None, "JSON file with subgroup element lists"),
+        _MAX_ORDER)),
+    "cantor": (_cmd_cantor, "dimensions of a digit-set witness", (
+        ("witness", ("--witness",), str, _REQUIRED, "digit-set witness JSON file"),
+        ("project", ("--project",), str, None, 'projection coordinates, e.g. "1,3"'))),
+    "split": (_cmd_split, "search for a budgeted splitting", (
+        ("body", ("--body",), str, _REQUIRED, "body JSON file"),
+        ("spec", ("--spec",), str, _REQUIRED, "split spec JSON file"),
+        ("exhaustive", ("--exhaustive", "--greedy"), bool, False,
+         "accepted and ignored: the one search is exact"))),
+    "demo": (_cmd_demo, "built-in demonstrations", (
+        ("what", (), ("cube-bar",), _REQUIRED, "the demonstration: cube-bar"),
+        ("k", ("--k",), int, _REQUIRED, "cube side, a perfect square in 4..100"))),
+}
+#: each parser's arguments, the program's (None) first, and the flags naming them
+_ARGS = {None: (("command", (), tuple(_COMMANDS), _REQUIRED, "one of:"),),
+         **{command: entry[2] for command, entry in _COMMANDS.items()}}
+_FLAGS = {c: {flag: arg for arg in (_HELP, *args) for flag in arg[1]} for c, args in _ARGS.items()}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's: a positional
 
-    p = sub.add_parser("eval", help="slack of an inequality on a distribution")
-    p.add_argument("--ineq", required=True)
-    p.add_argument("--dist", required=True, help="distribution or support JSON file")
-    p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("group-search", help="scan groups for a violating point")
-    p.add_argument("--ineq", required=True)
-    p.add_argument("--max-order", type=int, default=16)
-    p.add_argument("--groups", help="JSON file with a custom group catalog")
-    p.set_defaults(handler=_cmd_group_search)
+def _refused(arg, message: str) -> UsageError:
+    return UsageError(f"argument {'/'.join(arg[1]) or arg[0]}: {message}")
 
-    p = sub.add_parser(
-        "counterexample", help="build a dimension counterexample from a group"
-    )
-    p.add_argument("--ineq", required=True)
-    p.add_argument("--group", help="group JSON file (else: catalog search)")
-    p.add_argument("--subgroups", help="JSON file with subgroup element lists")
-    p.add_argument("--max-order", type=int, default=16)
-    p.set_defaults(handler=_cmd_counterexample)
 
-    p = sub.add_parser("cantor", help="dimensions of a digit-set witness")
-    p.add_argument("--witness", required=True)
-    p.add_argument("--project", help='projection coordinates, e.g. "1,3"')
-    p.set_defaults(handler=_cmd_cantor)
+def _option(token: str, flags: dict):
+    """As argparse reads a token: None for a positional, else (argument or None, '=' value)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if name not in flags and token[1] == "-":  # the prefix of one long flag
+        hits = [flag for flag in flags if flag.startswith(name)]
+        if len(hits) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(hits)}")
+        name = hits[0] if hits else name
+    if name in flags:
+        return flags[name], value if eq else None
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
 
-    p = sub.add_parser("split", help="search for a budgeted splitting")
-    p.add_argument("--body", required=True)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--exhaustive", "--greedy", action="store_true",
-                   help="accepted and ignored: the one search is exact")
-    p.set_defaults(handler=_cmd_split)
 
-    p = sub.add_parser("demo", help="built-in demonstrations")
-    p.add_argument("what", choices=["cube-bar"])
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_demo)
+def _help(command) -> None:
+    """Write the --help text of the program (command None) or of one
+    subcommand from the table, and exit 0."""
+    usage, rows = ["usage: entrodim", *[command] * bool(command), "[-h]"], []
+    for name, flags, kind, default, text in _ARGS[command]:
+        shown = f"{'/'.join(flags)} {'' if kind is bool else name.upper() if flags else name}"
+        usage.append(shown.strip() if default is _REQUIRED else f"[{shown.strip()}]")
+        rows.append((shown.strip(), text))
+    rows += [(c, e[1]) for c, e in _COMMANDS.items() if command is None] + [("-h/--help", _HELP[4])]
+    about = (_COMMANDS[command][1] if command else "Exact workbench for linear entropy "
+             "inequalities and the dimension counterexamples they generate.")
+    print(" ".join(usage), "", about, "", *(f"  {a:24}  {b}" for a, b in rows), sep="\n")
+    raise SystemExit(0)
 
-    return parser
+
+def _read_argv(tokens, command=None) -> tuple:
+    """The subcommand and its inputs, in table order, read as argparse reads
+    argv; for the tokens after a subcommand, its inputs and the tokens left."""
+    args, flags, n = _ARGS[command], _FLAGS[command], len(tokens)
+    values = {arg[0]: arg[3] for arg in args if arg[2] is not bool}
+    slots = [arg for arg in args if not arg[1]]  # the positionals, in order
+    cut = tokens.index("--") if "--" in tokens else n  # only positionals after it
+    extras, i = [], 0
+    while i < n:
+        token, i = tokens[i], i + 1
+        hit = _option(token, flags) if i <= cut else None
+        arg, value = hit or (slots.pop(0) if slots and i - 1 != cut else None, token)
+        if arg is None:  # an unknown flag, a positional too many, or "--"
+            if not (i - 1 == cut and slots and i < n):  # "--" goes with a positional after it
+                extras.append(token)
+            continue
+        if arg[2] is bool:  # -h/--help, or a flag that is no input
+            if value is not None:
+                raise _refused(arg, f"ignored explicit argument {value!r}")
+            if arg is _HELP:
+                _help(command)
+            continue
+        if hit and value is None:
+            if i == cut or i == n or _option(tokens[i], flags) is not None:
+                raise _refused(arg, "expected one argument")
+            value, i = tokens[i], i + 1
+        if arg[2] is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _refused(arg, f"invalid int value: {value!r}") from None
+        elif arg[2] is not str and value not in arg[2]:
+            choices = ", ".join(map(repr, arg[2]))
+            raise _refused(arg, f"invalid choice: {value!r} (choose from {choices})")
+        values[arg[0]] = value
+        if command is None:  # the subcommand reads the rest
+            inputs, more = _read_argv(tokens[i:], value)
+            if extras + more:
+                raise UsageError("unrecognized arguments: " + " ".join(extras + more))
+            return value, inputs
+        i += hit is None and i == cut  # a "--" just after a positional goes with it
+    if missing := ["/".join(arg[1]) or arg[0] for arg in args if values.get(arg[0]) is _REQUIRED]:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    return values, extras
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        command, inputs = _read_argv(sys.argv[1:] if argv is None else argv)
         start = time.perf_counter()
-        # every report opens with the subcommand and its parsed arguments,
-        # in the order the subparser declares them; the ignored
-        # --exhaustive/--greedy flag is not an input
-        report = {"subcommand": args.command, "inputs": {
-            k: v for k, v in vars(args).items()
-            if k not in ("command", "handler", "exhaustive")}}
-        code = args.handler(args, report)
+        report = {"subcommand": command, "inputs": inputs}
+        code = _COMMANDS[command][0](inputs, report)
     except (ValueError, TypeError, ArithmeticError, KeyError, OSError) as exc:
         detail = str(exc) or repr(exc)
         print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)

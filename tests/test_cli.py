@@ -1,7 +1,11 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,9 +14,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from entrodim import splitting
+from entrodim import cli, splitting
 from entrodim.cli import _render, main
 from entrodim.dsl import parse_inequality
 from entrodim.shannon import is_shannon_type
@@ -208,7 +212,7 @@ def test_group_search_none(capsys):
 
 
 @pytest.mark.parametrize("command", ["group-search", "counterexample"])
-@pytest.mark.parametrize("max_order", ["100000", "65", "0"])
+@pytest.mark.parametrize("max_order", ["100000", "65", "0", "-1"])
 def test_catalog_order_out_of_range_is_an_error(capsys, command, max_order):
     # refused before any group is built: 100000 would take minutes
     start = time.perf_counter()
@@ -665,6 +669,13 @@ def test_demo_k_is_bounded(capsys):
     (["check"], "the following arguments are required: ineq"),
     (["check", "H(x) >= 0", "extra"], "unrecognized arguments: extra"),
     ([], "the following arguments are required: command"),
+    (["frob"], "argument command: invalid choice: 'frob' (choose from 'check', 'eval', "
+               "'group-search', 'counterexample', 'cantor', 'split', 'demo')"),
+    (["demo", "sphere", "--k", "4"],
+     "argument what: invalid choice: 'sphere' (choose from 'cube-bar')"),
+    (["split", "--body"], "argument --body: expected one argument"),
+    (["group-search", "--ineq", "H(x) >= 0", "--max-order", "1.5"],
+     "argument --max-order: invalid int value: '1.5'"),
 ])
 def test_usage_errors_are_one_line_and_exit_1(capsys, argv, message):
     code, report, err = run(capsys, *argv)
@@ -676,6 +687,130 @@ def test_help_still_exits_0(capsys):
         main(["demo", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: entrodim demo")
+
+
+@pytest.mark.parametrize("argv, names", [
+    ([], ["check", "eval", "group-search", "counterexample", "cantor", "split", "demo"]),
+    (["check"], ["ineq"]),
+    (["eval"], ["--ineq", "--dist"]),
+    (["group-search"], ["--ineq", "--max-order", "--groups"]),
+    (["counterexample"], ["--ineq", "--group", "--subgroups", "--max-order"]),
+    (["cantor"], ["--witness", "--project"]),
+    (["split"], ["--body", "--spec", "--exhaustive", "--greedy"]),
+    (["demo"], ["--k"]),
+])
+def test_help_lists_every_argument(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: entrodim", *argv]))
+    assert all(name in out for name in [*names, "-h", "--help"])
+
+
+class _Refused(Exception):
+    """argparse's refusal, raised where it would exit 2."""
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Refused(message)
+
+
+def _reference_parser():
+    """argparse built from the reader's table: the reference it must match."""
+    parser = _ReferenceParser(prog="entrodim")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, about, args) in cli._COMMANDS.items():
+        sub = commands.add_parser(command, help=about)
+        for name, flags, kind, default, text in args:
+            if kind is bool:
+                sub.add_argument(*flags, dest=name, action="store_true", help=text)
+                continue
+            options = {"choices": kind} if type(kind) is tuple else {"type": kind}
+            if flags:
+                required = default is cli._REQUIRED
+                options.update(dest=name, required=required, default=None if required else default)
+            sub.add_argument(*flags or [name], help=text, **options)
+    return parser
+
+
+def _outcome(read, argv):
+    """("inputs", subcommand, [(name, value), ...]), ("refused", text) or
+    ("exit", code) for one reading of argv."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            command, inputs = read(argv)
+    except SystemExit as exc:
+        return "exit", exc.code
+    except (cli.UsageError, _Refused) as exc:
+        # Python 3.13's argparse writes the choices without quotes
+        text = re.sub(r"\(choose from .*\)$", lambda m: m[0].replace("'", ""), str(exc))
+        return "refused", text
+    return "inputs", command, list(inputs.items())
+
+
+def _reference_read(argv):
+    namespace = vars(_REFERENCE.parse_args(argv))
+    return namespace.pop("command"), {k: v for k, v in namespace.items() if k not in _NO_INPUT}
+
+
+_VALUE = st.sampled_from(["x", "H(x) <= H(x,y)", "4", "16", "0", "1.5", "-1", "-16", "-1.5",
+                          "-.5", "cube-bar", "sphere", "a b", "-x y", "--k 4", "", "-"])
+
+
+@st.composite
+def _command_line(draw):
+    """A line one subcommand accepts, its arguments in any order, then
+    changed: tokens inserted (flags, unique prefixes, --flag=value, values,
+    "--", unknown flags, extra positionals) and some deleted (missing
+    values and arguments).  Or that line led by an ambiguous option.
+    Before the subcommand come at most an unknown flag or -h.  Newer
+    argparse (3.13) reads some lines differently from 3.10-3.12's, so
+    none is drawn: "--" before the subcommand, -h with a value glued on
+    ("-hx"), or an ambiguous option after another refused token."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    args = cli._COMMANDS[command][2]
+    parts = []
+    for name, flags, kind, default, _ in args:
+        if default is cli._REQUIRED or draw(st.booleans()):
+            value = draw(st.sampled_from(kind) if type(kind) is tuple else _VALUE)
+            parts.append(list(flags[:1]) if kind is bool else [*flags[:1], value])
+    tokens = sum(draw(st.permutations(parts)), [])
+    flags = [flag for arg in args for flag in arg[1]] + ["-h", "--help"]
+    long = [flag for flag in flags if flag.startswith("--")]
+    prefix = st.sampled_from(long).flatmap(lambda f: st.integers(3, len(f)).map(lambda k: f[:k]))
+    token = st.one_of(
+        st.sampled_from(flags), prefix, _VALUE,
+        st.builds("{}={}".format, st.one_of(st.sampled_from(long), prefix), _VALUE),
+        st.sampled_from(["--", "-x", "--frob", "--frob=1", "extra"]),
+    )
+    if draw(st.sampled_from([False] * 9 + [True])):
+        tokens.insert(0, "--=x")  # every long flag matches
+    else:
+        for _ in range(draw(st.integers(0, 3))):
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(token))
+        for _ in range(draw(st.integers(0, 2))):
+            if tokens:
+                tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+    head = draw(st.sampled_from([[command]] * 12 + [["frob"], ["-x", command], ["--frob=1", command],
+                                                     ["-h", command], ["--he=1", command]]))
+    return draw(st.sampled_from([head + tokens] * 20 + [[], ["-x"]]))
+
+
+_REFERENCE = _reference_parser()
+#: the flags that take no value, which are no inputs
+_NO_INPUT = {arg[0] for _, _, args in cli._COMMANDS.values() for arg in args if arg[2] is bool}
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_command_line())
+@example(["group-search", "--max-order", "-1", "--ineq", "H(x) >= 0"])
+@example(["demo", "--k=4", "--", "cube-bar"])
+@example(["split", "--spec", "s", "--body", "b", "--body", "c", "--gr"])
+@example(["-x", "check", "H(x) >= 0", "extra"])
+def test_the_reader_reads_as_argparse_does(argv):
+    assert _outcome(cli._read_argv, argv) == _outcome(_reference_read, argv)
 
 
 def test_reports_are_deterministic(capsys, tmp_path):

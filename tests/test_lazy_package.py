@@ -26,8 +26,9 @@ PUBLIC = sorted([
 ])
 
 #: standard modules no command needs, each milliseconds of a fresh
-#: process's start (dataclasses imports inspect)
-UNUSED_STDLIB = ("dataclasses", "inspect", "typing")
+#: process's start (dataclasses imports inspect, argparse imports gettext
+#: and shutil)
+UNUSED_STDLIB = ("argparse", "dataclasses", "gettext", "inspect", "shutil", "typing")
 
 RAN = """
 import sys, types
