@@ -125,13 +125,13 @@ class FiniteGroup(Record):
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteGroup":
         if "table" in obj:
-            table = tuple(tuple(row) for row in obj["table"])
+            table = tuple(tuple(check_int(x, "table entry") for x in row) for row in obj["table"])
             order = check_int(obj.get("order", len(table)), "order")
             return cls(order, table, obj.get("name", ""))
         if "generators" in obj:
             return from_permutations(
                 check_int(obj["perm_degree"], "perm_degree"),
-                [tuple(g) for g in obj["generators"]],
+                [tuple(check_int(x, "generator image") for x in g) for g in obj["generators"]],
                 name=obj.get("name", ""),
             )
         raise ValueError("group JSON needs either 'table' or 'generators'")
@@ -651,7 +651,8 @@ def _first_negative(
 
 
 def subgroups_from_json(g: FiniteGroup, arrays) -> list[Subgroup]:
-    return [subgroup_from_elements(g, arr) for arr in arrays]
+    return [subgroup_from_elements(g, [check_int(a, "element index") for a in arr])
+            for arr in arrays]
 
 
 def subgroups_to_json(subgroups) -> list[list[int]]:

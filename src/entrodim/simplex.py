@@ -6,14 +6,13 @@ smallest basic index on ratio ties), which rules out cycling.  It runs
 fraction-free: the tableau is an integer matrix M with one common
 denominator D, so the true tableau is M / D.  D is the determinant of
 the current basis, and every entry of M, objective row included, is a
-minor of the initial integer tableau (Bareiss, Edmonds).  A pivot on
-(r, c) with p = M[r][c] > 0 keeps row r and replaces every other row i
-by (p * M[i] - M[i][c] * M[r]) // D, a division that is exact, then
-sets D = p.  When p = D, as on most pivots of a 0/±1 matrix, the term
-p * M[i][j] // D is M[i][j]: a row whose entering-column entry is 0 is
-left as it is, and any other row changes, in place, only in the columns
-where the pivot row is nonzero.  The ratio test compares by
-cross-multiplication.
+minor of the initial integer tableau (Bareiss, Edmonds).  One loop
+pivots in place on (r, c), with p = M[r][c] > 0: row r stays, entry j
+of every other row i becomes (p * M[i][j] - M[i][c] * M[r][j]) // D, a
+division that is exact, and D becomes p.  When p = D, as on most pivots
+of a 0/±1 matrix, that is M[i][j] - M[i][c] * M[r][j] // D: only the
+rows with M[i][c] != 0 change, and only where row r is nonzero.  The
+ratio test compares by cross-multiplication.
 
 Phase 1 ends at the first basis whose objective, the sum of the
 artificials, is 0, or at the first basis with no negative reduced cost.
@@ -42,17 +41,18 @@ norm plus 1 + b_i**2.  It is taken on every call, before the first
 pivot, and a system whose bound exceeds MAX_PRODUCT_BITS raises
 SizeLimitError.
 
-Outcome is two-sided:
-
-* feasible: a solution vector y >= 0 with A y = b, and
-* infeasible: a Farkas vector u with u . A_col_j <= 0 for every column j
-  and u . b > 0, certifying that no nonnegative solution exists.
+The answer is a solution y >= 0 with A y = b, or a Farkas vector u
+with u . A_col_j <= 0 for every column j and u . b > 0, which certifies
+that none exists.  The final tableau holds it as integers over D > 0:
+y = w / D, w the basic rows' right-hand sides, or u = v / D, with
+v_i = s_i (D - R_i), s_i the sign of b_i and R_i the objective row's
+entry at the i-th artificial.  It is rechecked exactly against A and b
+in those integers, as sum_j A_ij w_j = D b_i for every row i or as
+v . A_col_j <= 0 < v . b, before any Fraction is made.
 
 Entries of A and b are ints, and a Fraction or float entry raises
 TypeError on every call: it makes its row's squared norm, cached or not,
-something other than an int.  Both certificates are rechecked exactly against A and b
-before being returned, as integer identities over their common
-denominators.
+something other than an int.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul, neg
 
-from .linear import MAX_PRODUCT_BITS, Record, SizeLimitError, common_denominator
+from .linear import MAX_PRODUCT_BITS, Record, SizeLimitError
 
 _ZERO = Fraction(0)
 
@@ -102,19 +102,6 @@ class PreparedMatrix(tuple):
         self.norms = [sum(map(mul, row, row)) for row in self]
         self.colsums = list(map(sum, zip(*self)))
         return self
-
-
-def _eliminate(row: list[int], nz: list, c: int, p: int, d: int) -> list[int]:
-    """A non-pivot row after a fraction-free pivot on column c, with pivot
-    p, old denominator d and nz the (j, y) with y != 0 in the pivot row:
-    entry j becomes (p * row[j] - row[c] * y) // d, an exact division, or
-    p * row[j] // d where y = 0."""
-    f = row[c]
-    new = [p * x // d for x in row]
-    if f:
-        for j, y in nz:
-            new[j] = (p * row[j] - f * y) // d
-    return new
 
 
 def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> FeasibilityResult:
@@ -184,43 +171,41 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> Feasibility
             raise AssertionError("phase-1 objective cannot be unbounded")
         prow = rows[leave]
         p = prow[enter]
-        nz = [(j, y) for j, y in enumerate(prow) if y]
         if p == d:
             # p * x // d is x: only a row with f = row[enter] != 0 changes,
             # and only at nz, to x - f * y // d (f * y is a multiple of d)
+            nz = [(j, y) for j, y in enumerate(prow) if y]
             for row in (*rows, obj):
                 f = row[enter]
                 if f and row is not prow:
                     for j, y in nz:
                         row[j] -= f * y // d
         else:
-            rows = [row if row is prow else _eliminate(row, nz, enter, p, d) for row in rows]
-            obj = _eliminate(obj, nz, enter, p, d)
+            for row in (*rows, obj):
+                if row is not prow:
+                    f = row[enter]
+                    row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
         basis[leave] = enter
         d = p
         pivots += 1
 
-    # each certificate is rechecked as q times its identity, with q its
-    # common denominator: sum_j A_ij w_j = q b_i, or u A <= 0 < u b
+    # the answer, integers over d > 0, is rechecked before any Fraction is made
     if obj[-1] == 0:
-        y = [_ZERO] * k
-        for row, var in zip(rows, basis):
-            if var < k:
-                y[var] = Fraction(row[-1], d)
-        w, q = common_denominator(y)
-        support = [(j, v) for j, v in enumerate(w) if v]
+        support = [(var, row[-1]) for row, var in zip(rows, basis) if var < k and row[-1]]
         for arow, x in zip(a, b):
-            if sum(arow[j] * v for j, v in support) != q * x:
+            if sum(arow[j] * w for j, w in support) != d * x:
                 raise AssertionError("simplex returned an invalid solution")
+        y = [_ZERO] * k
+        for j, w in support:
+            y[j] = Fraction(w, d)
         return FeasibilityResult(True, tuple(y), None, pivots)
 
     # infeasible: simplex multipliers pi_i = 1 - reduced cost of the
     # i-th artificial; undo the row sign flips to get the Farkas vector
-    u = [Fraction(s * (d - obj[k + i]), d) for i, s in enumerate(signs)]
-    w, _ = common_denominator(u)
-    support = [(arow, wi) for arow, wi in zip(a, w) if wi]
-    if sum(wi * x for wi, x in zip(w, b)) <= 0 or any(
-        sum(arow[j] * wi for arow, wi in support) > 0 for j in range(k)
+    u = [s * (d - obj[k + i]) for i, s in enumerate(signs)]
+    support = [(arow, ui) for arow, ui in zip(a, u) if ui]
+    if sum(map(mul, u, b)) <= 0 or any(
+        sum(arow[j] * ui for arow, ui in support) > 0 for j in range(k)
     ):
         raise AssertionError("simplex produced an invalid Farkas vector")
-    return FeasibilityResult(False, None, tuple(u), pivots)
+    return FeasibilityResult(False, None, tuple(Fraction(ui, d) for ui in u), pivots)

@@ -903,12 +903,16 @@ _SUBGROUPS = ["counterexample", "--ineq", "H(x,y) <= H(x)", "--group", "@group",
     (_GROUP_SEARCH, [{"order": 2.0, "table": [[0, 1], [1, 0]]}]),
     (_GROUP_SEARCH, [{"perm_degree": 3.0, "generators": [[1, 0, 2]]}]),
     (["cantor", "--witness", "@in"], _DEEP),
+    (_GROUP_SEARCH, [{"order": 2, "table": [[0, True], [True, 0]]}]),
+    (_SUBGROUPS, [[0, True], [0]]),
+    (_GROUP_SEARCH, [{"perm_degree": 2, "generators": [[True, False]]}]),
 ], ids=["witness-list", "witness-points-int", "witness-point-int", "body-points-int",
         "body-point-int", "spec-part-int", "spec-levels-int", "spec-bits-null",
         "spec-bits-true", "dist-prob-null", "dist-prob-true", "dist-point-int", "table-float",
         "subgroup-float", "witness-m-float", "witness-m-true", "witness-N-float",
         "body-m-float", "spec-position-float", "spec-m-true", "dist-m-float",
-        "support-m-true", "table-order-float", "perm-degree-float", "deeply-nested"])
+        "support-m-true", "table-order-float", "perm-degree-float", "deeply-nested",
+        "table-true", "subgroup-true", "generators-true"])
 def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, obj):
     files = {"@in": obj, "@spec": _SPEC, "@body": _WITNESS, "@group": KLEIN_JSON}
     paths = {k: write_json(tmp_path / f"{k[1:]}.json", v) for k, v in files.items()}

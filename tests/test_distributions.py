@@ -5,7 +5,6 @@ import re
 import time
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,21 +16,12 @@ from entrodim.distributions import (
     SupportSet,
     exact_entropy_vector,
 )
-from entrodim.linear import mask_positions, subsets
+from entrodim.linear import subsets
+
+from tuple_projection import projector
 
 H_THIRD = 0.9182958340544896  # entropy of a (2/3, 1/3) split
 LOG2_3 = 1.584962500721156
-
-
-def projector(mask: int):
-    """The tuple projection onto the positions of a subset mask, always a
-    tuple: a tuple kernel kept here as the independent reference."""
-    if mask <= 0:
-        raise ValueError(f"subset mask {mask} is not a nonempty subset")
-    idx = [p - 1 for p in mask_positions(mask)]
-    if len(idx) == 1:
-        return itemgetter(slice(idx[0], idx[0] + 1))
-    return itemgetter(*idx)
 
 
 def _uniform(m, points) -> JointDistribution:

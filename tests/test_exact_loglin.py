@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +24,9 @@ from entrodim.core import (
     eval_slack,
 )
 from entrodim.distributions import JointDistribution, SupportSet, exact_entropy_vector
-from entrodim.linear import LinearInequality, mask_positions, subsets
+from entrodim.linear import LinearInequality, subsets
+
+from tuple_projection import projector
 
 # -- the Fraction-per-term class and its sign kernel, kept verbatim ------------
 
@@ -165,17 +166,6 @@ def loglin_sign(x: RefLogLin) -> int:
 
 
 # -- the computations built on it, kept verbatim -----------------------------
-
-
-def projector(mask: int):
-    """The tuple projection onto the positions of a subset mask, always a
-    tuple: a tuple kernel kept here as the independent reference."""
-    if mask <= 0:
-        raise ValueError(f"subset mask {mask} is not a nonempty subset")
-    idx = [p - 1 for p in mask_positions(mask)]
-    if len(idx) == 1:
-        return itemgetter(slice(idx[0], idx[0] + 1))
-    return itemgetter(*idx)
 
 
 def _ref_eval_slack(ineq: LinearInequality, v: dict) -> RefLogLin:

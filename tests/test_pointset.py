@@ -1,13 +1,12 @@
 """`points.PointSet`: one validation for bodies, digit sets and supports, one
 int per point, and shadows and fiber counts cached per mask, shadows
 worked out from the smallest cached superset; checked against direct
-counting on the points as tuples, by a test-local `projector`."""
+counting on the points as tuples, by the tests' shared `projector`."""
 
 import json
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +17,7 @@ from entrodim.distributions import JointDistribution, SupportSet
 from entrodim.dsl import parse_inequality
 from entrodim.groups import cyclic, direct_product, subgroup_from_elements
 from entrodim import splitting
-from entrodim.linear import mask_label, mask_positions, subsets
+from entrodim.linear import mask_label, subsets
 from entrodim.points import PointSet, check_points
 from entrodim.splitting import (
     FiniteBody,
@@ -29,16 +28,7 @@ from entrodim.splitting import (
     verify_split,
 )
 
-
-def projector(mask: int):
-    """The tuple projection onto the positions of a subset mask, always a
-    tuple: a tuple kernel kept here as the independent reference."""
-    if mask <= 0:
-        raise ValueError(f"subset mask {mask} is not a nonempty subset")
-    idx = [p - 1 for p in mask_positions(mask)]
-    if len(idx) == 1:
-        return itemgetter(slice(idx[0], idx[0] + 1))
-    return itemgetter(*idx)
+from tuple_projection import projector
 
 
 def _direct_shadow(points, mask):

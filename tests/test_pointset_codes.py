@@ -4,7 +4,6 @@ associativity test checked against the full scan of every triple."""
 
 from collections import Counter
 from itertools import product
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,21 +17,13 @@ from entrodim.groups import (
     _light_test,
     builtin_catalog,
 )
-from entrodim.linear import MAX_VARIABLES, mask_positions, subsets
+from entrodim.linear import MAX_VARIABLES, subsets
 from entrodim.splitting import FiniteBody
 
+from tuple_projection import projector
+
+
 # -- the tuple point set, kept as the reference --------------------------------
-
-
-def projector(mask: int):
-    """The tuple projection onto the positions of a subset mask, always a
-    tuple: a tuple kernel kept here as the independent reference."""
-    if mask <= 0:
-        raise ValueError(f"subset mask {mask} is not a nonempty subset")
-    idx = [p - 1 for p in mask_positions(mask)]
-    if len(idx) == 1:
-        return itemgetter(slice(idx[0], idx[0] + 1))
-    return itemgetter(*idx)
 
 
 def _ref_check_points(points, m, base=None, noun="coordinate"):

@@ -1,5 +1,5 @@
 """The projection kernel, a point's key `code & field(mask)`, checked
-against a tuple projector kept here as the reference, and the routines
+against the tuple projector of `tuple_projection` as the reference, and the routines
 built on it checked against the comprehension-based versions they
 replaced."""
 
@@ -7,7 +7,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +17,8 @@ from entrodim.distributions import JointDistribution, SupportSet, exact_entropy_
 from entrodim.linear import mask_positions, subsets
 from entrodim.splitting import FiniteBody, projection_count
 
+from tuple_projection import projector, reference_proj
+
 Point = tuple[int, ...]
 Digits = tuple[int, ...]
 
@@ -25,26 +26,11 @@ Digits = tuple[int, ...]
 # -- the code the kernel replaced, kept as the reference -------------------
 
 
-def projector(mask: int):
-    """The tuple projection onto the positions of a subset mask, always a
-    tuple: a tuple kernel kept here as the independent reference."""
-    if mask <= 0:
-        raise ValueError(f"subset mask {mask} is not a nonempty subset")
-    idx = [p - 1 for p in mask_positions(mask)]
-    if len(idx) == 1:
-        return itemgetter(slice(idx[0], idx[0] + 1))
-    return itemgetter(*idx)
-
-
-def _reference_proj(point: Point, mask: int) -> Point:
-    return tuple(point[i - 1] for i in mask_positions(mask))
-
-
 def _reference_projection_count(body: FiniteBody, mask: int) -> int:
     """Number of distinct projections of the body onto the subset."""
     if not 0 < mask < (1 << body.m):
         raise ValueError(f"subset mask {mask} out of range for m={body.m}")
-    return len({_reference_proj(p, mask) for p in body.points})
+    return len({reference_proj(p, mask) for p in body.points})
 
 
 def _reference_project(w: CantorWitness, subset: int) -> CantorWitness:

@@ -349,14 +349,24 @@ def test_size_budget_cli_error(monkeypatch, capsys):
     assert lines[0].startswith("error: SizeLimitError: ")
 
 
-def test_recheck_rejects_a_wrong_answer(monkeypatch):
-    # every value of the answer built one unit too large: the solver's own
-    # recheck against the caller's A and b must refuse it
-    monkeypatch.setattr(simplex, "Fraction", lambda n, d=1: Fraction(n + d, d))
-    with pytest.raises(AssertionError, match="invalid solution"):
-        solve_eq_nonneg([[1, 1], [1, -1]], [3, 1])
-    with pytest.raises(AssertionError, match="invalid Farkas vector"):
-        solve_eq_nonneg([[1]], [-1])
+def test_recheck_rejects_a_wrong_answer():
+    # column sums that disagree with the rows make a wrong phase-1
+    # objective, so the answer read from the tableau is wrong for A and b:
+    # the solver's own integer recheck against the caller's A and b must
+    # refuse it, each half of the Farkas recheck on a case of its own
+    for a, b, colsums, message in [
+        # obj reaches 0 at one pivot with an artificial basic: y = (1, 0)
+        ([[1, 1], [1, -1]], [3, 1], [4, 0], "invalid solution"),
+        # no reduced cost is negative at the start: u = (1), u . A_col = 1 > 0
+        ([[1]], [1], [0], "invalid Farkas vector"),
+        # one pivot takes obj past 0: u = (-1), u . b = -1 <= 0
+        ([[1]], [1], [2], "invalid Farkas vector"),
+    ]:
+        assert solve_eq_nonneg(a, b).feasible
+        prepared = PreparedMatrix(a)
+        prepared.colsums = colsums
+        with pytest.raises(AssertionError, match=message):
+            solve_eq_nonneg(prepared, b)
 
 
 def test_integer_matrix_with_rational_rhs():

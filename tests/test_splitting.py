@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrodim.cantor import DimValue
-from entrodim.linear import mask_positions, subsets
+from entrodim.linear import subsets
 from entrodim.splitting import (
     FiniteBody,
     SplitResult,
@@ -26,6 +26,8 @@ from entrodim.splitting import (
     verify_split,
     _max_count,
 )
+
+from tuple_projection import reference_proj
 
 # -- the search as it was before the projection kernel, and the float
 # budget rule it used before the exact one, kept as the reference for
@@ -67,10 +69,6 @@ def _reference_max_count(bits: float) -> int:
     return cap
 
 
-def _reference_proj(point: Point, mask: int) -> Point:
-    return tuple(point[i - 1] for i in mask_positions(mask))
-
-
 def _reference_verify_split(
     body: FiniteBody, spec: SplitSpec, result: SplitResult
 ) -> bool:
@@ -87,7 +85,7 @@ def _reference_verify_split(
         if mask not in spec.levels:
             raise ValueError(f"point {point} assigned to unknown part {mask}")
     for mask in spec.levels:
-        shadow = {_reference_proj(p, mask) for p, lbl in assignment.items()
+        shadow = {reference_proj(p, mask) for p, lbl in assignment.items()
                   if lbl == mask}
         if shadow and math.log2(len(shadow)) > spec.bits(mask) + _REFERENCE_FLOAT_TOL:
             return False
@@ -119,7 +117,7 @@ def _reference_find_split_exhaustive(
         if i == len(points):
             return True
         for mask in parts:
-            key = _reference_proj(points[i], mask)
+            key = reference_proj(points[i], mask)
             shadow = shadows[mask]
             fresh = key not in shadow
             if fresh and len(shadow) >= caps[mask]:
