@@ -27,18 +27,17 @@ explicit ordered name list is supplied.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .linear import LinearInequality, mask_positions, rational_text
+from .linear import LinearInequality, rational_text
 
 # every non-space character starts a token, so finditer skips only
 # whitespace; one that starts no other token is "bad"
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op><=|>=|[-+*/(),;|])|(?P<bad>\S))"
-)
+_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op><=|>=|[-+*/(),;|])|(?P<bad>\S)")
 
 
 class InequalityParseError(ValueError):
@@ -54,12 +53,10 @@ class ZeroInequalityError(ValueError):
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, pos in tokens:
         if kind == "bad":
-            raise InequalityParseError(f"unexpected character {m[kind]!r}", m.start(kind))
-        tokens.append((kind, m[kind], m.start(kind)))
+            raise InequalityParseError(f"unexpected character {value!r}", pos)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -220,14 +217,24 @@ def parse_inequality(
     return parse_with_names(text, declared_vars)[0]
 
 
-def _render_side(ineq: LinearInequality, sign: int, names: Sequence[str]) -> str:
+@functools.lru_cache(maxsize=16)
+def _subset_texts(names: tuple[str, ...]) -> tuple[str, ...]:
+    """The text "x,z" of every subset mask over names, indexed by mask
+    (mask 0 gives ""): each name is appended to the texts of the masks
+    below its bit, so the names in a text stay in position order."""
+    texts = [""]
+    for name in names:
+        texts += [f"{t},{name}" if t else name for t in texts]
+    return tuple(texts)
+
+
+def _render_side(ineq: LinearInequality, sign: int, texts: tuple[str, ...]) -> str:
     """The terms whose coefficient has this sign, as positive rationals."""
     parts = []
     for mask, a in ineq.nums.items():
         if a * sign > 0:
-            vars_txt = ",".join(names[p - 1] for p in mask_positions(mask))
             coeff = a * sign if ineq.den == 1 else Fraction(a * sign, ineq.den)
-            parts.append(f"{rational_text(coeff)} H({vars_txt})")
+            parts.append(f"{rational_text(coeff)} H({texts[mask]})")
     return " + ".join(parts) or "0"
 
 
@@ -242,4 +249,5 @@ def format_inequality(ineq: LinearInequality, names: Sequence[str]) -> str:
         raise ValueError(f"need {ineq.m} variable names, got {len(names)}")
     if len(set(names)) != len(names):
         raise ValueError("variable names must be distinct")
-    return _render_side(ineq, -1, names) + " <= " + _render_side(ineq, 1, names)
+    texts = _subset_texts(tuple(names))
+    return _render_side(ineq, -1, texts) + " <= " + _render_side(ineq, 1, texts)

@@ -84,6 +84,14 @@ def _light_test(tab) -> bool:
     return all(tab[rx[g]] == tuple(map(rx.__getitem__, tab[g])) for g in gens for rx in tab)
 
 
+def _json_name(obj: dict) -> str:
+    """A group file's optional "name": a str, else a TypeError naming it."""
+    name = obj.get("name", "")
+    if type(name) is not str:
+        raise TypeError(f"name must be a string, got {name!r}")
+    return name
+
+
 class FiniteGroup(Record):
     """A finite group as a validated Cayley table, a tuple of int tuples,
     identity at index 0."""
@@ -127,12 +135,12 @@ class FiniteGroup(Record):
         if "table" in obj:
             table = tuple(tuple(check_int(x, "table entry") for x in row) for row in obj["table"])
             order = check_int(obj.get("order", len(table)), "order")
-            return cls(order, table, obj.get("name", ""))
+            return cls(order, table, _json_name(obj))
         if "generators" in obj:
             return from_permutations(
                 check_int(obj["perm_degree"], "perm_degree"),
                 [tuple(check_int(x, "generator image") for x in g) for g in obj["generators"]],
-                name=obj.get("name", ""),
+                name=_json_name(obj),
             )
         raise ValueError("group JSON needs either 'table' or 'generators'")
 

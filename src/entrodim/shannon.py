@@ -9,11 +9,26 @@ the *elemental* inequalities — the minimal generating set consisting of
   rows, over unordered pairs i<j and K disjoint from both; K empty means
   H(i) + H(j) - H(ij) >= 0)
 
-Membership is an exact LP: find weights y >= 0 with E^T y = c.  The
-answer always comes with a checkable object — a ShannonCertificate
-(the weights) or a FarkasWitness (a polymatroid point separating the
+Membership is an exact LP: find weights y >= 0 with E^T y = c (Yeung,
+"A framework for linear information inequalities", 1997).  The answer
+always comes with a checkable object — a ShannonCertificate (the
+weights) or a FarkasWitness (a polymatroid point separating the
 inequality from the cone) — and `is_shannon_type` verifies whichever
 one it produces before returning it.
+
+Equivalently, an inequality is Shannon-type iff it is nonnegative on
+every extreme ray of the polymatroid cone Gamma_m, the points on which
+every elemental row is nonnegative; a ray on which it is negative is a
+Farkas point.  For m <= 4 the rays are few (1, 3, 8 and 41), and
+`is_shannon_type` tries them before the LP, so most targets that are
+not Shannon-type are refuted by integer dot products alone.  The rays
+are held as digit strings, computed once by a double description and
+rechecked against an independent one by the tests: a double description
+of Gamma_4 costs as much as dozens of LP solves, more than one `check`
+process saves.  A target that no ray refutes goes to the LP, so no
+verdict rests on the table being complete.  The five-variable cones
+have on the order of 10^5 rays (Studený, Bouckaert & Kočka, 2000), so
+the table stops at m = 4.
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
+from operator import mul, neg
 
 from .dsl import parse_inequality
 from .linear import LinearInequality, Record, common_denominator, mask_label, subsets
@@ -29,6 +45,25 @@ from .simplex import PreparedMatrix, solve_eq_nonneg
 
 #: elemental sets are available for this range of variable counts
 ELEMENTAL_RANGE = range(1, 7)
+
+# the extreme rays of Gamma_m, each a primitive integer point: one digit
+# per subset mask in subsets(m) order, rays in ascending order
+_RAY_DIGITS = {
+    1: "1",
+    2: "011 101 111",
+    3: "0001111 0110011 0111111 1010101 1011111 1110111 1111111 1121222",
+    4: "000000011111111 000111100001111 000111111111111 011001100110011 "
+       "011001111111111 011111100111111 011111111111111 011112211222222 "
+       "101010101010101 101010111111111 101111101011111 101111111111111 "
+       "101121212122222 111011101110111 111011111111111 111111101111111 "
+       "111111111111111 111122212222222 112011212221222 112112212222222 "
+       "112121212222222 112122201121222 112122211222222 112122212122222 "
+       "112122212221222 112122212222222 112122222222222 112122312232333 "
+       "112122323333333 112222212222222 112233312233333 122122212222222 "
+       "123123312332333 212122212222222 213132313232333 223233423344444 "
+       "223233423443444 223233424343444 223234423343444 223243423343444 "
+       "224233423343444",
+}
 
 
 class VerificationError(ValueError):
@@ -111,22 +146,32 @@ def _slack(row: LinearInequality, point: Mapping[int, int]) -> int:
     return sum(c * point.get(mask, 0) for mask, c in row.nums.items())
 
 
+@cache
+def _rays(m: int) -> tuple[tuple[int, ...], ...]:
+    """The extreme rays of Gamma_m in table order; none past m = 4."""
+    return tuple(tuple(map(int, ray)) for ray in _RAY_DIGITS.get(m, "").split())
+
+
 def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitness:
-    """Decide cone membership, returning a verified certificate either way."""
+    """Decide cone membership, returning a verified certificate either way.
+    For m <= 4 the first extreme ray on which the target is negative is
+    the Farkas point, found without a solve."""
     coords = subsets(ineq.m)
-    matrix = elemental_inequalities(ineq.m).matrix
-    res = solve_eq_nonneg(matrix, [ineq.nums.get(mask, 0) for mask in coords])
-    if res.feasible:
-        # the LP solves E^T y = nums, and the target is nums / den
-        weights = {r: w / ineq.den for r, w in enumerate(res.solution) if w != 0}
-        cert = ShannonCertificate(ineq.m, weights)
-        verify_certificate(ineq, cert)
-        return cert
-    # Farkas vector u has u.(col of E^T) <= 0 for every elemental row and
-    # u.c > 0; negating gives a point with elemental slacks >= 0 and
-    # strictly negative target slack — a separating polymatroid point.
-    point = {mask: -u for mask, u in zip(coords, res.farkas) if u != 0}
-    witness = FarkasWitness(ineq.m, point)
+    target = [ineq.nums.get(mask, 0) for mask in coords]
+    point = next((ray for ray in _rays(ineq.m) if sum(map(mul, ray, target)) < 0), None)
+    if point is None:
+        res = solve_eq_nonneg(elemental_inequalities(ineq.m).matrix, target)
+        if res.feasible:
+            # the LP solves E^T y = nums, and the target is nums / den
+            weights = {r: w / ineq.den for r, w in enumerate(res.solution) if w != 0}
+            cert = ShannonCertificate(ineq.m, weights)
+            verify_certificate(ineq, cert)
+            return cert
+        # Farkas vector u has u.(col of E^T) <= 0 for every elemental row and
+        # u.c > 0; negating gives a point with elemental slacks >= 0 and
+        # strictly negative target slack — a separating polymatroid point.
+        point = map(neg, res.farkas)
+    witness = FarkasWitness(ineq.m, {mask: x for mask, x in zip(coords, point) if x != 0})
     verify_farkas(ineq, witness)
     return witness
 

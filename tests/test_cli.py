@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from entrodim import cli, splitting
 from entrodim.cli import _render, main
 from entrodim.dsl import parse_inequality
-from entrodim.shannon import is_shannon_type
+from entrodim.shannon import FarkasWitness, is_shannon_type, verify_farkas
 
 KLEIN_JSON = {
     "order": 4,
@@ -56,7 +56,7 @@ def test_check_not_shannon_type(capsys):
     code, report, _ = run(capsys, "check", ZY_TEXT)
     assert code == 2
     assert report["outcome"] == "not-shannon-type"
-    assert report["farkas_witness"]["target_slack"] == "-1/4"
+    assert report["farkas_witness"]["target_slack"] == "-1"
     assert len(report["farkas_witness"]["point"]) == 15
 
 
@@ -77,12 +77,15 @@ def test_check_writes_coefficients_longer_than_str_writes(capsys):
     assert max(w.denominator for _, w in weights) > 10**4300  # beyond what str writes
     assert [(e["row"], e["weight"]) for e in report["certificate"]["weights"]] == [
         (r, _decimal_text(w)) for r, w in weights]
-    # the reverse: a Farkas point and a target slack of some 9,000 characters
-    code, report, err = run(capsys, "check", text.replace(">=", "<="))
+    # the reverse: a Farkas point and a target slack of some 9,000 characters,
+    # from the first extreme ray (0, 1, 1), on which both coefficients count
+    flipped = f"1/{nines} H(x,y) + 1/{sevens} H(y) <= 0"
+    code, report, err = run(capsys, "check", flipped)
     assert (code, err) == (2, "")
+    verify_farkas(parse_inequality(flipped), FarkasWitness(2, {2: 1, 3: 1}))
     slack = -(Fraction(1, int(nines)) + Fraction(1, int(sevens)))
     assert report["farkas_witness"] == {
-        "point": {"x": "1", "y": "1", "x,y": "1"}, "target_slack": _decimal_text(slack)}
+        "point": {"y": "1", "x,y": "1"}, "target_slack": _decimal_text(slack)}
     assert len(report["farkas_witness"]["target_slack"]) > 9000
 
 
@@ -906,13 +909,15 @@ _SUBGROUPS = ["counterexample", "--ineq", "H(x,y) <= H(x)", "--group", "@group",
     (_GROUP_SEARCH, [{"order": 2, "table": [[0, True], [True, 0]]}]),
     (_SUBGROUPS, [[0, True], [0]]),
     (_GROUP_SEARCH, [{"perm_degree": 2, "generators": [[True, False]]}]),
+    (_GROUP_SEARCH, [{"order": 2, "table": [[0, 1], [1, 0]], "name": [1, 2]}]),
+    (_GROUP_SEARCH, [{"perm_degree": 2, "generators": [[1, 0]], "name": [1, 2]}]),
 ], ids=["witness-list", "witness-points-int", "witness-point-int", "body-points-int",
         "body-point-int", "spec-part-int", "spec-levels-int", "spec-bits-null",
         "spec-bits-true", "dist-prob-null", "dist-prob-true", "dist-point-int", "table-float",
         "subgroup-float", "witness-m-float", "witness-m-true", "witness-N-float",
         "body-m-float", "spec-position-float", "spec-m-true", "dist-m-float",
         "support-m-true", "table-order-float", "perm-degree-float", "deeply-nested",
-        "table-true", "subgroup-true", "generators-true"])
+        "table-true", "subgroup-true", "generators-true", "name-list", "generators-name-list"])
 def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, obj):
     files = {"@in": obj, "@spec": _SPEC, "@body": _WITNESS, "@group": KLEIN_JSON}
     paths = {k: write_json(tmp_path / f"{k[1:]}.json", v) for k, v in files.items()}

@@ -1,13 +1,15 @@
 import json
+import math
 import random
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from entrodim import cli
+from entrodim import cli, shannon
 from entrodim.core import eval_slack
 from entrodim.distributions import JointDistribution, exact_entropy_vector
 from entrodim.dsl import format_inequality, parse_inequality
@@ -24,13 +26,14 @@ from entrodim.shannon import (
     verify_farkas,
     zhang_yeung,
 )
+from entrodim.simplex import solve_eq_nonneg
 from test_simplex import _reference_solve
 
 EQ1 = parse_inequality("2 H(x,y,z) <= H(x,y) + H(x,z) + H(y,z)")
 
-# the separating point produced for the Zhang-Yeung inequality; pinned
-# output of the deterministic pivot rule, mathematical validity is
-# rechecked from scratch in test_zhang_yeung_farkas_point
+# the separating point the LP produces for the Zhang-Yeung inequality;
+# pinned output of the deterministic pivot rule, reached when no extreme
+# ray is tried first (test_lp_answers_when_no_ray_refutes)
 ZY_POINT = {
     1: Fraction(1, 2),
     2: Fraction(1, 2),
@@ -48,6 +51,11 @@ ZY_POINT = {
     14: Fraction(1),
     15: Fraction(1),
 }
+
+# the separating point is_shannon_type returns for Zhang-Yeung: the first
+# extreme ray of Gamma_4 in table order on which it is negative; validity
+# is rechecked from scratch in test_zhang_yeung_farkas_point
+ZY_RAY = dict(zip(range(1, 16), (2, 2, 4, 2, 3, 3, 4, 2, 3, 3, 4, 3, 4, 4, 4)))
 
 
 def _slack(ineq, point):
@@ -183,16 +191,16 @@ def test_zhang_yeung_farkas_point():
     zy = zhang_yeung()
     res = is_shannon_type(zy)
     assert isinstance(res, FarkasWitness)
-    assert res.point == ZY_POINT
+    assert res.point == ZY_RAY
     verify_farkas(zy, res)
     # recheck from scratch: every elemental row nonnegative, target negative
     rows = elemental_inequalities(4).rows
     assert len(rows) == 28
     for row in rows:
         assert _slack(row, res.point) >= 0
-    assert _slack(zy, res.point) == Fraction(-1, 4)
-    # a polymatroid point: nonnegative, with the joint entropy at 1 bit
-    assert min(res.point.values()) >= 0 and res.point[15] == 1
+    assert _slack(zy, res.point) == -1
+    # a polymatroid point: nonnegative, with the joint entropy at 4 bits
+    assert min(res.point.values()) >= 0 and res.point[15] == 4
 
 
 def test_farkas_rejects_non_witnesses():
@@ -356,7 +364,120 @@ def _combinations(draw):
 @given(_combinations())
 def test_matches_reference_on_elemental_combinations(ineq):
     elems = elemental_inequalities(ineq.m)
-    assert is_shannon_type(ineq) == _expected(ineq, elems)
+    got, want = is_shannon_type(ineq), _expected(ineq, elems)
+    if isinstance(want, ShannonCertificate) or ineq.m > 4:
+        assert got == want
+        return
+    # not Shannon-type at m <= 4: the point is the first ray of an
+    # independently computed list with a negative slack
+    assert isinstance(want, FarkasWitness)
+    coords = subsets(ineq.m)
+    target = [ineq.nums.get(mask, 0) for mask in coords]
+    ray = next(r for r in _double_description(ineq.m) if _dot(r, target) < 0)
+    assert got == FarkasWitness(ineq.m, {mask: x for mask, x in zip(coords, ray) if x})
+    verify_farkas(ineq, got)
+
+
+# -- the extreme rays of Gamma_m -----------------------------------------------
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@cache
+def _double_description(m):
+    """The extreme rays of Gamma_m, sorted, each a primitive int vector
+    over subsets(m), by the double description method in exact ints:
+    start from the orthant h >= 0, which the elemental rows imply, and
+    cut by one elemental row at a time.  Each ray carries the set of
+    constraints tight on it as a bitmask; two rays are adjacent when
+    their common tight set is big enough and lies in no other ray's."""
+    n = (1 << m) - 1
+    coords = subsets(m)
+    cuts = [[row.nums.get(mask, 0) for mask in coords]
+            for row in elemental_inequalities(m).rows]
+    rays = [(tuple(int(i == j) for j in range(n)), ((1 << n) - 1) ^ 1 << i)
+            for i in range(n)]
+    for c, cut in enumerate(cuts, start=n):
+        slacks = [(ray, tight, _dot(cut, ray)) for ray, tight in rays]
+        kept = [(ray, tight | (s == 0) << c) for ray, tight, s in slacks if s >= 0]
+        for p, tp, sp in slacks:
+            for q, tq, sq in slacks:
+                common = tp & tq
+                if sp <= 0 or sq >= 0 or common.bit_count() < n - 2 or any(
+                        t & common == common for r, t in rays if r is not p and r is not q):
+                    continue
+                # the point of segment p-q on the cut, scaled to a primitive int vector
+                new = [sp * y - sq * x for x, y in zip(p, q)]
+                g = reduce(math.gcd, new)
+                kept.append((tuple(x // g for x in new), common | 1 << c))
+        rays = kept
+    return sorted(ray for ray, _ in rays)
+
+
+def _rank(rows):
+    """The rank of an int matrix, by fraction-free elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j]
+            rows[i] = [p[j] * x - f * y for x, y in zip(rows[i], p)]
+        rank += 1
+    return rank
+
+
+def test_ray_table_matches_a_double_description():
+    for m, count in zip((1, 2, 3, 4), (1, 3, 8, 41)):
+        rays = _double_description(m)
+        assert len(rays) == count
+        assert list(shannon._rays(m)) == rays  # the table is sorted too
+        assert all(0 <= x <= 4 for ray in rays for x in ray)
+    assert shannon._rays(5) == shannon._rays(6) == ()
+
+
+def test_ray_table_holds_extreme_rays():
+    for m in (1, 2, 3, 4):
+        coords = subsets(m)
+        cuts = [[row.nums.get(mask, 0) for mask in coords]
+                for row in elemental_inequalities(m).rows]
+        for ray in shannon._rays(m):
+            assert reduce(math.gcd, ray) == 1
+            slacks = [_dot(cut, ray) for cut in cuts]
+            assert min(slacks) >= 0
+            # the tight rows fix the ray up to scale: it is extreme
+            assert _rank([cut for cut, s in zip(cuts, slacks) if s == 0]) == len(coords) - 1
+
+
+def test_ray_refutes_without_a_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr(shannon, "solve_eq_nonneg", no_solve)
+    zy = zhang_yeung()
+    assert is_shannon_type(zy) == FarkasWitness(4, ZY_RAY)
+    res = is_shannon_type(parse_inequality("I(x;y) <= I(x;y|z)"))
+    assert res.point == {mask: 1 for mask in subsets(3)}
+    with pytest.raises(AssertionError, match="the LP ran"):
+        is_shannon_type(EQ1)  # Shannon-type: every ray passes, so the LP decides
+
+
+def test_lp_answers_when_no_ray_refutes(monkeypatch):
+    # no verdict rests on the table: without it the LP finds its own point
+    monkeypatch.setattr(shannon, "_rays", lambda m: ())
+    zy = zhang_yeung()
+    res = is_shannon_type(zy)
+    assert res == FarkasWitness(4, ZY_POINT)
+    assert _slack(zy, res.point) == Fraction(-1, 4)
+    target = [zy.nums.get(mask, 0) for mask in subsets(4)]
+    farkas = solve_eq_nonneg(elemental_inequalities(4).matrix, target).farkas
+    assert {mask: -u for mask, u in zip(subsets(4), farkas) if u} == ZY_POINT
 
 
 def test_elemental_sets_are_built_once_and_left_unchanged(capsys):
