@@ -173,14 +173,8 @@ class DimensionCounterexample(Record):
                 }
                 for s in sorted(self.inequality.lhs_weights())
             },
-            "entropy_slack": {
-                "exact": str(self.entropy_slack),
-                "float": self.entropy_slack.json_float(),
-            },
-            "margin_times_log_base": {
-                "exact": str(self.margin_times_log_base),
-                "float": self.margin_times_log_base.json_float(),
-            },
+            "entropy_slack": self.entropy_slack.to_json(),
+            "margin_times_log_base": self.margin_times_log_base.to_json(),
         }
 
 

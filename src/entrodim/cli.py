@@ -106,8 +106,7 @@ def _cmd_eval(inputs: dict, report: dict) -> int:
     slack = core.eval_slack(ineq, distributions.exact_entropy_vector(dist))
     sign = slack.sign()
     report["mode"] = "exact"
-    report["slack_exact"] = str(slack)
-    report["slack_float"] = slack.json_float()
+    report["slack_exact"], report["slack_float"] = slack.to_json().values()
     report["outcome"] = "violated" if sign < 0 else "holds"
     return 2 if sign < 0 else 0
 
@@ -121,6 +120,7 @@ def _group_report(g: groups.FiniteGroup) -> dict:
 
 def _cmd_group_search(inputs: dict, report: dict) -> int:
     ineq, names = _inequality(inputs, report)
+    groups.check_max_order(inputs["max_order"])
     catalog = None
     if inputs["groups"]:
         catalog = [groups.FiniteGroup.from_json(o) for o in _load_json(inputs["groups"])]
@@ -132,17 +132,15 @@ def _cmd_group_search(inputs: dict, report: dict) -> int:
     report["outcome"] = "violation found"
     report["group"] = _group_report(found.group)
     report["subgroups"] = groups.subgroups_to_json(found.subgroups)
-    report["entropy_point"] = {
-        mask_label(s, names): {"exact": str(found.point[s]),
-                               "float": found.point[s].json_float()}
-        for s in subsets(ineq.m)
-    }
-    report["slack"] = {"exact": str(found.slack), "float": found.slack.json_float()}
+    report["entropy_point"] = {mask_label(s, names): found.point[s].to_json()
+                               for s in subsets(ineq.m)}
+    report["slack"] = found.slack.to_json()
     return 2
 
 
 def _cmd_counterexample(inputs: dict, report: dict) -> int:
     ineq, _ = _inequality(inputs, report)
+    groups.check_max_order(inputs["max_order"])
     if inputs["subgroups"] and not inputs["group"]:
         raise ValueError("--subgroups requires --group")
     if inputs["group"]:

@@ -95,7 +95,7 @@ class ExactLogLin:
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash((self.terms,))
+        return hash((self._den, self._nums))
 
     def __repr__(self) -> str:
         return f"ExactLogLin(terms={self.terms!r})"
@@ -139,6 +139,10 @@ class ExactLogLin:
         """to_float() for a report: None past the float range, as JSON has no infinity."""
         x = self.to_float()
         return x if math.isfinite(x) else None
+
+    def to_json(self) -> dict:
+        """The value's pair in a report: its exact text and json_float()."""
+        return {"exact": str(self), "float": self.json_float()}
 
     def __str__(self) -> str:
         terms = self.terms

@@ -27,13 +27,12 @@ explicit ordered name list is supplied.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .linear import LinearInequality, rational_text
+from .linear import LinearInequality, rational_text, subset_texts
 
 # every non-space character starts a token, so finditer skips only
 # whitespace; one that starts no other token is "bad"
@@ -217,17 +216,6 @@ def parse_inequality(
     return parse_with_names(text, declared_vars)[0]
 
 
-@functools.lru_cache(maxsize=16)
-def _subset_texts(names: tuple[str, ...]) -> tuple[str, ...]:
-    """The text "x,z" of every subset mask over names, indexed by mask
-    (mask 0 gives ""): each name is appended to the texts of the masks
-    below its bit, so the names in a text stay in position order."""
-    texts = [""]
-    for name in names:
-        texts += [f"{t},{name}" if t else name for t in texts]
-    return tuple(texts)
-
-
 def _render_side(ineq: LinearInequality, sign: int, texts: tuple[str, ...]) -> str:
     """The terms whose coefficient has this sign, as positive rationals."""
     parts = []
@@ -249,5 +237,5 @@ def format_inequality(ineq: LinearInequality, names: Sequence[str]) -> str:
         raise ValueError(f"need {ineq.m} variable names, got {len(names)}")
     if len(set(names)) != len(names):
         raise ValueError("variable names must be distinct")
-    texts = _subset_texts(tuple(names))
+    texts = subset_texts(tuple(names))
     return _render_side(ineq, -1, texts) + " <= " + _render_side(ineq, 1, texts)

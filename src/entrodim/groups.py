@@ -347,6 +347,13 @@ def symmetric(n: int, name: str = "") -> FiniteGroup:
 MAX_CATALOG_ORDER = 64
 
 
+def check_max_order(max_order: int) -> None:
+    """A ValueError unless max_order is in 1..MAX_CATALOG_ORDER; every
+    command that takes --max-order checks it, used or not."""
+    if not 1 <= max_order <= MAX_CATALOG_ORDER:
+        raise ValueError(f"max_order must be in 1..{MAX_CATALOG_ORDER}, got {max_order}")
+
+
 @lru_cache(maxsize=8)
 def builtin_catalog(max_order: int) -> tuple[FiniteGroup, ...]:
     """Deterministic catalog: cyclics, products of 2-3 cyclics, dihedral,
@@ -360,8 +367,7 @@ def builtin_catalog(max_order: int) -> tuple[FiniteGroup, ...]:
     The catalog is a search space, not a classification: isomorphic
     groups may appear under different constructions.
     """
-    if not 1 <= max_order <= MAX_CATALOG_ORDER:
-        raise ValueError(f"max_order must be in 1..{MAX_CATALOG_ORDER}, got {max_order}")
+    check_max_order(max_order)
     groups: list[FiniteGroup] = []
     for n in range(1, max_order + 1):
         groups.append(cyclic(n))

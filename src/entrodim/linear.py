@@ -85,12 +85,29 @@ def mask_positions(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@functools.lru_cache(maxsize=16)
+def subset_texts(names: tuple[str, ...]) -> tuple[str, ...]:
+    """The text "x,z" of every subset mask over names, indexed by mask (mask 0
+    gives ""), each name appended to the texts of the masks below its bit."""
+    texts = [""]
+    for name in names:
+        texts += [f"{t},{name}" if t else name for t in texts]
+    return tuple(texts)
+
+
+@functools.cache
+def _numbered_texts() -> tuple[str, ...]:
+    """mask_label's "{1,3}" table, kept out of subset_texts' cache, which fresh names evict."""
+    numbers = map(str, range(1, MAX_VARIABLES + 1))
+    return tuple(f"{{{t}}}" for t in subset_texts.__wrapped__(numbers))
+
+
 def mask_label(mask: int, names: tuple[str, ...] | None = None) -> str:
-    """Human-readable subset label, e.g. "{1,3}" or "x,z" with names."""
-    pos = mask_positions(mask)
-    if names is None:
-        return "{" + ",".join(str(p) for p in pos) + "}"
-    return ",".join(names[p - 1] for p in pos)
+    """Subset label, "{1,3}" or "x,z" with names; a ValueError for a mask past the table."""
+    texts = _numbered_texts() if names is None else subset_texts(tuple(names))
+    if 0 <= mask < len(texts):
+        return texts[mask]
+    raise ValueError(f"subset mask {mask} out of range for m={len(texts).bit_length() - 1}")
 
 
 def _ratio(q: RationalLike) -> tuple[int, int]:

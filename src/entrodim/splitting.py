@@ -32,7 +32,8 @@ from operator import eq, lshift
 
 from .core import ExactLogLin
 from .linear import (
-    Record, check_int, check_rational, mask_label, mask_of, mask_positions, subsets,
+    MAX_VARIABLES, Record, check_int, check_rational, mask_label, mask_of, mask_positions,
+    subsets,
 )
 from .points import PointSet
 
@@ -163,20 +164,23 @@ class SplitSpec(Record):
     def from_json(cls, obj: dict) -> "SplitSpec":
         """The spec of to_json's form: a string budget is read as the
         infinity "Infinity" or "-Infinity" names, or as the exact Fraction
-        of "p/q"; one with an exponent part (linear.check_rational), a part
+        of "p/q"; one with an exponent part (linear.check_rational), an m
+        outside 1..MAX_VARIABLES, a part position outside 1..m, a part
         listed twice or a repeated position is a ValueError."""
-        levels = {}
+        m, levels = check_int(obj["m"], "m"), {}
+        if not 1 <= m <= MAX_VARIABLES:
+            raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {m}")
         for e in obj["levels"]:
             positions, b = [check_int(p, "part position") for p in e["part"]], e["bits"]
             if b in ("Infinity", "-Infinity"):
                 b = float(b)
-            mask = mask_of(positions)
+            mask = mask_of(positions, m)
             if len(set(positions)) != len(positions):
                 raise ValueError(f"repeated position in part {positions}")
             if mask in levels:
                 raise ValueError(f"part {mask_label(mask)} listed twice")
             levels[mask] = check_rational(b, f"budget of part {mask_label(mask)}")
-        return cls(check_int(obj["m"], "m"), levels)
+        return cls(m, levels)
 
     def to_json(self) -> dict:
         """Each budget as a float when that float is exactly the budget,

@@ -216,15 +216,20 @@ def test_group_search_none(capsys):
 
 @pytest.mark.parametrize("command", ["group-search", "counterexample"])
 @pytest.mark.parametrize("max_order", ["100000", "65", "0", "-1"])
-def test_catalog_order_out_of_range_is_an_error(capsys, command, max_order):
-    # refused before any group is built: 100000 would take minutes
-    start = time.perf_counter()
-    code, report, err = run(
-        capsys, command, "--ineq", "H(x,y) <= H(x)", "--max-order", max_order
-    )
-    assert time.perf_counter() - start < 1.0
-    assert code == 1 and report is None
-    assert err == f"error: ValueError: max_order must be in 1..64, got {max_order}\n"
+def test_catalog_order_out_of_range_is_an_error(capsys, tmp_path, command, max_order):
+    # refused before any group is built: 100000 would take minutes; and
+    # refused too when the catalog goes unused, for a group file of one's own
+    own = {"group-search": ["--groups", write_json(tmp_path / "gs.json", [KLEIN_JSON])],
+           "counterexample": ["--group", write_json(tmp_path / "g.json", KLEIN_JSON),
+                              "--subgroups", write_json(tmp_path / "s.json", [[0], [0, 1]])]}
+    for files in ([], own[command]):
+        start = time.perf_counter()
+        code, report, err = run(
+            capsys, command, "--ineq", "H(x,y) <= H(x)", "--max-order", max_order, *files
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and report is None
+        assert err == f"error: ValueError: max_order must be in 1..64, got {max_order}\n"
 
 
 def test_catalog_order_64_is_accepted(capsys):
@@ -604,6 +609,19 @@ def test_split_spec_with_a_duplicate_part_is_refused(capsys, tmp_path, levels, m
     code, report, err = run(capsys, "split", "--body", body, "--spec", spec)
     assert (code, report) == (1, None)
     assert err.splitlines() == [f"error: ValueError: {message}"]
+
+
+@pytest.mark.parametrize("position", [4, 10**9])
+def test_split_spec_part_position_past_m_is_refused(capsys, tmp_path, position):
+    # checked against m before any mask is made: a mask of bit 10**9 - 1
+    # would take minutes to build and write
+    body = write_json(tmp_path / "b.json", {"m": 3, "N": 2, "points": [[0, 1, 1], [1, 0, 1]]})
+    spec = write_json(tmp_path / "s.json", {"m": 3, "levels": [{"part": [position], "bits": 1}]})
+    start = time.perf_counter()
+    code, report, err = run(capsys, "split", "--body", body, "--spec", spec)
+    assert time.perf_counter() - start < 1.0
+    assert (code, report) == (1, None)
+    assert err.splitlines() == [f"error: ValueError: variable position {position} out of range"]
 
 
 @pytest.mark.parametrize("method", [[], ["--greedy"]])

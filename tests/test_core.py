@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrodim.core import EntropyVector, ExactLogLin, eval_slack, loglin_sign
+from entrodim.dsl import format_inequality, parse_inequality
 from entrodim.linear import (
+    MAX_VARIABLES,
     LinearInequality,
     SizeLimitError,
     check_rational,
@@ -41,6 +44,44 @@ def test_mask_helpers():
         mask_of([0])
     with pytest.raises(ValueError):
         mask_of([3], m=2)
+
+
+def _reference_label(mask, names=None):
+    """mask_label as it was written, with a join over mask_positions."""
+    pos = mask_positions(mask)
+    if names is None:
+        return "{" + ",".join(str(p) for p in pos) + "}"
+    return ",".join(names[p - 1] for p in pos)
+
+
+def test_numbered_labels_match_the_reference_on_every_mask():
+    for mask in range(1 << MAX_VARIABLES):
+        assert mask_label(mask) == _reference_label(mask)
+    for mask in (-1, 1 << MAX_VARIABLES, 1 << 64):
+        with pytest.raises(ValueError):
+            mask_label(mask)
+
+
+_NAMED_CASE = st.integers(1, MAX_VARIABLES).flatmap(lambda m: st.tuples(
+    st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+             min_size=m, max_size=m, unique=True).map(tuple),
+    st.dictionaries(st.integers(1, (1 << m) - 1),
+                    st.fractions(-9, 9, max_denominator=12).filter(bool), min_size=1),
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_NAMED_CASE)
+def test_named_labels_and_rendering_read_one_table(case):
+    names, coeffs = case
+    m = len(names)
+    for mask in range(1 << m):
+        assert mask_label(mask, names) == _reference_label(mask, names)
+    for mask in (-1, 1 << m):
+        with pytest.raises(ValueError):
+            mask_label(mask, names)
+    q = LinearInequality(m, coeffs)
+    assert parse_inequality(format_inequality(q, names), names) == q
 
 
 def test_loglin_normalization():
