@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from . import core, groups
-from .linear import LinearInequality, Record, check_int, mask_label, subsets
+from .linear import LinearInequality, Record, check_int, check_mask, mask_label, subsets
 from .points import PointSet, pack_columns
 
 Digits = tuple[int, ...]
@@ -90,11 +90,8 @@ def uniform_fiber(w: PointSet, subset: int):
     exactly f preimages; otherwise returns (not raises) NonUniform with
     the smallest I-value whose fiber size differs from #A / #A_I.
     """
-    full = (1 << w.m) - 1
-    if subset == full:
+    if check_mask(subset, w.m) == (1 << w.m) - 1:
         raise ValueError("projection onto all coordinates is the identity")
-    if not 0 < subset < full:
-        raise ValueError(f"subset mask {subset} out of range for m={w.m}")
     fibers = w.fibers(subset)
     n, k = len(w), len(fibers)
     bad = [key for key, c in fibers.items() if c * k != n]

@@ -11,9 +11,9 @@ a single machine-parsable line `error: <kind>: <detail>` on stderr.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import re
 import sys
 import time
 from fractions import Fraction
@@ -236,7 +236,6 @@ def _cmd_demo(inputs: dict, report: dict) -> int:
 
 
 _REQUIRED = object()  # the default of an argument the command line must give
-_HELP = ("help", ("-h", "--help"), bool, False, "show this help message and exit")
 _INEQ = ("ineq", ("--ineq",), str, _REQUIRED, 'inequality text, e.g. "H(x) <= H(x,y)"')
 _MAX_ORDER = ("max_order", ("--max-order",), int, 16, "largest catalog group order, 1..64")
 
@@ -267,91 +266,82 @@ _COMMANDS = {
         ("what", (), ("cube-bar",), _REQUIRED, "the demonstration: cube-bar"),
         ("k", ("--k",), int, _REQUIRED, "cube side, a perfect square in 4..100"))),
 }
-#: each parser's arguments, the program's (None) first, and the flags naming them
-_ARGS = {None: (("command", (), tuple(_COMMANDS), _REQUIRED, "one of:"),),
-         **{command: entry[2] for command, entry in _COMMANDS.items()}}
-_FLAGS = {c: {flag: arg for arg in (_HELP, *args) for flag in arg[1]} for c, args in _ARGS.items()}
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's: a positional
+#: each subcommand's flags and the arguments they name
+_FLAGS = {c: {flag: arg for arg in e[2] for flag in arg[1]} for c, e in _COMMANDS.items()}
 
 
-def _refused(arg, message: str) -> UsageError:
-    return UsageError(f"argument {'/'.join(arg[1]) or arg[0]}: {message}")
+@functools.cache
+def _parser():
+    """argparse built from the table, imported on first use; its error()
+    raises UsageError, so a refusal is worded as the running argparse
+    words it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="entrodim", description="Exact workbench for linear entropy "
+                    "inequalities and the dimension counterexamples they generate.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, about, args) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=about, description=about)
+        for name, flags, kind, default, text in args:
+            if kind is bool:
+                sub.add_argument(*flags, action="store_true", help=text)
+                continue
+            options = {"choices": kind} if type(kind) is tuple else {"type": kind}
+            if flags:
+                required = default is _REQUIRED
+                options.update(dest=name, required=required, default=None if required else default)
+            sub.add_argument(*flags or [name], help=text, **options)
+    return parser
 
 
-def _option(token: str, flags: dict):
-    """As argparse reads a token: None for a positional, else (argument or None, '=' value)."""
-    if token[:1] != "-" or token == "-":
+def _read_whole_flags(tokens):
+    """The subcommand and its inputs for a line of flags written in full,
+    each but a bool flag followed by its value, and positionals, where no
+    value or positional starts with "-" and every required argument is
+    given; else None."""
+    if not tokens or tokens[0] not in _COMMANDS:
         return None
-    name, eq, value = token.partition("=")
-    if name not in flags and token[1] == "-":  # the prefix of one long flag
-        hits = [flag for flag in flags if flag.startswith(name)]
-        if len(hits) > 1:
-            raise UsageError(f"ambiguous option: {token} could match {', '.join(hits)}")
-        name = hits[0] if hits else name
-    if name in flags:
-        return flags[name], value if eq else None
-    return None if _NEGATIVE.match(token) or " " in token else (None, None)
-
-
-def _help(command) -> None:
-    """Write the --help text of the program (command None) or of one
-    subcommand from the table, and exit 0."""
-    usage, rows = ["usage: entrodim", *[command] * bool(command), "[-h]"], []
-    for name, flags, kind, default, text in _ARGS[command]:
-        shown = f"{'/'.join(flags)} {'' if kind is bool else name.upper() if flags else name}"
-        usage.append(shown.strip() if default is _REQUIRED else f"[{shown.strip()}]")
-        rows.append((shown.strip(), text))
-    rows += [(c, e[1]) for c, e in _COMMANDS.items() if command is None] + [("-h/--help", _HELP[4])]
-    about = (_COMMANDS[command][1] if command else "Exact workbench for linear entropy "
-             "inequalities and the dimension counterexamples they generate.")
-    print(" ".join(usage), "", about, "", *(f"  {a:24}  {b}" for a, b in rows), sep="\n")
-    raise SystemExit(0)
-
-
-def _read_argv(tokens, command=None) -> tuple:
-    """The subcommand and its inputs, in table order, read as argparse reads
-    argv; for the tokens after a subcommand, its inputs and the tokens left."""
-    args, flags, n = _ARGS[command], _FLAGS[command], len(tokens)
+    args, flags = _COMMANDS[tokens[0]][2], _FLAGS[tokens[0]]
     values = {arg[0]: arg[3] for arg in args if arg[2] is not bool}
-    slots = [arg for arg in args if not arg[1]]  # the positionals, in order
-    cut = tokens.index("--") if "--" in tokens else n  # only positionals after it
-    extras, i = [], 0
-    while i < n:
-        token, i = tokens[i], i + 1
-        hit = _option(token, flags) if i <= cut else None
-        arg, value = hit or (slots.pop(0) if slots and i - 1 != cut else None, token)
-        if arg is None:  # an unknown flag, a positional too many, or "--"
-            if not (i - 1 == cut and slots and i < n):  # "--" goes with a positional after it
-                extras.append(token)
+    positionals = iter([arg for arg in args if not arg[1]])
+    rest = iter(tokens[1:])
+    for token in rest:
+        if token[:1] != "-":
+            arg, value = next(positionals, None), token
+            if arg is None:
+                return None
+        elif (arg := flags.get(token)) is None:
+            return None
+        elif arg[2] is bool:
             continue
-        if arg[2] is bool:  # -h/--help, or a flag that is no input
-            if value is not None:
-                raise _refused(arg, f"ignored explicit argument {value!r}")
-            if arg is _HELP:
-                _help(command)
-            continue
-        if hit and value is None:
-            if i == cut or i == n or _option(tokens[i], flags) is not None:
-                raise _refused(arg, "expected one argument")
-            value, i = tokens[i], i + 1
+        elif (value := next(rest, "-"))[:1] == "-":  # a missing value reads as "-"
+            return None
         if arg[2] is int:
             try:
                 value = int(value)
             except ValueError:
-                raise _refused(arg, f"invalid int value: {value!r}") from None
+                return None
         elif arg[2] is not str and value not in arg[2]:
-            choices = ", ".join(map(repr, arg[2]))
-            raise _refused(arg, f"invalid choice: {value!r} (choose from {choices})")
+            return None
         values[arg[0]] = value
-        if command is None:  # the subcommand reads the rest
-            inputs, more = _read_argv(tokens[i:], value)
-            if extras + more:
-                raise UsageError("unrecognized arguments: " + " ".join(extras + more))
-            return value, inputs
-        i += hit is None and i == cut  # a "--" just after a positional goes with it
-    if missing := ["/".join(arg[1]) or arg[0] for arg in args if values.get(arg[0]) is _REQUIRED]:
-        raise UsageError("the following arguments are required: " + ", ".join(missing))
-    return values, extras
+    return None if _REQUIRED in values.values() else (tokens[0], values)
+
+
+def _read_argv(tokens) -> tuple:
+    """The subcommand and its inputs, in table order, as argparse reads the
+    tokens: a line of flags written in full is read directly, and argparse
+    reads every other line, its refusals and --help included."""
+    read = _read_whole_flags(tokens)
+    if read is None:
+        namespace = _parser().parse_args(tokens)
+        args = _COMMANDS[namespace.command][2]
+        read = namespace.command, {arg[0]: getattr(namespace, arg[0])
+                                   for arg in args if arg[2] is not bool}
+    return read
 
 
 def main(argv=None) -> int:

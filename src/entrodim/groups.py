@@ -27,7 +27,7 @@ from math import factorial, gcd, prod
 
 from . import points
 from .core import EntropyVector, ExactLogLin, eval_slack, loglin_sign
-from .linear import MAX_VARIABLES, LinearInequality, Record, check_int, subsets
+from .linear import LinearInequality, Record, check_int, check_m, subsets
 
 
 class GroupTableError(ValueError):
@@ -413,8 +413,7 @@ def witness_set(g: FiniteGroup, subgroups) -> points.PointSet:
     1..MAX_VARIABLES.
     """
     subs = [h if h.group is g else subgroup_from_elements(g, h.elements) for h in subgroups]
-    if not 1 <= len(subs) <= MAX_VARIABLES:
-        raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {len(subs)}")
+    check_m(len(subs))
     # one column per subgroup: coordinate i of element a's point is
     # a's coset index in H_i, and the largest index sets its field width
     maps = [coset_index_map(g, h) for h in subs]

@@ -63,18 +63,30 @@ def check_rational(x, field: str) -> int | float | Fraction:
     return x
 
 
+def check_m(m: int) -> int:
+    """m when it is a variable count in 1..MAX_VARIABLES, else a ValueError."""
+    if not 1 <= m <= MAX_VARIABLES:
+        raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {m}")
+    return m
+
+
+def check_mask(mask: int, m: int) -> int:
+    """mask when it is a nonempty subset mask of {1..m}, else a ValueError."""
+    if not 0 < mask < 1 << m:
+        raise ValueError(f"subset mask {mask} out of range for m={m}")
+    return mask
+
+
 def subsets(m: int) -> list[int]:
     """All 2**m - 1 nonempty subset masks of {1..m}, ascending."""
-    if not 1 <= m <= MAX_VARIABLES:
-        raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {m}")
-    return list(range(1, 1 << m))
+    return list(range(1, 1 << check_m(m)))
 
 
-def mask_of(positions: Iterable[int], m: int | None = None) -> int:
-    """Bitmask for a collection of 1-based variable positions."""
+def mask_of(positions: Iterable[int], m: int) -> int:
+    """Bitmask for a collection of variable positions, each in 1..m."""
     mask = 0
     for p in positions:
-        if p < 1 or (m is not None and p > m):
+        if not 1 <= p <= m:
             raise ValueError(f"variable position {p} out of range")
         mask |= 1 << (p - 1)
     return mask
@@ -212,11 +224,10 @@ class LinearInequality(Record):
     _fields = ("m", "den", "nums")
 
     def __init__(self, m: int, coeffs: Mapping[int, RationalLike], den: int = 1) -> None:
-        valid = set(subsets(m))
+        check_m(m)
         items = sorted(coeffs.items())
         for mask, _ in items:
-            if mask not in valid:
-                raise ValueError(f"subset mask {mask} out of range for m={m}")
+            check_mask(mask, m)
         # canonical as it comes: for a prime p of den, the coefficient a/d,
         # in lowest terms, whose d holds the highest power of p has p
         # dividing neither a nor den/d, so not its numerator a*den/d; a

@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import and_, lshift, or_, rshift
 from types import MappingProxyType
 
-from .linear import MAX_VARIABLES
+from .linear import check_m, check_mask
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -54,8 +54,7 @@ def check_points(
     point by point before it is packed, as True == 1 would merge (True,
     0) into (1, 0).  `noun` names a coordinate in the messages.
     """
-    if not 1 <= m <= MAX_VARIABLES:
-        raise ValueError(f"m must be in 1..{MAX_VARIABLES}, got {m}")
+    check_m(m)
     points = tuple(map(tuple, points))
     for pt in points:
         if len(pt) != m:
@@ -129,10 +128,6 @@ class PointSet:
         if self.base is not None and self.base < 1:
             raise ValueError("base must be positive")
 
-    def _check_mask(self, mask: int) -> None:
-        if not 0 < mask < 1 << self.m:
-            raise ValueError(f"subset mask {mask} out of range for m={self.m}")
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -182,7 +177,7 @@ class PointSet:
         cached shadow of a superset mask (the codes when there is no other)."""
         got = self._shadows.get(mask)
         if got is None:
-            self._check_mask(mask)
+            check_mask(mask, self.m)
             _, sup = min(  # the smallest cached superset; ties: the lower mask
                 (len(v), k) for k, v in self._shadows.items() if k & mask == mask
             )
@@ -201,7 +196,7 @@ class PointSet:
         from the codes."""
         got = self._fibers.get(mask)
         if got is None:
-            self._check_mask(mask)
+            check_mask(mask, self.m)
             counts = Counter(map(self.field(mask).__and__, self.codes))
             got = self._fibers[mask] = MappingProxyType(counts)
         return got

@@ -32,8 +32,7 @@ from operator import eq, lshift
 
 from .core import ExactLogLin
 from .linear import (
-    MAX_VARIABLES, Record, check_int, check_rational, mask_label, mask_of, mask_positions,
-    subsets,
+    Record, check_int, check_m, check_mask, check_rational, mask_label, mask_of, mask_positions,
 )
 from .points import PointSet
 
@@ -145,10 +144,10 @@ class SplitSpec(Record):
     def __post_init__(self):
         if not self.levels:
             raise ValueError("split spec needs at least one part")
-        valid, exact = set(subsets(self.m)), {}
+        check_m(self.m)
+        exact = {}
         for mask, b in self.levels.items():
-            if mask not in valid:
-                raise ValueError(f"part mask {mask} out of range for m={self.m}")
+            check_mask(mask, self.m)
             if isinstance(b, bool) or not isinstance(b, (int, float, Fraction)):
                 raise TypeError(
                     f"budget of part {mask_label(mask)} is a {type(b).__name__}, "
@@ -167,9 +166,7 @@ class SplitSpec(Record):
         of "p/q"; one with an exponent part (linear.check_rational), an m
         outside 1..MAX_VARIABLES, a part position outside 1..m, a part
         listed twice or a repeated position is a ValueError."""
-        m, levels = check_int(obj["m"], "m"), {}
-        if not 1 <= m <= MAX_VARIABLES:
-            raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {m}")
+        m, levels = check_m(check_int(obj["m"], "m")), {}
         for e in obj["levels"]:
             positions, b = [check_int(p, "part position") for p in e["part"]], e["bits"]
             if b in ("Infinity", "-Infinity"):

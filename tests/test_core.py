@@ -1,11 +1,13 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entrodim.cantor import uniform_fiber
 from entrodim.core import EntropyVector, ExactLogLin, eval_slack, loglin_sign
 from entrodim.dsl import format_inequality, parse_inequality
 from entrodim.linear import (
@@ -18,7 +20,9 @@ from entrodim.linear import (
     mask_positions,
     subsets,
 )
-from entrodim.splitting import FLOAT_TOL
+from entrodim.groups import cyclic, subgroup_from_elements, witness_set
+from entrodim.points import PointSet, check_points
+from entrodim.splitting import FLOAT_TOL, SplitSpec
 
 
 def test_subsets_enumeration():
@@ -33,17 +37,42 @@ def test_subsets_enumeration():
 
 
 def test_mask_helpers():
-    assert mask_of([1, 3]) == 0b101
+    assert mask_of([1, 3], 3) == 0b101
     assert mask_positions(0b101) == (1, 3)
     assert mask_positions(0) == ()
     for mask in subsets(4):
-        assert mask_of(mask_positions(mask)) == mask
+        assert mask_of(mask_positions(mask), 4) == mask
     assert mask_label(0b101) == "{1,3}"
     assert mask_label(0b011, ("x", "y", "z")) == "x,y"
     with pytest.raises(ValueError):
-        mask_of([0])
+        mask_of([0], 2)
     with pytest.raises(ValueError):
         mask_of([3], m=2)
+
+
+_BODY = PointSet(2, 2, [(0, 0), (1, 1)])
+_TRIVIAL = subgroup_from_elements(cyclic(2), [0])
+
+
+@pytest.mark.parametrize("site, message", [
+    (lambda: subsets(9), "m must be in 1..8, got 9"),
+    (lambda: LinearInequality(0, {1: 1}), "m must be in 1..8, got 0"),
+    (lambda: check_points([], 9), "m must be in 1..8, got 9"),
+    (lambda: witness_set(cyclic(2), [_TRIVIAL] * 9), "m must be in 1..8, got 9"),
+    (lambda: SplitSpec(9, {1: 1}), "m must be in 1..8, got 9"),
+    (lambda: SplitSpec.from_json({"m": 10**9, "levels": [{"part": [10**9], "bits": 1}]}),
+     "m must be in 1..8, got 1000000000"),
+    (lambda: LinearInequality(2, {4: 1}), "subset mask 4 out of range for m=2"),
+    (lambda: SplitSpec(2, {0: 1}), "subset mask 0 out of range for m=2"),
+    (lambda: _BODY.shadow(4), "subset mask 4 out of range for m=2"),
+    (lambda: _BODY.fibers(-1), "subset mask -1 out of range for m=2"),
+    (lambda: uniform_fiber(_BODY, 0), "subset mask 0 out of range for m=2"),
+    (lambda: mask_of([10**9], 3), "variable position 1000000000 out of range"),
+], ids=["subsets", "inequality-m", "check_points", "witness_set", "spec-m", "spec-json-m",
+        "inequality-mask", "spec-mask", "shadow", "fibers", "uniform_fiber", "mask_of"])
+def test_each_input_bound_is_checked_once_with_one_message(site, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        site()
 
 
 def _reference_label(mask, names=None):
