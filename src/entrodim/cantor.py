@@ -11,10 +11,10 @@ to ExactLogLin sign tests — no floating point decides anything here.
 The headline construction: a group entropy point that violates a linear
 inequality is converted into digit sets whose projection dimensions
 violate the corresponding dimension inequality with room to spare
-(levels a_I sit a rational epsilon below the true dimensions).  Only
-that construction reaches :mod:`entrodim.groups`, and only it and the
-exact comparisons reach :mod:`entrodim.core`, so reading a digit set
-loads neither.
+(levels a_I sit a rational epsilon below the true dimensions).  It
+reads only a group point's witness set and exact slack, so this module
+reaches no :mod:`entrodim.groups`; only it and the exact comparisons
+reach :mod:`entrodim.core`, so reading a digit set loads neither.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from . import core, groups
+from . import core
 from .linear import LinearInequality, Record, check_int, check_mask, mask_label, subsets
 from .points import PointSet, pack_columns
 
@@ -216,41 +216,28 @@ def verify_counterexample(ce: DimensionCounterexample) -> None:
         raise AssertionError("stored margin does not match recomputation")
 
 
-def build_counterexample(
-    ineq: LinearInequality, g: groups.FiniteGroup, subgroups
-) -> DimensionCounterexample:
+def build_counterexample(ineq: LinearInequality, found) -> DimensionCounterexample:
     """Theorem-2-style pipeline from a violating group point to digit sets.
 
-    Steps: build the coset entropy point, checked against its witness
-    set; confirm it violates `ineq` (exact negative slack, else
-    NotViolated); take N = the largest per-variable coset count, so every
-    coordinate's digit alphabet fits; reinterpret the witness set as
-    digits in base N; pick the largest epsilon = 2^-k (k = 1..64) keeping
-    the dimension-level inequality strictly violated; clamp levels at
-    zero.  Every invariant is re-verified before the result is returned.
-    Each subgroup is validated against g once (ValueError): an element
-    list here, a Subgroup by witness_set unless it was validated against
-    g already.
+    Only the exact slack and witness set ``support`` of `found`, a
+    groups.group_point on ineq, are read.  Steps: confirm the slack is
+    negative (else NotViolated); take N = the largest coset count
+    #G/#H_i, so every coordinate's digit alphabet fits; reinterpret the
+    witness set as digits in base N; pick the largest epsilon = 2^-k
+    (k = 1..64) keeping the dimension-level inequality strictly violated;
+    clamp levels at zero.  Every invariant is re-verified before return.
     """
-    subs = [
-        h if isinstance(h, groups.Subgroup) else groups.subgroup_from_elements(g, h)
-        for h in subgroups
-    ]
-    if len(subs) != ineq.m:
-        raise ValueError(f"need {ineq.m} subgroups, got {len(subs)}")
-    support = groups.witness_set(g, subs)
-    point = groups.coset_entropy_point(g, subs, support=support)
-    slack = core.eval_slack(ineq, point)
+    slack, support = found.slack, found.support
     if slack.sign() >= 0:
         raise NotViolated(slack)
 
-    n_base = max(g.order // h.order for h in subs)
+    # the point's check cached every fiber count of the support and found
+    # it #G/#H_I = 2**point[I] on I, so N is the largest #G/#H_i and the
+    # margin at epsilon = 0 is -slack; each lhs level takes epsilon off it
+    n_base = max(len(support.fibers(1 << i)) for i in range(ineq.m))
     # the support's codes are digits below n_base (n_base >= 2, as the
     # slack is negative); the fields' widths stay those of its points
     witness = PointSet._of_valid(ineq.m, n_base, support.codes, support.widths)
-    # the point's check cached every fiber count of the support and found
-    # each projection count to be #G/#H_I = 2**point[I], so the margin at
-    # epsilon = 0 is exactly -slack; each lhs level takes epsilon off it
     dims = {
         mask: DimValue(len(support.fibers(mask)), n_base)
         for mask in subsets(ineq.m)

@@ -111,11 +111,10 @@ def _cmd_eval(inputs: dict, report: dict) -> int:
     return 2 if sign < 0 else 0
 
 
-def _group_report(g: groups.FiniteGroup) -> dict:
-    out = {"order": g.order}
-    if g.name:
-        out["name"] = g.name
-    return out
+def _group_report(found: groups.Violation, report: dict) -> None:
+    g = found.group
+    report["group"] = {"order": g.order, "name": g.name} if g.name else {"order": g.order}
+    report["subgroups"] = groups.subgroups_to_json(found.subgroups)
 
 
 def _cmd_group_search(inputs: dict, report: dict) -> int:
@@ -130,8 +129,7 @@ def _cmd_group_search(inputs: dict, report: dict) -> int:
         report["note"] = "not a proof of non-existence; the catalog is finite"
         return 0
     report["outcome"] = "violation found"
-    report["group"] = _group_report(found.group)
-    report["subgroups"] = groups.subgroups_to_json(found.subgroups)
+    _group_report(found, report)
     report["entropy_point"] = {mask_label(s, names): found.point[s].to_json()
                                for s in subsets(ineq.m)}
     report["slack"] = found.slack.to_json()
@@ -148,17 +146,16 @@ def _cmd_counterexample(inputs: dict, report: dict) -> int:
             raise ValueError("--group requires --subgroups")
         g = groups.FiniteGroup.from_json(_load_json(inputs["group"]))
         subs = groups.subgroups_from_json(g, _load_json(inputs["subgroups"]))
+        found = groups.group_point(ineq, g, subs)
     else:
         found = groups.search_violation(ineq, max_order=inputs["max_order"])
         if found is None:
             report["outcome"] = "no violating group point within catalog"
             return 0
-        g, subs = found.group, list(found.subgroups)
         report["searched"] = True
-    ce = cantor.build_counterexample(ineq, g, subs)
+    ce = cantor.build_counterexample(ineq, found)
     report["outcome"] = "counterexample built"
-    report["group"] = _group_report(g)
-    report["subgroups"] = groups.subgroups_to_json(subs)
+    _group_report(found, report)
     report["counterexample"] = ce.to_json()
     return 2
 

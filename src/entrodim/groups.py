@@ -427,12 +427,12 @@ def coset_entropy_point(g: FiniteGroup, subgroups, support=None) -> EntropyVecto
     values[I] = log2(#G) - log2(#H_I).
 
     Each value is checked against the witness set: `support` when given
-    (witness_set(g, subgroups), from a caller that needs it too), else a
-    new one.  Either way witness_set has validated the subgroups against
-    g (ValueError).  Its projection onto I must have #G / #H_I points,
-    with fibers of one size, so that its uniform distribution has this
-    entropy on I; else AssertionError.  The fiber counts stay cached on
-    the support.
+    (witness_set(g, subgroups), as group_point passes the one it keeps),
+    else a new one.  Either way witness_set has validated the subgroups
+    against g (ValueError).  Its projection onto I must have #G / #H_I
+    points, with fibers of one size, so that its uniform distribution has
+    this entropy on I; else AssertionError.  The fiber counts stay cached
+    on the support.
     """
     subs = list(subgroups)
     if support is None:
@@ -468,11 +468,27 @@ def _intersection_orders(g: FiniteGroup, subs) -> dict[int, int]:
 
 
 class Violation(Record):
-    """First catalog point violating an inequality, with its exact slack:
-    the group, the tuple of subgroups, their EntropyVector point and the
-    ExactLogLin slack."""
+    """A group point: the group, the tuple of subgroups, their EntropyVector
+    point and its ExactLogLin slack on an inequality.  ``support``, the
+    witness set the point was checked against, is outside == and repr."""
 
     _fields = ("group", "subgroups", "point", "slack")
+
+    def __init__(self, group, subgroups, point, slack, support=None) -> None:
+        super().__init__(group, subgroups, point, slack)
+        object.__setattr__(self, "support", support)
+
+
+def group_point(ineq: LinearInequality, g: FiniteGroup, subgroups) -> Violation:
+    """The coset point of (g, subgroups) with its exact slack on ineq: one
+    subgroup per variable (else ValueError), each validated by witness_set,
+    whose one witness set checks the point and is kept as ``support``."""
+    subs = tuple(subgroups)
+    if len(subs) != ineq.m:
+        raise ValueError(f"need {ineq.m} subgroups, got {len(subs)}")
+    support = witness_set(g, subs)
+    point = coset_entropy_point(g, subs, support=support)
+    return Violation(g, subs, point, eval_slack(ineq, point), support)
 
 
 def search_violation(
@@ -506,8 +522,8 @@ def search_violation(
     conjugations) sends to earlier tuples.  This keeps the first hit:
     the image of the first violating tuple violates too, so it is not
     earlier, and that tuple is never skipped.
-    A hit is rebuilt as a coset point checked against its witness set,
-    and its slack re-decided by eval_slack; disagreement raises
+    A hit is rebuilt by group_point, which rechecks the coset point on its
+    witness set and re-decides the slack; disagreement raises
     AssertionError.
     """
     cat = list(groups) if groups is not None else builtin_catalog(max_order)
@@ -522,12 +538,10 @@ def search_violation(
             g.order, [h.mask for h in subs], m, exps, *_symmetries(g, subs, m, exps)
         )
         if hit is not None:
-            tup = tuple(subs[i] for i in hit)
-            point = coset_entropy_point(g, tup)
-            slack = eval_slack(ineq, point)
-            if slack.sign() >= 0:
+            found = group_point(ineq, g, (subs[i] for i in hit))
+            if found.slack.sign() >= 0:
                 raise AssertionError("fast slack sign disagrees with exact")
-            return Violation(g, tup, point, slack)
+            return found
     return None
 
 

@@ -28,6 +28,7 @@ from entrodim.groups import (
     coset_entropy_point,
     cyclic,
     direct_product,
+    group_point,
     search_violation,
     subgroup_from_elements,
     symmetric,
@@ -268,7 +269,7 @@ def test_criterion_09_counterexample_pipeline():
         subgroup_from_elements(klein, [0, 1]),
         subgroup_from_elements(klein, [0]),
     ]
-    ce = build_counterexample(ineq, klein, subs)
+    ce = build_counterexample(ineq, group_point(ineq, klein, subs))
     assert (ce.entropy_slack + ExactLogLin.bits(1)).sign() == 0
     assert ce.epsilon == Fraction(1, 4)
     assert ce.margin_times_log_base.sign() == 1

@@ -658,6 +658,26 @@ def test_split_is_recounted_once(capsys, tmp_path, monkeypatch, method):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("from_file", [False, True], ids=["searched", "group file"])
+def test_counterexample_builds_one_group_point(capsys, tmp_path, monkeypatch, from_file):
+    # the point the search found, or the group file's, is the one the
+    # digit sets are read from: one witness set, checked once
+    from entrodim import groups
+
+    calls = []
+    for name in ("witness_set", "coset_entropy_point"):
+        real = getattr(groups, name)
+        monkeypatch.setattr(groups, name, lambda *a, real=real, name=name, **k: (
+            calls.append(name) or real(*a, **k)))
+    argv = ["counterexample", "--ineq", "H(x,y) <= H(x)"]
+    if from_file:
+        argv += ["--group", write_json(tmp_path / "g.json", KLEIN_JSON),
+                 "--subgroups", write_json(tmp_path / "s.json", [[0, 1], [0]])]
+    code, report, _ = run(capsys, *argv)
+    assert code == 2 and report["outcome"] == "counterexample built"
+    assert calls == ["witness_set", "coset_entropy_point"]
+
+
 def test_demo_cube_bar(capsys):
     code, report, _ = run(capsys, "demo", "cube-bar", "--k", "16")
     assert code == 0

@@ -29,6 +29,7 @@ from entrodim.groups import (
     direct_product,
     from_permutations,
     group_from_table,
+    group_point,
     search_violation,
     subgroup_from_elements,
     subgroup_from_generators,
@@ -578,7 +579,7 @@ def test_subgroup_objects_are_checked_against_their_group(subs, message):
     # subgroups of Z3
     z3, ineq = cyclic(3), parse_inequality("H(x,y) <= H(x)")
     for run in (lambda: witness_set(z3, subs), lambda: coset_entropy_point(z3, subs),
-                lambda: build_counterexample(ineq, z3, subs)):
+                lambda: build_counterexample(ineq, group_point(ineq, z3, subs))):
         with pytest.raises(ValueError, match=message):
             run()
 
@@ -595,15 +596,30 @@ def test_each_subgroup_is_validated_once_per_request(monkeypatch):
 
     monkeypatch.setattr(groups, "subgroup_from_elements", counting)
     ineq = parse_inequality("H(x,y) <= H(x)")
-    for given_as in (lambda arrays: arrays,
-                     lambda arrays: groups.subgroups_from_json(KLEIN, arrays)):
-        checked.clear()
-        build_counterexample(ineq, KLEIN, given_as([[0, 1], [0, 2]]))
-        assert checked == [(0, 1), (0, 2)]
+    subs = groups.subgroups_from_json(KLEIN, [[0, 1], [0, 2]])
+    build_counterexample(ineq, group_point(ineq, KLEIN, subs))
+    assert checked == [(0, 1), (0, 2)]
     found = groups.search_violation(ineq, max_order=4)
     checked.clear()
-    build_counterexample(ineq, found.group, found.subgroups)
+    build_counterexample(ineq, group_point(ineq, found.group, found.subgroups))
     assert checked == []  # all_subgroups built them in their group
+
+
+def test_a_hit_the_exact_slack_disagrees_with_is_refused(monkeypatch):
+    from entrodim import groups
+
+    monkeypatch.setattr(groups, "eval_slack", lambda ineq, point: ExactLogLin.bits(0))
+    with pytest.raises(AssertionError, match="fast slack sign disagrees with exact"):
+        search_violation(parse_inequality("H(x,y) <= H(x)"), max_order=4)
+
+
+def test_group_point_validates_unvalidated_subgroups():
+    ineq = parse_inequality("H(x,y) <= H(x)")
+    # {0, 1} is no subgroup of Z3: the inverse of 1 is 2
+    with pytest.raises(ValueError, match="not closed under inverse of 1"):
+        group_point(ineq, cyclic(3), [Subgroup((0,)), Subgroup((0, 1))])
+    with pytest.raises(ValueError, match="not closed under product 1\\*1"):
+        group_point(ineq, cyclic(4), [Subgroup((0, 1, 3)), Subgroup((0,))])
 
 
 def test_subgroups_json_round_trip():

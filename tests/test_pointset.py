@@ -15,7 +15,7 @@ from entrodim.cantor import CantorWitness, build_counterexample, verify_countere
 from entrodim.cli import main
 from entrodim.distributions import JointDistribution, SupportSet
 from entrodim.dsl import parse_inequality
-from entrodim.groups import cyclic, direct_product, subgroup_from_elements
+from entrodim.groups import cyclic, direct_product, group_point, subgroup_from_elements
 from entrodim import splitting
 from entrodim.linear import mask_label, subsets
 from entrodim.points import PointSet, check_points
@@ -335,7 +335,8 @@ def test_verify_counterexample_counts_from_the_points_not_the_cache():
     g = direct_product(cyclic(2), cyclic(2))
     h1 = subgroup_from_elements(g, [0, 1])
     h2 = subgroup_from_elements(g, [0])
-    ce = build_counterexample(parse_inequality("H(x,y) <= H(x)"), g, [h1, h2])
+    ineq = parse_inequality("H(x,y) <= H(x)")
+    ce = build_counterexample(ineq, group_point(ineq, g, [h1, h2]))
     verify_counterexample(ce)
     # made anew through the constructor, with one stored dimension wrong
     fields = {name: getattr(ce, name) for name in ce._fields}

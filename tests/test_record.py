@@ -9,8 +9,10 @@ import pytest
 from entrodim.cantor import DimValue, NonUniform
 from entrodim.core import EntropyVector, ExactLogLin
 from entrodim.distributions import JointDistribution
-from entrodim.groups import FiniteGroup, Subgroup, cyclic, subgroup_from_elements
+from entrodim.groups import (
+    FiniteGroup, Subgroup, Violation, cyclic, group_point, subgroup_from_elements)
 from entrodim.linear import LinearInequality, Record
+from entrodim.points import PointSet
 from entrodim.shannon import FarkasWitness, ShannonCertificate, elemental_inequalities
 from entrodim.simplex import FeasibilityResult
 from entrodim.splitting import SplitSpec, UnsplitReport
@@ -58,6 +60,14 @@ REPRS = {
         lambda: elemental_inequalities(1),
         "ElementalSet(m=1, rows=(LinearInequality(m=1, den=1, nums=mappingproxy({1: 1})),))",
     ),
+    "Violation": (
+        lambda: group_point(LinearInequality(1, {1: -1}), cyclic(2),
+                            [subgroup_from_elements(cyclic(2), [0])]),
+        "Violation(group=FiniteGroup(Z2), subgroups=(Subgroup(elements=(0,)),), "
+        "point=EntropyVector(m=1, values=mappingproxy({1: "
+        "ExactLogLin(terms=((Fraction(1, 1), 2),))})), "
+        "slack=ExactLogLin(terms=((Fraction(-1, 1), 2),)))",
+    ),
 }
 
 
@@ -89,6 +99,11 @@ def test_equality_ignores_the_attributes_outside_the_fields():
     dist = JointDistribution(1, (((0,), 1),))
     other = JointDistribution(1, (((0,), 1),))
     assert dist.support is not other.support and dist == other
+    found = REPRS["Violation"][0]()
+    assert type(found.support) is PointSet and found.support.points == {(0,), (1,)}
+    bare = Violation(found.group, found.subgroups, found.point, found.slack)
+    assert bare.support is None and bare == found
+    assert repr(bare) == repr(found)
 
 
 def test_equal_inequalities_hash_equal():
