@@ -20,14 +20,11 @@ reach :mod:`entrodim.core`, so reading a digit set loads neither.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from fractions import Fraction
 
 from . import core
 from .linear import LinearInequality, Record, check_int, check_mask, mask_label, subsets
-from .points import PointSet, pack_columns
-
-Digits = tuple[int, ...]
+from .points import PointSet
 
 
 class CantorWitness(PointSet):
@@ -59,10 +56,6 @@ class DimValue(Record):
     def to_float(self) -> float:
         return math.log2(self.cardinality) / math.log2(self.base)
 
-    def times_log_base(self) -> core.ExactLogLin:
-        """dim * log2(N), i.e. exactly log2(cardinality)."""
-        return core.ExactLogLin.log2(self.cardinality)
-
     def __str__(self):
         return f"log2({self.cardinality})/log2({self.base})"
 
@@ -71,10 +64,6 @@ def project(w: PointSet, subset: int) -> PointSet:
     """Projection onto the coordinates in `subset` (a new digit set made
     from w's cached shadow)."""
     return w.projection(subset)
-
-
-def dim_value(w: PointSet) -> DimValue:
-    return DimValue(len(w), w.base)
 
 
 class NonUniform(Record):
@@ -96,27 +85,6 @@ def uniform_fiber(w: PointSet, subset: int):
     n, k = len(w), len(fibers)
     bad = [key for key, c in fibers.items() if c * k != n]
     return NonUniform(w.decode(min(bad), subset)) if bad else n // k
-
-
-def lemma_fiber_bound(w: PointSet, b: Iterable[Digits], subset: int) -> bool:
-    """Counting bound #B <= #B_I * f for any subset B of the digit set.
-
-    This is the finite heart of the dimension bound for subsets of C_A
-    with uniform fibers: a point of B is pinned down by its I-projection
-    plus one fiber choice.  Always true when uniform_fiber succeeds; the
-    function exists as a property-test harness, so it returns the
-    comparison instead of asserting it.
-    """
-    bset = {tuple(p) for p in b}
-    if not bset <= w.points:
-        raise ValueError("B must be a subset of the witness digit set")
-    f = uniform_fiber(w, subset)
-    if isinstance(f, NonUniform):
-        raise ValueError(f"projection {mask_label(subset)} has non-uniform fibers")
-    if not bset:
-        return True
-    codes = pack_columns(list(zip(*bset)), w.widths)  # B's points in w's fields
-    return len(codes) <= len(set(map(w.field(subset).__and__, codes))) * f
 
 
 class NotViolated(ValueError):

@@ -163,29 +163,33 @@ def _cmd_counterexample(inputs: dict, report: dict) -> int:
 def _cmd_cantor(inputs: dict, report: dict) -> int:
     w = cantor.CantorWitness.from_json(_load_json(inputs["witness"]))
     full = (1 << w.m) - 1
-    if inputs["project"] is not None:
-        positions = [int(p) for p in inputs["project"].split(",")]
+    text = inputs["project"]
+    if text is not None:
+        try:
+            positions = [int(p) for p in text.split(",")]
+        except ValueError:
+            raise ValueError(f"non-integer position in --project {text}") from None
         if len(set(positions)) != len(positions):
-            raise ValueError(f"repeated position in --project {inputs['project']}")
+            raise ValueError(f"repeated position in --project {text}")
         masks = [mask_of(positions, w.m)]
     else:
         masks = subsets(w.m)
     entries = []
     for mask in masks:
-        dim = cantor.DimValue(len(w.shadow(mask)), w.base)
+        fiber = None if mask == full else cantor.uniform_fiber(w, mask)
+        # the cardinality is the size of the fiber table uniform_fiber cached
+        dim = cantor.DimValue(len(w) if fiber is None else len(w.fibers(mask)), w.base)
         entry = {
             "projection": mask_label(mask),
             "cardinality": dim.cardinality,
             "dim_exact": str(dim),
             "dim_float": dim.to_float(),
         }
-        if mask != full:
-            fiber = cantor.uniform_fiber(w, mask)
-            if isinstance(fiber, cantor.NonUniform):
-                entry["uniform_fiber"] = None
-                entry["non_uniform_at"] = list(fiber.value)
-            else:
-                entry["uniform_fiber"] = fiber
+        if isinstance(fiber, cantor.NonUniform):
+            entry["uniform_fiber"] = None
+            entry["non_uniform_at"] = list(fiber.value)
+        elif fiber is not None:
+            entry["uniform_fiber"] = fiber
         entries.append(entry)
     report["m"] = w.m
     report["N"] = w.base

@@ -107,7 +107,7 @@ class FiniteGroup(Record):
             raise GroupTableError(f"table is not {n}x{n}")
         for row in tab:
             for x in row:
-                if not 0 <= x < n:
+                if not 0 <= check_int(x, "table entry") < n:
                     raise GroupTableError(f"table entry {x} out of range 0..{n - 1}")
         if any(tab[0][j] != j or tab[j][0] != j for j in range(n)):
             raise NoIdentity()
@@ -133,7 +133,7 @@ class FiniteGroup(Record):
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteGroup":
         if "table" in obj:
-            table = tuple(tuple(check_int(x, "table entry") for x in row) for row in obj["table"])
+            table = obj["table"]
             order = check_int(obj.get("order", len(table)), "order")
             return cls(order, table, _json_name(obj))
         if "generators" in obj:
@@ -470,11 +470,12 @@ def _intersection_orders(g: FiniteGroup, subs) -> dict[int, int]:
 class Violation(Record):
     """A group point: the group, the tuple of subgroups, their EntropyVector
     point and its ExactLogLin slack on an inequality.  ``support``, the
-    witness set the point was checked against, is outside == and repr."""
+    witness set the point was checked against, is required but outside
+    == and repr."""
 
     _fields = ("group", "subgroups", "point", "slack")
 
-    def __init__(self, group, subgroups, point, slack, support=None) -> None:
+    def __init__(self, group, subgroups, point, slack, support) -> None:
         super().__init__(group, subgroups, point, slack)
         object.__setattr__(self, "support", support)
 
@@ -554,11 +555,10 @@ def _symmetries(g: FiniteGroup, subs, m: int, exps: dict[int, int]):
     is checked; larger variable permutations are not tried).  A renaming
     is a tuple r sending index k to r[k], applied to every position; the
     distinct non-identity ones come from conjugation H -> xHx^-1 by the
-    elements x of g, and one is listed only when it maps subs into
-    itself (an all_subgroups listing holds every subgroup made by at
-    most two generators, so every conjugation maps it into itself;
-    another list need not be closed).  Conjugation keeps the order of
-    every intersection, so it keeps the slack.
+    elements x of g.  subs is g's all_subgroups listing, which every
+    conjugation maps onto itself: <a, b> conjugated by x is
+    <xax^-1, xbx^-1>, made by as many generators.  Conjugation keeps the
+    order of every intersection, so it keeps the slack.
     """
     swaps = []
     for i in range(m):
@@ -579,10 +579,8 @@ def _symmetries(g: FiniteGroup, subs, m: int, exps: dict[int, int]):
         conj = [tab[y][xi] for y in row]  # a -> x a x^-1
         if conj == ident:
             continue
-        image = tuple(
-            index.get(sum(1 << conj[a] for a in h.elements), -1) for h in subs
-        )
-        if -1 not in image and image not in seen:
+        image = tuple(index[sum(1 << conj[a] for a in h.elements)] for h in subs)
+        if image not in seen:
             seen.add(image)
             renamings.append(image)
     return swaps, renamings

@@ -13,8 +13,6 @@ from entrodim.cantor import (
     NonUniform,
     NotViolated,
     build_counterexample,
-    dim_value,
-    lemma_fiber_bound,
     project,
     uniform_fiber,
     verify_counterexample,
@@ -75,20 +73,22 @@ def test_project():
         project(PARITY, 0b1000)
 
 
+def _dim(w):
+    return DimValue(len(w), w.base)
+
+
 def test_dim_value_examples():
-    d = dim_value(CANTOR_13)
+    d = _dim(CANTOR_13)
     assert d == DimValue(2, 3)
     assert d.to_float() == pytest.approx(LOG2_OVER_LOG3, abs=1e-15)
     assert str(d) == "log2(2)/log2(3)"
-    assert dim_value(FULL_SQUARE).to_float() == 2.0
-    assert dim_value(PARITY).to_float() == 2.0
-    # dim * log2(N) is literally log2(cardinality)
-    assert (d.times_log_base() - ExactLogLin.log2(2)).sign() == 0
+    assert _dim(FULL_SQUARE).to_float() == 2.0
+    assert _dim(PARITY).to_float() == 2.0
 
 
 def test_dim_value_ordering():
-    # dimensions are compared exactly through times_log_base, never as
-    # objects or floats
+    # dimensions are compared exactly as dim * log2(N) = log2(cardinality),
+    # never as objects or floats
     with pytest.raises(TypeError):
         DimValue(2, 3) < DimValue(3, 3)
     with pytest.raises(TypeError):
@@ -112,18 +112,18 @@ def test_uniform_fiber():
 
 
 def test_lemma_fiber_bound():
+    # a point of a subset B of the digit set is pinned down by its
+    # I-projection and one of f fiber choices, so #B <= #B_I * f whenever
+    # uniform_fiber gives f
     pts = sorted(PARITY.points)
-    assert lemma_fiber_bound(PARITY, pts, 0b011)
-    assert lemma_fiber_bound(PARITY, [], 0b001)
-    assert lemma_fiber_bound(PARITY, [pts[0]], 0b001)
     rng = random.Random(8)
     for _ in range(100):
         b = [p for p in pts if rng.random() < 0.5]
-        assert lemma_fiber_bound(PARITY, b, rng.choice([1, 2, 3, 4]))
-    with pytest.raises(ValueError):
-        lemma_fiber_bound(PARITY, [(9, 9, 9)], 0b001)
-    with pytest.raises(ValueError):
-        lemma_fiber_bound(L_SHAPE, [], 0b01)  # non-uniform projection
+        mask = rng.choice([1, 2, 3, 4])
+        f = uniform_fiber(PARITY, mask)
+        image = {tuple(x for i, x in enumerate(p) if mask >> i & 1) for p in b}
+        assert len(b) <= len(image) * f
+    assert isinstance(uniform_fiber(L_SHAPE, 0b01), NonUniform)  # no f, no bound
 
 
 def test_projection_dims_are_monotone():
@@ -136,15 +136,15 @@ def test_projection_dims_are_monotone():
         while len(pts) < npts:
             pts.add(tuple(rng.randrange(base) for _ in range(m)))
         w = CantorWitness(m, base, frozenset(pts))
-        total = dim_value(w)
+        total = _dim(w)
         for mask in subsets(m):
             if mask == (1 << m) - 1:
                 continue
-            d = dim_value(project(w, mask))
+            d = _dim(project(w, mask))
             assert d.cardinality <= total.cardinality
             # dim of a projection never exceeds its coordinate count
             k = bin(mask).count("1")
-            assert (d.times_log_base() - k * ExactLogLin.log2(base)).sign() <= 0
+            assert (ExactLogLin.log2(d.cardinality) - k * ExactLogLin.log2(base)).sign() <= 0
 
 
 def test_level():

@@ -905,6 +905,35 @@ def test_cantor_project_rejects_bad_positions(capsys, tmp_path, project):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("project", ["", "1,,2", "x"])
+def test_cantor_project_names_a_position_that_is_not_an_integer(capsys, tmp_path, project):
+    witness = write_json(
+        tmp_path / "w.json", {"m": 2, "N": 2, "points": [[0, 0], [1, 1]]}
+    )
+    code, report, err = run(
+        capsys, "cantor", "--witness", witness, "--project", project
+    )
+    assert (code, report) == (1, None)
+    assert err == f"error: ValueError: non-integer position in --project {project}\n"
+
+
+@pytest.mark.parametrize("project", [[], ["--project", "1,2"]], ids=["all", "one"])
+def test_cantor_counts_each_projection_once(capsys, tmp_path, monkeypatch, project):
+    # a cardinality is read off the fiber table uniform_fiber counts, so
+    # no shadow is worked out beside it
+    from entrodim.points import PointSet
+
+    calls = []
+    real = PointSet.shadow
+    monkeypatch.setattr(PointSet, "shadow", lambda self, mask: calls.append(mask) or real(self, mask))
+    witness = write_json(
+        tmp_path / "w.json", {"m": 3, "N": 2, "points": [[0, 1, 1], [1, 0, 1]]}
+    )
+    code, report, _ = run(capsys, "cantor", "--witness", witness, *project)
+    assert code == 0 and len(report["projections"]) == (1 if project else 7)
+    assert calls == []
+
+
 def test_parser_reuse_keeps_requests_apart(capsys, tmp_path):
     body = write_json(tmp_path / "b.json", {"m": 1, "N": 2, "points": [[0], [1]]})
     spec = write_json(

@@ -106,7 +106,7 @@ def _reference_search(
                 slack = eval_slack(ineq, point)
                 if slack.sign() >= 0:
                     raise AssertionError("fast slack sign disagrees with exact")
-                return Violation(g, tuple(tup), point, slack)
+                return Violation(g, tuple(tup), point, slack, witness_set(g, tup))
     return None
 
 KLEIN = direct_product(cyclic(2), cyclic(2), name="klein")
@@ -749,6 +749,19 @@ def test_constructed_tables_pass_the_full_check():
         assert FiniteGroup(g.order, g.table, g.name) == g
 
 
+def test_each_table_entry_is_checked_once_as_an_int():
+    # FiniteGroup(...) and a group file give one message for an entry that
+    # is not an int; True would pass a range check as 1
+    for table in (((0, 1.0), (1.0, 0)), ((0, True), (True, 0))):
+        bad = table[0][1]
+        for make in (lambda: FiniteGroup(2, table),
+                     lambda: FiniteGroup.from_json({"table": [list(r) for r in table]})):
+            with pytest.raises(TypeError) as err:
+                make()
+            assert str(err.value) == f"table entry must be an integer, got {bad!r}"
+    assert FiniteGroup(2, ((0, 1), (1, 0)), "Z2") == cyclic(2)
+
+
 def test_corrupt_json_tables_still_raise():
     # perfbench's tracer patches from_json in the class __dict__
     assert isinstance(FiniteGroup.__dict__["from_json"], classmethod)
@@ -876,14 +889,35 @@ def test_symmetries_found():
     # S3 has trivial center: its five non-identity elements conjugate
     # the three subgroups of order 2 in five different ways
     assert len(renamings) == 5
-    # cut after the first of the three conjugate subgroups of order 2,
-    # the listing is mapped into itself only by the conjugations that
-    # fix each of its entries, which rename nothing
-    assert _symmetries(s3, subs[:2], 4, exps) == ([(0, 1), (2, 3)], [])
     # Zhang-Yeung is fixed by exchanging its last two variables only
     zy = zhang_yeung()
     zy_exps = dict(zy.nums)
     assert _symmetries(KLEIN, all_subgroups(KLEIN), 4, zy_exps) == ([(2, 3)], [])
+
+
+def test_a_group_point_needs_its_witness_set():
+    ineq = parse_inequality("H(x,y) <= H(x)")
+    subs = (subgroup_from_elements(KLEIN, [0, 1]), subgroup_from_elements(KLEIN, [0]))
+    found = group_point(ineq, KLEIN, subs)
+    with pytest.raises(TypeError):
+        Violation(KLEIN, subs, found.point, found.slack)
+    again = Violation(KLEIN, subs, found.point, found.slack, found.support)
+    assert build_counterexample(ineq, again) == build_counterexample(ineq, found)
+
+
+def test_conjugation_maps_each_subgroup_listing_onto_itself():
+    # _symmetries looks each conjugate up in the all_subgroups listing
+    # with no fallback: <a, b> conjugated by x is <xax^-1, xbx^-1>
+    groups = (*builtin_catalog(64), symmetric(4), symmetric(5))
+    assert len(groups) == 196
+    for g in groups:
+        subs = all_subgroups(g)
+        masks = {h.mask for h in subs}
+        tab, inv = g.table, g.inverses
+        for x in range(1, g.order):
+            conj = [tab[y][inv[x]] for y in tab[x]]  # a -> x a x^-1
+            for h in subs:
+                assert sum(1 << conj[a] for a in h.elements) in masks, (g, x, h)
 
 
 def test_fully_symmetric_scan_is_reduced():

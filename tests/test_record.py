@@ -101,9 +101,10 @@ def test_equality_ignores_the_attributes_outside_the_fields():
     assert dist.support is not other.support and dist == other
     found = REPRS["Violation"][0]()
     assert type(found.support) is PointSet and found.support.points == {(0,), (1,)}
-    bare = Violation(found.group, found.subgroups, found.point, found.slack)
-    assert bare.support is None and bare == found
-    assert repr(bare) == repr(found)
+    other = Violation(found.group, found.subgroups, found.point, found.slack,
+                      PointSet(1, None, [(0,)]))
+    assert other.support != found.support and other == found
+    assert repr(other) == repr(found)
 
 
 def test_equal_inequalities_hash_equal():
