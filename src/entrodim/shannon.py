@@ -29,6 +29,19 @@ process saves.  A target that no ray refutes goes to the LP, so no
 verdict rests on the table being complete.  The five-variable cones
 have on the order of 10^5 rays (Studený, Bouckaert & Kočka, 2000), so
 the table stops at m = 4.
+
+The same rays shrink the LP of a target that none refutes.  If the
+target is 0 on a ray p and t = sum_r w_r * row_r with every w_r >= 0,
+then sum_r w_r * (row_r . p) = 0 with every row_r . p >= 0, so no
+certificate puts weight on a row that is positive on p (complementary
+slackness).  Each ray gets the mask of the elemental rows that are 0 on
+it, made once per m from the LP matrix, and the LP is solved only on the
+rows in the masks of all the rays on which the target is 0.  Its matrix
+is prepared once per such set of rows; Gamma_m has finitely many faces,
+so there are finitely many.  The weights it finds are verified on the
+full elemental set.  Should that LP be infeasible, which only a ray
+missing from the table could cause, the full LP decides, so again no
+verdict rests on the table.
 """
 
 from __future__ import annotations
@@ -101,6 +114,9 @@ class ShannonCertificate(Record):
 
     _fields = ("m", "weights")
 
+    def __hash__(self) -> int:
+        return hash((self.m, frozenset(self.weights.items())))
+
 
 class FarkasWitness(Record):
     """A polymatroid point on which the target inequality fails.
@@ -111,6 +127,9 @@ class FarkasWitness(Record):
     """
 
     _fields = ("m", "point")
+
+    def __hash__(self) -> int:
+        return hash((self.m, frozenset(self.point.items())))
 
 
 @cache
@@ -152,18 +171,53 @@ def _rays(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(int, ray)) for ray in _RAY_DIGITS.get(m, "").split())
 
 
+@cache
+def _zero_rows(m: int) -> tuple[int, ...]:
+    """Per extreme ray of Gamma_m in table order, the mask of the elemental
+    rows that are 0 on it (bit r for row r), from the LP matrix's columns."""
+    cols = list(zip(*elemental_inequalities(m).matrix))
+    return tuple(sum(1 << r for r, col in enumerate(cols) if not sum(map(mul, col, ray)))
+                 for ray in _rays(m))
+
+
+@cache
+def _face(m: int, kept: int) -> tuple[tuple[int, ...], PreparedMatrix]:
+    """The elemental rows in the mask kept, ascending, and the LP matrix on
+    their columns only (the full matrix when every row is kept)."""
+    full = elemental_inequalities(m).matrix
+    rows = tuple(r for r in range(full.k) if kept >> r & 1)
+    if len(rows) == full.k:
+        return rows, full
+    return rows, PreparedMatrix([line[r] for r in rows] for line in full)
+
+
 def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitness:
     """Decide cone membership, returning a verified certificate either way.
     For m <= 4 the first extreme ray on which the target is negative is
-    the Farkas point, found without a solve."""
-    coords = subsets(ineq.m)
+    the Farkas point, found without a solve; otherwise the LP keeps only
+    the rows that are 0 on every ray on which the target is 0."""
+    m = ineq.m
+    coords = subsets(m)
     target = [ineq.nums.get(mask, 0) for mask in coords]
-    point = next((ray for ray in _rays(ineq.m) if sum(map(mul, ray, target)) < 0), None)
+    kept = every = (1 << len(elemental_inequalities(m).rows)) - 1
+    point = None
+    for ray, zeros in zip(_rays(m), _zero_rows(m)):
+        slack = sum(map(mul, ray, target))
+        if slack < 0:
+            point = ray
+            break
+        if not slack:
+            kept &= zeros
     if point is None:
-        res = solve_eq_nonneg(elemental_inequalities(ineq.m).matrix, target)
+        rows, matrix = _face(m, kept)
+        res = solve_eq_nonneg(matrix, target)
+        if not res.feasible and kept != every:
+            # only a ray missing from the table can cut away every certificate
+            rows, matrix = _face(m, every)
+            res = solve_eq_nonneg(matrix, target)
         if res.feasible:
             # the LP solves E^T y = nums, and the target is nums / den
-            weights = {r: w / ineq.den for r, w in enumerate(res.solution) if w != 0}
+            weights = {r: w / ineq.den for r, w in zip(rows, res.solution) if w != 0}
             cert = ShannonCertificate(ineq.m, weights)
             verify_certificate(ineq, cert)
             return cert
@@ -229,7 +283,8 @@ def zhang_yeung() -> LinearInequality:
 
     2 I(z;w) <= I(x;y) + I(x;z,w) + 3 I(z;w|x) + I(z;w|y), with variables
     bound in the order x, y, z, w.  Shipped as a named fixture; its
-    non-membership is established by the LP here, not taken on faith.
+    non-membership is not taken on faith: ``is_shannon_type`` refutes it
+    with an extreme ray of Gamma_4 and verifies that point exactly.
     """
     return parse_inequality(
         "2 I(z;w) <= I(x;y) + I(x;z,w) + 3 I(z;w|x) + I(z;w|y)",

@@ -116,6 +116,21 @@ def test_equal_inequalities_hash_equal():
     assert a != (2, 2, a.nums)  # another class is never equal
 
 
+def test_records_with_a_mapping_field_hash_as_they_compare():
+    # two equal instances, their mappings filled in opposite orders
+    third = Fraction(1, 3)
+    pairs = [
+        (EntropyVector(2, {1: ExactLogLin.log2(2), 2: ExactLogLin.log2(3), 3: ExactLogLin.log2(6)}),
+         EntropyVector(2, {3: ExactLogLin.log2(6), 2: ExactLogLin.log2(3), 1: ExactLogLin.log2(2)})),
+        (ShannonCertificate(2, {0: third, 2: 1}), ShannonCertificate(2, {2: Fraction(1), 0: third})),
+        (FarkasWitness(2, {1: 1, 3: Fraction(-1)}), FarkasWitness(2, {3: -1, 1: Fraction(1)})),
+        (REPRS["Violation"][0](), REPRS["Violation"][0]()),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert ShannonCertificate(2, {0: third}) != ShannonCertificate(2, {1: third})
+
+
 def test_construction_by_position_keyword_and_default():
     assert FiniteGroup(1, ((0,),)).name == ""
     assert FiniteGroup(order=1, table=[[0]], name="trivial") == FiniteGroup(1, ((0,),), "trivial")

@@ -314,13 +314,33 @@ def _fraction_lp(ineq, elems):
     return a, [ineq.coeffs.get(mask, Fraction(0)) for mask in coords]
 
 
-def _expected(ineq, elems):
-    """What is_shannon_type must return: the reference solver's answer."""
-    res = _reference_solve(*_fraction_lp(ineq, elems))
-    if res.feasible:
-        weights = {r: w for r, w in enumerate(res.solution) if w}
-        return ShannonCertificate(ineq.m, weights)
+def _kept_rows(ineq, elems):
+    """The rows that are 0 on every ray of the double description on which
+    ineq is 0, by dot products; every row past m = 4."""
     coords = subsets(ineq.m)
+    target = [ineq.nums.get(mask, 0) for mask in coords]
+    tight = [r for r in _double_description(ineq.m) if _dot(r, target) == 0] if ineq.m <= 4 else []
+    cuts = [[row.nums.get(mask, 0) for mask in coords] for row in elems.rows]
+    return [r for r, cut in enumerate(cuts) if all(_dot(cut, ray) == 0 for ray in tight)]
+
+
+def _expected(ineq, elems):
+    """What is_shannon_type must return: at m <= 4 the first ray of an
+    independently computed list on which the target is negative; else the
+    reference solver's answer on the rows that are 0 on every ray on which
+    the target is 0 (every row past m = 4)."""
+    coords = subsets(ineq.m)
+    target = [ineq.nums.get(mask, 0) for mask in coords]
+    if ineq.m <= 4:
+        ray = next((r for r in _double_description(ineq.m) if _dot(r, target) < 0), None)
+        if ray is not None:
+            return FarkasWitness(ineq.m, {mask: x for mask, x in zip(coords, ray) if x})
+    kept = _kept_rows(ineq, elems)
+    a, b = _fraction_lp(ineq, elems)
+    res = _reference_solve([[line[r] for r in kept] for line in a], b)
+    if res.feasible:
+        weights = {r: w for r, w in zip(kept, res.solution) if w}
+        return ShannonCertificate(ineq.m, weights)
     return FarkasWitness(ineq.m, {s: -u for s, u in zip(coords, res.farkas) if u})
 
 
@@ -363,19 +383,12 @@ def _combinations(draw):
 @settings(max_examples=40, deadline=None)
 @given(_combinations())
 def test_matches_reference_on_elemental_combinations(ineq):
-    elems = elemental_inequalities(ineq.m)
-    got, want = is_shannon_type(ineq), _expected(ineq, elems)
-    if isinstance(want, ShannonCertificate) or ineq.m > 4:
-        assert got == want
-        return
-    # not Shannon-type at m <= 4: the point is the first ray of an
-    # independently computed list with a negative slack
-    assert isinstance(want, FarkasWitness)
-    coords = subsets(ineq.m)
-    target = [ineq.nums.get(mask, 0) for mask in coords]
-    ray = next(r for r in _double_description(ineq.m) if _dot(r, target) < 0)
-    assert got == FarkasWitness(ineq.m, {mask: x for mask, x in zip(coords, ray) if x})
-    verify_farkas(ineq, got)
+    got = is_shannon_type(ineq)
+    assert got == _expected(ineq, elemental_inequalities(ineq.m))
+    if isinstance(got, ShannonCertificate):
+        verify_certificate(ineq, got)
+    else:
+        verify_farkas(ineq, got)
 
 
 # -- the extreme rays of Gamma_m -----------------------------------------------
@@ -478,6 +491,95 @@ def test_lp_answers_when_no_ray_refutes(monkeypatch):
     target = [zy.nums.get(mask, 0) for mask in subsets(4)]
     farkas = solve_eq_nonneg(elemental_inequalities(4).matrix, target).farkas
     assert {mask: -u for mask, u in zip(subsets(4), farkas) if u} == ZY_POINT
+
+
+@st.composite
+def _drawn_checks(draw):
+    """A target drawn as the benchmark draws its checks: 2 to 4 distinct
+    elemental rows, each weighted by a/b with a in 1..5 and b in 1..3, and
+    in half the draws one of the combination's subsets moved by +-1/c with
+    c in 1..4."""
+    m = draw(st.integers(2, 4))
+    rows = elemental_inequalities(m).rows
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=4, unique=True))
+    combo: dict[int, Fraction] = {}
+    for r in picks:
+        w = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+        for mask, c in rows[r].coeffs.items():
+            combo[mask] = combo.get(mask, Fraction(0)) + w * c
+    combo = {mask: c for mask, c in combo.items() if c}
+    if draw(st.booleans()):
+        mask = draw(st.sampled_from(sorted(combo)))
+        combo[mask] += Fraction(draw(st.sampled_from((-1, 1))), draw(st.integers(1, 4)))
+    assume(any(combo.values()))
+    return LinearInequality(m, combo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_drawn_checks())
+def test_certificates_use_only_the_rows_zero_on_the_tight_rays(ineq):
+    # complementary slackness, checked from the double description and the
+    # full reference LP, not from the ray table or its masks
+    elems = elemental_inequalities(ineq.m)
+    coords = subsets(ineq.m)
+    target = [ineq.nums.get(mask, 0) for mask in coords]
+    cuts = [[row.nums.get(mask, 0) for mask in coords] for row in elems.rows]
+    for ray, zeros in zip(shannon._rays(ineq.m), shannon._zero_rows(ineq.m)):
+        assert zeros == sum(1 << r for r, cut in enumerate(cuts) if _dot(cut, ray) == 0)
+    got = is_shannon_type(ineq)
+    assert isinstance(got, ShannonCertificate) == _reference_solve(*_fraction_lp(ineq, elems)).feasible
+    if isinstance(got, ShannonCertificate):
+        tight = [ray for ray in _double_description(ineq.m) if _dot(ray, target) == 0]
+        assert all(_dot(cuts[r], ray) == 0 for r in got.weights for ray in tight)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The matrices is_shannon_type hands the solver, in call order."""
+    seen = []
+
+    def spy(a, b):
+        seen.append(a)
+        return solve_eq_nonneg(a, b)
+
+    monkeypatch.setattr(shannon, "solve_eq_nonneg", spy)
+    return seen
+
+
+def test_the_lp_runs_on_one_prepared_face(solved):
+    # I(x;y) <= I(x;y,z,w) is 0 on some rays: the LP sees only the rows
+    # that are 0 on all of them, in one matrix prepared once
+    target = parse_inequality("I(x;y) <= I(x;y,z,w)")
+    first = is_shannon_type(target)
+    assert is_shannon_type(target) == first
+    assert len(solved) == 2 and solved[0] is solved[1]
+    assert 0 < solved[0].k < len(elemental_inequalities(4).rows)
+    verify_certificate(target, first)
+    assert first == _expected(target, elemental_inequalities(4))
+
+
+@pytest.fixture
+def rays_35_to_40_missing(monkeypatch):
+    """The m = 4 ray table without its last six rays, the only ones on
+    which Zhang-Yeung is negative; every table cache is emptied around it."""
+    caches = (shannon._rays, shannon._zero_rows, shannon._face)
+    kept = shannon._RAY_DIGITS[4].split()[:35]
+    monkeypatch.setitem(shannon._RAY_DIGITS, 4, " ".join(kept))
+    for c in caches:
+        c.cache_clear()
+    yield
+    monkeypatch.undo()
+    for c in caches:
+        c.cache_clear()
+
+
+def test_the_full_lp_decides_when_the_table_misses_rays(rays_35_to_40_missing, solved):
+    zy = zhang_yeung()
+    res = is_shannon_type(zy)
+    # the restricted LP found no certificate, and the full one gave its point
+    assert len(solved) == 2 and solved[0].k < 28 and solved[1] is elemental_inequalities(4).matrix
+    assert isinstance(res, FarkasWitness) and res == FarkasWitness(4, ZY_POINT)
+    verify_farkas(zy, res)
 
 
 def test_elemental_sets_are_built_once_and_left_unchanged(capsys):
