@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import core
 from .linear import LinearInequality, Record, check_int, check_mask, mask_label, subsets
@@ -109,9 +110,9 @@ class DimensionCounterexample(Record):
         sum lam_I * a_I  >  sum mu_J * dim (C_A)_J      (exact sign)
 
     with every level a_I = max(0, dim (C_A)_I - epsilon) strictly below
-    the true projection dimension (and nonnegative).  `margin_times_log_base`
-    stores the exact positive left-minus-right difference multiplied by
-    log2(N).
+    the true projection dimension (and nonnegative); `dims` is read-only.
+    `margin_times_log_base` stores the exact positive left-minus-right
+    difference multiplied by log2(N).
     """
 
     _fields = ("inequality", "witness", "dims", "epsilon", "entropy_slack",
@@ -206,10 +207,10 @@ def build_counterexample(ineq: LinearInequality, found) -> DimensionCounterexamp
     # the support's codes are digits below n_base (n_base >= 2, as the
     # slack is negative); the fields' widths stay those of its points
     witness = PointSet._of_valid(ineq.m, n_base, support.codes, support.widths)
-    dims = {
+    dims = MappingProxyType({
         mask: DimValue(len(support.fibers(mask)), n_base)
         for mask in subsets(ineq.m)
-    }
+    })
     total_lam = Fraction(-sum(a for a in ineq.nums.values() if a < 0), ineq.den)
     log_n = core.ExactLogLin.log2(n_base)
     epsilon = None

@@ -77,20 +77,19 @@ def _cmd_check(inputs: dict, report: dict) -> int:
             "weights": [
                 {
                     "row": r,
-                    "weight": rational_text(w),
+                    "weight": rational_text(Fraction(w, result.den)),
                     "inequality": format_inequality(rows[r], names),
                 }
-                for r, w in sorted(result.weights.items())
+                for r, w in result.weights.items()
             ]
         }
         return 0
     report["outcome"] = "not-shannon-type"
     report["farkas_witness"] = {
-        "point": {
-            mask_label(s, names): rational_text(q) for s, q in sorted(result.point.items())
-        },
+        "point": {mask_label(s, names): rational_text(Fraction(q, result.den))
+                  for s, q in result.point.items()},
         "target_slack": rational_text(Fraction(
-            sum(a * result.point.get(s, 0) for s, a in ineq.nums.items()), ineq.den
+            sum(a * result.point.get(s, 0) for s, a in ineq.nums.items()), ineq.den * result.den
         )),
     }
     return 2

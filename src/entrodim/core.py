@@ -309,9 +309,6 @@ class EntropyVector(Record):
     def __getitem__(self, mask: int) -> ExactLogLin:
         return self.values[mask]
 
-    def __hash__(self) -> int:
-        return hash((self.m, frozenset(self.values.items())))
-
 
 def eval_slack(ineq: LinearInequality, v: EntropyVector) -> ExactLogLin:
     """Signed slack sum_T c_T * v[T]; negative means v violates ineq."""

@@ -10,7 +10,8 @@ Conventions used throughout the package:
   the pair {x, z}.
 * All entropies and slacks are measured in bits (base-2 logarithms).
 * Coefficients are exact rationals, ints or Fractions, held as integer
-  numerators over one positive denominator (:func:`common_denominator`).
+  numerators over one positive denominator in lowest terms
+  (:func:`lowest_terms`), as are the certificates verdicts rest on.
 
 This module is all that deciding Shannon-type membership needs of the
 package's basics; exact values of logarithms (:mod:`entrodim.core`) and
@@ -137,6 +138,18 @@ def common_denominator(qs: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [a * (q // d) for a, d in pairs], q
 
 
+def lowest_terms(den: int, items: Iterable[tuple[int, int]]) -> tuple[int, Mapping[int, int]]:
+    """The values a / den of the (key, a) pairs in lowest terms: den and a
+    read-only map of the nonzero a by ascending key, divided by their gcd.
+    A den or an a that is not an int, bool included, is a TypeError, and
+    a den <= 0 a ValueError."""
+    if check_int(den, "den") <= 0:
+        raise ValueError(f"den must be positive, got {den}")
+    held = {key: a for key, a in sorted(items) if check_int(a, "each value")}
+    g = math.gcd(den, *held.values())
+    return den // g, MappingProxyType({key: a // g for key, a in held.items()})
+
+
 def rational_text(q: RationalLike) -> str:
     """str(q) for an int or Fraction of any size.  An int longer than str
     writes (sys.get_int_max_str_digits) is split at a power of ten near
@@ -157,7 +170,8 @@ def rational_text(q: RationalLike) -> str:
 class Record:
     """An immutable value over the attributes named in ``_fields``.
 
-    ==, hash and repr read the fields in order; attributes outside
+    ==, hash and repr read the fields in order, a read-only map
+    (MappingProxyType) hashing by its items; attributes outside
     ``_fields`` take no part.  __init__ takes the fields positionally or
     by keyword, a missing one from the class attribute of its name, then
     calls __post_init__.  Assignment and deletion are AttributeErrors
@@ -193,7 +207,8 @@ class Record:
         return self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        return hash(tuple(frozenset(v.items()) if type(v) is MappingProxyType else v
+                          for v in map(self.__getattribute__, self._fields)))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -225,28 +240,15 @@ class LinearInequality(Record):
 
     def __init__(self, m: int, coeffs: Mapping[int, RationalLike], den: int = 1) -> None:
         check_m(m)
-        items = sorted(coeffs.items())
-        for mask, _ in items:
+        for mask in coeffs:
             check_mask(mask, m)
-        # canonical as it comes: for a prime p of den, the coefficient a/d,
-        # in lowest terms, whose d holds the highest power of p has p
-        # dividing neither a nor den/d, so not its numerator a*den/d; a
-        # given den other than 1 is divided out with the gcd
-        nums, q = common_denominator(c for _, c in items)
-        if den != 1:
-            if check_int(den, "den") <= 0:
-                raise ValueError(f"den must be positive, got {den}")
-            g = math.gcd(q * den, *nums)
-            nums, q = [a // g for a in nums], q * den // g
-        held = {mask: a for (mask, _), a in zip(items, nums) if a}
-        if not held:
+        nums, q = common_denominator(coeffs.values())
+        den, nums = lowest_terms(q * check_int(den, "den"), zip(coeffs, nums))
+        if not nums:
             raise ValueError("inequality has no nonzero coefficient")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "den", q)
-        object.__setattr__(self, "nums", MappingProxyType(held))
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.den, tuple(self.nums.items())))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     @functools.cached_property
     def coeffs(self) -> Mapping[int, Fraction]:

@@ -14,7 +14,9 @@ Membership is an exact LP: find weights y >= 0 with E^T y = c (Yeung,
 always comes with a checkable object — a ShannonCertificate (the
 weights) or a FarkasWitness (a polymatroid point separating the
 inequality from the cone) — and `is_shannon_type` verifies whichever
-one it produces before returning it.
+one it produces before returning it.  Both hold ints over one den in
+lowest terms (linear.lowest_terms), as the inequality does, from the
+solver's D to the report; a Fraction is made only to write one.
 
 Equivalently, an inequality is Shannon-type iff it is nonnegative on
 every extreme ray of the polymatroid cone Gamma_m, the points on which
@@ -53,7 +55,7 @@ from itertools import combinations
 from operator import mul, neg
 
 from .dsl import parse_inequality
-from .linear import LinearInequality, Record, common_denominator, mask_label, subsets
+from .linear import LinearInequality, Record, lowest_terms, mask_label, subsets
 from .simplex import PreparedMatrix, solve_eq_nonneg
 
 #: elemental sets are available for this range of variable counts
@@ -105,31 +107,36 @@ class ElementalSet(Record):
         return PreparedMatrix(tuple(r.nums.get(s, 0) for r in self.rows) for s in subsets(self.m))
 
 
+def _in_lowest_terms(record: Record) -> None:
+    """__post_init__ of a record (m, den, map of ints over den): den and the
+    map in lowest terms (linear.lowest_terms), so == and hash compare values."""
+    field = record._fields[2]
+    den, values = lowest_terms(record.den, getattr(record, field).items())
+    object.__setattr__(record, "den", den)
+    object.__setattr__(record, field, values)
+
+
 class ShannonCertificate(Record):
     """Nonnegative weights expressing an inequality over elemental rows.
 
     weights maps row index (into elemental_inequalities(m).rows) to a
-    positive rational; rows absent from the map have weight zero.
+    positive int over den; rows absent from the map have weight zero.
     """
 
-    _fields = ("m", "weights")
-
-    def __hash__(self) -> int:
-        return hash((self.m, frozenset(self.weights.items())))
+    _fields = ("m", "den", "weights")
+    __post_init__ = _in_lowest_terms
 
 
 class FarkasWitness(Record):
     """A polymatroid point on which the target inequality fails.
 
-    point maps subset mask to a rational; it satisfies every elemental
+    point maps subset mask to an int over den; it satisfies every elemental
     inequality (so it is a polymatroid point, though not necessarily a
     genuine entropy vector) yet gives the target strictly negative slack.
     """
 
-    _fields = ("m", "point")
-
-    def __hash__(self) -> int:
-        return hash((self.m, frozenset(self.point.items())))
+    _fields = ("m", "den", "point")
+    __post_init__ = _in_lowest_terms
 
 
 @cache
@@ -200,7 +207,7 @@ def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitnes
     coords = subsets(m)
     target = [ineq.nums.get(mask, 0) for mask in coords]
     kept = every = (1 << len(elemental_inequalities(m).rows)) - 1
-    point = None
+    point, den = None, 1
     for ray, zeros in zip(_rays(m), _zero_rows(m)):
         slack = sum(map(mul, ray, target))
         if slack < 0:
@@ -216,54 +223,51 @@ def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitnes
             rows, matrix = _face(m, every)
             res = solve_eq_nonneg(matrix, target)
         if res.feasible:
-            # the LP solves E^T y = nums, and the target is nums / den
-            weights = {r: w / ineq.den for r, w in zip(rows, res.solution) if w != 0}
-            cert = ShannonCertificate(ineq.m, weights)
+            # the LP solves E^T y = nums with y = solution / D, and the
+            # target is nums / den, so its weights are solution / (D * den)
+            cert = ShannonCertificate(m, res.den * ineq.den, dict(zip(rows, res.solution)))
             verify_certificate(ineq, cert)
             return cert
         # Farkas vector u has u.(col of E^T) <= 0 for every elemental row and
         # u.c > 0; negating gives a point with elemental slacks >= 0 and
         # strictly negative target slack — a separating polymatroid point.
-        point = map(neg, res.farkas)
-    witness = FarkasWitness(ineq.m, {mask: x for mask, x in zip(coords, point) if x != 0})
+        point, den = map(neg, res.farkas), res.den
+    witness = FarkasWitness(m, den, dict(zip(coords, point)))
     verify_farkas(ineq, witness)
     return witness
 
 
 def verify_certificate(ineq: LinearInequality, cert: ShannonCertificate) -> None:
     """Exact coefficient-wise recheck of sum_r y_r * row_r = target, in
-    integers: with y_r = w_r / q over the weights' common denominator q,
-    and the integer elemental rows, den * sum_r w_r * row_r = q * nums."""
+    integers: with y_r = w_r / q, q the certificate's den, and the integer
+    elemental rows, den * sum_r w_r * row_r = q * nums."""
     rows = elemental_inequalities(ineq.m).rows
     if cert.m != ineq.m:
         raise VerificationError(f"certificate is for m={cert.m}, target m={ineq.m}")
+    combo: dict[int, int] = {}
     for r, w in cert.weights.items():
         if not 0 <= r < len(rows):
             raise VerificationError(f"certificate references unknown row {r}")
         if w < 0:
-            raise VerificationError(f"negative weight {w} on row {r}")
-    weights, q = common_denominator(cert.weights.values())
-    combo: dict[int, int] = {}
-    for r, w in zip(cert.weights, weights):
+            raise VerificationError(f"negative weight {Fraction(w, cert.den)} on row {r}")
         for mask, c in rows[r].nums.items():
             combo[mask] = combo.get(mask, 0) + w * c
     for mask in subsets(ineq.m):
         got, want = combo.get(mask, 0), ineq.nums.get(mask, 0)
-        if got * ineq.den != want * q:
+        if got * ineq.den != want * cert.den:
             raise VerificationError(
                 f"certificate mismatch at subset {mask_label(mask)}: "
-                f"combination gives {Fraction(got, q)}, "
+                f"combination gives {Fraction(got, cert.den)}, "
                 f"target has {Fraction(want, ineq.den)}"
             )
 
 
 def verify_farkas(ineq: LinearInequality, witness: FarkasWitness) -> None:
     """Exact recheck: elemental slacks >= 0, target slack < 0, in integers
-    over one common denominator of the point."""
+    over the point's den."""
     if witness.m != ineq.m:
         raise VerificationError(f"witness is for m={witness.m}, target m={ineq.m}")
-    nums, q = common_denominator(witness.point.values())
-    point = dict(zip(witness.point, nums))
+    point, q = witness.point, witness.den
     for r, row in enumerate(elemental_inequalities(ineq.m).rows):
         s = _slack(row, point)
         if s < 0:

@@ -48,7 +48,7 @@ y = w / D, w the basic rows' right-hand sides, or u = v / D, with
 v_i = s_i (D - R_i), s_i the sign of b_i and R_i the objective row's
 entry at the i-th artificial.  It is rechecked exactly against A and b
 in those integers, as sum_j A_ij w_j = D b_i for every row i or as
-v . A_col_j <= 0 < v . b, before any Fraction is made.
+v . A_col_j <= 0 < v . b, and returned as those ints over D.
 
 Entries of A and b are ints, and a Fraction or float entry raises
 TypeError on every call: it makes its row's squared norm, cached or not,
@@ -58,23 +58,21 @@ something other than an int.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from operator import mul, neg
 
 from .linear import MAX_PRODUCT_BITS, Record, SizeLimitError
 
-_ZERO = Fraction(0)
-
 
 class FeasibilityResult(Record):
     """Whether A y = b has a solution y >= 0: ``solution`` is such a y
-    when feasible, else ``farkas`` is a u with uA <= 0 and u.b > 0.
-    ``pivots``, the phase-1 pivots taken, takes no part in == or repr."""
+    when feasible, else ``farkas`` is a u with uA <= 0 and u.b > 0, as ints
+    over ``den``, the final basis's D.  ``pivots``, the phase-1 pivots
+    taken, takes no part in == or repr."""
 
-    _fields = ("feasible", "solution", "farkas")
+    _fields = ("feasible", "den", "solution", "farkas")
 
-    def __init__(self, feasible: bool, solution, farkas, pivots: int = 0) -> None:
-        super().__init__(feasible, solution, farkas)
+    def __init__(self, feasible: bool, den: int, solution, farkas, pivots: int = 0) -> None:
+        super().__init__(feasible, den, solution, farkas)
         object.__setattr__(self, "pivots", pivots)
 
 
@@ -189,16 +187,14 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> Feasibility
         d = p
         pivots += 1
 
-    # the answer, integers over d > 0, is rechecked before any Fraction is made
+    # the answer, integers over d > 0, is rechecked before it is returned
     if obj[-1] == 0:
         support = [(var, row[-1]) for row, var in zip(rows, basis) if var < k and row[-1]]
         for arow, x in zip(a, b):
             if sum(arow[j] * w for j, w in support) != d * x:
                 raise AssertionError("simplex returned an invalid solution")
-        y = [_ZERO] * k
-        for j, w in support:
-            y[j] = Fraction(w, d)
-        return FeasibilityResult(True, tuple(y), None, pivots)
+        y = dict(support)
+        return FeasibilityResult(True, d, tuple(y.get(j, 0) for j in range(k)), None, pivots)
 
     # infeasible: simplex multipliers pi_i = 1 - reduced cost of the
     # i-th artificial; undo the row sign flips to get the Farkas vector
@@ -208,4 +204,4 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> Feasibility
         sum(arow[j] * ui for arow, ui in support) > 0 for j in range(k)
     ):
         raise AssertionError("simplex produced an invalid Farkas vector")
-    return FeasibilityResult(False, None, tuple(Fraction(ui, d) for ui in u), pivots)
+    return FeasibilityResult(False, d, None, tuple(u), pivots)

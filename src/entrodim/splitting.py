@@ -29,6 +29,7 @@ from decimal import Context
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import eq, lshift
+from types import MappingProxyType
 
 from .core import ExactLogLin
 from .linear import (
@@ -132,11 +133,11 @@ def check_unsplit_inequality(body: FiniteBody) -> UnsplitReport:
 class SplitSpec(Record):
     """Budgets a_I in bits for each part's own projection.
 
-    levels maps a subset mask I to a budget, an int, float or Fraction,
-    kept as its exact rational value (a float infinity stays a float);
-    any other type, bool included, is a TypeError.  A part whose shadow
-    has c points fits a budget b iff log2(c) <= b + FLOAT_TOL, that is
-    iff c <= _max_count(b).
+    levels, a read-only map, takes a subset mask I to a budget, an int,
+    float or Fraction, kept as its exact rational value (a float infinity
+    stays a float); any other type, bool included, is a TypeError.  A part
+    whose shadow has c points fits a budget b iff log2(c) <= b + FLOAT_TOL,
+    that is iff c <= _max_count(b).
     """
 
     _fields = ("m", "levels")
@@ -154,7 +155,7 @@ class SplitSpec(Record):
                     "not a number"
                 )
             exact[mask] = b if b in (math.inf, -math.inf) else Fraction(b)
-        object.__setattr__(self, "levels", exact)
+        object.__setattr__(self, "levels", MappingProxyType(exact))
 
     def bits(self, mask: int) -> float:
         return float(self.levels[mask])

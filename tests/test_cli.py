@@ -73,7 +73,8 @@ def test_check_writes_coefficients_longer_than_str_writes(capsys):
     code, report, err = run(capsys, "check", text)
     assert (code, err) == (0, "")
     assert report["canonical"] == f"0 <= 1/{nines} H(x) + 1/{sevens} H(y)"
-    weights = sorted(is_shannon_type(parse_inequality(text)).weights.items())
+    cert = is_shannon_type(parse_inequality(text))
+    weights = [(r, Fraction(w, cert.den)) for r, w in cert.weights.items()]
     assert max(w.denominator for _, w in weights) > 10**4300  # beyond what str writes
     assert [(e["row"], e["weight"]) for e in report["certificate"]["weights"]] == [
         (r, _decimal_text(w)) for r, w in weights]
@@ -82,7 +83,7 @@ def test_check_writes_coefficients_longer_than_str_writes(capsys):
     flipped = f"1/{nines} H(x,y) + 1/{sevens} H(y) <= 0"
     code, report, err = run(capsys, "check", flipped)
     assert (code, err) == (2, "")
-    verify_farkas(parse_inequality(flipped), FarkasWitness(2, {2: 1, 3: 1}))
+    verify_farkas(parse_inequality(flipped), FarkasWitness(2, 1, {2: 1, 3: 1}))
     slack = -(Fraction(1, int(nines)) + Fraction(1, int(sevens)))
     assert report["farkas_witness"] == {
         "point": {"y": "1", "x,y": "1"}, "target_slack": _decimal_text(slack)}

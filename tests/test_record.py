@@ -1,23 +1,42 @@
 """The package's immutable value types (linear.Record): == and hash over
-their fields only, the reprs they have always had, keyword and default
-construction, and no assignment or deletion."""
+their fields only, a read-only map hashing by its items, the reprs they
+have, keyword and default construction, and no assignment or deletion."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
-from entrodim.cantor import DimValue, NonUniform
+from entrodim.cantor import DimensionCounterexample, DimValue, NonUniform, build_counterexample
 from entrodim.core import EntropyVector, ExactLogLin
 from entrodim.distributions import JointDistribution
+from entrodim.dsl import parse_inequality
 from entrodim.groups import (
     FiniteGroup, Subgroup, Violation, cyclic, group_point, subgroup_from_elements)
 from entrodim.linear import LinearInequality, Record
 from entrodim.points import PointSet
-from entrodim.shannon import FarkasWitness, ShannonCertificate, elemental_inequalities
+from entrodim.shannon import (
+    FarkasWitness, ShannonCertificate, elemental_inequalities, is_shannon_type)
 from entrodim.simplex import FeasibilityResult
 from entrodim.splitting import SplitSpec, UnsplitReport
 
 HALF = Fraction(1, 2)
+
+
+def _group_point(coeffs):
+    """The inequality's group point of Z2 with every subgroup trivial."""
+    ineq = LinearInequality(max(coeffs).bit_length(), coeffs)
+    return ineq, group_point(ineq, cyclic(2), [subgroup_from_elements(cyclic(2), [0])] * ineq.m)
+
+
+def _counterexample(coeffs):
+    """The digit set built from _group_point, on an inequality it violates."""
+    return build_counterexample(*_group_point(coeffs))
+
+
+# H(x,y) >= H(x) + H(y), which Z2 with both subgroups trivial violates
+XY = {3: 1, 1: -1, 2: -1}
+
 
 REPRS = {
     "LinearInequality": (
@@ -25,16 +44,16 @@ REPRS = {
         "LinearInequality(m=2, den=2, nums=mappingproxy({1: 1, 3: -2}))",
     ),
     "FeasibilityResult": (
-        lambda: FeasibilityResult(True, (HALF,), None, 7),
-        "FeasibilityResult(feasible=True, solution=(Fraction(1, 2),), farkas=None)",
+        lambda: FeasibilityResult(True, 2, (1,), None, 7),
+        "FeasibilityResult(feasible=True, den=2, solution=(1,), farkas=None)",
     ),
     "ShannonCertificate": (
-        lambda: ShannonCertificate(2, {0: Fraction(1, 3)}),
-        "ShannonCertificate(m=2, weights={0: Fraction(1, 3)})",
+        lambda: ShannonCertificate(2, 3, {0: 1}),
+        "ShannonCertificate(m=2, den=3, weights=mappingproxy({0: 1}))",
     ),
     "FarkasWitness": (
-        lambda: FarkasWitness(1, {1: Fraction(-1)}),
-        "FarkasWitness(m=1, point={1: Fraction(-1, 1)})",
+        lambda: FarkasWitness(1, 1, {1: -1}),
+        "FarkasWitness(m=1, den=1, point=mappingproxy({1: -1}))",
     ),
     "EntropyVector": (
         lambda: EntropyVector(1, {1: ExactLogLin.log2(3)}),
@@ -54,7 +73,15 @@ REPRS = {
     ),
     "SplitSpec": (
         lambda: SplitSpec(2, {1: 1, 3: 2.5}),
-        "SplitSpec(m=2, levels={1: Fraction(1, 1), 3: Fraction(5, 2)})",
+        "SplitSpec(m=2, levels=mappingproxy({1: Fraction(1, 1), 3: Fraction(5, 2)}))",
+    ),
+    "DimensionCounterexample": (
+        lambda: _counterexample({1: -1}),
+        "DimensionCounterexample(inequality=LinearInequality(m=1, den=1, "
+        "nums=mappingproxy({1: -1})), witness=PointSet(m=1, base=2, "
+        "points=frozenset({(0,), (1,)})), dims=mappingproxy({1: DimValue(cardinality=2, "
+        "base=2)}), epsilon=Fraction(1, 2), entropy_slack=ExactLogLin(terms=((Fraction(-1, "
+        "1), 2),)), margin_times_log_base=ExactLogLin(terms=((Fraction(1, 2), 2),)))",
     ),
     "ElementalSet": (
         lambda: elemental_inequalities(1),
@@ -90,9 +117,9 @@ def test_assignment_and_deletion_are_refused(name):
 
 
 def test_equality_ignores_the_attributes_outside_the_fields():
-    a, b = FeasibilityResult(True, (1,), None, 3), FeasibilityResult(True, (1,), None, 9)
+    a, b = FeasibilityResult(True, 1, (1,), None, 3), FeasibilityResult(True, 1, (1,), None, 9)
     assert a == b and hash(a) == hash(b) and (a.pivots, b.pivots) == (3, 9)
-    assert a != FeasibilityResult(True, (2,), None, 3)
+    assert a != FeasibilityResult(True, 1, (2,), None, 3)
     sub = subgroup_from_elements(cyclic(2), [0])
     assert sub.group == cyclic(2) and Subgroup((0,)).group is None
     assert sub == Subgroup((0,)) and hash(sub) == hash(Subgroup((0,)))
@@ -116,19 +143,61 @@ def test_equal_inequalities_hash_equal():
     assert a != (2, 2, a.nums)  # another class is never equal
 
 
+def _reversed(values):
+    return dict(reversed(values.items()))
+
+
+def _opposite_pair(name):
+    """Two equal instances of the record REPRS names, each mapping field of
+    the one filled in the opposite order to the other's."""
+    make = REPRS[name][0]
+    logs = {1: ExactLogLin.log2(2), 2: ExactLogLin.log2(3), 3: ExactLogLin.log2(6)}
+    if name == "LinearInequality":
+        coeffs = {1: HALF, 2: Fraction(1, 3), 3: -1}
+        return LinearInequality(2, coeffs), LinearInequality(2, _reversed(coeffs))
+    if name == "EntropyVector":
+        return EntropyVector(2, logs), EntropyVector(2, _reversed(logs))
+    if name == "ShannonCertificate":
+        return (ShannonCertificate(2, 3, {0: 1, 2: 3}),
+                ShannonCertificate(2, 6, {2: 6, 1: 0, 0: 2}))
+    if name == "FarkasWitness":
+        return FarkasWitness(2, 1, {1: 1, 3: -1}), FarkasWitness(2, 2, {3: -2, 1: 2})
+    if name == "SplitSpec":
+        levels = {1: 1, 2: HALF, 3: 2.5}
+        return SplitSpec(2, levels), SplitSpec(2, _reversed(levels))
+    if name == "DimensionCounterexample":
+        ce = _counterexample(XY)
+        fields = dict(zip(ce._fields, ce._values(ce)))
+        fields["dims"] = MappingProxyType(_reversed(ce.dims))
+        return ce, DimensionCounterexample(**fields)
+    if name == "Violation":
+        found = _group_point(XY)[1]
+        point = EntropyVector(2, _reversed(found.point.values))
+        return found, Violation(found.group, found.subgroups, point, found.slack, found.support)
+    return make(), make()
+
+
 def test_records_with_a_mapping_field_hash_as_they_compare():
-    # two equal instances, their mappings filled in opposite orders
-    third = Fraction(1, 3)
-    pairs = [
-        (EntropyVector(2, {1: ExactLogLin.log2(2), 2: ExactLogLin.log2(3), 3: ExactLogLin.log2(6)}),
-         EntropyVector(2, {3: ExactLogLin.log2(6), 2: ExactLogLin.log2(3), 1: ExactLogLin.log2(2)})),
-        (ShannonCertificate(2, {0: third, 2: 1}), ShannonCertificate(2, {2: Fraction(1), 0: third})),
-        (FarkasWitness(2, {1: 1, 3: Fraction(-1)}), FarkasWitness(2, {3: -1, 1: Fraction(1)})),
-        (REPRS["Violation"][0](), REPRS["Violation"][0]()),
-    ]
-    for a, b in pairs:
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert ShannonCertificate(2, {0: third}) != ShannonCertificate(2, {1: third})
+    # one hash rule for every record: a read-only map hashes by its items
+    for name in REPRS:
+        a, b = _opposite_pair(name)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1, name
+    assert ShannonCertificate(2, 3, {0: 1}) != ShannonCertificate(2, 3, {1: 1})
+    assert SplitSpec(2, {1: 1}) != SplitSpec(2, {1: 2})
+
+
+def test_returned_maps_are_read_only():
+    cert = is_shannon_type(parse_inequality("2 H(x,y,z) <= H(x,y) + H(x,z) + H(y,z)"))
+    witness = is_shannon_type(parse_inequality("H(x,y) <= H(x)"))
+    spec, ce = REPRS["SplitSpec"][0](), REPRS["DimensionCounterexample"][0]()
+    for values in (cert.weights, witness.point, spec.levels, ce.dims):
+        key = next(iter(values))
+        with pytest.raises(TypeError):
+            values[key] = values[key]
+        with pytest.raises(TypeError):
+            del values[key]
+    assert repr(spec) == REPRS["SplitSpec"][1]
+    assert repr(ce) == REPRS["DimensionCounterexample"][1]
 
 
 def test_construction_by_position_keyword_and_default():

@@ -13,7 +13,7 @@ from entrodim import cli, shannon
 from entrodim.core import eval_slack
 from entrodim.distributions import JointDistribution, exact_entropy_vector
 from entrodim.dsl import format_inequality, parse_inequality
-from entrodim.linear import LinearInequality, subsets
+from entrodim.linear import LinearInequality, common_denominator, subsets
 from entrodim.shannon import (
     ELEMENTAL_RANGE,
     ElementalSet,
@@ -63,6 +63,19 @@ def _slack(ineq, point):
         (c * point.get(mask, Fraction(0)) for mask, c in ineq.coeffs.items()),
         Fraction(0),
     )
+
+
+def _held(cls, m, values):
+    """The ShannonCertificate or FarkasWitness whose map holds the rationals
+    values, as ints over their common denominator."""
+    nums, den = common_denominator(values.values())
+    return cls(m, den, dict(zip(values, nums)))
+
+
+def _rationals(record):
+    """The map of a ShannonCertificate or FarkasWitness as Fractions."""
+    values = record.weights if isinstance(record, ShannonCertificate) else record.point
+    return {key: Fraction(a, record.den) for key, a in values.items()}
 
 
 def test_row_counts():
@@ -127,36 +140,65 @@ def test_m_out_of_range():
 def test_monotonicity_is_certified_by_itself():
     res = is_shannon_type(parse_inequality("H(x) <= H(x,y)"))
     assert isinstance(res, ShannonCertificate)
-    assert res.weights == {1: Fraction(1)}
+    assert (res.den, res.weights) == (1, {1: 1})
 
 
 def test_eq1_certificate():
     res = is_shannon_type(EQ1)
     assert isinstance(res, ShannonCertificate)
-    assert res.weights == {4: Fraction(1), 6: Fraction(1), 7: Fraction(1)}
+    assert (res.den, res.weights) == (1, {4: 1, 6: 1, 7: 1})
     verify_certificate(EQ1, res)
     # the same weights written by hand: I(x;y|z) + I(x;z|y) + I(y;z)
-    verify_certificate(
-        EQ1, ShannonCertificate(3, {4: Fraction(1), 6: Fraction(1), 7: Fraction(1)})
-    )
+    verify_certificate(EQ1, ShannonCertificate(3, 1, {4: 1, 6: 1, 7: 1}))
 
 
 def test_perturbed_certificate_rejected():
-    bad = ShannonCertificate(
-        3, {4: Fraction(1), 6: Fraction(1), 7: Fraction(1001, 1000)}
-    )
+    bad = ShannonCertificate(3, 1000, {4: 1000, 6: 1000, 7: 1001})
     with pytest.raises(VerificationError) as err:
         verify_certificate(EQ1, bad)
     assert "mismatch at subset" in str(err.value)
 
 
 def test_malformed_certificates_rejected():
-    with pytest.raises(VerificationError):
-        verify_certificate(EQ1, ShannonCertificate(3, {99: Fraction(1)}))
-    with pytest.raises(VerificationError):
-        verify_certificate(EQ1, ShannonCertificate(3, {4: Fraction(-1)}))
-    with pytest.raises(VerificationError):
-        verify_certificate(EQ1, ShannonCertificate(4, {4: Fraction(1)}))
+    with pytest.raises(VerificationError, match="unknown row 99"):
+        verify_certificate(EQ1, ShannonCertificate(3, 1, {99: 1}))
+    with pytest.raises(VerificationError, match="negative weight -1/2 on row 4"):
+        verify_certificate(EQ1, ShannonCertificate(3, 2, {4: -1}))
+    with pytest.raises(VerificationError, match="m=4"):
+        verify_certificate(EQ1, ShannonCertificate(4, 1, {4: 1}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((ShannonCertificate, FarkasWitness)), st.integers(1, 60),
+       st.dictionaries(st.integers(0, 15), st.integers(-40, 40), max_size=6),
+       st.integers(1, 30), st.lists(st.integers(0, 15), max_size=3))
+def test_certificate_records_are_held_in_lowest_terms(cls, den, values, k, zeros):
+    # one value, one record: scaled by k, in another insertion order or
+    # with zero entries added, it is equal, hashes equal and reads the same
+    record = cls(4, den, values)
+    assert _rationals(record) == {key: Fraction(a, den) for key, a in values.items() if a}
+    ints = record.weights if cls is ShannonCertificate else record.point
+    assert list(ints) == sorted(ints) and 0 not in ints.values()
+    assert math.gcd(record.den, *ints.values()) == 1
+    padded = dict(reversed(values.items()))
+    for key in zeros:
+        padded.setdefault(key, 0)
+    for other in (cls(4, k * den, {key: k * a for key, a in values.items()}),
+                  cls(4, den, padded)):
+        assert other == record and hash(other) == hash(record) and repr(other) == repr(record)
+
+
+def test_certificate_records_refuse_what_is_not_an_int():
+    for cls in (ShannonCertificate, FarkasWitness):
+        for bad in (Fraction(1, 2), Fraction(2), Fraction(0), True, False, 1.0):
+            with pytest.raises(TypeError, match="must be an integer"):
+                cls(2, 1, {1: bad})
+        for bad in (Fraction(2), True, 2.0):
+            with pytest.raises(TypeError, match="den must be an integer"):
+                cls(2, bad, {1: 1})
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="den must be positive"):
+                cls(2, bad, {1: 1})
 
 
 def test_elemental_rows_certify_themselves():
@@ -191,7 +233,7 @@ def test_zhang_yeung_farkas_point():
     zy = zhang_yeung()
     res = is_shannon_type(zy)
     assert isinstance(res, FarkasWitness)
-    assert res.point == ZY_RAY
+    assert (res.den, res.point) == (1, ZY_RAY)
     verify_farkas(zy, res)
     # recheck from scratch: every elemental row nonnegative, target negative
     rows = elemental_inequalities(4).rows
@@ -207,20 +249,18 @@ def test_farkas_rejects_non_witnesses():
     zy = zhang_yeung()
     # the modular point h(I) = |I| satisfies Zhang-Yeung with equality,
     # so it separates nothing
-    modular = FarkasWitness(
-        4, {mask: Fraction(bin(mask).count("1")) for mask in subsets(4)}
-    )
+    modular = FarkasWitness(4, 1, {mask: bin(mask).count("1") for mask in subsets(4)})
     with pytest.raises(VerificationError) as err:
         verify_farkas(zy, modular)
     assert "strictly negative" in str(err.value)
     with pytest.raises(VerificationError):
-        verify_farkas(zy, FarkasWitness(4, {}))  # all-zero point
+        verify_farkas(zy, FarkasWitness(4, 1, {}))  # all-zero point
     # a point that breaks an elemental row is rejected even if the
     # target slack is negative
     broken = dict(ZY_POINT)
     broken[15] = Fraction(2)  # violates monotonicity at the top
     with pytest.raises(VerificationError) as err:
-        verify_farkas(zy, FarkasWitness(4, broken))
+        verify_farkas(zy, _held(FarkasWitness, 4, broken))
     assert "elemental row" in str(err.value)
 
 
@@ -228,9 +268,7 @@ def test_verification_messages_for_a_fractional_target():
     # full texts, recorded from the checks that read the Fraction
     # coefficients; each value is now rebuilt from the integer form
     eq = parse_inequality("5/3 H(x,y,z) <= 5/6 H(x,y) + 5/6 H(x,z) + 5/6 H(y,z)")
-    cert = ShannonCertificate(
-        3, {2: Fraction(1, 7), 4: Fraction(5, 6), 6: Fraction(5, 6), 7: Fraction(5, 6)}
-    )
+    cert = ShannonCertificate(3, 42, {2: 6, 4: 35, 6: 35, 7: 35})
     with pytest.raises(VerificationError) as err:
         verify_certificate(eq, cert)
     assert str(err.value) == (
@@ -243,11 +281,11 @@ def test_verification_messages_for_a_fractional_target():
     broken = dict(ZY_POINT)
     broken[15] = Fraction(7, 5)
     with pytest.raises(VerificationError) as err:
-        verify_farkas(zy, FarkasWitness(4, broken))
+        verify_farkas(zy, _held(FarkasWitness, 4, broken))
     assert str(err.value) == "witness violates elemental row 7 (slack -3/20)"
     held = {mask: Fraction(min(bin(mask).count("1"), 2), 3) for mask in subsets(4)}
     with pytest.raises(VerificationError) as err:
-        verify_farkas(zy, FarkasWitness(4, held))
+        verify_farkas(zy, _held(FarkasWitness, 4, held))
     assert str(err.value) == "target slack on witness is 10/9, expected strictly negative"
 
 
@@ -285,7 +323,7 @@ def test_membership_dichotomy_random():
                 assert eval_slack(ineq, v).sign() >= 0
         else:
             verify_farkas(ineq, res)
-            assert _slack(ineq, res.point) < 0
+            assert _slack(ineq, _rationals(res)) < 0
 
 
 def test_nonneg_combinations_are_members():
@@ -334,14 +372,13 @@ def _expected(ineq, elems):
     if ineq.m <= 4:
         ray = next((r for r in _double_description(ineq.m) if _dot(r, target) < 0), None)
         if ray is not None:
-            return FarkasWitness(ineq.m, {mask: x for mask, x in zip(coords, ray) if x})
+            return FarkasWitness(ineq.m, 1, dict(zip(coords, ray)))
     kept = _kept_rows(ineq, elems)
     a, b = _fraction_lp(ineq, elems)
     res = _reference_solve([[line[r] for r in kept] for line in a], b)
     if res.feasible:
-        weights = {r: w for r, w in zip(kept, res.solution) if w}
-        return ShannonCertificate(ineq.m, weights)
-    return FarkasWitness(ineq.m, {s: -u for s, u in zip(coords, res.farkas) if u})
+        return _held(ShannonCertificate, ineq.m, dict(zip(kept, res.solution)))
+    return _held(FarkasWitness, ineq.m, {s: -u for s, u in zip(coords, res.farkas)})
 
 
 def test_cached_rows_are_read_only():
@@ -474,7 +511,7 @@ def test_ray_refutes_without_a_solve(monkeypatch):
 
     monkeypatch.setattr(shannon, "solve_eq_nonneg", no_solve)
     zy = zhang_yeung()
-    assert is_shannon_type(zy) == FarkasWitness(4, ZY_RAY)
+    assert is_shannon_type(zy) == FarkasWitness(4, 1, ZY_RAY)
     res = is_shannon_type(parse_inequality("I(x;y) <= I(x;y|z)"))
     assert res.point == {mask: 1 for mask in subsets(3)}
     with pytest.raises(AssertionError, match="the LP ran"):
@@ -486,11 +523,11 @@ def test_lp_answers_when_no_ray_refutes(monkeypatch):
     monkeypatch.setattr(shannon, "_rays", lambda m: ())
     zy = zhang_yeung()
     res = is_shannon_type(zy)
-    assert res == FarkasWitness(4, ZY_POINT)
-    assert _slack(zy, res.point) == Fraction(-1, 4)
+    assert res == _held(FarkasWitness, 4, ZY_POINT) and res.den == 4
+    assert _slack(zy, _rationals(res)) == Fraction(-1, 4)
     target = [zy.nums.get(mask, 0) for mask in subsets(4)]
-    farkas = solve_eq_nonneg(elemental_inequalities(4).matrix, target).farkas
-    assert {mask: -u for mask, u in zip(subsets(4), farkas) if u} == ZY_POINT
+    lp = solve_eq_nonneg(elemental_inequalities(4).matrix, target)
+    assert {mask: Fraction(-u, lp.den) for mask, u in zip(subsets(4), lp.farkas) if u} == ZY_POINT
 
 
 @st.composite
@@ -578,7 +615,7 @@ def test_the_full_lp_decides_when_the_table_misses_rays(rays_35_to_40_missing, s
     res = is_shannon_type(zy)
     # the restricted LP found no certificate, and the full one gave its point
     assert len(solved) == 2 and solved[0].k < 28 and solved[1] is elemental_inequalities(4).matrix
-    assert isinstance(res, FarkasWitness) and res == FarkasWitness(4, ZY_POINT)
+    assert isinstance(res, FarkasWitness) and res == _held(FarkasWitness, 4, ZY_POINT)
     verify_farkas(zy, res)
 
 

@@ -18,7 +18,9 @@ from entrodim.simplex import FeasibilityResult, PreparedMatrix, solve_eq_nonneg
 # negative, and counting its pivots.  The fraction-free solver must take
 # the same pivots up to the first feasible basis, where it stops, so its
 # answers must equal these exactly: on a feasible system in no more
-# pivots, on an infeasible one in as many.
+# pivots, on an infeasible one in as many.  The reference answers in
+# Fractions over den 1; the solver in ints over its D, read as Fractions
+# by _over_one to compare them.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -116,7 +118,7 @@ def _reference_solve(
             total = sum(Fraction(a[i][j]) * y[j] for j in range(k))
             if total != Fraction(b[i]):
                 raise AssertionError("simplex returned an invalid solution")
-        return FeasibilityResult(True, tuple(y), None, pivots)
+        return FeasibilityResult(True, 1, tuple(y), None, pivots)
 
     # infeasible: simplex multipliers pi_i = 1 - reduced cost of the
     # i-th artificial; undo the row sign flips to get the Farkas vector
@@ -126,14 +128,23 @@ def _reference_solve(
             raise AssertionError("simplex produced an invalid Farkas vector")
     if sum(u[i] * Fraction(b[i]) for i in range(n)) <= 0:
         raise AssertionError("simplex produced an invalid Farkas vector")
-    return FeasibilityResult(False, None, tuple(u), pivots)
+    return FeasibilityResult(False, 1, None, tuple(u), pivots)
+
+
+def _over_one(res: FeasibilityResult) -> FeasibilityResult:
+    """res with its answer read as Fractions over den 1."""
+    def read(xs):
+        return None if xs is None else tuple(Fraction(x, res.den) for x in xs)
+    return FeasibilityResult(res.feasible, 1, read(res.solution), read(res.farkas), res.pivots)
 
 
 def _assert_matches_reference(a, b) -> FeasibilityResult:
-    """The solver's answer equals the reference's, in no more pivots when
-    feasible and in exactly as many when not."""
+    """The solver's answer, ints over its D > 0, equals the reference's, in
+    no more pivots when feasible and in exactly as many when not."""
     got, want = solve_eq_nonneg(a, b), _reference_solve(a, b)
-    assert got == want
+    answer = got.solution if got.feasible else got.farkas
+    assert got.den > 0 and all(type(x) is int for x in answer)
+    assert _over_one(got) == want
     if got.feasible:
         assert got.pivots <= want.pivots
     else:
@@ -145,7 +156,7 @@ def test_feasible_square_system():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
     res = solve_eq_nonneg([[1, 1], [1, -1]], [3, 1])
     assert res.feasible
-    assert res.solution == (Fraction(2), Fraction(1))
+    assert res.solution == (2 * res.den, res.den)
     assert res.farkas is None
 
 
@@ -153,7 +164,7 @@ def test_feasible_underdetermined():
     res = solve_eq_nonneg([[1, 1]], [5])
     assert res.feasible
     x, y = res.solution
-    assert x >= 0 and y >= 0 and x + y == 5
+    assert x >= 0 and y >= 0 and x + y == 5 * res.den
 
 
 def test_infeasible_with_certificate():
@@ -200,7 +211,7 @@ def test_random_constructed_feasible():
         y = res.solution
         assert all(v >= 0 for v in y)
         for i in range(rows):
-            assert sum(a[i][j] * y[j] for j in range(cols)) == b[i]
+            assert sum(a[i][j] * y[j] for j in range(cols)) == b[i] * res.den
 
 
 def test_random_systems_always_certified():
@@ -216,7 +227,7 @@ def test_random_systems_always_certified():
             y = res.solution
             assert all(v >= 0 for v in y)
             for i in range(rows):
-                assert sum(a[i][j] * y[j] for j in range(cols)) == b[i]
+                assert sum(a[i][j] * y[j] for j in range(cols)) == b[i] * res.den
         else:
             u = res.farkas
             for j in range(cols):
@@ -430,5 +441,5 @@ def test_phase_one_stops_at_the_first_feasible_basis(text, pivots):
     b = [target.nums.get(mask, 0) for mask in range(1, 1 << target.m)]
     got = solve_eq_nonneg(elems.matrix, b)
     want = _reference_solve(elems.matrix, b)
-    assert got == want and got.feasible
+    assert _over_one(got) == want and got.feasible
     assert got.pivots == pivots < want.pivots
