@@ -44,14 +44,15 @@ class CantorWitness(PointSet):
 
 
 class DimValue(Record):
-    """The exact dimension log(#A)/log(N) of a Cantor-type set."""
+    """The exact dimension log(#A)/log(N) of a Cantor-type set, N >= 2 the
+    base that bounds its digits (else ValueError, None included)."""
 
     _fields = ("cardinality", "base")
 
     def __post_init__(self):
         if self.cardinality < 1:
             raise ValueError("cardinality must be positive")
-        if self.base < 2:
+        if self.base is None or self.base < 2:
             raise ValueError("base must be >= 2")
 
     def to_float(self) -> float:
@@ -105,7 +106,8 @@ class NoEpsilon(ValueError):
 class DimensionCounterexample(Record):
     """A digit set whose projection dimensions defeat a linear inequality.
 
-    For the inequality sum lam_I H(I) <= sum mu_J H(J), the witness has
+    For the inequality sum lam_I H(I) <= sum mu_J H(J), with positive
+    lam_I = -nums[I] / den and mu_J = nums[J] / den, the witness has
 
         sum lam_I * a_I  >  sum mu_J * dim (C_A)_J      (exact sign)
 
@@ -137,7 +139,7 @@ class DimensionCounterexample(Record):
                     "exact": f"max(0, {self.dims[s]} - {eps})",
                     "float": max(0.0, self.dims[s].to_float() - float(eps)),
                 }
-                for s in sorted(self.inequality.lhs_weights())
+                for s, a in self.inequality.nums.items() if a < 0
             },
             "entropy_slack": self.entropy_slack.to_json(),
             "margin_times_log_base": self.margin_times_log_base.to_json(),
@@ -149,13 +151,13 @@ def _margin(ineq: LinearInequality, dims: dict[int, DimValue],
     """sum lam_I * max(0, dim_I - eps) - sum mu_J * dim_J, times log2(N),
     built as one value from all of its terms."""
     terms = []
-    for mask, weight in ineq.lhs_weights().items():
+    for mask, a in ineq.nums.items():
         dim = dims[mask]
-        level = ((1, dim.cardinality), (-epsilon, dim.base))
-        if core.ExactLogLin(level).sign() > 0:
+        weight = Fraction(-a, ineq.den)  # lam_I when a < 0, else -mu_J
+        if a > 0:
+            terms.append((weight, dim.cardinality))
+        elif core.ExactLogLin(((1, dim.cardinality), (-epsilon, dim.base))).sign() > 0:
             terms += [(weight, dim.cardinality), (-weight * epsilon, dim.base)]
-    for mask, weight in ineq.rhs_weights().items():
-        terms.append((-weight, dims[mask].cardinality))
     return core.ExactLogLin(terms)
 
 
@@ -175,8 +177,8 @@ def verify_counterexample(ce: DimensionCounterexample) -> None:
         if count != want.cardinality or want.base != n:
             raise AssertionError(f"stored dimension wrong at {mask_label(mask)}")
     # a_I = max(0, dim_I - eps) is below a positive dim_I iff eps > 0
-    for mask in ineq.lhs_weights():
-        if ce.epsilon <= 0 and ce.dims[mask].cardinality > 1:
+    for mask, a in ineq.nums.items():
+        if a < 0 and ce.epsilon <= 0 and ce.dims[mask].cardinality > 1:
             raise AssertionError(f"level not below dimension at {mask_label(mask)}")
     margin = _margin(ineq, ce.dims, ce.epsilon)
     if margin.sign() <= 0:
@@ -189,30 +191,26 @@ def build_counterexample(ineq: LinearInequality, found) -> DimensionCounterexamp
     """Theorem-2-style pipeline from a violating group point to digit sets.
 
     Only the exact slack and witness set ``support`` of `found`, a
-    groups.group_point on ineq, are read.  Steps: confirm the slack is
-    negative (else NotViolated); take N = the largest coset count
-    #G/#H_i, so every coordinate's digit alphabet fits; reinterpret the
-    witness set as digits in base N; pick the largest epsilon = 2^-k
-    (k = 1..64) keeping the dimension-level inequality strictly violated;
-    clamp levels at zero.  Every invariant is re-verified before return.
+    groups.group_point on ineq, are read.  That set is the digit set:
+    its base N, the largest coset count #G/#H_i, bounds its digits.
+    Steps: confirm the slack is negative (else NotViolated); pick the
+    largest epsilon = 2^-k (k = 1..64) keeping the dimension-level
+    inequality strictly violated; clamp levels at zero.  Every invariant
+    is re-verified before return.
     """
-    slack, support = found.slack, found.support
+    slack, witness = found.slack, found.support
     if slack.sign() >= 0:
         raise NotViolated(slack)
 
-    # the point's check cached every fiber count of the support and found
-    # it #G/#H_I = 2**point[I] on I, so N is the largest #G/#H_i and the
-    # margin at epsilon = 0 is -slack; each lhs level takes epsilon off it
-    n_base = max(len(support.fibers(1 << i)) for i in range(ineq.m))
-    # the support's codes are digits below n_base (n_base >= 2, as the
-    # slack is negative); the fields' widths stay those of its points
-    witness = PointSet._of_valid(ineq.m, n_base, support.codes, support.widths)
+    # the point's check cached every fiber count of the witness set and
+    # found it #G/#H_I = 2**point[I] on I, so the margin at epsilon = 0
+    # is -slack; each lhs level takes epsilon off it
     dims = MappingProxyType({
-        mask: DimValue(len(support.fibers(mask)), n_base)
+        mask: DimValue(len(witness.fibers(mask)), witness.base)
         for mask in subsets(ineq.m)
     })
     total_lam = Fraction(-sum(a for a in ineq.nums.values() if a < 0), ineq.den)
-    log_n = core.ExactLogLin.log2(n_base)
+    log_n = core.ExactLogLin.log2(witness.base)
     epsilon = None
     for k in range(1, 65):
         eps = Fraction(1, 2**k)

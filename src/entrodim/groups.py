@@ -337,8 +337,8 @@ def from_permutations(degree: int, generators, name: str = "") -> FiniteGroup:
 
 
 def symmetric(n: int, name: str = "") -> FiniteGroup:
-    if not 1 <= n <= 5:
-        raise ValueError("symmetric groups supported for n in 1..5")
+    if n < 1:
+        raise ValueError(f"symmetric groups need n >= 1, got {n}")
     swap = (*range(min(n, 2))[::-1], *range(2, n))  # (0 1), or () when n = 1
     return from_permutations(n, [swap, (*range(1, n), 0)], name or f"S{n}")
 
@@ -406,37 +406,35 @@ def coset_index_map(g: FiniteGroup, h: Subgroup) -> tuple[int, ...]:
 def witness_set(g: FiniteGroup, subgroups) -> points.PointSet:
     """The finite set A = {(gH_1, ..., gH_m) : g in G} of coset tuples.
 
-    A Subgroup is built without g's table, so each one is validated
-    against g first, unless it was already validated against or built
-    in g (its ``group`` is g): a ValueError names the element out of
-    range or the failed closure, as does a count of subgroups outside
-    1..MAX_VARIABLES.
+    Its base, the largest coset count #G/#H_i, bounds every digit and is
+    the N a digit set made from A is read in.  A Subgroup is built
+    without g's table, so each one is validated against g first, unless
+    it was already validated against or built in g (its ``group`` is g):
+    a ValueError names the element out of range or the failed closure,
+    as does a count of subgroups outside 1..MAX_VARIABLES.
     """
     subs = [h if h.group is g else subgroup_from_elements(g, h.elements) for h in subgroups]
     check_m(len(subs))
     # one column per subgroup: coordinate i of element a's point is
     # a's coset index in H_i, and the largest index sets its field width
     maps = [coset_index_map(g, h) for h in subs]
-    widths = tuple(max(mp).bit_length() for mp in maps)
+    tops = [max(mp) for mp in maps]
+    widths = tuple(t.bit_length() for t in tops)
     codes = points.pack_columns(maps, widths)
-    return points.PointSet._of_valid(len(subs), None, codes, widths)
+    return points.PointSet._of_valid(len(subs), max(tops) + 1, codes, widths)
 
 
-def coset_entropy_point(g: FiniteGroup, subgroups, support=None) -> EntropyVector:
+def coset_entropy_point(g: FiniteGroup, subgroups, support) -> EntropyVector:
     """Exact entropy vector of the coset variables of (G, H_1..H_m):
     values[I] = log2(#G) - log2(#H_I).
 
-    Each value is checked against the witness set: `support` when given
-    (witness_set(g, subgroups), as group_point passes the one it keeps),
-    else a new one.  Either way witness_set has validated the subgroups
-    against g (ValueError).  Its projection onto I must have #G / #H_I
-    points, with fibers of one size, so that its uniform distribution has
-    this entropy on I; else AssertionError.  The fiber counts stay cached
-    on the support.
+    Each value is checked against `support`, witness_set(g, subgroups),
+    which has validated the subgroups against g (ValueError).  Its
+    projection onto I must have #G / #H_I points, with fibers of one
+    size, so that its uniform distribution has this entropy on I; else
+    AssertionError.  The fiber counts stay cached on the support.
     """
     subs = list(subgroups)
-    if support is None:
-        support = witness_set(g, subs)
     n = g.order
     values = {}
     for mask, order in _intersection_orders(g, subs).items():
@@ -470,8 +468,8 @@ def _intersection_orders(g: FiniteGroup, subs) -> dict[int, int]:
 class Violation(Record):
     """A group point: the group, the tuple of subgroups, their EntropyVector
     point and its ExactLogLin slack on an inequality.  ``support``, the
-    witness set the point was checked against, is required but outside
-    == and repr."""
+    witness set the point was checked against, whose base bounds its
+    digits, is required but outside == and repr."""
 
     _fields = ("group", "subgroups", "point", "slack")
 
@@ -488,7 +486,7 @@ def group_point(ineq: LinearInequality, g: FiniteGroup, subgroups) -> Violation:
     if len(subs) != ineq.m:
         raise ValueError(f"need {ineq.m} subgroups, got {len(subs)}")
     support = witness_set(g, subs)
-    point = coset_entropy_point(g, subs, support=support)
+    point = coset_entropy_point(g, subs, support)
     return Violation(g, subs, point, eval_slack(ineq, point), support)
 
 

@@ -228,12 +228,8 @@ class LinearInequality(Record):
     are held in integers: c_T = nums[T] / den, with den > 0, ``nums`` a
     read-only map of the nonzero numerators by ascending mask, and
     gcd(den, *nums) = 1, so == and hash compare values.  ``coeffs`` is
-    the same map as Fractions.  The familiar two-sided reading splits the
-    coefficients by sign: subsets with negative coefficient form the
-    left-hand family (weights lhs_weights), positive ones the right-hand
-    family (rhs_weights), and the inequality asserts
-
-        sum_I lhs[I] * H(I)  <=  sum_J rhs[J] * H(J).
+    the same map as Fractions; the package's layers read nums over den,
+    and the Fractions only in error texts.
     """
 
     _fields = ("m", "den", "nums")
@@ -254,11 +250,3 @@ class LinearInequality(Record):
     def coeffs(self) -> Mapping[int, Fraction]:
         """The nonzero coefficients nums[T] / den as a read-only map."""
         return MappingProxyType({mask: Fraction(a, self.den) for mask, a in self.nums.items()})
-
-    def lhs_weights(self) -> dict[int, Fraction]:
-        """Positive weights of the "<=" side (negated negative coefficients)."""
-        return {mask: -c for mask, c in self.coeffs.items() if c < 0}
-
-    def rhs_weights(self) -> dict[int, Fraction]:
-        """Positive weights of the ">=" side."""
-        return {mask: c for mask, c in self.coeffs.items() if c > 0}

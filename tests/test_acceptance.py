@@ -133,7 +133,7 @@ def test_criterion_03_zhang_yeung_rejected():
 def test_criterion_04_catalog_sweep():
     klein = direct_product(cyclic(2), cyclic(2))
     subs = [subgroup_from_elements(klein, e) for e in ([0, 1], [0, 2], [0, 3])]
-    point = coset_entropy_point(klein, subs)
+    point = coset_entropy_point(klein, subs, witness_set(klein, subs))
     for mask, bits in zip(subsets(3), (1, 1, 2, 1, 2, 2, 2)):
         assert (point[mask] - ExactLogLin.bits(bits)).sign() == 0
 
@@ -163,7 +163,7 @@ def test_criterion_04_catalog_sweep():
                     # every 16th tuple: the full functional comparison
                     literal += 1
                     counted = exact_entropy_vector(support)
-                    formula = coset_entropy_point(g, tup)
+                    formula = coset_entropy_point(g, tup, support)
                     for mask in subsets(m):
                         assert (counted[mask] - formula[mask]).sign() == 0
     elapsed = time.perf_counter() - start
@@ -275,7 +275,7 @@ def test_criterion_09_counterexample_pipeline():
     assert ce.epsilon == Fraction(1, 4)
     assert ce.margin_times_log_base.sign() == 1
     # levels sit strictly below the true projection dimensions (times log2 N)
-    for mask in ineq.lhs_weights():
+    for mask in (s for s, a in ineq.nums.items() if a < 0):
         dim = ce.dims[mask]
         dim_log_n = ExactLogLin.log2(dim.cardinality)
         level = dim_log_n - ce.epsilon * ExactLogLin.log2(dim.base)
@@ -320,7 +320,7 @@ def test_criterion_10_float_exact_agreement():
             listings[g.name] = all_subgroups(g)
         m = rng.randint(1, 3)
         tup = [rng.choice(listings[g.name]) for _ in range(m)]
-        point = coset_entropy_point(g, tup)
+        point = coset_entropy_point(g, tup, witness_set(g, tup))
         recomputed = _float_entropies(witness_set(g, tup))
         for mask in subsets(m):
             diff = abs(point[mask].to_float() - recomputed[mask])

@@ -27,6 +27,7 @@ from entrodim.groups import (
     direct_product,
     group_point,
     subgroup_from_elements,
+    witness_set,
 )
 from entrodim.linear import LinearInequality, subsets
 from entrodim.shannon import elemental_inequalities
@@ -97,6 +98,8 @@ def test_dim_value_ordering():
         DimValue(0, 3)
     with pytest.raises(ValueError):
         DimValue(2, 1)
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        DimValue(2, None)  # a witness set without a base
 
 
 def test_uniform_fiber():
@@ -271,19 +274,21 @@ def test_build_counterexample_builds_one_witness_set(monkeypatch):
     monkeypatch.setattr(groups, "witness_set", counted)
     ineq = parse_inequality("H(x,y) <= H(x)")
     subs = [subgroup_from_elements(KLEIN, [0, 1]), subgroup_from_elements(KLEIN, [0])]
-    ce = build_counterexample(ineq, group_point(ineq, KLEIN, subs))
+    found = group_point(ineq, KLEIN, subs)
+    ce = build_counterexample(ineq, found)
     assert calls == [2]
+    assert ce.witness is found.support
     assert ce.witness.points == original(KLEIN, subs).points
 
 
 def test_coset_point_counts_the_support_it_is_given():
-    from entrodim.groups import coset_entropy_point, witness_set
-
     h1 = subgroup_from_elements(KLEIN, [0, 1])
     h2 = subgroup_from_elements(KLEIN, [0, 2])
-    coset_entropy_point(KLEIN, [h1, h2], support=witness_set(KLEIN, [h1, h2]))
+    coset_entropy_point(KLEIN, [h1, h2], witness_set(KLEIN, [h1, h2]))
     with pytest.raises(AssertionError):
-        coset_entropy_point(KLEIN, [h1, h2], support=witness_set(KLEIN, [h1, h1]))
+        coset_entropy_point(KLEIN, [h1, h2], witness_set(KLEIN, [h1, h1]))
+    with pytest.raises(TypeError):  # the witness set has no default
+        coset_entropy_point(KLEIN, [h1, h2])
 
 
 @st.composite
@@ -294,7 +299,7 @@ def _violating_points(draw):
     g = draw(st.sampled_from(builtin_catalog(12)))
     m = draw(st.integers(2, 3))
     subs = draw(st.lists(st.sampled_from(all_subgroups(g)), min_size=m, max_size=m))
-    point = coset_entropy_point(g, subs)
+    point = coset_entropy_point(g, subs, witness_set(g, subs))
     rows = [r for r in elemental_inequalities(m).rows if eval_slack(r, point).sign() > 0]
     assume(rows)
     row = draw(st.sampled_from(rows))
@@ -318,3 +323,22 @@ def test_counterexample_verifies_and_tampering_is_caught(case, data):
     for bad in tampered:
         with pytest.raises(AssertionError):
             verify_counterexample(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_violating_points())
+def test_the_digit_base_belongs_to_the_witness_set(case):
+    # the group point's witness set is the counterexample's digit set: its
+    # base, the largest coset count, bounds every digit, and the digit set
+    # reads back through the CantorWitness file format unchanged
+    ineq, g, subs = case
+    found = group_point(ineq, g, subs)
+    base = max(g.order // h.order for h in subs)
+    assert found.support.base == base
+    assert all(x < base for pt in found.support.points for x in pt)
+    ce = build_counterexample(ineq, found)
+    assert ce.witness is found.support
+    back = CantorWitness.from_json(ce.to_json()["witness"])
+    assert (back.codes, back.widths, back.base) == (ce.witness.codes, ce.witness.widths, base)
+    for mask in subsets(ineq.m):
+        assert len(back.fibers(mask)) == ce.dims[mask].cardinality

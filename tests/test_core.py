@@ -215,8 +215,6 @@ def test_entropy_vector_validation():
 def test_linear_inequality_canonical():
     q = LinearInequality(2, {1: Fraction(0), 2: 1, 3: Fraction(-2)})
     assert q.coeffs == {2: Fraction(1), 3: Fraction(-2)}
-    assert q.lhs_weights() == {3: Fraction(2)}
-    assert q.rhs_weights() == {2: Fraction(1)}
     assert (q.den, dict(q.nums)) == (1, {2: 1, 3: -2})
     # equal values compare equal however they are written; scaled ones do not
     half = LinearInequality(2, {1: Fraction(1, 2), 3: -1})

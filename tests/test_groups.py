@@ -97,16 +97,17 @@ def _reference_search(
                     prod_ = None
                     break
             if prod_ is None:
-                point = coset_entropy_point(g, tup)
+                point = coset_entropy_point(g, tup, witness_set(g, tup))
                 negative = eval_slack(ineq, point).sign() < 0
             else:
                 negative = prod_ < 1
             if negative:
-                point = coset_entropy_point(g, tup)
+                support = witness_set(g, tup)
+                point = coset_entropy_point(g, tup, support)
                 slack = eval_slack(ineq, point)
                 if slack.sign() >= 0:
                     raise AssertionError("fast slack sign disagrees with exact")
-                return Violation(g, tuple(tup), point, slack, witness_set(g, tup))
+                return Violation(g, tuple(tup), point, slack, support)
     return None
 
 KLEIN = direct_product(cyclic(2), cyclic(2), name="klein")
@@ -175,8 +176,11 @@ def test_symmetric():
     s3 = symmetric(3)
     assert s3.order == 6
     assert symmetric(4).order == 24
-    with pytest.raises(ValueError):
-        symmetric(6)
+    assert symmetric(6).order == 720  # MAX_GROUP_ORDER admits S6
+    with pytest.raises(ValueError, match="order above 720"):
+        symmetric(7)
+    with pytest.raises(ValueError, match="n >= 1"):
+        symmetric(0)
 
 
 def _reference_symmetric(n: int) -> tuple:
@@ -446,7 +450,7 @@ def test_witness_set_refuses_a_subgroup_count_outside_the_variable_range(count):
     e = subgroup_from_elements(KLEIN, [0])
     message = rf"m must be in 1\.\.{MAX_VARIABLES}, got {count}"
     for run in (lambda: witness_set(KLEIN, [e] * count),
-                lambda: coset_entropy_point(KLEIN, [e] * count)):
+                lambda: coset_entropy_point(KLEIN, [e] * count, witness_set(KLEIN, [e] * count))):
         with pytest.raises(ValueError, match=message):
             run()
     with pytest.raises(ValueError, match=message):
@@ -457,7 +461,7 @@ def test_coset_entropy_point_klein():
     h1 = subgroup_from_elements(KLEIN, [0, 1])
     h2 = subgroup_from_elements(KLEIN, [0, 2])
     h3 = subgroup_from_elements(KLEIN, [0, 3])
-    point = coset_entropy_point(KLEIN, [h1, h2, h3])
+    point = coset_entropy_point(KLEIN, [h1, h2, h3], witness_set(KLEIN, [h1, h2, h3]))
     expected = dict(zip(subsets(3), (1, 1, 2, 1, 2, 2, 2)))
     for mask, bits in expected.items():
         assert (point[mask] - ExactLogLin.bits(bits)).sign() == 0
@@ -466,9 +470,9 @@ def test_coset_entropy_point_klein():
 def test_coset_entropy_point_degenerate():
     full = subgroup_from_elements(KLEIN, [0, 1, 2, 3])
     e = subgroup_from_elements(KLEIN, [0])
-    zero = coset_entropy_point(KLEIN, [full, full])
+    zero = coset_entropy_point(KLEIN, [full, full], witness_set(KLEIN, [full, full]))
     assert all(zero[mask].sign() == 0 for mask in subsets(2))
-    top = coset_entropy_point(KLEIN, [e])
+    top = coset_entropy_point(KLEIN, [e], witness_set(KLEIN, [e]))
     assert (top[1] - ExactLogLin.bits(2)).sign() == 0
 
 
@@ -482,7 +486,7 @@ def test_lagrange_and_monotone_on_random_tuples():
         tup = [rng.choice(subs) for _ in range(m)]
         for h in tup:
             assert g.order % h.order == 0  # Lagrange
-        point = coset_entropy_point(g, tup)
+        point = coset_entropy_point(g, tup, witness_set(g, tup))
         for i in subsets(m):
             for j in subsets(m):
                 if i & j == i:
@@ -497,7 +501,7 @@ def test_group_points_satisfy_elemental_rows():
         g = rng.choice(cat)
         subs = all_subgroups(g)
         tup = [rng.choice(subs) for _ in range(3)]
-        point = coset_entropy_point(g, tup)
+        point = coset_entropy_point(g, tup, witness_set(g, tup))
         for row in rows:
             assert eval_slack(row, point).sign() >= 0
 
@@ -547,8 +551,9 @@ def test_witness_counting_matches_formula():
         subs = all_subgroups(g)
         m = rng.randint(1, 3)
         tup = [rng.choice(subs) for _ in range(m)]
-        counted = exact_entropy_vector(witness_set(g, tup))
-        formula = coset_entropy_point(g, tup)
+        support = witness_set(g, tup)
+        counted = exact_entropy_vector(support)
+        formula = coset_entropy_point(g, tup, support)
         for mask in subsets(m):
             assert (counted[mask] - formula[mask]).sign() == 0
 
@@ -562,8 +567,8 @@ def test_coset_point_refuses_a_support_with_unequal_fibers():
     odd = SupportSet(2, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7)])
     assert (exact_entropy_vector(odd)[0b01] - ExactLogLin.bits(2)).sign() == 0
     with pytest.raises(AssertionError, match="disagree with witness counting at 1"):
-        coset_entropy_point(z8, subs, support=odd)
-    point = coset_entropy_point(z8, subs, support=witness_set(z8, subs))
+        coset_entropy_point(z8, subs, odd)
+    point = coset_entropy_point(z8, subs, witness_set(z8, subs))
     assert (point[0b01] - ExactLogLin.bits(2)).sign() == 0
     assert (point[0b11] - ExactLogLin.bits(3)).sign() == 0
 
@@ -578,7 +583,8 @@ def test_subgroup_objects_are_checked_against_their_group(subs, message):
     # a Subgroup is built without a group table; {0, 7} and {0, 1} are no
     # subgroups of Z3
     z3, ineq = cyclic(3), parse_inequality("H(x,y) <= H(x)")
-    for run in (lambda: witness_set(z3, subs), lambda: coset_entropy_point(z3, subs),
+    for run in (lambda: witness_set(z3, subs),
+                lambda: coset_entropy_point(z3, subs, witness_set(z3, subs)),
                 lambda: build_counterexample(ineq, group_point(ineq, z3, subs))):
         with pytest.raises(ValueError, match=message):
             run()
@@ -846,7 +852,8 @@ def test_symmetric_search_matches_reference(search):
 
 
 def _slack_of(ineq, g, subs, tup):
-    point = coset_entropy_point(g, [subs[i] for i in tup])
+    chosen = [subs[i] for i in tup]
+    point = coset_entropy_point(g, chosen, witness_set(g, chosen))
     return eval_slack(ineq, point)
 
 
@@ -941,7 +948,7 @@ def _eval_search(ineq: LinearInequality, cat):
     whose slack eval_slack(...).sign() says is negative, or None."""
     for g in cat:
         for tup in product(all_subgroups(g), repeat=ineq.m):
-            point = coset_entropy_point(g, tup)
+            point = coset_entropy_point(g, tup, witness_set(g, tup))
             if eval_slack(ineq, point).sign() < 0:
                 return g, tup
     return None
