@@ -23,6 +23,10 @@ Conditional entropy and mutual information are sugar:
 
 Variables bind to positions 1..m in order of first appearance, unless an
 explicit ordered name list is supplied.
+
+The grammar has no nesting, so the parser is two loops over the tokens:
+one over the terms, and one over the names of each list.  A name that is
+not one name token cannot be read back, so format_inequality refuses it.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ from fractions import Fraction
 
 from .linear import LinearInequality, rational_text, subset_texts
 
+_NAME = r"[A-Za-z_]\w*"
+_NAME_RE = re.compile(_NAME)
 # every non-space character starts a token, so finditer skips only
 # whitespace; one that starts no other token is "bad"
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op><=|>=|[-+*/(),;|])|(?P<bad>\S)")
+_TOKEN_RE = re.compile(rf"(?P<num>\d+)|(?P<name>{_NAME})|(?P<op><=|>=|[-+*/(),;|])|(?P<bad>\S)")
 
 
 class InequalityParseError(ValueError):
@@ -60,153 +66,117 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, declared_vars: Sequence[str] | None):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.names: list[str] = list(declared_vars) if declared_vars else []
-        if declared_vars is not None and len(set(self.names)) != len(self.names):
-            raise ValueError("declared variable names must be distinct")
-        self.declared = declared_vars is not None
-        # the whole inequality as right side minus left side, by subset mask:
-        # integer numerators over one running denominator
-        self.coeffs: dict[int, int] = {}
-        self.den = 1
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, text, pos = self.next()
-        if text != value:
-            raise InequalityParseError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
-
-    def var_mask(self, name: str, pos: int) -> int:
-        if name not in self.names:
-            if self.declared:
-                raise InequalityParseError(f"unknown variable {name!r}", pos)
-            self.names.append(name)
-        return 1 << self.names.index(name)
-
-    def parse_vars(self) -> int:
-        mask = 0
-        while True:
-            kind, text, pos = self.next()
-            if kind != "name":
-                raise InequalityParseError(
-                    f"expected a variable name, found {text or 'end of input'!r}", pos
-                )
-            mask |= self.var_mask(text, pos)
-            if self.peek()[1] != ",":
-                return mask
-            self.next()
-
-    def parse_int(self) -> int:
-        kind, text, pos = self.next()
-        if kind != "num":  # a denominator's: parse_term saw the numerator's digits
-            raise InequalityParseError("expected denominator digits", pos)
-        try:
-            return int(text)
-        except ValueError:  # longer than int() reads: sys.get_int_max_str_digits()
-            raise InequalityParseError(f"number of {len(text)} digits is too long", pos) from None
-
-    def parse_rational(self) -> tuple[int, int]:
-        """The next number as a numerator and a positive denominator."""
-        num, den = self.parse_int(), 1
-        if self.peek()[1] == "/":
-            self.next()
-            pos = self.peek()[2]
-            den = self.parse_int()
-            if den == 0:
-                raise InequalityParseError("zero denominator", pos)
-        return num, den
-
-    def parse_atom(self) -> list[tuple[int, int]]:
-        """The atom's joint-entropy terms as (mask, +1 or -1) pairs, by the
-        identities above with an absent condition read as the empty set;
-        terms on mask 0 are H(empty) = 0 and are dropped."""
-        kind, text, pos = self.next()
-        if kind != "name" or text not in ("H", "I") or self.peek()[1] != "(":
-            raise InequalityParseError(
-                f"expected H(...) or I(...), found {text or 'end of input'!r}", pos
-            )
-        func = text
-        self.expect("(")
-        if self.peek()[1] == ")":
-            raise InequalityParseError(f"empty {func}()", self.peek()[2])
-        a = self.parse_vars()
-        b = c = 0
-        if func == "I":
-            self.expect(";")
-            b = self.parse_vars()
-        if self.peek()[1] == "|":
-            self.next()
-            c = self.parse_vars()
-        self.expect(")")
-        if func == "H":
-            terms = ((a | c, 1), (c, -1))
-        else:
-            terms = ((a | c, 1), (b | c, 1), (a | b | c, -1), (c, -1))
-        return [(mask, s) for mask, s in terms if mask]
-
-    def parse_term(self, sign: int) -> None:
-        """Add sign times the next term into self.coeffs, over self.den."""
-        num, den = 1, 1
-        if self.peek()[0] == "num":
-            num_pos = self.peek()[2]
-            num, den = self.parse_rational()
-            if self.peek()[1] == "*":
-                self.next()
-            elif self.peek()[0] != "name":
-                # bare rational term: only the literal zero is meaningful
-                if num != 0:
-                    raise InequalityParseError("nonzero constant term", num_pos)
-                return
-        scale = den // math.gcd(self.den, den)
-        if scale != 1:
-            # den does not divide the running denominator: rescale to the lcm
-            for mask in self.coeffs:
-                self.coeffs[mask] *= scale
-            self.den *= scale
-        coeff = sign * num * (self.den // den)
-        for mask, s in self.parse_atom():
-            self.coeffs[mask] = self.coeffs.get(mask, 0) + s * coeff
-
-    def parse_expr(self, sign: int) -> None:
-        self.parse_term(sign)
-        while self.peek()[1] in ("+", "-"):
-            self.parse_term(sign if self.next()[1] == "+" else -sign)
-
-    def parse(self) -> tuple[LinearInequality, tuple[str, ...]]:
-        self.parse_expr(-1)
-        kind, rel, pos = self.next()
-        if rel not in ("<=", ">="):
-            raise InequalityParseError(
-                f"expected '<=' or '>=', found {rel or 'end of input'!r}", pos
-            )
-        self.parse_expr(1)
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise InequalityParseError(f"trailing input {text!r}", pos)
-        flip = 1 if rel == "<=" else -1
-        coeffs = {m: flip * c for m, c in self.coeffs.items() if c != 0}
-        if not coeffs:
-            raise ZeroInequalityError("all coefficients cancel; inequality is 0 >= 0")
-        if not self.names:
-            raise InequalityParseError("no variables", 0)
-        return LinearInequality(len(self.names), coeffs, self.den), tuple(self.names)
-
-
 def parse_with_names(
     text: str, declared_vars: Sequence[str] | None = None
 ) -> tuple[LinearInequality, tuple[str, ...]]:
     """Parse inequality text; also return the position->name binding."""
-    return _Parser(text, declared_vars).parse()
+    tokens = _tokenize(text)
+    bits = {name: 1 << k for k, name in enumerate(declared_vars or ())}
+    if declared_vars is not None and len(bits) != len(declared_vars):
+        raise ValueError("declared variable names must be distinct")
+
+    def expected(what: str, i: int):
+        kind, value, pos = tokens[i]
+        raise InequalityParseError(f"expected {what}, found {value or 'end of input'!r}", pos)
+
+    def read_int(i: int) -> int:
+        kind, digits, pos = tokens[i]
+        if kind != "num":  # only a denominator: a numerator is read where its digits are
+            raise InequalityParseError("expected denominator digits", pos)
+        try:
+            return int(digits)
+        except ValueError:  # longer than int() reads: sys.get_int_max_str_digits()
+            raise InequalityParseError(f"number of {len(digits)} digits is too long", pos) from None
+
+    def read_vars(i: int) -> tuple[int, int]:
+        """The name list at token i as a mask, and the index after it."""
+        mask = 0
+        while True:
+            kind, name, pos = tokens[i]
+            if kind != "name":
+                expected("a variable name", i)
+            bit = bits.get(name)
+            if bit is None:
+                if declared_vars is not None:
+                    raise InequalityParseError(f"unknown variable {name!r}", pos)
+                bit = bits[name] = 1 << len(bits)
+            mask |= bit
+            if tokens[i + 1][1] != ",":
+                return mask, i + 1
+            i += 2
+
+    # the whole inequality as right side minus left side, by subset mask:
+    # integer numerators over one running denominator
+    coeffs: dict[int, int] = {}
+    den = 1
+    side = sign = -1
+    rel = ""
+    i = 0
+    while True:
+        # one term: [rational ["*"]] atom, or a bare rational
+        kind, _, pos = tokens[i]
+        num, d, bare = 1, 1, False
+        if kind == "num":
+            num = read_int(i)
+            if tokens[i + 1][1] == "/":
+                i += 2
+                d = read_int(i)
+                if d == 0:
+                    raise InequalityParseError("zero denominator", tokens[i][2])
+            i += 1
+            if tokens[i][1] == "*":
+                i += 1
+            elif tokens[i][0] != "name":
+                # a bare rational term: only the literal zero is meaningful
+                if num != 0:
+                    raise InequalityParseError("nonzero constant term", pos)
+                bare = True
+        if not bare:
+            # the atom by the identities above, an absent condition read as
+            # the empty set; its terms on mask 0 are H(empty) = 0, dropped
+            kind, func, pos = tokens[i]
+            if kind != "name" or func not in ("H", "I") or tokens[i + 1][1] != "(":
+                expected("H(...) or I(...)", i)
+            if tokens[i + 2][1] == ")":
+                raise InequalityParseError(f"empty {func}()", tokens[i + 2][2])
+            a, i = read_vars(i + 2)
+            b = c = 0
+            if func == "I":
+                if tokens[i][1] != ";":
+                    expected("';'", i)
+                b, i = read_vars(i + 1)
+            if tokens[i][1] == "|":
+                c, i = read_vars(i + 1)
+            if tokens[i][1] != ")":
+                expected("')'", i)
+            i += 1
+            scale = d // math.gcd(den, d)
+            if scale != 1:  # d does not divide the running denominator: take the lcm
+                coeffs = {mask: n * scale for mask, n in coeffs.items()}
+                den *= scale
+            coeff = sign * num * (den // d)
+            terms = ((a | c, 1), (c, -1)) if func == "H" else (
+                (a | c, 1), (b | c, 1), (a | b | c, -1), (c, -1))
+            for mask, s in terms:
+                if mask:
+                    coeffs[mask] = coeffs.get(mask, 0) + s * coeff
+        # what follows the term: a sign, the relation, or the end
+        kind, op, pos = tokens[i]
+        i += 1
+        if op in ("+", "-"):
+            sign = side if op == "+" else -side
+        elif rel:
+            if kind != "end":
+                raise InequalityParseError(f"trailing input {op!r}", pos)
+            break
+        elif op in ("<=", ">="):
+            rel, side, sign = op, 1, 1
+        else:
+            expected("'<=' or '>='", i - 1)
+    coeffs = {mask: n if rel == "<=" else -n for mask, n in coeffs.items() if n}
+    if not coeffs:
+        raise ZeroInequalityError("all coefficients cancel; inequality is 0 >= 0")
+    return LinearInequality(len(bits), coeffs, den), tuple(bits)
 
 
 def parse_inequality(
@@ -231,11 +201,14 @@ def format_inequality(ineq: LinearInequality, names: Sequence[str]) -> str:
 
     All coefficients are printed as positive rationals; a side with no
     terms is rendered as "0".  parse_inequality(format_inequality(q, ns),
-    ns) reproduces q exactly.
+    ns) reproduces q exactly, so every name must be one name token.
     """
     if len(names) != ineq.m:
         raise ValueError(f"need {ineq.m} variable names, got {len(names)}")
     if len(set(names)) != len(names):
         raise ValueError("variable names must be distinct")
+    for name in names:
+        if not _NAME_RE.fullmatch(name):
+            raise ValueError(f"variable name {name!r} is not one name token")
     texts = subset_texts(tuple(names))
     return _render_side(ineq, -1, texts) + " <= " + _render_side(ineq, 1, texts)

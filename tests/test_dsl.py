@@ -110,6 +110,48 @@ def test_parse_errors():
         parse_inequality("")
 
 
+_REFUSALS = [
+    # (text, declared names, message, position)
+    ("H(x) < H(y)", None, "unexpected character '<'", 5),
+    ("H(x,) >= 0", None, "expected a variable name, found ')'", 4),
+    ("H(x) >= H(q)", ("x", "y"), "unknown variable 'q'", 10),
+    ("1/x H(x) >= 0", None, "expected denominator digits", 2),
+    ("1/0 H(x) >= 0", None, "zero denominator", 2),
+    ("2 H(x) <= 3", None, "nonzero constant term", 10),
+    ("G(x) >= 0", None, "expected H(...) or I(...), found 'G'", 0),
+    ("", None, "expected H(...) or I(...), found 'end of input'", 0),
+    ("H() >= 0", None, "empty H()", 2),
+    ("I() >= 0", None, "empty I()", 2),
+    ("I(x;y) <= I(x|y)", None, "expected ';', found '|'", 13),
+    ("H(x|y|z) >= 0", None, "expected ')', found '|'", 5),
+    ("H(x) <= H(x,y", None, "expected ')', found 'end of input'", 13),
+    ("H(x) + H(y)", None, "expected '<=' or '>=', found 'end of input'", 11),
+    ("H(x) >= 0 )", None, "trailing input ')'", 10),
+    ("H(x <= H(y)", None, "expected ')', found '<='", 4),
+    ("H(x) >= 0 extra", None, "expected H(...) or I(...), found 'extra'", 10),
+]
+
+
+@pytest.mark.parametrize("text, declared, message, position", _REFUSALS)
+def test_every_refusal_keeps_its_text_and_position(text, declared, message, position):
+    with pytest.raises(InequalityParseError) as err:
+        parse_with_names(text, declared)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("declared", [None, ("x",)])
+def test_a_text_with_no_atom_says_nothing(declared):
+    with pytest.raises(ZeroInequalityError):
+        parse_with_names("0 <= 0", declared)
+
+
+def test_declared_names_must_be_distinct():
+    with pytest.raises(ValueError) as err:
+        parse_with_names("H(x) >= 0", ("x", "x"))
+    assert str(err.value) == "declared variable names must be distinct"
+
+
 def test_a_too_long_number_names_its_position():
     # int() refuses a number of more than sys.get_int_max_str_digits() digits
     # (4300 by default) with a ValueError; the parser names the number
@@ -141,6 +183,10 @@ def test_format_errors():
         format_inequality(ineq, ("x",))
     with pytest.raises(ValueError):
         format_inequality(ineq, ("x", "x"))
+    # a name the parser would not read back as one name token
+    for names, bad in ((("a b", "c"), "a b"), (("1x", "y"), "1x"), (("", "y"), "")):
+        with pytest.raises(ValueError, match=re.escape(f"variable name {bad!r} is not one name token")):
+            format_inequality(ineq, names)
 
 
 def test_round_trip_random():

@@ -505,6 +505,28 @@ def test_ray_table_holds_extreme_rays():
             assert _rank([cut for cut, s in zip(cuts, slacks) if s == 0]) == len(coords) - 1
 
 
+def test_the_ingleton_instances_split_the_gamma4_rays():
+    # rays 0-34 satisfy all six Ingleton instances; ray 35 + k violates
+    # only the k-th, and Zhang-Yeung only ray 40
+    names = ("p", "q", "r", "s")
+    pairs = [("p", "q"), ("p", "r"), ("q", "r"), ("p", "s"), ("q", "s"), ("r", "s")]
+    ingletons = []
+    for a, b in pairs:
+        c, d = (v for v in names if v not in (a, b))
+        text = f"I({a};{b}) <= I({a};{b}|{c}) + I({a};{b}|{d}) + I({c};{d})"
+        ingletons.append(parse_inequality(text, declared_vars=names))
+    coords = subsets(4)
+
+    def violated(ineq, ray):
+        return sum(ineq.nums.get(mask, 0) * x for mask, x in zip(coords, ray)) < 0
+
+    rays = shannon._rays(4)
+    for i, ray in enumerate(rays):
+        hit = [k for k, q in enumerate(ingletons) if violated(q, ray)]
+        assert hit == ([] if i < 35 else [i - 35])
+    assert [i for i, ray in enumerate(rays) if violated(zhang_yeung(), ray)] == [40]
+
+
 def test_ray_refutes_without_a_solve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("the LP ran")
