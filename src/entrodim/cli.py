@@ -20,7 +20,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import cantor, core, distributions, groups, shannon, splitting
-from .dsl import format_inequality, parse_with_names
+from .dsl import name_texts, parse_with_names, write_inequality
 from .linear import mask_label, mask_of, rational_text, subsets
 
 
@@ -61,14 +61,15 @@ def _render(value, indent: str = "\n") -> str:
 
 def _inequality(inputs: dict, report: dict):
     """The subcommand's --ineq, parsed, with its canonical text written
-    to the report."""
+    to the report, and the text of every subset mask over its names."""
     ineq, names = parse_with_names(inputs["ineq"])
-    report["canonical"] = format_inequality(ineq, names)
-    return ineq, names
+    texts = name_texts(names, ineq.m)
+    report["canonical"] = write_inequality(ineq, texts)
+    return ineq, texts
 
 
 def _cmd_check(inputs: dict, report: dict) -> int:
-    ineq, names = _inequality(inputs, report)
+    ineq, texts = _inequality(inputs, report)
     result = shannon.is_shannon_type(ineq)
     if isinstance(result, shannon.ShannonCertificate):
         rows = shannon.elemental_inequalities(ineq.m).rows
@@ -78,7 +79,7 @@ def _cmd_check(inputs: dict, report: dict) -> int:
                 {
                     "row": r,
                     "weight": rational_text(Fraction(w, result.den)),
-                    "inequality": format_inequality(rows[r], names),
+                    "inequality": write_inequality(rows[r], texts),
                 }
                 for r, w in result.weights.items()
             ]
@@ -86,7 +87,7 @@ def _cmd_check(inputs: dict, report: dict) -> int:
         return 0
     report["outcome"] = "not-shannon-type"
     report["farkas_witness"] = {
-        "point": {mask_label(s, names): rational_text(Fraction(q, result.den))
+        "point": {texts[s]: rational_text(Fraction(q, result.den))
                   for s, q in result.point.items()},
         "target_slack": rational_text(Fraction(
             sum(a * result.point.get(s, 0) for s, a in ineq.nums.items()), ineq.den * result.den
@@ -117,7 +118,7 @@ def _group_report(found: groups.Violation, report: dict) -> None:
 
 
 def _cmd_group_search(inputs: dict, report: dict) -> int:
-    ineq, names = _inequality(inputs, report)
+    ineq, texts = _inequality(inputs, report)
     groups.check_max_order(inputs["max_order"])
     catalog = None
     if inputs["groups"]:
@@ -129,7 +130,7 @@ def _cmd_group_search(inputs: dict, report: dict) -> int:
         return 0
     report["outcome"] = "violation found"
     _group_report(found, report)
-    report["entropy_point"] = {mask_label(s, names): found.point[s].to_json()
+    report["entropy_point"] = {texts[s]: found.point[s].to_json()
                                for s in subsets(ineq.m)}
     report["slack"] = found.slack.to_json()
     return 2

@@ -26,7 +26,7 @@ explicit ordered name list is supplied.
 
 The grammar has no nesting, so the parser is two loops over the tokens:
 one over the terms, and one over the names of each list.  A name that is
-not one name token cannot be read back, so format_inequality refuses it.
+not one name token cannot be read back, so name_texts refuses it.
 """
 
 from __future__ import annotations
@@ -196,19 +196,30 @@ def _render_side(ineq: LinearInequality, sign: int, texts: tuple[str, ...]) -> s
     return " + ".join(parts) or "0"
 
 
-def format_inequality(ineq: LinearInequality, names: Sequence[str]) -> str:
-    """Render the split two-sided form "sum a_I H(I) <= sum b_J H(J)".
-
-    All coefficients are printed as positive rationals; a side with no
-    terms is rendered as "0".  parse_inequality(format_inequality(q, ns),
-    ns) reproduces q exactly, so every name must be one name token.
-    """
-    if len(names) != ineq.m:
-        raise ValueError(f"need {ineq.m} variable names, got {len(names)}")
+def name_texts(names: Sequence[str], m: int) -> tuple[str, ...]:
+    """The text of every subset mask over names (linear.subset_texts), for
+    m names that are distinct and each one name token; ValueError else."""
+    if len(names) != m:
+        raise ValueError(f"need {m} variable names, got {len(names)}")
     if len(set(names)) != len(names):
         raise ValueError("variable names must be distinct")
     for name in names:
         if not _NAME_RE.fullmatch(name):
             raise ValueError(f"variable name {name!r} is not one name token")
-    texts = subset_texts(tuple(names))
+    return subset_texts(tuple(names))
+
+
+def write_inequality(ineq: LinearInequality, texts: tuple[str, ...]) -> str:
+    """Render the split two-sided form "sum a_I H(I) <= sum b_J H(J)" over
+    the subset texts of name_texts(names, ineq.m).
+
+    All coefficients are printed as positive rationals; a side with no
+    terms is rendered as "0".
+    """
     return _render_side(ineq, -1, texts) + " <= " + _render_side(ineq, 1, texts)
+
+
+def format_inequality(ineq: LinearInequality, names: Sequence[str]) -> str:
+    """write_inequality over names.  parse_inequality(format_inequality(q,
+    ns), ns) reproduces q exactly, so every name must be one name token."""
+    return write_inequality(ineq, name_texts(names, ineq.m))

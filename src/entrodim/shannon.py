@@ -23,7 +23,11 @@ every extreme ray of the polymatroid cone Gamma_m, the points on which
 every elemental row is nonnegative; a ray on which it is negative is a
 Farkas point.  For m <= 4 the rays are few (1, 3, 8 and 41), and
 `is_shannon_type` tries them before the LP, so most targets that are
-not Shannon-type are refuted by integer dot products alone.  The rays
+not Shannon-type are refuted by one integer sum alone: the rays' entries
+at each subset mask are packed into one int, a w-bit field per ray, and
+the target's ints times those give every ray's slack in its field, plus
+2**(w-1) so that the field's top bit is its sign (w, a power of two,
+leaves room for 4 times the target's coefficient sum).  The rays
 are held as digit strings, computed once by a double description and
 rechecked against an independent one by the tests: a double description
 of Gamma_4 costs as much as dozens of LP solves, more than one `check`
@@ -38,12 +42,20 @@ then sum_r w_r * (row_r . p) = 0 with every row_r . p >= 0, so no
 certificate puts weight on a row that is positive on p (complementary
 slackness).  Each ray gets the mask of the elemental rows that are 0 on
 it, made once per m from the LP matrix, and the LP is solved only on the
-rows in the masks of all the rays on which the target is 0.  Its matrix
-is prepared once per such set of rows; Gamma_m has finitely many faces,
-so there are finitely many.  The weights it finds are verified on the
-full elemental set.  Should that LP be infeasible, which only a ray
-missing from the table could cause, the full LP decides, so again no
-verdict rests on the table.
+rows in the masks of all the rays on which the target is 0, and on the
+subset masks that one of those rows touches.  Its matrix is prepared
+once per such set of rows; Gamma_m has finitely many faces, so there
+are finitely many.  The weights it finds are verified on the full
+elemental set.  Should that LP be infeasible, which only a ray missing
+from the table could cause, the full LP decides, so again no verdict
+rests on the table; a target nonzero on a mask the face does not touch
+goes to the full LP at once.
+
+Dropping an untouched mask changes no pivot.  Its row is 0 in every
+column, with b = 0, so its artificial starts basic at 0 with reduced
+cost 0: under Bland's rule that row is never a ratio-test candidate, its
+artificial never enters, and the pivots, D and the solution are those of
+the LP that keeps it.
 """
 
 from __future__ import annotations
@@ -106,6 +118,12 @@ class ElementalSet(Record):
                 )
         return PreparedMatrix(tuple(r.nums.get(s, 0) for r in self.rows) for s in subsets(self.m))
 
+    @cached_property
+    def cuts(self) -> tuple[tuple[int, ...], ...]:
+        """Each row as its ints by subset mask in subsets(m) order: the LP
+        matrix's columns."""
+        return tuple(zip(*self.matrix))
+
 
 def _in_lowest_terms(record: Record) -> None:
     """__post_init__ of a record (m, den, map of ints over den): den and the
@@ -167,11 +185,6 @@ def elemental_inequalities(m: int) -> ElementalSet:
     return ElementalSet(m, tuple(rows))
 
 
-def _slack(row: LinearInequality, point: Mapping[int, int]) -> int:
-    """row.den times the row's slack on the integer point."""
-    return sum(c * point.get(mask, 0) for mask, c in row.nums.items())
-
-
 @cache
 def _rays(m: int) -> tuple[tuple[int, ...], ...]:
     """The extreme rays of Gamma_m in table order; none past m = 4."""
@@ -182,46 +195,90 @@ def _rays(m: int) -> tuple[tuple[int, ...], ...]:
 def _zero_rows(m: int) -> tuple[int, ...]:
     """Per extreme ray of Gamma_m in table order, the mask of the elemental
     rows that are 0 on it (bit r for row r), from the LP matrix's columns."""
-    cols = list(zip(*elemental_inequalities(m).matrix))
-    return tuple(sum(1 << r for r, col in enumerate(cols) if not sum(map(mul, col, ray)))
+    cuts = elemental_inequalities(m).cuts
+    return tuple(sum(1 << r for r, cut in enumerate(cuts) if not sum(map(mul, cut, ray)))
                  for ray in _rays(m))
 
 
 @cache
-def _face(m: int, kept: int) -> tuple[tuple[int, ...], PreparedMatrix]:
-    """The elemental rows in the mask kept, ascending, and the LP matrix on
-    their columns only (the full matrix when every row is kept)."""
+def _ray_fields(m: int, w: int) -> tuple[list[int], int, int, dict[int, int]]:
+    """The rays of Gamma_m packed into w-bit fields, ray r in field r (bits
+    w*r up): per subset mask, the rays' entries at it; the top bits,
+    2**(w-1) in every field; a 1 in every field; and each ray's _zero_rows
+    mask keyed by its field's top bit."""
+    cols, ones, zeros = [0] * (1 << m), 0, {}
+    for r, (ray, z) in enumerate(zip(_rays(m), _zero_rows(m))):
+        one = 1 << w * r
+        for mask, x in enumerate(ray, 1):
+            cols[mask] += x * one
+        ones += one
+        zeros[one << w - 1] = z
+    return cols, ones << w - 1, ones, zeros
+
+
+def _ray_test(m: int, w: int, nums: Mapping[int, int], kept: int) -> tuple[int, int]:
+    """(r, kept) for the target sum_T nums[T] H(T) >= 0, whose slack on
+    every ray is above -2**(w-1) and below 2**(w-1): r is the first ray on
+    which the target is negative, or -1, and then kept is the mask of the
+    rows in kept that are 0 on every ray on which the target is 0.
+
+    Field r of top + sum_T nums[T] * cols[T] is 2**(w-1) plus the slack on
+    ray r, in 1..2**w - 1, so no field carries into the next, and its top
+    bit is set iff that slack is >= 0.  With every top bit set, a field
+    less 1 has a clear top bit iff its slack is 0."""
+    cols, top, ones, zeros = _ray_fields(m, w)
+    packed = sum(map(mul, nums.values(), map(cols.__getitem__, nums)), top)
+    negative = top & ~packed
+    if negative:
+        return (negative & -negative).bit_length() // w - 1, 0
+    tight = top & ~(packed - ones)
+    while tight:
+        bit = tight & -tight
+        kept &= zeros[bit]
+        tight ^= bit
+    return -1, kept
+
+
+@cache
+def _face(m: int, kept: int) -> tuple[tuple[int, ...], tuple[int, ...], PreparedMatrix]:
+    """The elemental rows in the mask kept, ascending, the subset masks
+    that one of them touches, ascending, and the LP matrix on those rows
+    and masks only (the full matrix when every row is kept)."""
     full = elemental_inequalities(m).matrix
     rows = tuple(r for r in range(full.k) if kept >> r & 1)
     if len(rows) == full.k:
-        return rows, full
-    return rows, PreparedMatrix([line[r] for r in rows] for line in full)
+        return rows, tuple(subsets(m)), full
+    coords, lines = [], []
+    for mask, line in zip(subsets(m), full):
+        line = [line[r] for r in rows]
+        if any(line):
+            coords.append(mask)
+            lines.append(line)
+    return rows, tuple(coords), PreparedMatrix(lines)
 
 
 def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitness:
     """Decide cone membership, returning a verified certificate either way.
     For m <= 4 the first extreme ray on which the target is negative is
     the Farkas point, found without a solve; otherwise the LP keeps only
-    the rows that are 0 on every ray on which the target is 0."""
-    m = ineq.m
-    coords = subsets(m)
-    target = [ineq.nums.get(mask, 0) for mask in coords]
-    kept = every = (1 << len(elemental_inequalities(m).rows)) - 1
-    point, den = None, 1
-    for ray, zeros in zip(_rays(m), _zero_rows(m)):
-        slack = sum(map(mul, ray, target))
-        if slack < 0:
-            point = ray
-            break
-        if not slack:
-            kept &= zeros
-    if point is None:
-        rows, matrix = _face(m, kept)
-        res = solve_eq_nonneg(matrix, target)
-        if not res.feasible and kept != every:
+    the rows that are 0 on every ray on which the target is 0, and the
+    subset masks those rows touch."""
+    m, nums = ineq.m, ineq.nums
+    every = (1 << len(elemental_inequalities(m).rows)) - 1
+    # no ray entry exceeds 4, so 2**(w-1) exceeds every ray slack
+    w = max(32, 1 << (4 * sum(map(abs, nums.values()))).bit_length().bit_length())
+    r, kept = _ray_test(m, w, nums, every)
+    if r >= 0:
+        point, den = _rays(m)[r], 1
+    else:
+        rows, coords, matrix = _face(m, kept)
+        res = None
+        if nums.keys() <= set(coords):  # else no certificate lies on the face
+            res = solve_eq_nonneg(matrix, [nums.get(mask, 0) for mask in coords])
+        if kept != every and (res is None or not res.feasible):
             # only a ray missing from the table can cut away every certificate
-            rows, matrix = _face(m, every)
-            res = solve_eq_nonneg(matrix, target)
+            rows, coords, matrix = _face(m, every)
+            res = solve_eq_nonneg(matrix, [nums.get(mask, 0) for mask in coords])
         if res.feasible:
             # the LP solves E^T y = nums with y = solution / D, and the
             # target is nums / den, so its weights are solution / (D * den)
@@ -232,7 +289,7 @@ def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitnes
         # u.c > 0; negating gives a point with elemental slacks >= 0 and
         # strictly negative target slack — a separating polymatroid point.
         point, den = map(neg, res.farkas), res.den
-    witness = FarkasWitness(m, den, dict(zip(coords, point)))
+    witness = FarkasWitness(m, den, dict(zip(subsets(m), point)))
     verify_farkas(ineq, witness)
     return witness
 
@@ -264,17 +321,16 @@ def verify_certificate(ineq: LinearInequality, cert: ShannonCertificate) -> None
 
 def verify_farkas(ineq: LinearInequality, witness: FarkasWitness) -> None:
     """Exact recheck: elemental slacks >= 0, target slack < 0, in integers
-    over the point's den."""
+    over the point's den, from the point's ints by subset mask."""
     if witness.m != ineq.m:
         raise VerificationError(f"witness is for m={witness.m}, target m={ineq.m}")
     point, q = witness.point, witness.den
-    for r, row in enumerate(elemental_inequalities(ineq.m).rows):
-        s = _slack(row, point)
+    x = [point.get(mask, 0) for mask in subsets(ineq.m)]
+    for r, cut in enumerate(elemental_inequalities(ineq.m).cuts):
+        s = sum(map(mul, cut, x))
         if s < 0:
-            raise VerificationError(
-                f"witness violates elemental row {r} (slack {Fraction(s, q * row.den)})"
-            )
-    s = _slack(ineq, point)
+            raise VerificationError(f"witness violates elemental row {r} (slack {Fraction(s, q)})")
+    s = sum(c * x[mask - 1] for mask, c in ineq.nums.items())
     if s >= 0:
         raise VerificationError(
             f"target slack on witness is {Fraction(s, q * ineq.den)}, "

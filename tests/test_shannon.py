@@ -540,9 +540,33 @@ def test_ray_refutes_without_a_solve(monkeypatch):
         is_shannon_type(EQ1)  # Shannon-type: every ray passes, so the LP decides
 
 
-def test_lp_answers_when_no_ray_refutes(monkeypatch):
+@pytest.fixture
+def ray_table(monkeypatch):
+    """Sets the m = 4 ray table to the rays given as digit strings; every
+    table cache is emptied around it."""
+    caches = (shannon._rays, shannon._zero_rows, shannon._ray_fields, shannon._face)
+
+    def keep(rays):
+        monkeypatch.setitem(shannon._RAY_DIGITS, 4, " ".join(rays))
+        for c in caches:
+            c.cache_clear()
+
+    yield keep
+    monkeypatch.undo()
+    for c in caches:
+        c.cache_clear()
+
+
+@pytest.fixture
+def rays_35_to_40_missing(ray_table):
+    """The m = 4 ray table without its last six rays, the only ones on
+    which Zhang-Yeung is negative."""
+    ray_table(shannon._RAY_DIGITS[4].split()[:35])
+
+
+def test_lp_answers_when_no_ray_refutes(ray_table):
     # no verdict rests on the table: without it the LP finds its own point
-    monkeypatch.setattr(shannon, "_rays", lambda m: ())
+    ray_table([])
     zy = zhang_yeung()
     res = is_shannon_type(zy)
     assert res == _held(FarkasWitness, 4, ZY_POINT) and res.den == 4
@@ -617,28 +641,181 @@ def test_the_lp_runs_on_one_prepared_face(solved):
     assert first == _expected(target, elemental_inequalities(4))
 
 
-@pytest.fixture
-def rays_35_to_40_missing(monkeypatch):
-    """The m = 4 ray table without its last six rays, the only ones on
-    which Zhang-Yeung is negative; every table cache is emptied around it."""
-    caches = (shannon._rays, shannon._zero_rows, shannon._face)
-    kept = shannon._RAY_DIGITS[4].split()[:35]
-    monkeypatch.setitem(shannon._RAY_DIGITS, 4, " ".join(kept))
-    for c in caches:
-        c.cache_clear()
-    yield
-    monkeypatch.undo()
-    for c in caches:
-        c.cache_clear()
-
-
 def test_the_full_lp_decides_when_the_table_misses_rays(rays_35_to_40_missing, solved):
     zy = zhang_yeung()
     res = is_shannon_type(zy)
-    # the restricted LP found no certificate, and the full one gave its point
-    assert len(solved) == 2 and solved[0].k < 28 and solved[1] is elemental_inequalities(4).matrix
+    # Zhang-Yeung is nonzero on a subset mask that no row of its face
+    # touches, so the face has no certificate: only the full LP runs
+    assert len(solved) == 1 and solved[0] is elemental_inequalities(4).matrix
     assert isinstance(res, FarkasWitness) and res == _held(FarkasWitness, 4, ZY_POINT)
     verify_farkas(zy, res)
+
+
+# -- the packed ray test and the face's subset masks ---------------------------
+
+
+def _every(m):
+    """The mask of every elemental row."""
+    return (1 << len(elemental_inequalities(m).rows)) - 1
+
+
+def _plain_ray_test(m, nums):
+    """The ray test one ray at a time: the first ray of the double
+    description on which the target is negative, or -1 and the mask of the
+    elemental rows that are 0 on every ray on which it is 0."""
+    coords = subsets(m)
+    target = [nums.get(mask, 0) for mask in coords]
+    cuts = [[row.nums.get(mask, 0) for mask in coords] for row in elemental_inequalities(m).rows]
+    kept = _every(m)
+    for r, ray in enumerate(_double_description(m)):
+        slack = _dot(ray, target)
+        if slack < 0:
+            return r, 0
+        if not slack:
+            kept &= sum(1 << i for i, cut in enumerate(cuts) if _dot(cut, ray) == 0)
+    return -1, kept
+
+
+def _ray_tests(ineq):
+    """is_shannon_type(ineq) and the (m, w, nums, answer) of each
+    _ray_test it runs."""
+    seen = []
+    real = shannon._ray_test
+
+    def spy(m, w, nums, kept):
+        seen.append((m, w, nums, real(m, w, nums, kept)))
+        return seen[-1][3]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shannon, "_ray_test", spy)
+        return is_shannon_type(ineq), seen
+
+
+@st.composite
+def _wide_checks(draw):
+    """A combination of 1 to 4 elemental rows at m = 1..4 with weights of
+    60 to 200 bits, moved at one subset by up to as much in half the draws."""
+    m = draw(st.integers(1, 4))
+    rows = elemental_inequalities(m).rows
+    wide = st.integers(60, 200).flatmap(lambda b: st.integers(1 << b - 1, (1 << b) - 1))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), wide), min_size=1, max_size=4))
+    combo: dict[int, int] = {}
+    for r, w in picks:
+        for mask, c in rows[r].nums.items():
+            combo[mask] = combo.get(mask, 0) + w * c
+    if draw(st.booleans()):
+        mask = draw(st.sampled_from(subsets(m)))
+        combo[mask] = combo.get(mask, 0) + draw(st.sampled_from((-1, 1))) * draw(wide)
+    assume(any(combo.values()))
+    return LinearInequality(m, combo, draw(st.integers(1, 7)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_drawn_checks(), _wide_checks()))
+def test_the_packed_ray_test_matches_the_plain_loop(ineq):
+    got, seen = _ray_tests(ineq)
+    ((m, w, nums, (r, kept)),) = seen
+    assert (r, kept if r < 0 else 0) == _plain_ray_test(m, nums)
+    assert all(abs(_dot(ray, [nums.get(s, 0) for s in subsets(m)])) < 1 << w - 1
+               for ray in _double_description(m))
+    if r >= 0:
+        assert got == FarkasWitness(m, 1, dict(zip(subsets(m), _double_description(m)[r])))
+
+
+
+@pytest.mark.parametrize("bits", (29, 30, 31, 61, 62, 63, 125, 126, 127))
+def test_the_field_width_covers_every_ray_slack(bits):
+    # H(all) is 4 on the last rays of Gamma_4 and 2 on the last of Gamma_3,
+    # so a coefficient c there takes a slack of up to 4c, two bits past c
+    for m in (1, 2, 3, 4):
+        full = (1 << m) - 1
+        for c in ((1 << bits) - 1, (1 << bits) + 1, -(1 << bits) - 1):
+            got, seen = _ray_tests(LinearInequality(m, {full: c}))
+            ((_, w, nums, (r, kept)),) = seen
+            assert (r, kept if r < 0 else 0) == _plain_ray_test(m, nums)
+            assert isinstance(got, ShannonCertificate) == (c > 0)
+
+@st.composite
+def _slacks_at_the_bound(draw):
+    """(m, w, nums): up to 4 elemental rows, signed, with positive weights
+    summing to 2**(w-1) - 1.  Every row is 0 or 1 on every ray, so every
+    ray slack lies within +-(2**(w-1) - 1), and a ray on which every row is
+    1, with one sign, takes the bound."""
+    m = draw(st.integers(1, 4))
+    w = draw(st.sampled_from((32, 64, 128)))
+    rows = elemental_inequalities(m).rows
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=4, unique=True))
+    rest = [draw(st.integers(1, 1 << w - 3)) for _ in picks[1:]]
+    weights = [(1 << w - 1) - 1 - sum(rest), *rest]
+    nums: dict[int, int] = {}
+    for r, a in zip(picks, weights):
+        a *= draw(st.sampled_from((-1, 1)))
+        for mask, c in rows[r].nums.items():
+            nums[mask] = nums.get(mask, 0) + a * c
+    return m, w, {mask: c for mask, c in nums.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_slacks_at_the_bound())
+def test_the_packed_ray_test_holds_at_its_field_bound(case):
+    m, w, nums = case
+    r, kept = shannon._ray_test(m, w, nums, _every(m))
+    assert (r, kept if r < 0 else 0) == _plain_ray_test(m, nums)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+@pytest.mark.parametrize("w", (32, 64))
+def test_every_ray_slack_at_the_bound_is_read(m, w):
+    bound = (1 << w - 1) - 1
+    for row in elemental_inequalities(m).rows:
+        for sign in (1, -1):
+            nums = {mask: sign * bound * c for mask, c in row.nums.items()}
+            target = [nums.get(s, 0) for s in subsets(m)]
+            slacks = [_dot(ray, target) for ray in _double_description(m)]
+            assert sign * bound in slacks
+            got = shannon._ray_test(m, w, nums, _every(m))
+            assert got[0] == (slacks.index(-bound) if sign < 0 else -1)
+            assert got == _plain_ray_test(m, nums)
+
+
+@st.composite
+def _faces(draw):
+    """(m, kept, target): a nonempty set of elemental rows as a mask, and
+    a combination of them, moved at one subset that they touch in half the
+    draws, so that a certificate on the face may or may not exist."""
+    m = draw(st.integers(1, 4))
+    rows = elemental_inequalities(m).rows
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=8, unique=True))
+    target = dict.fromkeys(subsets(m), 0)
+    for r in picks:
+        if draw(st.booleans()):
+            for mask, c in rows[r].nums.items():
+                target[mask] += draw(st.integers(1, 6)) * c
+    if draw(st.booleans()):
+        touched = sorted({mask for r in picks for mask in rows[r].nums})
+        target[draw(st.sampled_from(touched))] += draw(st.sampled_from((-1, 1)))
+    return m, sum(1 << r for r in picks), list(target.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_faces())
+def test_a_face_lp_on_its_touched_masks_pivots_as_on_every_mask(face):
+    m, kept, target = face
+    rows, coords, matrix = shannon._face(m, kept)
+    full = elemental_inequalities(m).matrix
+    wide = [[line[r] for r in rows] for line in full]
+    assert coords == tuple(s for s, line in zip(subsets(m), wide) if any(line))
+    assert [list(line) for line in matrix] == [line for line in wide if any(line)]
+    got = solve_eq_nonneg(matrix, [target[s - 1] for s in coords])
+    want = solve_eq_nonneg(wide, target)
+    assert got.pivots == want.pivots
+    if want.feasible:
+        assert got == want
+    else:
+        # a dropped mask's row keeps its artificial basic: its Farkas entry is D
+        assert (got.feasible, got.den, got.solution) == (False, want.den, None)
+        assert got.farkas == tuple(want.farkas[s - 1] for s in coords)
+        assert all(want.farkas[s - 1] == want.den for s in subsets(m) if s not in coords)
 
 
 def test_elemental_sets_are_built_once_and_left_unchanged(capsys):
