@@ -234,17 +234,21 @@ def all_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
     got = g.__dict__.get("_subgroups")
     if got is not None:
         return got
-    cyclics: dict[tuple[int, ...], tuple[int, int]] = {}  # elements -> (a, bitset)
+    cyclics: dict[frozenset[int], int] = {}  # elements -> the least generator
     for a in range(g.order):
-        sub = subgroup_from_generators(g, (a,))
-        cyclics.setdefault(sub.elements, (a, sub.mask))
+        reached = {0}
+        _reach(g.table, (a,), reached)
+        cyclics.setdefault(frozenset(reached), a)
     seen = set(cyclics)
-    gens = list(cyclics.values())
-    for i, (a, amask) in enumerate(gens):
-        for b, bmask in gens[i + 1:]:
-            if amask & bmask not in (amask, bmask):
-                seen.add(subgroup_from_generators(g, (a, b)).elements)
-    got = tuple(sorted((_of_group(g, e) for e in seen), key=lambda s: (s.order, s.elements)))
+    gens = list(cyclics.items())
+    for i, (ha, a) in enumerate(gens):
+        for hb, b in gens[i + 1:]:
+            if not (ha <= hb or hb <= ha):
+                reached = {0}
+                _reach(g.table, (a, b), reached)
+                seen.add(frozenset(reached))
+    listing = sorted((len(h), sorted(h)) for h in seen)
+    got = tuple(_of_group(g, tuple(e)) for _, e in listing)
     g.__dict__["_subgroups"] = got
     return got
 
@@ -513,8 +517,10 @@ def search_violation(
     C_p = sum_T e_T v_p(n / h_T).  Subgroups are int bitsets and the
     tuples are walked depth-first, variable 1 outermost: choosing H_k
     extends the intersections of the prefix by one AND each and adds the
-    terms whose highest variable is k to one int that holds the C_p, so
-    a leaf only adds its own terms and reads the sign off that int.
+    terms whose highest variable is k to one int that holds the C_p.
+    The last two variables are not walked: every leaf of a tile of their
+    pairs is a slot of one int, summed once per term, and the top bit of
+    each C_p's field in a slot gives its sign (see _first_negative).
 
     The walk skips every subtree whose tuples a slack-keeping map (see
     _symmetries: swaps of variables the exponents treat alike, and
@@ -599,63 +605,136 @@ def _first_negative(
     when no C_p is positive, else loglin_sign decides it on the primes,
     a coprime base.
 
+    The last two levels are summed a tile at a time.  A tile is the rows
+    a0..a0+r-1 of leaves (a, b), H_a at level m-2 and H_b at level m-1
+    (m = 1 has one row and no a), and leaf (a, b) is the W-bit slot
+    (a - a0)*L + b of its int (W = w * len(primes), L = len(masks)), so
+    the lowest slot is the tile's first tuple in product order.  The int
+    is the prefix's sum in every slot plus e times, per term on X (an
+    intersection of the prefix), L[|X & H_a|] in row a, R(X) = sum_b
+    L[|X & H_b|] << W*b in every row, or R(X & H_a) in row a.  Every
+    slot holds a real leaf's sum, in 0..2**W-1 by the bound, so no slot
+    carries into the next.
+
     The maps of _symmetries prune the walk: a tuple t is skipped when a
     map sends it to a lexicographically smaller tuple.  A swap (p, k)
     does so exactly when t[k] < t[p], so level k starts at the largest
     such t[p].  A renaming r is compared at each level k below the last
     while it fixes the prefix: r[t[k]] < t[k] skips the subtree, and
-    r[t[k]] > t[k] drops r from it.
+    r[t[k]] > t[k] drops r from it.  In a tile the skipped leaves are
+    left out of the mask of allowed top bits, and the allowed slots with
+    a clear top bit are decided in ascending order, so the first hit is
+    the first leaf, in product order, that the walk keeps and decides.
     """
     primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+    if not primes:  # n = 1: every slack is 0
+        return None
     w = (sum(map(abs, exps.values())) * n.bit_length()).bit_length() + 1
     half = 1 << w - 1
+    W = w * len(primes)
     offset = sum(half << w * j for j in range(len(primes)))  # the top bits
     packed = [0] * (n + 1)  # L[h] for h | n, as L[h * p] plus p's field
     for h in range(n - 1, 0, -1):
         if n % h == 0:
             j, p = next((j, p) for j, p in enumerate(primes) if n % (h * p) == 0)
             packed[h] = packed[h * p] + (1 << w * j)
-    # h -> e * L[h], one table per distinct e
-    tables: dict[int, list[int]] = {}
-    # per variable k, (rest of the mask, table) of each term whose highest variable is k
+    # per variable k, (rest of the mask, e) of each term whose highest variable is k
     levels = [[] for _ in range(m)]
     for mask, e in exps.items():
         k = mask.bit_length() - 1
-        if e not in tables:
-            tables[e] = [e * x for x in packed]
-        levels[k].append((mask ^ (1 << k), tables[e]))
+        levels[k].append((mask ^ (1 << k), e))
     # per variable k, the earlier positions p of the swaps (p, k)
     swapped = [[] for _ in range(m)]
     for p, k in swaps:
         swapped[k].append(p)
     decided: dict[int, bool] = {}  # packed sum -> slack < 0
-    inter = [0] * (1 << m)
+    last = max(m - 2, 0)  # the level the tiles start at
+    inter = [0] * (1 << last)
     inter[0] = (1 << n) - 1
     t = [0] * m
-    last = m - 1
+    L, nrows = len(masks), len(masks) if m > 1 else 1
+    # About 128 leaves a tile: few enough that a search stopping early
+    # sums little past its hit and a tile holds few bits, many enough
+    # that a row of a few leaves costs one sum per term, not one each.
+    per = max(1, 128 // L)  # rows a tile
+    row_bits = W * L
+    fill = ((1 << row_bits) - 1) // ((1 << W) - 1)  # 1 in each slot of a row
+    # r -> 1 in the lowest slot of each of r rows, for r of a full and of the last tile
+    reps = {r: ((1 << row_bits * r) - 1) // ((1 << row_bits) - 1)
+            for r in (min(per, nrows), nrows % per or per)}
+    tops = [offset * fill >> W * c << W * c for c in range(L + 1)]  # of slots c..L-1
+    rows: dict[int, int] = {}  # X -> R(X)
+    tiles: dict = {}  # (kind, X, first row) -> a term's tile
+
+    def row(x: int) -> int:
+        got = rows.get(x)
+        if got is None:
+            got = rows[x] = sum(packed[(x & b).bit_count()] << W * i for i, b in enumerate(masks))
+        return got
+
+    def column(x: int) -> int:
+        return packed[x.bit_count()]
+
+    def stacked(kind, x: int, a0: int, r: int) -> int:
+        """kind(x & H_a) in row a - a0 for a = a0.., kept unless r = 1."""
+        if r == 1:
+            return kind(x & masks[a0])
+        got = tiles.get((kind, x, a0))
+        if got is None:
+            got = tiles[kind, x, a0] = sum(
+                kind(x & masks[a]) << row_bits * (a - a0) for a in range(a0, a0 + r))
+        return got
+
+    # the terms of the tiles: on H_a and the prefix; on H_b and the
+    # prefix, the same in every row; on H_a, H_b and the prefix
+    k = m - 2
+    cut = 1 << k if m > 1 else 0
+    col_terms = levels[k] if m > 1 else []
+    band_terms = [(s, e) for s, e in levels[m - 1] if not s & cut]
+    meet_terms = [(s ^ cut, e) for s, e in levels[m - 1] if s & cut]
+    acuts = swapped[k] if m > 1 else []
+    bcuts = [p for p in swapped[m - 1] if p != k]
+    diag = k in swapped[m - 1]
+
+    def leaves(total: int, live: list):
+        astart = max([t[p] for p in acuts], default=0)
+        bstart = max([t[p] for p in bcuts], default=0)
+        band = total * fill + sum(e * row(inter[s]) for s, e in band_terms)
+        for a0 in range(astart - astart % per, nrows, per):
+            r = min(per, nrows - a0)
+            allowed = 0
+            for a in range(max(a0, astart), a0 + r):
+                if not any(q[a] < a for q in live):
+                    allowed |= tops[max(a, bstart) if diag else bstart] << row_bits * (a - a0)
+            if not allowed:
+                continue
+            col = 0
+            for s, e in col_terms:
+                col += e * stacked(column, inter[s], a0, r)
+            acc = band * reps[r] + col * fill
+            for s, e in meet_terms:
+                acc += e * stacked(row, inter[s], a0, r)
+            cand = allowed & ~acc
+            while cand:
+                slot = ((cand & -cand).bit_length() - 1) // W
+                v = acc >> W * slot & ((1 << W) - 1)
+                neg = decided.get(v)
+                if neg is None:
+                    cs = [(v >> w * j) % (2 * half) - half for j in range(len(primes))]
+                    slack = ExactLogLin._of_valid(1, zip(primes, cs))
+                    neg = decided[v] = max(cs) <= 0 or loglin_sign(slack) < 0
+                if neg:
+                    return [a0 + slot // L, slot % L][-m:]
+                cand &= -1 << W * (slot + 1)
+        return None
 
     def walk(k: int, total: int, live: list):
-        terms = levels[k]
-        start = max([t[p] for p in swapped[k]], default=0)
         if k == last:
-            terms = [(inter[s], tab) for s, tab in terms]
-            for i, b in enumerate(masks[start:], start):
-                acc = total
-                for x, tab in terms:
-                    acc += tab[(x & b).bit_count()]
-                if acc & offset == offset:
-                    continue
-                neg = decided.get(acc)
-                if neg is None:
-                    cs = [(acc >> w * j) % (2 * half) - half for j in range(len(primes))]
-                    slack = ExactLogLin._of_valid(1, zip(primes, cs))
-                    neg = decided[acc] = max(cs) <= 0 or loglin_sign(slack) < 0
-                if neg:
-                    return [i]
-            return None
+            return leaves(total, live)
+        start = max([t[p] for p in swapped[k]], default=0)
         lo = 1 << k
         keep = live
-        for i in range(start, len(masks)):
+        for i in range(start, L):
             if live:
                 if any(r[i] < i for r in live):
                     continue
@@ -663,8 +742,8 @@ def _first_negative(
             t[k] = i
             _extend(inter, k, masks[i])
             acc = total
-            for s, tab in terms:
-                acc += tab[inter[lo | s].bit_count()]
+            for s, e in levels[k]:
+                acc += e * packed[inter[lo | s].bit_count()]
             got = walk(k + 1, acc, keep)
             if got is not None:
                 return [i] + got

@@ -639,12 +639,17 @@ def test_subgroups_json_round_trip():
 
 
 CATALOG_8 = builtin_catalog(8)
+# listings that fill more than one tile of the last two levels, the last
+# one partial: Z2xZ2xZ2 lists 15 subgroups (tiles of 8 rows), S4 30 (of 4)
+S4 = symmetric(4)
+Z2_CUBED = direct_product(cyclic(2), cyclic(2), cyclic(2))
+TILED_BUDGET = 15**3
 
 
 def _draw_catalog(draw, groups, m: int, max_size: int, budget: int = 1500) -> list:
     """1 to max_size groups, each drawn among those whose listing's m-tuples
     still fit the budget (the reference scans a few thousand tuples per
-    second); the first draw always has a group to take."""
+    second on fractional weights); the first draw always has a group to take."""
     cat = []
     for _ in range(draw(st.integers(1, max_size))):
         fits = [g for g in groups if len(all_subgroups(g)) ** m <= budget]
@@ -662,11 +667,15 @@ def _searches(draw):
     weight = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     coeffs = draw(st.dictionaries(st.sampled_from(subsets(m)), weight, min_size=1))
     assume(any(coeffs.values()))
-    return LinearInequality(m, coeffs), _draw_catalog(draw, CATALOG_8, m, 3)
+    return LinearInequality(m, coeffs), _draw_catalog(
+        draw, [*CATALOG_8, S4], m, 3, budget=TILED_BUDGET)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_searches())
+# first hits at the first row of Z2xZ2xZ2's second tile and in S4's last, partial one
+@example((parse_inequality("H(x,y) <= 2 H(x)"), [Z2_CUBED]))
+@example((parse_inequality("3 H(x) >= H(y)"), [S4]))
 def test_search_matches_reference(search):
     ineq, cat = search
     got = search_violation(ineq, groups=cat)
@@ -833,12 +842,14 @@ def _symmetric_searches(draw):
     pairs = draw(st.lists(pair, min_size=1, max_size=2))
     coeffs = _symmetrized(coeffs, m, pairs)
     assume(any(coeffs.values()))
-    groups = [NONABELIAN[k] for k in sorted(NONABELIAN)]
-    return LinearInequality(m, coeffs), _draw_catalog(draw, groups, m, 2)
+    groups = [NONABELIAN[k] for k in sorted(NONABELIAN)] + [S4, Z2_CUBED]
+    return LinearInequality(m, coeffs), _draw_catalog(draw, groups, m, 2, budget=TILED_BUDGET)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_symmetric_searches())
+# the first hit is the diagonal leaf (y = z) of the first row of the second tile
+@example((parse_inequality("H(x) <= H(y) + H(z)"), [Z2_CUBED]))
 def test_symmetric_search_matches_reference(search):
     ineq, cat = search
     got = search_violation(ineq, groups=cat)
@@ -939,7 +950,8 @@ def test_fully_symmetric_scan_is_reduced():
 # ---------------------------------------------------------------------------
 # the prime-exponent sign against eval_slack, with weights near 2**24 and 2**64
 
-SIGN_GROUPS = [cyclic(1), cyclic(6), cyclic(64), *(NONABELIAN[k] for k in ("S3", "D5", "A4"))]
+SIGN_GROUPS = [cyclic(1), cyclic(6), cyclic(64), *(NONABELIAN[k] for k in ("S3", "D5", "A4")),
+               Z2_CUBED]  # two tiles at m = 2
 SIGN_LISTED = [len(all_subgroups(g)) for g in SIGN_GROUPS]
 
 
@@ -974,6 +986,7 @@ def _large_weight_searches(draw):
 @given(_large_weight_searches())
 # on Z64 the exponent of 2 in 64/h reaches 6, more than the field width w = 5
 @example((LinearInequality(2, {1: Fraction(1), 3: Fraction(-1)}), [cyclic(64)]))
+@example((parse_inequality(f"{2**64 + 1} H(x,y) <= {2**65 + 1} H(x)"), [Z2_CUBED]))
 def test_large_weight_search_matches_eval_slack(search):
     ineq, cat = search
     got = search_violation(ineq, groups=cat)
