@@ -22,8 +22,8 @@ Equivalently, an inequality is Shannon-type iff it is nonnegative on
 every extreme ray of the polymatroid cone Gamma_m, the points on which
 every elemental row is nonnegative; a ray on which it is negative is a
 Farkas point.  For m <= 4 the rays are few (1, 3, 8 and 41), and
-`is_shannon_type` tries them before the LP, so most targets that are
-not Shannon-type are refuted by one integer sum alone: the rays' entries
+`is_shannon_type` tries them first, so a target that is not
+Shannon-type is refuted by one integer sum alone: the rays' entries
 at each subset mask are packed into one int, a w-bit field per ray, and
 the target's ints times those give every ray's slack in its field, plus
 2**(w-1) so that the field's top bit is its sign (w, a power of two,
@@ -31,31 +31,26 @@ leaves room for 4 times the target's coefficient sum).  The rays
 are held as digit strings, computed once by a double description and
 rechecked against an independent one by the tests: a double description
 of Gamma_4 costs as much as dozens of LP solves, more than one `check`
-process saves.  A target that no ray refutes goes to the LP, so no
-verdict rests on the table being complete.  The five-variable cones
-have on the order of 10^5 rays (Studený, Bouckaert & Kočka, 2000), so
-the table stops at m = 4.
+process saves.  The five-variable cones have on the order of 10^5 rays
+(Studený, Bouckaert & Kočka, 2000), so the table stops at m = 4.
 
-The same rays shrink the LP of a target that none refutes.  If the
-target is 0 on a ray p and t = sum_r w_r * row_r with every w_r >= 0,
-then sum_r w_r * (row_r . p) = 0 with every row_r . p >= 0, so no
-certificate puts weight on a row that is positive on p (complementary
-slackness).  Each ray gets the mask of the elemental rows that are 0 on
-it, made once per m from the LP matrix, and the LP is solved only on the
-rows in the masks of all the rays on which the target is 0, and on the
-subset masks that one of those rows touches.  Its matrix is prepared
-once per such set of rows; Gamma_m has finitely many faces, so there
-are finitely many.  The weights it finds are verified on the full
-elemental set.  Should that LP be infeasible, which only a ray missing
-from the table could cause, the full LP decides, so again no verdict
-rests on the table; a target nonzero on a mask the face does not touch
-goes to the full LP at once.
-
-Dropping an untouched mask changes no pivot.  Its row is 0 in every
-column, with b = 0, so its artificial starts basic at 0 with reduced
-cost 0: under Bland's rule that row is never a ratio-test candidate, its
-artificial never enters, and the pivots, D and the solution are those of
-the LP that keeps it.
+The same rays certify a target that none refutes, with no LP.  Every
+elemental row's slack on every ray of Gamma_1..Gamma_4 is 0 or 1 (the
+tests check it from the double description), and the rays span every
+coordinate.  So the weights are peeled from the packed slacks: while
+some slack is positive, the lowest row e that is 0 on every ray on which
+the remainder is 0 takes weight lambda, the least slack among the rays
+on which e is 1, and one subtraction of lambda times e's packed slacks
+updates every field with no borrow.  The remainder stays nonnegative on
+every ray, so Shannon-type, and is 0 on one more ray.  No certificate of
+it puts weight on a row positive on a ray p where it is 0: if
+t = sum_r w_r * row_r with every w_r >= 0 and t . p = 0, every term
+w_r * (row_r . p) is 0 (complementary slackness).  So while it is not 0
+a row is left to take, each row is taken at most once, and the peel
+ends at remainder 0 with weights as ints over the target's den.  A peel
+that cannot finish, which only a table missing rays can cause, hands
+the target to the LP on every elemental row, as every target at m >= 5
+is, so no verdict rests on the table.
 """
 
 from __future__ import annotations
@@ -66,9 +61,9 @@ from functools import cache, cached_property
 from itertools import combinations
 from operator import mul, neg
 
+from . import simplex
 from .dsl import parse_inequality
 from .linear import LinearInequality, Record, lowest_terms, mask_label, subsets
-from .simplex import PreparedMatrix, solve_eq_nonneg
 
 #: elemental sets are available for this range of variable counts
 ELEMENTAL_RANGE = range(1, 7)
@@ -104,11 +99,10 @@ class ElementalSet(Record):
     _fields = ("m", "rows")
 
     @cached_property
-    def matrix(self) -> PreparedMatrix:
-        """The LP matrix E^T as ints, built once per set, on its first solve,
-        and prepared for every solve on it: a row per subset mask in
-        subsets(m) order and a column per elemental row; a row with den != 1
-        raises TypeError naming its first non-integer coefficient."""
+    def cuts(self) -> tuple[tuple[int, ...], ...]:
+        """Each row as its ints by subset mask in subsets(m) order, built
+        once per set, on its first use; a row with den != 1 raises TypeError
+        naming its first non-integer coefficient."""
         for i, r in enumerate(self.rows):
             if r.den != 1:
                 s, c = next((s, c) for s, c in r.coeffs.items() if c.denominator != 1)
@@ -116,13 +110,14 @@ class ElementalSet(Record):
                     f"elemental row {i} has non-integer coefficient {c} "
                     f"at {mask_label(s)}"
                 )
-        return PreparedMatrix(tuple(r.nums.get(s, 0) for r in self.rows) for s in subsets(self.m))
+        return tuple(tuple(r.nums.get(s, 0) for s in subsets(self.m)) for r in self.rows)
 
     @cached_property
-    def cuts(self) -> tuple[tuple[int, ...], ...]:
-        """Each row as its ints by subset mask in subsets(m) order: the LP
-        matrix's columns."""
-        return tuple(zip(*self.matrix))
+    def matrix(self) -> simplex.PreparedMatrix:
+        """The LP matrix E^T, the cuts as columns, built once per set, on its
+        first solve, and prepared for every solve on it: a row per subset
+        mask in subsets(m) order and a column per elemental row."""
+        return simplex.PreparedMatrix(zip(*self.cuts))
 
 
 def _in_lowest_terms(record: Record) -> None:
@@ -201,11 +196,15 @@ def _zero_rows(m: int) -> tuple[int, ...]:
 
 
 @cache
-def _ray_fields(m: int, w: int) -> tuple[list[int], int, int, dict[int, int]]:
+def _ray_fields(
+    m: int, w: int
+) -> tuple[list[int], int, int, dict[int, int], list[tuple[int, tuple[int, ...]]]]:
     """The rays of Gamma_m packed into w-bit fields, ray r in field r (bits
     w*r up): per subset mask, the rays' entries at it; the top bits,
-    2**(w-1) in every field; a 1 in every field; and each ray's _zero_rows
-    mask keyed by its field's top bit."""
+    2**(w-1) in every field; a 1 in every field; each ray's _zero_rows
+    mask keyed by its field's top bit; and per elemental row, its slacks
+    packed the same way and the shifts w*r of the fields where it is 1:
+    each slack is 0 or 1, so it is 1 on the rays whose zero mask lacks it."""
     cols, ones, zeros = [0] * (1 << m), 0, {}
     for r, (ray, z) in enumerate(zip(_rays(m), _zero_rows(m))):
         one = 1 << w * r
@@ -213,7 +212,11 @@ def _ray_fields(m: int, w: int) -> tuple[list[int], int, int, dict[int, int]]:
             cols[mask] += x * one
         ones += one
         zeros[one << w - 1] = z
-    return cols, ones << w - 1, ones, zeros
+    rows = []
+    for e in range(len(elemental_inequalities(m).rows)):
+        shifts = tuple(w * r for r, z in enumerate(_zero_rows(m)) if not z >> e & 1)
+        rows.append((sum(1 << s for s in shifts), shifts))
+    return cols, ones << w - 1, ones, zeros, rows
 
 
 def _ray_test(m: int, w: int, nums: Mapping[int, int], kept: int) -> tuple[int, int]:
@@ -226,63 +229,73 @@ def _ray_test(m: int, w: int, nums: Mapping[int, int], kept: int) -> tuple[int, 
     ray r, in 1..2**w - 1, so no field carries into the next, and its top
     bit is set iff that slack is >= 0.  With every top bit set, a field
     less 1 has a clear top bit iff its slack is 0."""
-    cols, top, ones, zeros = _ray_fields(m, w)
+    cols, top, ones, zeros, _ = _ray_fields(m, w)
     packed = sum(map(mul, nums.values(), map(cols.__getitem__, nums)), top)
     negative = top & ~packed
     if negative:
         return (negative & -negative).bit_length() // w - 1, 0
-    tight = top & ~(packed - ones)
+    return -1, _cut(kept, top & ~(packed - ones), zeros)
+
+
+def _cut(kept: int, tight: int, zeros: dict[int, int]) -> int:
+    """The rows in kept that are 0 on every ray whose top bit is in tight."""
     while tight:
         bit = tight & -tight
         kept &= zeros[bit]
         tight ^= bit
-    return -1, kept
+    return kept
 
 
-@cache
-def _face(m: int, kept: int) -> tuple[tuple[int, ...], tuple[int, ...], PreparedMatrix]:
-    """The elemental rows in the mask kept, ascending, the subset masks
-    that one of them touches, ascending, and the LP matrix on those rows
-    and masks only (the full matrix when every row is kept)."""
-    full = elemental_inequalities(m).matrix
-    rows = tuple(r for r in range(full.k) if kept >> r & 1)
-    if len(rows) == full.k:
-        return rows, tuple(subsets(m)), full
-    coords, lines = [], []
-    for mask, line in zip(subsets(m), full):
-        line = [line[r] for r in rows]
-        if any(line):
-            coords.append(mask)
-            lines.append(line)
-    return rows, tuple(coords), PreparedMatrix(lines)
+def _peel(m: int, w: int, nums: Mapping[int, int], kept: int) -> dict[int, int] | None:
+    """Weights by row, ints, with sum_r weights[r] * row_r = sum_T nums[T]
+    H(T), for a target that no ray refutes and kept from _ray_test: the
+    greedy peel on its ray slacks, or None when the peel cannot finish.
+
+    The remainder's slacks stay >= 0 in their fields, so the tight rays
+    are read as in _ray_test, and a row's weight, at most each slack it
+    is subtracted from, borrows from no field."""
+    cols, top, ones, zeros, fields = _ray_fields(m, w)
+    rows = elemental_inequalities(m).rows
+    packed = sum(map(mul, nums.values(), map(cols.__getitem__, nums)), top)
+    tight = top & ~(packed - ones)
+    rest, weights, low, half = dict(nums), {}, (1 << w) - 1, 1 << w - 1
+    while packed != top:
+        if not kept:
+            return None
+        e = (kept & -kept).bit_length() - 1
+        field, shifts = fields[e]
+        if not shifts:
+            return None
+        weights[e] = lam = min(packed >> s & low for s in shifts) - half
+        packed -= lam * field
+        for mask, c in rows[e].nums.items():
+            rest[mask] = rest.get(mask, 0) - lam * c
+        now = top & ~(packed - ones)
+        kept, tight = _cut(kept, now ^ tight, zeros), now
+    return None if any(rest.values()) else weights
 
 
 def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitness:
     """Decide cone membership, returning a verified certificate either way.
     For m <= 4 the first extreme ray on which the target is negative is
-    the Farkas point, found without a solve; otherwise the LP keeps only
-    the rows that are 0 on every ray on which the target is 0, and the
-    subset masks those rows touch."""
+    the Farkas point, and the peel on the ray slacks finds the weights of
+    a target that no ray refutes, both without a solve; otherwise the LP
+    on the full elemental set decides."""
     m, nums = ineq.m, ineq.nums
-    every = (1 << len(elemental_inequalities(m).rows)) - 1
+    elems = elemental_inequalities(m)
     # no ray entry exceeds 4, so 2**(w-1) exceeds every ray slack
     w = max(32, 1 << (4 * sum(map(abs, nums.values()))).bit_length().bit_length())
-    r, kept = _ray_test(m, w, nums, every)
+    r, kept = _ray_test(m, w, nums, (1 << len(elems.rows)) - 1)
     if r >= 0:
         point, den = _rays(m)[r], 1
     else:
-        rows, coords, matrix = _face(m, kept)
-        res = None
-        if nums.keys() <= set(coords):  # else no certificate lies on the face
-            res = solve_eq_nonneg(matrix, [nums.get(mask, 0) for mask in coords])
-        if kept != every and (res is None or not res.feasible):
-            # only a ray missing from the table can cut away every certificate
-            rows, coords, matrix = _face(m, every)
-            res = solve_eq_nonneg(matrix, [nums.get(mask, 0) for mask in coords])
-        if res.feasible:
-            # the LP solves E^T y = nums with y = solution / D, and the
-            # target is nums / den, so its weights are solution / (D * den)
-            cert = ShannonCertificate(m, res.den * ineq.den, dict(zip(rows, res.solution)))
+        weights, d = _peel(m, w, nums, kept), 1
+        if weights is None:
+            res = simplex.solve_eq_nonneg(elems.matrix, [nums.get(mask, 0) for mask in subsets(m)])
+            weights, d = dict(enumerate(res.solution)) if res.feasible else None, res.den
+        if weights is not None:
+            # weights / d solve E^T y = nums, and the target is nums / den
+            cert = ShannonCertificate(m, d * ineq.den, weights)
             verify_certificate(ineq, cert)
             return cert
         # Farkas vector u has u.(col of E^T) <= 0 for every elemental row and

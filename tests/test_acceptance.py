@@ -98,10 +98,10 @@ def test_criterion_02_certified_membership():
     res = is_shannon_type(ineq)
     elapsed = time.perf_counter() - start
     assert isinstance(res, ShannonCertificate)
-    assert res.weights == {4: Fraction(1), 6: Fraction(1), 7: Fraction(1)}
+    assert res.weights == {3: Fraction(1), 6: Fraction(1), 8: Fraction(1)}
     verify_certificate(ineq, res)
     assert elapsed < 1.0, f"took {elapsed:.3f} s, budget 1 s"
-    return f"weights on rows 4, 6, 7 in {elapsed * 1000:.1f} ms"
+    return f"weights on rows 3, 6, 8 in {elapsed * 1000:.1f} ms"
 
 
 @criterion(3, "Zhang-Yeung rejected with a verified separating point")

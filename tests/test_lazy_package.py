@@ -59,7 +59,8 @@ def test_import_runs_only_linear_and_dsl():
 @pytest.mark.parametrize(
     "argv, also",
     [
-        (["check", "H(x,y) <= H(x) + H(y)"], ["cli", "shannon", "simplex"]),
+        (["check", "H(x,y) <= H(x) + H(y)"], ["cli", "shannon"]),
+        (["check", "H(a,b,c,d,e) <= H(a,b) + H(c,d,e)"], ["cli", "shannon", "simplex"]),
         (["group-search", "--ineq", "H(x,y) <= H(x)", "--max-order", "4"],
          ["cli", "core", "groups", "points"]),
         (["group-search", "--ineq", "H(x) <= H(x,y)", "--max-order", "4"],
@@ -71,7 +72,7 @@ def test_import_runs_only_linear_and_dsl():
          ["cli", "core", "distributions", "points"]),
         (["split", "--body", "@body", "--spec", "@spec"], ["cli", "core", "points", "splitting"]),
     ],
-    ids=["check", "group-search", "group-search-none-found", "counterexample", "cantor",
+    ids=["check", "check-m5", "group-search", "group-search-none-found", "counterexample", "cantor",
          "eval", "split"],
 )
 def test_a_command_runs_only_the_modules_it_uses(tmp_path, argv, also):

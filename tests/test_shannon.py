@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from entrodim import cli, shannon
+from entrodim import cli, shannon, simplex
 from entrodim.core import eval_slack
 from entrodim.distributions import JointDistribution, exact_entropy_vector
 from entrodim.dsl import format_inequality, parse_inequality
@@ -146,10 +146,10 @@ def test_monotonicity_is_certified_by_itself():
 def test_eq1_certificate():
     res = is_shannon_type(EQ1)
     assert isinstance(res, ShannonCertificate)
-    assert (res.den, res.weights) == (1, {4: 1, 6: 1, 7: 1})
+    assert (res.den, res.weights) == (1, {3: 1, 6: 1, 8: 1})
     verify_certificate(EQ1, res)
-    # the same weights written by hand: I(x;y|z) + I(x;z|y) + I(y;z)
-    verify_certificate(EQ1, ShannonCertificate(3, 1, {4: 1, 6: 1, 7: 1}))
+    # the same weights written by hand: I(x;y) + I(x;z|y) + I(y;z|x)
+    verify_certificate(EQ1, ShannonCertificate(3, 1, {3: 1, 6: 1, 8: 1}))
 
 
 def test_perturbed_certificate_rejected():
@@ -352,32 +352,44 @@ def _fraction_lp(ineq, elems):
     return a, [ineq.coeffs.get(mask, Fraction(0)) for mask in coords]
 
 
-def _kept_rows(ineq, elems):
-    """The rows that are 0 on every ray of the double description on which
-    ineq is 0, by dot products; every row past m = 4."""
-    coords = subsets(ineq.m)
-    target = [ineq.nums.get(mask, 0) for mask in coords]
-    tight = [r for r in _double_description(ineq.m) if _dot(r, target) == 0] if ineq.m <= 4 else []
-    cuts = [[row.nums.get(mask, 0) for mask in coords] for row in elems.rows]
-    return [r for r, cut in enumerate(cuts) if all(_dot(cut, ray) == 0 for ray in tight)]
+def _plain_peel(m, nums):
+    """The peel one ray at a time, on the double description: while some
+    slack is positive, the lowest row that is 0 on every ray on which the
+    remainder is 0 takes the least slack among the rays on which it is
+    positive.  The weights by row, or None if no row is left to take."""
+    coords = subsets(m)
+    target = [nums.get(mask, 0) for mask in coords]
+    cuts = [[row.nums.get(mask, 0) for mask in coords] for row in elemental_inequalities(m).rows]
+    rays = _double_description(m)
+    slacks = [_dot(ray, target) for ray in rays]
+    weights = {}
+    while any(slacks):
+        tight = [ray for ray, s in zip(rays, slacks) if s == 0]
+        kept = [r for r, cut in enumerate(cuts) if all(_dot(cut, ray) == 0 for ray in tight)]
+        if not kept:
+            return None
+        e = kept[0]
+        on = [_dot(cuts[e], ray) for ray in rays]
+        weights[e] = lam = min(s for s, x in zip(slacks, on) if x > 0)
+        slacks = [s - lam * x for s, x in zip(slacks, on)]
+    return weights
 
 
 def _expected(ineq, elems):
     """What is_shannon_type must return: at m <= 4 the first ray of an
-    independently computed list on which the target is negative; else the
-    reference solver's answer on the rows that are 0 on every ray on which
-    the target is 0 (every row past m = 4)."""
+    independently computed list on which the target is negative, else the
+    weights of the plain peel; past m = 4 the reference solver's answer on
+    every row."""
     coords = subsets(ineq.m)
     target = [ineq.nums.get(mask, 0) for mask in coords]
     if ineq.m <= 4:
         ray = next((r for r in _double_description(ineq.m) if _dot(r, target) < 0), None)
         if ray is not None:
             return FarkasWitness(ineq.m, 1, dict(zip(coords, ray)))
-    kept = _kept_rows(ineq, elems)
-    a, b = _fraction_lp(ineq, elems)
-    res = _reference_solve([[line[r] for r in kept] for line in a], b)
+        return ShannonCertificate(ineq.m, ineq.den, _plain_peel(ineq.m, ineq.nums))
+    res = _reference_solve(*_fraction_lp(ineq, elems))
     if res.feasible:
-        return _held(ShannonCertificate, ineq.m, dict(zip(kept, res.solution)))
+        return _held(ShannonCertificate, ineq.m, dict(enumerate(res.solution)))
     return _held(FarkasWitness, ineq.m, {s: -u for s, u in zip(coords, res.farkas)})
 
 
@@ -531,20 +543,20 @@ def test_ray_refutes_without_a_solve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("the LP ran")
 
-    monkeypatch.setattr(shannon, "solve_eq_nonneg", no_solve)
+    monkeypatch.setattr(simplex, "solve_eq_nonneg", no_solve)
     zy = zhang_yeung()
     assert is_shannon_type(zy) == FarkasWitness(4, 1, ZY_RAY)
     res = is_shannon_type(parse_inequality("I(x;y) <= I(x;y|z)"))
     assert res.point == {mask: 1 for mask in subsets(3)}
-    with pytest.raises(AssertionError, match="the LP ran"):
-        is_shannon_type(EQ1)  # Shannon-type: every ray passes, so the LP decides
+    # Shannon-type: every ray passes, and the peel finds the weights
+    assert is_shannon_type(EQ1) == ShannonCertificate(3, 1, {3: 1, 6: 1, 8: 1})
 
 
 @pytest.fixture
 def ray_table(monkeypatch):
     """Sets the m = 4 ray table to the rays given as digit strings; every
     table cache is emptied around it."""
-    caches = (shannon._rays, shannon._zero_rows, shannon._ray_fields, shannon._face)
+    caches = (shannon._rays, shannon._zero_rows, shannon._ray_fields)
 
     def keep(rays):
         monkeypatch.setitem(shannon._RAY_DIGITS, 4, " ".join(rays))
@@ -625,33 +637,34 @@ def solved(monkeypatch):
         seen.append(a)
         return solve_eq_nonneg(a, b)
 
-    monkeypatch.setattr(shannon, "solve_eq_nonneg", spy)
+    monkeypatch.setattr(simplex, "solve_eq_nonneg", spy)
     return seen
-
-
-def test_the_lp_runs_on_one_prepared_face(solved):
-    # I(x;y) <= I(x;y,z,w) is 0 on some rays: the LP sees only the rows
-    # that are 0 on all of them, in one matrix prepared once
-    target = parse_inequality("I(x;y) <= I(x;y,z,w)")
-    first = is_shannon_type(target)
-    assert is_shannon_type(target) == first
-    assert len(solved) == 2 and solved[0] is solved[1]
-    assert 0 < solved[0].k < len(elemental_inequalities(4).rows)
-    verify_certificate(target, first)
-    assert first == _expected(target, elemental_inequalities(4))
 
 
 def test_the_full_lp_decides_when_the_table_misses_rays(rays_35_to_40_missing, solved):
     zy = zhang_yeung()
     res = is_shannon_type(zy)
-    # Zhang-Yeung is nonzero on a subset mask that no row of its face
-    # touches, so the face has no certificate: only the full LP runs
+    # no ray left refutes Zhang-Yeung, and no peel can certify it: the
+    # full LP runs once
     assert len(solved) == 1 and solved[0] is elemental_inequalities(4).matrix
     assert isinstance(res, FarkasWitness) and res == _held(FarkasWitness, 4, ZY_POINT)
     verify_farkas(zy, res)
 
 
-# -- the packed ray test and the face's subset masks ---------------------------
+def test_an_empty_table_leaves_every_certificate_to_the_lp(ray_table, solved):
+    # with no rays every slack is 0 at once, but the target is not: the
+    # peel returns nothing, and the full LP's weights are the certificate
+    ray_table([])
+    target = parse_inequality("I(x;y) <= I(x;y,z,w)")
+    res = is_shannon_type(target)
+    assert len(solved) == 1 and solved[0] is elemental_inequalities(4).matrix
+    assert isinstance(res, ShannonCertificate) and res.weights
+    lp = _reference_solve(*_fraction_lp(target, elemental_inequalities(4)))
+    assert res == _held(ShannonCertificate, 4, dict(enumerate(lp.solution)))
+    verify_certificate(target, res)
+
+
+# -- the packed ray test and the peel -----------------------------------------
 
 
 def _every(m):
@@ -778,44 +791,37 @@ def test_every_ray_slack_at_the_bound_is_read(m, w):
             assert got == _plain_ray_test(m, nums)
 
 
-@st.composite
-def _faces(draw):
-    """(m, kept, target): a nonempty set of elemental rows as a mask, and
-    a combination of them, moved at one subset that they touch in half the
-    draws, so that a certificate on the face may or may not exist."""
-    m = draw(st.integers(1, 4))
-    rows = elemental_inequalities(m).rows
-    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=8, unique=True))
-    target = dict.fromkeys(subsets(m), 0)
-    for r in picks:
-        if draw(st.booleans()):
-            for mask, c in rows[r].nums.items():
-                target[mask] += draw(st.integers(1, 6)) * c
-    if draw(st.booleans()):
-        touched = sorted({mask for r in picks for mask in rows[r].nums})
-        target[draw(st.sampled_from(touched))] += draw(st.sampled_from((-1, 1)))
-    return m, sum(1 << r for r in picks), list(target.values())
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_every_row_slack_on_every_ray_is_0_or_1(m):
+    # what lets the peel subtract a weight from every field at once: from
+    # the double description, then the per-row fields the peel reads
+    coords = subsets(m)
+    rays = _double_description(m)
+    for e, row in enumerate(elemental_inequalities(m).rows):
+        slacks = [_dot([row.nums.get(mask, 0) for mask in coords], ray) for ray in rays]
+        assert set(slacks) <= {0, 1} and 1 in slacks
+        for w in (32, 64):
+            field, shifts = shannon._ray_fields(m, w)[4][e]
+            assert field == sum(s << w * r for r, s in enumerate(slacks))
+            assert shifts == tuple(w * r for r, s in enumerate(slacks) if s)
+    if m == 4:
+        # each row is positive on 1, 12 or 16 of the 41 rays
+        assert {sum(_dot([row.nums.get(mask, 0) for mask in coords], ray) for ray in rays)
+                for row in elemental_inequalities(4).rows} == {1, 12, 16}
 
 
-@settings(max_examples=150, deadline=None)
-@given(_faces())
-def test_a_face_lp_on_its_touched_masks_pivots_as_on_every_mask(face):
-    m, kept, target = face
-    rows, coords, matrix = shannon._face(m, kept)
-    full = elemental_inequalities(m).matrix
-    wide = [[line[r] for r in rows] for line in full]
-    assert coords == tuple(s for s, line in zip(subsets(m), wide) if any(line))
-    assert [list(line) for line in matrix] == [line for line in wide if any(line)]
-    got = solve_eq_nonneg(matrix, [target[s - 1] for s in coords])
-    want = solve_eq_nonneg(wide, target)
-    assert got.pivots == want.pivots
-    if want.feasible:
-        assert got == want
-    else:
-        # a dropped mask's row keeps its artificial basic: its Farkas entry is D
-        assert (got.feasible, got.den, got.solution) == (False, want.den, None)
-        assert got.farkas == tuple(want.farkas[s - 1] for s in coords)
-        assert all(want.farkas[s - 1] == want.den for s in subsets(m) if s not in coords)
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_drawn_checks(), _wide_checks()))
+def test_the_peel_answers_every_check_without_a_solve(ineq):
+    # with the full table, an m <= 4 target that no ray refutes gets the
+    # plain peel's weights, and no LP runs
+    def no_solve(*args):
+        raise AssertionError("the LP ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "solve_eq_nonneg", no_solve)
+        got = is_shannon_type(ineq)
+    assert got == _expected(ineq, elemental_inequalities(ineq.m))
 
 
 def test_elemental_sets_are_built_once_and_left_unchanged(capsys):

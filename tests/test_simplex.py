@@ -331,28 +331,30 @@ def test_size_budget(monkeypatch):
 
 
 def test_size_budget_is_read_at_call_time(monkeypatch):
-    # the m=2 matrix is built and cached before the budget shrinks
-    target = parse_inequality("H(x,y) <= H(x) + H(y)")
+    # the m=5 matrix is built and cached before the budget shrinks; an
+    # m <= 4 target is decided by the extreme rays of its cone, with no LP
+    target = parse_inequality("H(a,b,c,d,e) <= H(a,b) + H(c,d,e)")
     assert isinstance(is_shannon_type(target), ShannonCertificate)
-    matrix = elemental_inequalities(2).matrix
-    assert elemental_inequalities(2).matrix is matrix
+    matrix = elemental_inequalities(5).matrix
+    assert elemental_inequalities(5).matrix is matrix
     # each row's share of the bound counts its entry of b: half the
     # budget's bits in one entry, in its row and in the objective, is over
     assert isinstance(matrix, PreparedMatrix)
+    big = [2 ** (MAX_PRODUCT_BITS // 2)] + [0] * (len(matrix) - 1)
     for a in (matrix, [list(row) for row in matrix]):
         with pytest.raises(SizeLimitError):
-            solve_eq_nonneg(a, [2 ** (MAX_PRODUCT_BITS // 2), 0, 0])
+            solve_eq_nonneg(a, big)
     monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
     with pytest.raises(SizeLimitError):
         is_shannon_type(target)
     with pytest.raises(SizeLimitError):
-        solve_eq_nonneg(matrix, [1, 1, -1])
-    assert elemental_inequalities(2).matrix is matrix
+        solve_eq_nonneg(matrix, [1] * len(matrix))
+    assert elemental_inequalities(5).matrix is matrix
 
 
 def test_size_budget_cli_error(monkeypatch, capsys):
     monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
-    assert main(["check", "H(x,y) <= H(x) + H(y)"]) == 1
+    assert main(["check", "H(a,b,c,d,e) <= H(a,b) + H(c,d,e)"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
