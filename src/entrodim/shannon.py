@@ -37,17 +37,19 @@ process saves.  The five-variable cones have on the order of 10^5 rays
 The same rays certify a target that none refutes, with no LP.  Every
 elemental row's slack on every ray of Gamma_1..Gamma_4 is 0 or 1 (the
 tests check it from the double description), and the rays span every
-coordinate.  So the weights are peeled from the packed slacks: while
-some slack is positive, the lowest row e that is 0 on every ray on which
-the remainder is 0 takes weight lambda, the least slack among the rays
-on which e is 1, and one subtraction of lambda times e's packed slacks
-updates every field with no borrow.  The remainder stays nonnegative on
-every ray, so Shannon-type, and is 0 on one more ray.  No certificate of
+coordinate.  So the weights are peeled from the packed slacks in one
+ascending scan of the elemental rows: row e is taken when it is 0 on
+every ray on which the remainder is 0, with weight lambda, the least
+slack among the rays on which e is 1, and one subtraction of lambda
+times e's packed slacks updates every field with no borrow.  The
+remainder stays nonnegative on every ray, so Shannon-type, a ray once 0
+stays 0, and one more ray is 0, one on which e is 1.  No certificate of
 it puts weight on a row positive on a ray p where it is 0: if
 t = sum_r w_r * row_r with every w_r >= 0 and t . p = 0, every term
-w_r * (row_r . p) is 0 (complementary slackness).  So while it is not 0
-a row is left to take, each row is taken at most once, and the peel
-ends at remainder 0 with weights as ints over the target's den.  A peel
+w_r * (row_r . p) is 0 (complementary slackness).  So every row the scan
+has passed, taken or not, is out of every certificate of the remainder,
+while it is not 0 a row is left ahead to take, and the scan ends at
+remainder 0 with weights as ints over the target's den.  A peel
 that cannot finish, which only a table missing rays can cause, hands
 the target to the LP on every elemental row, as every target at m >= 5
 is, so no verdict rests on the table.
@@ -187,92 +189,65 @@ def _rays(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _zero_rows(m: int) -> tuple[int, ...]:
-    """Per extreme ray of Gamma_m in table order, the mask of the elemental
-    rows that are 0 on it (bit r for row r), from the LP matrix's columns."""
-    cuts = elemental_inequalities(m).cuts
-    return tuple(sum(1 << r for r, cut in enumerate(cuts) if not sum(map(mul, cut, ray)))
-                 for ray in _rays(m))
-
-
-@cache
-def _ray_fields(
-    m: int, w: int
-) -> tuple[list[int], int, int, dict[int, int], list[tuple[int, tuple[int, ...]]]]:
+def _ray_fields(m: int, w: int) -> tuple[list[int], int, int, list[tuple[int, tuple[int, ...]]]]:
     """The rays of Gamma_m packed into w-bit fields, ray r in field r (bits
     w*r up): per subset mask, the rays' entries at it; the top bits,
-    2**(w-1) in every field; a 1 in every field; each ray's _zero_rows
-    mask keyed by its field's top bit; and per elemental row, its slacks
-    packed the same way and the shifts w*r of the fields where it is 1:
-    each slack is 0 or 1, so it is 1 on the rays whose zero mask lacks it."""
-    cols, ones, zeros = [0] * (1 << m), 0, {}
-    for r, (ray, z) in enumerate(zip(_rays(m), _zero_rows(m))):
+    2**(w-1) in every field; a 1 in every field; and per elemental row, its
+    slacks packed the same way, one sum of its ints times the columns, and
+    the shifts w*r of the fields where it is 1: each slack is 0 or 1, so
+    they are the sum's set bits."""
+    cols, ones = [0] * (1 << m), 0
+    for r, ray in enumerate(_rays(m)):
         one = 1 << w * r
         for mask, x in enumerate(ray, 1):
             cols[mask] += x * one
         ones += one
-        zeros[one << w - 1] = z
     rows = []
-    for e in range(len(elemental_inequalities(m).rows)):
-        shifts = tuple(w * r for r, z in enumerate(_zero_rows(m)) if not z >> e & 1)
-        rows.append((sum(1 << s for s in shifts), shifts))
-    return cols, ones << w - 1, ones, zeros, rows
+    for row in elemental_inequalities(m).rows:
+        field = bits = sum(map(mul, row.nums.values(), map(cols.__getitem__, row.nums)))
+        shifts = []
+        while bits:
+            shifts.append((bits & -bits).bit_length() - 1)
+            bits &= bits - 1
+        rows.append((field, tuple(shifts)))
+    return cols, ones << w - 1, ones, rows
 
 
-def _ray_test(m: int, w: int, nums: Mapping[int, int], kept: int) -> tuple[int, int]:
-    """(r, kept) for the target sum_T nums[T] H(T) >= 0, whose slack on
+def _by_rays(m: int, w: int, nums: Mapping[int, int]) -> tuple[int, dict[int, int] | None]:
+    """(r, weights) for the target sum_T nums[T] H(T) >= 0, whose slack on
     every ray is above -2**(w-1) and below 2**(w-1): r is the first ray on
-    which the target is negative, or -1, and then kept is the mask of the
-    rows in kept that are 0 on every ray on which the target is 0.
+    which the target is negative, and weights None, or -1, and weights by
+    row, ints with sum_e weights[e] * row_e = the target, from the peel on
+    its ray slacks, or None when the peel cannot finish.
 
     Field r of top + sum_T nums[T] * cols[T] is 2**(w-1) plus the slack on
     ray r, in 1..2**w - 1, so no field carries into the next, and its top
     bit is set iff that slack is >= 0.  With every top bit set, a field
-    less 1 has a clear top bit iff its slack is 0."""
-    cols, top, ones, zeros, _ = _ray_fields(m, w)
+    less 1 has a clear top bit iff its slack is 0.  The peel keeps every
+    slack >= 0, so it reads its tight rays so too, and a row's weight, at
+    most each slack it is subtracted from, borrows from no field."""
+    cols, top, ones, fields = _ray_fields(m, w)
     packed = sum(map(mul, nums.values(), map(cols.__getitem__, nums)), top)
     negative = top & ~packed
     if negative:
-        return (negative & -negative).bit_length() // w - 1, 0
-    return -1, _cut(kept, top & ~(packed - ones), zeros)
-
-
-def _cut(kept: int, tight: int, zeros: dict[int, int]) -> int:
-    """The rows in kept that are 0 on every ray whose top bit is in tight."""
-    while tight:
-        bit = tight & -tight
-        kept &= zeros[bit]
-        tight ^= bit
-    return kept
-
-
-def _peel(m: int, w: int, nums: Mapping[int, int], kept: int) -> dict[int, int] | None:
-    """Weights by row, ints, with sum_r weights[r] * row_r = sum_T nums[T]
-    H(T), for a target that no ray refutes and kept from _ray_test: the
-    greedy peel on its ray slacks, or None when the peel cannot finish.
-
-    The remainder's slacks stay >= 0 in their fields, so the tight rays
-    are read as in _ray_test, and a row's weight, at most each slack it
-    is subtracted from, borrows from no field."""
-    cols, top, ones, zeros, fields = _ray_fields(m, w)
+        return (negative & -negative).bit_length() // w - 1, None
     rows = elemental_inequalities(m).rows
-    packed = sum(map(mul, nums.values(), map(cols.__getitem__, nums)), top)
-    tight = top & ~(packed - ones)
     rest, weights, low, half = dict(nums), {}, (1 << w) - 1, 1 << w - 1
-    while packed != top:
-        if not kept:
-            return None
-        e = (kept & -kept).bit_length() - 1
-        field, shifts = fields[e]
+    # a 1 in the field of each ray on which the remainder is 0
+    tight = (top & ~(packed - ones)) >> w - 1
+    for e, (field, shifts) in enumerate(fields):
+        if packed == top:
+            break
+        if field & tight:
+            continue
         if not shifts:
-            return None
+            return -1, None
         weights[e] = lam = min(packed >> s & low for s in shifts) - half
         packed -= lam * field
+        tight = (top & ~(packed - ones)) >> w - 1
         for mask, c in rows[e].nums.items():
             rest[mask] = rest.get(mask, 0) - lam * c
-        now = top & ~(packed - ones)
-        kept, tight = _cut(kept, now ^ tight, zeros), now
-    return None if any(rest.values()) else weights
+    return -1, None if packed != top or any(rest.values()) else weights
 
 
 def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitness:
@@ -282,16 +257,16 @@ def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitnes
     a target that no ray refutes, both without a solve; otherwise the LP
     on the full elemental set decides."""
     m, nums = ineq.m, ineq.nums
-    elems = elemental_inequalities(m)
     # no ray entry exceeds 4, so 2**(w-1) exceeds every ray slack
     w = max(32, 1 << (4 * sum(map(abs, nums.values()))).bit_length().bit_length())
-    r, kept = _ray_test(m, w, nums, (1 << len(elems.rows)) - 1)
+    r, weights = _by_rays(m, w, nums)
     if r >= 0:
         point, den = _rays(m)[r], 1
     else:
-        weights, d = _peel(m, w, nums, kept), 1
+        d = 1
         if weights is None:
-            res = simplex.solve_eq_nonneg(elems.matrix, [nums.get(mask, 0) for mask in subsets(m)])
+            matrix = elemental_inequalities(m).matrix
+            res = simplex.solve_eq_nonneg(matrix, [nums.get(mask, 0) for mask in subsets(m)])
             weights, d = dict(enumerate(res.solution)) if res.feasible else None, res.den
         if weights is not None:
             # weights / d solve E^T y = nums, and the target is nums / den

@@ -555,8 +555,9 @@ def test_ray_refutes_without_a_solve(monkeypatch):
 @pytest.fixture
 def ray_table(monkeypatch):
     """Sets the m = 4 ray table to the rays given as digit strings; every
-    table cache is emptied around it."""
-    caches = (shannon._rays, shannon._zero_rows, shannon._ray_fields)
+    cache of the module but the elemental sets' is emptied around it."""
+    caches = [f for f in vars(shannon).values()
+              if hasattr(f, "cache_clear") and f is not elemental_inequalities]
 
     def keep(rays):
         monkeypatch.setitem(shannon._RAY_DIGITS, 4, " ".join(rays))
@@ -619,8 +620,6 @@ def test_certificates_use_only_the_rows_zero_on_the_tight_rays(ineq):
     coords = subsets(ineq.m)
     target = [ineq.nums.get(mask, 0) for mask in coords]
     cuts = [[row.nums.get(mask, 0) for mask in coords] for row in elems.rows]
-    for ray, zeros in zip(shannon._rays(ineq.m), shannon._zero_rows(ineq.m)):
-        assert zeros == sum(1 << r for r, cut in enumerate(cuts) if _dot(cut, ray) == 0)
     got = is_shannon_type(ineq)
     assert isinstance(got, ShannonCertificate) == _reference_solve(*_fraction_lp(ineq, elems)).feasible
     if isinstance(got, ShannonCertificate):
@@ -667,40 +666,29 @@ def test_an_empty_table_leaves_every_certificate_to_the_lp(ray_table, solved):
 # -- the packed ray test and the peel -----------------------------------------
 
 
-def _every(m):
-    """The mask of every elemental row."""
-    return (1 << len(elemental_inequalities(m).rows)) - 1
-
-
 def _plain_ray_test(m, nums):
-    """The ray test one ray at a time: the first ray of the double
-    description on which the target is negative, or -1 and the mask of the
-    elemental rows that are 0 on every ray on which it is 0."""
-    coords = subsets(m)
-    target = [nums.get(mask, 0) for mask in coords]
-    cuts = [[row.nums.get(mask, 0) for mask in coords] for row in elemental_inequalities(m).rows]
-    kept = _every(m)
+    """The decision by rays one ray at a time: the first ray of the double
+    description on which the target is negative and None, or -1 and the
+    weights of the plain peel."""
+    target = [nums.get(mask, 0) for mask in subsets(m)]
     for r, ray in enumerate(_double_description(m)):
-        slack = _dot(ray, target)
-        if slack < 0:
-            return r, 0
-        if not slack:
-            kept &= sum(1 << i for i, cut in enumerate(cuts) if _dot(cut, ray) == 0)
-    return -1, kept
+        if _dot(ray, target) < 0:
+            return r, None
+    return -1, _plain_peel(m, nums)
 
 
 def _ray_tests(ineq):
     """is_shannon_type(ineq) and the (m, w, nums, answer) of each
-    _ray_test it runs."""
+    _by_rays it runs."""
     seen = []
-    real = shannon._ray_test
+    real = shannon._by_rays
 
-    def spy(m, w, nums, kept):
-        seen.append((m, w, nums, real(m, w, nums, kept)))
+    def spy(m, w, nums):
+        seen.append((m, w, nums, real(m, w, nums)))
         return seen[-1][3]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shannon, "_ray_test", spy)
+        patch.setattr(shannon, "_by_rays", spy)
         return is_shannon_type(ineq), seen
 
 
@@ -727,8 +715,8 @@ def _wide_checks(draw):
 @given(st.one_of(_drawn_checks(), _wide_checks()))
 def test_the_packed_ray_test_matches_the_plain_loop(ineq):
     got, seen = _ray_tests(ineq)
-    ((m, w, nums, (r, kept)),) = seen
-    assert (r, kept if r < 0 else 0) == _plain_ray_test(m, nums)
+    ((m, w, nums, (r, weights)),) = seen
+    assert (r, weights) == _plain_ray_test(m, nums)
     assert all(abs(_dot(ray, [nums.get(s, 0) for s in subsets(m)])) < 1 << w - 1
                for ray in _double_description(m))
     if r >= 0:
@@ -744,8 +732,8 @@ def test_the_field_width_covers_every_ray_slack(bits):
         full = (1 << m) - 1
         for c in ((1 << bits) - 1, (1 << bits) + 1, -(1 << bits) - 1):
             got, seen = _ray_tests(LinearInequality(m, {full: c}))
-            ((_, w, nums, (r, kept)),) = seen
-            assert (r, kept if r < 0 else 0) == _plain_ray_test(m, nums)
+            ((_, w, nums, answer),) = seen
+            assert answer == _plain_ray_test(m, nums)
             assert isinstance(got, ShannonCertificate) == (c > 0)
 
 @st.composite
@@ -772,8 +760,7 @@ def _slacks_at_the_bound(draw):
 @given(_slacks_at_the_bound())
 def test_the_packed_ray_test_holds_at_its_field_bound(case):
     m, w, nums = case
-    r, kept = shannon._ray_test(m, w, nums, _every(m))
-    assert (r, kept if r < 0 else 0) == _plain_ray_test(m, nums)
+    assert shannon._by_rays(m, w, nums) == _plain_ray_test(m, nums)
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 4))
@@ -786,7 +773,7 @@ def test_every_ray_slack_at_the_bound_is_read(m, w):
             target = [nums.get(s, 0) for s in subsets(m)]
             slacks = [_dot(ray, target) for ray in _double_description(m)]
             assert sign * bound in slacks
-            got = shannon._ray_test(m, w, nums, _every(m))
+            got = shannon._by_rays(m, w, nums)
             assert got[0] == (slacks.index(-bound) if sign < 0 else -1)
             assert got == _plain_ray_test(m, nums)
 
@@ -801,7 +788,7 @@ def test_every_row_slack_on_every_ray_is_0_or_1(m):
         slacks = [_dot([row.nums.get(mask, 0) for mask in coords], ray) for ray in rays]
         assert set(slacks) <= {0, 1} and 1 in slacks
         for w in (32, 64):
-            field, shifts = shannon._ray_fields(m, w)[4][e]
+            field, shifts = shannon._ray_fields(m, w)[3][e]
             assert field == sum(s << w * r for r, s in enumerate(slacks))
             assert shifts == tuple(w * r for r, s in enumerate(slacks) if s)
     if m == 4:
