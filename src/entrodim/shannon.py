@@ -27,32 +27,43 @@ Shannon-type is refuted by one integer sum alone: the rays' entries
 at each subset mask are packed into one int, a w-bit field per ray, and
 the target's ints times those give every ray's slack in its field, plus
 2**(w-1) so that the field's top bit is its sign (w, a power of two,
-leaves room for 4 times the target's coefficient sum).  The rays
+leaves room for max(m, 4) times the target's coefficient sum, as no
+entry of the table is larger).  The rays
 are held as digit strings, computed once by a double description and
 rechecked against an independent one by the tests: a double description
 of Gamma_4 costs as much as dozens of LP solves, more than one `check`
 process saves.  The five-variable cones have on the order of 10^5 rays
-(Studený, Bouckaert & Kočka, 2000), so the table stops at m = 4.
+(Studený, Bouckaert & Kočka, 2000), so the ray table stops at m = 4.
+At m = 5 and 6 the table is the uniform matroid rank points
+U_{k,T}(S) = min(|S & T|, k) for each nonzero mask T and k = 1..|T|, 80 and
+192 of them, packed the same way.  Each is a polymatroid point, so one
+on which the target is negative is a Farkas point too; but they are not
+every extreme ray, and being linear they satisfy Ingleton, so a
+target none refutes need not be Shannon-type.
 
-The same rays certify a target that none refutes, with no LP.  Every
+The same points certify a target that none refutes, with no LP.  Every
 elemental row's slack on every ray of Gamma_1..Gamma_4 is 0 or 1 (the
-tests check it from the double description), and the rays span every
-coordinate.  So the weights are peeled from the packed slacks in one
+tests check it from the double description), and on every U_{k,T}
+(row (i, j, K) is 1 iff i, j in T and |K & T| = k - 1, monotonicity row
+i iff i in T and k = |T|), and the points span every coordinate.  So the
+weights are peeled from the packed slacks in one
 ascending scan of the elemental rows: row e is taken when it is 0 on
-every ray on which the remainder is 0, with weight lambda, the least
-slack among the rays on which e is 1, and one subtraction of lambda
+every point on which the remainder is 0, with weight lambda, the least
+slack among the points on which e is 1, and one subtraction of lambda
 times e's packed slacks updates every field with no borrow.  The
-remainder stays nonnegative on every ray, so Shannon-type, a ray once 0
-stays 0, and one more ray is 0, one on which e is 1.  No certificate of
-it puts weight on a row positive on a ray p where it is 0: if
+remainder stays nonnegative on every point, a point once 0 stays 0, and
+one more point is 0, one on which e is 1.  No certificate of
+it puts weight on a row positive on a point p where it is 0: if
 t = sum_r w_r * row_r with every w_r >= 0 and t . p = 0, every term
 w_r * (row_r . p) is 0 (complementary slackness).  So every row the scan
 has passed, taken or not, is out of every certificate of the remainder,
-while it is not 0 a row is left ahead to take, and the scan ends at
-remainder 0 with weights as ints over the target's den.  A peel
-that cannot finish, which only a table missing rays can cause, hands
-the target to the LP on every elemental row, as every target at m >= 5
-is, so no verdict rests on the table.
+and the scan ends at remainder 0 with weights as ints over the target's
+den, or with rows left over.  On the full ray table of Gamma_m the
+remainder stays Shannon-type, so while it is not 0 a row is left ahead
+to take.  A peel that cannot finish, which at m <= 4 only a table
+missing rays can cause, and at m = 5 and 6 a remainder that the matroid
+points cannot tell from a non-Shannon target, hands the target to the
+LP on every elemental row, so no verdict rests on the table.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from operator import mul, neg
 
 from . import simplex
@@ -190,41 +201,56 @@ def _rays(m: int) -> tuple[tuple[int, ...], ...]:
 
 @cache
 def _ray_fields(m: int, w: int) -> tuple[list[int], int, int, list[tuple[int, tuple[int, ...]]]]:
-    """The rays of Gamma_m packed into w-bit fields, ray r in field r (bits
-    w*r up): per subset mask, the rays' entries at it; the top bits,
-    2**(w-1) in every field; a 1 in every field; and per elemental row, its
-    slacks packed the same way, one sum of its ints times the columns, and
-    the shifts w*r of the fields where it is 1: each slack is 0 or 1, so
-    they are the sum's set bits."""
-    cols, ones = [0] * (1 << m), 0
-    for r, ray in enumerate(_rays(m)):
-        one = 1 << w * r
-        for mask, x in enumerate(ray, 1):
-            cols[mask] += x * one
-        ones += one
+    """The table of m variables packed into w-bit fields (w a multiple of
+    8), point r in field r (bits w*r up): per subset mask, the points' entries at it; the top
+    bits, 2**(w-1) in every field; a 1 in every field; and per elemental
+    row, its slacks packed the same way, one sum of its ints times the
+    columns, and the shifts w*r of the fields where it is 1: each slack is
+    0 or 1, so they are the fields whose low byte is set.
+
+    The table is the rays of Gamma_m at m <= 4, and past it the points
+    U_{k,T}(S) = min(|S & T|, k), for each nonzero mask T in ascending
+    order and k = 1..|T| within T: at S, T's block of |T| fields is fixed
+    by |S & T|, one of |T| + 1 byte strings, so each column is a join of
+    one block per T, and no point is held but in the columns."""
+    size = w // 8
+    if m <= 4:
+        cols, n = [0] * (1 << m), len(_rays(m))
+        for r, ray in enumerate(_rays(m)):
+            one = 1 << w * r
+            for mask, x in enumerate(ray, 1):
+                cols[mask] += x * one
+    else:
+        # T's fields k = 1..|T| hold 1, 2, .., j, then j, with j = |S & T|
+        cells = [x.to_bytes(size, "little") for x in range(m + 1)]
+        blocks = [[b"".join(cells[1:j + 1] + [cells[j]] * (t - j)) for j in range(t + 1)]
+                  for t in range(m + 1)]
+        cols = [int.from_bytes(b"".join([blocks[t.bit_count()][(s & t).bit_count()]
+                                         for t in range(1, 1 << m)]), "little")
+                for s in range(1 << m)]
+        n = m << m - 1
+    # one tuple of every field's shift, so the rows share its ints
+    ones, shifts = ((1 << w * n) - 1) // ((1 << w) - 1), tuple(range(0, w * n, w))
     rows = []
     for row in elemental_inequalities(m).rows:
-        field = bits = sum(map(mul, row.nums.values(), map(cols.__getitem__, row.nums)))
-        shifts = []
-        while bits:
-            shifts.append((bits & -bits).bit_length() - 1)
-            bits &= bits - 1
-        rows.append((field, tuple(shifts)))
+        field = sum(map(mul, row.nums.values(), map(cols.__getitem__, row.nums)))
+        rows.append((field, tuple(compress(shifts, field.to_bytes(n * size, "little")[::size]))))
     return cols, ones << w - 1, ones, rows
 
 
 def _by_rays(m: int, w: int, nums: Mapping[int, int]) -> tuple[int, dict[int, int] | None]:
     """(r, weights) for the target sum_T nums[T] H(T) >= 0, whose slack on
-    every ray is above -2**(w-1) and below 2**(w-1): r is the first ray on
-    which the target is negative, and weights None, or -1, and weights by
-    row, ints with sum_e weights[e] * row_e = the target, from the peel on
-    its ray slacks, or None when the peel cannot finish.
+    every point of the table (_ray_fields) is above -2**(w-1) and below
+    2**(w-1): r is the first point on which the target is negative, and
+    weights None, or -1, and weights by row, ints with
+    sum_e weights[e] * row_e = the target, from the peel on its slacks, or
+    None when the peel cannot finish.
 
     Field r of top + sum_T nums[T] * cols[T] is 2**(w-1) plus the slack on
-    ray r, in 1..2**w - 1, so no field carries into the next, and its top
+    point r, in 1..2**w - 1, so no field carries into the next, and its top
     bit is set iff that slack is >= 0.  With every top bit set, a field
     less 1 has a clear top bit iff its slack is 0.  The peel keeps every
-    slack >= 0, so it reads its tight rays so too, and a row's weight, at
+    slack >= 0, so it reads its tight points so too, and a row's weight, at
     most each slack it is subtracted from, borrows from no field."""
     cols, top, ones, fields = _ray_fields(m, w)
     packed = sum(map(mul, nums.values(), map(cols.__getitem__, nums)), top)
@@ -233,7 +259,7 @@ def _by_rays(m: int, w: int, nums: Mapping[int, int]) -> tuple[int, dict[int, in
         return (negative & -negative).bit_length() // w - 1, None
     rows = elemental_inequalities(m).rows
     rest, weights, low, half = dict(nums), {}, (1 << w) - 1, 1 << w - 1
-    # a 1 in the field of each ray on which the remainder is 0
+    # a 1 in the field of each point on which the remainder is 0
     tight = (top & ~(packed - ones)) >> w - 1
     for e, (field, shifts) in enumerate(fields):
         if packed == top:
@@ -252,16 +278,20 @@ def _by_rays(m: int, w: int, nums: Mapping[int, int]) -> tuple[int, dict[int, in
 
 def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitness:
     """Decide cone membership, returning a verified certificate either way.
-    For m <= 4 the first extreme ray on which the target is negative is
-    the Farkas point, and the peel on the ray slacks finds the weights of
-    a target that no ray refutes, both without a solve; otherwise the LP
-    on the full elemental set decides."""
+    The first point of the table (the extreme rays of Gamma_m at m <= 4,
+    the matroid points U_{k,T} at m = 5 and 6) on which the target is
+    negative is the Farkas point, and the peel on the points' slacks finds
+    the weights of a target that no point refutes, both without a solve;
+    where the peel stops, the LP on the full elemental set decides."""
     m, nums = ineq.m, ineq.nums
-    # no ray entry exceeds 4, so 2**(w-1) exceeds every ray slack
-    w = max(32, 1 << (4 * sum(map(abs, nums.values()))).bit_length().bit_length())
+    # no table entry exceeds max(m, 4): 4 on the last rays of Gamma_4 and
+    # k <= m on U_{k,T}; so 2**(w-1) exceeds every slack
+    w = max(32, 1 << (max(m, 4) * sum(map(abs, nums.values()))).bit_length().bit_length())
     r, weights = _by_rays(m, w, nums)
     if r >= 0:
-        point, den = _rays(m)[r], 1
+        # past m = 4 point r is held only in the columns, as their fields r
+        point, den = _rays(m)[r] if m <= 4 else [
+            c >> w * r & (1 << w) - 1 for c in _ray_fields(m, w)[0][1:]], 1
     else:
         d = 1
         if weights is None:

@@ -60,7 +60,10 @@ def test_import_runs_only_linear_and_dsl():
     "argv, also",
     [
         (["check", "H(x,y) <= H(x) + H(y)"], ["cli", "shannon"]),
-        (["check", "H(a,b,c,d,e) <= H(a,b) + H(c,d,e)"], ["cli", "shannon", "simplex"]),
+        # refuted by no matroid point nor certified by their peel: the LP runs
+        (["check", "I(a;b) <= I(a;b|c) + I(a;b|d) + I(c;d) + 2/3 I(a;e)"],
+         ["cli", "shannon", "simplex"]),
+        (["check", "H(a,b,c,d,e,f) <= H(a,b,c) + H(d,e,f)"], ["cli", "shannon"]),
         (["group-search", "--ineq", "H(x,y) <= H(x)", "--max-order", "4"],
          ["cli", "core", "groups", "points"]),
         (["group-search", "--ineq", "H(x) <= H(x,y)", "--max-order", "4"],
@@ -72,7 +75,7 @@ def test_import_runs_only_linear_and_dsl():
          ["cli", "core", "distributions", "points"]),
         (["split", "--body", "@body", "--spec", "@spec"], ["cli", "core", "points", "splitting"]),
     ],
-    ids=["check", "check-m5", "group-search", "group-search-none-found", "counterexample", "cantor",
+    ids=["check", "check-m5", "check-m6", "group-search", "group-search-none-found", "counterexample", "cantor",
          "eval", "split"],
 )
 def test_a_command_runs_only_the_modules_it_uses(tmp_path, argv, also):

@@ -7,7 +7,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from entrodim import cli, shannon, simplex
 from entrodim.core import eval_slack
@@ -353,40 +353,37 @@ def _fraction_lp(ineq, elems):
 
 
 def _plain_peel(m, nums):
-    """The peel one ray at a time, on the double description: while some
-    slack is positive, the lowest row that is 0 on every ray on which the
-    remainder is 0 takes the least slack among the rays on which it is
-    positive.  The weights by row, or None if no row is left to take."""
-    coords = subsets(m)
-    target = [nums.get(mask, 0) for mask in coords]
-    cuts = [[row.nums.get(mask, 0) for mask in coords] for row in elemental_inequalities(m).rows]
-    rays = _double_description(m)
-    slacks = [_dot(ray, target) for ray in rays]
+    """The peel one point at a time, on the points of _table(m): while
+    some slack is positive, the lowest row that is 0 on every point on
+    which the remainder is 0 takes the least slack among the points on
+    which it is positive.  The weights by row, or None if no row is left
+    to take."""
+    target = [nums.get(mask, 0) for mask in subsets(m)]
+    slacks = [_dot(point, target) for point in _table(m)]
+    on = _row_slacks(m)
     weights = {}
     while any(slacks):
-        tight = [ray for ray, s in zip(rays, slacks) if s == 0]
-        kept = [r for r, cut in enumerate(cuts) if all(_dot(cut, ray) == 0 for ray in tight)]
+        kept = [e for e, row in enumerate(on) if all(x == 0 for x, s in zip(row, slacks) if s == 0)]
         if not kept:
             return None
         e = kept[0]
-        on = [_dot(cuts[e], ray) for ray in rays]
-        weights[e] = lam = min(s for s, x in zip(slacks, on) if x > 0)
-        slacks = [s - lam * x for s, x in zip(slacks, on)]
+        weights[e] = lam = min(s for s, x in zip(slacks, on[e]) if x > 0)
+        slacks = [s - lam * x for s, x in zip(slacks, on[e])]
     return weights
 
 
 def _expected(ineq, elems):
-    """What is_shannon_type must return: at m <= 4 the first ray of an
-    independently computed list on which the target is negative, else the
-    weights of the plain peel; past m = 4 the reference solver's answer on
-    every row."""
+    """What is_shannon_type must return: the first point of _table(m) on
+    which the target is negative, else the weights of the plain peel, else,
+    where that peel stops, the reference solver's answer on every row."""
     coords = subsets(ineq.m)
     target = [ineq.nums.get(mask, 0) for mask in coords]
-    if ineq.m <= 4:
-        ray = next((r for r in _double_description(ineq.m) if _dot(r, target) < 0), None)
-        if ray is not None:
-            return FarkasWitness(ineq.m, 1, dict(zip(coords, ray)))
-        return ShannonCertificate(ineq.m, ineq.den, _plain_peel(ineq.m, ineq.nums))
+    point = next((p for p in _table(ineq.m) if _dot(p, target) < 0), None)
+    if point is not None:
+        return FarkasWitness(ineq.m, 1, dict(zip(coords, point)))
+    weights = _plain_peel(ineq.m, ineq.nums)
+    if weights is not None:
+        return ShannonCertificate(ineq.m, ineq.den, weights)
     res = _reference_solve(*_fraction_lp(ineq, elems))
     if res.feasible:
         return _held(ShannonCertificate, ineq.m, dict(enumerate(res.solution)))
@@ -478,6 +475,34 @@ def _double_description(m):
     return sorted(ray for ray, _ in rays)
 
 
+@cache
+def _matroid_points(m):
+    """The uniform matroid rank points U_{k,T}, r(S) = min(|S & T|, k), for
+    each nonempty mask T in ascending order and k = 1..|T| within T, each
+    written out entry by entry over subsets(m)."""
+    def size(mask):
+        return sum(mask >> i & 1 for i in range(m))
+
+    return [tuple(min(size(s & t), k) for s in subsets(m))
+            for t in subsets(m) for k in range(1, size(t) + 1)]
+
+
+def _table(m):
+    """The points the decision reads, built independently of the package:
+    the rays of the double description at m <= 4, the matroid points past
+    it."""
+    return _double_description(m) if m <= 4 else _matroid_points(m)
+
+
+@cache
+def _row_slacks(m):
+    """Each elemental row's slack on each point of _table(m), by dot
+    products."""
+    coords = subsets(m)
+    cuts = [[row.nums.get(mask, 0) for mask in coords] for row in elemental_inequalities(m).rows]
+    return [[_dot(cut, point) for point in _table(m)] for cut in cuts]
+
+
 def _rank(rows):
     """The rank of an int matrix, by fraction-free elimination."""
     rows = [list(r) for r in rows]
@@ -515,6 +540,28 @@ def test_ray_table_holds_extreme_rays():
             assert min(slacks) >= 0
             # the tight rows fix the ray up to scale: it is extreme
             assert _rank([cut for cut, s in zip(cuts, slacks) if s == 0]) == len(coords) - 1
+
+
+@pytest.mark.parametrize("m", (5, 6))
+def test_the_matroid_table_packs_the_uniform_matroid_points(m):
+    # m * 2**(m-1) points, packed field for field into the closed-form
+    # columns, at every width the tests use
+    points = _matroid_points(m)
+    assert len(points) == m << m - 1
+    for w in (32, 64, 128):
+        cols, top, ones, _ = shannon._ray_fields(m, w)
+        assert ones == sum(1 << w * r for r in range(len(points))) and top == ones << w - 1
+        assert cols[1:] == [sum(p[i] << w * r for r, p in enumerate(points))
+                            for i in range(len(subsets(m)))]
+        assert cols[0] == 0
+
+
+def test_the_field_width_factor_is_the_largest_ray_or_matroid_entry():
+    # is_shannon_type sizes the fields for slacks of max(m, 4) times the
+    # target's coefficient sum: the largest entry at m = 4, 5 and 6
+    for m in ELEMENTAL_RANGE:
+        largest = max(max(point) for point in _table(m))
+        assert largest <= max(m, 4) and (largest == max(m, 4) or m < 4)
 
 
 def test_the_ingleton_instances_split_the_gamma4_rays():
@@ -590,12 +637,12 @@ def test_lp_answers_when_no_ray_refutes(ray_table):
 
 
 @st.composite
-def _drawn_checks(draw):
-    """A target drawn as the benchmark draws its checks: 2 to 4 distinct
-    elemental rows, each weighted by a/b with a in 1..5 and b in 1..3, and
-    in half the draws one of the combination's subsets moved by +-1/c with
-    c in 1..4."""
-    m = draw(st.integers(2, 4))
+def _drawn_checks(draw, sizes=st.integers(2, 4), moved=st.booleans()):
+    """A target drawn as the benchmark draws its checks, at m from sizes: 2
+    to 4 distinct elemental rows, each weighted by a/b with a in 1..5 and b
+    in 1..3, and in the draws where moved is true (by default half) one of
+    the combination's subsets moved by +-1/c with c in 1..4."""
+    m = draw(sizes)
     rows = elemental_inequalities(m).rows
     picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=4, unique=True))
     combo: dict[int, Fraction] = {}
@@ -604,7 +651,7 @@ def _drawn_checks(draw):
         for mask, c in rows[r].coeffs.items():
             combo[mask] = combo.get(mask, Fraction(0)) + w * c
     combo = {mask: c for mask, c in combo.items() if c}
-    if draw(st.booleans()):
+    if draw(moved):
         mask = draw(st.sampled_from(sorted(combo)))
         combo[mask] += Fraction(draw(st.sampled_from((-1, 1))), draw(st.integers(1, 4)))
     assume(any(combo.values()))
@@ -667,12 +714,12 @@ def test_an_empty_table_leaves_every_certificate_to_the_lp(ray_table, solved):
 
 
 def _plain_ray_test(m, nums):
-    """The decision by rays one ray at a time: the first ray of the double
-    description on which the target is negative and None, or -1 and the
+    """The decision by the table one point at a time: the first point of
+    _table(m) on which the target is negative and None, or -1 and the
     weights of the plain peel."""
     target = [nums.get(mask, 0) for mask in subsets(m)]
-    for r, ray in enumerate(_double_description(m)):
-        if _dot(ray, target) < 0:
+    for r, point in enumerate(_table(m)):
+        if _dot(point, target) < 0:
             return r, None
     return -1, _plain_peel(m, nums)
 
@@ -717,18 +764,18 @@ def test_the_packed_ray_test_matches_the_plain_loop(ineq):
     got, seen = _ray_tests(ineq)
     ((m, w, nums, (r, weights)),) = seen
     assert (r, weights) == _plain_ray_test(m, nums)
-    assert all(abs(_dot(ray, [nums.get(s, 0) for s in subsets(m)])) < 1 << w - 1
-               for ray in _double_description(m))
+    assert all(abs(_dot(point, [nums.get(s, 0) for s in subsets(m)])) < 1 << w - 1
+               for point in _table(m))
     if r >= 0:
-        assert got == FarkasWitness(m, 1, dict(zip(subsets(m), _double_description(m)[r])))
-
+        assert got == FarkasWitness(m, 1, dict(zip(subsets(m), _table(m)[r])))
 
 
 @pytest.mark.parametrize("bits", (29, 30, 31, 61, 62, 63, 125, 126, 127))
 def test_the_field_width_covers_every_ray_slack(bits):
-    # H(all) is 4 on the last rays of Gamma_4 and 2 on the last of Gamma_3,
-    # so a coefficient c there takes a slack of up to 4c, two bits past c
-    for m in (1, 2, 3, 4):
+    # H(all) is 4 on the last rays of Gamma_4, 2 on the last of Gamma_3 and
+    # m on U_{m,all} at m = 5, 6, so a coefficient c there takes a slack of
+    # up to max(m, 4) * c, two or three bits past c
+    for m in ELEMENTAL_RANGE:
         full = (1 << m) - 1
         for c in ((1 << bits) - 1, (1 << bits) + 1, -(1 << bits) - 1):
             got, seen = _ray_tests(LinearInequality(m, {full: c}))
@@ -736,13 +783,14 @@ def test_the_field_width_covers_every_ray_slack(bits):
             assert answer == _plain_ray_test(m, nums)
             assert isinstance(got, ShannonCertificate) == (c > 0)
 
+
 @st.composite
 def _slacks_at_the_bound(draw):
     """(m, w, nums): up to 4 elemental rows, signed, with positive weights
-    summing to 2**(w-1) - 1.  Every row is 0 or 1 on every ray, so every
-    ray slack lies within +-(2**(w-1) - 1), and a ray on which every row is
-    1, with one sign, takes the bound."""
-    m = draw(st.integers(1, 4))
+    summing to 2**(w-1) - 1.  Every row is 0 or 1 on every point of the
+    table, so every slack lies within +-(2**(w-1) - 1), and a point on which
+    every row is 1, with one sign, takes the bound."""
+    m = draw(st.integers(1, 6))
     w = draw(st.sampled_from((32, 64, 128)))
     rows = elemental_inequalities(m).rows
     picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=4, unique=True))
@@ -763,7 +811,7 @@ def test_the_packed_ray_test_holds_at_its_field_bound(case):
     assert shannon._by_rays(m, w, nums) == _plain_ray_test(m, nums)
 
 
-@pytest.mark.parametrize("m", (1, 2, 3, 4))
+@pytest.mark.parametrize("m", ELEMENTAL_RANGE)
 @pytest.mark.parametrize("w", (32, 64))
 def test_every_ray_slack_at_the_bound_is_read(m, w):
     bound = (1 << w - 1) - 1
@@ -771,30 +819,29 @@ def test_every_ray_slack_at_the_bound_is_read(m, w):
         for sign in (1, -1):
             nums = {mask: sign * bound * c for mask, c in row.nums.items()}
             target = [nums.get(s, 0) for s in subsets(m)]
-            slacks = [_dot(ray, target) for ray in _double_description(m)]
+            slacks = [_dot(point, target) for point in _table(m)]
             assert sign * bound in slacks
             got = shannon._by_rays(m, w, nums)
             assert got[0] == (slacks.index(-bound) if sign < 0 else -1)
             assert got == _plain_ray_test(m, nums)
 
 
-@pytest.mark.parametrize("m", (1, 2, 3, 4))
+@pytest.mark.parametrize("m", ELEMENTAL_RANGE)
 def test_every_row_slack_on_every_ray_is_0_or_1(m):
     # what lets the peel subtract a weight from every field at once: from
-    # the double description, then the per-row fields the peel reads
-    coords = subsets(m)
-    rays = _double_description(m)
-    for e, row in enumerate(elemental_inequalities(m).rows):
-        slacks = [_dot([row.nums.get(mask, 0) for mask in coords], ray) for ray in rays]
+    # the double description or the matroid points, by dot products, then
+    # the per-row fields the peel reads
+    for e, slacks in enumerate(_row_slacks(m)):
         assert set(slacks) <= {0, 1} and 1 in slacks
         for w in (32, 64):
             field, shifts = shannon._ray_fields(m, w)[3][e]
             assert field == sum(s << w * r for r, s in enumerate(slacks))
             assert shifts == tuple(w * r for r, s in enumerate(slacks) if s)
-    if m == 4:
-        # each row is positive on 1, 12 or 16 of the 41 rays
-        assert {sum(_dot([row.nums.get(mask, 0) for mask in coords], ray) for ray in rays)
-                for row in elemental_inequalities(4).rows} == {1, 12, 16}
+    # each row is positive on 1, 12 or 16 of the 41 rays of Gamma_4; past
+    # m = 4 a monotonicity row on 2**(m-1) matroid points, a submodularity
+    # row on 2**(m-2)
+    counts = {4: {1, 12, 16}, 5: {16, 8}, 6: {32, 16}}.get(m)
+    assert counts is None or set(map(sum, _row_slacks(m))) == counts
 
 
 @settings(max_examples=80, deadline=None)
@@ -809,6 +856,85 @@ def test_the_peel_answers_every_check_without_a_solve(ineq):
         patch.setattr(simplex, "solve_eq_nonneg", no_solve)
         got = is_shannon_type(ineq)
     assert got == _expected(ineq, elemental_inequalities(ineq.m))
+
+
+# the two m = 5 checks of the benchmark's fixed streams, in their fixed
+# layout, and its m = 6 subadditivity split
+BENCHMARK_CHECKS = (
+    "1 H(a,b,c,d,e) + 2 H(a,e) + 1 H(b,d,e) <= 2 H(a) + 1 H(a,b,d,e) + 1 H(b,c,d,e) + 2 H(e)",
+    "1 H(a) + 1 H(a,b,e) + 1 H(b,d,e) + 1/3 H(c) + 1 H(e) <= 1 H(a,b) + 1 H(a,e) "
+    "+ 1/3 H(b,c) + 1 H(b,e) + 1/3 H(c,d) + 1 H(d,e)",
+    "H(a,b,c,d,e,f) <= H(a,b,c) + H(d,e,f)",
+)
+
+# Shannon-type, but no matroid point refutes it and the peel stops on it
+STUCK = ("3/2 H(s) + 4/3 H(d) + 3/2 H(e,p,s) + 4/3 H(d,e,w) + 1 H(s,w,p,e) <= 4/3 H(d,e) "
+         "+ 4/3 H(w,d) + 3/2 H(s,e) + 1 H(w,e,s,d,p) + 11/6 H(p,s)")
+
+# not Shannon-type, but it holds on every linear rank function, so on every
+# matroid point
+INGLETON_PLUS = "I(a;b) <= I(a;b|c) + I(a;b|d) + I(c;d) + 2/3 I(a;e)"
+
+
+def test_the_matroid_points_decide_the_benchmark_and_pinned_checks_without_a_solve():
+    # at m = 5 and 6 the benchmark's checks, their names bound in order of
+    # appearance as every renaming of the layout binds them, and the pinned
+    # texts: peeled weights or a matroid point, no LP; I(a;b|c) <= I(a;b)
+    # holds on every U_{1,T}, and U_{2,{a,b,c}}, up to 2, refutes it
+    def no_solve(*args):
+        raise AssertionError("the LP ran")
+
+    shannon_type = (*BENCHMARK_CHECKS, "H(a,b,c,d,e) <= H(a) + H(b) + H(c) + H(d) + H(e)")
+    refuted = ("H(a,b,c,d,e,f) <= H(a,b,c)", "I(a;b|c) <= I(a;b) + I(d;e)",
+               "I(a;b|c) <= I(a;b) + I(d;e|f)")
+    for text in shannon_type + refuted:
+        ineq = parse_inequality(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simplex, "solve_eq_nonneg", no_solve)
+            got = is_shannon_type(ineq)
+        assert got == _expected(ineq, elemental_inequalities(ineq.m))
+        assert isinstance(got, FarkasWitness) == (text in refuted)
+    assert max(got.point.values()) == 2
+
+
+def test_the_lp_decides_where_the_peel_stops(solved):
+    # no matroid point refutes either target and the peel stops on both, so
+    # the full LP runs once for each: a certificate, then a Farkas point
+    for text, cls in ((STUCK, ShannonCertificate), (INGLETON_PLUS, FarkasWitness)):
+        ineq = parse_inequality(text)
+        assert _plain_ray_test(5, ineq.nums) == shannon._by_rays(5, 32, ineq.nums) == (-1, None)
+        solved.clear()
+        got = is_shannon_type(ineq)
+        assert solved == [elemental_inequalities(5).matrix] and isinstance(got, cls)
+        assert got == _expected(ineq, elemental_inequalities(5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_drawn_checks(st.integers(5, 6), st.just(True)))
+@example(parse_inequality(STUCK))
+@example(parse_inequality(INGLETON_PLUS))
+def test_the_matroid_points_decide_as_the_full_lp(ineq):
+    # next to the cone's boundary at m = 5 and 6: the verdict is that of
+    # the LP on every elemental row (checked against the reference solver
+    # in test_simplex), the answer the plain decision's or, where the peel
+    # stops, the LP's own, and every artifact verifies
+    m, coords = ineq.m, subsets(ineq.m)
+    lp = solve_eq_nonneg(elemental_inequalities(m).matrix, [ineq.nums.get(s, 0) for s in coords])
+    got = is_shannon_type(ineq)
+    assert isinstance(got, ShannonCertificate) == lp.feasible
+    r, weights = _plain_ray_test(m, ineq.nums)
+    if r >= 0:
+        assert got == FarkasWitness(m, 1, dict(zip(coords, _table(m)[r])))
+    elif weights is not None:
+        assert got == ShannonCertificate(m, ineq.den, weights)
+    elif lp.feasible:
+        assert got == ShannonCertificate(m, lp.den * ineq.den, dict(enumerate(lp.solution)))
+    else:
+        assert got == FarkasWitness(m, lp.den, {s: -u for s, u in zip(coords, lp.farkas)})
+    if isinstance(got, ShannonCertificate):
+        verify_certificate(ineq, got)
+    else:
+        verify_farkas(ineq, got)
 
 
 def test_elemental_sets_are_built_once_and_left_unchanged(capsys):
