@@ -71,7 +71,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from operator import mul, neg
 
 from . import simplex
@@ -202,33 +202,37 @@ def _rays(m: int) -> tuple[tuple[int, ...], ...]:
 @cache
 def _ray_fields(m: int, w: int) -> tuple[list[int], int, int, list[tuple[int, tuple[int, ...]]]]:
     """The table of m variables packed into w-bit fields (w a multiple of
-    8), point r in field r (bits w*r up): per subset mask, the points' entries at it; the top
-    bits, 2**(w-1) in every field; a 1 in every field; and per elemental
-    row, its slacks packed the same way, one sum of its ints times the
-    columns, and the shifts w*r of the fields where it is 1: each slack is
-    0 or 1, so they are the fields whose low byte is set.
+    8), point r in field r (bits w*r up): per subset mask, the points'
+    entries at it; the top bits, 2**(w-1) in every field; a 1 in every
+    field; and per elemental row, its slacks packed the same way, one sum
+    of its ints times the columns, and the shifts w*r of the fields where
+    it is 1: each slack is 0 or 1, so they are the fields whose low byte
+    is set.
 
     The table is the rays of Gamma_m at m <= 4, and past it the points
     U_{k,T}(S) = min(|S & T|, k), for each nonzero mask T in ascending
-    order and k = 1..|T| within T: at S, T's block of |T| fields is fixed
-    by |S & T|, one of |T| + 1 byte strings, so each column is a join of
-    one block per T, and no point is held but in the columns."""
+    order and k = 1..|T| within T.  Every entry is below 256, so each
+    column is first a byte string, an entry a byte, which is then spread
+    to a byte every w bits: at m <= 4 column s is every (2**m - 1)-th
+    byte of the rays' entries in a row, and past it, at S, T's |T| bytes
+    are fixed by |S & T|, one of |T| + 1 byte strings, so each column is
+    a join of one block per T, and no point is held but in the columns."""
     size = w // 8
     if m <= 4:
-        cols, n = [0] * (1 << m), len(_rays(m))
-        for r, ray in enumerate(_rays(m)):
-            one = 1 << w * r
-            for mask, x in enumerate(ray, 1):
-                cols[mask] += x * one
+        # ray r's entry at mask s is byte (2**m - 1) * r + s - 1 of flat
+        flat, n = bytes(chain.from_iterable(_rays(m))), len(_rays(m))
+        narrow = (flat[s - 1::(1 << m) - 1] for s in range(1, 1 << m))
     else:
-        # T's fields k = 1..|T| hold 1, 2, .., j, then j, with j = |S & T|
-        cells = [x.to_bytes(size, "little") for x in range(m + 1)]
-        blocks = [[b"".join(cells[1:j + 1] + [cells[j]] * (t - j)) for j in range(t + 1)]
+        # T's bytes k = 1..|T| hold 1, 2, .., j, then j, with j = |S & T|
+        blocks = [[bytes(range(1, j + 1)) + bytes((j,)) * (t - j) for j in range(t + 1)]
                   for t in range(m + 1)]
-        cols = [int.from_bytes(b"".join([blocks[t.bit_count()][(s & t).bit_count()]
-                                         for t in range(1, 1 << m)]), "little")
-                for s in range(1 << m)]
+        narrow = (b"".join([blocks[t.bit_count()][(s & t).bit_count()] for t in range(1, 1 << m)])
+                  for s in range(1, 1 << m))
         n = m << m - 1
+    wide, cols = bytearray(size * n), [0]
+    for col in narrow:
+        wide[::size] = col
+        cols.append(int.from_bytes(wide, "little"))
     # one tuple of every field's shift, so the rows share its ints
     ones, shifts = ((1 << w * n) - 1) // ((1 << w) - 1), tuple(range(0, w * n, w))
     rows = []
@@ -289,9 +293,8 @@ def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitnes
     w = max(32, 1 << (max(m, 4) * sum(map(abs, nums.values()))).bit_length().bit_length())
     r, weights = _by_rays(m, w, nums)
     if r >= 0:
-        # past m = 4 point r is held only in the columns, as their fields r
-        point, den = _rays(m)[r] if m <= 4 else [
-            c >> w * r & (1 << w) - 1 for c in _ray_fields(m, w)[0][1:]], 1
+        # point r is held in the columns, as their fields r
+        point, den = [c >> w * r & (1 << w) - 1 for c in _ray_fields(m, w)[0][1:]], 1
     else:
         d = 1
         if weights is None:

@@ -542,12 +542,13 @@ def test_ray_table_holds_extreme_rays():
             assert _rank([cut for cut, s in zip(cuts, slacks) if s == 0]) == len(coords) - 1
 
 
-@pytest.mark.parametrize("m", (5, 6))
-def test_the_matroid_table_packs_the_uniform_matroid_points(m):
-    # m * 2**(m-1) points, packed field for field into the closed-form
-    # columns, at every width the tests use
-    points = _matroid_points(m)
-    assert len(points) == m << m - 1
+@pytest.mark.parametrize("m", ELEMENTAL_RANGE)
+def test_the_packed_columns_hold_every_ray_and_matroid_point(m):
+    # the rays at m <= 4 and the m * 2**(m-1) matroid points past it,
+    # packed field for field into the columns, at every width the tests
+    # use; is_shannon_type reads a refuting point back from its field
+    points = _table(m)
+    assert len(points) == (len(shannon._rays(m)) if m <= 4 else m << m - 1)
     for w in (32, 64, 128):
         cols, top, ones, _ = shannon._ray_fields(m, w)
         assert ones == sum(1 << w * r for r in range(len(points))) and top == ones << w - 1
