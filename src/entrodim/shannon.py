@@ -112,25 +112,11 @@ class ElementalSet(Record):
     _fields = ("m", "rows")
 
     @cached_property
-    def cuts(self) -> tuple[tuple[int, ...], ...]:
-        """Each row as its ints by subset mask in subsets(m) order, built
-        once per set, on its first use; a row with den != 1 raises TypeError
-        naming its first non-integer coefficient."""
-        for i, r in enumerate(self.rows):
-            if r.den != 1:
-                s, c = next((s, c) for s, c in r.coeffs.items() if c.denominator != 1)
-                raise TypeError(
-                    f"elemental row {i} has non-integer coefficient {c} "
-                    f"at {mask_label(s)}"
-                )
-        return tuple(tuple(r.nums.get(s, 0) for s in subsets(self.m)) for r in self.rows)
-
-    @cached_property
-    def matrix(self) -> simplex.PreparedMatrix:
-        """The LP matrix E^T, the cuts as columns, built once per set, on its
-        first solve, and prepared for every solve on it: a row per subset
-        mask in subsets(m) order and a column per elemental row."""
-        return simplex.PreparedMatrix(zip(*self.cuts))
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The LP matrix E^T, built once per set, on its first solve: a row
+        per subset mask in subsets(m) order and a column per elemental row,
+        the rows' ints."""
+        return tuple(zip(*[[r.nums.get(s, 0) for s in subsets(self.m)] for r in self.rows]))
 
 
 def _in_lowest_terms(record: Record) -> None:
@@ -346,12 +332,13 @@ def verify_farkas(ineq: LinearInequality, witness: FarkasWitness) -> None:
     if witness.m != ineq.m:
         raise VerificationError(f"witness is for m={witness.m}, target m={ineq.m}")
     point, q = witness.point, witness.den
-    x = [point.get(mask, 0) for mask in subsets(ineq.m)]
-    for r, cut in enumerate(elemental_inequalities(ineq.m).cuts):
-        s = sum(map(mul, cut, x))
+    # x[mask] is the point's int at mask; no row and no target reads mask 0
+    x = [point.get(mask, 0) for mask in range(1 << ineq.m)]
+    for r, row in enumerate(elemental_inequalities(ineq.m).rows):
+        s = sum(map(mul, row.nums.values(), map(x.__getitem__, row.nums)))
         if s < 0:
             raise VerificationError(f"witness violates elemental row {r} (slack {Fraction(s, q)})")
-    s = sum(c * x[mask - 1] for mask, c in ineq.nums.items())
+    s = sum(map(mul, ineq.nums.values(), map(x.__getitem__, ineq.nums)))
     if s >= 0:
         raise VerificationError(
             f"target slack on witness is {Fraction(s, q * ineq.den)}, "

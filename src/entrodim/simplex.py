@@ -26,20 +26,16 @@ and its Farkas vector are those of the full phase 1.
 A is an integer matrix and b an integer vector, both used as they are:
 a caller with a rational b scales it to integers first, which scales
 every ratio of a ratio test by the same factor and so keeps Bland's
-pivots.  What a solve needs of A alone is made once, in a
-PreparedMatrix: the rows as tuples, each row's squared norm and the
-column sums.  A caller that solves one matrix for many right-hand
-sides passes a PreparedMatrix; a plain matrix is prepared on the call.
-Per call, the rows are sign-normalized by b and copied into the
-tableau, and the objective row is the negated column sums plus twice
-the sign-flipped rows.
+pivots.  The rows are sign-normalized by b and copied into the tableau,
+and the objective row is read from those rows: minus each structural
+column's sum, 0 at the artificials, and minus the sum of |b_i| last.
 
 Because every entry of M, and D, is a minor, one Hadamard bound on the
 initial integer tableau caps them all: the sum over its rows of half
-the bit length of the squared row norm, which for row i is A's cached
-norm plus 1 + b_i**2.  It is taken on every call, before the first
-pivot, and a system whose bound exceeds MAX_PRODUCT_BITS raises
-SizeLimitError.
+the bit length of the squared row norm, which for row i is the squared
+norm of A's row plus 1 + b_i**2, read as the tableau row is built.  It
+is taken on every call, before the first pivot, and a system whose
+bound exceeds MAX_PRODUCT_BITS raises SizeLimitError.
 
 The answer is a solution y >= 0 with A y = b, or a Farkas vector u
 with u . A_col_j <= 0 for every column j and u . b > 0, which certifies
@@ -51,8 +47,8 @@ in those integers, as sum_j A_ij w_j = D b_i for every row i or as
 v . A_col_j <= 0 < v . b, and returned as those ints over D.
 
 Entries of A and b are ints, and a Fraction or float entry raises
-TypeError on every call: it makes its row's squared norm, cached or not,
-something other than an int.
+TypeError: it makes its row's squared norm something other than an int.
+A ragged matrix raises ValueError.
 """
 
 from __future__ import annotations
@@ -85,44 +81,25 @@ def _half_bits(norm2: int) -> int:
     return (norm2.bit_length() + 1) // 2
 
 
-class PreparedMatrix(tuple):
-    """A matrix as a tuple of rows, with what every solve on it reads made
-    once: the column count k, each row's squared norm (``norms``) and the
-    column sums (``colsums``).  A ragged matrix is a ValueError; a norm
-    that is not an int, from a Fraction or float entry, is a TypeError on
-    every solve."""
-
-    def __new__(cls, a: Sequence[Sequence[int]]) -> PreparedMatrix:
-        self = super().__new__(cls, map(tuple, a))
-        self.k = len(self[0]) if self else 0
-        if set(map(len, self)) - {self.k}:
-            raise ValueError("ragged constraint matrix")
-        self.norms = [sum(map(mul, row, row)) for row in self]
-        self.colsums = list(map(sum, zip(*self)))
-        return self
-
-
 def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> FeasibilityResult:
     """Find y >= 0 with A y = b, or a Farkas certificate that none exists.
-    A is a PreparedMatrix or a matrix of ints, prepared on the call; b is
-    a vector of ints."""
-    if not isinstance(a, PreparedMatrix):
-        a = PreparedMatrix(a)
-    n, k = len(a), a.k
+    A is a matrix of ints and b a vector of ints."""
+    n = len(a)
     if len(b) != n:
         raise ValueError(f"rhs length {len(b)} does not match {n} rows")
+    k = len(a[0]) if a else 0
 
     # sign-normalize rows so the rhs is nonnegative, then append one
-    # artificial column per row; initial basis = artificials, D = 1
+    # artificial column per row; initial basis = artificials, D = 1.  Each
+    # row's share of the Hadamard bound is its squared norm plus 1 + b_i**2
     signs = [1 if x >= 0 else -1 for x in b]
     rows: list[list[int]] = []
-    flipped = []
+    bits = 0
     for i, (arow, x, s) in enumerate(zip(a, b, signs)):
-        if s > 0:
-            row = list(arow)
-        else:
-            row = list(map(neg, arow))
-            flipped.append(arow)
+        row = list(arow) if s > 0 else list(map(neg, arow))
+        if len(row) != k:
+            raise ValueError("ragged constraint matrix")
+        bits += _half_bits(sum(map(mul, row, row)) + 1 + x * x)
         row += [0] * n
         row[k + i] = 1
         row.append(s * x)
@@ -131,16 +108,11 @@ def solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int]) -> Feasibility
 
     # phase-1 objective: minimize the sum of artificials.  obj holds D times
     # the reduced costs (cost 0 structural, 1 artificial) followed by -D z:
-    # minus the sums of the sign-normalized columns
-    obj = list(map(neg, a.colsums))
-    for j, f in enumerate(map(sum, zip(*flipped))):
-        obj[j] += 2 * f
-    obj += [0] * n
-    obj.append(-sum(map(abs, b)))
+    # minus the sums of the sign-normalized columns, 0 at the artificials
+    obj = list(map(neg, map(sum, zip(*rows)))) or [0]  # [0]: no rows, z = 0
+    obj[k:-1] = [0] * n
 
-    bits = _half_bits(sum(map(mul, obj, obj)))
-    for norm2, x in zip(a.norms, b):
-        bits += _half_bits(norm2 + 1 + x * x)
+    bits += _half_bits(sum(map(mul, obj, obj)))
     if bits > MAX_PRODUCT_BITS:
         raise SizeLimitError(
             f"simplex tableau entry may exceed {MAX_PRODUCT_BITS} bits"

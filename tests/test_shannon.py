@@ -16,7 +16,6 @@ from entrodim.dsl import format_inequality, parse_inequality
 from entrodim.linear import LinearInequality, common_denominator, subsets
 from entrodim.shannon import (
     ELEMENTAL_RANGE,
-    ElementalSet,
     FarkasWitness,
     ShannonCertificate,
     VerificationError,
@@ -898,11 +897,17 @@ def test_the_matroid_points_decide_the_benchmark_and_pinned_checks_without_a_sol
     assert max(got.point.values()) == 2
 
 
+# the benchmark's perturbed m = 5 check with its names bound as (c, a, e,
+# d, b): the peel, peeling it in order of appearance, stops on it
+RENAMED = (BENCHMARK_CHECKS[1], tuple("caedb"))
+
+
 def test_the_lp_decides_where_the_peel_stops(solved):
-    # no matroid point refutes either target and the peel stops on both, so
-    # the full LP runs once for each: a certificate, then a Farkas point
-    for text, cls in ((STUCK, ShannonCertificate), (INGLETON_PLUS, FarkasWitness)):
-        ineq = parse_inequality(text)
+    # no matroid point refutes these targets and the peel stops on each, so
+    # the full LP runs once for each: a certificate or a Farkas point
+    for ineq, cls in ((parse_inequality(STUCK), ShannonCertificate),
+                      (parse_inequality(INGLETON_PLUS), FarkasWitness),
+                      (parse_inequality(RENAMED[0], declared_vars=RENAMED[1]), ShannonCertificate)):
         assert _plain_ray_test(5, ineq.nums) == shannon._by_rays(5, 32, ineq.nums) == (-1, None)
         solved.clear()
         got = is_shannon_type(ineq)
@@ -938,6 +943,33 @@ def test_the_matroid_points_decide_as_the_full_lp(ineq):
         verify_farkas(ineq, got)
 
 
+@st.composite
+def _renamed_checks(draw):
+    """A near-boundary m = 5 or 6 target as text over the names a, b, ..,
+    and a random order to bind those names in."""
+    ineq = draw(_drawn_checks(st.integers(5, 6), st.just(True)))
+    names = "abcdef"[:ineq.m]
+    return format_inequality(ineq, names), tuple(draw(st.permutations(names)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_renamed_checks())
+@example(RENAMED)
+def test_the_verdict_does_not_depend_on_how_the_names_are_bound(case):
+    # the peel follows the elemental row order, which follows the order the
+    # names are bound in, so whether it finishes may change with it; the
+    # verdict may not, and every artifact verifies either way
+    text, order = case
+    plain, renamed = parse_inequality(text), parse_inequality(text, declared_vars=order)
+    got = [is_shannon_type(ineq) for ineq in (plain, renamed)]
+    assert type(got[0]) is type(got[1])
+    for ineq, res in zip((plain, renamed), got):
+        if isinstance(res, ShannonCertificate):
+            verify_certificate(ineq, res)
+        else:
+            verify_farkas(ineq, res)
+
+
 def test_elemental_sets_are_built_once_and_left_unchanged(capsys):
     for m in ELEMENTAL_RANGE:
         assert elemental_inequalities(m) is elemental_inequalities(m)
@@ -966,12 +998,3 @@ def test_check_reports_are_pinned(case, capsys):
     del report["elapsed_ms"]
     assert code == case["code"]
     assert json.dumps(report) == json.dumps(case["report"])  # key order too
-
-
-def test_elemental_matrix_refuses_a_non_integer_coefficient():
-    # int() would truncate both halves to 0 and give ((0,), (0,), (0,))
-    half = LinearInequality(2, {1: Fraction(1, 2), 3: Fraction(-1, 2)})
-    with pytest.raises(TypeError, match=r"row 0 has non-integer coefficient 1/2 at \{1\}"):
-        ElementalSet(2, (half,)).matrix
-    whole = LinearInequality(2, {1: Fraction(1), 3: Fraction(-1)})
-    assert ElementalSet(2, (whole,)).matrix == ((1,), (0,), (-1,))

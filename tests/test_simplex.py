@@ -11,7 +11,7 @@ from entrodim.cli import main
 from entrodim.dsl import parse_inequality
 from entrodim.linear import MAX_PRODUCT_BITS, SizeLimitError
 from entrodim.shannon import FarkasWitness, elemental_inequalities, is_shannon_type
-from entrodim.simplex import FeasibilityResult, PreparedMatrix, solve_eq_nonneg
+from entrodim.simplex import FeasibilityResult, solve_eq_nonneg
 
 # Reference: the dense Fraction-tableau phase-1 simplex with Bland's rule
 # that the fraction-free solver replaced, run until no reduced cost is
@@ -344,7 +344,6 @@ def test_size_budget_is_read_at_call_time(monkeypatch):
     assert elemental_inequalities(5).matrix is matrix
     # each row's share of the bound counts its entry of b: half the
     # budget's bits in one entry, in its row and in the objective, is over
-    assert isinstance(matrix, PreparedMatrix)
     big = [2 ** (MAX_PRODUCT_BITS // 2)] + [0] * (len(matrix) - 1)
     for a in (matrix, [list(row) for row in matrix]):
         with pytest.raises(SizeLimitError):
@@ -367,24 +366,41 @@ def test_size_budget_cli_error(monkeypatch, capsys):
     assert lines[0].startswith("error: SizeLimitError: ")
 
 
-def test_recheck_rejects_a_wrong_answer():
-    # column sums that disagree with the rows make a wrong phase-1
-    # objective, so the answer read from the tableau is wrong for A and b:
-    # the solver's own integer recheck against the caller's A and b must
-    # refuse it, each half of the Farkas recheck on a case of its own
-    for a, b, colsums, message in [
-        # obj reaches 0 at one pivot with an artificial basic: y = (1, 0)
-        ([[1, 1], [1, -1]], [3, 1], [4, 0], "invalid solution"),
-        # no reduced cost is negative at the start: u = (1), u . A_col = 1 > 0
-        ([[1]], [1], [0], "invalid Farkas vector"),
-        # one pivot takes obj past 0: u = (-1), u . b = -1 <= 0
-        ([[1]], [1], [2], "invalid Farkas vector"),
+class _TwoFaced(tuple):
+    """A matrix row that reads as ``checked`` by index, as the solver's
+    recheck reads the caller's rows, but iterates as ``seen``, as the
+    tableau is built: the solver solves one system and checks another."""
+
+    def __new__(cls, seen, checked):
+        self = super().__new__(cls, checked)
+        self.seen = tuple(seen)
+        return self
+
+    def __iter__(self):
+        return iter(self.seen)
+
+
+def test_recheck_rejects_a_wrong_answer(monkeypatch):
+    # an answer right for the tableau's system but wrong for the caller's
+    # A and b: the solver's own integer recheck against A and b must refuse
+    # it, each half of the Farkas recheck on a case of its own
+    for seen, checked, b, message in [
+        # solves y = (2, 1), but the checked rows give A y = (3, 3)
+        ([[1, 1], [1, -1]], [[1, 1], [1, 1]], [3, 1], "invalid solution"),
+        # -y = 1 has u = (1), but against the checked row u . A_col = 1 > 0
+        ([[-1]], [[1]], [1], "invalid Farkas vector"),
     ]:
-        assert solve_eq_nonneg(a, b).feasible
-        prepared = PreparedMatrix(a)
-        prepared.colsums = colsums
+        assert solve_eq_nonneg(seen, b) == solve_eq_nonneg(
+            [_TwoFaced(row, row) for row in seen], b)
         with pytest.raises(AssertionError, match=message):
-            solve_eq_nonneg(prepared, b)
+            solve_eq_nonneg(list(map(_TwoFaced, seen, checked)), b)
+    # y = -1 has u = (-1), u . b = 1; the recheck's products negated
+    # make u . b = -1 <= 0, and u . A_col, summed on its own, stays -1
+    res = solve_eq_nonneg([[1]], [-1])
+    assert not res.feasible and res.farkas == (-1,)
+    monkeypatch.setattr(simplex, "mul", lambda x, y: -x * y)
+    with pytest.raises(AssertionError, match="invalid Farkas vector"):
+        solve_eq_nonneg([[1]], [-1])
 
 
 def test_integer_matrix_with_rational_rhs():
@@ -403,28 +419,22 @@ def test_non_integer_matrix_entry_is_rejected():
             solve_eq_nonneg([[1, 0], [entry, 1]], [1, -1])
         with pytest.raises(TypeError, match="must be ints"):
             solve_eq_nonneg([[1, 0], [0, 1]], [entry, -1])
-        with pytest.raises(TypeError, match="must be ints"):
-            solve_eq_nonneg(PreparedMatrix([[1, 0], [entry, 1]]), [1, -1])
-        with pytest.raises(TypeError, match="must be ints"):
-            solve_eq_nonneg(PreparedMatrix([[1, 0], [0, 1]]), [1, entry])
 
 
-def test_a_prepared_matrix_serves_every_rhs():
-    # one PreparedMatrix, many right-hand sides: each answer is the one the
-    # plain matrix gets, and the prepared data is left as it was made
+def test_a_plain_matrix_serves_every_rhs():
+    # one matrix, many right-hand sides: each answer is the reference's,
+    # and the matrix is left as it was
     a = [[1, -2, 0, 1], [0, 1, 1, -1], [3, 0, -1, 2]]
-    prepared = PreparedMatrix(a)
-    assert prepared == tuple(map(tuple, a)) and prepared.k == 4
-    assert prepared.norms == [6, 3, 14] and prepared.colsums == [4, -1, 0, 2]
+    before = [row[:] for row in a]
     rng = random.Random(7)
     for _ in range(40):
         b = [rng.randint(-5, 5) for _ in a]
-        assert solve_eq_nonneg(prepared, b) == _assert_matches_reference(a, b)
-    assert prepared.norms == [6, 3, 14] and prepared.colsums == [4, -1, 0, 2]
+        assert solve_eq_nonneg(a, b) == _assert_matches_reference(a, b)
+    assert a == before
     with pytest.raises(ValueError, match="ragged"):
-        PreparedMatrix([[1, 2], [3]])
+        solve_eq_nonneg([[1, 2], [3]], [1, 2])
     with pytest.raises(ValueError, match="rhs length"):
-        solve_eq_nonneg(prepared, [1, 2])
+        solve_eq_nonneg(a, [1, 2])
 
 
 def test_caller_matrix_is_left_unchanged():
