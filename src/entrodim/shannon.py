@@ -19,51 +19,44 @@ lowest terms (linear.lowest_terms), as the inequality does, from the
 solver's D to the report; a Fraction is made only to write one.
 
 Equivalently, an inequality is Shannon-type iff it is nonnegative on
-every extreme ray of the polymatroid cone Gamma_m, the points on which
-every elemental row is nonnegative; a ray on which it is negative is a
-Farkas point.  For m <= 4 the rays are few (1, 3, 8 and 41), and
-`is_shannon_type` tries them first, so a target that is not
-Shannon-type is refuted by one integer sum alone: the rays' entries
-at each subset mask are packed into one int, a w-bit field per ray, and
-the target's ints times those give every ray's slack in its field, plus
-2**(w-1) so that the field's top bit is its sign (w, a power of two,
-leaves room for max(m, 4) times the target's coefficient sum, as no
-entry of the table is larger).  The rays
-are held as digit strings, computed once by a double description and
-rechecked against an independent one by the tests: a double description
-of Gamma_4 costs as much as dozens of LP solves, more than one `check`
-process saves.  The five-variable cones have on the order of 10^5 rays
-(Studený, Bouckaert & Kočka, 2000), so the ray table stops at m = 4.
-At m = 5 and 6 the table is the uniform matroid rank points
-U_{k,T}(S) = min(|S & T|, k) for each nonzero mask T and k = 1..|T|, 80 and
-192 of them, packed the same way.  Each is a polymatroid point, so one
-on which the target is negative is a Farkas point too; but they are not
-every extreme ray, and being linear they satisfy Ingleton, so a
-target none refutes need not be Shannon-type.
+every extreme ray of the polymatroid cone Gamma_m; a polymatroid point on
+which it is negative is a Farkas point.  `is_shannon_type` first reads a
+table of polymatroid points built by one rule at every m, sorted: the
+uniform matroid points U_{k,T}(S) = min(|S & T|, k) for each nonzero mask
+T and 1 <= k < |T| (k = 1 when |T| = 1), and the 20 extreme rays of
+Gamma_4 that are not among them, each restricted to each 4-subset T,
+h(S & T), which keeps every elemental inequality.  At m <= 4 these are
+the extreme rays of Gamma_m (1, 3, 8 and 41, in order; the tests recheck
+them by a double description, which costs more than a `check` process
+saves, so the 20 rays are held as digits).  At m = 5 and 6 they are 154
+and 435 of the cone's order of 10^5 rays (Studený, Bouckaert & Kočka,
+2000), so a target none refutes need not be Shannon-type.  One integer
+sum refutes a target: the points' entries at each subset mask are packed
+into one int, a w-bit field per point, and the target's ints times those
+give every point's slack in its field, plus 2**(w-1) so that the field's
+top bit is its sign (w, a power of two, leaves room for max(m, 4) times
+the target's coefficient sum, as no entry of the table is larger).
 
 The same points certify a target that none refutes, with no LP.  Every
-elemental row's slack on every ray of Gamma_1..Gamma_4 is 0 or 1 (the
-tests check it from the double description), and on every U_{k,T}
-(row (i, j, K) is 1 iff i, j in T and |K & T| = k - 1, monotonicity row
-i iff i in T and k = |T|), and the points span every coordinate.  So the
-weights are peeled from the packed slacks in one
-ascending scan of the elemental rows: row e is taken when it is 0 on
-every point on which the remainder is 0, with weight lambda, the least
-slack among the points on which e is 1, and one subtraction of lambda
-times e's packed slacks updates every field with no borrow.  The
-remainder stays nonnegative on every point, a point once 0 stays 0, and
-one more point is 0, one on which e is 1.  No certificate of
-it puts weight on a row positive on a point p where it is 0: if
-t = sum_r w_r * row_r with every w_r >= 0 and t . p = 0, every term
-w_r * (row_r . p) is 0 (complementary slackness).  So every row the scan
-has passed, taken or not, is out of every certificate of the remainder,
-and the scan ends at remainder 0 with weights as ints over the target's
-den, or with rows left over.  On the full ray table of Gamma_m the
-remainder stays Shannon-type, so while it is not 0 a row is left ahead
-to take.  A peel that cannot finish, which at m <= 4 only a table
-missing rays can cause, and at m = 5 and 6 a remainder that the matroid
-points cannot tell from a non-Shannon target, hands the target to the
-LP on every elemental row, so no verdict rests on the table.
+elemental row's slack on every point is 0 or 1 (on U_{k,T}, row
+(i, j, K) is 1 iff i, j in T and |K & T| = k - 1, monotonicity row i iff
+T = {i}; on a restricted ray it is a Gamma_4 row's slack or 0), and the
+U_{1,T} span every coordinate.  So each row is held once per m as the
+mask of the points where it is 1, and the weights are peeled in one
+ascending scan of the rows: row e is taken when it is 0 on every point
+where the remainder is 0, with weight lambda, the least slack among the
+points where e is 1, and one subtraction of lambda times e's packed
+slacks updates every field with no borrow.  The remainder stays
+nonnegative, and a point once 0 stays 0, and one more is 0.  No
+certificate of it puts weight on a row positive on a point p where it is
+0: if t = sum_r w_r * row_r, every w_r >= 0 and t . p = 0, every term
+w_r * (row_r . p) is 0 (complementary slackness).  So the scan ends at
+remainder 0 with weights as ints over the target's den, or with rows
+left over; on all of Gamma_m's rays the remainder stays Shannon-type,
+so a row is left ahead to take.  A peel that cannot finish, at m <= 4
+only on a table missing rays and at m = 5 and 6 on a remainder the table
+cannot tell from a non-Shannon target, hands the target to the LP on
+every elemental row, so no verdict rests on the table.
 """
 
 from __future__ import annotations
@@ -71,7 +64,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 from operator import mul, neg
 
 from . import simplex
@@ -81,24 +74,14 @@ from .linear import LinearInequality, Record, lowest_terms, mask_label, subsets
 #: elemental sets are available for this range of variable counts
 ELEMENTAL_RANGE = range(1, 7)
 
-# the extreme rays of Gamma_m, each a primitive integer point: one digit
-# per subset mask in subsets(m) order, rays in ascending order
-_RAY_DIGITS = {
-    1: "1",
-    2: "011 101 111",
-    3: "0001111 0110011 0111111 1010101 1011111 1110111 1111111 1121222",
-    4: "000000011111111 000111100001111 000111111111111 011001100110011 "
-       "011001111111111 011111100111111 011111111111111 011112211222222 "
-       "101010101010101 101010111111111 101111101011111 101111111111111 "
-       "101121212122222 111011101110111 111011111111111 111111101111111 "
-       "111111111111111 111122212222222 112011212221222 112112212222222 "
-       "112121212222222 112122201121222 112122211222222 112122212122222 "
-       "112122212221222 112122212222222 112122222222222 112122312232333 "
-       "112122323333333 112222212222222 112233312233333 122122212222222 "
-       "123123312332333 212122212222222 213132313232333 223233423344444 "
-       "223233423443444 223233424343444 223234423343444 223243423343444 "
-       "224233423343444",
-}
+# the 20 extreme rays of Gamma_4 that are not uniform matroid points, each
+# a primitive integer point: one digit per subset mask in subsets(4) order
+_RAY_DIGITS = (
+    "111122212222222 112112212222222 112121212222222 112122211222222 112122212122222 "
+    "112122212221222 112122222222222 112122323333333 112222212222222 112233312233333 "
+    "122122212222222 123123312332333 212122212222222 213132313232333 223233423344444 "
+    "223233423443444 223233424343444 223234423343444 223243423343444 224233423343444"
+)
 
 
 class VerificationError(ValueError):
@@ -180,107 +163,123 @@ def elemental_inequalities(m: int) -> ElementalSet:
 
 
 @cache
-def _rays(m: int) -> tuple[tuple[int, ...], ...]:
-    """The extreme rays of Gamma_m in table order; none past m = 4."""
-    return tuple(tuple(map(int, ray)) for ray in _RAY_DIGITS.get(m, "").split())
+def _points(m: int) -> list[bytes]:
+    """The table of m variables (see the module), sorted, each point a byte
+    string whose byte s - 1 is its entry at mask s.  A point on T reads S
+    only through S & T, a |T|-bit index in T's bit order (T's i-th
+    variable is a ray's i-th), so it is one translation of T's indices."""
+    n = (1 << m) - 1
+    # index c to popcount(c), to min(popcount(c), k) for k = 1, 2, .. and to each ray's h(c)
+    popcount, rays, index, points = bytes(map(int.bit_count, range(256))), [], [0], []
+    uniform = [popcount]
+    for h in _RAY_DIGITS.split():
+        rays.append(bytes(map(int, "0" + h)).ljust(256, b"\0"))
+    # T's indices, a byte per mask S = 1..n, as an int; T = {top}'s are S's bit top
+    for t in range(1, n + 1):
+        top, size = t.bit_length() - 1, t.bit_count()
+        if size == 1:
+            bit = (b"\0" * t + b"\1" * t) * (n + 1 >> top + 1)
+            index.append(int.from_bytes(bit[1:], "little"))
+            uniform.append(popcount.translate(bytes(range(top + 1)).ljust(256, bytes((top + 1,)))))
+        else:
+            index.append(index[t ^ 1 << top] + (index[1 << top] << size - 1))
+        at = index[t].to_bytes(n, "little")
+        points += map(at.translate, uniform[1:max(size, 2)])
+        if size == 4:
+            points += map(at.translate, rays)
+    return sorted(points)
 
 
 @cache
-def _ray_fields(m: int, w: int) -> tuple[list[int], int, int, list[tuple[int, tuple[int, ...]]]]:
-    """The table of m variables packed into w-bit fields (w a multiple of
-    8), point r in field r (bits w*r up): per subset mask, the points'
-    entries at it; the top bits, 2**(w-1) in every field; a 1 in every
-    field; and per elemental row, its slacks packed the same way, one sum
-    of its ints times the columns, and the shifts w*r of the fields where
-    it is 1: each slack is 0 or 1, so they are the fields whose low byte
-    is set.
-
-    The table is the rays of Gamma_m at m <= 4, and past it the points
-    U_{k,T}(S) = min(|S & T|, k), for each nonzero mask T in ascending
-    order and k = 1..|T| within T.  Every entry is below 256, so each
-    column is first a byte string, an entry a byte, which is then spread
-    to a byte every w bits: at m <= 4 column s is every (2**m - 1)-th
-    byte of the rays' entries in a row, and past it, at S, T's |T| bytes
-    are fixed by |S & T|, one of |T| + 1 byte strings, so each column is
-    a join of one block per T, and no point is held but in the columns."""
-    size = w // 8
-    if m <= 4:
-        # ray r's entry at mask s is byte (2**m - 1) * r + s - 1 of flat
-        flat, n = bytes(chain.from_iterable(_rays(m))), len(_rays(m))
-        narrow = (flat[s - 1::(1 << m) - 1] for s in range(1, 1 << m))
-    else:
-        # T's bytes k = 1..|T| hold 1, 2, .., j, then j, with j = |S & T|
-        blocks = [[bytes(range(1, j + 1)) + bytes((j,)) * (t - j) for j in range(t + 1)]
-                  for t in range(m + 1)]
-        narrow = (b"".join([blocks[t.bit_count()][(s & t).bit_count()] for t in range(1, 1 << m)])
-                  for s in range(1, 1 << m))
-        n = m << m - 1
-    wide, cols = bytearray(size * n), [0]
-    for col in narrow:
-        wide[::size] = col
-        cols.append(int.from_bytes(wide, "little"))
-    # one tuple of every field's shift, so the rows share its ints
-    ones, shifts = ((1 << w * n) - 1) // ((1 << w) - 1), tuple(range(0, w * n, w))
-    rows = []
+def _narrow(m: int) -> tuple[list[int], list[int]]:
+    """The table a byte per point: per subset mask, an int whose byte r is
+    point r's entry at it; per elemental row, the mask of the points where
+    its slack is 1, bit 8r + 7 for point r.  Each slack is 0 or 1, so the
+    sum of the row's ints times the columns holds each in its byte."""
+    flat, n, cols, masks = b"".join(_points(m)), (1 << m) - 1, [0], []
+    for s in range(n):
+        cols.append(int.from_bytes(flat[s::n], "little"))
     for row in elemental_inequalities(m).rows:
-        field = sum(map(mul, row.nums.values(), map(cols.__getitem__, row.nums)))
-        rows.append((field, tuple(compress(shifts, field.to_bytes(n * size, "little")[::size]))))
-    return cols, ones << w - 1, ones, rows
+        masks.append(sum(map(mul, row.nums.values(), map(cols.__getitem__, row.nums))) << 7)
+    return cols, masks
+
+
+@cache
+def _ray_fields(m: int, w: int) -> tuple[list[int], int, int, dict[int, tuple[int, tuple]]]:
+    """The table packed into w-bit fields (w a multiple of 8), point r in
+    field r (bits w*r up): per subset mask, the points' entries at it (a
+    column of _narrow spread to a byte every w bits); 2**(w-1) in every
+    field; 1 in every field; and, filled by the peel as it first takes a
+    row at this w, the row's slacks packed the same way and the byte spans
+    of its fields where it is 1 in a packed int written big-endian."""
+    size, cols, n = w // 8, [0], len(_points(m))
+    wide = bytearray(size * n)
+    for col in _narrow(m)[0][1:]:
+        wide[::size] = col.to_bytes(n, "little")
+        cols.append(int.from_bytes(wide, "little"))
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
+    return cols, ones << w - 1, ones, {}
 
 
 def _by_rays(m: int, w: int, nums: Mapping[int, int]) -> tuple[int, dict[int, int] | None]:
     """(r, weights) for the target sum_T nums[T] H(T) >= 0, whose slack on
-    every point of the table (_ray_fields) is above -2**(w-1) and below
-    2**(w-1): r is the first point on which the target is negative, and
-    weights None, or -1, and weights by row, ints with
-    sum_e weights[e] * row_e = the target, from the peel on its slacks, or
-    None when the peel cannot finish.
+    every point of the table is above -2**(w-1) and below 2**(w-1): r is
+    the first point on which the target is negative and weights None, or r
+    is -1 and weights the peel's, ints with sum_e weights[e] * row_e = the
+    target, or None when the peel cannot finish.
 
     Field r of top + sum_T nums[T] * cols[T] is 2**(w-1) plus the slack on
     point r, in 1..2**w - 1, so no field carries into the next, and its top
-    bit is set iff that slack is >= 0.  With every top bit set, a field
-    less 1 has a clear top bit iff its slack is 0.  The peel keeps every
-    slack >= 0, so it reads its tight points so too, and a row's weight, at
-    most each slack it is subtracted from, borrows from no field."""
-    cols, top, ones, fields = _ray_fields(m, w)
+    bit is set iff that slack is >= 0.  Less 1 in every field, as the peel
+    holds it, a top bit is set iff the slack is > 0: written big-endian,
+    the fields' first bytes are the loose mask, a byte per point as the
+    rows' masks, and the least of a row's fields is the least of their
+    bytes.  A weight, at most each slack it is subtracted from, borrows
+    from no field."""
+    cols, top, ones, taken = _ray_fields(m, w)
     packed = sum(map(mul, nums.values(), map(cols.__getitem__, nums)), top)
     negative = top & ~packed
     if negative:
         return (negative & -negative).bit_length() // w - 1, None
     rows = elemental_inequalities(m).rows
-    rest, weights, low, half = dict(nums), {}, (1 << w) - 1, 1 << w - 1
-    # a 1 in the field of each point on which the remainder is 0
-    tight = (top & ~(packed - ones)) >> w - 1
-    for e, (field, shifts) in enumerate(fields):
-        if packed == top:
-            break
-        if field & tight:
+    rest, weights, base, floor = dict(nums), {}, (1 << w - 1) - 1, top - ones
+    size, width = w // 8, top.bit_length() >> 3
+    packed -= ones
+    held = packed.to_bytes(width, "big")
+    loose = int.from_bytes(held[::size], "big")
+    for e, on in enumerate(_narrow(m)[1]):
+        if not on or on & loose != on:
             continue
-        if not shifts:
-            return -1, None
-        weights[e] = lam = min(packed >> s & low for s in shifts) - half
+        if e not in taken:
+            # the row's slacks in its fields, and the bytes of those where it is 1
+            spans = map(slice, range(0, width, size), range(size, width + 1, size))
+            taken[e] = (sum(map(mul, rows[e].nums.values(), map(cols.__getitem__, rows[e].nums))),
+                        tuple(compress(spans, (on >> 7).to_bytes(width // size, "big"))))
+        field, spans = taken[e]
+        weights[e] = lam = int.from_bytes(min(map(held.__getitem__, spans)), "big") - base
         packed -= lam * field
-        tight = (top & ~(packed - ones)) >> w - 1
         for mask, c in rows[e].nums.items():
             rest[mask] = rest.get(mask, 0) - lam * c
-    return -1, None if packed != top or any(rest.values()) else weights
+        if packed == floor:
+            break
+        held = packed.to_bytes(width, "big")
+        loose = int.from_bytes(held[::size], "big")
+    return -1, None if packed != floor or any(rest.values()) else weights
 
 
 def is_shannon_type(ineq: LinearInequality) -> ShannonCertificate | FarkasWitness:
     """Decide cone membership, returning a verified certificate either way.
-    The first point of the table (the extreme rays of Gamma_m at m <= 4,
-    the matroid points U_{k,T} at m = 5 and 6) on which the target is
-    negative is the Farkas point, and the peel on the points' slacks finds
-    the weights of a target that no point refutes, both without a solve;
-    where the peel stops, the LP on the full elemental set decides."""
+    The first point of the table (_points) on which the target is negative
+    is the Farkas point, and the peel on the points' slacks finds the
+    weights of a target that no point refutes, both without a solve; where
+    the peel stops, the LP on the full elemental set decides."""
     m, nums = ineq.m, ineq.nums
     # no table entry exceeds max(m, 4): 4 on the last rays of Gamma_4 and
-    # k <= m on U_{k,T}; so 2**(w-1) exceeds every slack
+    # k < m on U_{k,T}; so 2**(w-1) exceeds every slack
     w = max(32, 1 << (max(m, 4) * sum(map(abs, nums.values()))).bit_length().bit_length())
     r, weights = _by_rays(m, w, nums)
     if r >= 0:
-        # point r is held in the columns, as their fields r
-        point, den = [c >> w * r & (1 << w) - 1 for c in _ray_fields(m, w)[0][1:]], 1
+        point, den = _points(m)[r], 1
     else:
         d = 1
         if weights is None:

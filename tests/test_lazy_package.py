@@ -60,8 +60,9 @@ def test_import_runs_only_linear_and_dsl():
     "argv, also",
     [
         (["check", "H(x,y) <= H(x) + H(y)"], ["cli", "shannon"]),
-        # refuted by no matroid point nor certified by their peel: the LP runs
-        (["check", "I(a;b) <= I(a;b|c) + I(a;b|d) + I(c;d) + 2/3 I(a;e)"],
+        # refuted by no point of the table nor certified by its peel: the LP runs
+        (["check", "1/3 H(c) + 1 H(a) + 1 H(e) + 1 H(d,b,e) + 1 H(a,b,e) <= 1 H(a,b) + 1 H(a,e) "
+                   "+ 1/3 H(b,c) + 1 H(b,e) + 1/3 H(c,d) + 1 H(d,e)"],
          ["cli", "shannon", "simplex"]),
         (["check", "H(a,b,c,d,e,f) <= H(a,b,c) + H(d,e,f)"], ["cli", "shannon"]),
         (["group-search", "--ineq", "H(x,y) <= H(x)", "--max-order", "4"],

@@ -474,23 +474,34 @@ def _double_description(m):
     return sorted(ray for ray, _ in rays)
 
 
+def _size(mask):
+    return bin(mask).count("1")
+
+
 @cache
-def _matroid_points(m):
-    """The uniform matroid rank points U_{k,T}, r(S) = min(|S & T|, k), for
-    each nonempty mask T in ascending order and k = 1..|T| within T, each
-    written out entry by entry over subsets(m)."""
-    def size(mask):
-        return sum(mask >> i & 1 for i in range(m))
-
-    return [tuple(min(size(s & t), k) for s in subsets(m))
-            for t in subsets(m) for k in range(1, size(t) + 1)]
+def _uniform_points(m):
+    """U_{k,T}(S) = min(|S & T|, k) for each nonempty mask T and
+    1 <= k < |T| (k = 1 when |T| = 1), each written out entry by entry over
+    subsets(m)."""
+    return [tuple(min(_size(s & t), k) for s in subsets(m))
+            for t in subsets(m) for k in range(1, max(_size(t), 2))]
 
 
+@cache
 def _table(m):
-    """The points the decision reads, built independently of the package:
-    the rays of the double description at m <= 4, the matroid points past
-    it."""
-    return _double_description(m) if m <= 4 else _matroid_points(m)
+    """The points the decision reads, built independently of the package,
+    in ascending order: the uniform matroid points, and each ray of the
+    double description of Gamma_4 that is not one of them restricted to
+    each 4-subset T, g(S) = h(S & T) with T's i-th variable read as h's."""
+    rays = [h for h in _double_description(4) if h not in _uniform_points(4)]
+    restricted = []
+    for t in subsets(m):
+        if _size(t) == 4:
+            names = [i for i in range(m) if t >> i & 1]
+            # the mask of S & T over T's variables, for each S
+            at = [sum(1 << j for j, i in enumerate(names) if s >> i & 1) for s in subsets(m)]
+            restricted += [tuple(h[a - 1] if a else 0 for a in at) for h in rays]
+    return sorted(_uniform_points(m) + restricted)
 
 
 @cache
@@ -519,13 +530,23 @@ def _rank(rows):
     return rank
 
 
+def _package_table(m):
+    """The package's table of m variables, each point as a tuple of ints."""
+    return [tuple(point) for point in shannon._points(m)]
+
+
 def test_ray_table_matches_a_double_description():
-    for m, count in zip((1, 2, 3, 4), (1, 3, 8, 41)):
-        rays = _double_description(m)
-        assert len(rays) == count
-        assert list(shannon._rays(m)) == rays  # the table is sorted too
-        assert all(0 <= x <= 4 for ray in rays for x in ray)
-    assert shannon._rays(5) == shannon._rays(6) == ()
+    # the one table is the extreme rays of Gamma_m at m <= 4, in order;
+    # past it, every point is distinct
+    for m, count in zip(ELEMENTAL_RANGE, (1, 3, 8, 41, 154, 435)):
+        points = _table(m)
+        assert len(points) == len(set(points)) == count
+        assert _package_table(m) == points  # the table is sorted too
+        if m <= 4:
+            assert points == _double_description(m)
+        # the U_{1,T}, the points whose entries are at most 1, span every
+        # coordinate
+        assert _rank([p for p in points if max(p) == 1]) == len(subsets(m))
 
 
 def test_ray_table_holds_extreme_rays():
@@ -533,7 +554,7 @@ def test_ray_table_holds_extreme_rays():
         coords = subsets(m)
         cuts = [[row.nums.get(mask, 0) for mask in coords]
                 for row in elemental_inequalities(m).rows]
-        for ray in shannon._rays(m):
+        for ray in _package_table(m):
             assert reduce(math.gcd, ray) == 1
             slacks = [_dot(cut, ray) for cut in cuts]
             assert min(slacks) >= 0
@@ -543,11 +564,9 @@ def test_ray_table_holds_extreme_rays():
 
 @pytest.mark.parametrize("m", ELEMENTAL_RANGE)
 def test_the_packed_columns_hold_every_ray_and_matroid_point(m):
-    # the rays at m <= 4 and the m * 2**(m-1) matroid points past it,
-    # packed field for field into the columns, at every width the tests
-    # use; is_shannon_type reads a refuting point back from its field
+    # every point of the table, packed field for field into the columns,
+    # at every width the tests use
     points = _table(m)
-    assert len(points) == (len(shannon._rays(m)) if m <= 4 else m << m - 1)
     for w in (32, 64, 128):
         cols, top, ones, _ = shannon._ray_fields(m, w)
         assert ones == sum(1 << w * r for r in range(len(points))) and top == ones << w - 1
@@ -558,10 +577,11 @@ def test_the_packed_columns_hold_every_ray_and_matroid_point(m):
 
 def test_the_field_width_factor_is_the_largest_ray_or_matroid_entry():
     # is_shannon_type sizes the fields for slacks of max(m, 4) times the
-    # target's coefficient sum: the largest entry at m = 4, 5 and 6
-    for m in ELEMENTAL_RANGE:
+    # target's coefficient sum: the largest entry is 4 at m = 4 and 5 and
+    # m - 1 on U_{m-1,all} at m = 6
+    for m, want in zip(ELEMENTAL_RANGE, (1, 1, 2, 4, 4, 5)):
         largest = max(max(point) for point in _table(m))
-        assert largest <= max(m, 4) and (largest == max(m, 4) or m < 4)
+        assert largest == want <= max(m, 4)
 
 
 def test_the_ingleton_instances_split_the_gamma4_rays():
@@ -579,7 +599,7 @@ def test_the_ingleton_instances_split_the_gamma4_rays():
     def violated(ineq, ray):
         return sum(ineq.nums.get(mask, 0) * x for mask, x in zip(coords, ray)) < 0
 
-    rays = shannon._rays(4)
+    rays = _package_table(4)
     for i, ray in enumerate(rays):
         hit = [k for k, q in enumerate(ingletons) if violated(q, ray)]
         assert hit == ([] if i < 35 else [i - 35])
@@ -601,13 +621,16 @@ def test_ray_refutes_without_a_solve(monkeypatch):
 
 @pytest.fixture
 def ray_table(monkeypatch):
-    """Sets the m = 4 ray table to the rays given as digit strings; every
-    cache of the module but the elemental sets' is emptied around it."""
+    """Sets the m = 4 table to the points given, ints over subsets(4), by
+    patching the table's one builder; every cache of the module but the
+    elemental sets' is emptied around it."""
     caches = [f for f in vars(shannon).values()
               if hasattr(f, "cache_clear") and f is not elemental_inequalities]
+    built = shannon._points
 
-    def keep(rays):
-        monkeypatch.setitem(shannon._RAY_DIGITS, 4, " ".join(rays))
+    def keep(points):
+        table = [bytes(point) for point in points]
+        monkeypatch.setattr(shannon, "_points", lambda m: table if m == 4 else built(m))
         for c in caches:
             c.cache_clear()
 
@@ -619,9 +642,9 @@ def ray_table(monkeypatch):
 
 @pytest.fixture
 def rays_35_to_40_missing(ray_table):
-    """The m = 4 ray table without its last six rays, the only ones on
-    which Zhang-Yeung is negative."""
-    ray_table(shannon._RAY_DIGITS[4].split()[:35])
+    """The m = 4 table without its last six rays, the only ones on which
+    Zhang-Yeung is negative."""
+    ray_table(_double_description(4)[:35])
 
 
 def test_lp_answers_when_no_ray_refutes(ray_table):
@@ -772,9 +795,10 @@ def test_the_packed_ray_test_matches_the_plain_loop(ineq):
 
 @pytest.mark.parametrize("bits", (29, 30, 31, 61, 62, 63, 125, 126, 127))
 def test_the_field_width_covers_every_ray_slack(bits):
-    # H(all) is 4 on the last rays of Gamma_4, 2 on the last of Gamma_3 and
-    # m on U_{m,all} at m = 5, 6, so a coefficient c there takes a slack of
-    # up to max(m, 4) * c, two or three bits past c
+    # H(all) is 2 on the last ray of Gamma_3, 4 on the last rays of Gamma_4
+    # and on U_{4,all} at m = 5, and 5 on U_{5,all} at m = 6, so a
+    # coefficient c there takes a slack of up to max(m, 4) * c, two or
+    # three bits past c
     for m in ELEMENTAL_RANGE:
         full = (1 << m) - 1
         for c in ((1 << bits) - 1, (1 << bits) + 1, -(1 << bits) - 1):
@@ -829,19 +853,36 @@ def test_every_ray_slack_at_the_bound_is_read(m, w):
 @pytest.mark.parametrize("m", ELEMENTAL_RANGE)
 def test_every_row_slack_on_every_ray_is_0_or_1(m):
     # what lets the peel subtract a weight from every field at once: from
-    # the double description or the matroid points, by dot products, then
-    # the per-row fields the peel reads
+    # the table built here, by dot products; then each row's mask of the
+    # points where it is 1, held once per m, and the fields and byte spans
+    # of the rows a peel took, held per width
+    masks = shannon._narrow(m)[1]
     for e, slacks in enumerate(_row_slacks(m)):
         assert set(slacks) <= {0, 1} and 1 in slacks
-        for w in (32, 64):
-            field, shifts = shannon._ray_fields(m, w)[3][e]
+        assert masks[e] == sum(s << 8 * r + 7 for r, s in enumerate(slacks))
+    # the sum of every elemental row: the peel takes rows until it is done
+    nums = {}
+    for row in elemental_inequalities(m).rows:
+        for mask, c in row.nums.items():
+            nums[mask] = nums.get(mask, 0) + c
+    for w in (32, 64):
+        assert shannon._by_rays(m, w, nums) == _plain_ray_test(m, nums)
+        taken = shannon._ray_fields(m, w)[3]
+        assert taken
+        size = w // 8
+        width = size * len(_table(m))
+        for e, (field, spans) in taken.items():
+            slacks = _row_slacks(m)[e]
             assert field == sum(s << w * r for r, s in enumerate(slacks))
-            assert shifts == tuple(w * r for r, s in enumerate(slacks) if s)
-    # each row is positive on 1, 12 or 16 of the 41 rays of Gamma_4; past
-    # m = 4 a monotonicity row on 2**(m-1) matroid points, a submodularity
-    # row on 2**(m-2)
-    counts = {4: {1, 12, 16}, 5: {16, 8}, 6: {32, 16}}.get(m)
+            # the bytes of field r of a packed int written big-endian, last
+            # field first
+            assert spans == tuple(slice(width - size * (r + 1), width - size * r)
+                                  for r, s in reversed(list(enumerate(slacks))) if s)
+    # each row is positive on 1, 12 or 16 of the 41 rays of Gamma_4, and
+    # a monotonicity row on one point at every m: U_{1,{i}}
+    counts = {4: {1, 12, 16}, 5: {1, 32, 40}, 6: {1, 64, 76, 80}}.get(m)
     assert counts is None or set(map(sum, _row_slacks(m))) == counts
+    assert all(sum(_row_slacks(m)[i]) == 1 for i in range(m))
 
 
 @settings(max_examples=80, deadline=None)
@@ -867,20 +908,20 @@ BENCHMARK_CHECKS = (
     "H(a,b,c,d,e,f) <= H(a,b,c) + H(d,e,f)",
 )
 
-# Shannon-type, but no matroid point refutes it and the peel stops on it
+# Shannon-type; the uniform matroid points alone leave the peel stuck on it
 STUCK = ("3/2 H(s) + 4/3 H(d) + 3/2 H(e,p,s) + 4/3 H(d,e,w) + 1 H(s,w,p,e) <= 4/3 H(d,e) "
          "+ 4/3 H(w,d) + 3/2 H(s,e) + 1 H(w,e,s,d,p) + 11/6 H(p,s)")
 
 # not Shannon-type, but it holds on every linear rank function, so on every
-# matroid point
+# uniform matroid point; a restricted ray of Gamma_4 refutes it
 INGLETON_PLUS = "I(a;b) <= I(a;b|c) + I(a;b|d) + I(c;d) + 2/3 I(a;e)"
 
 
 def test_the_matroid_points_decide_the_benchmark_and_pinned_checks_without_a_solve():
     # at m = 5 and 6 the benchmark's checks, their names bound in order of
     # appearance as every renaming of the layout binds them, and the pinned
-    # texts: peeled weights or a matroid point, no LP; I(a;b|c) <= I(a;b)
-    # holds on every U_{1,T}, and U_{2,{a,b,c}}, up to 2, refutes it
+    # texts: peeled weights or a point of the table, no LP; I(a;b|c) <=
+    # I(a;b) holds on every U_{1,T}, and U_{2,{a,b,c}}, up to 2, refutes it
     def no_solve(*args):
         raise AssertionError("the LP ran")
 
@@ -897,28 +938,70 @@ def test_the_matroid_points_decide_the_benchmark_and_pinned_checks_without_a_sol
     assert max(got.point.values()) == 2
 
 
+def test_the_restricted_rays_decide_stuck_and_ingleton_plus_without_a_solve():
+    # STUCK is peeled on the whole table, and INGLETON_PLUS, at m = 5 and
+    # with I(e;f) added at m = 6, is refuted by a ray of Gamma_4 on
+    # {a, b, c, d}: no LP
+    def no_solve(*args):
+        raise AssertionError("the LP ran")
+
+    for text, cls in ((STUCK, ShannonCertificate), (INGLETON_PLUS, FarkasWitness),
+                      (INGLETON_PLUS + " + I(e;f)", FarkasWitness)):
+        ineq = parse_inequality(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simplex, "solve_eq_nonneg", no_solve)
+            got = is_shannon_type(ineq)
+        assert isinstance(got, cls) and got == _expected(ineq, elemental_inequalities(ineq.m))
+        if cls is FarkasWitness:
+            point = tuple(got.point.get(s, 0) for s in subsets(ineq.m))
+            assert got.den == 1 and point in _table(ineq.m) and point not in _uniform_points(ineq.m)
+
+
 # the benchmark's perturbed m = 5 check with its names bound as (c, a, e,
 # d, b): the peel, peeling it in order of appearance, stops on it
 RENAMED = (BENCHMARK_CHECKS[1], tuple("caedb"))
 
+# not Shannon-type, and no point of the table refutes it: the LP's
+# separating point is the rank function of the rank-3 matroid on a..e with
+# two 3-point lines, {a, b, c} and {c, d, e}, over 3
+NO_POINT_REFUTES = (
+    "1 H(a,b) + 1 H(c) + 1 H(a,c) + 1 H(b,c) + 1 H(a,d) + 1 H(b,d) + 1 H(a,b,d) + 1 H(c,d) "
+    "+ 1 H(a,c,d) + 1 H(b,c,d) + 1 H(a,b,c,d) + 1 H(a,e) + 1 H(b,e) + 1 H(a,b,e) + 1 H(c,e) "
+    "+ 1 H(a,c,e) + 1 H(b,c,e) + 1 H(a,b,c,e) + 1 H(d,e) + 1 H(a,d,e) + 1 H(b,d,e) "
+    "+ 1 H(a,b,d,e) + 1 H(a,c,d,e) + 1 H(b,c,d,e) + 1 H(a,b,c,d,e) "
+    "<= 7 H(a) + 7 H(b) + 7 H(a,b,c) + 5 H(d) + 5 H(e) + 11 H(c,d,e)"
+)
+
 
 def test_the_lp_decides_where_the_peel_stops(solved):
-    # no matroid point refutes these targets and the peel stops on each, so
-    # the full LP runs once for each: a certificate or a Farkas point
-    for ineq, cls in ((parse_inequality(STUCK), ShannonCertificate),
-                      (parse_inequality(INGLETON_PLUS), FarkasWitness),
-                      (parse_inequality(RENAMED[0], declared_vars=RENAMED[1]), ShannonCertificate)):
-        assert _plain_ray_test(5, ineq.nums) == shannon._by_rays(5, 32, ineq.nums) == (-1, None)
-        solved.clear()
-        got = is_shannon_type(ineq)
-        assert solved == [elemental_inequalities(5).matrix] and isinstance(got, cls)
-        assert got == _expected(ineq, elemental_inequalities(5))
+    # no point of the table refutes RENAMED and the peel stops on it, so
+    # the full LP runs once and its weights are the certificate
+    ineq = parse_inequality(RENAMED[0], declared_vars=RENAMED[1])
+    assert _plain_ray_test(5, ineq.nums) == shannon._by_rays(5, 32, ineq.nums) == (-1, None)
+    got = is_shannon_type(ineq)
+    assert solved == [elemental_inequalities(5).matrix] and isinstance(got, ShannonCertificate)
+    assert got == _expected(ineq, elemental_inequalities(5)) and got.den == 3
+
+
+def test_a_target_no_point_refutes_is_refuted_by_the_lp(solved):
+    ineq = parse_inequality(NO_POINT_REFUTES)
+    assert _plain_ray_test(5, ineq.nums) == shannon._by_rays(5, 32, ineq.nums) == (-1, None)
+    got = is_shannon_type(ineq)
+    assert solved == [elemental_inequalities(5).matrix] and isinstance(got, FarkasWitness)
+    assert got == _expected(ineq, elemental_inequalities(5))
+
+    def rank(s):
+        # 2 on a set of three points on one line, else min(|S|, 3)
+        return 2 if s in (0b00111, 0b11100) else min(_size(s), 3)
+
+    assert got == FarkasWitness(5, 3, {s: rank(s) for s in subsets(5)})
 
 
 @settings(max_examples=60, deadline=None)
 @given(_drawn_checks(st.integers(5, 6), st.just(True)))
 @example(parse_inequality(STUCK))
 @example(parse_inequality(INGLETON_PLUS))
+@example(parse_inequality(NO_POINT_REFUTES))
 def test_the_matroid_points_decide_as_the_full_lp(ineq):
     # next to the cone's boundary at m = 5 and 6: the verdict is that of
     # the LP on every elemental row (checked against the reference solver
@@ -968,6 +1051,32 @@ def test_the_verdict_does_not_depend_on_how_the_names_are_bound(case):
             verify_certificate(ineq, res)
         else:
             verify_farkas(ineq, res)
+
+
+def test_each_width_keeps_only_its_columns_and_the_rows_it_took():
+    # two checks at m = 5 in one process, at w = 32 and at the width a
+    # 200-digit coefficient sets: the rows' masks are held once, a byte per
+    # point, and each width keeps its columns, top and ones and the fields
+    # of the rows its peel took, no others
+    for f in (shannon._points, shannon._narrow, shannon._ray_fields):
+        f.cache_clear()
+    checks = [BENCHMARK_CHECKS[0], f"{BENCHMARK_CHECKS[0]} + 1/{10 ** 200 + 1} H(a,b)"]
+    runs = [_ray_tests(parse_inequality(text)) for text in checks]
+    n = len(_table(5))
+    cols, masks = shannon._narrow(5)
+    assert len(cols) == 32 and len(masks) == len(elemental_inequalities(5).rows)
+    assert max(x.bit_length() for x in cols + masks) <= 8 * n
+    assert shannon._narrow.cache_info().currsize == 1
+    widths = []
+    for got, ((m, w, _, _),) in runs:
+        assert isinstance(got, ShannonCertificate)
+        widths.append(w)
+        cols, top, ones, taken = shannon._ray_fields(m, w)
+        assert len(cols) == 32 and top == ones << w - 1
+        assert max(x.bit_length() for x in cols + [top]) <= n * w
+        assert set(taken) == set(got.weights)
+    assert widths[0] == 32 < widths[1]
+    assert shannon._ray_fields.cache_info().currsize == 2
 
 
 def test_elemental_sets_are_built_once_and_left_unchanged(capsys):

@@ -10,7 +10,7 @@ from entrodim import simplex
 from entrodim.cli import main
 from entrodim.dsl import parse_inequality
 from entrodim.linear import MAX_PRODUCT_BITS, SizeLimitError
-from entrodim.shannon import FarkasWitness, elemental_inequalities, is_shannon_type
+from entrodim.shannon import ShannonCertificate, elemental_inequalities, is_shannon_type
 from entrodim.simplex import FeasibilityResult, solve_eq_nonneg
 
 # Reference: the dense Fraction-tableau phase-1 simplex with Bland's rule
@@ -330,16 +330,17 @@ def test_size_budget(monkeypatch):
         solve_eq_nonneg(a, b)
 
 
-# not Shannon-type, and refuted by no matroid point (it holds on every
-# linear rank function) nor certified by their peel: its check solves the LP
-INGLETON_PLUS = "I(a;b) <= I(a;b|c) + I(a;b|d) + I(c;d) + 2/3 I(a;e)"
+# Shannon-type, but refuted by no point of the table nor certified by its
+# peel: its check solves the LP
+RENAMED = ("1/3 H(c) + 1 H(a) + 1 H(e) + 1 H(d,b,e) + 1 H(a,b,e) <= 1 H(a,b) + 1 H(a,e) "
+           "+ 1/3 H(b,c) + 1 H(b,e) + 1/3 H(c,d) + 1 H(d,e)")
 
 
 def test_size_budget_is_read_at_call_time(monkeypatch):
     # the m=5 matrix is built and cached before the budget shrinks; a
     # target the table decides, as every one at m <= 4, solves no LP
-    target = parse_inequality(INGLETON_PLUS)
-    assert isinstance(is_shannon_type(target), FarkasWitness)
+    target = parse_inequality(RENAMED)
+    assert isinstance(is_shannon_type(target), ShannonCertificate)
     matrix = elemental_inequalities(5).matrix
     assert elemental_inequalities(5).matrix is matrix
     # each row's share of the bound counts its entry of b: half the
@@ -358,7 +359,7 @@ def test_size_budget_is_read_at_call_time(monkeypatch):
 
 def test_size_budget_cli_error(monkeypatch, capsys):
     monkeypatch.setattr(simplex, "MAX_PRODUCT_BITS", 4)
-    assert main(["check", INGLETON_PLUS]) == 1
+    assert main(["check", RENAMED]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
